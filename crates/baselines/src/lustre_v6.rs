@@ -26,7 +26,7 @@
 use velus_common::{Ident, IdentMap};
 use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program};
 use velus_nlustre::clock::Clock;
-use velus_obc::ast::{reset_name, step_name, Class, Method, ObcExpr, ObcProgram, Stmt};
+use velus_obc::ast::{reset_name, step_name, Block, Class, Method, ObcExpr, ObcProgram, Stmt};
 use velus_ops::Ops;
 
 use crate::BaselineError;
@@ -67,26 +67,27 @@ fn make_fby_class<O: Ops>(ty: &O::Ty) -> Class<O> {
                 locals: vec![],
                 body: Stmt::If(
                     ObcExpr::State(first, bool_ty.clone()),
-                    Box::new(Stmt::Assign(y, ObcExpr::Var(i, ty.clone()))),
-                    Box::new(Stmt::Assign(y, ObcExpr::State(m, ty.clone()))),
-                ),
+                    Stmt::Assign(y, ObcExpr::Var(i, ty.clone())).into(),
+                    Stmt::Assign(y, ObcExpr::State(m, ty.clone())).into(),
+                )
+                .into(),
             },
             Method {
                 name: set_name(),
                 inputs: vec![(v, ty.clone())],
                 outputs: vec![],
                 locals: vec![],
-                body: Stmt::seq(
+                body: Block(vec![
                     Stmt::AssignSt(m, ObcExpr::Var(v, ty.clone())),
                     Stmt::AssignSt(first, ObcExpr::Const(ff)),
-                ),
+                ]),
             },
             Method {
                 name: reset_name(),
                 inputs: vec![],
                 outputs: vec![],
                 locals: vec![],
-                body: Stmt::AssignSt(first, ObcExpr::Const(tt)),
+                body: Stmt::AssignSt(first, ObcExpr::Const(tt)).into(),
             },
         ],
     }
@@ -126,13 +127,13 @@ impl<O: Ops> Ctx<O> {
         Ok(match ce {
             CExpr::Merge(y, t, f) => Stmt::If(
                 self.var(*y)?,
-                Box::new(self.trcexp(x, t)?),
-                Box::new(self.trcexp(x, f)?),
+                self.trcexp(x, t)?.into(),
+                self.trcexp(x, f)?.into(),
             ),
             CExpr::If(c, t, f) => Stmt::If(
                 self.trexp(c)?,
-                Box::new(self.trcexp(x, t)?),
-                Box::new(self.trcexp(x, f)?),
+                self.trcexp(x, t)?.into(),
+                self.trcexp(x, f)?.into(),
             ),
             CExpr::Expr(e) => Stmt::Assign(x, self.trexp(e)?),
         })
@@ -143,9 +144,9 @@ impl<O: Ops> Ctx<O> {
             Clock::Base => Ok(s),
             Clock::On(parent, x, polarity) => {
                 let guarded = if *polarity {
-                    Stmt::If(self.var(*x)?, Box::new(s), Box::new(Stmt::Skip))
+                    Stmt::If(self.var(*x)?, s.into(), Block::new())
                 } else {
-                    Stmt::If(self.var(*x)?, Box::new(Stmt::Skip), Box::new(s))
+                    Stmt::If(self.var(*x)?, Block::new(), s.into())
                 };
                 self.ctrl(parent, guarded)
             }
@@ -259,14 +260,14 @@ fn translate_node_v6<O: Ops>(node: &Node<O>) -> Result<Class<O>, BaselineError> 
             .map(|d| (d.name, d.ty.clone()))
             .collect(),
         locals: node.locals.iter().map(|d| (d.name, d.ty.clone())).collect(),
-        body: Stmt::seq_all(gets.into_iter().chain(body)),
+        body: gets.into_iter().chain(body).collect(),
     };
     let reset = Method {
         name: reset_name(),
         inputs: vec![],
         outputs: vec![],
         locals: vec![],
-        body: Stmt::seq_all(resets),
+        body: Block(resets),
     };
     Ok(Class {
         name: node.name,

@@ -60,46 +60,28 @@ impl Expr {
 /// A Clight statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
-    /// Do nothing.
-    Skip,
     /// `lv = e;` — store to memory.
     Assign(Expr, Expr),
     /// `x = e;` — set a temporary.
     Set(Ident, Expr),
     /// `[x =] f(args);` — call, optionally binding the result temporary.
     Call(Option<Ident>, Ident, Vec<Expr>),
-    /// Sequencing.
-    Seq(Box<Stmt>, Box<Stmt>),
     /// Conditional.
-    If(Expr, Box<Stmt>, Box<Stmt>),
+    If(Expr, Block, Block),
     /// `x = volatile_load(g);` — consumes one input, emits a `Load` event.
     VolLoad(Ident, Ident, CTy),
     /// `volatile_store(g, e);` — emits a `Store` event.
     VolStore(Ident, Expr),
     /// `while (1) { s }` — the simulation main loop.
-    Loop(Box<Stmt>),
+    Loop(Block),
     /// `return [e];`
     Return(Option<Expr>),
 }
 
-impl Stmt {
-    /// Sequencing smart constructor eliding `Skip`s.
-    pub fn seq(a: Stmt, b: Stmt) -> Stmt {
-        match (a, b) {
-            (Stmt::Skip, s) | (s, Stmt::Skip) => s,
-            (a, b) => Stmt::Seq(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// Sequences a list of statements (right-nested).
-    pub fn seq_all(stmts: impl IntoIterator<Item = Stmt>) -> Stmt {
-        let items: Vec<Stmt> = stmts.into_iter().collect();
-        items
-            .into_iter()
-            .rev()
-            .fold(Stmt::Skip, |acc, s| Stmt::seq(s, acc))
-    }
-}
+/// A statement sequence, executed in order; the empty block is Clight's
+/// `Sskip`. Clight's binary `Ssequence` nests; a flat vector keeps every
+/// traversal a loop (see `velus_obc::ast::Block`).
+pub type Block = Vec<Stmt>;
 
 /// A function definition.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,7 +97,7 @@ pub struct Function {
     /// Return type.
     pub ret: CType,
     /// Body.
-    pub body: Stmt,
+    pub body: Block,
 }
 
 /// A Clight program.
@@ -154,13 +136,5 @@ mod tests {
             CType::Pointer(Box::new(CType::Struct(Ident::new("s"))))
         );
         assert!(!a.is_lvalue());
-    }
-
-    #[test]
-    fn seq_elides_skip() {
-        let s = Stmt::seq(Stmt::Skip, Stmt::Return(None));
-        assert_eq!(s, Stmt::Return(None));
-        let s = Stmt::seq_all(vec![Stmt::Skip, Stmt::Skip]);
-        assert_eq!(s, Stmt::Skip);
     }
 }

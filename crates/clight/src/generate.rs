@@ -19,10 +19,12 @@
 //! the outputs, in an infinite loop.
 
 use velus_common::{Ident, IdentSet};
-use velus_obc::ast::{reset_name, step_name, Class, Method, ObcExpr, ObcProgram, Stmt as OStmt};
+use velus_obc::ast::{
+    reset_name, step_name, Block as OBlock, Class, Method, ObcExpr, ObcProgram, Stmt as OStmt,
+};
 use velus_ops::{CTy, ClightOps};
 
-use crate::ast::{Expr, Function, Program, Stmt};
+use crate::ast::{Block, Expr, Function, Program, Stmt};
 use crate::ctypes::{CType, Composite};
 use crate::ClightError;
 
@@ -137,20 +139,33 @@ impl MCtx<'_> {
         }
     }
 
+    fn gen_block(
+        &mut self,
+        prog: &ObcProgram<ClightOps>,
+        s: &OBlock<ClightOps>,
+    ) -> Result<Block, ClightError> {
+        let mut out = Block::with_capacity(s.len());
+        for s in s.iter() {
+            self.gen_stmt(prog, s, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// Appends the Clight for `s` to `out` (a call to a method with
+    /// outputs becomes the call followed by its result copies).
     fn gen_stmt(
         &mut self,
         prog: &ObcProgram<ClightOps>,
         s: &OStmt<ClightOps>,
-    ) -> Result<Stmt, ClightError> {
-        Ok(match s {
-            OStmt::Skip => Stmt::Skip,
-            OStmt::Seq(a, b) => Stmt::seq(self.gen_stmt(prog, a)?, self.gen_stmt(prog, b)?),
+        out: &mut Block,
+    ) -> Result<(), ClightError> {
+        match s {
             OStmt::Assign(x, e) => {
                 let ty = e.ty();
                 let rhs = self.gen_expr(e);
-                self.gen_write(*x, ty, rhs)
+                out.push(self.gen_write(*x, ty, rhs));
             }
-            OStmt::AssignSt(x, e) => Stmt::Assign(
+            OStmt::AssignSt(x, e) => out.push(Stmt::Assign(
                 Expr::DerefField(
                     Box::new(self.self_expr()),
                     self.class.name,
@@ -158,12 +173,15 @@ impl MCtx<'_> {
                     CType::Scalar(e.ty()),
                 ),
                 self.gen_expr(e),
-            ),
-            OStmt::If(c, t, f) => Stmt::If(
-                self.gen_expr(c),
-                Box::new(self.gen_stmt(prog, t)?),
-                Box::new(self.gen_stmt(prog, f)?),
-            ),
+            )),
+            OStmt::If(c, t, f) => {
+                let s = Stmt::If(
+                    self.gen_expr(c),
+                    self.gen_block(prog, t)?,
+                    self.gen_block(prog, f)?,
+                );
+                out.push(s);
+            }
             OStmt::Call {
                 results,
                 class: k,
@@ -188,7 +206,7 @@ impl MCtx<'_> {
                 match cm.outputs.len() {
                     0 => {
                         cargs.extend(args.iter().map(|a| self.gen_expr(a)));
-                        Stmt::Call(None, fname, cargs)
+                        out.push(Stmt::Call(None, fname, cargs));
                     }
                     1 => {
                         cargs.extend(args.iter().map(|a| self.gen_expr(a)));
@@ -196,10 +214,12 @@ impl MCtx<'_> {
                         self.fresh += 1;
                         let aux = Ident::new(&format!("res${i}${}", self.fresh));
                         self.extra_temps.push((aux, CType::Scalar(*oty)));
-                        let call = Stmt::Call(Some(aux), fname, cargs);
-                        let copy =
-                            self.gen_write(results[0], *oty, Expr::Temp(aux, CType::Scalar(*oty)));
-                        Stmt::seq(call, copy)
+                        out.push(Stmt::Call(Some(aux), fname, cargs));
+                        out.push(self.gen_write(
+                            results[0],
+                            *oty,
+                            Expr::Temp(aux, CType::Scalar(*oty)),
+                        ));
                     }
                     _ => {
                         let ostruct = out_struct_name(*k, *m);
@@ -213,9 +233,9 @@ impl MCtx<'_> {
                             CType::Struct(ostruct),
                         ))));
                         cargs.extend(args.iter().map(|a| self.gen_expr(a)));
-                        let call = Stmt::Call(None, fname, cargs);
-                        let copies = cm.outputs.iter().zip(results).map(|((o, oty), r)| {
-                            self.gen_write(
+                        out.push(Stmt::Call(None, fname, cargs));
+                        for ((o, oty), r) in cm.outputs.iter().zip(results) {
+                            out.push(self.gen_write(
                                 *r,
                                 *oty,
                                 Expr::Field(
@@ -224,14 +244,13 @@ impl MCtx<'_> {
                                     *o,
                                     CType::Scalar(*oty),
                                 ),
-                            )
-                        });
-                        let copies: Vec<Stmt> = copies.collect();
-                        Stmt::seq(call, Stmt::seq_all(copies))
+                            ));
+                        }
                     }
                 }
             }
-        })
+        }
+        Ok(())
     }
 }
 
@@ -251,7 +270,7 @@ fn gen_method(
         extra_temps: Vec::new(),
         fresh: 0,
     };
-    let mut body = ctx.gen_stmt(prog, &m.body)?;
+    let mut body = ctx.gen_block(prog, &m.body)?;
 
     let mut params = vec![(self_ident(), CType::ptr_to_struct(class.name))];
     if multi_out {
@@ -269,10 +288,7 @@ fn gen_method(
     let ret = if m.outputs.len() == 1 {
         let (o, oty) = &m.outputs[0];
         temps.push((*o, CType::Scalar(*oty)));
-        body = Stmt::seq(
-            body,
-            Stmt::Return(Some(Expr::Temp(*o, CType::Scalar(*oty)))),
-        );
+        body.push(Stmt::Return(Some(Expr::Temp(*o, CType::Scalar(*oty)))));
         CType::Scalar(*oty)
     } else {
         CType::Void
@@ -403,14 +419,14 @@ fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
         }
     }
 
-    let body = Stmt::seq(
+    let body = vec![
         Stmt::Call(
             None,
             method_fn_name(root.name, reset_name()),
             vec![Expr::AddrOf(Box::new(self_expr))],
         ),
-        Stmt::Loop(Box::new(Stmt::seq_all(loop_body))),
-    );
+        Stmt::Loop(loop_body),
+    ];
     Ok((
         Function {
             name: main_fn_name(),
@@ -458,7 +474,7 @@ pub fn generate(obc: &ObcProgram<ClightOps>, root: Ident) -> Result<Program, Cli
 mod tests {
     use super::*;
     use crate::interp::{Event, Machine, RVal};
-    use velus_obc::ast::{Class, Method, ObcExpr, ObcProgram, Stmt as OStmt};
+    use velus_obc::ast::{Block as OBlock, Class, Method, ObcExpr, ObcProgram, Stmt as OStmt};
     use velus_ops::{CBinOp, CConst, CVal};
 
     fn id(s: &str) -> Ident {
@@ -480,7 +496,7 @@ mod tests {
                         inputs: vec![(id("x"), CTy::I32)],
                         outputs: vec![(id("y"), CTy::I32)],
                         locals: vec![],
-                        body: OStmt::seq(
+                        body: OBlock(vec![
                             OStmt::Assign(
                                 id("y"),
                                 ObcExpr::Binop(
@@ -491,14 +507,14 @@ mod tests {
                                 ),
                             ),
                             OStmt::AssignSt(id("c"), ObcExpr::Var(id("y"), CTy::I32)),
-                        ),
+                        ]),
                     },
                     Method {
                         name: reset_name(),
                         inputs: vec![],
                         outputs: vec![],
                         locals: vec![],
-                        body: OStmt::AssignSt(id("c"), ObcExpr::Const(CConst::int(0))),
+                        body: OStmt::AssignSt(id("c"), ObcExpr::Const(CConst::int(0))).into(),
                     },
                 ],
             }],

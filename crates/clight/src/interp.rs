@@ -204,13 +204,18 @@ impl<'p> Machine<'p> {
 
     // ---- statements ------------------------------------------------------
 
+    /// Executes a block: statement by statement until one returns.
+    fn exec_block(&mut self, fr: &mut Frame, b: &[Stmt]) -> Result<Outcome, ClightError> {
+        for s in b {
+            if let ret @ Outcome::Return(_) = self.exec(fr, s)? {
+                return Ok(ret);
+            }
+        }
+        Ok(Outcome::Normal)
+    }
+
     fn exec(&mut self, fr: &mut Frame, s: &Stmt) -> Result<Outcome, ClightError> {
         match s {
-            Stmt::Skip => Ok(Outcome::Normal),
-            Stmt::Seq(a, b) => match self.exec(fr, a)? {
-                Outcome::Normal => self.exec(fr, b),
-                ret => Ok(ret),
-            },
             Stmt::Assign(lv, e) => {
                 let v = self.rval(fr, e)?;
                 let (b, o, ty) = self.lval(fr, lv)?;
@@ -238,11 +243,7 @@ impl<'p> Machine<'p> {
                     .scalar()
                     .and_then(ClightOps::as_bool)
                     .ok_or_else(|| ClightError::ValueError(format!("guard {v:?}")))?;
-                if b {
-                    self.exec(fr, t)
-                } else {
-                    self.exec(fr, f)
-                }
+                self.exec_block(fr, if b { t } else { f })
             }
             Stmt::Call(dest, fname, args) => {
                 let vals = args
@@ -281,7 +282,7 @@ impl<'p> Machine<'p> {
                 }
             }
             Stmt::Loop(body) => loop {
-                match self.exec(fr, body) {
+                match self.exec_block(fr, body) {
                     Ok(Outcome::Normal) => continue,
                     Ok(ret @ Outcome::Return(_)) => return Ok(ret),
                     // Exhausted inputs end the simulated infinite loop:
@@ -314,8 +315,10 @@ impl<'p> Machine<'p> {
                 "call depth exceeded at {fname} (recursive program?)"
             )));
         }
-        let f: &Function = self
-            .prog
+        // Borrowed for the program's lifetime, not through `self`: the
+        // body runs against `&mut self` without being cloned per call.
+        let prog = self.prog;
+        let f: &Function = prog
             .function(fname)
             .ok_or(ClightError::UnknownFunction(fname))?;
         if f.params.len() != args.len() {
@@ -340,8 +343,7 @@ impl<'p> Machine<'p> {
             fr.vars.insert(*x, (b, ty.clone()));
         }
         self.depth += 1;
-        let body = f.body.clone();
-        let outcome = self.exec(&mut fr, &body);
+        let outcome = self.exec_block(&mut fr, &f.body);
         self.depth -= 1;
         for b in blocks {
             self.mem.free(b)?;
@@ -410,7 +412,7 @@ mod tests {
             CType::Scalar(CTy::I32),
         );
         let n = id("n");
-        let body = Stmt::seq_all(vec![
+        let body = vec![
             Stmt::Set(
                 n,
                 Expr::Binop(
@@ -422,7 +424,7 @@ mod tests {
             ),
             Stmt::Assign(deref_c, Expr::Temp(n, CType::Scalar(CTy::I32))),
             Stmt::Return(Some(Expr::Temp(n, CType::Scalar(CTy::I32)))),
-        ]);
+        ];
         Program {
             composites: vec![Composite {
                 name: st,
@@ -471,7 +473,7 @@ mod tests {
     #[test]
     fn volatile_trace_and_loop_termination() {
         // void main() { while (1) { x = vol_load(in); vol_store(out, x + 1); } }
-        let body = Stmt::Loop(Box::new(Stmt::seq_all(vec![
+        let body = vec![Stmt::Loop(vec![
             Stmt::VolLoad(id("x"), id("in"), CTy::I32),
             Stmt::VolStore(
                 id("out"),
@@ -482,7 +484,7 @@ mod tests {
                     CTy::I32,
                 ),
             ),
-        ])));
+        ])];
         let prog = Program {
             composites: vec![],
             functions: vec![Function {
@@ -527,7 +529,7 @@ mod tests {
                 vars: vec![(id("o"), CType::Struct(id("st")))],
                 temps: vec![],
                 ret: CType::Void,
-                body: Stmt::Skip,
+                body: vec![],
             }],
             volatiles_in: vec![],
             volatiles_out: vec![],

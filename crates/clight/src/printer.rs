@@ -178,9 +178,14 @@ fn expr(e: &Expr) -> String {
     buf
 }
 
+fn block(w: &mut Cw, b: &[Stmt]) {
+    for s in b {
+        stmt(w, s);
+    }
+}
+
 fn stmt(w: &mut Cw, s: &Stmt) {
     match s {
-        Stmt::Skip => {}
         Stmt::Assign(lv, e) => {
             w.indent();
             expr_into(&mut w.buf, lv);
@@ -214,10 +219,6 @@ fn stmt(w: &mut Cw, s: &Stmt) {
             w.buf.push_str(");");
             w.nl();
         }
-        Stmt::Seq(a, b) => {
-            stmt(w, a);
-            stmt(w, b);
-        }
         Stmt::If(c, t, f) => {
             w.indent();
             w.buf.push_str("if (");
@@ -225,12 +226,12 @@ fn stmt(w: &mut Cw, s: &Stmt) {
             w.buf.push_str(") {");
             w.nl();
             w.indent += 1;
-            stmt(w, t);
+            block(w, t);
             w.indent -= 1;
-            if **f != Stmt::Skip {
+            if !f.is_empty() {
                 w.line("} else {");
                 w.indent += 1;
-                stmt(w, f);
+                block(w, f);
                 w.indent -= 1;
             }
             w.line("}");
@@ -254,7 +255,7 @@ fn stmt(w: &mut Cw, s: &Stmt) {
         Stmt::Loop(body) => {
             w.line("for (;;) {");
             w.indent += 1;
-            stmt(w, body);
+            block(w, body);
             w.indent -= 1;
             w.line("}");
         }
@@ -317,13 +318,14 @@ fn decl_line(w: &mut Cw, prefix: &str, x: Ident, ty: &CType) {
 /// once up front. Counts are deliberately generous: over-reserving a
 /// few hundred bytes is cheaper than re-growing mid-emission.
 fn estimate_size(prog: &Program) -> usize {
-    fn stmt_atoms(s: &Stmt) -> usize {
-        match s {
-            Stmt::Seq(a, b) => stmt_atoms(a) + stmt_atoms(b),
-            Stmt::If(_, t, f) => 2 + stmt_atoms(t) + stmt_atoms(f),
-            Stmt::Loop(b) => 2 + stmt_atoms(b),
-            _ => 1,
-        }
+    fn atoms(b: &[Stmt]) -> usize {
+        b.iter()
+            .map(|s| match s {
+                Stmt::If(_, t, f) => 2 + atoms(t) + atoms(f),
+                Stmt::Loop(b) => 2 + atoms(b),
+                _ => 1,
+            })
+            .sum()
     }
     let fields: usize = prog.composites.iter().map(|c| c.fields.len() + 2).sum();
     let decls: usize = prog
@@ -331,7 +333,7 @@ fn estimate_size(prog: &Program) -> usize {
         .iter()
         .map(|f| f.params.len() + f.vars.len() + f.temps.len() + 4)
         .sum();
-    let atoms: usize = prog.functions.iter().map(|f| stmt_atoms(&f.body)).sum();
+    let atoms: usize = prog.functions.iter().map(|f| atoms(&f.body)).sum();
     let vols = prog.volatiles_in.len() + prog.volatiles_out.len();
     256 + 48 * fields + 64 * decls + 56 * atoms + 48 * vols
 }
@@ -404,7 +406,7 @@ pub fn print_program(prog: &Program, io: TestIo) -> String {
         for (x, t) in &f.temps {
             decl_line(&mut w, "register ", *x, t);
         }
-        stmt(&mut w, &f.body);
+        block(&mut w, &f.body);
         w.indent -= 1;
         w.line("}");
         w.blank();
@@ -422,7 +424,7 @@ pub fn print_program(prog: &Program, io: TestIo) -> String {
                 for (x, t) in &main.temps {
                     decl_line(&mut w, "register ", *x, t);
                 }
-                stmt(&mut w, &main.body);
+                block(&mut w, &main.body);
             }
             TestIo::Stdio => {
                 // The unverified scanf/printf test harness of §5: read one
@@ -435,7 +437,7 @@ pub fn print_program(prog: &Program, io: TestIo) -> String {
                 }
                 // Locate reset call and loop body from the generated
                 // main: re-emit with stdio I/O substituted.
-                stmt_stdio(&mut w, &main.body, prog);
+                block_stdio(&mut w, &main.body, prog);
             }
         }
         w.line("return 0;");
@@ -447,19 +449,21 @@ pub fn print_program(prog: &Program, io: TestIo) -> String {
 
 /// Re-emits the generated main with `scanf`/`printf` in place of volatile
 /// accesses (the paper's test mode).
+fn block_stdio(w: &mut Cw, b: &[Stmt], prog: &Program) {
+    for s in b {
+        stmt_stdio(w, s, prog);
+    }
+}
+
 fn stmt_stdio(w: &mut Cw, s: &Stmt, prog: &Program) {
     match s {
         Stmt::Loop(body) => {
             // Terminate on EOF of the first scanf.
             w.line("for (;;) {");
             w.indent += 1;
-            stmt_stdio(w, body, prog);
+            block_stdio(w, body, prog);
             w.indent -= 1;
             w.line("}");
-        }
-        Stmt::Seq(a, b) => {
-            stmt_stdio(w, a, prog);
-            stmt_stdio(w, b, prog);
         }
         Stmt::VolLoad(x, g, ty) => {
             let (sf, _) = scanf_spec(*ty);
@@ -522,7 +526,7 @@ mod tests {
                 vars: vec![],
                 temps: vec![(id("n"), CType::Scalar(CTy::I32))],
                 ret: CType::Scalar(CTy::I32),
-                body: Stmt::seq_all(vec![
+                body: vec![
                     Stmt::Set(
                         id("n"),
                         Expr::Binop(
@@ -538,7 +542,7 @@ mod tests {
                         ),
                     ),
                     Stmt::Return(Some(Expr::Temp(id("n"), CType::Scalar(CTy::I32)))),
-                ]),
+                ],
             }],
             volatiles_in: vec![(id("in$x"), CTy::I32)],
             volatiles_out: vec![(id("out$n"), CTy::I32)],

@@ -53,27 +53,3 @@ pub use identmap::{
     IdentMap, IdentScratch, IdentSet,
 };
 pub use span::{Loc, NodeSpans, PreMarks, Span, SpanMap, Spanned};
-
-/// Runs `f` on a thread with a `stack_mb`-MiB stack and returns its
-/// result.
-///
-/// The demand-driven dataflow interpreter and the recursive-descent
-/// passes recurse proportionally to program depth; deeply nested
-/// instance trees (e.g. the industrial-scale workload) need more than
-/// the 2 MiB default of spawned threads. The `velus` CLI and the heavy
-/// tests wrap their entry points with this.
-///
-/// # Panics
-///
-/// Propagates panics from `f` and panics if the thread cannot be
-/// spawned.
-pub fn with_stack<T: Send>(stack_mb: usize, f: impl FnOnce() -> T + Send) -> T {
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .stack_size(stack_mb * 1024 * 1024)
-            .spawn_scoped(scope, f)
-            .expect("spawn big-stack worker")
-            .join()
-            .unwrap_or_else(|e| std::panic::resume_unwind(e))
-    })
-}

@@ -723,11 +723,13 @@ fn dispatch(args: &Args) -> Result<(), String> {
                 }
                 count += 1;
             }
-            let outs = velus_nlustre::dataflow::run_node(&c.snlustre, c.root, &streams, count)
-                .map_err(|e| {
-                    let diags = e.to_diagnostics(&c.spans).tagged(DiagStage::Validate);
-                    emit_error(&diags, &source, error_format)
-                })?;
+            let outs = on_interpreter_stack(|| {
+                velus_nlustre::dataflow::run_node(&c.snlustre, c.root, &streams, count)
+            })
+            .map_err(|e| {
+                let diags = e.to_diagnostics(&c.spans).tagged(DiagStage::Validate);
+                emit_error(&diags, &source, error_format)
+            })?;
             for i in 0..count {
                 let row: Vec<String> = outs.iter().map(|s| format!("{}", s[i])).collect();
                 println!("{}", row.join(" "));
@@ -737,10 +739,12 @@ fn dispatch(args: &Args) -> Result<(), String> {
         "validate" => {
             let c = compile(&source, node).map_err(render_err)?;
             let inputs = default_inputs(&c, args.steps);
-            let report = velus::validate_with_report(&c, &inputs, args.steps).map_err(|e| {
-                let diags = e.to_diagnostics(&c.spans).tagged(DiagStage::Validate);
-                emit_error(&diags, &source, error_format)
-            })?;
+            let report =
+                on_interpreter_stack(|| velus::validate_with_report(&c, &inputs, args.steps))
+                    .map_err(|e| {
+                        let diags = e.to_diagnostics(&c.spans).tagged(DiagStage::Validate);
+                        emit_error(&diags, &source, error_format)
+                    })?;
             println!(
                 "validated {} instants: {} MemCorres checks, {} staterep checks, {} trace events",
                 report.instants,
@@ -802,10 +806,30 @@ fn dispatch(args: &Args) -> Result<(), String> {
     }
 }
 
+/// The stack `run` and `validate` give the reference interpreters. The
+/// demand-driven dataflow semantics recurses along each instant's
+/// dependency chains (through instances too), so a long node needs far
+/// more than the compile budget, which compilation itself never
+/// approaches: it does not recurse per equation.
+const INTERPRETER_STACK_BYTES: usize = 256 * 1024 * 1024;
+
+/// Runs `f` on a thread with [`INTERPRETER_STACK_BYTES`] of stack.
+fn on_interpreter_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(INTERPRETER_STACK_BYTES)
+            .spawn_scoped(scope, f)
+            .expect("spawn interpreter thread")
+            .join()
+            .unwrap_or_else(|e| std::panic::resume_unwind(e))
+    })
+}
+
 fn main() -> ExitCode {
-    // Deeply nested programs make the reference interpreter recurse
-    // deeply; give it room (see `velus_common::with_stack`).
-    match velus_common::with_stack(256, main_inner) {
+    // Runs on the main thread, whose stack is the size service workers
+    // get too (`velus_server::WORKER_STACK_BYTES`): a program compiles
+    // here exactly when `velus batch` can compile it.
+    match main_inner() {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             // JSON-mode failures were already printed on stdout and

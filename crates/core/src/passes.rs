@@ -24,6 +24,7 @@
 //! back half. `compile`/`compile_timed` in [`crate::pipeline`] are thin
 //! wrappers that force every stage.
 
+use std::cell::OnceCell;
 use std::time::Instant;
 
 use velus_clight::printer::TestIo;
@@ -358,26 +359,67 @@ impl Pass<'_> for CheckPass {
 /// Schedule the equations (untrusted heuristic); re-validation runs the
 /// paper's schedule checker plus the typing/clocking preservation
 /// checks.
+///
+/// The pass moves the equations of its input rather than copying the
+/// program: on success the input is left empty and the returned
+/// [`Scheduled`] records each node's permutation, from which the
+/// elaborated order can be rebuilt if anything still needs it. Every
+/// order is computed before anything moves, so a causality error leaves
+/// the input intact.
 pub struct SchedulePass;
 
-impl Pass<'_> for SchedulePass {
-    type Input = Program<ClightOps>;
-    type Output = Program<ClightOps>;
+/// Output of [`SchedulePass`].
+#[derive(Debug, Clone)]
+pub struct Scheduled {
+    /// The scheduled SN-Lustre program.
+    pub program: Program<ClightOps>,
+    /// Per node, the order applied: equation `k` of the scheduled node
+    /// was equation `orders[n][k]` of its input.
+    pub orders: Vec<Vec<usize>>,
+}
+
+impl Scheduled {
+    /// Rebuilds the unscheduled input by undoing every node's
+    /// permutation on a copy of the scheduled program.
+    pub fn unscheduled(&self) -> Program<ClightOps> {
+        let mut prog = self.program.clone();
+        for (node, order) in prog.nodes.iter_mut().zip(&self.orders) {
+            let mut inverse = vec![0; order.len()];
+            for (k, &i) in order.iter().enumerate() {
+                inverse[i] = k;
+            }
+            velus_nlustre::schedule::apply_order(node, &inverse);
+        }
+        prog
+    }
+}
+
+impl<'a> Pass<'a> for SchedulePass {
+    type Input = &'a mut Program<ClightOps>;
+    type Output = Scheduled;
 
     const STAGE: Stage = Stage::Schedule;
     const NAME: &'static str = "schedule";
 
-    fn run(&self, mut input: Program<ClightOps>) -> Result<Program<ClightOps>, VelusError> {
-        velus_nlustre::schedule::schedule_program(&mut input)?;
-        Ok(input)
+    fn run(&self, input: &'a mut Program<ClightOps>) -> Result<Scheduled, VelusError> {
+        let orders = input
+            .nodes
+            .iter()
+            .map(velus_nlustre::schedule::schedule_order)
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut program = Program::new(std::mem::take(&mut input.nodes));
+        for (node, order) in program.nodes.iter_mut().zip(&orders) {
+            velus_nlustre::schedule::apply_order(node, order);
+        }
+        Ok(Scheduled { program, orders })
     }
 
-    fn revalidate(&self, output: &Program<ClightOps>) -> Result<(), VelusError> {
-        for node in &output.nodes {
+    fn revalidate(&self, output: &Scheduled) -> Result<(), VelusError> {
+        for node in &output.program.nodes {
             velus_nlustre::deps::check_schedule(node)?;
         }
-        typecheck::check_program(output)?;
-        clockcheck::check_program_clocks(output)?;
+        typecheck::check_program(&output.program)?;
+        clockcheck::check_program_clocks(&output.program)?;
         Ok(())
     }
 }
@@ -537,12 +579,14 @@ impl<'a> Pass<'a> for LintPass {
 /// and never runs emission; an N-Lustre dump stops after the checks).
 pub struct StagedPipeline<'o> {
     pm: PassManager<'o>,
-    nlustre: Program<ClightOps>,
+    /// The elaborated program until scheduling moves it out; from then
+    /// on rebuilt from `snlustre` the first time it is asked for.
+    nlustre: OnceCell<Program<ClightOps>>,
     root: Ident,
     warnings: Diagnostics,
     spans: SpanMap,
     pre_marks: PreMarks,
-    snlustre: Option<Program<ClightOps>>,
+    snlustre: Option<Scheduled>,
     obc: Option<ObcProgram<ClightOps>>,
     obc_fused: Option<ObcProgram<ClightOps>>,
     clight: Option<velus_clight::ast::Program>,
@@ -626,7 +670,7 @@ impl<'o> StagedPipeline<'o> {
         let nlustre = pm.run(&CheckPass, elaborated.nlustre, &elaborated.spans)?;
         Ok(StagedPipeline {
             pm,
-            nlustre,
+            nlustre: OnceCell::from(nlustre),
             root: elaborated.root,
             warnings: elaborated.warnings,
             spans: elaborated.spans,
@@ -656,8 +700,17 @@ impl<'o> StagedPipeline<'o> {
     }
 
     /// The elaborated, unscheduled N-Lustre (always available).
+    ///
+    /// Scheduling moves the elaborated program instead of copying it, so
+    /// once [`StagedPipeline::snlustre`] has run, the first call here
+    /// rebuilds it by undoing the schedule (see [`Scheduled::unscheduled`]).
     pub fn nlustre(&self) -> &Program<ClightOps> {
-        &self.nlustre
+        self.nlustre.get_or_init(|| {
+            self.snlustre
+                .as_ref()
+                .expect("the elaborated program is only moved out by a successful schedule")
+                .unscheduled()
+        })
     }
 
     /// The scheduled SN-Lustre, scheduling on first demand.
@@ -667,12 +720,16 @@ impl<'o> StagedPipeline<'o> {
     /// Scheduling failures or a failed schedule re-check.
     pub fn snlustre(&mut self) -> Result<&Program<ClightOps>, VelusError> {
         if self.snlustre.is_none() {
-            let scheduled = self
-                .pm
-                .run(&SchedulePass, self.nlustre.clone(), &self.spans)?;
+            let elaborated = self
+                .nlustre
+                .get_mut()
+                .expect("the elaborated program is held until a schedule succeeds");
+            let scheduled = self.pm.run(&SchedulePass, elaborated, &self.spans)?;
+            // Moved out by the pass: rebuilt on demand by `nlustre`.
+            self.nlustre.take();
             self.snlustre = Some(scheduled);
         }
-        Ok(self.snlustre.as_ref().expect("just scheduled"))
+        Ok(&self.snlustre.as_ref().expect("just scheduled").program)
     }
 
     /// The translated (unfused) Obc, translating on first demand.
@@ -685,7 +742,7 @@ impl<'o> StagedPipeline<'o> {
             self.snlustre()?;
             let obc = self.pm.run(
                 &TranslatePass,
-                self.snlustre.as_ref().expect("scheduled"),
+                &self.snlustre.as_ref().expect("scheduled").program,
                 &self.spans,
             )?;
             self.obc = Some(obc);
@@ -747,7 +804,7 @@ impl<'o> StagedPipeline<'o> {
             let findings = self.pm.run(
                 &LintPass,
                 LintInput {
-                    program: self.snlustre.as_ref().expect("scheduled"),
+                    program: &self.snlustre.as_ref().expect("scheduled").program,
                     root: self.root,
                     pre_marks: &self.pre_marks,
                     spans: &self.spans,
@@ -791,9 +848,13 @@ impl<'o> StagedPipeline<'o> {
     /// Any stage failure.
     pub fn into_compiled(mut self) -> Result<crate::pipeline::Compiled, VelusError> {
         self.clight()?;
+        let scheduled = self.snlustre.expect("forced");
         Ok(crate::pipeline::Compiled {
-            nlustre: self.nlustre,
-            snlustre: self.snlustre.expect("forced"),
+            nlustre: self
+                .nlustre
+                .take()
+                .unwrap_or_else(|| scheduled.unscheduled()),
+            snlustre: scheduled.program,
             obc: self.obc.expect("forced"),
             obc_fused: self.obc_fused.expect("forced"),
             clight: self.clight.expect("forced"),
@@ -834,6 +895,46 @@ mod tests {
                 Stage::Fuse,
             ]
         );
+    }
+
+    #[test]
+    fn scheduling_moves_the_program_and_nlustre_is_rebuilt_exactly() {
+        let src = "
+            node f(x: int) returns (y: int)
+            var a, b: int;
+            let
+              y = a + b;
+              b = a * 2;
+              a = x + 1;
+            tel
+        ";
+        let mut observe = |_: Stage, _: std::time::Duration| {};
+        let mut staged = StagedPipeline::from_source(src, None, &mut observe).unwrap();
+        let elaborated = staged.nlustre().clone();
+        let scheduled = staged.snlustre().unwrap().clone();
+        assert_ne!(scheduled, elaborated, "the schedule reorders this node");
+        assert_eq!(staged.nlustre(), &elaborated);
+        let compiled = staged.into_compiled().unwrap();
+        assert_eq!(compiled.nlustre, elaborated);
+        assert_eq!(compiled.snlustre, scheduled);
+    }
+
+    #[test]
+    fn a_causality_error_keeps_the_elaborated_program() {
+        let src = "
+            node f(x: int) returns (y: int)
+            var a: int;
+            let
+              y = a + x;
+              a = y;
+            tel
+        ";
+        let mut observe = |_: Stage, _: std::time::Duration| {};
+        let mut staged = StagedPipeline::from_source(src, None, &mut observe).unwrap();
+        let elaborated = staged.nlustre().clone();
+        assert!(staged.snlustre().is_err());
+        assert_eq!(staged.nlustre(), &elaborated);
+        assert!(staged.snlustre().is_err(), "a retry fails the same way");
     }
 
     #[test]
@@ -909,8 +1010,10 @@ mod tests {
         // And the SchedulePass both fixes and re-validates it.
         let mut observe = |_: Stage, _: std::time::Duration| {};
         let mut pm = PassManager::new(&mut observe);
-        let scheduled = pm.run(&SchedulePass, prog, &SpanMap::new()).unwrap();
+        let mut prog = prog;
+        let scheduled = pm.run(&SchedulePass, &mut prog, &SpanMap::new()).unwrap();
         scheduled
+            .program
             .nodes
             .iter()
             .try_for_each(velus_nlustre::deps::check_schedule)

@@ -4,7 +4,7 @@
 
 use velus::validate::default_inputs;
 use velus_common::Ident;
-use velus_obc::ast::{ObcExpr, Stmt};
+use velus_obc::ast::{Block, ObcExpr, Stmt};
 use velus_ops::{CConst, ClightOps};
 
 const SRC: &str = "
@@ -18,22 +18,19 @@ fn compiled() -> velus::Compiled {
     velus::compile(SRC, None).unwrap()
 }
 
-/// Rewrites every integer constant `0` to `1` in a statement — a typical
+/// Rewrites every integer constant `0` to `1` in a block — a typical
 /// "wrong initial value" miscompilation.
-fn corrupt_stmt(s: &mut Stmt<ClightOps>) {
-    match s {
-        Stmt::Assign(_, e) | Stmt::AssignSt(_, e) => corrupt_expr(e),
-        Stmt::If(c, t, f) => {
-            corrupt_expr(c);
-            corrupt_stmt(t);
-            corrupt_stmt(f);
+fn corrupt_block(b: &mut Block<ClightOps>) {
+    for s in b.iter_mut() {
+        match s {
+            Stmt::Assign(_, e) | Stmt::AssignSt(_, e) => corrupt_expr(e),
+            Stmt::If(c, t, f) => {
+                corrupt_expr(c);
+                corrupt_block(t);
+                corrupt_block(f);
+            }
+            Stmt::Call { args, .. } => args.iter_mut().for_each(corrupt_expr),
         }
-        Stmt::Seq(a, b) => {
-            corrupt_stmt(a);
-            corrupt_stmt(b);
-        }
-        Stmt::Call { args, .. } => args.iter_mut().for_each(corrupt_expr),
-        Stmt::Skip => {}
     }
 }
 
@@ -66,7 +63,7 @@ fn corrupted_reset_is_caught_by_memcorres() {
         .iter_mut()
         .find(|m| m.name == velus_obc::ast::reset_name())
         .unwrap();
-    corrupt_stmt(&mut reset.body);
+    corrupt_block(&mut reset.body);
     let inputs = default_inputs(&c, 8);
     let err = velus::validate(&c, &inputs, 8).unwrap_err();
     // Either the MemCorres check or the output comparison trips.
@@ -97,7 +94,7 @@ fn corrupted_step_output_is_caught() {
             velus_ops::CTy::I32,
         ),
     );
-    step.body = Stmt::seq(step.body.clone(), bump);
+    step.body.push(bump);
     let inputs = default_inputs(&c, 8);
     let err = velus::validate(&c, &inputs, 8).unwrap_err();
     assert!(err.to_string().contains("disagrees"), "{err}");
@@ -114,25 +111,23 @@ fn corrupted_clight_constant_is_caught() {
         .iter_mut()
         .find(|f| f.name == reset_name)
         .unwrap();
-    fn corrupt_clight(s: &mut velus_clight::ast::Stmt) {
+    fn corrupt_clight(b: &mut velus_clight::ast::Block) {
         use velus_clight::ast::{Expr, Stmt};
-        match s {
-            Stmt::Assign(_, e) => {
-                if let Expr::Const(v, ty) = e {
-                    if *v == velus_ops::CVal::int(0) && *ty == velus_ops::CTy::I32 {
-                        *e = Expr::Const(velus_ops::CVal::int(7), *ty);
+        for s in b {
+            match s {
+                Stmt::Assign(_, e) => {
+                    if let Expr::Const(v, ty) = e {
+                        if *v == velus_ops::CVal::int(0) && *ty == velus_ops::CTy::I32 {
+                            *e = Expr::Const(velus_ops::CVal::int(7), *ty);
+                        }
                     }
                 }
+                Stmt::If(_, t, f) => {
+                    corrupt_clight(t);
+                    corrupt_clight(f);
+                }
+                _ => {}
             }
-            Stmt::Seq(a, b) => {
-                corrupt_clight(a);
-                corrupt_clight(b);
-            }
-            Stmt::If(_, t, f) => {
-                corrupt_clight(t);
-                corrupt_clight(f);
-            }
-            _ => {}
         }
     }
     corrupt_clight(&mut f.body);
@@ -156,7 +151,7 @@ fn corrupting_the_unfused_obc_is_also_caught() {
         .iter_mut()
         .find(|m| m.name == velus_obc::ast::reset_name())
         .unwrap();
-    corrupt_stmt(&mut reset.body);
+    corrupt_block(&mut reset.body);
     let inputs = default_inputs(&c, 8);
     assert!(velus::validate(&c, &inputs, 8).is_err());
 }

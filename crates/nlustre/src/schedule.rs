@@ -65,6 +65,25 @@ pub fn schedule_order<O: Ops>(node: &Node<O>) -> Result<Vec<usize>, SemError> {
     Ok(order)
 }
 
+/// Reorders a node's equations so that the `k`-th becomes the
+/// `order[k]`-th of the current list (the shape [`schedule_order`]
+/// returns), moving them rather than deep-cloning them (an equation owns
+/// its whole expression tree).
+///
+/// # Panics
+///
+/// If `order` is not a permutation of the node's equation indices.
+pub fn apply_order<O: Ops>(node: &mut Node<O>, order: &[usize]) {
+    let mut slots: Vec<Option<Equation<O>>> = std::mem::take(&mut node.eqs)
+        .into_iter()
+        .map(Some)
+        .collect();
+    node.eqs = order
+        .iter()
+        .map(|&i| slots[i].take().expect("order is a permutation"))
+        .collect();
+}
+
 /// Schedules a node in place (reorders its equations) and validates the
 /// result with the independent checker.
 ///
@@ -75,16 +94,7 @@ pub fn schedule_order<O: Ops>(node: &Node<O>) -> Result<Vec<usize>, SemError> {
 /// the untrusted-scheduler/validated-checker split of the paper.
 pub fn schedule_node<O: Ops>(node: &mut Node<O>) -> Result<(), SemError> {
     let order = schedule_order(node)?;
-    // Apply the permutation by moving the equations, not deep-cloning
-    // them (an equation owns its whole expression tree).
-    let mut slots: Vec<Option<Equation<O>>> = std::mem::take(&mut node.eqs)
-        .into_iter()
-        .map(Some)
-        .collect();
-    node.eqs = order
-        .iter()
-        .map(|&i| slots[i].take().expect("order is a permutation"))
-        .collect();
+    apply_order(node, &order);
     check_schedule(node)
 }
 

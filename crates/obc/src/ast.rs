@@ -99,7 +99,7 @@ pub enum Stmt<O: Ops> {
     /// `state(x) := e` — update of a memory.
     AssignSt(Ident, ObcExpr<O>),
     /// `if e then s else s`.
-    If(ObcExpr<O>, Box<Stmt<O>>, Box<Stmt<O>>),
+    If(ObcExpr<O>, Block<O>, Block<O>),
     /// `xs := c i.m(es)` — a method call on instance `i` of class `c`,
     /// binding the results to the distinct variables `xs`.
     Call {
@@ -114,34 +114,9 @@ pub enum Stmt<O: Ops> {
         /// Argument expressions.
         args: Vec<ObcExpr<O>>,
     },
-    /// `s; s` — sequencing.
-    Seq(Box<Stmt<O>>, Box<Stmt<O>>),
-    /// `skip`.
-    Skip,
 }
 
 impl<O: Ops> Stmt<O> {
-    /// Sequencing smart constructor that elides `skip`s.
-    pub fn seq(s1: Stmt<O>, s2: Stmt<O>) -> Stmt<O> {
-        match (s1, s2) {
-            (Stmt::Skip, s) => s,
-            (s, Stmt::Skip) => s,
-            (a, b) => Stmt::Seq(Box::new(a), Box::new(b)),
-        }
-    }
-
-    /// Sequences a list of statements, nesting to the right:
-    /// `s1; (s2; (s3; …))`. Right nesting is what the paper's `treqss`
-    /// produces (footnote 4) and what lets `fuse` reach every adjacent
-    /// pair of conditionals.
-    pub fn seq_all(stmts: impl IntoIterator<Item = Stmt<O>>) -> Stmt<O> {
-        let items: Vec<Stmt<O>> = stmts.into_iter().collect();
-        items
-            .into_iter()
-            .rev()
-            .fold(Stmt::Skip, |acc, s| Stmt::seq(s, acc))
-    }
-
     /// Whether `s` may write the (local or state) variable `x` — the
     /// paper's `MayWrite` used by the fusion side condition.
     pub fn may_write(&self, x: Ident) -> bool {
@@ -149,17 +124,14 @@ impl<O: Ops> Stmt<O> {
             Stmt::Assign(y, _) | Stmt::AssignSt(y, _) => *y == x,
             Stmt::If(_, t, f) => t.may_write(x) || f.may_write(x),
             Stmt::Call { results, .. } => results.contains(&x),
-            Stmt::Seq(a, b) => a.may_write(x) || b.may_write(x),
-            Stmt::Skip => false,
         }
     }
 
     /// Number of constituent statements (for metrics).
     pub fn size(&self) -> usize {
         match self {
-            Stmt::Assign(..) | Stmt::AssignSt(..) | Stmt::Call { .. } | Stmt::Skip => 1,
+            Stmt::Assign(..) | Stmt::AssignSt(..) | Stmt::Call { .. } => 1,
             Stmt::If(_, t, f) => 1 + t.size() + f.size(),
-            Stmt::Seq(a, b) => a.size() + b.size(),
         }
     }
 
@@ -170,7 +142,7 @@ impl<O: Ops> Stmt<O> {
             Stmt::If(e, t, f) => {
                 p.line_args(format_args!("if {e} {{"));
                 p.block(|p| t.print(p));
-                if **f != Stmt::Skip {
+                if !f.is_empty() {
                     p.line("} else {");
                     p.block(|p| f.print(p));
                 }
@@ -195,16 +167,90 @@ impl<O: Ops> Stmt<O> {
                     es.join(", ")
                 ));
             }
-            Stmt::Seq(a, b) => {
-                a.print(p);
-                b.print(p);
-            }
-            Stmt::Skip => p.line("skip;"),
         }
     }
 }
 
 impl<O: Ops> fmt::Display for Stmt<O> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut p = Printer::new();
+        self.print(&mut p);
+        f.write_str(p.finish().trim_end())
+    }
+}
+
+/// A statement sequence `s1; s2; …`, executed in order; the empty block
+/// is `skip`.
+///
+/// The paper sequences with a binary `s; s` and right-nests the chain
+/// (footnote 4). A block holds the same chain flat, so every traversal
+/// (typing, semantics, fusion, generation, `Drop`) loops over a
+/// sequence instead of recursing once per statement: recursion depth
+/// follows `if` nesting only, never the number of equations in a node.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Block<O: Ops>(pub Vec<Stmt<O>>);
+
+impl<O: Ops> Block<O> {
+    /// The empty block, `skip`.
+    pub fn new() -> Block<O> {
+        Block(Vec::new())
+    }
+
+    /// Whether some statement of the block may write `x` (see
+    /// [`Stmt::may_write`]).
+    pub fn may_write(&self, x: Ident) -> bool {
+        self.iter().any(|s| s.may_write(x))
+    }
+
+    /// Number of constituent statements (for metrics); the empty block
+    /// counts as the one `skip` it prints as.
+    pub fn size(&self) -> usize {
+        self.iter().map(Stmt::size).sum::<usize>().max(1)
+    }
+
+    fn print(&self, p: &mut Printer) {
+        if self.is_empty() {
+            p.line("skip;");
+        }
+        for s in self.iter() {
+            s.print(p);
+        }
+    }
+}
+
+impl<O: Ops> Default for Block<O> {
+    fn default() -> Block<O> {
+        Block::new()
+    }
+}
+
+impl<O: Ops> std::ops::Deref for Block<O> {
+    type Target = Vec<Stmt<O>>;
+
+    fn deref(&self) -> &Vec<Stmt<O>> {
+        &self.0
+    }
+}
+
+impl<O: Ops> std::ops::DerefMut for Block<O> {
+    fn deref_mut(&mut self) -> &mut Vec<Stmt<O>> {
+        &mut self.0
+    }
+}
+
+impl<O: Ops> From<Stmt<O>> for Block<O> {
+    fn from(s: Stmt<O>) -> Block<O> {
+        Block(vec![s])
+    }
+}
+
+impl<O: Ops> FromIterator<Stmt<O>> for Block<O> {
+    fn from_iter<I: IntoIterator<Item = Stmt<O>>>(iter: I) -> Block<O> {
+        Block(iter.into_iter().collect())
+    }
+}
+
+impl<O: Ops> fmt::Display for Block<O> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut p = Printer::new();
         self.print(&mut p);
@@ -226,8 +272,8 @@ pub struct Method<O: Ops> {
     pub outputs: Vec<TypedVar<O>>,
     /// Local variables.
     pub locals: Vec<TypedVar<O>>,
-    /// The body statement.
-    pub body: Stmt<O>,
+    /// The body.
+    pub body: Block<O>,
 }
 
 /// A class: memories, instances of previously declared classes, methods.
@@ -314,31 +360,20 @@ mod tests {
     use velus_ops::{CConst, CTy, ClightOps};
 
     type S = Stmt<ClightOps>;
+    type B = Block<ClightOps>;
 
     fn id(s: &str) -> Ident {
         Ident::new(s)
     }
 
     #[test]
-    fn seq_elides_skip() {
-        let a: S = Stmt::Assign(id("x"), ObcExpr::Const(CConst::int(1)));
-        assert_eq!(S::seq(Stmt::Skip, a.clone()), a);
-        assert_eq!(S::seq(a.clone(), Stmt::Skip), a);
-        let s = S::seq_all(vec![Stmt::Skip, a.clone(), Stmt::Skip]);
-        assert_eq!(s, a);
-    }
-
-    #[test]
     fn may_write_sees_through_structure() {
         let w: S = Stmt::AssignSt(id("pt"), ObcExpr::Const(CConst::int(0)));
-        let s = S::seq(
-            Stmt::Skip,
-            Stmt::If(
-                ObcExpr::Var(id("c"), CTy::Bool),
-                Box::new(w),
-                Box::new(Stmt::Skip),
-            ),
-        );
+        let s = B::from(Stmt::If(
+            ObcExpr::Var(id("c"), CTy::Bool),
+            w.into(),
+            B::new(),
+        ));
         assert!(s.may_write(id("pt")));
         assert!(!s.may_write(id("c")));
         let call: S = Stmt::Call {
@@ -355,25 +390,26 @@ mod tests {
     fn display_is_readable() {
         let s: S = Stmt::If(
             ObcExpr::Var(id("x"), CTy::Bool),
-            Box::new(Stmt::Assign(id("t"), ObcExpr::Var(id("c"), CTy::I32))),
-            Box::new(Stmt::Assign(id("t"), ObcExpr::State(id("pt"), CTy::I32))),
+            Stmt::Assign(id("t"), ObcExpr::Var(id("c"), CTy::I32)).into(),
+            Stmt::Assign(id("t"), ObcExpr::State(id("pt"), CTy::I32)).into(),
         );
         let text = s.to_string();
         assert!(text.contains("if x {"));
         assert!(text.contains("t := state(pt);"));
+        // An empty then-branch prints as `skip`, an empty else-branch not
+        // at all.
+        let s: S = Stmt::If(ObcExpr::Var(id("x"), CTy::Bool), B::new(), B::new());
+        assert_eq!(s.to_string(), "if x {\n  skip;\n}");
     }
 
     #[test]
     fn size_counts_atoms() {
         let a: S = Stmt::Assign(id("x"), ObcExpr::Const(CConst::int(1)));
-        let s = S::seq(
+        let s = Block(vec![
             a.clone(),
-            Stmt::If(
-                ObcExpr::Var(id("c"), CTy::Bool),
-                Box::new(a.clone()),
-                Box::new(Stmt::Skip),
-            ),
-        );
+            Stmt::If(ObcExpr::Var(id("c"), CTy::Bool), a.into(), B::new()),
+        ]);
         assert_eq!(s.size(), 4);
+        assert_eq!(B::new().size(), 1);
     }
 }

@@ -16,29 +16,37 @@
 
 use velus_ops::Ops;
 
-use crate::ast::{Class, Method, ObcExpr, ObcProgram, Stmt};
+use crate::ast::{Block, Class, Method, ObcExpr, ObcProgram, Stmt};
 
-/// The `zip` function of Fig. 8: iteratively integrates statements of the
-/// second argument into the first, merging equal-guard conditionals.
-pub fn zip<O: Ops>(s: Stmt<O>, t: Stmt<O>) -> Stmt<O> {
-    match (s, t) {
-        (Stmt::If(e1, t1, f1), Stmt::If(e2, t2, f2)) if e1 == e2 => {
-            Stmt::If(e1, Box::new(zip(*t1, *t2)), Box::new(zip(*f1, *f2)))
+/// The `zip` function of Fig. 8: integrates the statements of `t`, in
+/// order, into the end of `s`. An incoming conditional whose guard equals
+/// that of the conditional currently ending `s` is merged into it, its
+/// branches zipped into the existing branches the same way; any other
+/// statement is appended.
+///
+/// On blocks this is one pass over `t`: the paper's rules that walk down
+/// right-nested sequences become "look at the last statement", and only
+/// merged branches recurse (so depth follows `if` nesting, not the
+/// length of the sequence). Each statement of `t` is cloned at most once,
+/// and the guard of a merged conditional not at all.
+pub fn zip<O: Ops>(s: &mut Block<O>, t: &Block<O>) {
+    for stmt in t.iter() {
+        match (s.last_mut(), stmt) {
+            (Some(Stmt::If(e1, t1, f1)), Stmt::If(e2, t2, f2)) if *e1 == *e2 => {
+                zip(t1, t2);
+                zip(f1, f2);
+            }
+            _ => s.push(stmt.clone()),
         }
-        (Stmt::Seq(s1, s2), t) => Stmt::Seq(s1, Box::new(zip(*s2, t))),
-        (s, Stmt::Seq(t1, t2)) => zip(zip(s, *t1), *t2),
-        (s, Stmt::Skip) => s,
-        (Stmt::Skip, t) => t,
-        (s, t) => Stmt::Seq(Box::new(s), Box::new(t)),
     }
 }
 
-/// The `fuse` function: splits a sequential composition in two and zips.
-pub fn fuse<O: Ops>(s: Stmt<O>) -> Stmt<O> {
-    match s {
-        Stmt::Seq(s1, s2) => zip(*s1, *s2),
-        s => s,
-    }
+/// The `fuse` function: zips a sequence into `skip`, so every run of
+/// adjacent conditionals on equal guards ends up as one conditional.
+pub fn fuse<O: Ops>(s: &Block<O>) -> Block<O> {
+    let mut fused = Block(Vec::with_capacity(s.len()));
+    zip(&mut fused, s);
+    fused
 }
 
 /// Appends the free variables of a guard, locals and state cells alike
@@ -51,27 +59,26 @@ fn guard_vars_into<O: Ops>(e: &ObcExpr<O>, out: &mut Vec<velus_common::Ident>) {
 
 /// The `Fusible` predicate: conditionals never write the free variables of
 /// their own guards.
-pub fn fusible<O: Ops>(s: &Stmt<O>) -> bool {
-    // One scratch buffer serves every guard of the statement tree; the
-    // predicate runs after translation *and* after fusion on every
-    // method, so its allocations used to show up in cold compiles.
+pub fn fusible<O: Ops>(s: &Block<O>) -> bool {
+    // One scratch buffer serves every guard of the body; the predicate
+    // runs after translation *and* after fusion on every method, so its
+    // allocations used to show up in cold compiles.
     let mut scratch = Vec::new();
-    fusible_rec(s, &mut scratch)
+    fusible_block(s, &mut scratch)
 }
 
-fn fusible_rec<O: Ops>(s: &Stmt<O>, scratch: &mut Vec<velus_common::Ident>) -> bool {
-    match s {
-        Stmt::Skip | Stmt::Assign(..) | Stmt::AssignSt(..) | Stmt::Call { .. } => true,
-        Stmt::Seq(a, b) => fusible_rec(a, scratch) && fusible_rec(b, scratch),
+fn fusible_block<O: Ops>(s: &Block<O>, scratch: &mut Vec<velus_common::Ident>) -> bool {
+    s.iter().all(|s| match s {
+        Stmt::Assign(..) | Stmt::AssignSt(..) | Stmt::Call { .. } => true,
         Stmt::If(e, t, f) => {
-            if !fusible_rec(t, scratch) || !fusible_rec(f, scratch) {
+            if !fusible_block(t, scratch) || !fusible_block(f, scratch) {
                 return false;
             }
             scratch.clear();
             guard_vars_into(e, scratch);
             scratch.iter().all(|&x| !t.may_write(x) && !f.may_write(x))
         }
-    }
+    })
 }
 
 /// Fuses the bodies of every method of a class.
@@ -88,7 +95,7 @@ pub fn fuse_class<O: Ops>(class: &Class<O>) -> Class<O> {
                 inputs: m.inputs.clone(),
                 outputs: m.outputs.clone(),
                 locals: m.locals.clone(),
-                body: fuse(m.body.clone()),
+                body: fuse(&m.body),
             })
             .collect(),
     }
@@ -104,12 +111,13 @@ pub fn fuse_program<O: Ops>(prog: &ObcProgram<O>) -> ObcProgram<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sem::{eval_expr, exec_stmt, VEnv};
+    use crate::sem::{eval_expr, exec_block, VEnv};
     use velus_common::Ident;
     use velus_nlustre::memory::Memory;
     use velus_ops::{CConst, CTy, CVal, ClightOps};
 
     type S = Stmt<ClightOps>;
+    type B = Block<ClightOps>;
     type E = ObcExpr<ClightOps>;
 
     fn id(s: &str) -> Ident {
@@ -124,24 +132,24 @@ mod tests {
         Stmt::Assign(id(x), ObcExpr::Const(CConst::int(v)))
     }
 
-    fn iff(x: &str, t: S, f: S) -> S {
-        Stmt::If(guard(x), Box::new(t), Box::new(f))
+    fn iff(x: &str, t: impl Into<B>, f: impl Into<B>) -> S {
+        Stmt::If(guard(x), t.into(), f.into())
     }
 
     #[test]
     fn adjacent_equal_guards_merge() {
         // if x { a := 1 }; if x { b := 2 }  ==>  if x { a := 1; b := 2 }
-        let s = S::seq(
-            iff("x", assign("a", 1), Stmt::Skip),
-            iff("x", assign("b", 2), Stmt::Skip),
-        );
-        let fused = fuse(s);
-        match &fused {
-            Stmt::If(_, t, f) => {
+        let s = Block(vec![
+            iff("x", assign("a", 1), B::new()),
+            iff("x", assign("b", 2), B::new()),
+        ]);
+        let fused = fuse(&s);
+        match &fused[..] {
+            [Stmt::If(_, t, f)] => {
                 assert_eq!(t.size(), 2);
-                assert_eq!(**f, Stmt::Skip);
+                assert!(f.is_empty());
             }
-            other => panic!("expected a single if, got {other}"),
+            _ => panic!("expected a single if, got {fused}"),
         }
     }
 
@@ -149,8 +157,8 @@ mod tests {
     fn tracker_shape_from_the_paper() {
         // The §3.3 example: two ifs on x and a trailing state update fuse
         // into one if plus the update.
-        let s = S::seq_all(vec![
-            iff("x", assign("c", 1), Stmt::Skip),
+        let s = Block(vec![
+            iff("x", assign("c", 1), B::new()),
             iff(
                 "x",
                 assign("t", 2),
@@ -158,7 +166,7 @@ mod tests {
             ),
             Stmt::AssignSt(id("pt"), ObcExpr::Var(id("t"), CTy::I32)),
         ]);
-        let fused = fuse(s);
+        let fused = fuse(&s);
         // One if remains, followed by the state update.
         let text = fused.to_string();
         assert_eq!(text.matches("if x {").count(), 1, "{text}");
@@ -167,11 +175,11 @@ mod tests {
 
     #[test]
     fn different_guards_do_not_merge() {
-        let s = S::seq(
-            iff("x", assign("a", 1), Stmt::Skip),
-            iff("y", assign("b", 2), Stmt::Skip),
-        );
-        let fused = fuse(s.clone());
+        let s = Block(vec![
+            iff("x", assign("a", 1), B::new()),
+            iff("y", assign("b", 2), B::new()),
+        ]);
+        let fused = fuse(&s);
         assert_eq!(fused.to_string().matches("if ").count(), 2);
     }
 
@@ -183,27 +191,27 @@ mod tests {
             Stmt::Assign(id("x"), ObcExpr::Const(CConst::bool(false))),
             Stmt::Assign(id("x"), ObcExpr::Const(CConst::bool(true))),
         );
-        assert!(!fusible(&s));
-        let ok = iff("x", assign("a", 1), Stmt::Skip);
-        assert!(fusible(&ok));
+        assert!(!fusible(&B::from(s)));
+        let ok = iff("x", assign("a", 1), B::new());
+        assert!(fusible(&B::from(ok)));
     }
 
     /// Runs a statement from a fixed initial environment and returns the
     /// final (mem, env).
-    fn run(s: &S, x: bool) -> (Memory<CVal>, VEnv<ClightOps>) {
+    fn run(s: &B, x: bool) -> (Memory<CVal>, VEnv<ClightOps>) {
         let prog = ObcProgram::default();
         let mut mem: Memory<CVal> = Memory::new();
         mem.set_value(id("pt"), CVal::int(9));
         let mut env: VEnv<ClightOps> = VEnv::<ClightOps>::default();
         env.insert(id("x"), CVal::bool(x));
-        exec_stmt(&prog, &mut mem, &mut env, s).unwrap();
+        exec_block(&prog, &mut mem, &mut env, s).unwrap();
         (mem, env)
     }
 
     #[test]
     fn fuse_preserves_semantics_on_fusible_code() {
-        let s = S::seq_all(vec![
-            iff("x", assign("c", 1), Stmt::Skip),
+        let s = Block(vec![
+            iff("x", assign("c", 1), B::new()),
             iff(
                 "x",
                 assign("t", 2),
@@ -212,7 +220,7 @@ mod tests {
             Stmt::AssignSt(id("pt"), ObcExpr::Var(id("t"), CTy::I32)),
         ]);
         assert!(fusible(&s));
-        let fused = fuse(s.clone());
+        let fused = fuse(&s);
         assert!(fusible(&fused));
         for x in [true, false] {
             let (m1, e1) = run(&s, x);
@@ -231,9 +239,9 @@ mod tests {
             Stmt::Assign(id("x"), ObcExpr::Const(CConst::bool(true))),
         );
         let s2 = iff("x", assign("a", 1), assign("a", 2));
-        let whole = S::seq(s1, s2);
+        let whole = Block(vec![s1, s2]);
         assert!(!fusible(&whole));
-        let fused = fuse(whole.clone());
+        let fused = fuse(&whole);
         // Semantics differ when x starts true: original sets a := 2
         // (x was flipped), fused sets a := 1.
         let (_, e1) = run(&whole, true);
@@ -243,9 +251,46 @@ mod tests {
 
     #[test]
     fn zip_eliminates_skips() {
-        let a = assign("a", 1);
-        assert_eq!(zip::<ClightOps>(Stmt::Skip, a.clone()), a);
-        assert_eq!(zip::<ClightOps>(a.clone(), Stmt::Skip), a);
+        let a = B::from(assign("a", 1));
+        let mut s = B::new();
+        zip(&mut s, &a);
+        assert_eq!(s, a);
+        zip(&mut s, &B::new());
+        assert_eq!(s, a);
+    }
+
+    #[test]
+    fn merged_branches_fuse_recursively() {
+        // if x { if y { a } }; if x { if y { b } }  ==>  if x { if y { a; b } }
+        let s = Block(vec![
+            iff("x", iff("y", assign("a", 1), B::new()), B::new()),
+            iff("x", iff("y", assign("b", 2), B::new()), B::new()),
+        ]);
+        let fused = fuse(&s);
+        let text = fused.to_string();
+        assert_eq!(text.matches("if y {").count(), 1, "{text}");
+        assert_eq!(fused.size(), 6, "{text}");
+    }
+
+    #[test]
+    fn long_sequences_fuse_without_deep_recursion() {
+        // A node-sized body (one guarded statement per equation) fuses
+        // into one conditional on a small thread stack: fusion loops over
+        // the sequence rather than recursing per statement.
+        let body: B = (0..100_000)
+            .map(|k| iff("x", assign("a", k), B::new()))
+            .collect();
+        let fused = std::thread::Builder::new()
+            .stack_size(64 * 1024)
+            .spawn(move || {
+                let fused = fuse(&body);
+                assert!(fusible(&fused));
+                fused.len()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(fused, 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use velus_common::{Ident, IdentMap};
 use velus_nlustre::memory::Memory;
 use velus_ops::Ops;
 
-use crate::ast::{Class, Method, ObcExpr, ObcProgram, Stmt};
+use crate::ast::{Block, Class, Method, ObcExpr, ObcProgram, Stmt};
 use crate::ObcError;
 
 /// A local environment (stack frame).
@@ -51,6 +51,20 @@ pub fn eval_expr<O: Ops>(
     }
 }
 
+/// Executes a block, statement by statement (see [`exec_stmt`]).
+///
+/// # Errors
+///
+/// The first failing statement's error.
+pub fn exec_block<O: Ops>(
+    prog: &ObcProgram<O>,
+    mem: &mut Memory<O::Val>,
+    env: &mut VEnv<O>,
+    s: &Block<O>,
+) -> Result<(), ObcError> {
+    s.iter().try_for_each(|s| exec_stmt(prog, mem, env, s))
+}
+
 /// Executes a statement, updating `mem` and `env` in place (the big-step
 /// relation `mem, env ⊢st s ⇓ mem', env'` in destination-passing style).
 ///
@@ -65,11 +79,6 @@ pub fn exec_stmt<O: Ops>(
     s: &Stmt<O>,
 ) -> Result<(), ObcError> {
     match s {
-        Stmt::Skip => Ok(()),
-        Stmt::Seq(a, b) => {
-            exec_stmt(prog, mem, env, a)?;
-            exec_stmt(prog, mem, env, b)
-        }
         Stmt::Assign(x, e) => {
             let v = eval_expr::<O>(mem, env, e)?;
             env.insert(*x, v);
@@ -83,8 +92,8 @@ pub fn exec_stmt<O: Ops>(
         Stmt::If(c, t, f) => {
             let v = eval_expr::<O>(mem, env, c)?;
             match O::as_bool(&v) {
-                Some(true) => exec_stmt(prog, mem, env, t),
-                Some(false) => exec_stmt(prog, mem, env, f),
+                Some(true) => exec_block(prog, mem, env, t),
+                Some(false) => exec_block(prog, mem, env, f),
                 None => Err(ObcError::TypeError(format!("guard evaluated to {v}"))),
             }
         }
@@ -150,7 +159,7 @@ pub fn call_method<O: Ops>(
         }
         env.insert(*x, v.clone());
     }
-    exec_stmt(prog, mem, &mut env, &m.body)?;
+    exec_block(prog, mem, &mut env, &m.body)?;
     m.outputs
         .iter()
         .map(|(x, _)| env.get(x).cloned().ok_or(ObcError::UnboundVariable(*x)))
@@ -210,7 +219,7 @@ mod tests {
             inputs: vec![(inc, CTy::I32)],
             outputs: vec![(n, CTy::I32)],
             locals: vec![],
-            body: Stmt::seq(
+            body: Block(vec![
                 Stmt::Assign(
                     n,
                     ObcExpr::Binop(
@@ -221,14 +230,14 @@ mod tests {
                     ),
                 ),
                 Stmt::AssignSt(c, ObcExpr::Var(n, CTy::I32)),
-            ),
+            ]),
         };
         let reset = Method {
             name: reset_name(),
             inputs: vec![],
             outputs: vec![],
             locals: vec![],
-            body: Stmt::AssignSt(c, ObcExpr::Const(CConst::int(0))),
+            body: Stmt::AssignSt(c, ObcExpr::Const(CConst::int(0))).into(),
         };
         ObcProgram {
             classes: vec![Class {
@@ -297,7 +306,7 @@ mod tests {
                     inputs: vec![(i, CTy::I32)],
                     outputs: vec![(x, CTy::I32), (y, CTy::I32)],
                     locals: vec![],
-                    body: Stmt::seq(
+                    body: Block(vec![
                         Stmt::Call {
                             results: vec![x],
                             class: id("counter"),
@@ -312,14 +321,14 @@ mod tests {
                             method: step_name(),
                             args: vec![ObcExpr::Var(x, CTy::I32)],
                         },
-                    ),
+                    ]),
                 },
                 Method {
                     name: reset_name(),
                     inputs: vec![],
                     outputs: vec![],
                     locals: vec![],
-                    body: Stmt::seq(
+                    body: Block(vec![
                         Stmt::Call {
                             results: vec![],
                             class: id("counter"),
@@ -334,7 +343,7 @@ mod tests {
                             method: reset_name(),
                             args: vec![],
                         },
-                    ),
+                    ]),
                 },
             ],
         });

@@ -18,7 +18,7 @@ use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program};
 use velus_nlustre::clock::Clock;
 use velus_ops::Ops;
 
-use crate::ast::{reset_name, step_name, Class, Method, ObcExpr, ObcProgram, Stmt};
+use crate::ast::{reset_name, step_name, Block, Class, Method, ObcExpr, ObcProgram, Stmt};
 use crate::ObcError;
 
 /// Per-node translation context: which variables are memories, and the
@@ -70,13 +70,13 @@ fn trcexp<O: Ops>(ctx: &Ctx<O>, x: Ident, ce: &CExpr<O>) -> Result<Stmt<O>, ObcE
     Ok(match ce {
         CExpr::Merge(y, t, f) => Stmt::If(
             ctx.var(*y)?,
-            Box::new(trcexp(ctx, x, t)?),
-            Box::new(trcexp(ctx, x, f)?),
+            trcexp(ctx, x, t)?.into(),
+            trcexp(ctx, x, f)?.into(),
         ),
         CExpr::If(c, t, f) => Stmt::If(
             trexp(ctx, c)?,
-            Box::new(trcexp(ctx, x, t)?),
-            Box::new(trcexp(ctx, x, f)?),
+            trcexp(ctx, x, t)?.into(),
+            trcexp(ctx, x, f)?.into(),
         ),
         CExpr::Expr(e) => Stmt::Assign(x, trexp(ctx, e)?),
     })
@@ -87,11 +87,11 @@ fn ctrl<O: Ops>(ctx: &Ctx<O>, ck: &Clock, s: Stmt<O>) -> Result<Stmt<O>, ObcErro
     match ck {
         Clock::Base => Ok(s),
         Clock::On(parent, x, true) => {
-            let guarded = Stmt::If(ctx.var(*x)?, Box::new(s), Box::new(Stmt::Skip));
+            let guarded = Stmt::If(ctx.var(*x)?, s.into(), Block::new());
             ctrl(ctx, parent, guarded)
         }
         Clock::On(parent, x, false) => {
-            let guarded = Stmt::If(ctx.var(*x)?, Box::new(Stmt::Skip), Box::new(s));
+            let guarded = Stmt::If(ctx.var(*x)?, Block::new(), s.into());
             ctrl(ctx, parent, guarded)
         }
     }
@@ -162,13 +162,12 @@ pub fn translate_node<O: Ops>(node: &Node<O>) -> Result<Class<O>, ObcError> {
     }
     let ctx = Ctx::<O> { mems, types };
 
-    let step_body = Stmt::seq_all(
-        node.eqs
-            .iter()
-            .map(|eq| treq(&ctx, eq))
-            .collect::<Result<Vec<_>, _>>()?,
-    );
-    let reset_body = Stmt::seq_all(node.eqs.iter().filter_map(treq_reset));
+    let step_body = node
+        .eqs
+        .iter()
+        .map(|eq| treq(&ctx, eq))
+        .collect::<Result<Block<O>, _>>()?;
+    let reset_body: Block<O> = node.eqs.iter().filter_map(treq_reset).collect();
 
     let memories = node
         .eqs

@@ -10,7 +10,7 @@
 use velus_common::{Ident, IdentMap};
 use velus_ops::Ops;
 
-use crate::ast::{Class, Method, ObcExpr, ObcProgram, Stmt};
+use crate::ast::{Block, Class, Method, ObcExpr, ObcProgram, Stmt};
 use crate::ObcError;
 
 struct Scope<'a, O: Ops> {
@@ -65,13 +65,12 @@ fn expr_ty<O: Ops>(sc: &Scope<'_, O>, e: &ObcExpr<O>) -> Result<O::Ty, ObcError>
     }
 }
 
+fn check_block<O: Ops>(sc: &Scope<'_, O>, s: &Block<O>) -> Result<(), ObcError> {
+    s.iter().try_for_each(|s| check_stmt(sc, s))
+}
+
 fn check_stmt<O: Ops>(sc: &Scope<'_, O>, s: &Stmt<O>) -> Result<(), ObcError> {
     match s {
-        Stmt::Skip => Ok(()),
-        Stmt::Seq(a, b) => {
-            check_stmt(sc, a)?;
-            check_stmt(sc, b)
-        }
         Stmt::Assign(x, e) => {
             let te = expr_ty(sc, e)?;
             match sc.vars.get(x) {
@@ -97,8 +96,8 @@ fn check_stmt<O: Ops>(sc: &Scope<'_, O>, s: &Stmt<O>) -> Result<(), ObcError> {
             if tc != O::bool_type() {
                 return Err(ObcError::TypeError(format!("guard has type {tc}")));
             }
-            check_stmt(sc, t)?;
-            check_stmt(sc, f)
+            check_block(sc, t)?;
+            check_block(sc, f)
         }
         Stmt::Call {
             results,
@@ -177,7 +176,7 @@ fn check_method<O: Ops>(
         class,
         prog,
     };
-    check_stmt(&sc, &m.body)
+    check_block(&sc, &m.body)
 }
 
 /// Checks well-typedness of a whole Obc program. Classes may only
@@ -233,7 +232,7 @@ mod tests {
                         inputs: vec![(id("i"), CTy::I32)],
                         outputs: vec![(id("o"), CTy::I32)],
                         locals: vec![],
-                        body: Stmt::seq(
+                        body: Block(vec![
                             Stmt::Assign(
                                 id("o"),
                                 ObcExpr::Binop(
@@ -244,14 +243,14 @@ mod tests {
                                 ),
                             ),
                             Stmt::AssignSt(id("c"), ObcExpr::Var(id("o"), CTy::I32)),
-                        ),
+                        ]),
                     },
                     Method {
                         name: reset_name(),
                         inputs: vec![],
                         outputs: vec![],
                         locals: vec![],
-                        body: Stmt::AssignSt(id("c"), ObcExpr::Const(CConst::int(0))),
+                        body: Stmt::AssignSt(id("c"), ObcExpr::Const(CConst::int(0))).into(),
                     },
                 ],
             }],
@@ -267,18 +266,16 @@ mod tests {
     fn rejects_implicit_casts() {
         let mut p = counter();
         // state(c) : int := true
-        p.classes[0].methods[1].body = Stmt::AssignSt(id("c"), ObcExpr::Const(CConst::bool(true)));
+        p.classes[0].methods[1].body =
+            Stmt::AssignSt(id("c"), ObcExpr::Const(CConst::bool(true))).into();
         assert!(matches!(check_program(&p), Err(ObcError::TypeError(_))));
     }
 
     #[test]
     fn rejects_non_boolean_guards() {
         let mut p = counter();
-        p.classes[0].methods[0].body = Stmt::If(
-            ObcExpr::Var(id("i"), CTy::I32),
-            Box::new(Stmt::Skip),
-            Box::new(Stmt::Skip),
-        );
+        p.classes[0].methods[0].body =
+            Stmt::If(ObcExpr::Var(id("i"), CTy::I32), Block::new(), Block::new()).into();
         assert!(matches!(check_program(&p), Err(ObcError::TypeError(_))));
     }
 

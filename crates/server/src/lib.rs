@@ -72,7 +72,7 @@ pub mod stats;
 pub use admit::{AdmissionConfig, RetryPolicy};
 pub use cache::{ArtifactCache, CacheConfig, CacheCounters, CacheKey};
 pub use cancel::{CancelReason, CancelToken};
-pub use pool::{ShutdownTimeout, WorkerPool};
+pub use pool::{ShutdownTimeout, WorkerPool, WORKER_STACK_BYTES};
 pub use sched::{CostModel, SchedulePolicy};
 pub use service::{
     ArtifactReport, BatchReport, CompileService, DrainReport, RequestReport, ServiceConfig,

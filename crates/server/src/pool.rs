@@ -26,6 +26,13 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// [`WorkerPool::with_shutdown_timeout`]).
 pub const DEFAULT_SHUTDOWN_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// The stack every worker thread gets: 8 MiB, the default main-thread
+/// stack on Linux, so a request runs with the same room in a worker as
+/// in the `velus` CLI, which compiles on its main thread. Compilation
+/// recurses with `if`/expression nesting depth, never with the number of
+/// equations in a node.
+pub const WORKER_STACK_BYTES: usize = 8 * 1024 * 1024;
+
 /// Workers that failed to acknowledge shutdown in time (code `E0804`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShutdownTimeout {
@@ -90,6 +97,7 @@ impl WorkerPool {
                 let ack = ack_tx.clone();
                 thread::Builder::new()
                     .name(format!("velus-worker-{k}"))
+                    .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || loop {
                         let job = {
                             let guard = receiver.lock().expect("job queue lock");

@@ -272,8 +272,8 @@ pub fn stagewise_c(source: &str, root: Option<&str>) -> Result<String, VelusErro
     )?;
     let root = elaborated.root;
     let spans = elaborated.spans;
-    let nlustre = pm.run(&CheckPass, elaborated.nlustre, &spans)?;
-    let snlustre = pm.run(&SchedulePass, nlustre, &spans)?;
+    let mut nlustre = pm.run(&CheckPass, elaborated.nlustre, &spans)?;
+    let snlustre = pm.run(&SchedulePass, &mut nlustre, &spans)?.program;
     let obc = pm.run(&TranslatePass, &snlustre, &spans)?;
     let obc_fused = pm.run(&FusePass, &obc, &spans)?;
     let clight = pm.run(

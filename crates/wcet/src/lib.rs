@@ -237,33 +237,36 @@ impl Analyzer<'_> {
     }
 
     /// Whether a branch is small and effect-free enough for predication.
-    fn if_convertible(s: &Stmt) -> bool {
-        fn atoms(s: &Stmt) -> Option<usize> {
-            match s {
-                Stmt::Skip => Some(0),
-                Stmt::Assign(..) | Stmt::Set(..) => Some(1),
-                Stmt::Seq(a, b) => Some(atoms(a)? + atoms(b)?),
-                Stmt::If(_, t, f) => Some(1 + atoms(t)? + atoms(f)?),
-                Stmt::Call { .. }
-                | Stmt::VolLoad(..)
-                | Stmt::VolStore(..)
-                | Stmt::Loop(..)
-                | Stmt::Return(..) => None,
-            }
+    fn if_convertible(b: &[Stmt]) -> bool {
+        fn atoms(b: &[Stmt]) -> Option<usize> {
+            b.iter()
+                .map(|s| match s {
+                    Stmt::Assign(..) | Stmt::Set(..) => Some(1),
+                    Stmt::If(_, t, f) => Some(1 + atoms(t)? + atoms(f)?),
+                    Stmt::Call { .. }
+                    | Stmt::VolLoad(..)
+                    | Stmt::VolStore(..)
+                    | Stmt::Loop(..)
+                    | Stmt::Return(..) => None,
+                })
+                .sum()
         }
-        matches!(atoms(s), Some(n) if n <= 4)
+        matches!(atoms(b), Some(n) if n <= 4)
+    }
+
+    /// A block costs the sum of its statements.
+    fn block(&mut self, fname: Ident, b: &[Stmt]) -> Result<u64, WcetError> {
+        b.iter().map(|s| self.stmt(fname, s)).sum()
     }
 
     fn stmt(&mut self, fname: Ident, s: &Stmt) -> Result<u64, WcetError> {
         Ok(match s {
-            Stmt::Skip => 0,
-            Stmt::Seq(a, b) => self.stmt(fname, a)? + self.stmt(fname, b)?,
             Stmt::Set(_, e) => self.expr(e) + self.c.reg,
             Stmt::Assign(lv, e) => self.expr(e) + self.expr_addr(lv) + self.c.addr + self.c.mem,
             Stmt::If(cnd, t, f) => {
                 let cond = self.expr(cnd) + self.c.alu;
-                let tc = self.stmt(fname, t)?;
-                let fc = self.stmt(fname, f)?;
+                let tc = self.block(fname, t)?;
+                let fc = self.block(fname, f)?;
                 if self.c.if_conversion && Self::if_convertible(t) && Self::if_convertible(f) {
                     cond + tc + fc + self.c.predicate
                 } else {
@@ -288,12 +291,13 @@ impl Analyzer<'_> {
 
     /// Body cost without frame overhead (for inlining).
     fn function_body_cost(&mut self, fname: Ident) -> Result<u64, WcetError> {
-        let f: &Function = self
-            .prog
+        // Borrowed for the program's lifetime, not through `self`, so the
+        // body is walked in place rather than cloned.
+        let prog = self.prog;
+        let f: &Function = prog
             .function(fname)
             .ok_or(WcetError::UnknownFunction(fname))?;
-        let body = f.body.clone();
-        self.stmt(fname, &body)
+        self.block(fname, &f.body)
     }
 
     /// Full cost: frame + spills + body. Memoized.
@@ -356,7 +360,7 @@ mod tests {
         Expr::Const(CVal::int(v), CTy::I32)
     }
 
-    fn prog_with(body: Stmt, temps: usize) -> Program {
+    fn prog_with(body: Vec<Stmt>, temps: usize) -> Program {
         Program {
             composites: vec![],
             functions: vec![Function {
@@ -377,14 +381,14 @@ mod tests {
     #[test]
     fn branches_are_maxed_under_compcert() {
         // if c then {8 sets} else {1 set}: WCET takes the 8-set arm.
-        let heavy = Stmt::seq_all((0..8).map(|_| Stmt::Set(id("x"), iconst(1))));
-        let light = Stmt::Set(id("x"), iconst(1));
+        let heavy: Vec<Stmt> = (0..8).map(|_| Stmt::Set(id("x"), iconst(1))).collect();
+        let light = vec![Stmt::Set(id("x"), iconst(1))];
         let s = Stmt::If(
             Expr::Const(CVal::bool(true), CTy::Bool),
-            Box::new(heavy.clone()),
-            Box::new(light.clone()),
+            heavy.clone(),
+            light.clone(),
         );
-        let p = prog_with(s, 1);
+        let p = prog_with(vec![s], 1);
         let both = wcet_function(&p, id("f"), CostModel::CompCert).unwrap();
         let p_heavy = prog_with(heavy, 1);
         let heavy_only = wcet_function(&p_heavy, id("f"), CostModel::CompCert).unwrap();
@@ -402,10 +406,10 @@ mod tests {
         // branch-penalty form when arms are single sets.
         let tiny = Stmt::If(
             Expr::Const(CVal::bool(true), CTy::Bool),
-            Box::new(Stmt::Set(id("x"), iconst(1))),
-            Box::new(Stmt::Skip),
+            vec![Stmt::Set(id("x"), iconst(1))],
+            vec![],
         );
-        let s = Stmt::seq_all(std::iter::repeat_n(tiny, 10));
+        let s = vec![tiny; 10];
         let p = prog_with(s, 1);
         let cc = wcet_function(&p, id("f"), CostModel::CompCert).unwrap();
         let gcc = wcet_function(&p, id("f"), CostModel::Gcc).unwrap();
@@ -421,7 +425,7 @@ mod tests {
             vars: vec![],
             temps: vec![(id("t"), CType::Scalar(CTy::I32))],
             ret: CType::Void,
-            body: Stmt::Set(id("t"), iconst(1)),
+            body: vec![Stmt::Set(id("t"), iconst(1))],
         };
         let f = Function {
             name: id("f"),
@@ -429,7 +433,7 @@ mod tests {
             vars: vec![],
             temps: vec![],
             ret: CType::Void,
-            body: Stmt::seq_all((0..5).map(|_| Stmt::Call(None, id("g"), vec![]))),
+            body: vec![Stmt::Call(None, id("g"), vec![]); 5],
         };
         let p = Program {
             composites: vec![],
@@ -444,7 +448,7 @@ mod tests {
 
     #[test]
     fn register_pressure_costs() {
-        let s = Stmt::Set(id("t0"), iconst(1));
+        let s = vec![Stmt::Set(id("t0"), iconst(1))];
         let few = prog_with(s.clone(), 2);
         let many = prog_with(s, 30);
         let a = wcet_function(&few, id("f"), CostModel::CompCert).unwrap();
@@ -454,7 +458,7 @@ mod tests {
 
     #[test]
     fn loops_are_rejected() {
-        let p = prog_with(Stmt::Loop(Box::new(Stmt::Skip)), 0);
+        let p = prog_with(vec![Stmt::Loop(vec![])], 0);
         assert!(matches!(
             wcet_function(&p, id("f"), CostModel::CompCert),
             Err(WcetError::LoopInAnalyzedCode(_))
@@ -481,8 +485,8 @@ mod tests {
                 CTy::I32,
             ),
         );
-        let pd = prog_with(div, 1);
-        let pa = prog_with(add, 1);
+        let pd = prog_with(vec![div], 1);
+        let pa = prog_with(vec![add], 1);
         let d = wcet_function(&pd, id("f"), CostModel::CompCert).unwrap();
         let a = wcet_function(&pa, id("f"), CostModel::CompCert).unwrap();
         assert!(d > a + 15);

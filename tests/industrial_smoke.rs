@@ -4,12 +4,22 @@
 use velus_common::{Diagnostics, Ident};
 use velus_testkit::industrial::{industrial_program, industrial_source, IndustrialConfig};
 
+/// Runs `f` on a thread with a service worker's stack. The reference
+/// dataflow interpreter behind validation recurses along dependency
+/// chains through the instance tree (depth ~12 here), which in an
+/// unoptimized build outgrows the 2 MiB default of a test thread.
+fn on_worker_stack(f: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new()
+        .stack_size(velus_server::WORKER_STACK_BYTES)
+        .spawn(f)
+        .expect("spawn")
+        .join()
+        .unwrap_or_else(|e| std::panic::resume_unwind(e));
+}
+
 #[test]
 fn small_industrial_program_compiles_and_validates() {
-    // The fan-in-2 netlist produces an instance tree of depth ~12, which
-    // the demand-driven interpreter traverses recursively: use a big
-    // stack, as the CLI does.
-    velus_common::with_stack(256, || {
+    on_worker_stack(|| {
         let cfg = IndustrialConfig {
             nodes: 12,
             eqs_per_node: 10,
@@ -50,7 +60,7 @@ fn fusion_heavy_corpus_compiles_and_validates() {
     // The fusion-heavy preset (sub-clocked clusters at depth 2) must go
     // through the full pipeline — including fusion and its preservation
     // re-checks — and through the executable semantics.
-    velus_common::with_stack(256, || {
+    on_worker_stack(|| {
         let cfg = IndustrialConfig::fusion_heavy();
         let prog = industrial_program(&cfg);
         let root = Ident::new(&format!("blk{}", cfg.nodes - 1));

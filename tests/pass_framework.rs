@@ -32,15 +32,18 @@ fn stagewise_c(source: &str, root: Option<&str>) -> String {
         .expect("elaborate");
     let root = elaborated.root;
     let spans = elaborated.spans;
-    let nlustre = pm
+    let mut nlustre = pm
         .run(&CheckPass, elaborated.nlustre, &spans)
         .expect("check");
     CheckPass.revalidate(&nlustre).expect("re-check");
 
-    let snlustre = pm.run(&SchedulePass, nlustre, &spans).expect("schedule");
+    let scheduled = pm
+        .run(&SchedulePass, &mut nlustre, &spans)
+        .expect("schedule");
     SchedulePass
-        .revalidate(&snlustre)
+        .revalidate(&scheduled)
         .expect("re-check schedule");
+    let snlustre = scheduled.program;
 
     let obc = pm
         .run(&TranslatePass, &snlustre, &spans)
