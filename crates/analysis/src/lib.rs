@@ -22,8 +22,8 @@
 //! `analysis` stage tag and a source span, and surface through the
 //! ordinary rendering pipeline (`velus lint`, `--emit lint`).
 //! Lint *errors* (the `E011x` guaranteed traps) are claims about every
-//! execution and are checked dynamically by the campaign soundness
-//! oracle in `velus_testkit::soundness`.
+//! execution and are checked dynamically by the differential
+//! campaign's `lint-soundness` oracle (`velus_testkit::campaign`).
 //!
 //! [`W0101`]: velus_common::codes::W0101
 //! [`W0102`]: velus_common::codes::W0102
@@ -46,24 +46,30 @@ pub use init::{check_initialization, InitMask};
 pub use live::{check_liveness, live_vars, reachable};
 pub use range::{check_ranges, AbsVal};
 
-use velus_common::{Diagnostics, Ident, PreMarks, SpanMap};
+use velus_common::{codes, Diagnostics, Ident, SpanMap};
 use velus_nlustre::ast::Program;
 use velus_ops::ClightOps;
 
 /// Runs every analysis of this crate over `prog` rooted at `root` and
 /// returns the combined, sorted and deduplicated diagnostics.
 ///
-/// `marks` records which memories the elaborator introduced for `pre`
-/// (the initialization analysis only reports those); `spans` maps
-/// nodes and defined variables back to source positions.
+/// The initialization analysis is not re-run here: the front end
+/// already ran it (it alone knows which memories stand for a surface
+/// `pre`), so its `W0101` findings are taken from `frontend_warnings`.
+/// `spans` maps nodes and defined variables back to source positions.
 pub fn lint_program(
     prog: &Program<ClightOps>,
     root: Ident,
-    marks: &PreMarks,
+    frontend_warnings: &Diagnostics,
     spans: &SpanMap,
 ) -> Diagnostics {
     let mut diags = Diagnostics::new();
-    init::check_initialization(prog, marks, &mut diags);
+    diags.extend(
+        frontend_warnings
+            .iter()
+            .filter(|d| d.code == codes::W0101)
+            .cloned(),
+    );
     range::check_ranges(prog, root, spans, &mut diags);
     live::check_liveness(prog, root, spans, &mut diags);
     diags.sort_dedup();

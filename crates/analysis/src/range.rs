@@ -35,8 +35,8 @@
 //!   unconditionally (out-of-range casts trap; float ranges are not
 //!   tracked).
 //!
-//! These are exactly the claims the campaign soundness oracle
-//! (`velus_testkit::soundness`) checks against `clight::interp`.
+//! These are exactly the claims the campaign's lint-soundness oracle
+//! (`velus_testkit::campaign`) checks against `clight::interp`.
 //!
 //! Node instantiations are handled with callee-first summaries
 //! computed at ⊤ inputs (sound for every call site); `Program::nodes`

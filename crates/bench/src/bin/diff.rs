@@ -1,19 +1,21 @@
 //! The differential-semantics campaign runner.
 //!
 //! Each seed generates a random well-formed Lustre program (optionally
-//! mutated at the source level), compiles it, and runs the full oracle
-//! set of the paper's end-to-end theorem — unscheduled vs scheduled
-//! dataflow, memory semantics with `MemCorres`, Obc unfused and fused,
-//! step-driven Clight with `staterep`, the volatile trace of the
-//! generated `main`, and staged-vs-one-shot C emission. Divergences and
-//! panics are shrunk automatically and written as `.lus` + `.json`
-//! reproducer pairs under `tests/diff_seeds/` (see
-//! `velus_testkit::campaign`).
+//! mutated at the source level), compiles it once, and runs the full
+//! oracle set of the paper's end-to-end theorem — unscheduled vs
+//! scheduled dataflow, memory semantics with `MemCorres`, Obc unfused
+//! and fused, step-driven Clight with `staterep`, the volatile trace of
+//! the generated `main` — plus the lint-soundness oracle, which holds
+//! the static analyses' trap claims against the Clight execution.
+//! Seeds rotate over the five stock profiles and the trap-allowing
+//! `lint-traps` profile. Divergences, broken claims and panics are
+//! shrunk automatically and written as `.lus` + `.json` reproducer
+//! pairs under `tests/diff_seeds/` (see `velus_testkit::campaign`).
 //!
 //! ```text
 //! cargo run --release -p velus-bench --bin diff -- --seeds 1000
 //! cargo run --release -p velus-bench --bin diff -- --budget-ms 30000 --workers 8
-//! cargo run --release -p velus-bench --bin diff -- --seeds 300 --json
+//! cargo run --release -p velus-bench --bin diff -- --seeds 1350 --json
 //! ```
 //!
 //! Flags:
@@ -30,10 +32,13 @@
 //! * `--shrink-budget B` — max recompile-and-recheck cycles per failing
 //!   seed (default 400);
 //! * `--out DIR` — reproducer directory (default `tests/diff_seeds`);
-//! * `--json` — machine-readable summary on stdout.
+//! * `--json` — machine-readable summary on stdout, including the
+//!   lint-soundness tallies: how many runs each trap claim covered
+//!   (guaranteed / possible / clean) and how many actually trapped.
 //!
 //! Exit status: 0 when the campaign is clean, 1 when any seed diverged,
-//! panicked, or hit a rig failure (reproducers are written either way).
+//! broke a lint claim, panicked, or hit a rig failure (reproducers are
+//! written either way).
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -41,10 +46,6 @@ use std::time::Instant;
 use velus_bench::{parse_bool_flag, parse_flag, parse_string_flag};
 use velus_obs::Histogram;
 use velus_testkit::campaign::{run_campaign, write_reproducer, CampaignConfig, CampaignReport};
-
-fn merge_reports(into: &mut CampaignReport, from: CampaignReport) {
-    into.results.extend(from.results);
-}
 
 fn main() {
     let seeds = parse_flag("--seeds", 200) as u64;
@@ -72,7 +73,9 @@ fn main() {
         let batch = (workers as u64) * 8;
         let mut next = seed_start;
         loop {
-            merge_reports(&mut report, run_campaign(&cfg, next, batch, workers));
+            report
+                .results
+                .extend(run_campaign(&cfg, next, batch, workers).results);
             next = next.saturating_add(batch);
             if start.elapsed().as_millis() as u64 >= budget_ms {
                 break;
@@ -89,6 +92,7 @@ fn main() {
     }
 
     let failures = report.failures();
+    let claims = report.claims();
     let mut written: Vec<String> = Vec::new();
     for rep in &failures {
         match write_reproducer(&out_dir, rep) {
@@ -107,6 +111,10 @@ fn main() {
         ));
         out.push_str(&format!(", \"vacuous\": {}", report.vacuous()));
         out.push_str(&format!(", \"failures\": {}", failures.len()));
+        out.push_str(&format!(
+            ", \"claims\": {{\"guaranteed\": {}, \"possible\": {}, \"clean\": {}}}, \"trapped_runs\": {}",
+            claims.guaranteed, claims.possible, claims.clean, claims.trapped
+        ));
         out.push_str(", \"rejection_codes\": {");
         for (i, (code, n)) in report.rejection_codes().iter().enumerate() {
             if i > 0 {
@@ -148,6 +156,10 @@ fn main() {
             report.mutants_rejected(),
             report.vacuous(),
             failures.len()
+        );
+        println!(
+            "  lint claims: {} guaranteed / {} possible / {} clean · {} trapped runs",
+            claims.guaranteed, claims.possible, claims.clean, claims.trapped
         );
         let codes = report.rejection_codes();
         if !codes.is_empty() {

@@ -1,10 +1,10 @@
 //! `jsoncheck` — reads stdin, asserts it is one well-formed JSON value.
 //!
 //! The CI pipes the CLI's `--error-format json` and `--emit report`
-//! outputs through this (the same mini checker the pipeline bench's
-//! `--smoke` gate uses), so a malformed diagnostics document fails the
-//! build even though the producing `velus` invocation exits nonzero by
-//! design.
+//! outputs through this (the workspace's one JSON reader,
+//! `velus_testkit::json`, which the pipeline bench's `--smoke` gate
+//! uses too), so a malformed diagnostics document fails the build even
+//! though the producing `velus` invocation exits nonzero by design.
 
 use std::io::Read;
 use std::process::ExitCode;
@@ -19,8 +19,8 @@ fn main() -> ExitCode {
         eprintln!("jsoncheck: empty input (expected one JSON value)");
         return ExitCode::FAILURE;
     }
-    match velus_bench::json::check(input.trim()) {
-        Ok(()) => {
+    match velus_testkit::json::parse(&input) {
+        Ok(_) => {
             println!("json ok ({} bytes)", input.len());
             ExitCode::SUCCESS
         }

@@ -405,7 +405,7 @@ fn main() {
         "{{\n  \"benchmark\": \"velus-bench --bin pipeline --passes {passes} --programs {programs}\",\n  \"corpora\": {{\n{}\n  }}\n}}\n",
         sections.join(",\n")
     );
-    velus_bench::json::check(&json).unwrap_or_else(|e| panic!("malformed JSON: {e}\n{json}"));
+    velus_testkit::json::parse(&json).unwrap_or_else(|e| panic!("malformed JSON: {e}\n{json}"));
     if let Some(path) = parse_string_flag("--json") {
         std::fs::write(&path, &json).expect("write --json file");
         println!("wrote profile to {path}");

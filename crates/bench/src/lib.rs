@@ -52,126 +52,3 @@ pub fn parse_string_flag(name: &str) -> Option<String> {
     }
     None
 }
-
-/// The mini JSON well-formedness checker (objects, arrays, strings,
-/// numbers, literals) shared by the pipeline bench's `--smoke` gate,
-/// the `jsoncheck` binary CI pipes CLI output through, and any test
-/// that wants to assert an emitted document parses. Not a full parser —
-/// enough to catch a harness or CLI that starts emitting broken output.
-pub mod json {
-    /// Checks that `s` is exactly one well-formed JSON value.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the first offending byte offset.
-    pub fn check(s: &str) -> Result<(), String> {
-        let b = s.as_bytes();
-        let end = value(b, 0)?;
-        if skip_ws(b, end) != b.len() {
-            return Err("trailing garbage after JSON value".to_owned());
-        }
-        Ok(())
-    }
-
-    fn skip_ws(b: &[u8], mut i: usize) -> usize {
-        while i < b.len() && (b[i] as char).is_ascii_whitespace() {
-            i += 1;
-        }
-        i
-    }
-
-    fn s_slice(b: &[u8], i: usize) -> &str {
-        std::str::from_utf8(&b[i..]).unwrap_or("")
-    }
-
-    fn string(b: &[u8], i: usize) -> Result<usize, String> {
-        if b.get(i) != Some(&b'"') {
-            return Err(format!("expected '\"' at byte {i}"));
-        }
-        let mut i = i + 1;
-        while let Some(&c) = b.get(i) {
-            match c {
-                b'\\' => i += 2,
-                b'"' => return Ok(i + 1),
-                _ => i += 1,
-            }
-        }
-        Err("unterminated string".to_owned())
-    }
-
-    fn value(b: &[u8], i: usize) -> Result<usize, String> {
-        let i = skip_ws(b, i);
-        match b.get(i) {
-            Some(b'{') => {
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b'}') {
-                    return Ok(i + 1);
-                }
-                loop {
-                    i = string(b, skip_ws(b, i))?;
-                    i = skip_ws(b, i);
-                    if b.get(i) != Some(&b':') {
-                        return Err(format!("expected ':' at byte {i}"));
-                    }
-                    i = value(b, i + 1)?;
-                    i = skip_ws(b, i);
-                    match b.get(i) {
-                        Some(b',') => i += 1,
-                        Some(b'}') => return Ok(i + 1),
-                        _ => return Err(format!("expected ',' or '}}' at byte {i}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                let mut i = skip_ws(b, i + 1);
-                if b.get(i) == Some(&b']') {
-                    return Ok(i + 1);
-                }
-                loop {
-                    i = value(b, i)?;
-                    i = skip_ws(b, i);
-                    match b.get(i) {
-                        Some(b',') => i += 1,
-                        Some(b']') => return Ok(i + 1),
-                        _ => return Err(format!("expected ',' or ']' at byte {i}")),
-                    }
-                }
-            }
-            Some(b'"') => string(b, i),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let mut i = i + 1;
-                while i < b.len() && matches!(b[i], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-                {
-                    i += 1;
-                }
-                Ok(i)
-            }
-            _ => {
-                for lit in ["true", "false", "null"] {
-                    if s_slice(b, i).starts_with(lit) {
-                        return Ok(i + lit.len());
-                    }
-                }
-                Err(format!("unexpected value at byte {i}"))
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::check;
-
-        #[test]
-        fn accepts_the_diagnostics_shapes() {
-            check(r#"{"diagnostics":[],"errors":0,"warnings":0}"#).unwrap();
-            check(r#"{"a":[1,2.5,-3e4,"x\"y",true,null],"b":{}}"#).unwrap();
-        }
-
-        #[test]
-        fn rejects_truncation_and_trailers() {
-            assert!(check(r#"{"a":1"#).is_err());
-            assert!(check(r#"{"a":1} extra"#).is_err());
-            assert!(check("").is_err());
-        }
-    }
-}

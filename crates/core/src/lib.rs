@@ -46,9 +46,7 @@ pub mod validate;
 pub use artifacts::ServiceArtifact;
 pub use error::VelusError;
 pub use passes::{PassManager, PassSink, StagedPipeline};
-pub use pipeline::{
-    compile, compile_program, compile_program_timed, compile_timed, emit_c, Compiled,
-};
+pub use pipeline::{compile, emit_c, Compiled};
 pub use service::{PipelineCompiler, VelusService};
 pub use validate::{
     run_oracles, validate, validate_with_report, OracleDivergence, OracleId, OracleReport,

@@ -21,14 +21,15 @@
 //! computed (and re-validated) the first time something asks for it and
 //! memoized afterwards, so a request that only needs the front half of
 //! the pipeline — a WCET report, an N-Lustre dump — never pays for the
-//! back half. `compile`/`compile_timed` in [`crate::pipeline`] are thin
-//! wrappers that force every stage.
+//! back half. [`crate::compile`] is
+//! `StagedPipeline::from_source(..)?.into_compiled()`: it forces every
+//! stage.
 
 use std::cell::OnceCell;
 use std::time::Instant;
 
 use velus_clight::printer::TestIo;
-use velus_common::{codes, DiagStage, Diagnostic, Diagnostics, Ident, PreMarks, Span, SpanMap};
+use velus_common::{codes, DiagStage, Diagnostic, Diagnostics, Ident, Span, SpanMap};
 use velus_nlustre::ast::Program;
 use velus_nlustre::{clockcheck, typecheck};
 use velus_obc::ast::ObcProgram;
@@ -247,9 +248,6 @@ pub struct Elaborated {
     pub warnings: Diagnostics,
     /// Node/equation source spans recorded by the elaborator.
     pub spans: SpanMap,
-    /// The memory variables normalization introduced for surface `pre`s
-    /// (the initialization analysis's input).
-    pub pre_marks: PreMarks,
 }
 
 /// Picks the default root node: a node never instantiated by another
@@ -298,8 +296,7 @@ impl<'a> Pass<'a> for ElaboratePass {
             Ok(mut scratch) => velus_lustre::frontend_with::<ClightOps>(input.source, &mut scratch),
             Err(_) => velus_lustre::frontend::<ClightOps>(input.source),
         })?;
-        let (nlustre, warnings, spans, pre_marks) =
-            (front.program, front.warnings, front.spans, front.pre_marks);
+        let (nlustre, warnings, spans) = (front.program, front.warnings, front.spans);
         let root = match input.root {
             Some(r) => {
                 let root = Ident::new(r);
@@ -320,7 +317,6 @@ impl<'a> Pass<'a> for ElaboratePass {
             root,
             warnings,
             spans,
-            pre_marks,
         })
     }
 }
@@ -541,8 +537,9 @@ pub struct LintInput<'a> {
     pub program: &'a Program<ClightOps>,
     /// The root node (reachability/activity start from it).
     pub root: Ident,
-    /// Where normalization put each surface `pre`'s memory.
-    pub pre_marks: &'a PreMarks,
+    /// The front-end warnings, whose initialization findings (`W0101`)
+    /// the lint report carries over.
+    pub warnings: &'a Diagnostics,
     /// Node/equation spans the findings anchor to.
     pub spans: &'a SpanMap,
 }
@@ -564,7 +561,7 @@ impl<'a> Pass<'a> for LintPass {
         Ok(velus_analysis::lint_program(
             input.program,
             input.root,
-            input.pre_marks,
+            input.warnings,
             input.spans,
         ))
     }
@@ -585,7 +582,6 @@ pub struct StagedPipeline<'o> {
     root: Ident,
     warnings: Diagnostics,
     spans: SpanMap,
-    pre_marks: PreMarks,
     snlustre: Option<Scheduled>,
     obc: Option<ObcProgram<ClightOps>>,
     obc_fused: Option<ObcProgram<ClightOps>>,
@@ -657,7 +653,6 @@ impl<'o> StagedPipeline<'o> {
                 root,
                 warnings,
                 spans: SpanMap::new(),
-                pre_marks: PreMarks::new(),
             },
             PassManager::new(observe),
         )
@@ -674,7 +669,6 @@ impl<'o> StagedPipeline<'o> {
             root: elaborated.root,
             warnings: elaborated.warnings,
             spans: elaborated.spans,
-            pre_marks: elaborated.pre_marks,
             snlustre: None,
             obc: None,
             obc_fused: None,
@@ -806,7 +800,7 @@ impl<'o> StagedPipeline<'o> {
                 LintInput {
                     program: &self.snlustre.as_ref().expect("scheduled").program,
                     root: self.root,
-                    pre_marks: &self.pre_marks,
+                    warnings: &self.warnings,
                     spans: &self.spans,
                 },
                 &self.spans,

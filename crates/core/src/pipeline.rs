@@ -1,5 +1,5 @@
-//! The classic whole-pipeline driver API, as thin wrappers over the
-//! staged pass framework ([`crate::passes`]).
+//! The classic whole-pipeline driver API over the staged pass
+//! framework ([`crate::passes`]).
 //!
 //! [`compile`] forces every pass of the [`StagedPipeline`] — elaborate,
 //! check, schedule, translate, fuse, generate — and returns every
@@ -51,54 +51,7 @@ pub struct Compiled {
 /// Any front-end diagnostic, scheduling failure, or internal invariant
 /// violation (each stage's output is re-checked).
 pub fn compile(source: &str, root: Option<&str>) -> Result<Compiled, VelusError> {
-    compile_timed(source, root, &mut |_, _| {})
-}
-
-/// [`compile`], reporting the wall-clock time of every pipeline stage to
-/// `observe` — the instrumentation the compilation service's statistics
-/// are built from.
-///
-/// # Errors
-///
-/// See [`compile`].
-pub fn compile_timed(
-    source: &str,
-    root: Option<&str>,
-    observe: StageObserver<'_>,
-) -> Result<Compiled, VelusError> {
-    StagedPipeline::from_source(source, root, observe)?.into_compiled()
-}
-
-/// Compiles an already-elaborated N-Lustre program (used by the
-/// benchmarks and by generated workloads that skip the parser).
-///
-/// # Errors
-///
-/// See [`compile`].
-pub fn compile_program(
-    nlustre: Program<ClightOps>,
-    root: Ident,
-    warnings: Diagnostics,
-) -> Result<Compiled, VelusError> {
-    compile_program_timed(nlustre, root, warnings, &mut |_, _| {})
-}
-
-/// [`compile_program`], reporting per-stage wall-clock times to
-/// `observe` (the front end is not involved here, so [`Stage::Frontend`]
-/// is never reported).
-///
-/// [`Stage::Frontend`]: velus_server::Stage::Frontend
-///
-/// # Errors
-///
-/// See [`compile`].
-pub fn compile_program_timed(
-    nlustre: Program<ClightOps>,
-    root: Ident,
-    warnings: Diagnostics,
-    observe: StageObserver<'_>,
-) -> Result<Compiled, VelusError> {
-    StagedPipeline::from_program(nlustre, root, warnings, observe)?.into_compiled()
+    StagedPipeline::from_source(source, root, &mut |_, _| {})?.into_compiled()
 }
 
 /// Prints the generated Clight as a compilable C translation unit.
@@ -177,7 +130,9 @@ mod tests {
         use velus_server::Stage;
         let mut stages: Vec<Stage> = Vec::new();
         let mut observe = |stage: Stage, _: std::time::Duration| stages.push(stage);
-        compile_timed(COUNTER, None, &mut observe).unwrap();
+        StagedPipeline::from_source(COUNTER, None, &mut observe)
+            .and_then(StagedPipeline::into_compiled)
+            .unwrap();
         assert_eq!(
             stages,
             vec![

@@ -46,7 +46,7 @@ pub mod lexer;
 pub mod normalize;
 pub mod parser;
 
-use velus_common::{codes, DiagStage, Diagnostics, PreMarks, SpanMap};
+use velus_common::{codes, DiagStage, Diagnostics, SpanMap};
 use velus_nlustre::ast::Program;
 use velus_ops::Ops;
 
@@ -63,10 +63,6 @@ pub struct Frontend<O: Ops> {
     /// Source spans of every node and (defined-variable-keyed)
     /// equation, surviving scheduling's reordering.
     pub spans: SpanMap,
-    /// The memory variables normalization introduced for a surface
-    /// `pre`, with the `pre`'s span — the input of the initialization
-    /// analysis, kept for the full lint pass downstream.
-    pub pre_marks: PreMarks,
 }
 
 /// Reusable front-end working memory: the token buffer and the surface
@@ -162,7 +158,6 @@ pub fn frontend_with<O: Ops>(
         program,
         warnings,
         spans,
-        pre_marks,
     })
 }
 

@@ -2,12 +2,13 @@
 //!
 //! One seed = one experiment on the paper's end-to-end theorem: generate
 //! a random well-formed program ([`crate::gen`]), optionally corrupt its
-//! source ([`crate::mutate`]), compile it, and run the full oracle set —
-//! unscheduled vs scheduled dataflow, memory semantics with `MemCorres`,
-//! Obc unfused and fused, step-driven Clight with `staterep`, the
-//! volatile trace of the generated `main`
-//! ([`velus::run_oracles`]), plus a campaign-level oracle comparing
-//! staged pass-by-pass compilation against the one-shot pipeline.
+//! source ([`crate::mutate`]), compile it once, and run the full oracle
+//! set — unscheduled vs scheduled dataflow, memory semantics with
+//! `MemCorres`, Obc unfused and fused, step-driven Clight with
+//! `staterep`, the volatile trace of the generated `main`
+//! ([`velus::run_oracles`]) — plus the lint-soundness oracle, which
+//! holds the static analyses' trap claims against the Clight execution
+//! (see [`TrapClaim`]).
 //!
 //! On a divergence or a panic the engine **shrinks** the failing case —
 //! deleting nodes, inputs, and equations, simplifying expressions, and
@@ -36,18 +37,18 @@ use std::path::{Path, PathBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use velus::passes::{
-    CheckPass, ElaboratePass, EmitInput, EmitPass, FrontendInput, FusePass, GenerateInput,
-    GeneratePass, PassManager, SchedulePass, TranslatePass,
-};
-use velus::{Compiled, TestIo, VelusError};
-use velus_common::{Ident, SpanMap};
+use velus::{Compiled, StagedPipeline, VelusError};
+use velus_clight::generate::{method_fn_name, out_struct_name};
+use velus_clight::interp::{Machine, RVal};
+use velus_clight::ClightError;
+use velus_common::{json_escape, Diagnostics, Ident, SpanMap};
 use velus_nlustre::ast::{CExpr, Equation, Expr, Program};
 use velus_nlustre::streams::{SVal, StreamSet};
+use velus_obc::ast::{reset_name, step_name};
 use velus_ops::{CConst, CTy, CVal, ClightOps, Literal, Ops};
 
 use crate::gen::{gen_inputs, gen_program, GenConfig};
-use crate::json::{escape_into, Json};
+use crate::json::Json;
 use crate::mutate::mutate;
 use crate::render::lustre_source;
 
@@ -68,7 +69,9 @@ pub struct Profile {
     /// Stable name, recorded in reproducers (`"default"`, `"clock-heavy"`,
     /// `"floats"`).
     pub name: &'static str,
-    /// The generator tunables.
+    /// The generator tunables. [`GenConfig::trap_divisors`] also sets
+    /// the trap policy: under it a run that traps is an expected
+    /// outcome, under every other profile it is a rig failure.
     pub gen: GenConfig,
     /// Input-prefix length checked per seed.
     pub steps: usize,
@@ -82,9 +85,9 @@ pub struct Profile {
 /// generator's *total* lint bait (unused locals, constant conditions,
 /// dead sub-clocks, interval-opaque divisors — see
 /// [`GenConfig::lint_bait_pct`]), which the static analyses flag but
-/// the dataflow semantics shrugs off. Seeds rotate over profiles
-/// (`seed % len`), so every profile is exercised by any contiguous
-/// seed block.
+/// the dataflow semantics shrugs off. Every stock profile generates
+/// total programs. Seeds rotate over profiles (`seed % len`), so every
+/// profile is exercised by any contiguous seed block.
 pub fn default_profiles() -> Vec<Profile> {
     vec![
         Profile {
@@ -133,6 +136,24 @@ pub fn default_profiles() -> Vec<Profile> {
     ]
 }
 
+/// The trap-allowing profile: divisors may be constant zero or form
+/// the `i32::MIN / -1` overflow ([`GenConfig::trap_divisors`]), plus
+/// lint bait. Its programs may have no dataflow semantics; what the
+/// campaign checks on them is that every run — trapping or not —
+/// matches the lint claim. Part of [`CampaignConfig::default`], not of
+/// [`default_profiles`].
+pub fn lint_traps_profile() -> Profile {
+    Profile {
+        name: "lint-traps",
+        gen: GenConfig {
+            trap_divisors: true,
+            lint_bait_pct: 40,
+            ..GenConfig::default()
+        },
+        steps: 10,
+    }
+}
+
 /// Campaign tunables.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -148,9 +169,12 @@ pub struct CampaignConfig {
 }
 
 impl Default for CampaignConfig {
+    /// The stock profiles plus [`lint_traps_profile`].
     fn default() -> CampaignConfig {
+        let mut profiles = default_profiles();
+        profiles.push(lint_traps_profile());
         CampaignConfig {
-            profiles: default_profiles(),
+            profiles,
             mutate_pct: 10,
             shrink_budget: 400,
         }
@@ -165,7 +189,7 @@ impl Default for CampaignConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailureInfo {
     /// Which oracle pair disagreed: one of the [`velus::OracleId`] names,
-    /// or `"staged-emit"` for the staged-vs-one-shot C comparison, or
+    /// `"lint-soundness"` for a trap claim the execution broke, or
     /// `"harness"` for an internal rig error.
     pub oracle: String,
     /// The first disagreeing instant, when the oracle is per-instant.
@@ -181,7 +205,9 @@ pub struct FailureInfo {
 /// The classified result of checking one program against the oracles.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckOutcome {
-    /// Every oracle pair agreed on the whole prefix.
+    /// Every oracle pair agreed on the whole prefix (under a
+    /// trap-allowing policy: or the program has no dataflow semantics
+    /// and its Clight run matched the lint claim).
     Pass,
     /// The compiler rejected the source with a coded diagnostic.
     CompileFail {
@@ -196,7 +222,8 @@ pub enum CheckOutcome {
         /// The rendered semantic error.
         detail: String,
     },
-    /// Two stages of the chain disagreed: the theorem failed.
+    /// Two stages of the chain disagreed, or an execution broke a lint
+    /// claim: the theorem (or the analysis) failed.
     Diverged(FailureInfo),
     /// Some stage panicked instead of returning.
     Panicked {
@@ -224,6 +251,60 @@ impl CheckOutcome {
     }
 }
 
+/// The strongest trap claim the lint findings make about a program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrapClaim {
+    /// `E0110`/`E0111` present: the division executes on every step and
+    /// always traps, so the first step must trap.
+    Guaranteed,
+    /// `W0102` present (and no guarantee): execution may trap or not.
+    Possible,
+    /// No trap-related finding: the analysis proved every division,
+    /// modulo and narrowing cast safe, so no execution may trap.
+    Clean,
+}
+
+impl TrapClaim {
+    /// The stable token used in reports and JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            TrapClaim::Guaranteed => "guaranteed-trap",
+            TrapClaim::Possible => "possible-trap",
+            TrapClaim::Clean => "clean",
+        }
+    }
+}
+
+/// What the lint-soundness oracle saw: the claim, and the step at which
+/// the Clight execution trapped, if it did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClaimCheck {
+    /// The strongest trap claim of the lint findings.
+    pub claim: TrapClaim,
+    /// The step that trapped (an undefined operation), if any.
+    pub trapped: Option<usize>,
+}
+
+/// The result of [`check`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Checked {
+    /// The classified outcome.
+    pub outcome: CheckOutcome,
+    /// The claim held against the execution, when the program compiled
+    /// and ran (absent when it did not compile, the chain diverged, the
+    /// Clight run failed, or a stage panicked).
+    pub claim: Option<ClaimCheck>,
+}
+
+impl From<CheckOutcome> for Checked {
+    fn from(outcome: CheckOutcome) -> Checked {
+        Checked {
+            outcome,
+            claim: None,
+        }
+    }
+}
+
 pub(crate) fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = e.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -234,9 +315,21 @@ pub(crate) fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn compile_outcome(source: &str, root: Option<&str>) -> Result<Compiled, CheckOutcome> {
-    match catch_unwind(AssertUnwindSafe(|| velus::compile(source, root))) {
-        Ok(Ok(c)) => Ok(c),
+/// Compiles `source` once through the [`StagedPipeline`], collecting the
+/// lint findings over the scheduled program (what `velus lint`
+/// reports) on the way.
+fn compile_linted(
+    source: &str,
+    root: Option<&str>,
+) -> Result<(Compiled, Diagnostics), CheckOutcome> {
+    let run = catch_unwind(AssertUnwindSafe(|| -> Result<_, VelusError> {
+        let mut observe = |_, _| {};
+        let mut staged = StagedPipeline::from_source(source, root, &mut observe)?;
+        let findings = staged.lint()?.clone();
+        Ok((staged.into_compiled()?, findings))
+    }));
+    match run {
+        Ok(Ok(pair)) => Ok(pair),
         Ok(Err(e)) => {
             let code = e
                 .diagnostics(&SpanMap::new())
@@ -255,45 +348,6 @@ fn compile_outcome(source: &str, root: Option<&str>) -> Result<Compiled, CheckOu
     }
 }
 
-/// Drives every pipeline pass individually through a [`PassManager`] and
-/// returns the emitted C — the staged half of the staged-vs-one-shot
-/// campaign oracle.
-///
-/// # Errors
-///
-/// Whatever pass fails first.
-pub fn stagewise_c(source: &str, root: Option<&str>) -> Result<String, VelusError> {
-    let mut observe = |_: velus::Stage, _: std::time::Duration| {};
-    let mut pm = PassManager::new(&mut observe);
-    let elaborated = pm.run(
-        &ElaboratePass,
-        FrontendInput { source, root },
-        &SpanMap::new(),
-    )?;
-    let root = elaborated.root;
-    let spans = elaborated.spans;
-    let mut nlustre = pm.run(&CheckPass, elaborated.nlustre, &spans)?;
-    let snlustre = pm.run(&SchedulePass, &mut nlustre, &spans)?.program;
-    let obc = pm.run(&TranslatePass, &snlustre, &spans)?;
-    let obc_fused = pm.run(&FusePass, &obc, &spans)?;
-    let clight = pm.run(
-        &GeneratePass,
-        GenerateInput {
-            obc_fused: &obc_fused,
-            root,
-        },
-        &spans,
-    )?;
-    pm.run(
-        &EmitPass,
-        EmitInput {
-            clight: &clight,
-            io: TestIo::Volatile,
-        },
-        &spans,
-    )
-}
-
 fn clip(s: &str) -> String {
     const MAX: usize = 2000;
     if s.len() <= MAX {
@@ -306,71 +360,151 @@ fn clip(s: &str) -> String {
     format!("{}… [{} bytes clipped]", &s[..end], s.len() - end)
 }
 
-fn staged_emit_divergence(source: &str, root: Ident, oneshot: &Compiled) -> Option<FailureInfo> {
-    let expected = velus::emit_c(oneshot, TestIo::Volatile);
-    let root_s = root.to_string();
-    let staged = match catch_unwind(AssertUnwindSafe(|| stagewise_c(source, Some(&root_s)))) {
-        Ok(Ok(c)) => c,
-        Ok(Err(e)) => {
-            return Some(FailureInfo {
-                oracle: "staged-emit".to_owned(),
-                instant: None,
-                output: None,
-                left: "staged pipeline succeeds like the one-shot pipeline".to_owned(),
-                right: format!("staged pipeline failed: {e}"),
-            })
-        }
-        Err(p) => {
-            return Some(FailureInfo {
-                oracle: "staged-emit".to_owned(),
-                instant: None,
-                output: None,
-                left: "staged pipeline succeeds like the one-shot pipeline".to_owned(),
-                right: format!("staged pipeline panicked: {}", panic_message(p)),
-            })
-        }
-    };
-    if staged == expected {
-        return None;
+/// The strongest trap claim in a finding set.
+fn claim_of(findings: &Diagnostics) -> TrapClaim {
+    let has = |id: &str| findings.iter().any(|d| d.code.id == id);
+    if has("E0110") || has("E0111") {
+        TrapClaim::Guaranteed
+    } else if has("W0102") {
+        TrapClaim::Possible
+    } else {
+        TrapClaim::Clean
     }
-    let line = staged
-        .lines()
-        .zip(expected.lines())
-        .position(|(a, b)| a != b)
-        .unwrap_or_else(|| staged.lines().count().min(expected.lines().count()));
-    Some(FailureInfo {
-        oracle: "staged-emit".to_owned(),
-        instant: Some(line),
-        output: None,
-        left: clip(expected.lines().nth(line).unwrap_or("<end of file>")),
-        right: clip(staged.lines().nth(line).unwrap_or("<end of file>")),
-    })
 }
 
-/// Compiles `source` and runs the complete oracle set — the semantic
-/// chain of [`velus::run_oracles`] plus the staged-vs-one-shot C
-/// comparison — on `steps` instants of `inputs`, classifying the result.
-/// Panics at any stage are caught and reported as
-/// [`CheckOutcome::Panicked`].
+/// Drives the compiled root step by step for `steps` instants.
+///
+/// Returns `Ok(None)` for a trap-free run, `Ok(Some(i))` when step `i`
+/// trapped (an undefined operation, the only legitimate runtime
+/// failure), and `Err` for any *other* execution error — which a
+/// well-formed program must never produce.
+fn drive(
+    c: &Compiled,
+    inputs: &StreamSet<ClightOps>,
+    steps: usize,
+) -> Result<Option<usize>, String> {
+    let root = c.root;
+    let node = c
+        .snlustre
+        .node(root)
+        .ok_or_else(|| format!("root {root} missing from the scheduled program"))?;
+    let err = |e: ClightError| e.to_string();
+
+    let mut machine = Machine::new(&c.clight).map_err(err)?;
+    let selfb = machine.alloc_struct(root).map_err(err)?;
+    machine
+        .call(method_fn_name(root, reset_name()), &[RVal::Ptr(selfb, 0)])
+        .map_err(err)?;
+    let outb = if node.outputs.len() >= 2 {
+        Some(
+            machine
+                .alloc_struct(out_struct_name(root, step_name()))
+                .map_err(err)?,
+        )
+    } else {
+        None
+    };
+
+    for i in 0..steps {
+        let mut args = vec![RVal::Ptr(selfb, 0)];
+        if let Some(b) = outb {
+            args.push(RVal::Ptr(b, 0));
+        }
+        for stream in inputs {
+            match stream.get(i) {
+                Some(SVal::Pres(v)) => args.push(RVal::Scalar(*v)),
+                other => return Err(format!("input not present at step {i}: {other:?}")),
+            }
+        }
+        match machine.call(method_fn_name(root, step_name()), &args) {
+            Ok(_) => {}
+            Err(ClightError::UndefinedOperation(_)) => return Ok(Some(i)),
+            Err(e) => return Err(format!("non-trap execution error at step {i}: {e}")),
+        }
+    }
+    Ok(None)
+}
+
+/// The lint-soundness verdict: `Some` when the execution contradicts
+/// the claim. A guaranteed trap executes on every step, so step 0 must
+/// trap; a clean program may never trap; a possible trap is consistent
+/// either way.
+fn broken_claim(run: ClaimCheck, steps: usize) -> Option<FailureInfo> {
+    const GUARANTEED: &str = "E0110/E0111: a trap on every step, from step 0";
+    let (left, right) = match (run.claim, run.trapped) {
+        (TrapClaim::Guaranteed, Some(0)) => return None,
+        (TrapClaim::Guaranteed, Some(i)) => (GUARANTEED, format!("step 0 ran, step {i} trapped")),
+        (TrapClaim::Guaranteed, None) => (GUARANTEED, format!("{steps} steps ran clean")),
+        (TrapClaim::Clean, Some(i)) => (
+            "no trap finding: no step traps",
+            format!("step {i} trapped"),
+        ),
+        _ => return None,
+    };
+    Some(lint_divergence(run.trapped, left.to_owned(), right))
+}
+
+fn lint_divergence(instant: Option<usize>, left: String, right: String) -> FailureInfo {
+    FailureInfo {
+        oracle: "lint-soundness".to_owned(),
+        instant,
+        output: None,
+        left,
+        right,
+    }
+}
+
+/// Compiles `source` once and runs the complete oracle set on `steps`
+/// instants of `inputs`: the semantic chain of [`velus::run_oracles`],
+/// then the lint-soundness oracle, which holds the Clight execution
+/// against the lint findings' [`TrapClaim`]. Panics at any stage are
+/// caught and reported as [`CheckOutcome::Panicked`].
+///
+/// `traps_allowed` is the trap policy ([`GenConfig::trap_divisors`]).
+/// When set, a program without a dataflow semantics passes once its
+/// Clight run matched the lint claim: it may trap, or run clean where
+/// the dataflow semantics, which evaluates both branches of an `if`,
+/// found an undefined operation in the branch not taken. Otherwise such
+/// a program stays a [`CheckOutcome::SemFail`].
 pub fn check(
     source: &str,
     root: Option<&str>,
     inputs: &StreamSet<ClightOps>,
     steps: usize,
-) -> CheckOutcome {
-    let compiled = match compile_outcome(source, root) {
-        Ok(c) => c,
-        Err(out) => return out,
-    };
-    let report = match catch_unwind(AssertUnwindSafe(|| {
-        velus::run_oracles(&compiled, inputs, steps)
-    })) {
-        Ok(Ok(rep)) => rep,
-        Ok(Err(VelusError::Sem(e))) => {
-            return CheckOutcome::SemFail {
-                detail: e.to_string(),
-            }
+    traps_allowed: bool,
+) -> Checked {
+    match compile_linted(source, root) {
+        Ok((compiled, findings)) => {
+            check_compiled(&compiled, &findings, inputs, steps, traps_allowed)
         }
+        Err(out) => out.into(),
+    }
+}
+
+/// [`check`] on an already compiled and linted program.
+fn check_compiled(
+    c: &Compiled,
+    findings: &Diagnostics,
+    inputs: &StreamSet<ClightOps>,
+    steps: usize,
+    traps_allowed: bool,
+) -> Checked {
+    let sem_error = match catch_unwind(AssertUnwindSafe(|| velus::run_oracles(c, inputs, steps))) {
+        Ok(Ok(rep)) => match rep.divergence {
+            Some(d) => {
+                return CheckOutcome::Diverged(FailureInfo {
+                    oracle: d.oracle.name().to_owned(),
+                    instant: Some(d.instant),
+                    output: d.output,
+                    left: clip(&d.left),
+                    right: clip(&d.right),
+                })
+                .into()
+            }
+            // The whole chain agreed, so the Clight ran every step.
+            None => None,
+        },
+        Ok(Err(VelusError::Sem(e))) => Some(e.to_string()),
         Ok(Err(e)) => {
             return CheckOutcome::Diverged(FailureInfo {
                 oracle: "harness".to_owned(),
@@ -379,25 +513,49 @@ pub fn check(
                 left: "a structured oracle report".to_owned(),
                 right: clip(&e.to_string()),
             })
+            .into()
         }
         Err(p) => {
             return CheckOutcome::Panicked {
                 detail: format!("oracle run panicked: {}", panic_message(p)),
             }
+            .into()
         }
     };
-    if let Some(d) = report.divergence {
-        return CheckOutcome::Diverged(FailureInfo {
-            oracle: d.oracle.name().to_owned(),
-            instant: Some(d.instant),
-            output: d.output,
-            left: clip(&d.left),
-            right: clip(&d.right),
-        });
-    }
-    match staged_emit_divergence(source, compiled.root, &compiled) {
-        Some(info) => CheckOutcome::Diverged(info),
-        None => CheckOutcome::Pass,
+
+    let claim = claim_of(findings);
+    // Without a dataflow semantics the chain stopped before the Clight:
+    // run it alone to see whether (and where) it traps.
+    let trapped = match &sem_error {
+        None => None,
+        Some(_) => match catch_unwind(AssertUnwindSafe(|| drive(c, inputs, steps))) {
+            Ok(Ok(trapped)) => trapped,
+            Ok(Err(detail)) => {
+                return CheckOutcome::Diverged(lint_divergence(
+                    None,
+                    format!("{}: a trap or a clean run", claim.name()),
+                    detail,
+                ))
+                .into()
+            }
+            Err(p) => {
+                return CheckOutcome::Panicked {
+                    detail: format!("execution panicked: {}", panic_message(p)),
+                }
+                .into()
+            }
+        },
+    };
+    let run = ClaimCheck { claim, trapped };
+    let outcome = match (broken_claim(run, steps), sem_error) {
+        (Some(info), _) => CheckOutcome::Diverged(info),
+        (None, None) => CheckOutcome::Pass,
+        (None, Some(_)) if traps_allowed => CheckOutcome::Pass,
+        (None, Some(detail)) => CheckOutcome::SemFail { detail },
+    };
+    Checked {
+        outcome,
+        claim: Some(run),
     }
 }
 
@@ -928,20 +1086,16 @@ pub fn render_record(rep: &Reproducer) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str("{\n");
     let field = |out: &mut String, key: &str, val: &str, last: bool| {
-        out.push_str("  ");
-        escape_into(key, out);
-        out.push_str(": ");
+        out.push_str("  \"");
+        out.push_str(&json_escape(key));
+        out.push_str("\": ");
         out.push_str(val);
         if !last {
             out.push(',');
         }
         out.push('\n');
     };
-    let s = |v: &str| {
-        let mut b = String::new();
-        escape_into(v, &mut b);
-        b
-    };
+    let s = |v: &str| format!("\"{}\"", json_escape(v));
     field(&mut out, "format", &RECORD_FORMAT.to_string(), false);
     field(&mut out, "seed", &rep.seed.to_string(), false);
     field(&mut out, "profile", &s(&rep.profile), false);
@@ -950,8 +1104,14 @@ pub fn render_record(rep: &Reproducer) -> String {
         &mut out,
         "gen",
         &format!(
-            "{{\"nodes\": {}, \"eqs_per_node\": {}, \"expr_depth\": {}, \"subclock_pct\": {}, \"floats\": {}}}",
-            g.nodes, g.eqs_per_node, g.expr_depth, g.subclock_pct, g.floats
+            "{{\"nodes\": {}, \"eqs_per_node\": {}, \"expr_depth\": {}, \"subclock_pct\": {}, \"floats\": {}, \"lint_bait_pct\": {}, \"trap_divisors\": {}}}",
+            g.nodes,
+            g.eqs_per_node,
+            g.expr_depth,
+            g.subclock_pct,
+            g.floats,
+            g.lint_bait_pct,
+            g.trap_divisors
         ),
         false,
     );
@@ -987,7 +1147,7 @@ pub fn render_record(rep: &Reproducer) -> String {
                     if i > 0 {
                         b.push_str(", ");
                     }
-                    escape_into(&sval_token(v), &mut b);
+                    b.push_str(&s(&sval_token(v)));
                 }
                 b.push(']');
             }
@@ -1031,8 +1191,10 @@ pub fn write_reproducer(dir: &Path, rep: &Reproducer) -> std::io::Result<(PathBu
 }
 
 /// Replays a reproducer record against the current compiler: parses the
-/// JSON, decodes the stored inputs, and re-runs [`check`] on `source`.
-/// Records without inputs (compile-time panics) only re-compile.
+/// JSON, decodes the stored inputs, and re-runs [`check`] on `source`
+/// under the record's trap policy (`gen.trap_divisors`, `false` when
+/// absent). Records without inputs (compile-time panics) only
+/// re-compile.
 ///
 /// # Errors
 ///
@@ -1044,8 +1206,13 @@ pub fn replay(record_json: &str, source: &str) -> Result<CheckOutcome, String> {
         .get("steps")
         .and_then(Json::as_usize)
         .ok_or("record has no usable \"steps\" field")?;
+    let traps = record
+        .get("gen")
+        .and_then(|g| g.get("trap_divisors"))
+        .and_then(Json::as_bool)
+        .unwrap_or(false);
     match record.get("inputs") {
-        None | Some(Json::Null) => match compile_outcome(source, root.as_deref()) {
+        None | Some(Json::Null) => match compile_linted(source, root.as_deref()) {
             Ok(_) => Ok(CheckOutcome::Pass),
             Err(out) => Ok(out),
         },
@@ -1061,7 +1228,7 @@ pub fn replay(record_json: &str, source: &str) -> Result<CheckOutcome, String> {
                 }
                 inputs.push(vals);
             }
-            Ok(check(source, root.as_deref(), &inputs, steps))
+            Ok(check(source, root.as_deref(), &inputs, steps, traps).outcome)
         }
     }
 }
@@ -1097,8 +1264,24 @@ pub struct SeedResult {
     pub profile: String,
     /// What happened.
     pub outcome: SeedOutcome,
+    /// The lint claim and the execution it was held against, when the
+    /// seed's program compiled and ran.
+    pub claim: Option<ClaimCheck>,
     /// Wall-clock nanoseconds the seed took end to end.
     pub nanos: u64,
+}
+
+/// Per-claim tallies of the lint-soundness oracle over a campaign.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClaimTally {
+    /// Runs claimed `guaranteed-trap`.
+    pub guaranteed: usize,
+    /// Runs claimed `possible-trap`.
+    pub possible: usize,
+    /// Runs claimed `clean`.
+    pub clean: usize,
+    /// Runs that actually trapped.
+    pub trapped: usize,
 }
 
 /// The merged results of a campaign, sorted by seed.
@@ -1144,6 +1327,20 @@ impl CampaignReport {
             }
         }
         out
+    }
+
+    /// How many checked runs made each trap claim, and how many trapped.
+    pub fn claims(&self) -> ClaimTally {
+        let mut t = ClaimTally::default();
+        for run in self.results.iter().filter_map(|r| r.claim) {
+            match run.claim {
+                TrapClaim::Guaranteed => t.guaranteed += 1,
+                TrapClaim::Possible => t.possible += 1,
+                TrapClaim::Clean => t.clean += 1,
+            }
+            t.trapped += usize::from(run.trapped.is_some());
+        }
+        t
     }
 
     /// Whether no seed failed.
@@ -1204,13 +1401,22 @@ fn shrink_and_package(
     let mut final_steps = steps;
     let mut stats = ShrinkStats::default();
 
+    let traps = profile.gen.trap_divisors;
     if let Some(c) = case.as_mut() {
         let root_s = c.root.to_string();
         // Only shrink if the AST form actually reproduces (a mutant's
         // elaborated AST may not round-trip; then we keep the textual
         // source untouched).
         let reproduces = |cand: &ShrinkCase| {
-            check(&cand.source(), Some(&root_s), &cand.inputs, cand.steps).is_failure()
+            check(
+                &cand.source(),
+                Some(&root_s),
+                &cand.inputs,
+                cand.steps,
+                traps,
+            )
+            .outcome
+            .is_failure()
         };
         if reproduces(c) {
             stats = shrink(c, budget, &mut |cand| reproduces(cand));
@@ -1218,7 +1424,7 @@ fn shrink_and_package(
             final_inputs = Some(c.inputs.clone());
             final_steps = c.steps;
             // Re-locate the (possibly moved) divergence on the final case.
-            match check(&source, Some(&root_s), &c.inputs, c.steps) {
+            match check(&source, Some(&root_s), &c.inputs, c.steps, traps).outcome {
                 CheckOutcome::Diverged(i) => {
                     detail = format!("{} oracle disagreed", i.oracle);
                     info = Some(i);
@@ -1232,7 +1438,7 @@ fn shrink_and_package(
         let root_ref = root.as_deref();
         stats = shrink_source(&mut source, budget, &mut |cand| {
             matches!(
-                compile_outcome(cand, root_ref),
+                compile_linted(cand, root_ref),
                 Err(CheckOutcome::Panicked { .. })
             )
         });
@@ -1273,7 +1479,7 @@ pub fn run_seed(seed: u64, cfg: &CampaignConfig) -> SeedResult {
     let source = lustre_source(&prog);
     let do_mutate = cfg.mutate_pct > 0 && rng.gen_range(0..100) < cfg.mutate_pct;
 
-    let outcome = if do_mutate {
+    let (outcome, claim) = if do_mutate {
         run_mutant(seed, profile, &mut rng, &source, cfg.shrink_budget)
     } else {
         run_generated(
@@ -1290,6 +1496,7 @@ pub fn run_seed(seed: u64, cfg: &CampaignConfig) -> SeedResult {
         seed,
         profile: profile.name.to_owned(),
         outcome,
+        claim,
         nanos: start.elapsed().as_nanos() as u64,
     }
 }
@@ -1302,11 +1509,18 @@ fn run_generated(
     root: Ident,
     source: &str,
     budget: usize,
-) -> SeedOutcome {
+) -> (SeedOutcome, Option<ClaimCheck>) {
     let node = prog.node(root).expect("root exists").clone();
     let inputs = gen_inputs(rng, &node, profile.steps);
     let root_s = root.to_string();
-    match check(source, Some(&root_s), &inputs, profile.steps) {
+    let checked = check(
+        source,
+        Some(&root_s),
+        &inputs,
+        profile.steps,
+        profile.gen.trap_divisors,
+    );
+    let outcome = match checked.outcome {
         CheckOutcome::Pass => SeedOutcome::Agreed,
         CheckOutcome::CompileFail { code, detail } => {
             // The generator promises well-formed programs; this is a rig
@@ -1362,7 +1576,8 @@ fn run_generated(
                 budget,
             )))
         }
-    }
+    };
+    (outcome, checked.claim)
 }
 
 fn run_mutant(
@@ -1371,15 +1586,17 @@ fn run_mutant(
     rng: &mut StdRng,
     source: &str,
     budget: usize,
-) -> SeedOutcome {
+) -> (SeedOutcome, Option<ClaimCheck>) {
     let mutated = mutate(source, rng);
     // The mutation may have renamed or deleted the root node: let the
     // compiler pick its default root.
-    let compiled = match compile_outcome(&mutated, None) {
-        Ok(c) => c,
-        Err(CheckOutcome::CompileFail { code, .. }) => return SeedOutcome::MutantRejected { code },
-        Err(first @ CheckOutcome::Panicked { .. }) => {
-            return SeedOutcome::Failure(Box::new(shrink_and_package(
+    let (compiled, findings) = match compile_linted(&mutated, None) {
+        Ok(pair) => pair,
+        Err(CheckOutcome::CompileFail { code, .. }) => {
+            return (SeedOutcome::MutantRejected { code }, None)
+        }
+        Err(first) => {
+            let rep = shrink_and_package(
                 seed,
                 profile,
                 true,
@@ -1392,30 +1609,36 @@ fn run_mutant(
                     steps: profile.steps,
                 },
                 budget,
-            )));
+            );
+            return (SeedOutcome::Failure(Box::new(rep)), None);
         }
-        Err(_) => unreachable!("compile_outcome only fails with CompileFail or Panicked"),
     };
     let root = compiled.root;
     let node = match compiled.snlustre.node(root) {
         Some(n) => n.clone(),
         None => {
-            return SeedOutcome::MutantRejected {
-                code: "E0000".to_owned(),
-            }
+            let code = "E0000".to_owned();
+            return (SeedOutcome::MutantRejected { code }, None);
         }
     };
     let inputs = gen_inputs(rng, &node, profile.steps);
-    let root_s = root.to_string();
-    match check(&mutated, Some(&root_s), &inputs, profile.steps) {
+    let checked = check_compiled(
+        &compiled,
+        &findings,
+        &inputs,
+        profile.steps,
+        profile.gen.trap_divisors,
+    );
+    let outcome = match checked.outcome {
         CheckOutcome::Pass => SeedOutcome::Agreed,
         CheckOutcome::CompileFail { code, .. } => SeedOutcome::MutantRejected { code },
         CheckOutcome::SemFail { .. } => SeedOutcome::Vacuous,
         first @ (CheckOutcome::Diverged(_) | CheckOutcome::Panicked { .. }) => {
             // Shrink on the *elaborated* AST of the mutant; if that AST
             // does not round-trip the packager keeps the raw text.
+            let root_s = root.to_string();
             let case = ShrinkCase {
-                prog: compiled.nlustre.clone(),
+                prog: compiled.nlustre,
                 root,
                 inputs: inputs.clone(),
                 steps: profile.steps,
@@ -1435,7 +1658,8 @@ fn run_mutant(
                 budget,
             )))
         }
-    }
+    };
+    (outcome, checked.claim)
 }
 
 /// Runs seeds `start .. start + count` across `workers` threads and
@@ -1502,21 +1726,41 @@ mod tests {
 
     #[test]
     fn a_seed_block_agrees_end_to_end() {
-        let stock = default_profiles().len();
-        let report = run_campaign(&quick_cfg(0), 0, 2 * stock as u64, 1);
-        assert_eq!(report.results.len(), 2 * stock);
+        let cfg = quick_cfg(0);
+        let n = cfg.profiles.len();
+        let report = run_campaign(&cfg, 0, 2 * n as u64, 1);
+        assert_eq!(report.results.len(), 2 * n);
         assert!(
             report.clean(),
             "unexpected failures: {:?}",
             report.failures()
         );
         // Unmutated seeds either agree or fail; with a clean report they
-        // all agreed, across every stock profile (incl. floats and
-        // deep-nesting).
-        assert_eq!(report.agreed(), 2 * stock);
+        // all agreed, across every profile (incl. floats, deep-nesting
+        // and lint-traps), and every one was held against its lint claim.
+        assert_eq!(report.agreed(), 2 * n);
+        assert!(report.results.iter().all(|r| r.claim.is_some()));
         let profiles: std::collections::BTreeSet<&str> =
             report.results.iter().map(|r| r.profile.as_str()).collect();
-        assert_eq!(profiles.len(), stock);
+        assert_eq!(profiles.len(), n);
+    }
+
+    #[test]
+    fn a_trap_allowing_seed_block_exercises_every_claim() {
+        let cfg = CampaignConfig {
+            profiles: vec![lint_traps_profile()],
+            ..quick_cfg(0)
+        };
+        let report = run_campaign(&cfg, 0, 60, 1);
+        let claims = report.claims();
+        assert_eq!(report.agreed(), 60, "{:?}", report.failures());
+        // The trap-allowing profile must actually exercise the
+        // interesting claims: some guaranteed traps, some programs
+        // claimed clean or possibly trapping, and some runs that really
+        // trapped.
+        assert!(claims.guaranteed > 0, "{claims:?}");
+        assert!(claims.clean + claims.possible > 0, "{claims:?}");
+        assert!(claims.trapped > 0, "{claims:?}");
     }
 
     #[test]
@@ -1629,21 +1873,12 @@ mod tests {
             inputs,
             steps: 6,
         };
-        assert_eq!(
-            check(&case.source(), Some(&root_s), &case.inputs, case.steps),
-            CheckOutcome::Pass
-        );
-        let stats = shrink(&mut case, 40, &mut |c| {
-            matches!(
-                check(&c.source(), Some(&root_s), &c.inputs, c.steps),
-                CheckOutcome::Pass
-            )
-        });
+        let passes =
+            |c: &ShrinkCase| check(&c.source(), Some(&root_s), &c.inputs, c.steps, false).outcome;
+        assert_eq!(passes(&case), CheckOutcome::Pass);
+        let stats = shrink(&mut case, 40, &mut |c| passes(c) == CheckOutcome::Pass);
         assert!(stats.accepted >= 1, "nothing shrank: {stats:?}");
-        assert_eq!(
-            check(&case.source(), Some(&root_s), &case.inputs, case.steps),
-            CheckOutcome::Pass
-        );
+        assert_eq!(passes(&case), CheckOutcome::Pass);
     }
 
     #[test]
@@ -1687,10 +1922,11 @@ mod tests {
         let root = prog.nodes.last().unwrap().name;
         let node = prog.node(root).unwrap().clone();
         let inputs = gen_inputs(&mut rng, &node, 5);
+        let profile = lint_traps_profile();
         let rep = Reproducer {
             seed: 5,
-            profile: "default".to_owned(),
-            gen: GenConfig::default(),
+            profile: profile.name.to_owned(),
+            gen: profile.gen,
             mutated: false,
             kind: FailureKind::Divergence,
             info: Some(FailureInfo {
@@ -1721,20 +1957,104 @@ mod tests {
             parsed.get("source_file").unwrap().as_str(),
             Some("seed-00000000000000000005.lus")
         );
+        // Every generator field is recorded.
+        let gen = parsed.get("gen").unwrap();
+        assert_eq!(gen.get("lint_bait_pct").unwrap().as_u64(), Some(40));
+        assert_eq!(gen.get("trap_divisors").unwrap().as_bool(), Some(true));
         let outcome = replay(&json, &rep.source).expect("replayable");
         assert_eq!(outcome, CheckOutcome::Pass);
         assert!(outcome.acceptable_on_replay());
     }
 
     #[test]
-    fn staged_and_oneshot_emission_agree_on_generated_programs() {
-        for seed in [0u64, 1, 2] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let prog = gen_program(&mut rng, &GenConfig::default());
-            let root = prog.nodes.last().unwrap().name;
-            let source = lustre_source(&prog);
-            let compiled = velus::compile(&source, Some(&root.to_string())).unwrap();
-            assert!(staged_emit_divergence(&source, root, &compiled).is_none());
+    fn replay_reads_the_trap_policy_from_the_record() {
+        // A guaranteed trap: it passes under the record's trap-allowing
+        // policy and stays a semantic failure when the field says no or
+        // is missing (records written before the field existed).
+        let src = "node f(x: int) returns (y: int) let y = x / 0; tel";
+        let record = |gen: &str| {
+            format!(r#"{{"root": "f", "steps": 2, "gen": {gen}, "inputs": [["i32:1", "i32:2"]]}}"#)
+        };
+        let replayed = |gen: &str| replay(&record(gen), src).unwrap();
+        assert_eq!(replayed(r#"{"trap_divisors": true}"#), CheckOutcome::Pass);
+        for gen in [r#"{"trap_divisors": false}"#, "{}"] {
+            assert!(
+                matches!(replayed(gen), CheckOutcome::SemFail { .. }),
+                "{gen}"
+            );
+        }
+    }
+
+    fn present(vals: &[i32]) -> Vec<SVal<ClightOps>> {
+        vals.iter().map(|v| SVal::Pres(CVal::int(*v))).collect()
+    }
+
+    /// Checks `src` under the trap-allowing policy; returns the outcome
+    /// and the lint-soundness observation.
+    fn check_trapping(src: &str, inputs: &[&[i32]], steps: usize) -> (CheckOutcome, ClaimCheck) {
+        let inputs: StreamSet<ClightOps> = inputs.iter().map(|s| present(s)).collect();
+        let checked = check(src, Some("f"), &inputs, steps, true);
+        let claim = checked.claim.expect("the program compiled and ran");
+        (checked.outcome, claim)
+    }
+
+    fn run(claim: TrapClaim, trapped: Option<usize>) -> ClaimCheck {
+        ClaimCheck { claim, trapped }
+    }
+
+    #[test]
+    fn a_guaranteed_trap_traps_on_the_first_step() {
+        let src = "node f(x: int) returns (y: int) let y = x / 0; tel";
+        let (outcome, claim) = check_trapping(src, &[&[1, 2, 3]], 3);
+        assert_eq!(outcome, CheckOutcome::Pass);
+        assert_eq!(claim, run(TrapClaim::Guaranteed, Some(0)));
+    }
+
+    #[test]
+    fn a_clean_program_runs_clean() {
+        let src = "node f(x: int) returns (y: int) let y = x / 4; tel";
+        let (outcome, claim) = check_trapping(src, &[&[-9, 0, 17]], 3);
+        assert_eq!(outcome, CheckOutcome::Pass);
+        assert_eq!(claim, run(TrapClaim::Clean, None));
+    }
+
+    #[test]
+    fn a_possible_trap_is_consistent_whether_or_not_it_fires() {
+        let src = "node f(x, d: int) returns (y: int) let y = x / d; tel";
+        let (outcome, claim) = check_trapping(src, &[&[8, 9], &[2, 3]], 2);
+        assert_eq!(outcome, CheckOutcome::Pass);
+        assert_eq!(claim, run(TrapClaim::Possible, None));
+        let (outcome, claim) = check_trapping(src, &[&[8, 9], &[2, 0]], 2);
+        assert_eq!(outcome, CheckOutcome::Pass);
+        assert_eq!(claim, run(TrapClaim::Possible, Some(1)));
+    }
+
+    #[test]
+    fn the_overflow_trap_is_guaranteed_and_fires() {
+        let src = "node f(x: int) returns (y: int) let y = -2147483648 / -1; tel";
+        let (outcome, claim) = check_trapping(src, &[&[0, 0]], 2);
+        assert_eq!(outcome, CheckOutcome::Pass);
+        assert_eq!(claim, run(TrapClaim::Guaranteed, Some(0)));
+    }
+
+    #[test]
+    fn broken_claims_are_lint_soundness_divergences() {
+        for (claim, trapped) in [
+            (TrapClaim::Guaranteed, None),
+            (TrapClaim::Guaranteed, Some(2)),
+            (TrapClaim::Clean, Some(0)),
+        ] {
+            let info = broken_claim(run(claim, trapped), 4).expect("a broken claim");
+            assert_eq!(info.oracle, "lint-soundness");
+            assert_eq!(info.instant, trapped);
+        }
+        for (claim, trapped) in [
+            (TrapClaim::Guaranteed, Some(0)),
+            (TrapClaim::Possible, None),
+            (TrapClaim::Possible, Some(3)),
+            (TrapClaim::Clean, None),
+        ] {
+            assert_eq!(broken_claim(run(claim, trapped), 4), None);
         }
     }
 }

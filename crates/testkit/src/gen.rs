@@ -49,8 +49,11 @@ pub struct GenConfig {
     /// Whether divisors may be arbitrary expressions — including the
     /// constant zero and the `i32::MIN / -1` overflow pattern — instead
     /// of safe non-zero constants. Such programs may trap at runtime;
-    /// only the lint soundness oracle ([`crate::soundness`]) enables
-    /// this, never the differential campaign.
+    /// only the campaign's `lint-traps` profile
+    /// ([`crate::campaign::lint_traps_profile`]) enables this, so that
+    /// its lint-soundness oracle sees guaranteed and possible traps. It
+    /// also sets the campaign's trap policy: a trap is an expected
+    /// outcome under it and a rig failure under every other profile.
     pub trap_divisors: bool,
 }
 
@@ -201,8 +204,8 @@ impl<R: Rng> NodeGen<'_, R> {
                 // differential campaign found it at seed 306.)
                 //
                 // Under `trap_divisors` both exclusions are lifted: the
-                // soundness oracle *wants* programs whose divisions can
-                // (or must) trap, so it can hold the range analysis's
+                // lint-soundness oracle *wants* programs whose divisions
+                // can (or must) trap, so it can hold the range analysis's
                 // verdicts against real executions.
                 1 => {
                     let op = if self.rng.gen() {
@@ -702,7 +705,7 @@ mod tests {
     fn trap_divisor_programs_are_well_formed() {
         // Trap-allowing programs may have no dataflow semantics (that is
         // the point), but they must still type- and clock-check: the
-        // soundness oracle needs them to reach the code generator.
+        // lint-soundness oracle needs them to reach the code generator.
         let cfg = GenConfig {
             trap_divisors: true,
             lint_bait_pct: 40,

@@ -1,12 +1,14 @@
-//! A minimal JSON reader (and string-escaping helper) for the campaign
-//! reproducer records.
+//! The workspace's one JSON reader.
 //!
 //! The workspace hand-rolls its JSON *writers* (diagnostics, stats,
-//! traces); the seed-corpus replay test is the first consumer that must
-//! *read* JSON back, so this module provides a small recursive-descent
-//! parser for the subset those records use: objects, arrays, strings
-//! with escapes, numbers, and the three literals. Numbers keep their
-//! raw text so 64-bit seeds survive without a float round trip.
+//! traces, reproducer records; strings go through
+//! `velus_common::json_escape`). This module reads them back: the
+//! seed-corpus replay parses reproducer records, and the `jsoncheck`
+//! binary, the pipeline bench's `--smoke` gate and the tests check that
+//! every emitted document is well-formed. It is a small
+//! recursive-descent parser for objects, arrays, strings with escapes,
+//! numbers, and the three literals. Numbers keep their raw text so
+//! 64-bit seeds survive without a float round trip.
 
 use std::collections::BTreeMap;
 
@@ -225,25 +227,6 @@ fn value(b: &[u8], i: usize) -> Result<(Json, usize), String> {
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal (quoted, escaped).
-pub fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,6 +243,9 @@ mod tests {
         assert_eq!(xs[1].as_i64(), Some(-2));
         assert_eq!(xs[2].as_str(), Some("a\nb"));
         assert_eq!(v.get("nest").unwrap().get("k"), Some(&Json::Null));
+        // The compact shapes the diagnostics writers emit.
+        parse(r#"{"diagnostics":[],"errors":0,"warnings":0}"#).unwrap();
+        parse(r#"{"a":[1,2.5,-3e4,"x\"y",true,null],"b":{}}"#).unwrap();
     }
 
     #[test]
@@ -272,9 +258,8 @@ mod tests {
 
     #[test]
     fn escape_round_trips() {
-        let mut out = String::new();
-        escape_into("a\"b\\c\nd\u{1}", &mut out);
-        let back = parse(&out).unwrap();
-        assert_eq!(back.as_str(), Some("a\"b\\c\nd\u{1}"));
+        let raw = "a\"b\\c\nd\u{1}";
+        let back = parse(&format!("\"{}\"", velus_common::json_escape(raw))).unwrap();
+        assert_eq!(back.as_str(), Some(raw));
     }
 }

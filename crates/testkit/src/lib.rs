@@ -13,16 +13,15 @@
 //! * [`render`] — N-Lustre back to parseable surface Lustre (the
 //!   reproducer format of the campaign runner).
 //! * [`campaign`] — the differential-semantics campaign engine: per-seed
-//!   generate → compile → run the full oracle set, with automatic
-//!   shrinking and `.lus` + JSON reproducer records on divergence. The
-//!   proptest suite, `velus-bench --bin diff`, and CI all drive this one
-//!   implementation.
-//! * [`soundness`] — the lint soundness oracle: per-seed generate a
-//!   trap-allowing program, compile it, collect the static analyses'
+//!   generate → compile → run the full oracle set — the semantic chain
+//!   plus the lint-soundness oracle, which holds the static analyses'
 //!   trap claims (`E0110`/`E0111` guaranteed, `W0102` possible, none —
-//!   clean), execute the generated Clight under the interpreter, and
-//!   fail on any claim the execution contradicts.
-//! * [`json`] — a minimal JSON reader for replaying reproducer records.
+//!   clean) against the Clight execution — with automatic shrinking and
+//!   `.lus` + JSON reproducer records on divergence. The proptest suite,
+//!   `velus-bench --bin diff`, and CI all drive this one implementation.
+//! * [`json`] — a minimal JSON reader: replays reproducer records and
+//!   checks the well-formedness of every JSON document the workspace
+//!   emits (`velus-bench --bin jsoncheck`).
 //! * [`chaos`] — deterministic fault injection for the compilation
 //!   service: a [`chaos::ChaosCompiler`] wrapping any compiler with
 //!   seeded panics, transient failures, and cancellable delays (the
@@ -36,4 +35,3 @@ pub mod industrial;
 pub mod json;
 pub mod mutate;
 pub mod render;
-pub mod soundness;

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use velus::StagedPipeline;
 use velus_baselines::{heptagon_obc, lustre_v6_obc};
 use velus_common::Diagnostics;
 use velus_obc::sem::run_class;
@@ -18,8 +19,10 @@ fn check_seed(seed: u64) -> Result<(), String> {
     let prog = gen_program(&mut rng, &GenConfig::default());
     let root = prog.nodes.last().expect("non-empty").name;
     let node = prog.node(root).expect("root").clone();
-    let compiled = velus::compile_program(prog.clone(), root, Diagnostics::new())
-        .map_err(|e| format!("seed {seed}: {e}"))?;
+    let compiled =
+        StagedPipeline::from_program(prog.clone(), root, Diagnostics::new(), &mut |_, _| {})
+            .and_then(StagedPipeline::into_compiled)
+            .map_err(|e| format!("seed {seed}: {e}"))?;
 
     let hept = heptagon_obc::<ClightOps>(&prog).map_err(|e| format!("seed {seed} hept: {e}"))?;
     let lus6 = lustre_v6_obc::<ClightOps>(&prog).map_err(|e| format!("seed {seed} lv6: {e}"))?;

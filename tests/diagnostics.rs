@@ -98,7 +98,7 @@ fn error_corpus_matches_goldens_and_is_fully_coded() {
         assert_coded_and_staged(&diags, &name);
         let human = diags.render_human(&src);
         let json = diags.render_json(&src);
-        velus_bench::json::check(&json)
+        velus_testkit::json::parse(&json)
             .unwrap_or_else(|e| panic!("{name}: bad JSON ({e}):\n{json}"));
         check_golden(&name, "human", &human);
         check_golden(&name, "json", &json);

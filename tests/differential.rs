@@ -4,9 +4,9 @@
 //! For arbitrary well-formed N-Lustre programs and arbitrary input
 //! prefixes, the whole chain must agree: dataflow semantics (on the
 //! unscheduled and scheduled programs), the exposed-memory semantics,
-//! the Obc execution (fused and unfused, with `MemCorres` checked), the
-//! Clight execution (with `staterep` checked and the volatile trace
-//! compared), and staged-vs-one-shot C emission. This is the
+//! the Obc execution (fused and unfused, with `MemCorres` checked), and
+//! the Clight execution (with `staterep` checked, the volatile trace
+//! compared, and the lint trap claims held against it). This is the
 //! reproduction's substitute for the Coq induction: exhaustive checking
 //! over a randomized program space.
 //!

@@ -145,7 +145,7 @@ fn failure_reports_are_stable_under_arena_recycling() {
             }
         };
         let fresh = report(&src);
-        velus_bench::json::check(&fresh).expect("well-formed report JSON");
+        velus_testkit::json::parse(&fresh).expect("well-formed report JSON");
         // Dirty the thread's recycled arenas with a successful compile
         // of an unrelated program, then re-reject: the report must be
         // byte-identical.

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use velus::StagedPipeline;
 use velus_common::Diagnostics;
 use velus_obc::ast::ObcProgram;
 use velus_obc::fusion::{fuse_program, fusible};
@@ -18,8 +19,9 @@ fn translated(seed: u64) -> (ObcProgram<ClightOps>, velus::Compiled) {
     let mut rng = StdRng::seed_from_u64(seed);
     let prog = gen_program(&mut rng, &GenConfig::default());
     let root = prog.nodes.last().expect("non-empty").name;
-    let compiled =
-        velus::compile_program(prog, root, Diagnostics::new()).expect("generated programs compile");
+    let compiled = StagedPipeline::from_program(prog, root, Diagnostics::new(), &mut |_, _| {})
+        .and_then(StagedPipeline::into_compiled)
+        .expect("generated programs compile");
     (compiled.obc.clone(), compiled)
 }
 

@@ -1,6 +1,7 @@
 //! Smoke tests for the industrial-scale generator (§5): a reduced
 //! configuration must compile through the full pipeline and validate.
 
+use velus::StagedPipeline;
 use velus_common::{Diagnostics, Ident};
 use velus_testkit::industrial::{industrial_program, industrial_source, IndustrialConfig};
 
@@ -28,7 +29,9 @@ fn small_industrial_program_compiles_and_validates() {
         };
         let prog = industrial_program(&cfg);
         let root = Ident::new("blk11");
-        let compiled = velus::compile_program(prog, root, Diagnostics::new()).unwrap();
+        let compiled = StagedPipeline::from_program(prog, root, Diagnostics::new(), &mut |_, _| {})
+            .and_then(StagedPipeline::into_compiled)
+            .unwrap();
         let inputs = velus::validate::default_inputs(&compiled, 10);
         velus::validate(&compiled, &inputs, 10).unwrap();
     });
@@ -64,7 +67,9 @@ fn fusion_heavy_corpus_compiles_and_validates() {
         let cfg = IndustrialConfig::fusion_heavy();
         let prog = industrial_program(&cfg);
         let root = Ident::new(&format!("blk{}", cfg.nodes - 1));
-        let compiled = velus::compile_program(prog, root, Diagnostics::new()).unwrap();
+        let compiled = StagedPipeline::from_program(prog, root, Diagnostics::new(), &mut |_, _| {})
+            .and_then(StagedPipeline::into_compiled)
+            .unwrap();
         let inputs = velus::validate::default_inputs(&compiled, 8);
         velus::validate(&compiled, &inputs, 8).unwrap();
     });
@@ -83,7 +88,9 @@ fn medium_industrial_compile_time_is_sane() {
     let prog = industrial_program(&cfg);
     let root = Ident::new("blk149");
     let start = std::time::Instant::now();
-    let compiled = velus::compile_program(prog, root, Diagnostics::new()).unwrap();
+    let compiled = StagedPipeline::from_program(prog, root, Diagnostics::new(), &mut |_, _| {})
+        .and_then(StagedPipeline::into_compiled)
+        .unwrap();
     assert!(compiled.snlustre.equation_count() > 3000);
     assert!(
         start.elapsed() < std::time::Duration::from_secs(60),

@@ -13,9 +13,11 @@
 //! * **W0001 regression** — the arrow-guarded `pre` that the retired
 //!   syntactic check flagged stays silent, while the bare `pre` still
 //!   warns (`W0101`), at the `pre`'s own span.
-//! * **Soundness** — a bounded pass of the execution oracle
-//!   (`velus_testkit::soundness`): guaranteed-trap claims trap,
-//!   warning-free programs don't.
+//! * **Soundness** — a bounded campaign over the trap-allowing
+//!   `lint-traps` profile, whose lint-soundness oracle
+//!   (`velus_testkit::campaign`) holds every claim against the Clight
+//!   execution: guaranteed-trap claims trap, warning-free programs
+//!   don't.
 
 use velus_common::{codes, DiagStage, Diagnostics};
 
@@ -117,7 +119,7 @@ fn lint_corpus_matches_goldens_and_is_fully_coded() {
         }
         let human = findings.render_human(&src);
         let json = findings.render_json(&src);
-        velus_bench::json::check(&json)
+        velus_testkit::json::parse(&json)
             .unwrap_or_else(|e| panic!("{name}: bad JSON ({e}):\n{json}"));
         check_golden(&name, "human", &human);
         check_golden(&name, "json", &json);
@@ -174,18 +176,22 @@ fn the_compile_warning_channel_carries_the_same_initialization_verdict() {
     );
 }
 
-/// A bounded pass of the lint soundness oracle: compile generated
-/// trap-allowing programs, execute them, and check every trap claim
-/// (`velus-bench --bin lintsound` scales this to thousands of seeds).
+/// A bounded campaign over the trap-allowing profile: compile generated
+/// programs, execute them, and check every trap claim (the CI campaign,
+/// `velus-bench --bin diff`, scales this to thousands of seeds).
 #[test]
 fn a_bounded_soundness_pass_holds_claims_against_executions() {
-    use velus_testkit::soundness::{run_soundness, SoundnessConfig};
-    let cfg = SoundnessConfig::default();
-    // A seed block disjoint from the testkit's own unit test, so the
-    // two runs cover different programs.
-    let rep = run_soundness(&cfg, 1_000, 80);
-    assert!(rep.sound(), "{rep}");
-    assert_eq!(rep.checked, 80);
-    assert!(rep.guaranteed > 0, "{rep}");
-    assert!(rep.trapped_runs > 0, "{rep}");
+    use velus_testkit::campaign::{lint_traps_profile, run_campaign, CampaignConfig};
+    let cfg = CampaignConfig {
+        profiles: vec![lint_traps_profile()],
+        mutate_pct: 0,
+        shrink_budget: 200,
+    };
+    // A seed block disjoint from the testkit's own unit tests, so the
+    // runs cover different programs.
+    let report = run_campaign(&cfg, 1_000, 80, 2);
+    let claims = report.claims();
+    assert_eq!(report.agreed(), 80, "{:?}", report.failures());
+    assert!(claims.guaranteed > 0, "{claims:?}");
+    assert!(claims.trapped > 0, "{claims:?}");
 }

@@ -54,7 +54,7 @@ fn an_expired_deadline_fails_the_real_pipeline_with_e0802() {
     assert!(matches!(err, ServiceError::DeadlineExceeded), "{err}");
     let failure = err.failure_report();
     assert_eq!(failure.primary_code(), Some("E0802"));
-    velus_bench::json::check(&failure.render_json()).expect("well-formed JSON rendering");
+    velus_testkit::json::parse(&failure.render_json()).expect("well-formed JSON rendering");
     let stats = svc.stats();
     assert_eq!(stats.deadline_exceeded, 1);
     assert!(stats.failure_codes.contains(&("E0802", 1)));
@@ -81,7 +81,7 @@ fn a_full_admission_queue_sheds_submissions_with_e0801() {
     assert!(matches!(err, ServiceError::Overloaded { .. }), "{err}");
     let failure = err.failure_report();
     assert_eq!(failure.primary_code(), Some("E0801"));
-    velus_bench::json::check(&failure.render_json()).expect("well-formed JSON rendering");
+    velus_testkit::json::parse(&failure.render_json()).expect("well-formed JSON rendering");
     let stats = svc.stats();
     assert_eq!(stats.shed, 1);
     assert!(stats.failure_codes.contains(&("E0801", 1)));
