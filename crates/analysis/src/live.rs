@@ -12,7 +12,10 @@
 //! grammar cannot produce) are never reported: the normalizer is free
 //! to introduce helper streams that later passes fuse away.
 
-use velus_common::{codes, DiagStage, Diagnostic, Diagnostics, Ident, IdentSet, SpanMap};
+use velus_common::{
+    codes, ident_map_with_capacity, ident_set_with_capacity, DiagStage, Diagnostic, Diagnostics,
+    Ident, IdentMap, IdentSet, SpanMap,
+};
 use velus_nlustre::ast::{Equation, Node, Program};
 use velus_ops::Ops;
 
@@ -41,27 +44,41 @@ pub fn reachable<O: Ops>(prog: &Program<O>, root: Ident) -> IdentSet {
 
 /// The variables of `node` an output transitively depends on (through
 /// data *or* clock reads), outputs included.
+///
+/// A backward worklist: each defined variable maps to its defining
+/// equation, and an equation is visited once, when the first variable
+/// it defines becomes live, so the cost is linear in the size of the
+/// node.
 pub fn live_vars<O: Ops>(node: &Node<O>) -> IdentSet {
-    let mut live = IdentSet::default();
+    let vars = node.inputs.len() + node.outputs.len() + node.locals.len();
+    // Variable → its defining equation, for equations not visited yet.
+    let mut def_eq: IdentMap<usize> = ident_map_with_capacity(vars);
+    for (i, eq) in node.eqs.iter().enumerate() {
+        for &x in eq.defined() {
+            def_eq.insert(x, i);
+        }
+    }
+    let mut live = ident_set_with_capacity(vars);
+    let mut work: Vec<usize> = Vec::new();
+    let mut mark = |x: Ident, live: &mut IdentSet, work: &mut Vec<usize>| {
+        if live.insert(x) {
+            if let Some(i) = def_eq.remove(&x) {
+                for y in node.eqs[i].defined() {
+                    def_eq.remove(y);
+                }
+                work.push(i);
+            }
+        }
+    };
     for o in &node.outputs {
-        live.insert(o.name);
+        mark(o.name, &mut live, &mut work);
     }
     let mut reads: Vec<Ident> = Vec::new();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for eq in &node.eqs {
-            if !eq.defined().iter().any(|x| live.contains(x)) {
-                continue;
-            }
-            reads.clear();
-            eq.reads_into(&mut reads);
-            for &x in &reads {
-                if !live.contains(&x) {
-                    live.insert(x);
-                    changed = true;
-                }
-            }
+    while let Some(i) = work.pop() {
+        reads.clear();
+        node.eqs[i].reads_into(&mut reads);
+        for &x in &reads {
+            mark(x, &mut live, &mut work);
         }
     }
     live
@@ -112,12 +129,83 @@ pub fn check_liveness<O: Ops>(
     }
 }
 
+/// The round-robin sweep `live_vars` replaced: repeat a pass over the
+/// equations in program order until the live set stops growing. Kept
+/// as the reference the worklist is checked against.
+#[cfg(test)]
+fn live_vars_sweep<O: Ops>(node: &Node<O>) -> IdentSet {
+    let mut live = IdentSet::default();
+    for o in &node.outputs {
+        live.insert(o.name);
+    }
+    let mut reads: Vec<Ident> = Vec::new();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for eq in &node.eqs {
+            if !eq.defined().iter().any(|x| live.contains(x)) {
+                continue;
+            }
+            reads.clear();
+            eq.reads_into(&mut reads);
+            for &x in &reads {
+                changed |= live.insert(x);
+            }
+        }
+    }
+    live
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::prelude::*;
     use velus_nlustre::ast::{CExpr, Expr, VarDecl};
     use velus_nlustre::clock::Clock;
     use velus_ops::{CConst, CTy, ClightOps};
+    use velus_testkit::campaign::{default_profiles, lint_traps_profile};
+    use velus_testkit::gen::gen_program;
+    use velus_testkit::industrial::{industrial_program, IndustrialConfig};
+
+    fn assert_matches_sweep(prog: &Program<ClightOps>, context: &str) {
+        for node in &prog.nodes {
+            assert_eq!(
+                live_vars(node),
+                live_vars_sweep(node),
+                "{context}: live set of node {}",
+                node.name
+            );
+        }
+    }
+
+    #[test]
+    fn worklist_matches_the_round_robin_sweep_on_campaign_programs() {
+        let mut profiles = default_profiles();
+        profiles.push(lint_traps_profile());
+        assert!(profiles.iter().any(|p| p.name == "clock-heavy"));
+        for profile in &profiles {
+            for seed in 0..40u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let prog = gen_program(&mut rng, &profile.gen);
+                assert_matches_sweep(&prog, &format!("{} seed {seed}", profile.name));
+            }
+        }
+    }
+
+    #[test]
+    fn worklist_matches_the_round_robin_sweep_on_industrial_programs() {
+        for subclock_depth in 0..3 {
+            for fan_in in 1..3 {
+                let cfg = IndustrialConfig {
+                    nodes: 12,
+                    eqs_per_node: 10,
+                    fan_in,
+                    subclock_depth,
+                };
+                assert_matches_sweep(&industrial_program(&cfg), &format!("{cfg:?}"));
+            }
+        }
+    }
 
     fn decl(n: &str, ty: CTy) -> VarDecl<ClightOps> {
         VarDecl {

@@ -14,7 +14,7 @@
 //! ```text
 //! cargo run --release -p velus-bench --bin pipeline \
 //!     [--passes N] [--programs N] [--json PATH] [--smoke] \
-//!     [--stage NAME] [--overhead [--max-overhead-pct N]]
+//!     [--stage NAME] [--overhead [--max-overhead-pct N]] [--scale]
 //! ```
 //!
 //! `--json PATH` writes the profile as a JSON object (see
@@ -36,6 +36,16 @@
 //! pipeline pass becoming a recorded span), best-of-three per
 //! configuration, and the run fails if tracing inflates wall time by
 //! more than `--max-overhead-pct` (default 3).
+//!
+//! `--scale` instead draws cost curves: one node grown along one axis
+//! at a time ([`velus_testkit::shapes`]) — a chain of 2k→16k equations
+//! and an `if` nest of 500→4,000 levels — compiled as `c,lint`, with
+//! per-stage ns (best of [`SCALE_REPS`]), allocs and bytes, the emitted
+//! C size, and each doubling ratio. It doubles as the linearity guard:
+//! the run fails when a stage's mean time ratio per doubling exceeds
+//! [`SCALE_NS_RATIO_GUARD`], or any allocs or C-bytes ratio exceeds
+//! [`SCALE_COUNT_RATIO_GUARD`]. `--json PATH` writes the curves (the
+//! `scaling` entry of `BENCH_pipeline.json`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -50,6 +60,7 @@ use velus_obs::trace;
 use velus_obs::{Histogram, Recorder, RecorderConfig};
 use velus_server::Stage;
 use velus_testkit::industrial::{industrial_source, IndustrialConfig};
+use velus_testkit::shapes::{chain_source, nest_source};
 
 /// A counting wrapper around the system allocator. Every allocation and
 /// reallocation bumps a global counter; the harness reads the counters
@@ -116,13 +127,14 @@ fn stage_index(stage: Stage) -> usize {
 }
 
 /// Compiles one source cold (front end to C emission), attributing time
-/// and allocations to stages via the pipeline's stage observer.
-fn profile_one(profile: &mut Profile, source: &str, root: Option<&str>) {
+/// and allocations to stages via the pipeline's stage observer. Returns
+/// the size of the emitted C in bytes.
+fn profile_one(profile: &mut Profile, source: &str, root: Option<&str>) -> usize {
     let mut marks: Vec<(Stage, u64, u64, u64)> = Vec::with_capacity(Stage::ALL.len());
     let run_start = counters();
     let mut last = run_start;
     let wall = Instant::now();
-    {
+    let c_bytes = {
         let mut observe = |stage: Stage, dur: std::time::Duration| {
             let now = counters();
             marks.push((stage, dur.as_nanos() as u64, now.0 - last.0, now.1 - last.1));
@@ -135,7 +147,8 @@ fn profile_one(profile: &mut Profile, source: &str, root: Option<&str>) {
         // Force the off-chain lint pass too, so the `analysis` stage row
         // carries real numbers and `--smoke` can guard its allocations.
         staged.lint().expect("corpus lints");
-    }
+        c.len()
+    };
     let elapsed_ns = wall.elapsed().as_nanos() as u64;
     profile.total_ns += elapsed_ns;
     profile.compile_ns.record(elapsed_ns);
@@ -149,6 +162,7 @@ fn profile_one(profile: &mut Profile, source: &str, root: Option<&str>) {
         t.allocs += allocs;
         t.bytes += bytes;
     }
+    c_bytes
 }
 
 /// The same deterministic industrial corpus the service benchmark uses.
@@ -345,6 +359,197 @@ fn overhead_gate(corpus: &Corpus, passes: usize, max_pct: f64) {
     println!("overhead ok: tracing stays within {max_pct:.1}% of untraced wall time");
 }
 
+/// Sizes of the equations-per-node axis of `--scale`: one node whose
+/// body is a dependency chain of this many equations.
+const SCALE_CHAIN: [usize; 4] = [2_000, 4_000, 8_000, 16_000];
+
+/// Sizes of the nesting axis of `--scale`: one node whose output is a
+/// right-nested `if` of this many levels.
+const SCALE_NEST: [usize; 4] = [500, 1_000, 2_000, 4_000];
+
+/// Timed runs per `--scale` point; each stage reports its best time.
+const SCALE_REPS: usize = 5;
+
+/// `--scale` fails when a stage's time grows by more than this factor
+/// per doubling, averaged (geometrically) over the whole axis. A linear
+/// stage doubles, a quadratic one quadruples. A single doubling is not
+/// guarded: on a shared machine one slow or fast point moves a linear
+/// stage's step ratio past 3.5 now and then, while the average over the
+/// axis stays near 2.
+const SCALE_NS_RATIO_GUARD: f64 = 3.0;
+
+/// `--scale` fails when a stage's allocation count, or the emitted C,
+/// grows by more than this factor per doubling on either axis. Both
+/// counts are deterministic, so the bound is tight.
+const SCALE_COUNT_RATIO_GUARD: f64 = 2.3;
+
+/// One point of a scaling curve: per-stage best ns, allocs and bytes of
+/// a `c,lint` compile, and the size of the emitted C.
+struct ScalePoint {
+    size: usize,
+    stages: [StageTotals; Stage::ALL.len()],
+    c_bytes: usize,
+}
+
+/// Measures one curve: each source once untimed (interning its
+/// identifiers, so every timed run sees the same deterministic
+/// allocation counts), then [`SCALE_REPS`] rounds over all sizes, so a
+/// slow spell of the machine hits one round rather than one size.
+fn scale_curve(sizes: &[usize], source: impl Fn(usize) -> String, root: &str) -> Vec<ScalePoint> {
+    let sources: Vec<String> = sizes.iter().map(|&n| source(n)).collect();
+    let mut points: Vec<ScalePoint> = sizes
+        .iter()
+        .zip(&sources)
+        .map(|(&size, src)| ScalePoint {
+            size,
+            stages: [StageTotals {
+                ns: u64::MAX,
+                ..StageTotals::default()
+            }; Stage::ALL.len()],
+            c_bytes: profile_one(&mut Profile::default(), src, Some(root)),
+        })
+        .collect();
+    for _ in 0..SCALE_REPS {
+        for (point, src) in points.iter_mut().zip(&sources) {
+            let mut p = Profile::default();
+            profile_one(&mut p, src, Some(root));
+            for (best, t) in point.stages.iter_mut().zip(p.stages) {
+                *best = StageTotals {
+                    ns: best.ns.min(t.ns),
+                    allocs: t.allocs,
+                    bytes: t.bytes,
+                };
+            }
+        }
+    }
+    points
+}
+
+/// Growth factor per step of a doubling curve.
+fn ratios(values: &[u64]) -> Vec<f64> {
+    values
+        .windows(2)
+        .map(|w| w[1] as f64 / w[0].max(1) as f64)
+        .collect()
+}
+
+/// Geometric mean of the per-doubling growth over a whole curve.
+fn mean_ratio(values: &[u64]) -> f64 {
+    let (first, last) = (
+        values[0].max(1) as f64,
+        *values.last().expect("a curve") as f64,
+    );
+    (last / first).powf(1.0 / (values.len() - 1) as f64)
+}
+
+fn json_list<T: std::fmt::Display>(values: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = values.into_iter().map(|v| v.to_string()).collect();
+    format!("[{}]", items.join(", "))
+}
+
+fn ratio_list(rs: &[f64]) -> String {
+    json_list(rs.iter().map(|r| format!("{r:.2}")))
+}
+
+/// The `--scale` mode: per-stage cost curves along two axes (equations
+/// per node, `if`-nesting depth), printed as tables with doubling
+/// ratios. Returns them as one JSON object, with the guard violations:
+/// every stage whose mean time ratio breaks [`SCALE_NS_RATIO_GUARD`]
+/// or whose count ratio breaks [`SCALE_COUNT_RATIO_GUARD`], on either
+/// axis.
+fn scaling() -> (String, Vec<String>) {
+    let axes: [(&str, &str, Vec<ScalePoint>); 2] = [
+        (
+            "chain",
+            "equations per node",
+            scale_curve(&SCALE_CHAIN, chain_source, "chain"),
+        ),
+        (
+            "nest",
+            "if-nesting depth",
+            scale_curve(&SCALE_NEST, nest_source, "nest"),
+        ),
+    ];
+    let mut violations: Vec<String> = Vec::new();
+    let mut sections: Vec<String> = Vec::new();
+    for (axis, what, points) in &axes {
+        println!("scale axis `{axis}` ({what}), c,lint per compile, best of {SCALE_REPS}");
+        println!(
+            "  {:<10} {:>7} {:>12} {:>10} {:>12}   {:>6} {:>6} {:>6}",
+            "stage", "size", "ns", "allocs", "bytes", "x ns", "x alc", "x byt"
+        );
+        let mut stage_json: Vec<String> = Vec::new();
+        for stage in Stage::ALL {
+            let k = stage_index(stage);
+            let ns: Vec<u64> = points.iter().map(|p| p.stages[k].ns).collect();
+            let allocs: Vec<u64> = points.iter().map(|p| p.stages[k].allocs).collect();
+            let bytes: Vec<u64> = points.iter().map(|p| p.stages[k].bytes).collect();
+            let (rn, ra, rb) = (ratios(&ns), ratios(&allocs), ratios(&bytes));
+            for (i, p) in points.iter().enumerate() {
+                let r = |rs: &[f64]| {
+                    i.checked_sub(1)
+                        .map_or(String::new(), |j| format!("{:.2}", rs[j]))
+                };
+                println!(
+                    "  {:<10} {:>7} {:>12} {:>10} {:>12}   {:>6} {:>6} {:>6}",
+                    stage.name(),
+                    p.size,
+                    ns[i],
+                    allocs[i],
+                    bytes[i],
+                    r(&rn),
+                    r(&ra),
+                    r(&rb)
+                );
+            }
+            let mean = mean_ratio(&ns);
+            println!(
+                "  {:<10} {:>7} mean ns ratio per doubling {mean:.2}",
+                stage.name(),
+                ""
+            );
+            if mean > SCALE_NS_RATIO_GUARD {
+                violations.push(format!(
+                    "{axis}/{}: mean ns ratio {mean:.2} (per doubling {rn:.2?})",
+                    stage.name()
+                ));
+            }
+            if ra.iter().any(|&r| r > SCALE_COUNT_RATIO_GUARD) {
+                violations.push(format!("{axis}/{}: allocs ratios {ra:.2?}", stage.name()));
+            }
+            stage_json.push(format!(
+                "          \"{}\": {{\"ns\": {}, \"allocs\": {}, \"bytes\": {}, \"ns_ratio\": {}, \"ns_ratio_mean\": {:.2}, \"allocs_ratio\": {}, \"bytes_ratio\": {}}}",
+                stage.name(),
+                json_list(&ns),
+                json_list(&allocs),
+                json_list(&bytes),
+                ratio_list(&rn),
+                mean,
+                ratio_list(&ra),
+                ratio_list(&rb)
+            ));
+        }
+        let c: Vec<u64> = points.iter().map(|p| p.c_bytes as u64).collect();
+        let rc = ratios(&c);
+        println!("  {:<10} {}  ratios {rc:.2?}\n", "C bytes", json_list(&c));
+        if rc.iter().any(|&r| r > SCALE_COUNT_RATIO_GUARD) {
+            violations.push(format!("{axis}/C bytes: ratios {rc:.2?}"));
+        }
+        sections.push(format!(
+            "      \"{axis}\": {{\n        \"axis\": \"{what}\",\n        \"sizes\": {},\n        \"c_bytes\": {},\n        \"c_bytes_ratio\": {},\n        \"stages\": {{\n{}\n        }}\n      }}",
+            json_list(points.iter().map(|p| p.size)),
+            json_list(&c),
+            ratio_list(&rc),
+            stage_json.join(",\n")
+        ));
+    }
+    let json = format!(
+        "{{\n    \"benchmark\": \"velus-bench --bin pipeline --scale\",\n    \"axes\": {{\n{}\n    }}\n  }}",
+        sections.join(",\n")
+    );
+    (json, violations)
+}
+
 fn main() {
     let smoke = parse_bool_flag("--smoke");
     let overhead = parse_bool_flag("--overhead");
@@ -361,6 +566,28 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join(", ")
         );
+    }
+
+    if parse_bool_flag("--scale") {
+        println!("pipeline bench: scaling curves\n");
+        let (json, violations) = scaling();
+        let json = format!("{{\n  \"scaling\": {json}\n}}\n");
+        velus_testkit::json::parse(&json).unwrap_or_else(|e| panic!("malformed JSON: {e}\n{json}"));
+        if let Some(path) = parse_string_flag("--json") {
+            std::fs::write(&path, &json).expect("write --json file");
+            println!("wrote scaling curves to {path}");
+        }
+        assert!(
+            violations.is_empty(),
+            "superlinear growth (guards per doubling: mean ns x{SCALE_NS_RATIO_GUARD}, allocs \
+             and C bytes x{SCALE_COUNT_RATIO_GUARD}):\n  {}",
+            violations.join("\n  ")
+        );
+        println!(
+            "scale ok: per doubling, every mean ns ratio within x{SCALE_NS_RATIO_GUARD}, every \
+             allocs and C-bytes ratio within x{SCALE_COUNT_RATIO_GUARD}"
+        );
+        return;
     }
 
     if overhead {

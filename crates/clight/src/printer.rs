@@ -11,10 +11,13 @@
 //! (via `fmt::Write` for numeric formatting), so emission performs O(1)
 //! allocations per translation unit instead of one per AST node. The
 //! buffer is sized from a cheap structural estimate of the program, so
-//! even the growth path is rarely taken.
+//! even the growth path is rarely taken. Indentation stops growing at
+//! [`MAX_INDENT_LEVELS`], so a deep `if` nest emits C linear in its
+//! source size rather than quadratic.
 
 use std::fmt::Write as _;
 
+use velus_common::pretty::MAX_INDENT_LEVELS;
 use velus_common::Ident;
 use velus_ops::{CTy, CUnOp, CVal};
 
@@ -39,7 +42,7 @@ struct Cw {
 
 impl Cw {
     fn indent(&mut self) {
-        for _ in 0..self.indent * 2 {
+        for _ in 0..self.indent.min(MAX_INDENT_LEVELS) * 2 {
             self.buf.push(' ');
         }
     }

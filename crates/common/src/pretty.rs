@@ -2,7 +2,9 @@
 //!
 //! Used by the C pretty-printer and the IR dump routines. The writer keeps
 //! an indentation level; [`Printer::line`] emits a fully indented line and
-//! [`Printer::block`] runs a closure one level deeper.
+//! [`Printer::block`] runs a closure one level deeper. Indentation stops
+//! growing at [`MAX_INDENT_LEVELS`], so deeply nested input cannot
+//! inflate the output quadratically.
 //!
 //! # Examples
 //!
@@ -15,6 +17,12 @@
 //! p.line("}");
 //! assert_eq!(p.finish(), "if (x) {\n  y = 1;\n}\n");
 //! ```
+
+/// The deepest indentation level any printer renders: lines nested
+/// deeper keep this indent. Shared by [`Printer`] and the C emitter, it
+/// bounds the leading whitespace of a line by a constant, so output size
+/// stays linear in input size however deep the nesting.
+pub const MAX_INDENT_LEVELS: usize = 16;
 
 /// Indentation-aware text accumulator.
 #[derive(Debug, Default)]
@@ -46,9 +54,7 @@ impl Printer {
             self.buf.push('\n');
             return;
         }
-        for _ in 0..self.indent * self.width {
-            self.buf.push(' ');
-        }
+        self.push_indent();
         self.buf.push_str(text);
         self.buf.push('\n');
     }
@@ -59,13 +65,17 @@ impl Printer {
     /// `String` that `p.line(format!(…))` would allocate.
     pub fn line_args(&mut self, args: std::fmt::Arguments<'_>) {
         use std::fmt::Write as _;
-        for _ in 0..self.indent * self.width {
-            self.buf.push(' ');
-        }
+        self.push_indent();
         self.buf
             .write_fmt(args)
             .expect("writing to a String cannot fail");
         self.buf.push('\n');
+    }
+
+    fn push_indent(&mut self) {
+        for _ in 0..self.indent.min(MAX_INDENT_LEVELS) * self.width {
+            self.buf.push(' ');
+        }
     }
 
     /// Emits a blank line.
@@ -106,6 +116,23 @@ mod tests {
         });
         p.line("d");
         assert_eq!(p.finish(), "a\n  b\n    c\nd\n");
+    }
+
+    #[test]
+    fn indentation_stops_at_the_cap() {
+        fn nest(p: &mut Printer, depth: usize) {
+            if depth == 0 {
+                p.line("x");
+            } else {
+                p.block(|p| nest(p, depth - 1));
+            }
+        }
+        let mut p = Printer::new();
+        nest(&mut p, MAX_INDENT_LEVELS + 10);
+        assert_eq!(
+            p.finish(),
+            format!("{}x\n", " ".repeat(2 * MAX_INDENT_LEVELS))
+        );
     }
 
     #[test]

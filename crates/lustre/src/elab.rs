@@ -274,15 +274,28 @@ enum PTy<O: Ops> {
 /// Callee signatures: name → (input types, named output types).
 type SigMap<O> = IdentMap<(Vec<<O as Ops>::Ty>, Vec<(Ident, <O as Ops>::Ty)>)>;
 
-/// Declared variables: name → (type, clock).
-type VarMap<O> = IdentMap<(<O as Ops>::Ty, Clock)>;
+/// Whether an equation may define a declared variable, and whether one
+/// already has: a flag in the variable's [`VarMap`] entry, so the
+/// definedness checks are one lookup each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Def {
+    /// An input: never defined by an equation.
+    Input,
+    /// An output or local no equation has defined yet.
+    Pending,
+    /// An output or local some equation defines.
+    Defined,
+}
+
+/// Declared variables: name → (type, clock, definedness).
+type VarMap<O> = IdentMap<(<O as Ops>::Ty, Clock, Def)>;
 
 /// Elaborated declaration groups (inputs, outputs, locals), plus the
 /// combined variable environment.
 type ElabDecls<O> = (VarMap<O>, [Vec<velus_nlustre::ast::VarDecl<O>>; 3]);
 
 struct NodeEnv<'e, O: Ops> {
-    /// Variable name → (type, clock).
+    /// Variable name → (type, clock, definedness).
     vars: VarMap<O>,
     /// Global constants (shared across nodes, hence borrowed — cloning
     /// them per node made elaboration quadratic in program size).
@@ -365,7 +378,7 @@ impl<'a, O: Ops> Elab<'a, O> {
     }
 
     fn var_ty(&self, x: Ident, span: Span) -> EResult<PTy<O>> {
-        if let Some((t, _)) = self.env.vars.get(&x) {
+        if let Some((t, _, _)) = self.env.vars.get(&x) {
             return Ok(PTy::Known(t.clone()));
         }
         if let Some(c) = self.env.consts.get(&x) {
@@ -445,7 +458,7 @@ impl<'a, O: Ops> Elab<'a, O> {
                 ),
             },
             UExpr::Var(x, s) => {
-                if let Some((t, _)) = self.env.vars.get(&x) {
+                if let Some((t, _, _)) = self.env.vars.get(&x) {
                     if t == expected {
                         let t = t.clone();
                         Ok(self.ta.push(TExpr::Var(x, t)))
@@ -652,8 +665,8 @@ impl<'a, O: Ops> Elab<'a, O> {
 
     fn require_bool_var(&self, x: Ident, span: Span) -> EResult<()> {
         match self.env.vars.get(&x) {
-            Some((t, _)) if *t == O::bool_type() => Ok(()),
-            Some((t, _)) => err(
+            Some((t, _, _)) if *t == O::bool_type() => Ok(()),
+            Some((t, _, _)) => err(
                 codes::E0302,
                 format!("sampler {x} has type {t}, expected bool"),
                 span,
@@ -706,7 +719,7 @@ impl<'a, O: Ops> Elab<'a, O> {
         match &self.ta[e] {
             TExpr::Const(_) => Ok(()),
             TExpr::Var(x, _) => {
-                let (_, cx) = self.env.vars.get(x).expect("vars checked during typing");
+                let (_, cx, _) = self.env.vars.get(x).expect("vars checked during typing");
                 if cx == ck {
                     Ok(())
                 } else {
@@ -759,8 +772,8 @@ impl<'a, O: Ops> Elab<'a, O> {
 
     fn check_var_clock(&self, x: Ident, ck: &Clock, span: Span) -> EResult<()> {
         match self.env.vars.get(&x) {
-            Some((_, cx)) if cx == ck => Ok(()),
-            Some((_, cx)) => err(
+            Some((_, cx, _)) if cx == ck => Ok(()),
+            Some((_, cx, _)) => err(
                 codes::E0301,
                 format!("variable {x} on clock `{cx}`, expected `{ck}`"),
                 span,
@@ -776,7 +789,7 @@ fn elab_clock<O: Ops>(ua: &UArena, id: ClockId, vars: &VarMap<O>, span: Span) ->
         UClock::On(parent, x, k) => {
             let p = elab_clock::<O>(ua, parent, vars, span)?;
             match vars.get(&x) {
-                Some((t, cx)) => {
+                Some((t, cx, _)) => {
                     if *t != O::bool_type() {
                         return err(
                             codes::E0302,
@@ -905,13 +918,18 @@ fn order_nodes<O: Ops>(prog: &UProgram, ua: &UArena) -> EResult<Vec<usize>> {
 fn elab_decls<O: Ops>(ua: &UArena, groups: [&[UDecl]; 3]) -> EResult<ElabDecls<O>> {
     let total = groups.iter().map(|g| g.len()).sum::<usize>();
     // First pass: resolve types (clocks may reference any declared var).
-    let mut tys: IdentMap<O::Ty> = ident_map_with_capacity(total);
-    for d in groups.iter().flat_map(|g| g.iter()) {
+    let mut tys: IdentMap<(O::Ty, Def)> = ident_map_with_capacity(total);
+    for (g, d) in groups
+        .iter()
+        .enumerate()
+        .flat_map(|(g, ds)| ds.iter().map(move |d| (g, d)))
+    {
         let ty = match O::type_of_name(d.ty_name.as_str()) {
             Some(t) => t,
             None => return err(codes::E0215, format!("unknown type {}", d.ty_name), d.span),
         };
-        if tys.insert(d.name, ty).is_some() {
+        let def = if g == 0 { Def::Input } else { Def::Pending };
+        if tys.insert(d.name, (ty, def)).is_some() {
             return err(
                 codes::E0210,
                 format!("duplicate declaration of {}", d.name),
@@ -929,7 +947,8 @@ fn elab_decls<O: Ops>(ua: &UArena, groups: [&[UDecl]; 3]) -> EResult<ElabDecls<O
     for d in groups.iter().flat_map(|g| g.iter()) {
         match elab_clock::<O>(ua, d.clock, &vars, d.span) {
             Ok(ck) => {
-                vars.insert(d.name, (tys[&d.name].clone(), ck));
+                let (ty, def) = tys[&d.name].clone();
+                vars.insert(d.name, (ty, ck, def));
             }
             Err(_) => pending.push(d),
         }
@@ -940,7 +959,8 @@ fn elab_decls<O: Ops>(ua: &UArena, groups: [&[UDecl]; 3]) -> EResult<ElabDecls<O
         for d in pending {
             match elab_clock::<O>(ua, d.clock, &vars, d.span) {
                 Ok(ck) => {
-                    vars.insert(d.name, (tys[&d.name].clone(), ck));
+                    let (ty, def) = tys[&d.name].clone();
+                    vars.insert(d.name, (ty, ck, def));
                 }
                 Err(_) => next.push(d),
             }
@@ -1008,19 +1028,17 @@ fn elab_node<O: Ops>(
     };
 
     let mut eqs = Vec::with_capacity(unode.eqs.len());
-    let mut defined: Vec<Ident> = Vec::with_capacity(outputs.len() + locals.len());
     for ueq in &unode.eqs {
         // The equation clock comes from the (identical) clocks of the
         // defined variables.
         let mut lhs_ck: Option<Clock> = None;
         for x in &ueq.lhs {
-            let (_, cx) = match elab.env.vars.get(x) {
-                Some(v) => v.clone(),
-                None => return err(codes::E0201, format!("unknown variable {x}"), ueq.span),
+            let Some((_, cx, def)) = elab.env.vars.get_mut(x) else {
+                return err(codes::E0201, format!("unknown variable {x}"), ueq.span);
             };
             match &lhs_ck {
-                None => lhs_ck = Some(cx),
-                Some(c) if *c == cx => {}
+                None => lhs_ck = Some(cx.clone()),
+                Some(c) if c == cx => {}
                 Some(c) => {
                     return err(
                         codes::E0305,
@@ -1029,21 +1047,23 @@ fn elab_node<O: Ops>(
                     )
                 }
             }
-            if defined.contains(x) {
-                return err(
-                    codes::E0205,
-                    format!("variable {x} defined twice"),
-                    ueq.span,
-                );
+            match def {
+                Def::Defined => {
+                    return err(
+                        codes::E0205,
+                        format!("variable {x} defined twice"),
+                        ueq.span,
+                    )
+                }
+                Def::Input => {
+                    return err(
+                        codes::E0213,
+                        format!("input {x} cannot be defined"),
+                        ueq.span,
+                    )
+                }
+                Def::Pending => *def = Def::Defined,
             }
-            if inputs.iter().any(|d| d.name == *x) {
-                return err(
-                    codes::E0213,
-                    format!("input {x} cannot be defined"),
-                    ueq.span,
-                );
-            }
-            defined.push(*x);
         }
         let ck = lhs_ck.expect("patterns are non-empty");
 
@@ -1070,7 +1090,7 @@ fn elab_node<O: Ops>(
                         );
                     }
                     for (x, (oname, oty)) in ueq.lhs.iter().zip(outs) {
-                        let (tx, _) = &elab.env.vars[x];
+                        let (tx, _, _) = &elab.env.vars[x];
                         if tx != oty {
                             return err(
                                 codes::E0202,
@@ -1107,7 +1127,7 @@ fn elab_node<O: Ops>(
 
     // Every output and local must be defined.
     for d in outputs.iter().chain(&locals) {
-        if !defined.contains(&d.name) {
+        if elab.env.vars[&d.name].2 != Def::Defined {
             return err(
                 codes::E0206,
                 format!("variable {} is never defined", d.name),

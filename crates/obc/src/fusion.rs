@@ -14,6 +14,7 @@
 //! executable check (asserted by the validation harness) and a property
 //! test.
 
+use velus_common::{Ident, IdentMap};
 use velus_ops::Ops;
 
 use crate::ast::{Block, Class, Method, ObcExpr, ObcProgram, Stmt};
@@ -51,32 +52,66 @@ pub fn fuse<O: Ops>(s: &Block<O>) -> Block<O> {
 
 /// Appends the free variables of a guard, locals and state cells alike
 /// (the `MayWrite` check treats `x` and `state(x)` uniformly, as in the
-/// paper), to the scratch buffer.
-fn guard_vars_into<O: Ops>(e: &ObcExpr<O>, out: &mut Vec<velus_common::Ident>) {
+/// paper), to `out`.
+fn guard_vars_into<O: Ops>(e: &ObcExpr<O>, out: &mut Vec<Ident>) {
     e.free_vars_into(out);
     e.state_vars_into(out);
 }
 
 /// The `Fusible` predicate: conditionals never write the free variables of
 /// their own guards.
+///
+/// One pass over the body: a statement breaks the predicate exactly when
+/// it writes a variable that the guard of an enclosing conditional
+/// reads, so the walk keeps a count of enclosing guard reads per
+/// variable. Checking each guard against `MayWrite` of its branches
+/// instead would be quadratic in the depth of an `if` nest.
 pub fn fusible<O: Ops>(s: &Block<O>) -> bool {
-    // One scratch buffer serves every guard of the body; the predicate
-    // runs after translation *and* after fusion on every method, so its
-    // allocations used to show up in cold compiles.
-    let mut scratch = Vec::new();
-    fusible_block(s, &mut scratch)
+    fusible_block(s, &mut Guards::default())
 }
 
-fn fusible_block<O: Ops>(s: &Block<O>, scratch: &mut Vec<velus_common::Ident>) -> bool {
+/// The guards of the conditionals enclosing the statement being checked.
+#[derive(Default)]
+struct Guards {
+    /// Their variables, innermost guard last.
+    vars: Vec<Ident>,
+    /// Variable → number of its occurrences in `vars`.
+    counts: IdentMap<u32>,
+}
+
+impl Guards {
+    /// Enters a conditional guarded by `e`; returns the mark to
+    /// [`Guards::leave`] it with.
+    fn enter<O: Ops>(&mut self, e: &ObcExpr<O>) -> usize {
+        let mark = self.vars.len();
+        guard_vars_into(e, &mut self.vars);
+        for &x in &self.vars[mark..] {
+            *self.counts.entry(x).or_default() += 1;
+        }
+        mark
+    }
+
+    fn leave(&mut self, mark: usize) {
+        for x in self.vars.drain(mark..) {
+            *self.counts.get_mut(&x).expect("counted on entry") -= 1;
+        }
+    }
+
+    /// Whether an enclosing guard reads `x`.
+    fn read(&self, x: &Ident) -> bool {
+        self.counts.get(x).is_some_and(|&n| n > 0)
+    }
+}
+
+fn fusible_block<O: Ops>(s: &Block<O>, g: &mut Guards) -> bool {
     s.iter().all(|s| match s {
-        Stmt::Assign(..) | Stmt::AssignSt(..) | Stmt::Call { .. } => true,
+        Stmt::Assign(x, _) | Stmt::AssignSt(x, _) => !g.read(x),
+        Stmt::Call { results, .. } => !results.iter().any(|x| g.read(x)),
         Stmt::If(e, t, f) => {
-            if !fusible_block(t, scratch) || !fusible_block(f, scratch) {
-                return false;
-            }
-            scratch.clear();
-            guard_vars_into(e, scratch);
-            scratch.iter().all(|&x| !t.may_write(x) && !f.may_write(x))
+            let mark = g.enter(e);
+            let ok = fusible_block(t, g) && fusible_block(f, g);
+            g.leave(mark);
+            ok
         }
     })
 }
@@ -112,7 +147,6 @@ pub fn fuse_program<O: Ops>(prog: &ObcProgram<O>) -> ObcProgram<O> {
 mod tests {
     use super::*;
     use crate::sem::{eval_expr, exec_block, VEnv};
-    use velus_common::Ident;
     use velus_nlustre::memory::Memory;
     use velus_ops::{CConst, CTy, CVal, ClightOps};
 
@@ -291,6 +325,65 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(fused, 1);
+    }
+
+    /// `Fusible` as the paper states it: every guard checked against
+    /// `MayWrite` of both of its branches.
+    fn fusible_by_may_write(s: &B) -> bool {
+        s.iter().all(|s| match s {
+            Stmt::If(e, t, f) => {
+                let mut vars = Vec::new();
+                guard_vars_into(e, &mut vars);
+                fusible_by_may_write(t)
+                    && fusible_by_may_write(f)
+                    && vars.iter().all(|&x| !t.may_write(x) && !f.may_write(x))
+            }
+            _ => true,
+        })
+    }
+
+    /// A random `if` nest `depth` deep over the variables `g0`…`g59`,
+    /// from a linear congruential `seed`: each level is an assignment
+    /// and a conditional whose then-branch is the next level down and
+    /// whose else-branch is one assignment.
+    fn random_nest(seed: &mut u64, depth: usize) -> B {
+        fn next(seed: &mut u64, n: u64) -> u64 {
+            *seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*seed >> 33) % n
+        }
+        fn leaf(seed: &mut u64) -> S {
+            if next(seed, 12) == 0 {
+                assign(&format!("g{}", next(seed, 60)), 1)
+            } else {
+                assign("out", 1)
+            }
+        }
+        let mut body = B::from(leaf(seed));
+        for _ in 0..depth {
+            let (first, other) = (leaf(seed), leaf(seed));
+            let c = format!("g{}", next(seed, 60));
+            body = Block(vec![first, iff(&c, body, other)]);
+        }
+        body
+    }
+
+    #[test]
+    fn fusible_agrees_with_may_write_on_deep_nests() {
+        let mut seed = 7u64;
+        let (mut accepted, mut rejected) = (0, 0);
+        for k in 0..400 {
+            let body = random_nest(&mut seed, 4 + k % 60);
+            let expected = fusible_by_may_write(&body);
+            assert_eq!(fusible(&body), expected, "{body}");
+            if expected {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        assert!(accepted > 20 && rejected > 20, "{accepted} / {rejected}");
     }
 
     #[test]
