@@ -28,7 +28,10 @@
 //! allocation regression fails CI) or if the static-analysis (lint)
 //! pass exceeds [`ANALYSIS_ALLOCS_GUARD`]. The lint pass is forced
 //! after emission so the `analysis` stage row carries real numbers,
-//! even though a plain compile never runs it.
+//! even though a plain compile never runs it. The smoke run also guards
+//! the executable semantics: it fails if one `velus::run_oracles` over
+//! [`ORACLE_INSTANTS`] instants of a paper benchmark allocates more than
+//! [`ORACLE_ALLOCS_GUARD`] times on average.
 //!
 //! `--overhead` instead measures the cost of the observability layer:
 //! the industrial corpus is compiled with tracing disabled and then
@@ -208,6 +211,38 @@ const FRONTEND_ALLOCS_GUARD: f64 = 315.0;
 /// measured single-pass number (131.7), so exceeding it means a real
 /// analysis allocation regression.
 const ANALYSIS_ALLOCS_GUARD: f64 = 155.0;
+
+/// Ceiling on the mean allocations of one `velus::run_oracles` over the
+/// paper-benchmark corpus (each benchmark compiled once, then checked
+/// for [`ORACLE_INSTANTS`] instants of `default_inputs`), enforced by
+/// `--smoke`. Every allocation and reallocation counts, as in the
+/// stage rows. Set ~10% above the measured 691.5 (5,819 before the
+/// interpreters stopped allocating per call), so exceeding it means an
+/// interpreter or checker of the oracle chain went back to allocating
+/// per call or per instant.
+const ORACLE_ALLOCS_GUARD: f64 = 760.0;
+
+/// Instants per oracle run in the [`ORACLE_ALLOCS_GUARD`] measurement.
+const ORACLE_INSTANTS: usize = 10;
+
+/// Mean allocations per `velus::run_oracles` over the paper corpus
+/// (compilation excluded); every run must agree on every oracle.
+fn oracle_allocs_per_run() -> f64 {
+    let mut allocs = 0u64;
+    for name in BENCHMARKS {
+        let c = velus::compile(&load(name), Some(name)).expect("corpus compiles");
+        let inputs = velus::validate::default_inputs(&c, ORACLE_INSTANTS);
+        let before = counters().0;
+        let report = velus::run_oracles(&c, &inputs, ORACLE_INSTANTS).expect("corpus validates");
+        allocs += counters().0 - before;
+        assert!(
+            report.agreed(),
+            "{name}: oracle divergence {:?}",
+            report.divergence
+        );
+    }
+    allocs as f64 / BENCHMARKS.len() as f64
+}
 
 fn print_profile(label: &str, p: &Profile, stage_filter: Option<&str>) {
     println!("{label}: {} cold compiles", p.compiles);
@@ -638,6 +673,7 @@ fn main() {
         println!("wrote profile to {path}");
     }
     if smoke {
+        let oracle_allocs = oracle_allocs_per_run();
         assert!(
             frontend_allocs_on_benchmarks <= FRONTEND_ALLOCS_GUARD,
             "frontend allocation regression: {frontend_allocs_on_benchmarks:.1} allocs/compile \
@@ -650,11 +686,19 @@ fn main() {
              on the benchmark corpus exceeds the checked-in guard of {ANALYSIS_ALLOCS_GUARD:.0} \
              (see ANALYSIS_ALLOCS_GUARD in crates/bench/src/bin/pipeline.rs)"
         );
+        assert!(
+            oracle_allocs <= ORACLE_ALLOCS_GUARD,
+            "oracle-chain allocation regression: {oracle_allocs:.1} allocs per run_oracles \
+             ({ORACLE_INSTANTS} instants) on the benchmark corpus exceeds the checked-in guard \
+             of {ORACLE_ALLOCS_GUARD:.0} (see ORACLE_ALLOCS_GUARD in \
+             crates/bench/src/bin/pipeline.rs)"
+        );
         println!(
             "smoke ok: harness emitted well-formed JSON; frontend allocs/compile \
              {frontend_allocs_on_benchmarks:.1} within guard {FRONTEND_ALLOCS_GUARD:.0}; \
              analysis allocs/compile {analysis_allocs_on_benchmarks:.1} within guard \
-             {ANALYSIS_ALLOCS_GUARD:.0}"
+             {ANALYSIS_ALLOCS_GUARD:.0}; oracle allocs/run {oracle_allocs:.1} within guard \
+             {ORACLE_ALLOCS_GUARD:.0}"
         );
     }
 }

@@ -51,6 +51,17 @@ impl Expr {
         }
     }
 
+    /// The scalar type of the expression, if it has one: [`Expr::ty`]
+    /// then [`CType::as_scalar`], without building the type.
+    pub fn scalar_ty(&self) -> Option<CTy> {
+        match self {
+            Expr::Const(_, t) | Expr::Unop(_, _, t) | Expr::Binop(_, _, _, t) => Some(*t),
+            Expr::Temp(_, t) | Expr::Var(_, t) => t.as_scalar(),
+            Expr::Field(_, _, _, t) | Expr::DerefField(_, _, _, t) => t.as_scalar(),
+            Expr::AddrOf(_) => None,
+        }
+    }
+
     /// Whether the expression is an lvalue (denotes a memory location).
     pub fn is_lvalue(&self) -> bool {
         matches!(self, Expr::Var(..) | Expr::Field(..) | Expr::DerefField(..))

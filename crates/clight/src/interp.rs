@@ -12,11 +12,17 @@
 //! against the dataflow semantics; a volatile load beyond the supplied
 //! input prefix terminates the simulation loop (finite-prefix check of
 //! the paper's infinite bisimulation).
+//!
+//! A call neither searches for its function nor allocates: functions are
+//! indexed by name once, in [`Machine::new`]; argument values go on one
+//! stack; frames come from a pool of idle ones, cleared but keeping
+//! their capacity; and the locals' blocks are freed in reverse, so the
+//! block memory reuses their bytes on the next call.
 
 use std::collections::VecDeque;
 
 use velus_common::{Ident, IdentMap};
-use velus_ops::{CVal, ClightOps, Ops};
+use velus_ops::{CTy, CVal, ClightOps, Ops};
 
 use crate::ast::{Expr, Function, Program, Stmt};
 use crate::ctypes::{CType, LayoutEnv};
@@ -24,7 +30,7 @@ use crate::memory::{BlockId, Mem};
 use crate::ClightError;
 
 /// A run-time value: a scalar or a pointer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RVal {
     /// A scalar machine value.
     Scalar(CVal),
@@ -58,9 +64,12 @@ enum Outcome {
     Return(Option<RVal>),
 }
 
+#[derive(Default)]
 struct Frame {
     temps: IdentMap<RVal>,
-    vars: IdentMap<(BlockId, CType)>,
+    /// Addressable locals: their block and scalar type (`None` for a
+    /// struct).
+    vars: IdentMap<(BlockId, Option<CTy>)>,
 }
 
 /// The interpreter state for one program.
@@ -76,6 +85,14 @@ pub struct Machine<'p> {
     /// Call depth guard (generated programs are non-recursive; this
     /// catches malformed inputs instead of overflowing the stack).
     depth: usize,
+    /// The index of each function, as [`Program::function`] finds it.
+    funcs: IdentMap<usize>,
+    /// Argument values of the calls being set up.
+    args: Vec<RVal>,
+    /// Idle frames, taken by a call and given back on return.
+    frames: Vec<Frame>,
+    /// The blocks of the addressable locals of the calls in progress.
+    locals: Vec<BlockId>,
 }
 
 const MAX_DEPTH: usize = 256;
@@ -88,6 +105,10 @@ impl<'p> Machine<'p> {
     /// Layout errors (unknown struct in a field).
     pub fn new(prog: &'p Program) -> Result<Machine<'p>, ClightError> {
         let layouts = LayoutEnv::new(prog.composites.clone())?;
+        let mut funcs = IdentMap::default();
+        for (i, f) in prog.functions.iter().enumerate() {
+            funcs.entry(f.name).or_insert(i);
+        }
         Ok(Machine {
             prog,
             layouts,
@@ -95,6 +116,10 @@ impl<'p> Machine<'p> {
             vol_inputs: IdentMap::default(),
             trace: Vec::new(),
             depth: 0,
+            funcs,
+            args: Vec::new(),
+            frames: Vec::new(),
+            locals: Vec::new(),
         })
     }
 
@@ -115,27 +140,28 @@ impl<'p> Machine<'p> {
 
     // ---- lvalues and rvalues -------------------------------------------
 
-    fn lval(&mut self, fr: &Frame, e: &Expr) -> Result<(BlockId, u32, CType), ClightError> {
+    /// The location `(block, offset)` an lvalue denotes, with its scalar
+    /// type (`None` for a struct).
+    fn lval(&mut self, fr: &Frame, e: &Expr) -> Result<(BlockId, u32, Option<CTy>), ClightError> {
         match e {
             Expr::Var(x, _) => {
-                let (b, ty) = fr
+                let (b, ty) = *fr
                     .vars
                     .get(x)
-                    .cloned()
                     .ok_or_else(|| ClightError::Malformed(format!("unknown variable {x}")))?;
                 Ok((b, 0, ty))
             }
             Expr::Field(a, s, f, ty) => {
                 let (b, o, _) = self.lval(fr, a)?;
                 let off = self.layouts.field_offset(*s, *f)?;
-                Ok((b, o + off, ty.clone()))
+                Ok((b, o + off, ty.as_scalar()))
             }
             Expr::DerefField(p, s, f, ty) => {
                 let pv = self.rval(fr, p)?;
                 match pv {
                     RVal::Ptr(b, o) => {
                         let off = self.layouts.field_offset(*s, *f)?;
-                        Ok((b, o + off, ty.clone()))
+                        Ok((b, o + off, ty.as_scalar()))
                     }
                     RVal::Scalar(v) => Err(ClightError::ValueError(format!(
                         "dereference of non-pointer {v}"
@@ -154,7 +180,7 @@ impl<'p> Machine<'p> {
             Expr::Temp(x, _) => fr
                 .temps
                 .get(x)
-                .cloned()
+                .copied()
                 .ok_or_else(|| ClightError::Uninitialized(format!("temporary {x}"))),
             Expr::AddrOf(a) => {
                 let (b, o, _) = self.lval(fr, a)?;
@@ -162,7 +188,7 @@ impl<'p> Machine<'p> {
             }
             Expr::Var(..) | Expr::Field(..) | Expr::DerefField(..) => {
                 let (b, o, ty) = self.lval(fr, e)?;
-                match ty.as_scalar() {
+                match ty {
                     Some(sc) => Ok(RVal::Scalar(self.mem.load(sc, b, o)?)),
                     None => Err(ClightError::ValueError(
                         "loading a non-scalar rvalue".to_owned(),
@@ -171,7 +197,7 @@ impl<'p> Machine<'p> {
             }
             Expr::Unop(op, e1, _) => {
                 let v = self.rval(fr, e1)?;
-                let sc = e1.ty().as_scalar().ok_or_else(|| {
+                let sc = e1.scalar_ty().ok_or_else(|| {
                     ClightError::ValueError("unary operator on non-scalar".to_owned())
                 })?;
                 match v {
@@ -186,8 +212,8 @@ impl<'p> Machine<'p> {
             Expr::Binop(op, e1, e2, _) => {
                 let v1 = self.rval(fr, e1)?;
                 let v2 = self.rval(fr, e2)?;
-                let t1 = e1.ty().as_scalar();
-                let t2 = e2.ty().as_scalar();
+                let t1 = e1.scalar_ty();
+                let t2 = e2.scalar_ty();
                 match (v1, v2, t1, t2) {
                     (RVal::Scalar(a), RVal::Scalar(b), Some(ta), Some(tb)) => {
                         ClightOps::sem_binop(*op, &a, &ta, &b, &tb)
@@ -219,7 +245,7 @@ impl<'p> Machine<'p> {
             Stmt::Assign(lv, e) => {
                 let v = self.rval(fr, e)?;
                 let (b, o, ty) = self.lval(fr, lv)?;
-                let sc = ty.as_scalar().ok_or_else(|| {
+                let sc = ty.ok_or_else(|| {
                     ClightError::ValueError("assignment to non-scalar location".to_owned())
                 })?;
                 match v {
@@ -246,11 +272,12 @@ impl<'p> Machine<'p> {
                 self.exec_block(fr, if b { t } else { f })
             }
             Stmt::Call(dest, fname, args) => {
-                let vals = args
-                    .iter()
-                    .map(|a| self.rval(fr, a))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let r = self.call(*fname, &vals)?;
+                let base = self.args.len();
+                for a in args {
+                    let v = self.rval(fr, a)?;
+                    self.args.push(v);
+                }
+                let r = self.invoke(*fname, base)?;
                 if let Some(x) = dest {
                     let v = r.ok_or_else(|| {
                         ClightError::ValueError(format!("void call result bound to {x}"))
@@ -310,42 +337,52 @@ impl<'p> Machine<'p> {
     /// All dynamic errors of the model: unknown functions, arity
     /// mismatches, memory violations, undefined operations.
     pub fn call(&mut self, fname: Ident, args: &[RVal]) -> Result<Option<RVal>, ClightError> {
-        if self.depth >= MAX_DEPTH {
-            return Err(ClightError::Malformed(format!(
-                "call depth exceeded at {fname} (recursive program?)"
-            )));
-        }
+        let base = self.args.len();
+        self.args.extend_from_slice(args);
+        self.invoke(fname, base)
+    }
+
+    /// Calls `fname` on the arguments `self.args[base..]`, which it pops
+    /// (see [`Machine::call`]). A failed call may leave arguments or
+    /// local blocks on the stacks; later calls only use what lies above
+    /// their own base.
+    fn invoke(&mut self, fname: Ident, base: usize) -> Result<Option<RVal>, ClightError> {
         // Borrowed for the program's lifetime, not through `self`: the
         // body runs against `&mut self` without being cloned per call.
         let prog = self.prog;
-        let f: &Function = prog
-            .function(fname)
-            .ok_or(ClightError::UnknownFunction(fname))?;
-        if f.params.len() != args.len() {
-            return Err(ClightError::Malformed(format!(
-                "{fname}: {} arguments for {} parameters",
-                args.len(),
-                f.params.len()
-            )));
+        let given = self.args.len() - base;
+        let f: &Function = match self.funcs.get(&fname) {
+            _ if self.depth >= MAX_DEPTH => Err(ClightError::Malformed(format!(
+                "call depth exceeded at {fname} (recursive program?)"
+            ))),
+            Some(&i) if prog.functions[i].params.len() == given => Ok(&prog.functions[i]),
+            Some(&i) => Err(ClightError::Malformed(format!(
+                "{fname}: {given} arguments for {} parameters",
+                prog.functions[i].params.len()
+            ))),
+            None => Err(ClightError::UnknownFunction(fname)),
+        }?;
+        let mut fr = self.frames.pop().unwrap_or_default();
+        fr.temps.clear();
+        fr.vars.clear();
+        for ((x, _), v) in f.params.iter().zip(self.args.drain(base..)) {
+            fr.temps.insert(*x, v);
         }
-        let mut fr = Frame {
-            temps: IdentMap::default(),
-            vars: IdentMap::default(),
-        };
-        for ((x, _), v) in f.params.iter().zip(args) {
-            fr.temps.insert(*x, v.clone());
-        }
-        let mut blocks = Vec::new();
+        let first_local = self.locals.len();
         for (x, ty) in &f.vars {
             let size = self.layouts.sizeof(ty)?;
             let b = self.mem.alloc(size);
-            blocks.push(b);
-            fr.vars.insert(*x, (b, ty.clone()));
+            self.locals.push(b);
+            fr.vars.insert(*x, (b, ty.as_scalar()));
         }
         self.depth += 1;
         let outcome = self.exec_block(&mut fr, &f.body);
         self.depth -= 1;
-        for b in blocks {
+        self.frames.push(fr);
+        // Last allocated, first freed: the block memory takes the bytes
+        // back for the next call.
+        while self.locals.len() > first_local {
+            let b = self.locals.pop().expect("a local of this call");
             self.mem.free(b)?;
         }
         match outcome? {

@@ -7,6 +7,12 @@
 //! every byte tracks an *initialized* bit, so reads of uninitialized
 //! memory are errors rather than garbage (CompCert's `Vundef`), and loads
 //! and stores check bounds, alignment, and block liveness.
+//!
+//! The blocks' bytes live back to back in one arena. Freeing the block
+//! at the end of the arena gives its bytes back, so the stack discipline
+//! of function locals (allocated on entry, freed on return) reuses the
+//! same bytes call after call; a freed block's identifier is never
+//! reused, so accesses through it still fail.
 
 use velus_ops::CTy;
 use velus_ops::CVal;
@@ -18,8 +24,9 @@ pub type BlockId = usize;
 
 #[derive(Debug, Clone)]
 struct Block {
-    bytes: Vec<u8>,
-    init: Vec<bool>,
+    /// Position of the block's first byte in the arena.
+    start: usize,
+    size: u32,
     alive: bool,
 }
 
@@ -27,6 +34,10 @@ struct Block {
 #[derive(Debug, Clone, Default)]
 pub struct Mem {
     blocks: Vec<Block>,
+    /// The bytes of the blocks, back to back.
+    bytes: Vec<u8>,
+    /// Whether each byte of `bytes` has been written.
+    init: Vec<bool>,
 }
 
 impl Mem {
@@ -39,9 +50,12 @@ impl Mem {
     /// uninitialized.
     pub fn alloc(&mut self, size: u32) -> BlockId {
         let id = self.blocks.len();
+        let start = self.bytes.len();
+        self.bytes.resize(start + size as usize, 0);
+        self.init.resize(start + size as usize, false);
         self.blocks.push(Block {
-            bytes: vec![0; size as usize],
-            init: vec![false; size as usize],
+            start,
+            size,
             alive: true,
         });
         id
@@ -64,6 +78,10 @@ impl Mem {
             )));
         }
         blk.alive = false;
+        if blk.start + blk.size as usize == self.bytes.len() {
+            self.bytes.truncate(blk.start);
+            self.init.truncate(blk.start);
+        }
         Ok(())
     }
 
@@ -77,11 +95,17 @@ impl Mem {
             .blocks
             .get(b)
             .ok_or_else(|| ClightError::MemoryError(format!("unknown block {b}")))?
-            .bytes
-            .len() as u32)
+            .size)
     }
 
-    fn check_access(&self, b: BlockId, ofs: u32, size: u32, align: u32) -> Result<(), ClightError> {
+    /// Checks an access and returns the arena position of `(b, ofs)`.
+    fn check_access(
+        &self,
+        b: BlockId,
+        ofs: u32,
+        size: u32,
+        align: u32,
+    ) -> Result<usize, ClightError> {
         let blk = self
             .blocks
             .get(b)
@@ -91,10 +115,10 @@ impl Mem {
                 "access to freed block {b}"
             )));
         }
-        if (ofs as usize) + (size as usize) > blk.bytes.len() {
+        if u64::from(ofs) + u64::from(size) > u64::from(blk.size) {
             return Err(ClightError::MemoryError(format!(
                 "out-of-bounds access at block {b}, offset {ofs}, size {size} (block size {})",
-                blk.bytes.len()
+                blk.size
             )));
         }
         if !ofs.is_multiple_of(align) {
@@ -102,7 +126,7 @@ impl Mem {
                 "misaligned access at block {b}, offset {ofs}, alignment {align}"
             )));
         }
-        Ok(())
+        Ok(blk.start + ofs as usize)
     }
 
     /// Stores a scalar of type `ty` at `(b, ofs)`.
@@ -111,14 +135,10 @@ impl Mem {
     ///
     /// Bounds/alignment/liveness violations, or a value not of type `ty`.
     pub fn store(&mut self, ty: CTy, b: BlockId, ofs: u32, v: &CVal) -> Result<(), ClightError> {
-        self.check_access(b, ofs, ty.size(), ty.align())?;
-        let bytes = encode(ty, v)?;
-        let blk = &mut self.blocks[b];
-        let start = ofs as usize;
-        blk.bytes[start..start + bytes.len()].copy_from_slice(&bytes);
-        for i in start..start + bytes.len() {
-            blk.init[i] = true;
-        }
+        let start = self.check_access(b, ofs, ty.size(), ty.align())?;
+        let (buf, len) = encode(ty, v)?;
+        self.bytes[start..start + len].copy_from_slice(&buf[..len]);
+        self.init[start..start + len].fill(true);
         Ok(())
     }
 
@@ -128,16 +148,14 @@ impl Mem {
     ///
     /// Bounds/alignment/liveness violations or uninitialized bytes.
     pub fn load(&self, ty: CTy, b: BlockId, ofs: u32) -> Result<CVal, ClightError> {
-        self.check_access(b, ofs, ty.size(), ty.align())?;
-        let blk = &self.blocks[b];
-        let start = ofs as usize;
+        let start = self.check_access(b, ofs, ty.size(), ty.align())?;
         let end = start + ty.size() as usize;
-        if !blk.init[start..end].iter().all(|&i| i) {
+        if !self.init[start..end].iter().all(|&i| i) {
             return Err(ClightError::Uninitialized(format!(
                 "load of type {ty} at block {b}, offset {ofs}"
             )));
         }
-        decode(ty, &blk.bytes[start..end])
+        decode(ty, &self.bytes[start..end])
     }
 
     /// Whether every byte in `[ofs, ofs + size)` of block `b` is within
@@ -147,17 +165,26 @@ impl Mem {
     }
 }
 
-/// Encodes a well-typed scalar little-endian.
-fn encode(ty: CTy, v: &CVal) -> Result<Vec<u8>, ClightError> {
-    let err = || ClightError::ValueError(format!("cannot store {v} at type {ty}"));
+/// Encodes a well-typed scalar little-endian into the first `len`
+/// bytes of the returned buffer.
+fn encode(ty: CTy, v: &CVal) -> Result<([u8; 8], usize), ClightError> {
+    fn le<const N: usize>(bytes: [u8; N]) -> ([u8; 8], usize) {
+        let mut buf = [0u8; 8];
+        buf[..N].copy_from_slice(&bytes);
+        (buf, N)
+    }
     Ok(match (ty, v) {
-        (CTy::Bool | CTy::I8 | CTy::U8, CVal::Int(n)) => vec![*n as u8],
-        (CTy::I16 | CTy::U16, CVal::Int(n)) => (*n as u16).to_le_bytes().to_vec(),
-        (CTy::I32 | CTy::U32, CVal::Int(n)) => (*n as u32).to_le_bytes().to_vec(),
-        (CTy::I64 | CTy::U64, CVal::Long(n)) => (*n as u64).to_le_bytes().to_vec(),
-        (CTy::F32, CVal::Single(x)) => x.to_bits().to_le_bytes().to_vec(),
-        (CTy::F64, CVal::Float(x)) => x.to_bits().to_le_bytes().to_vec(),
-        _ => return Err(err()),
+        (CTy::Bool | CTy::I8 | CTy::U8, CVal::Int(n)) => le([*n as u8]),
+        (CTy::I16 | CTy::U16, CVal::Int(n)) => le((*n as u16).to_le_bytes()),
+        (CTy::I32 | CTy::U32, CVal::Int(n)) => le((*n as u32).to_le_bytes()),
+        (CTy::I64 | CTy::U64, CVal::Long(n)) => le((*n as u64).to_le_bytes()),
+        (CTy::F32, CVal::Single(x)) => le(x.to_bits().to_le_bytes()),
+        (CTy::F64, CVal::Float(x)) => le(x.to_bits().to_le_bytes()),
+        _ => {
+            return Err(ClightError::ValueError(format!(
+                "cannot store {v} at type {ty}"
+            )))
+        }
     })
 }
 
@@ -269,6 +296,30 @@ mod tests {
             m.store(CTy::I32, b, 0, &CVal::float(1.0)),
             Err(ClightError::ValueError(_))
         ));
+    }
+
+    #[test]
+    fn freeing_the_last_block_reuses_its_bytes() {
+        let mut m = Mem::new();
+        let a = m.alloc(4);
+        let b = m.alloc(8);
+        m.store(CTy::I64, b, 0, &CVal::long(-1)).unwrap();
+        m.free(b).unwrap();
+        // A fresh block over the same bytes starts uninitialized, and the
+        // freed identifier stays dead.
+        let c = m.alloc(8);
+        assert_ne!(b, c);
+        assert!(matches!(
+            m.load(CTy::I64, c, 0),
+            Err(ClightError::Uninitialized(_))
+        ));
+        assert!(m.load(CTy::I64, b, 0).is_err());
+        assert_eq!(m.block_size(b).unwrap(), 8);
+        // Freeing a block below the top keeps the others intact.
+        m.store(CTy::I32, a, 0, &CVal::int(3)).unwrap();
+        m.store(CTy::I64, c, 0, &CVal::long(7)).unwrap();
+        m.free(a).unwrap();
+        assert_eq!(m.load(CTy::I64, c, 0).unwrap(), CVal::long(7));
     }
 
     #[test]

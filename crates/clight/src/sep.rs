@@ -51,15 +51,24 @@ pub enum Assertion {
     Emp,
 }
 
+/// A footprint range `(block, start, end)`, tagged with the index of the
+/// `Star` conjunct it belongs to.
+type Range = (BlockId, u32, u32, usize);
+
 impl Assertion {
-    /// The footprint: a list of `(block, start, end)` byte ranges.
-    pub fn footprint(&self) -> Vec<(BlockId, u32, u32)> {
+    /// Appends the footprint — the `(block, start, end)` byte ranges —
+    /// to `out`, each range tagged with `part`.
+    fn footprint_into(&self, part: usize, out: &mut Vec<Range>) {
         match self {
             Assertion::Contains { ty, block, ofs, .. } => {
-                vec![(*block, *ofs, *ofs + ty.size())]
+                out.push((*block, *ofs, *ofs + ty.size(), part));
             }
-            Assertion::Star(parts) => parts.iter().flat_map(Assertion::footprint).collect(),
-            Assertion::False | Assertion::Emp => Vec::new(),
+            Assertion::Star(parts) => {
+                for p in parts {
+                    p.footprint_into(part, out);
+                }
+            }
+            Assertion::False | Assertion::Emp => {}
         }
     }
 
@@ -70,6 +79,12 @@ impl Assertion {
     ///
     /// [`ClightError::Separation`] describing the first violation.
     pub fn check(&self, mem: &Mem) -> Result<(), ClightError> {
+        self.check_in(mem, &mut Vec::new())
+    }
+
+    /// [`Assertion::check`], with every `Star` collecting its conjuncts'
+    /// footprints at the end of `ranges` (and truncating them again).
+    fn check_in(&self, mem: &Mem, ranges: &mut Vec<Range>) -> Result<(), ClightError> {
         match self {
             Assertion::Emp => Ok(()),
             Assertion::False => Err(ClightError::Separation("sepfalse".to_owned())),
@@ -103,26 +118,27 @@ impl Assertion {
             }
             Assertion::Star(parts) => {
                 for p in parts {
-                    p.check(mem)?;
+                    p.check_in(mem, ranges)?;
                 }
                 // Pairwise disjointness of the sub-footprints.
-                let mut ranges: Vec<(BlockId, u32, u32, usize)> = Vec::new();
+                let start = ranges.len();
                 for (i, p) in parts.iter().enumerate() {
-                    for (b, s, e) in p.footprint() {
-                        ranges.push((b, s, e, i));
-                    }
+                    p.footprint_into(i, ranges);
                 }
-                ranges.sort();
-                for w in ranges.windows(2) {
+                let mine = &mut ranges[start..];
+                mine.sort_unstable();
+                let overlap = mine.windows(2).find_map(|w| {
                     let (b1, s1, e1, i1) = w[0];
                     let (b2, s2, _e2, i2) = w[1];
-                    if b1 == b2 && s2 < e1 && i1 != i2 {
-                        return Err(ClightError::Separation(format!(
-                            "overlapping footprints in block {b1}: [{s1}, {e1}) and [{s2}, …)"
-                        )));
-                    }
+                    (b1 == b2 && s2 < e1 && i1 != i2).then_some((b1, s1, e1, s2))
+                });
+                ranges.truncate(start);
+                match overlap {
+                    Some((b1, s1, e1, s2)) => Err(ClightError::Separation(format!(
+                        "overlapping footprints in block {b1}: [{s1}, {e1}) and [{s2}, …)"
+                    ))),
+                    None => Ok(()),
                 }
-                Ok(())
             }
         }
     }

@@ -23,10 +23,19 @@
 //!   buckets), so a read is a handful of atomic loads — it cannot block
 //!   behind a writer, and it cannot deadlock against a thread that is
 //!   interning.
+//! * **A per-thread cache of known names.** Most interning re-interns a
+//!   name the thread has seen before (every occurrence of a variable in
+//!   a source). Each thread remembers the identifiers it obtained, keyed
+//!   by the same FNV hash that selects the shard, so a repeat name costs
+//!   one hash, one map probe and one string comparison, and takes no
+//!   lock.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
+
+use crate::identmap::BuildIdentHasher;
 
 /// Number of bits of an [`Ident`] that encode the shard.
 const SHARD_BITS: u32 = 4;
@@ -131,22 +140,62 @@ fn shards() -> &'static [Shard; NUM_SHARDS] {
     })
 }
 
-/// FNV-1a over the name selects the shard; deterministic, so equal
-/// names always land in the same shard and interning stays idempotent.
-fn shard_of(name: &str) -> usize {
+/// FNV-1a over the name; deterministic, so equal names always land in
+/// the same shard and interning stays idempotent.
+fn name_hash(name: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in name.as_bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    h
+}
+
+/// The shard of a name, from its [`name_hash`].
+fn shard_of(hash: u64) -> usize {
     // The multiply mixes poorly into the low bits; take high ones.
-    (h >> (64 - SHARD_BITS)) as usize
+    (hash >> (64 - SHARD_BITS)) as usize
+}
+
+/// Entries a thread's cache of known names holds before it starts over,
+/// which bounds it at a few hundred KiB.
+const RECENT_CAP: usize = 1 << 14;
+
+thread_local! {
+    /// The identifiers this thread interned, by [`name_hash`]. A hit is
+    /// confirmed by comparing the names, so a hash collision only costs
+    /// the locked path.
+    static RECENT: RefCell<HashMap<u64, Ident, BuildIdentHasher>> =
+        RefCell::new(HashMap::default());
 }
 
 impl Ident {
     /// Interns `name` and returns its identifier.
     pub fn new(name: &str) -> Ident {
-        let shard_index = shard_of(name);
+        let hash = name_hash(name);
+        let cached = RECENT
+            .try_with(|r| r.borrow().get(&hash).copied())
+            .ok()
+            .flatten()
+            .filter(|id| id.as_str() == name);
+        if let Some(id) = cached {
+            return id;
+        }
+        let id = Ident::intern(name, hash);
+        // Unavailable only while the thread is being torn down.
+        let _ = RECENT.try_with(|r| {
+            let mut r = r.borrow_mut();
+            if r.len() >= RECENT_CAP {
+                r.clear();
+            }
+            r.insert(hash, id);
+        });
+        id
+    }
+
+    /// Interns `name`, whose [`name_hash`] is `hash`, through its shard.
+    fn intern(name: &str, hash: u64) -> Ident {
+        let shard_index = shard_of(hash);
         let shard = &shards()[shard_index];
         let mut intern = shard.intern.lock().expect("identifier interner poisoned");
         if let Some(&index) = intern.get(name) {
@@ -302,6 +351,27 @@ mod tests {
     #[test]
     fn suffixed_builds_derived_names() {
         assert_eq!(Ident::new("f").suffixed("$step").as_str(), "f$step");
+    }
+
+    #[test]
+    fn repeat_interning_agrees_across_threads_and_cache_resets() {
+        let names: Vec<String> = (0..RECENT_CAP + 10)
+            .map(|k| format!("recent_probe_{k}"))
+            .collect();
+        // Past the cap the cache starts over; every name still interns
+        // to the same identifier, here and on a fresh thread.
+        let here: Vec<Ident> = names.iter().map(|n| Ident::new(n)).collect();
+        for (n, id) in names.iter().zip(&here) {
+            assert_eq!(Ident::new(n), *id);
+            assert_eq!(id.as_str(), n.as_str());
+        }
+        let there = std::thread::spawn({
+            let names = names.clone();
+            move || names.iter().map(|n| Ident::new(n)).collect::<Vec<_>>()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(here, there);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use velus_nlustre::msem::MSem;
 use velus_nlustre::streams::{SVal, StreamSet};
 use velus_obc::ast::{reset_name, step_name};
 use velus_obc::memcorres::check_memcorres;
-use velus_obc::sem::call_method;
+use velus_obc::sem::Interp;
 use velus_ops::{CVal, ClightOps, Ops};
 
 use crate::pipeline::Compiled;
@@ -278,13 +278,15 @@ pub fn run_oracles(
     // 3. Obc, unfused and fused, with MemCorres at every boundary.
     let mut obc_mem_boundaries: Vec<Memory<CVal>> = Vec::with_capacity(n + 1);
     let mut vals: Vec<CVal> = Vec::with_capacity(inputs.len());
+    let mut outs: Vec<CVal> = Vec::new();
     for (oracle, obc) in [
         (OracleId::ObcUnfused, &c.obc),
         (OracleId::ObcFused, &c.obc_fused),
     ] {
         let record = oracle == OracleId::ObcFused;
+        let mut interp = Interp::new(obc);
         let mut mem = Memory::new();
-        call_method(obc, root, &mut mem, reset_name(), &[])?;
+        interp.call(root, &mut mem, reset_name(), &[], &mut outs)?;
         // `i` is an instant, used against several indexed structures at
         // once — a range loop reads better than nested enumerates.
         #[allow(clippy::needless_range_loop)]
@@ -302,7 +304,7 @@ pub fn run_oracles(
                 obc_mem_boundaries.push(mem.clone());
             }
             values_at_into(inputs, i, &mut vals)?;
-            let outs = call_method(obc, root, &mut mem, step_name(), &vals)?;
+            interp.call(root, &mut mem, step_name(), &vals, &mut outs)?;
             for (k, v) in outs.iter().enumerate() {
                 match &df[k][i] {
                     SVal::Pres(expected) if expected == v => {}
@@ -329,8 +331,8 @@ pub fn run_oracles(
             .obc_fused
             .class(root)
             .and_then(|k| k.method(step_name()))
-            .ok_or_else(|| VelusError::Validation("missing step method".to_owned()))?
-            .clone();
+            .ok_or_else(|| VelusError::Validation("missing step method".to_owned()))?;
+        let step_fn = method_fn_name(root, step_name());
         let multi = step_m.outputs.len() >= 2;
         let out_struct = velus_clight::generate::out_struct_name(root, step_name());
         let outb = if multi {
@@ -338,6 +340,7 @@ pub fn run_oracles(
         } else {
             None
         };
+        let mut args: Vec<RVal> = Vec::with_capacity(2 + inputs.len());
         for i in 0..n {
             let assertion = staterep(
                 &machine.layouts,
@@ -358,28 +361,26 @@ pub fn run_oracles(
             rep.staterep_checks += 1;
 
             values_at_into(inputs, i, &mut vals)?;
-            let mut args = vec![RVal::Ptr(selfb, 0)];
+            args.clear();
+            args.push(RVal::Ptr(selfb, 0));
             if let Some(b) = outb {
                 args.push(RVal::Ptr(b, 0));
             }
             args.extend(vals.iter().copied().map(RVal::Scalar));
-            let ret = machine.call(method_fn_name(root, step_name()), &args)?;
+            let ret = machine.call(step_fn, &args)?;
 
             // Collect the outputs.
-            let outs: Vec<CVal> = if multi {
+            outs.clear();
+            if multi {
                 let b = outb.expect("allocated above");
-                step_m
-                    .outputs
-                    .iter()
-                    .map(|(o, oty)| {
-                        let off = machine.layouts.field_offset(out_struct, *o)?;
-                        machine.mem.load(*oty, b, off)
-                    })
-                    .collect::<Result<_, _>>()?
+                for (o, oty) in &step_m.outputs {
+                    let off = machine.layouts.field_offset(out_struct, *o)?;
+                    outs.push(machine.mem.load(*oty, b, off)?);
+                }
             } else {
                 match ret {
-                    Some(RVal::Scalar(v)) => vec![v],
-                    None => vec![],
+                    Some(RVal::Scalar(v)) => outs.push(v),
+                    None => {}
                     Some(RVal::Ptr(..)) => {
                         return Ok(rep.diverged(OracleDivergence::at(
                             OracleId::Clight,
@@ -389,7 +390,7 @@ pub fn run_oracles(
                         )))
                     }
                 }
-            };
+            }
             for (k, v) in outs.iter().enumerate() {
                 match &df[k][i] {
                     SVal::Pres(expected) if expected == v => {}
@@ -430,41 +431,43 @@ pub fn run_oracles(
     // 5. The generated main's volatile trace.
     {
         let mut machine = Machine::new(&c.clight)?;
-        let decls: Vec<(Ident, _)> = node.inputs.iter().map(|d| (d.name, d.ty)).collect();
-        if decls.is_empty() {
-            machine.push_inputs(
-                vol_in_name(Ident::new("tick")),
-                (0..n).map(|_| CVal::bool(true)),
-            );
+        // The volatile globals, named once: a clock-only root reads `tick`.
+        let tick = node
+            .inputs
+            .is_empty()
+            .then(|| vol_in_name(Ident::new("tick")));
+        let in_globals: Vec<Ident> = node.inputs.iter().map(|d| vol_in_name(d.name)).collect();
+        let out_globals: Vec<Ident> = node
+            .outputs
+            .iter()
+            .map(|d| velus_clight::generate::vol_out_name(d.name))
+            .collect();
+        if let Some(tick) = tick {
+            machine.push_inputs(tick, (0..n).map(|_| CVal::bool(true)));
         }
-        for (k, (name, _)) in decls.iter().enumerate() {
+        for (k, &g) in in_globals.iter().enumerate() {
             let stream: Vec<CVal> = (0..n)
                 .map(|i| value_at(&inputs[k], i))
                 .collect::<Result<_, _>>()?;
-            machine.push_inputs(vol_in_name(*name), stream);
+            machine.push_inputs(g, stream);
         }
         machine.run_main(main_fn_name())?;
 
         // Build the expected trace.
-        let mut expected: Vec<Event> = Vec::new();
+        let per_instant = usize::from(tick.is_some()) + in_globals.len() + out_globals.len();
+        let mut expected: Vec<Event> = Vec::with_capacity(n * per_instant);
         #[allow(clippy::needless_range_loop)]
         for i in 0..n {
-            if decls.is_empty() {
-                expected.push(Event::Load(
-                    vol_in_name(Ident::new("tick")),
-                    CVal::bool(true),
-                ));
+            if let Some(tick) = tick {
+                expected.push(Event::Load(tick, CVal::bool(true)));
             }
             values_at_into(inputs, i, &mut vals)?;
-            for ((name, _), v) in decls.iter().zip(&vals) {
-                expected.push(Event::Load(vol_in_name(*name), *v));
+            for (&g, v) in in_globals.iter().zip(&vals) {
+                expected.push(Event::Load(g, *v));
             }
-            for (k, d) in node.outputs.iter().enumerate() {
+            for (k, &g) in out_globals.iter().enumerate() {
                 match &df[k][i] {
-                    SVal::Pres(v) => expected.push(Event::Store(
-                        velus_clight::generate::vol_out_name(d.name),
-                        *v,
-                    )),
+                    SVal::Pres(v) => expected.push(Event::Store(g, *v)),
                     SVal::Abs => {
                         return Ok(rep.diverged(
                             OracleDivergence::at(

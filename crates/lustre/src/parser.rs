@@ -129,20 +129,18 @@ impl Parser<'_, '_> {
     fn decl_group(&mut self, out: &mut Vec<UDecl>) -> PResult<()> {
         let start = self.span();
         let first = out.len();
-        out.push(UDecl {
-            name: self.ident()?,
-            ty_name: Ident::new(""),
-            clock: ClockId::BASE,
-            span: start,
-        });
-        while self.eat(Tok::Comma) {
+        loop {
             let name = self.ident()?;
+            // The type, clock and span are set below, once parsed.
             out.push(UDecl {
                 name,
-                ty_name: Ident::new(""),
+                ty_name: name,
                 clock: ClockId::BASE,
                 span: start,
             });
+            if !self.eat(Tok::Comma) {
+                break;
+            }
         }
         self.expect(Tok::Colon)?;
         let ty_name = self.ident()?;

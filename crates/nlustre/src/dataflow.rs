@@ -25,9 +25,10 @@
 //! its inputs (`clock#`), so sampled instantiations run slower than their
 //! context, as in the `tracker` example of §2.2.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 
-use velus_common::{Ident, IdentMap};
+use velus_common::{ident_map_with_capacity, BuildIdentHasher, Ident, IdentMap};
 use velus_ops::Ops;
 
 use crate::ast::{CExpr, Equation, Expr, Node, Program};
@@ -40,32 +41,40 @@ use crate::SemError;
 enum Binding {
     /// The i-th input of the node.
     Input(usize),
-    /// Defined by the equation with the given index.
-    Eq(usize),
+    /// The k-th variable defined by the equation with the given index.
+    Eq(usize, usize),
 }
 
 /// Per-node static information, computed once.
 #[derive(Debug)]
 struct NodeInfo {
     bindings: IdentMap<Binding>,
+    /// For each call equation (by index), the program index of the
+    /// callee; `None` for other equations and unknown callees.
+    callees: Vec<Option<usize>>,
 }
 
-fn node_info<O: Ops>(node: &Node<O>) -> Result<NodeInfo, SemError> {
-    let mut bindings = IdentMap::default();
+fn node_info<O: Ops>(node: &Node<O>, index: &IdentMap<usize>) -> Result<NodeInfo, SemError> {
+    let mut bindings = ident_map_with_capacity(node.inputs.len() + node.eqs.len());
     for (i, d) in node.inputs.iter().enumerate() {
         bindings.insert(d.name, Binding::Input(i));
     }
+    let mut callees = Vec::with_capacity(node.eqs.len());
     for (i, eq) in node.eqs.iter().enumerate() {
-        for &x in eq.defined() {
-            bindings.insert(x, Binding::Eq(i));
+        for (k, &x) in eq.defined().iter().enumerate() {
+            bindings.insert(x, Binding::Eq(i, k));
         }
+        callees.push(match eq {
+            Equation::Call { node: f, .. } => index.get(f).copied(),
+            _ => None,
+        });
     }
     for d in node.outputs.iter().chain(&node.locals) {
         if !bindings.contains_key(&d.name) {
             return Err(SemError::UndefinedVariable(d.name));
         }
     }
-    Ok(NodeInfo { bindings })
+    Ok(NodeInfo { bindings, callees })
 }
 
 /// A node instance in the (dynamically unfolded) instance tree.
@@ -80,12 +89,30 @@ struct Inst<O: Ops> {
     /// Memoized `hold#` values per `fby` variable.
     holds: IdentMap<Vec<O::Val>>,
     /// Sub-instances, keyed by call-equation index.
-    subs: HashMap<usize, usize>,
+    subs: HashMap<usize, usize, BuildIdentHasher>,
     /// Variables currently being evaluated (cycle detection).
-    visiting: std::collections::HashSet<(Ident, usize), velus_common::BuildIdentHasher>,
+    visiting: HashSet<(Ident, usize), BuildIdentHasher>,
+}
+
+impl<O: Ops> Inst<O> {
+    /// A fresh instance of a node with `vars` variables.
+    fn new(node: usize, parent: Option<(usize, usize)>, vars: usize) -> Inst<O> {
+        Inst {
+            node,
+            parent,
+            memo: ident_map_with_capacity(vars),
+            holds: IdentMap::default(),
+            subs: HashMap::default(),
+            visiting: HashSet::default(),
+        }
+    }
 }
 
 /// The demand-driven dataflow evaluator for one root node.
+///
+/// The program is borrowed for the evaluator's lifetime `'p`, so
+/// evaluation reads equations in place; callees are resolved to program
+/// indices once, and the memo streams are sized to the demanded horizon.
 ///
 /// # Examples
 ///
@@ -124,29 +151,38 @@ pub struct Dataflow<'p, O: Ops> {
     prog: &'p Program<O>,
     infos: Vec<NodeInfo>,
     insts: Vec<Inst<O>>,
-    inputs: StreamSet<O>,
+    inputs: Cow<'p, [Vec<SVal<O>>]>,
     root_node: usize,
+    /// Instants the current [`Dataflow::run`] demands: the capacity of
+    /// each new memo stream.
+    span: usize,
 }
 
 impl<'p, O: Ops> Dataflow<'p, O> {
     /// Creates an evaluator for node `f` of `prog` with the given input
-    /// streams (one per declared input).
+    /// streams (one per declared input), owned or borrowed.
     ///
     /// # Errors
     ///
     /// Fails if the node does not exist, the number of input streams does
     /// not match the node's arity, or a declared variable has no defining
     /// equation.
-    pub fn new(prog: &'p Program<O>, f: Ident, inputs: StreamSet<O>) -> Result<Self, SemError> {
-        let root_node = prog
-            .nodes
-            .iter()
-            .position(|n| n.name == f)
-            .ok_or(SemError::UnknownNode(f))?;
+    pub fn new(
+        prog: &'p Program<O>,
+        f: Ident,
+        inputs: impl Into<Cow<'p, [Vec<SVal<O>>]>>,
+    ) -> Result<Self, SemError> {
+        let inputs = inputs.into();
+        // The first node of each name, as a by-name scan would find it.
+        let mut index: IdentMap<usize> = IdentMap::default();
+        for (i, n) in prog.nodes.iter().enumerate() {
+            index.entry(n.name).or_insert(i);
+        }
+        let root_node = *index.get(&f).ok_or(SemError::UnknownNode(f))?;
         let infos = prog
             .nodes
             .iter()
-            .map(node_info)
+            .map(|n| node_info(n, &index))
             .collect::<Result<Vec<_>, _>>()?;
         if inputs.len() != prog.nodes[root_node].inputs.len() {
             return Err(SemError::InputMismatch(format!(
@@ -155,20 +191,14 @@ impl<'p, O: Ops> Dataflow<'p, O> {
                 prog.nodes[root_node].inputs.len()
             )));
         }
-        let insts = vec![Inst {
-            node: root_node,
-            parent: None,
-            memo: IdentMap::default(),
-            holds: IdentMap::default(),
-            subs: HashMap::new(),
-            visiting: Default::default(),
-        }];
+        let root = Inst::new(root_node, None, infos[root_node].bindings.len());
         Ok(Dataflow {
             prog,
             infos,
-            insts,
+            insts: vec![root],
             inputs,
             root_node,
+            span: 0,
         })
     }
 
@@ -185,12 +215,13 @@ impl<'p, O: Ops> Dataflow<'p, O> {
     /// Propagates causality loops, undefined operator applications, and
     /// clock or input inconsistencies.
     pub fn run(&mut self, n: usize) -> Result<StreamSet<O>, SemError> {
-        let node = &self.prog.nodes[self.root_node];
-        let outs: Vec<Ident> = node.outputs.iter().map(|d| d.name).collect();
-        let mut result: StreamSet<O> = vec![Vec::with_capacity(n); outs.len()];
+        let prog = self.prog;
+        let outs = &prog.nodes[self.root_node].outputs;
+        self.span = n;
+        let mut result: StreamSet<O> = (0..outs.len()).map(|_| Vec::with_capacity(n)).collect();
         for i in 0..n {
-            for (k, &o) in outs.iter().enumerate() {
-                let v = self.var_at(0, o, i)?;
+            for (k, o) in outs.iter().enumerate() {
+                let v = self.var_at(0, o.name, i)?;
                 result[k].push(v);
             }
         }
@@ -211,20 +242,17 @@ impl<'p, O: Ops> Dataflow<'p, O> {
     /// The base clock of the root node at instant `n` (the paper's
     /// `clock#` of the inputs).
     fn root_base(&mut self, n: usize) -> Result<bool, SemError> {
-        if self.inputs.is_empty() {
-            return Ok(true);
+        let mut first = None;
+        let mut agree = true;
+        for s in self.inputs.iter() {
+            let p = s
+                .get(n)
+                .map(SVal::is_present)
+                .ok_or_else(|| SemError::InputMismatch(format!("no input at instant {n}")))?;
+            agree &= *first.get_or_insert(p) == p;
         }
-        let presences: Vec<bool> = self
-            .inputs
-            .iter()
-            .map(|s| {
-                s.get(n)
-                    .map(SVal::is_present)
-                    .ok_or_else(|| SemError::InputMismatch(format!("no input at instant {n}")))
-            })
-            .collect::<Result<_, _>>()?;
-        if presences.iter().all(|&p| p == presences[0]) {
-            Ok(presences[0])
+        if agree {
+            Ok(first.unwrap_or(true))
         } else {
             Err(SemError::ClockError(format!(
                 "root inputs have mismatched presence at instant {n}"
@@ -237,8 +265,7 @@ impl<'p, O: Ops> Dataflow<'p, O> {
             None => self.root_base(n),
             Some((p, eq_idx)) => {
                 let prog = self.prog;
-                let ck = prog.nodes[self.insts[p].node].eqs[eq_idx].clock().clone();
-                self.clock_at(p, &ck, n)
+                self.clock_at(p, prog.nodes[self.insts[p].node].eqs[eq_idx].clock(), n)
             }
         }
     }
@@ -342,7 +369,7 @@ impl<'p, O: Ops> Dataflow<'p, O> {
         let prog = self.prog;
         let node_idx = self.insts[inst].node;
         let eq_idx = match self.infos[node_idx].bindings.get(&x) {
-            Some(Binding::Eq(i)) => *i,
+            Some(Binding::Eq(i, _)) => *i,
             _ => return Err(SemError::UndefinedVariable(x)),
         };
         let (ck, init, rhs) = match &prog.nodes[node_idx].eqs[eq_idx] {
@@ -352,8 +379,9 @@ impl<'p, O: Ops> Dataflow<'p, O> {
         // Fill the memo from its current length up to n.
         let mut start = self.insts[inst].holds.get(&x).map_or(0, Vec::len);
         if start == 0 {
-            let v0 = O::sem_const(init);
-            self.insts[inst].holds.entry(x).or_default().push(v0);
+            let mut hs = Vec::with_capacity(self.span.max(n) + 1);
+            hs.push(O::sem_const(init));
+            self.insts[inst].holds.insert(x, hs);
             start = 1;
         }
         for m in start..=n {
@@ -386,7 +414,11 @@ impl<'p, O: Ops> Dataflow<'p, O> {
         let result = self.var_at_inner(inst, x, n);
         self.insts[inst].visiting.remove(&(x, n));
         let v = result?;
-        let memo = self.insts[inst].memo.entry(x).or_default();
+        let cap = self.span.max(n + 1);
+        let memo = self.insts[inst]
+            .memo
+            .entry(x)
+            .or_insert_with(|| Vec::with_capacity(cap));
         if memo.len() <= n {
             memo.resize(n + 1, None);
         }
@@ -413,41 +445,38 @@ impl<'p, O: Ops> Dataflow<'p, O> {
                     }),
                 Some((p, eq_idx)) => {
                     let (ck, arg) = match &prog.nodes[self.insts[p].node].eqs[eq_idx] {
-                        Equation::Call { ck, args, .. } => (ck.clone(), args[i].clone()),
+                        Equation::Call { ck, args, .. } => (ck, &args[i]),
                         _ => unreachable!("parent link always points at a call equation"),
                     };
-                    if self.clock_at(p, &ck, n)? {
-                        Ok(SVal::Pres(self.eval_expr(p, &arg, n)?))
+                    if self.clock_at(p, ck, n)? {
+                        Ok(SVal::Pres(self.eval_expr(p, arg, n)?))
                     } else {
                         Ok(SVal::Abs)
                     }
                 }
             },
-            Binding::Eq(eq_idx) => {
+            Binding::Eq(eq_idx, out_idx) => {
                 let eq = &prog.nodes[node_idx].eqs[eq_idx];
                 match eq {
                     Equation::Def { ck, rhs, .. } => {
                         if self.clock_at(inst, ck, n)? {
-                            Ok(SVal::Pres(self.eval_cexpr(inst, &rhs.clone(), n)?))
+                            Ok(SVal::Pres(self.eval_cexpr(inst, rhs, n)?))
                         } else {
                             Ok(SVal::Abs)
                         }
                     }
                     Equation::Fby { ck, .. } => {
-                        if self.clock_at(inst, &ck.clone(), n)? {
+                        if self.clock_at(inst, ck, n)? {
                             Ok(SVal::Pres(self.hold_at(inst, x, n)?))
                         } else {
                             Ok(SVal::Abs)
                         }
                     }
-                    Equation::Call {
-                        ck, node: f, xs, ..
-                    } => {
-                        if !self.clock_at(inst, &ck.clone(), n)? {
+                    Equation::Call { ck, node: f, .. } => {
+                        if !self.clock_at(inst, ck, n)? {
                             return Ok(SVal::Abs);
                         }
                         let sub = self.sub_instance(inst, eq_idx, *f)?;
-                        let out_idx = xs.iter().position(|y| *y == x).expect("binding is exact");
                         let callee = &prog.nodes[self.insts[sub].node];
                         let out_name = callee.outputs[out_idx].name;
                         let v = self.var_at(sub, out_name, n)?;
@@ -467,21 +496,11 @@ impl<'p, O: Ops> Dataflow<'p, O> {
         if let Some(&s) = self.insts[inst].subs.get(&eq_idx) {
             return Ok(s);
         }
-        let node = self
-            .prog
-            .nodes
-            .iter()
-            .position(|n| n.name == f)
-            .ok_or(SemError::UnknownNode(f))?;
+        let node =
+            self.infos[self.insts[inst].node].callees[eq_idx].ok_or(SemError::UnknownNode(f))?;
         let id = self.insts.len();
-        self.insts.push(Inst {
-            node,
-            parent: Some((inst, eq_idx)),
-            memo: IdentMap::default(),
-            holds: IdentMap::default(),
-            subs: HashMap::new(),
-            visiting: Default::default(),
-        });
+        let vars = self.infos[node].bindings.len();
+        self.insts.push(Inst::new(node, Some((inst, eq_idx)), vars));
         self.insts[inst].subs.insert(eq_idx, id);
         Ok(id)
     }
@@ -502,7 +521,7 @@ pub fn run_node<O: Ops>(
     inputs: &StreamSet<O>,
     n: usize,
 ) -> Result<StreamSet<O>, SemError> {
-    Dataflow::new(prog, f, inputs.clone())?.run(n)
+    Dataflow::new(prog, f, inputs.as_slice())?.run(n)
 }
 
 #[cfg(test)]

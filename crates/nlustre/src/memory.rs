@@ -9,27 +9,38 @@
 //! * with `V = O::Val` as the run-time state of the Obc interpreter, and
 //! * with `V = Vec<O::Val>` (streams) as the exposed memory `M` of the
 //!   intermediate semantic model (§3.2).
+//!
+//! Both levels are hash maps keyed by the interned identifier, so a cell
+//! or instance lookup — on every Obc state access, every `MemCorres` and
+//! `staterep` check — hashes a `u32` instead of comparing names as
+//! strings. Nothing depends on their iteration order except `Display`,
+//! which sorts by name.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use velus_common::Ident;
+use velus_common::{Ident, IdentMap};
 
 /// A tree-shaped memory, parameterized by the domain of stored values.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Memory<V> {
     /// Named scalar cells (one per `fby` in the corresponding node).
-    pub values: BTreeMap<Ident, V>,
+    pub values: IdentMap<V>,
     /// Named sub-memories (one per node instantiation).
-    pub instances: BTreeMap<Ident, Memory<V>>,
+    pub instances: IdentMap<Memory<V>>,
+}
+
+impl<V> Default for Memory<V> {
+    fn default() -> Memory<V> {
+        Memory::new()
+    }
 }
 
 impl<V> Memory<V> {
     /// An empty memory.
     pub fn new() -> Memory<V> {
         Memory {
-            values: BTreeMap::new(),
-            instances: BTreeMap::new(),
+            values: IdentMap::default(),
+            instances: IdentMap::default(),
         }
     }
 
@@ -50,7 +61,7 @@ impl<V> Memory<V> {
 
     /// Mutable access to a sub-memory, creating it if absent.
     pub fn instance_mut(&mut self, i: Ident) -> &mut Memory<V> {
-        self.instances.entry(i).or_insert_with(Memory::new)
+        self.instances.entry(i).or_default()
     }
 
     /// Total number of scalar cells in the whole tree.
@@ -72,18 +83,23 @@ impl<V> Memory<V> {
     }
 }
 
+/// Prints the cells, then the instances, each in name order.
 impl<V: fmt::Display> fmt::Display for Memory<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut values: Vec<_> = self.values.iter().collect();
+        values.sort_unstable_by_key(|(k, _)| k.as_str());
+        let mut instances: Vec<_> = self.instances.iter().collect();
+        instances.sort_unstable_by_key(|(k, _)| k.as_str());
         write!(f, "{{")?;
         let mut first = true;
-        for (k, v) in &self.values {
+        for (k, v) in values {
             if !first {
                 write!(f, ", ")?;
             }
             first = false;
             write!(f, "{k} = {v}")?;
         }
-        for (k, m) in &self.instances {
+        for (k, m) in instances {
             if !first {
                 write!(f, ", ")?;
             }
@@ -133,5 +149,24 @@ mod tests {
     fn display_is_nonempty() {
         let m: Memory<i32> = Memory::new();
         assert_eq!(m.to_string(), "{}");
+    }
+
+    #[test]
+    fn display_lists_cells_then_instances_in_name_order() {
+        let mut m: Memory<i32> = Memory::new();
+        // Inserted out of order, under names whose interning order
+        // differs from their string order.
+        for (x, v) in [("zeta", 3), ("alpha", 1), ("mid", 2)] {
+            m.set_value(Ident::new(x), v);
+        }
+        m.instance_mut(Ident::new("sub_z"))
+            .set_value(Ident::new("y"), 5);
+        let a = m.instance_mut(Ident::new("sub_a"));
+        a.set_value(Ident::new("q"), 7);
+        a.set_value(Ident::new("b"), 6);
+        assert_eq!(
+            m.to_string(),
+            "{alpha = 1, mid = 2, zeta = 3, sub_a: {b = 6, q = 7}, sub_z: {y = 5}}"
+        );
     }
 }

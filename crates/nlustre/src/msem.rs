@@ -158,14 +158,31 @@ fn eval_cexpr<O: Ops>(ctx: &Ctx<'_, O>, ce: &CExpr<O>) -> Result<O::Val, SemErro
 }
 
 /// The instant-by-instant evaluator with explicit memory.
+///
+/// Callees are resolved by name once, at construction; the environments
+/// of the root and of every call level are cleared and reused from one
+/// instant to the next, so a step allocates only when a map first grows.
 pub struct MSem<'p, O: Ops> {
-    prog: &'p Program<O>,
     node: &'p Node<O>,
     mem: Memory<O::Val>,
     /// When true, [`MSem::trace`] accumulates the exposed memory streams.
     record: bool,
     trace: MemTrace<O>,
     steps: usize,
+    /// Instants the current [`MSem::run`] records: the capacity of each
+    /// new memory stream.
+    span: usize,
+    /// The root node's environment of the latest instant.
+    env: Env<O>,
+    frames: Frames<'p, O>,
+}
+
+/// The node table and the reusable callee environments of [`MSem`].
+struct Frames<'p, O: Ops> {
+    /// The first node of each name, as [`Program::node`] finds it.
+    nodes: IdentMap<&'p Node<O>>,
+    /// Idle environments, taken by a call and given back on return.
+    pool: Vec<Env<O>>,
 }
 
 impl<'p, O: Ops> MSem<'p, O> {
@@ -178,13 +195,22 @@ impl<'p, O: Ops> MSem<'p, O> {
     pub fn new(prog: &'p Program<O>, f: Ident) -> Result<Self, SemError> {
         let node = prog.node(f).ok_or(SemError::UnknownNode(f))?;
         let mem = initial_memory(prog, node)?;
+        let mut nodes = IdentMap::default();
+        for n in &prog.nodes {
+            nodes.entry(n.name).or_insert(n);
+        }
         Ok(MSem {
-            prog,
             node,
             mem,
             record: false,
             trace: Memory::new(),
             steps: 0,
+            span: 0,
+            env: IdentMap::default(),
+            frames: Frames {
+                nodes,
+                pool: Vec::new(),
+            },
         })
     }
 
@@ -219,6 +245,21 @@ impl<'p, O: Ops> MSem<'p, O> {
     /// Propagates scheduling violations, clocking inconsistencies and
     /// undefined operator applications.
     pub fn step(&mut self, inputs: &[SVal<O>]) -> Result<Vec<SVal<O>>, SemError> {
+        self.instant(inputs)?;
+        Ok(self.outputs().collect())
+    }
+
+    /// The root outputs of the latest instant.
+    fn outputs(&self) -> impl Iterator<Item = SVal<O>> + '_ {
+        self.node
+            .outputs
+            .iter()
+            .map(|d| self.env.get(&d.name).cloned().unwrap_or(SVal::Abs))
+    }
+
+    /// Executes one instant (see [`MSem::step`]), leaving the root
+    /// environment in `self.env`.
+    fn instant(&mut self, inputs: &[SVal<O>]) -> Result<(), SemError> {
         if inputs.len() != self.node.inputs.len() {
             return Err(SemError::InputMismatch(format!(
                 "{} inputs supplied, {} declared",
@@ -238,21 +279,17 @@ impl<'p, O: Ops> MSem<'p, O> {
             p
         };
         if self.record {
-            record_snapshot::<O>(&self.mem, &mut self.trace);
+            record_snapshot::<O>(&self.mem, &mut self.trace, self.span);
         }
-        let prog = self.prog;
         let node = self.node;
-        let mut env: Env<O> = IdentMap::default();
+        self.env.clear();
         for (d, v) in node.inputs.iter().zip(inputs) {
-            env.insert(d.name, v.clone());
+            self.env.insert(d.name, v.clone());
         }
-        step_equations(prog, node, &mut self.mem, &mut env, base)?;
+        self.frames
+            .step_equations(node, &mut self.mem, &mut self.env, base)?;
         self.steps += 1;
-        Ok(node
-            .outputs
-            .iter()
-            .map(|d| env.get(&d.name).cloned().unwrap_or(SVal::Abs))
-            .collect())
+        Ok(())
     }
 
     /// Runs `n` instants from a stream set and collects the outputs.
@@ -261,99 +298,108 @@ impl<'p, O: Ops> MSem<'p, O> {
     ///
     /// See [`MSem::step`].
     pub fn run(&mut self, inputs: &StreamSet<O>, n: usize) -> Result<StreamSet<O>, SemError> {
-        let mut outs: StreamSet<O> = vec![Vec::with_capacity(n); self.node.outputs.len()];
+        let mut outs: StreamSet<O> = (0..self.node.outputs.len())
+            .map(|_| Vec::with_capacity(n))
+            .collect();
+        let mut at: Vec<SVal<O>> = Vec::with_capacity(inputs.len());
+        self.span = self.steps + n;
         for i in 0..n {
-            let at: Vec<SVal<O>> = inputs
-                .iter()
-                .map(|s| {
-                    s.get(i).cloned().ok_or_else(|| {
-                        SemError::InputMismatch(format!("input stream exhausted at instant {i}"))
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            let o = self.step(&at)?;
-            for (k, v) in o.into_iter().enumerate() {
-                outs[k].push(v);
+            at.clear();
+            for s in inputs {
+                at.push(s.get(i).cloned().ok_or_else(|| {
+                    SemError::InputMismatch(format!("input stream exhausted at instant {i}"))
+                })?);
+            }
+            self.instant(&at)?;
+            for (out, v) in outs.iter_mut().zip(self.outputs()) {
+                out.push(v);
             }
         }
         Ok(outs)
     }
 }
 
-/// Appends the current value of every cell (recursively) to the trace.
-fn record_snapshot<O: Ops>(mem: &Memory<O::Val>, trace: &mut MemTrace<O>) {
+/// Appends the current value of every cell (recursively) to the trace;
+/// a new stream gets room for `span` values.
+fn record_snapshot<O: Ops>(mem: &Memory<O::Val>, trace: &mut MemTrace<O>, span: usize) {
     for (x, v) in &mem.values {
-        trace.values.entry(*x).or_default().push(v.clone());
+        trace
+            .values
+            .entry(*x)
+            .or_insert_with(|| Vec::with_capacity(span))
+            .push(v.clone());
     }
     for (i, sub) in &mem.instances {
-        record_snapshot::<O>(sub, trace.instance_mut(*i));
+        record_snapshot::<O>(sub, trace.instance_mut(*i), span);
     }
 }
 
-/// Evaluates the equations of `node` (in their scheduled order) for one
-/// instant, updating `mem` and filling `env`.
-fn step_equations<O: Ops>(
-    prog: &Program<O>,
-    node: &Node<O>,
-    mem: &mut Memory<O::Val>,
-    env: &mut Env<O>,
-    base: bool,
-) -> Result<(), SemError> {
-    for eq in &node.eqs {
-        let active = clock_true::<O>(&Ctx { env, mem, base }, eq.clock())?;
-        match eq {
-            Equation::Def { x, rhs, .. } => {
-                let v = if active {
-                    SVal::Pres(eval_cexpr::<O>(&Ctx { env, mem, base }, rhs)?)
-                } else {
-                    SVal::Abs
-                };
-                env.insert(*x, v);
-            }
-            Equation::Fby { x, rhs, .. } => {
-                if active {
-                    let cur = mem
-                        .value(*x)
-                        .cloned()
-                        .ok_or_else(|| SemError::Malformed(format!("missing memory cell {x}")))?;
-                    env.insert(*x, SVal::Pres(cur));
-                    let next = eval_expr::<O>(&Ctx { env, mem, base }, rhs)?;
-                    mem.set_value(*x, next);
-                } else {
-                    env.insert(*x, SVal::Abs);
+impl<'p, O: Ops> Frames<'p, O> {
+    /// Evaluates the equations of `node` (in their scheduled order) for
+    /// one instant, updating `mem` and filling `env`.
+    fn step_equations(
+        &mut self,
+        node: &'p Node<O>,
+        mem: &mut Memory<O::Val>,
+        env: &mut Env<O>,
+        base: bool,
+    ) -> Result<(), SemError> {
+        for eq in &node.eqs {
+            let active = clock_true::<O>(&Ctx { env, mem, base }, eq.clock())?;
+            match eq {
+                Equation::Def { x, rhs, .. } => {
+                    let v = if active {
+                        SVal::Pres(eval_cexpr::<O>(&Ctx { env, mem, base }, rhs)?)
+                    } else {
+                        SVal::Abs
+                    };
+                    env.insert(*x, v);
                 }
-            }
-            Equation::Call {
-                xs, node: f, args, ..
-            } => {
-                let callee = prog.node(*f).ok_or(SemError::UnknownNode(*f))?;
-                if active {
-                    let vals: Vec<SVal<O>> = args
-                        .iter()
-                        .map(|a| eval_expr::<O>(&Ctx { env, mem, base }, a).map(SVal::Pres))
-                        .collect::<Result<_, _>>()?;
-                    let sub = mem.instance_mut(xs[0]);
-                    let mut sub_env: Env<O> = IdentMap::default();
-                    for (d, v) in callee.inputs.iter().zip(&vals) {
-                        sub_env.insert(d.name, v.clone());
-                    }
-                    step_equations(prog, callee, sub, &mut sub_env, true)?;
-                    for (x, d) in xs.iter().zip(&callee.outputs) {
-                        let v = sub_env
-                            .get(&d.name)
-                            .cloned()
-                            .ok_or(SemError::UndefinedVariable(d.name))?;
-                        env.insert(*x, v);
-                    }
-                } else {
-                    for x in xs {
+                Equation::Fby { x, rhs, .. } => {
+                    if active {
+                        let cur = mem.value(*x).cloned().ok_or_else(|| {
+                            SemError::Malformed(format!("missing memory cell {x}"))
+                        })?;
+                        env.insert(*x, SVal::Pres(cur));
+                        let next = eval_expr::<O>(&Ctx { env, mem, base }, rhs)?;
+                        mem.set_value(*x, next);
+                    } else {
                         env.insert(*x, SVal::Abs);
+                    }
+                }
+                Equation::Call {
+                    xs, node: f, args, ..
+                } => {
+                    let callee = *self.nodes.get(f).ok_or(SemError::UnknownNode(*f))?;
+                    if active {
+                        let mut sub_env = self.pool.pop().unwrap_or_default();
+                        sub_env.clear();
+                        for (k, a) in args.iter().enumerate() {
+                            let v = eval_expr::<O>(&Ctx { env, mem, base }, a)?;
+                            if let Some(d) = callee.inputs.get(k) {
+                                sub_env.insert(d.name, SVal::Pres(v));
+                            }
+                        }
+                        let sub = mem.instance_mut(xs[0]);
+                        self.step_equations(callee, sub, &mut sub_env, true)?;
+                        for (x, d) in xs.iter().zip(&callee.outputs) {
+                            let v = sub_env
+                                .get(&d.name)
+                                .cloned()
+                                .ok_or(SemError::UndefinedVariable(d.name))?;
+                            env.insert(*x, v);
+                        }
+                        self.pool.push(sub_env);
+                    } else {
+                        for x in xs {
+                            env.insert(*x, SVal::Abs);
+                        }
                     }
                 }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Runs node `f` for `n` instants, recording the exposed memory: the

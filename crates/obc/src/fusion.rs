@@ -146,7 +146,7 @@ pub fn fuse_program<O: Ops>(prog: &ObcProgram<O>) -> ObcProgram<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sem::{eval_expr, exec_block, VEnv};
+    use crate::sem::{eval_expr, Interp, VEnv};
     use velus_nlustre::memory::Memory;
     use velus_ops::{CConst, CTy, CVal, ClightOps};
 
@@ -238,7 +238,9 @@ mod tests {
         mem.set_value(id("pt"), CVal::int(9));
         let mut env: VEnv<ClightOps> = VEnv::<ClightOps>::default();
         env.insert(id("x"), CVal::bool(x));
-        exec_block(&prog, &mut mem, &mut env, s).unwrap();
+        Interp::new(&prog)
+            .exec_block(&mut mem, &mut env, s)
+            .unwrap();
         (mem, env)
     }
 

@@ -95,7 +95,7 @@ fn render(path: &[Ident]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sem::call_method;
+    use crate::sem::Interp;
     use crate::translate::translate_program;
     use velus_common::Ident;
     use velus_nlustre::ast::{CExpr, Expr, VarDecl};
@@ -157,7 +157,17 @@ mod tests {
         // Run the Obc side in lockstep, checking the relation at each
         // boundary.
         let mut mem = velus_nlustre::memory::Memory::new();
-        call_method(&obc, id("acc"), &mut mem, crate::ast::reset_name(), &[]).unwrap();
+        let mut interp = Interp::new(&obc);
+        let mut outs = Vec::new();
+        interp
+            .call(
+                id("acc"),
+                &mut mem,
+                crate::ast::reset_name(),
+                &[],
+                &mut outs,
+            )
+            .unwrap();
         for n in 0..4 {
             let at: Vec<SVal<ClightOps>> = inputs.iter().map(|s| s[n].clone()).collect();
             msem.step(&at).unwrap();
@@ -165,7 +175,15 @@ mod tests {
             // M(n) with the Obc memory *before* its step n.
             check_memcorres(&prog, node, msem.trace(), n, &mem).unwrap();
             let vals: Vec<CVal> = at.iter().map(|v| *v.value().unwrap()).collect();
-            call_method(&obc, id("acc"), &mut mem, crate::ast::step_name(), &vals).unwrap();
+            interp
+                .call(
+                    id("acc"),
+                    &mut mem,
+                    crate::ast::step_name(),
+                    &vals,
+                    &mut outs,
+                )
+                .unwrap();
         }
     }
 
@@ -179,6 +197,44 @@ mod tests {
         let mut mem = velus_nlustre::memory::Memory::new();
         mem.set_value(id("cum"), CVal::int(42)); // wrong: should be 0
         let err = check_memcorres(&prog, node, msem.trace(), 0, &mem).unwrap_err();
-        assert!(matches!(err, ObcError::MemCorres(_)));
+        assert_eq!(
+            err.to_string(),
+            "memory correspondence violated: at instant 0, cum: semantics has 0, Obc memory has 42"
+        );
+    }
+
+    #[test]
+    fn failure_messages_name_the_instance_path() {
+        // top(x) = acc(x): the cell `cum` of instance `y`.
+        let mut prog = accumulator();
+        prog.nodes.push(velus_nlustre::ast::Node {
+            name: id("top"),
+            inputs: vec![decl("x", CTy::I32)],
+            outputs: vec![decl("y", CTy::I32)],
+            locals: vec![],
+            eqs: vec![Equation::Call {
+                xs: vec![id("y")],
+                ck: Clock::Base,
+                node: id("acc"),
+                args: vec![Expr::Var(id("x"), CTy::I32)],
+            }],
+        });
+        let node = prog.node(id("top")).unwrap();
+        let mut msem = MSem::new(&prog, id("top")).unwrap().recording();
+        for v in [1, 2] {
+            msem.step(&[SVal::Pres(CVal::int(v))]).unwrap();
+        }
+        let mut mem = velus_nlustre::memory::Memory::new();
+        mem.instance_mut(id("y")).set_value(id("cum"), CVal::int(7));
+        let err = check_memcorres(&prog, node, msem.trace(), 1, &mem).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "memory correspondence violated: at instant 1, y.cum: semantics has 1, Obc memory has 7"
+        );
+        let err = check_memcorres(&prog, node, msem.trace(), 1, &Memory::new()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "memory correspondence violated: no run-time sub-memory y"
+        );
     }
 }

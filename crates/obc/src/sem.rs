@@ -12,11 +12,13 @@
 //! the paper rules out via scheduling, `MemCorres`, and the existence of
 //! the dataflow semantics. Here they surface as [`ObcError`]s.
 
-use velus_common::{Ident, IdentMap};
+use std::collections::HashMap;
+
+use velus_common::{BuildIdentHasher, Ident, IdentMap, IdentSet};
 use velus_nlustre::memory::Memory;
 use velus_ops::Ops;
 
-use crate::ast::{Block, Class, Method, ObcExpr, ObcProgram, Stmt};
+use crate::ast::{Block, Method, ObcExpr, ObcProgram, Stmt};
 use crate::ObcError;
 
 /// A local environment (stack frame).
@@ -51,119 +53,186 @@ pub fn eval_expr<O: Ops>(
     }
 }
 
-/// Executes a block, statement by statement (see [`exec_stmt`]).
+/// The Obc interpreter of one program.
 ///
-/// # Errors
-///
-/// The first failing statement's error.
-pub fn exec_block<O: Ops>(
-    prog: &ObcProgram<O>,
-    mem: &mut Memory<O::Val>,
-    env: &mut VEnv<O>,
-    s: &Block<O>,
-) -> Result<(), ObcError> {
-    s.iter().try_for_each(|s| exec_stmt(prog, mem, env, s))
+/// Methods are resolved by class and method name once, at construction.
+/// Calls in progress keep their argument values on one stack, and a
+/// callee's environment comes from a pool of idle ones that returns
+/// cleared maps, so repeated calls allocate only when a map first grows.
+pub struct Interp<'p, O: Ops> {
+    prog: &'p ObcProgram<O>,
+    /// The method of each (class, method) pair, as [`ObcProgram::class`]
+    /// and [`crate::ast::Class::method`] find it.
+    methods: HashMap<(Ident, Ident), &'p Method<O>, BuildIdentHasher>,
+    /// Argument values of the calls being set up.
+    args: Vec<O::Val>,
+    /// Idle environments, taken by a call and given back on return.
+    pool: Vec<VEnv<O>>,
 }
 
-/// Executes a statement, updating `mem` and `env` in place (the big-step
-/// relation `mem, env ⊢st s ⇓ mem', env'` in destination-passing style).
-///
-/// # Errors
-///
-/// See [`eval_expr`]; method calls add unknown-class/method and arity
-/// errors.
-pub fn exec_stmt<O: Ops>(
-    prog: &ObcProgram<O>,
-    mem: &mut Memory<O::Val>,
-    env: &mut VEnv<O>,
-    s: &Stmt<O>,
-) -> Result<(), ObcError> {
-    match s {
-        Stmt::Assign(x, e) => {
-            let v = eval_expr::<O>(mem, env, e)?;
-            env.insert(*x, v);
-            Ok(())
-        }
-        Stmt::AssignSt(x, e) => {
-            let v = eval_expr::<O>(mem, env, e)?;
-            mem.set_value(*x, v);
-            Ok(())
-        }
-        Stmt::If(c, t, f) => {
-            let v = eval_expr::<O>(mem, env, c)?;
-            match O::as_bool(&v) {
-                Some(true) => exec_block(prog, mem, env, t),
-                Some(false) => exec_block(prog, mem, env, f),
-                None => Err(ObcError::TypeError(format!("guard evaluated to {v}"))),
+impl<'p, O: Ops> Interp<'p, O> {
+    /// An interpreter for `prog`.
+    pub fn new(prog: &'p ObcProgram<O>) -> Interp<'p, O> {
+        let mut methods = HashMap::default();
+        let mut seen = IdentSet::default();
+        for cls in &prog.classes {
+            if seen.insert(cls.name) {
+                for m in &cls.methods {
+                    methods.entry((cls.name, m.name)).or_insert(m);
+                }
             }
         }
-        Stmt::Call {
-            results,
-            class,
-            instance,
-            method,
-            args,
-        } => {
-            let vals: Vec<O::Val> = args
-                .iter()
-                .map(|a| eval_expr::<O>(mem, env, a))
-                .collect::<Result<_, _>>()?;
-            let sub = mem.instance_mut(*instance);
-            let outs = call_method(prog, *class, sub, *method, &vals)?;
-            if outs.len() != results.len() {
-                return Err(ObcError::ArityMismatch(format!(
-                    "call to {class}.{method}: {} results bound to {} variables",
-                    outs.len(),
-                    results.len()
-                )));
-            }
-            for (x, v) in results.iter().zip(outs) {
+        Interp {
+            prog,
+            methods,
+            args: Vec::new(),
+            pool: Vec::new(),
+        }
+    }
+
+    /// Executes a block, statement by statement (see
+    /// [`Interp::exec_stmt`]).
+    ///
+    /// # Errors
+    ///
+    /// The first failing statement's error.
+    pub fn exec_block(
+        &mut self,
+        mem: &mut Memory<O::Val>,
+        env: &mut VEnv<O>,
+        s: &Block<O>,
+    ) -> Result<(), ObcError> {
+        s.iter().try_for_each(|s| self.exec_stmt(mem, env, s))
+    }
+
+    /// Executes a statement, updating `mem` and `env` in place (the
+    /// big-step relation `mem, env ⊢st s ⇓ mem', env'` in
+    /// destination-passing style).
+    ///
+    /// # Errors
+    ///
+    /// See [`eval_expr`]; method calls add unknown-class/method and arity
+    /// errors.
+    pub fn exec_stmt(
+        &mut self,
+        mem: &mut Memory<O::Val>,
+        env: &mut VEnv<O>,
+        s: &Stmt<O>,
+    ) -> Result<(), ObcError> {
+        match s {
+            Stmt::Assign(x, e) => {
+                let v = eval_expr::<O>(mem, env, e)?;
                 env.insert(*x, v);
+                Ok(())
             }
-            Ok(())
+            Stmt::AssignSt(x, e) => {
+                let v = eval_expr::<O>(mem, env, e)?;
+                mem.set_value(*x, v);
+                Ok(())
+            }
+            Stmt::If(c, t, f) => {
+                let v = eval_expr::<O>(mem, env, c)?;
+                match O::as_bool(&v) {
+                    Some(true) => self.exec_block(mem, env, t),
+                    Some(false) => self.exec_block(mem, env, f),
+                    None => Err(ObcError::TypeError(format!("guard evaluated to {v}"))),
+                }
+            }
+            Stmt::Call {
+                results,
+                class,
+                instance,
+                method,
+                args,
+            } => {
+                let base = self.args.len();
+                for a in args {
+                    self.args.push(eval_expr::<O>(mem, env, a)?);
+                }
+                let sub = mem.instance_mut(*instance);
+                let (callee_env, m) = self.invoke(*class, sub, *method, base)?;
+                if m.outputs.len() != results.len() {
+                    return Err(ObcError::ArityMismatch(format!(
+                        "call to {class}.{method}: {} results bound to {} variables",
+                        m.outputs.len(),
+                        results.len()
+                    )));
+                }
+                for (x, (o, _)) in results.iter().zip(&m.outputs) {
+                    env.insert(*x, callee_env[o].clone());
+                }
+                self.pool.push(callee_env);
+                Ok(())
+            }
         }
     }
-}
 
-/// Invokes `class.method` against an instance memory, returning the output
-/// values. This is the semantic judgment for method calls, also used by
-/// the top-level driver (`reset()` then repeated `step(inputs)`).
-///
-/// # Errors
-///
-/// See [`exec_stmt`].
-pub fn call_method<O: Ops>(
-    prog: &ObcProgram<O>,
-    class: Ident,
-    mem: &mut Memory<O::Val>,
-    method: Ident,
-    args: &[O::Val],
-) -> Result<Vec<O::Val>, ObcError> {
-    let cls: &Class<O> = prog.class(class).ok_or(ObcError::UnknownClass(class))?;
-    let m: &Method<O> = cls
-        .method(method)
-        .ok_or(ObcError::UnknownMethod(class, method))?;
-    if args.len() != m.inputs.len() {
-        return Err(ObcError::ArityMismatch(format!(
-            "{class}.{method}: {} arguments for {} parameters",
-            args.len(),
-            m.inputs.len()
-        )));
+    /// Invokes `class.method` against an instance memory and replaces the
+    /// contents of `outs` with the output values. This is the semantic
+    /// judgment for method calls, also used by the top-level driver
+    /// (`reset()` then repeated `step(inputs)`).
+    ///
+    /// # Errors
+    ///
+    /// See [`Interp::exec_stmt`].
+    pub fn call(
+        &mut self,
+        class: Ident,
+        mem: &mut Memory<O::Val>,
+        method: Ident,
+        args: &[O::Val],
+        outs: &mut Vec<O::Val>,
+    ) -> Result<(), ObcError> {
+        let base = self.args.len();
+        self.args.extend_from_slice(args);
+        let (env, m) = self.invoke(class, mem, method, base)?;
+        outs.clear();
+        outs.extend(m.outputs.iter().map(|(x, _)| env[x].clone()));
+        self.pool.push(env);
+        Ok(())
     }
-    let mut env: VEnv<O> = VEnv::<O>::default();
-    for ((x, ty), v) in m.inputs.iter().zip(args) {
-        if !O::well_typed(v, ty) {
-            return Err(ObcError::TypeError(format!(
-                "{class}.{method}: argument {v} for {x} is not of type {ty}"
+
+    /// Runs `class.method` on the arguments `self.args[base..]`, which it
+    /// pops, and returns the callee's final environment, every output
+    /// bound, for the caller to read and give back to the pool. A failed
+    /// call may leave arguments on the stack; later calls only use what
+    /// lies above their own base.
+    fn invoke(
+        &mut self,
+        class: Ident,
+        mem: &mut Memory<O::Val>,
+        method: Ident,
+        base: usize,
+    ) -> Result<(VEnv<O>, &'p Method<O>), ObcError> {
+        let Some(&m) = self.methods.get(&(class, method)) else {
+            return Err(match self.prog.class(class) {
+                None => ObcError::UnknownClass(class),
+                Some(_) => ObcError::UnknownMethod(class, method),
+            });
+        };
+        let given = self.args.len() - base;
+        if given != m.inputs.len() {
+            return Err(ObcError::ArityMismatch(format!(
+                "{class}.{method}: {given} arguments for {} parameters",
+                m.inputs.len()
             )));
         }
-        env.insert(*x, v.clone());
+        let mut env = self.pool.pop().unwrap_or_default();
+        env.clear();
+        for ((x, ty), v) in m.inputs.iter().zip(self.args.drain(base..)) {
+            if !O::well_typed(&v, ty) {
+                return Err(ObcError::TypeError(format!(
+                    "{class}.{method}: argument {v} for {x} is not of type {ty}"
+                )));
+            }
+            env.insert(*x, v);
+        }
+        self.exec_block(mem, &mut env, &m.body)?;
+        if let Some((x, _)) = m.outputs.iter().find(|(x, _)| !env.contains_key(x)) {
+            return Err(ObcError::UnboundVariable(*x));
+        }
+        Ok((env, m))
     }
-    exec_block(prog, mem, &mut env, &m.body)?;
-    m.outputs
-        .iter()
-        .map(|(x, _)| env.get(x).cloned().ok_or(ObcError::UnboundVariable(*x)))
-        .collect()
 }
 
 /// A convenience driver for a translated class: `reset()` once, then
@@ -176,20 +245,22 @@ pub fn call_method<O: Ops>(
 ///
 /// # Errors
 ///
-/// See [`call_method`].
+/// See [`Interp::call`].
 pub fn run_class<O: Ops>(
     prog: &ObcProgram<O>,
     class: Ident,
     inputs: &[Option<Vec<O::Val>>],
 ) -> Result<Vec<Option<Vec<O::Val>>>, ObcError> {
+    let mut interp = Interp::new(prog);
     let mut mem = Memory::new();
-    call_method(prog, class, &mut mem, crate::ast::reset_name(), &[])?;
+    let mut o = Vec::new();
+    interp.call(class, &mut mem, crate::ast::reset_name(), &[], &mut o)?;
     let mut outs = Vec::with_capacity(inputs.len());
     for ins in inputs {
         match ins {
             Some(vals) => {
-                let o = call_method(prog, class, &mut mem, crate::ast::step_name(), vals)?;
-                outs.push(Some(o));
+                interp.call(class, &mut mem, crate::ast::step_name(), vals, &mut o)?;
+                outs.push(Some(o.clone()));
             }
             None => outs.push(None),
         }
@@ -200,7 +271,7 @@ pub fn run_class<O: Ops>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{reset_name, step_name};
+    use crate::ast::{reset_name, step_name, Class};
     use velus_ops::{CBinOp, CConst, CTy, CVal, ClightOps};
 
     fn id(s: &str) -> Ident {
@@ -283,8 +354,15 @@ mod tests {
         let prog = counter_class();
         let mut mem = Memory::new();
         // step before reset: state(c) is unbound.
-        let err =
-            call_method(&prog, id("counter"), &mut mem, step_name(), &[CVal::int(1)]).unwrap_err();
+        let err = Interp::new(&prog)
+            .call(
+                id("counter"),
+                &mut mem,
+                step_name(),
+                &[CVal::int(1)],
+                &mut Vec::new(),
+            )
+            .unwrap_err();
         assert_eq!(err, ObcError::UnboundState(id("c")));
     }
 
@@ -359,15 +437,31 @@ mod tests {
     fn type_checked_arguments() {
         let prog = counter_class();
         let mut mem = Memory::new();
-        call_method(&prog, id("counter"), &mut mem, reset_name(), &[]).unwrap();
-        let err = call_method(
-            &prog,
-            id("counter"),
-            &mut mem,
-            step_name(),
-            &[CVal::float(1.0)],
-        )
-        .unwrap_err();
+        let mut interp = Interp::new(&prog);
+        let mut outs = Vec::new();
+        interp
+            .call(id("counter"), &mut mem, reset_name(), &[], &mut outs)
+            .unwrap();
+        let err = interp
+            .call(
+                id("counter"),
+                &mut mem,
+                step_name(),
+                &[CVal::float(1.0)],
+                &mut outs,
+            )
+            .unwrap_err();
         assert!(matches!(err, ObcError::TypeError(_)));
+        // The interpreter stays usable after an error.
+        interp
+            .call(
+                id("counter"),
+                &mut mem,
+                step_name(),
+                &[CVal::int(4)],
+                &mut outs,
+            )
+            .unwrap();
+        assert_eq!(outs, [CVal::int(4)]);
     }
 }

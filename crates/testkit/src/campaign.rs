@@ -405,8 +405,11 @@ fn drive(
         None
     };
 
+    let step_fn = method_fn_name(root, step_name());
+    let mut args = Vec::with_capacity(2 + inputs.len());
     for i in 0..steps {
-        let mut args = vec![RVal::Ptr(selfb, 0)];
+        args.clear();
+        args.push(RVal::Ptr(selfb, 0));
         if let Some(b) = outb {
             args.push(RVal::Ptr(b, 0));
         }
@@ -416,7 +419,7 @@ fn drive(
                 other => return Err(format!("input not present at step {i}: {other:?}")),
             }
         }
-        match machine.call(method_fn_name(root, step_name()), &args) {
+        match machine.call(step_fn, &args) {
             Ok(_) => {}
             Err(ClightError::UndefinedOperation(_)) => return Ok(Some(i)),
             Err(e) => return Err(format!("non-trap execution error at step {i}: {e}")),

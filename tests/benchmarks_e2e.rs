@@ -36,6 +36,49 @@ fn every_benchmark_compiles_and_validates() {
     }
 }
 
+/// The oracle chain's statistics over 10 instants of `default_inputs`:
+/// `(name, memcorres_checks, staterep_checks, trace_events)`. Every
+/// check runs at every instant — MemCorres at each of the 10 boundaries
+/// of both Obc runs, staterep at all 11 boundaries — so a faster chain
+/// that skipped a check would change these numbers.
+const ORACLE_COUNTS: &[(&str, usize, usize, usize)] = &[
+    ("avgvelocity", 20, 11, 80),
+    ("count", 20, 11, 70),
+    ("tracker", 20, 11, 40),
+    ("pip_ex", 20, 11, 100),
+    ("mp_longitudinal", 20, 11, 90),
+    ("cruise", 20, 11, 100),
+    ("risingedgeretrigger", 20, 11, 80),
+    ("chrono", 20, 11, 90),
+    ("watchdog3", 20, 11, 80),
+    ("functionalchain", 20, 11, 100),
+    ("landing_gear", 20, 11, 80),
+    ("minus", 20, 11, 60),
+    ("prodcell", 20, 11, 70),
+    ("ums_verif", 20, 11, 110),
+];
+
+#[test]
+fn oracle_report_counts_are_pinned() {
+    assert_eq!(ORACLE_COUNTS.len(), BENCHMARKS.len());
+    for &(name, memcorres, staterep, events) in ORACLE_COUNTS {
+        let compiled = velus::compile(&load(name), Some(name)).unwrap();
+        let inputs = default_inputs(&compiled, 10);
+        let report = velus::run_oracles(&compiled, &inputs, 10).unwrap();
+        assert!(report.agreed(), "{name}: {:?}", report.divergence);
+        assert_eq!(
+            (
+                report.instants,
+                report.memcorres_checks,
+                report.staterep_checks,
+                report.trace_events
+            ),
+            (10, memcorres, staterep, events),
+            "{name}"
+        );
+    }
+}
+
 #[test]
 fn every_benchmark_emits_clean_c() {
     for name in BENCHMARKS {
