@@ -58,7 +58,7 @@ use std::time::Instant;
 use velus::passes::{PassSink, StagedPipeline};
 use velus_bench::suite::{load, BENCHMARKS};
 use velus_bench::{parse_bool_flag, parse_flag, parse_string_flag};
-use velus_clight::printer::TestIo;
+use velus_common::IoMode;
 use velus_obs::trace;
 use velus_obs::{Histogram, Recorder, RecorderConfig};
 use velus_server::Stage;
@@ -145,7 +145,7 @@ fn profile_one(profile: &mut Profile, source: &str, root: Option<&str>) -> usize
         };
         let mut staged =
             StagedPipeline::from_source(source, root, &mut observe).expect("corpus compiles");
-        let c = staged.emit(TestIo::Volatile).expect("corpus emits");
+        let c = staged.emit(IoMode::Volatile).expect("corpus emits");
         assert!(!c.is_empty());
         // Force the off-chain lint pass too, so the `analysis` stage row
         // carries real numbers and `--smoke` can guard its allocations.
@@ -358,7 +358,7 @@ fn timed_sweep(corpus: &[(String, String)], passes: usize, recorder: Option<&Rec
             let mut sink = TraceSink::default();
             let mut staged = StagedPipeline::from_source(source, Some(root), &mut sink)
                 .expect("corpus compiles");
-            let c = staged.emit(TestIo::Volatile).expect("corpus emits");
+            let c = staged.emit(IoMode::Volatile).expect("corpus emits");
             assert!(!c.is_empty());
         }
     }

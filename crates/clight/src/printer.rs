@@ -18,21 +18,11 @@
 use std::fmt::Write as _;
 
 use velus_common::pretty::MAX_INDENT_LEVELS;
-use velus_common::Ident;
+use velus_common::{Ident, IoMode};
 use velus_ops::{CTy, CUnOp, CVal};
 
 use crate::ast::{Expr, Function, Program, Stmt};
 use crate::ctypes::CType;
-
-/// How the emitted program performs I/O.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TestIo {
-    /// Volatile globals only (the form the correctness statement uses).
-    Volatile,
-    /// A `main` that `scanf`s inputs and `printf`s outputs (the unverified
-    /// test entry point of §5).
-    Stdio,
-}
 
 /// The single-buffer C writer: output text plus the indentation level.
 struct Cw {
@@ -342,7 +332,7 @@ fn estimate_size(prog: &Program) -> usize {
 }
 
 /// Prints the program as a single compilable C translation unit.
-pub fn print_program(prog: &Program, io: TestIo) -> String {
+pub fn print_program(prog: &Program, io: IoMode) -> String {
     let mut w = Cw {
         buf: String::with_capacity(estimate_size(prog)),
         indent: 0,
@@ -350,7 +340,7 @@ pub fn print_program(prog: &Program, io: TestIo) -> String {
     w.line("/* Generated by velus-rs (PLDI'17 Lustre-to-Clight pipeline). */");
     w.line("#include <stdint.h>");
     w.line("#include <stdbool.h>");
-    if io == TestIo::Stdio {
+    if io == IoMode::Stdio {
         w.line("#include <stdio.h>");
     }
     w.blank();
@@ -420,7 +410,7 @@ pub fn print_program(prog: &Program, io: TestIo) -> String {
         w.line("int main(void) {");
         w.indent += 1;
         match io {
-            TestIo::Volatile => {
+            IoMode::Volatile => {
                 for (x, t) in &main.vars {
                     decl_line(&mut w, "", *x, t);
                 }
@@ -429,7 +419,7 @@ pub fn print_program(prog: &Program, io: TestIo) -> String {
                 }
                 block(&mut w, &main.body);
             }
-            TestIo::Stdio => {
+            IoMode::Stdio => {
                 // The unverified scanf/printf test harness of §5: read one
                 // line of inputs per instant until EOF.
                 for (x, t) in &main.vars {
@@ -554,7 +544,7 @@ mod tests {
 
     #[test]
     fn emits_sanitized_c() {
-        let c = print_program(&tiny_program(), TestIo::Volatile);
+        let c = print_program(&tiny_program(), IoMode::Volatile);
         assert!(c.contains("struct st {"), "{c}");
         assert!(
             c.contains("static int32_t st__step(struct st* self, int32_t x)"),
@@ -601,7 +591,7 @@ mod tests {
         // The estimate must cover the real output: emission should not
         // re-grow the buffer (the whole point of pre-sizing).
         let prog = tiny_program();
-        for io in [TestIo::Volatile, TestIo::Stdio] {
+        for io in [IoMode::Volatile, IoMode::Stdio] {
             let c = print_program(&prog, io);
             assert!(
                 c.len() <= estimate_size(&prog),

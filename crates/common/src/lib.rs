@@ -20,7 +20,9 @@
 //!   path (an Fx-style mixer over the already-interned `u32` keys and
 //!   the reusable scratch-buffer pattern for `*_into` traversals),
 //! * [`pretty`] — a minimal indentation-aware code writer used by the C
-//!   pretty-printer and the IR dumpers.
+//!   pretty-printer and the IR dumpers,
+//! * [`IoMode`] — how emitted C performs its I/O, shared by the C printer
+//!   and the compile service's cache key.
 //!
 //! # Examples
 //!
@@ -53,3 +55,15 @@ pub use identmap::{
     IdentMap, IdentScratch, IdentSet,
 };
 pub use span::{Loc, NodeSpans, PreMarks, Span, SpanMap, Spanned};
+
+/// How emitted C performs its I/O. Part of the compile service's cache
+/// key: the two modes emit different code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum IoMode {
+    /// Volatile globals only (the form the correctness statement uses).
+    #[default]
+    Volatile,
+    /// A `main` that `scanf`s inputs and `printf`s outputs (the unverified
+    /// test entry point of §5).
+    Stdio,
+}

@@ -14,8 +14,9 @@
 //! typed IR, not just a string, and is weighed as such.
 
 use velus_baselines::BaselineScheme;
-use velus_clight::printer::TestIo;
-use velus_common::{codes, json_escape, DiagRecord, DiagStage, Diagnostic, Diagnostics, Span};
+use velus_common::{
+    codes, json_escape, DiagRecord, DiagStage, Diagnostic, Diagnostics, IoMode, Span,
+};
 use velus_nlustre::ast::{CExpr, Equation, Expr, Program};
 use velus_obc::ast::ObcProgram;
 use velus_ops::ClightOps;
@@ -149,14 +150,12 @@ impl ReportArtifact {
 /// rendering needs it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LintArtifact {
-    /// The root node the program was analyzed for.
-    pub root: String,
     /// The findings, flattened (code, severity, stage, position).
     pub findings: Vec<DiagRecord>,
     /// The caret rendering against the request source (what `velus
     /// lint` prints for humans). Empty when there are no findings.
     human: String,
-    /// The machine-readable JSON rendering.
+    /// The diagnostics JSON rendering.
     json: String,
 }
 
@@ -174,8 +173,8 @@ impl LintArtifact {
         &self.human
     }
 
-    /// Renders the findings as one JSON object,
-    /// `{"lint":{"root":…,"findings":[…]}}` — deterministic, so warm
+    /// Renders the findings as one diagnostics JSON object, the schema
+    /// of every `--error-format json` rendering — deterministic, so warm
     /// cache passes compare byte-identical.
     pub fn render(&self) -> String {
         self.json.clone()
@@ -387,7 +386,6 @@ impl ServiceArtifact {
             }
             ServiceArtifact::Lint(l) => {
                 std::mem::size_of::<LintArtifact>()
-                    + l.root.len()
                     + l.human.len()
                     + l.json.len()
                     + l.findings
@@ -401,9 +399,8 @@ impl ServiceArtifact {
 
 /// A coded analysis failure ([`codes::E0703`]) anchored at the root
 /// node's header span (a copied [`Span`], not the whole map — the
-/// success path must not pay for cloning the `SpanMap`). Shared with
-/// the CLI's `wcet` command so the conversion exists once.
-pub fn analysis_err(root_span: Span, msg: String) -> VelusError {
+/// success path must not pay for cloning the `SpanMap`).
+fn analysis_err(root_span: Span, msg: String) -> VelusError {
     VelusError::Diag(Diagnostics::from(
         Diagnostic::error(codes::E0703, msg, root_span).at_stage(DiagStage::Analysis),
     ))
@@ -484,7 +481,7 @@ fn baseline_diff(staged: &mut StagedPipeline<'_>) -> Result<BaselineDiffArtifact
 pub fn produce(
     staged: &mut StagedPipeline<'_>,
     kinds: &[ArtifactKind],
-    io: TestIo,
+    io: IoMode,
     source: &str,
 ) -> Result<Vec<(ArtifactKind, ServiceArtifact)>, VelusError> {
     let mut artifacts = Vec::with_capacity(kinds.len());
@@ -524,29 +521,10 @@ pub fn produce(
 /// source.
 fn lint(staged: &mut StagedPipeline<'_>, source: &str) -> Result<LintArtifact, VelusError> {
     let findings = staged.lint()?;
-    let human = if findings.is_empty() {
-        String::new()
-    } else {
-        findings.render_human(source)
-    };
-    let records: Vec<DiagRecord> = findings.iter().map(|f| DiagRecord::of(f, source)).collect();
-    let root = staged.root().to_string();
-    let mut json = format!(
-        "{{\"lint\":{{\"root\":\"{}\",\"findings\":[",
-        json_escape(&root)
-    );
-    for (i, f) in records.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        f.render_json_into(&mut json);
-    }
-    json.push_str("]}}");
     Ok(LintArtifact {
-        root,
-        findings: records,
-        human,
-        json,
+        findings: findings.iter().map(|f| DiagRecord::of(f, source)).collect(),
+        human: findings.render_human(source),
+        json: findings.render_json(source),
     })
 }
 
@@ -596,7 +574,7 @@ mod tests {
         let kinds = [ArtifactKind::Wcet {
             model: WcetModelKind::CompCert,
         }];
-        let artifacts = produce(&mut staged, &kinds, TestIo::Volatile, COUNTER).unwrap();
+        let artifacts = produce(&mut staged, &kinds, IoMode::Volatile, COUNTER).unwrap();
         drop(staged);
         assert_eq!(artifacts.len(), 1);
         let artifact = &artifacts[0].1;
@@ -618,7 +596,7 @@ mod tests {
         let kinds = [ArtifactKind::IrDump {
             stage: IrStageKind::NLustre,
         }];
-        let artifacts = produce(&mut staged, &kinds, TestIo::Volatile, COUNTER).unwrap();
+        let artifacts = produce(&mut staged, &kinds, IoMode::Volatile, COUNTER).unwrap();
         drop(staged);
         assert_eq!(
             stages,
@@ -655,7 +633,7 @@ mod tests {
         let artifacts = produce(
             &mut staged,
             &[ArtifactKind::Report],
-            TestIo::Volatile,
+            IoMode::Volatile,
             COUNTER,
         )
         .unwrap();
@@ -678,7 +656,7 @@ mod tests {
         let mut observe = |_: velus_server::Stage, _: std::time::Duration| {};
         let mut staged = StagedPipeline::from_source(src, None, &mut observe).unwrap();
         let artifacts =
-            produce(&mut staged, &[ArtifactKind::Report], TestIo::Volatile, src).unwrap();
+            produce(&mut staged, &[ArtifactKind::Report], IoMode::Volatile, src).unwrap();
         drop(staged);
         let rendered = artifacts[0].1.render();
         assert!(rendered.contains("\"code\":\"W0101\""), "{rendered}");

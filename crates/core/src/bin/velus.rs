@@ -3,7 +3,7 @@
 //! ```text
 //! velus compile FILE [--node NAME] [-o OUT.c] [--stdio]
 //!               [--emit KINDS]                            emit artifacts (default: C)
-//! velus check   FILE                                      elaborate + schedule only
+//! velus check   FILE [--node NAME]                        every validated stage
 //! velus run     FILE [--node NAME] --steps N              interpret (dataflow semantics)
 //! velus validate FILE [--node NAME] --steps N             full translation validation
 //! velus wcet    FILE [--node NAME] [--model cc|gcc|gcci]  WCET estimate of step
@@ -24,11 +24,15 @@
 //! prints C, `--emit nlustre` stops after the front-end checks;
 //! `--emit report` serves the per-program validation/diagnostics report
 //! as JSON, `--emit lint` the static-analysis findings (initialization,
-//! value ranges, liveness, dead clocks) as JSON.
+//! value ranges, liveness, dead clocks) as diagnostics JSON.
 //!
-//! `lint` runs only the front end, scheduling, and the `velus-analysis`
-//! pass, prints every finding (caret rendering, or one JSON object
-//! with `--error-format json`), and exits nonzero exactly when an
+//! `check`, `dump`, `wcet` and `lint` are names for `--emit` kinds, and
+//! run the code a `batch` worker runs: `check` is `--emit report` (every
+//! validated stage through Clight generation; it prints an `ok:` line),
+//! `dump --ir K` is `--emit K`, `wcet --model M` is `--emit wcet:M` and
+//! `lint` is `--emit lint`. Each artifact ends in one newline. `lint`
+//! prints every finding (caret rendering, or the `--emit lint` JSON
+//! with `--error-format json`) and exits nonzero exactly when an
 //! error-severity finding — a guaranteed runtime trap — is present.
 //!
 //! `--error-format human|json` (every command) selects how failures are
@@ -73,7 +77,10 @@
 use std::io::Read;
 use std::process::ExitCode;
 
-use velus::{compile, validate::default_inputs, ArtifactKind, TestIo, VelusError, WcetModelKind};
+use velus::{
+    compile, validate::default_inputs, ArtifactKind, IoMode, ServiceArtifact, VelusError,
+    WcetModelKind,
+};
 use velus_common::{codes, DiagStage, Diagnostic, Diagnostics, SpanMap, ToDiagnostics};
 use velus_nlustre::streams::{SVal, StreamSet};
 use velus_ops::{ClightOps, Literal, Ops};
@@ -243,6 +250,7 @@ fn usage() -> String {
        velus batch DIR [--workers N] [--passes N] [--stdio] [--cache-cap N] [--sched fifo|cost] [--emit KINDS]
                        [--trace-out FILE] [--metrics-out FILE] [--slow-trace-ms N]
                        [--deadline-ms N] [--queue-cap N] [--retries N] [--drain-ms N]
+check, dump, wcet and lint are --emit report, --emit IR, --emit wcet:MODEL and --emit lint
 options: --node NAME, -o OUT.c, --steps N, --stdio, --model cc|gcc|gcci,
          --ir nlustre|snlustre|obc|obc-fused, --error-format human|json,
          --emit c,wcet[:cc|gcc|gcci],baseline,nlustre,snlustre,obc,obc-fused,report,lint,
@@ -253,6 +261,32 @@ options: --node NAME, -o OUT.c, --steps N, --stdio, --model cc|gcc|gcci,
          --retries N (transient-failure retry budget),
          --drain-ms N (graceful drain after the batch)"
         .to_owned()
+}
+
+/// The artifact kinds a single-file command requests: `check`, `dump`,
+/// `wcet` and `lint` are names for `--emit` kinds (`report`, the IR,
+/// `wcet:MODEL`, `lint`); `compile` takes `--emit` (default `c`).
+fn requested_kinds(args: &Args) -> Result<Vec<ArtifactKind>, String> {
+    Ok(match args.cmd.as_str() {
+        "check" => vec![ArtifactKind::Report],
+        "dump" => vec![ArtifactKind::IrDump {
+            stage: args.ir.parse()?,
+        }],
+        "wcet" => vec![ArtifactKind::Wcet {
+            model: args.model.parse()?,
+        }],
+        "lint" => vec![ArtifactKind::Lint],
+        _ => {
+            let kinds = match args.emit.as_deref() {
+                Some(list) => parse_emit(list, args.model.parse()?)?,
+                None => vec![ArtifactKind::CCode],
+            };
+            if args.out.is_some() && !kinds.contains(&ArtifactKind::CCode) {
+                return Err("-o needs the `c` artifact kind in --emit".to_owned());
+            }
+            kinds
+        }
+    })
 }
 
 /// Parses the `--emit` list; a plain `wcet` token takes its model from
@@ -339,7 +373,7 @@ fn parse_instant(
 
 fn run_batch(args: &Args) -> Result<(), String> {
     use velus::service::{service, ServiceConfig, ServiceError};
-    use velus::{CompileOptions, CompileRequest, IoMode};
+    use velus::{CompileOptions, CompileRequest};
 
     let dir = args.file.as_deref().ok_or_else(usage)?;
     let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
@@ -637,69 +671,67 @@ fn dispatch(args: &Args) -> Result<(), String> {
     };
 
     match args.cmd.as_str() {
-        "check" => {
-            let c = compile(&source, node).map_err(render_err)?;
-            emit_warnings(&c.warnings, &source, error_format);
-            println!(
-                "ok: {} nodes, {} equations, root {}",
-                c.snlustre.nodes.len(),
-                c.snlustre.equation_count(),
-                c.root
-            );
-            Ok(())
-        }
-        "compile" => {
-            let io = if args.stdio {
-                TestIo::Stdio
-            } else {
-                TestIo::Volatile
-            };
-            let kinds = match args.emit.as_deref() {
-                Some(list) => parse_emit(list, args.model.parse()?)?,
-                None => vec![ArtifactKind::CCode],
-            };
-            if args.out.is_some() && !kinds.contains(&ArtifactKind::CCode) {
-                return Err("-o needs the `c` artifact kind in --emit".to_owned());
-            }
-            // The staged pipeline runs (and re-validates) only the
-            // stages the requested artifact set needs.
+        "check" | "compile" | "dump" | "lint" | "wcet" => {
+            let kinds = requested_kinds(args)?;
+            // The path a service worker takes: the staged pipeline runs
+            // (and re-validates) only the stages the kinds need.
             let mut observe = |_, _| {};
             let mut staged = velus::StagedPipeline::from_source(&source, node, &mut observe)
                 .map_err(render_err)?;
-            emit_warnings(staged.warnings(), &source, error_format);
+            // The lint findings include the front-end warnings and are
+            // printed as the artifact, so they replace the warnings.
+            if !kinds.contains(&ArtifactKind::Lint) {
+                emit_warnings(staged.warnings(), &source, error_format);
+            }
+            let io = if args.stdio {
+                IoMode::Stdio
+            } else {
+                IoMode::Volatile
+            };
             let artifacts =
                 velus::artifacts::produce(&mut staged, &kinds, io, &source).map_err(render_err)?;
-            let mut to_stdout = String::new();
+            let mut stdout = String::new();
+            let mut lint_errors = false;
             for (kind, artifact) in &artifacts {
-                // The C artifact honors `-o`; everything else (and C
-                // without `-o`) goes to stdout, with headers once more
-                // than one artifact is printed.
-                if *kind == ArtifactKind::CCode {
-                    if let Some(path) = &args.out {
-                        std::fs::write(path, artifact.render())
+                let text = match (artifact, &args.out) {
+                    // The C artifact honors `-o`.
+                    (ServiceArtifact::CCode { c_code }, Some(path)) => {
+                        std::fs::write(path, c_code)
                             .map_err(|e| format!("cannot write {path}: {e}"))?;
                         continue;
                     }
-                }
+                    (ServiceArtifact::Report(r), _) if args.cmd == "check" => format!(
+                        "ok: {} nodes, {} equations, root {}",
+                        r.nodes, r.equations, r.root
+                    ),
+                    (ServiceArtifact::Lint(l), _) if args.cmd == "lint" => {
+                        lint_errors = l.has_errors();
+                        match error_format {
+                            ErrorFormat::Json => l.render(),
+                            ErrorFormat::Human if l.findings.is_empty() => {
+                                "ok: no lint findings".to_owned()
+                            }
+                            ErrorFormat::Human => l.render_human().to_owned(),
+                        }
+                    }
+                    _ => artifact.render(),
+                };
                 if artifacts.len() > 1 {
-                    to_stdout.push_str(&format!("== {kind} ==\n"));
+                    stdout.push_str(&format!("== {kind} ==\n"));
                 }
-                to_stdout.push_str(&artifact.render());
+                stdout.push_str(text.trim_end_matches('\n'));
+                stdout.push('\n');
             }
-            print!("{to_stdout}");
-            Ok(())
-        }
-        "dump" => {
-            use velus_server::IrStageKind;
-            // The coded parser (E0901 + did-you-mean), shared with the
-            // `--emit` tokens.
-            let stage: IrStageKind = args.ir.parse()?;
-            let c = compile(&source, node).map_err(render_err)?;
-            match stage {
-                IrStageKind::NLustre => println!("{}", c.nlustre),
-                IrStageKind::SnLustre => println!("{}", c.snlustre),
-                IrStageKind::Obc => println!("{}", c.obc),
-                IrStageKind::ObcFused => println!("{}", c.obc_fused),
+            print!("{stdout}");
+            if lint_errors {
+                // Findings are already on stdout; in human mode add a
+                // one-line verdict, in JSON mode exit nonzero quietly.
+                return Err(match error_format {
+                    ErrorFormat::Human => {
+                        "error-severity lint findings (guaranteed traps)".to_owned()
+                    }
+                    ErrorFormat::Json => String::new(),
+                });
             }
             Ok(())
         }
@@ -739,12 +771,11 @@ fn dispatch(args: &Args) -> Result<(), String> {
         "validate" => {
             let c = compile(&source, node).map_err(render_err)?;
             let inputs = default_inputs(&c, args.steps);
-            let report =
-                on_interpreter_stack(|| velus::validate_with_report(&c, &inputs, args.steps))
-                    .map_err(|e| {
-                        let diags = e.to_diagnostics(&c.spans).tagged(DiagStage::Validate);
-                        emit_error(&diags, &source, error_format)
-                    })?;
+            let report = on_interpreter_stack(|| velus::validate(&c, &inputs, args.steps))
+                .map_err(|e| {
+                    let diags = e.to_diagnostics(&c.spans).tagged(DiagStage::Validate);
+                    emit_error(&diags, &source, error_format)
+                })?;
             println!(
                 "validated {} instants: {} MemCorres checks, {} staterep checks, {} trace events",
                 report.instants,
@@ -752,54 +783,6 @@ fn dispatch(args: &Args) -> Result<(), String> {
                 report.staterep_checks,
                 report.trace_events
             );
-            Ok(())
-        }
-        "lint" => {
-            // Front end + scheduling + the analysis pass; the back half
-            // of the pipeline never runs.
-            let mut observe = |_, _| {};
-            let mut staged = velus::StagedPipeline::from_source(&source, node, &mut observe)
-                .map_err(render_err)?;
-            let findings = staged.lint().map_err(render_err)?.clone();
-            drop(staged);
-            match error_format {
-                ErrorFormat::Json => println!("{}", findings.render_json(&source)),
-                ErrorFormat::Human if findings.is_empty() => println!("ok: no lint findings"),
-                ErrorFormat::Human => print!("{}", findings.render_human(&source)),
-            }
-            let errors = findings
-                .iter()
-                .filter(|f| f.severity == velus_common::Severity::Error)
-                .count();
-            if errors > 0 {
-                // Findings are already on stdout; in human mode add a
-                // one-line verdict, in JSON mode exit nonzero quietly.
-                return Err(match error_format {
-                    ErrorFormat::Human => {
-                        format!("{errors} error-severity lint finding(s) (guaranteed traps)")
-                    }
-                    ErrorFormat::Json => String::new(),
-                });
-            }
-            Ok(())
-        }
-        "wcet" => {
-            let model: velus_wcet::CostModel = args.model.parse()?;
-            // The staged pipeline stops after Clight generation — WCET
-            // analysis never prints C.
-            let mut observe = |_, _| {};
-            let mut staged = velus::StagedPipeline::from_source(&source, node, &mut observe)
-                .map_err(render_err)?;
-            let root = staged.root();
-            let root_span = staged.spans().node_span(root);
-            let cycles = velus_wcet::wcet_step(staged.clight().map_err(render_err)?, root, model)
-                .map_err(|e| {
-                // The same E0703/analysis/root-span conversion the
-                // `--emit wcet` artifact path applies — one place.
-                let err = velus::artifacts::analysis_err(root_span, e.to_string());
-                emit_error(&err.to_diagnostics(&SpanMap::new()), &source, error_format)
-            })?;
-            println!("{root} step: {cycles} cycles ({})", args.model);
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n{}", usage())),

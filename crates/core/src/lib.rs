@@ -31,7 +31,7 @@
 //!     tel
 //! ";
 //! let compiled = velus::compile(src, None)?;
-//! let c_code = velus::emit_c(&compiled, velus::TestIo::Volatile);
+//! let c_code = velus::emit_c(&compiled, velus::IoMode::Volatile);
 //! assert!(c_code.contains("counter__step"));
 //! # Ok::<(), velus::VelusError>(())
 //! ```
@@ -48,11 +48,9 @@ pub use error::VelusError;
 pub use passes::{PassManager, PassSink, StagedPipeline};
 pub use pipeline::{compile, emit_c, Compiled};
 pub use service::{PipelineCompiler, VelusService};
-pub use validate::{
-    run_oracles, validate, validate_with_report, OracleDivergence, OracleId, OracleReport,
-    ValidationReport,
-};
-pub use velus_clight::printer::TestIo;
+pub use validate::{run_oracles, validate, OracleDivergence, OracleId, OracleReport};
+/// [`IoMode`] under its former name, kept for code that imports it.
+pub use velus_common::IoMode as TestIo;
 pub use velus_obs::{Recorder, RecorderConfig};
 pub use velus_server::{
     ArtifactKind, CompileOptions, CompileRequest, IoMode, IrStageKind, ServiceConfig, Stage,

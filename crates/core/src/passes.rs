@@ -28,8 +28,7 @@
 use std::cell::OnceCell;
 use std::time::Instant;
 
-use velus_clight::printer::TestIo;
-use velus_common::{codes, DiagStage, Diagnostic, Diagnostics, Ident, Span, SpanMap};
+use velus_common::{codes, DiagStage, Diagnostic, Diagnostics, Ident, IoMode, Span, SpanMap};
 use velus_nlustre::ast::Program;
 use velus_nlustre::{clockcheck, typecheck};
 use velus_obc::ast::ObcProgram;
@@ -511,7 +510,7 @@ pub struct EmitInput<'a> {
     /// The generated Clight.
     pub clight: &'a velus_clight::ast::Program,
     /// How the I/O boundary is rendered.
-    pub io: TestIo,
+    pub io: IoMode,
 }
 
 /// Print the Clight as a compilable C translation unit.
@@ -823,7 +822,7 @@ impl<'o> StagedPipeline<'o> {
     /// # Errors
     ///
     /// Any failure of the forced stages.
-    pub fn emit(&mut self, io: TestIo) -> Result<String, VelusError> {
+    pub fn emit(&mut self, io: IoMode) -> Result<String, VelusError> {
         self.clight()?;
         self.pm.run(
             &EmitPass,

@@ -8,8 +8,7 @@
 //! reports, IR dumps, the multi-artifact service) drive the
 //! [`StagedPipeline`] directly and stop early.
 
-use velus_clight::printer::TestIo;
-use velus_common::{Diagnostics, Ident, SpanMap};
+use velus_common::{Diagnostics, Ident, IoMode, SpanMap};
 use velus_nlustre::ast::Program;
 use velus_obc::ast::ObcProgram;
 use velus_ops::ClightOps;
@@ -55,7 +54,7 @@ pub fn compile(source: &str, root: Option<&str>) -> Result<Compiled, VelusError>
 }
 
 /// Prints the generated Clight as a compilable C translation unit.
-pub fn emit_c(compiled: &Compiled, io: TestIo) -> String {
+pub fn emit_c(compiled: &Compiled, io: IoMode) -> String {
     velus_clight::printer::print_program(&compiled.clight, io)
 }
 
@@ -75,7 +74,7 @@ mod tests {
         let c = compile(COUNTER, None).unwrap();
         assert_eq!(c.root, Ident::new("counter"));
         assert!(!c.clight.functions.is_empty());
-        let code = emit_c(&c, TestIo::Volatile);
+        let code = emit_c(&c, IoMode::Volatile);
         assert!(code.contains("struct counter"), "{code}");
     }
 

@@ -26,10 +26,9 @@
 //! kind is cached independently: a `wcet`-only request never emits (or
 //! re-caches) C, a mixed request runs the shared pipeline prefix once.
 
-use velus_clight::printer::TestIo;
 use velus_common::{DiagRecord, FailureReport, SpanMap, ToDiagnostics};
 use velus_obs::trace;
-use velus_server::{ArtifactKind, CompileOutput, CompileRequest, Compiler, IoMode};
+use velus_server::{ArtifactKind, CancelToken, CompileOutput, CompileRequest, Compiler};
 
 use crate::artifacts::{produce, ServiceArtifact};
 use crate::passes::{PassSink, StagedPipeline};
@@ -84,25 +83,38 @@ impl Compiler for PipelineCompiler {
     type Artifact = ServiceArtifact;
     type Error = VelusError;
 
+    /// The staged pipeline with per-stage instrumentation. The token is
+    /// checked at every pass boundary, so an expired deadline or a
+    /// draining service stops the pipeline between passes and surfaces
+    /// the coded condition (`E0802`/`E0805`) as a structured failure.
     fn compile(
         &self,
         req: &CompileRequest,
         kinds: &[ArtifactKind],
+        cancel: &CancelToken,
     ) -> Result<CompileOutput<ServiceArtifact>, VelusError> {
-        compile_impl(req, kinds, None)
-    }
-
-    /// The cooperative entry point the service uses: the token is
-    /// checked at every pass boundary, so an expired deadline or a
-    /// draining service stops the pipeline between passes and surfaces
-    /// the coded condition (`E0802`/`E0805`) as a structured failure.
-    fn compile_cancellable(
-        &self,
-        req: &CompileRequest,
-        kinds: &[ArtifactKind],
-        cancel: &velus_server::CancelToken,
-    ) -> Result<CompileOutput<ServiceArtifact>, VelusError> {
-        compile_impl(req, kinds, Some(cancel))
+        let mut sink = ObsSink::default();
+        let mut staged = StagedPipeline::from_source_with(
+            &req.source,
+            req.root.as_deref(),
+            &mut sink,
+            Some(cancel),
+        )?;
+        let artifacts = produce(&mut staged, kinds, req.options.io, &req.source)?;
+        // Warnings ride the output instead of being dropped: the service
+        // counts them (per lint code) and the batch CLI prints them. When
+        // the lint pass ran for this request its findings are a superset
+        // of the front-end warnings (the initialization analysis is one
+        // of the lint analyses), so they replace rather than duplicate
+        // them.
+        let warnings: Vec<DiagRecord> = staged
+            .lint_cached()
+            .unwrap_or_else(|| staged.warnings())
+            .iter()
+            .map(|w| DiagRecord::of(w, &req.source))
+            .collect();
+        drop(staged);
+        Ok(CompileOutput::new(artifacts, sink.samples).with_warnings(warnings))
     }
 
     /// Failures leave the staged pipeline already structured
@@ -133,37 +145,6 @@ impl Compiler for PipelineCompiler {
     fn artifact_bytes(artifact: &ServiceArtifact) -> usize {
         artifact.estimated_bytes()
     }
-}
-
-/// The shared body of `compile`/`compile_cancellable`: the staged
-/// pipeline with per-stage instrumentation, optionally cancellable at
-/// pass boundaries.
-fn compile_impl(
-    req: &CompileRequest,
-    kinds: &[ArtifactKind],
-    cancel: Option<&velus_server::CancelToken>,
-) -> Result<CompileOutput<ServiceArtifact>, VelusError> {
-    let mut sink = ObsSink::default();
-    let io = match req.options.io {
-        IoMode::Volatile => TestIo::Volatile,
-        IoMode::Stdio => TestIo::Stdio,
-    };
-    let mut staged =
-        StagedPipeline::from_source_with(&req.source, req.root.as_deref(), &mut sink, cancel)?;
-    let artifacts = produce(&mut staged, kinds, io, &req.source)?;
-    // Warnings ride the output instead of being dropped: the service
-    // counts them (per lint code) and the batch CLI prints them. When
-    // the lint pass ran for this request its findings are a superset of
-    // the front-end warnings (the initialization analysis is one of the
-    // lint analyses), so they replace rather than duplicate them.
-    let warnings: Vec<DiagRecord> = staged
-        .lint_cached()
-        .unwrap_or_else(|| staged.warnings())
-        .iter()
-        .map(|w| DiagRecord::of(w, &req.source))
-        .collect();
-    drop(staged);
-    Ok(CompileOutput::new(artifacts, sink.samples).with_warnings(warnings))
 }
 
 /// Counts `node` keywords outside comments. Mirrors the lexer's comment
@@ -255,6 +236,7 @@ mod tests {
             .compile(
                 &CompileRequest::new("counter", COUNTER),
                 &[ArtifactKind::CCode],
+                &CancelToken::unbounded(),
             )
             .unwrap();
         let reported: Vec<Stage> = output.samples.iter().map(|s| s.stage).collect();
@@ -274,7 +256,11 @@ mod tests {
         // `pre x` reaches the output: the initialization lint fires.
         let src = "node f(x: int) returns (y: int) let y = pre x; tel";
         let output = PipelineCompiler
-            .compile(&CompileRequest::new("f", src), &[ArtifactKind::Lint])
+            .compile(
+                &CompileRequest::new("f", src),
+                &[ArtifactKind::Lint],
+                &CancelToken::unbounded(),
+            )
             .unwrap();
         assert!(
             output.samples.iter().any(|s| s.stage == Stage::Analysis),
@@ -299,6 +285,7 @@ mod tests {
                 &[ArtifactKind::Wcet {
                     model: WcetModelKind::CompCert,
                 }],
+                &CancelToken::unbounded(),
             )
             .unwrap();
         assert!(output.samples.iter().all(|s| s.stage != Stage::Emit));
@@ -377,7 +364,10 @@ mod tests {
                 stage: IrStageKind::ObcFused,
             },
         ];
-        let artifacts = PipelineCompiler.compile(&req, &kinds).unwrap().artifacts;
+        let artifacts = PipelineCompiler
+            .compile(&req, &kinds, &CancelToken::unbounded())
+            .unwrap()
+            .artifacts;
         let bytes_of = |kind: &ArtifactKind| {
             artifacts
                 .iter()

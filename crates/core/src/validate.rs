@@ -39,19 +39,6 @@ use velus_ops::{CVal, ClightOps, Ops};
 use crate::pipeline::Compiled;
 use crate::VelusError;
 
-/// Statistics from a successful validation run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValidationReport {
-    /// Number of instants checked.
-    pub instants: usize,
-    /// Number of `MemCorres` assertions checked.
-    pub memcorres_checks: usize,
-    /// Number of `staterep` separation assertions checked.
-    pub staterep_checks: usize,
-    /// Number of volatile events compared.
-    pub trace_events: usize,
-}
-
 /// One oracle pair of the differential chain: each variant names a
 /// comparison the theorem requires to agree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -538,7 +525,8 @@ fn velus_first_divergence(
 }
 
 /// Validates the full compilation chain on `n` instants of `inputs` and
-/// returns the checked statistics.
+/// returns the checked statistics (a report whose `divergence` is
+/// `None`).
 ///
 /// # Errors
 ///
@@ -547,30 +535,16 @@ fn velus_first_divergence(
 /// source program applies an operator outside its domain — then the
 /// theorem is vacuous and validation cannot proceed), or assertion
 /// violation.
-pub fn validate_with_report(
+pub fn validate(
     c: &Compiled,
     inputs: &StreamSet<ClightOps>,
     n: usize,
-) -> Result<ValidationReport, VelusError> {
+) -> Result<OracleReport, VelusError> {
     let rep = run_oracles(c, inputs, n)?;
     match rep.divergence {
         Some(d) => Err(VelusError::Validation(d.to_string())),
-        None => Ok(ValidationReport {
-            instants: rep.instants,
-            memcorres_checks: rep.memcorres_checks,
-            staterep_checks: rep.staterep_checks,
-            trace_events: rep.trace_events,
-        }),
+        None => Ok(rep),
     }
-}
-
-/// Validates and discards the report.
-///
-/// # Errors
-///
-/// See [`validate_with_report`].
-pub fn validate(c: &Compiled, inputs: &StreamSet<ClightOps>, n: usize) -> Result<(), VelusError> {
-    validate_with_report(c, inputs, n).map(|_| ())
 }
 
 /// Builds simple deterministic all-present input streams for a compiled
@@ -626,7 +600,7 @@ mod tests {
     fn counter_validates_end_to_end() {
         let c = compile(COUNTER, None).unwrap();
         let inputs = default_inputs(&c, 20);
-        let report = validate_with_report(&c, &inputs, 20).unwrap();
+        let report = validate(&c, &inputs, 20).unwrap();
         assert_eq!(report.instants, 20);
         assert!(report.memcorres_checks >= 40);
         assert!(report.staterep_checks >= 21);

@@ -7,14 +7,18 @@ fn velus_bin() -> &'static str {
     env!("CARGO_BIN_EXE_velus")
 }
 
-fn tracker_path() -> String {
+fn repo_file(rel: &str) -> String {
     std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(std::path::Path::parent)
         .expect("workspace root")
-        .join("benchmarks/tracker.lus")
+        .join(rel)
         .display()
         .to_string()
+}
+
+fn tracker_path() -> String {
+    repo_file("benchmarks/tracker.lus")
 }
 
 #[test]
@@ -476,4 +480,105 @@ fn misspelled_flag_tokens_get_a_did_you_mean() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("[E0901]"), "{stderr}");
     assert!(stderr.contains("did you mean `report`"), "{stderr}");
+}
+
+/// Runs `velus` and returns (success, stdout, stderr).
+fn velus(args: &[&str]) -> (bool, String, String) {
+    let out = Command::new(velus_bin()).args(args).output().unwrap();
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn dump_wcet_and_lint_print_what_the_matching_emit_kind_prints() {
+    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(repo_file("benchmarks"))
+        .unwrap()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "lus"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 14, "{files:?}");
+    for file in &files {
+        let file = file.to_str().unwrap();
+        let mut pairs: Vec<(Vec<&str>, String)> = Vec::new();
+        for ir in ["nlustre", "snlustre", "obc", "obc-fused"] {
+            pairs.push((vec!["dump", file, "--ir", ir], ir.to_owned()));
+        }
+        for model in ["cc", "gcc", "gcci"] {
+            pairs.push((
+                vec!["wcet", file, "--model", model],
+                format!("wcet:{model}"),
+            ));
+        }
+        pairs.push((
+            vec!["lint", file, "--error-format", "json"],
+            "lint".to_owned(),
+        ));
+        for (command, kind) in pairs {
+            let (ok, named, stderr) = velus(&command);
+            assert!(ok, "{command:?}: {stderr}");
+            let (ok, emitted, stderr) = velus(&["compile", file, "--emit", &kind]);
+            assert!(ok, "--emit {kind} {file}: {stderr}");
+            assert_eq!(named, emitted, "{command:?} vs --emit {kind}");
+            assert!(
+                named.ends_with('\n') && !named.ends_with("\n\n"),
+                "{command:?}: not one final newline: {named:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn dump_stops_at_the_requested_stage() {
+    // The cycle is a scheduling error: the unscheduled program still
+    // dumps, the scheduled one fails with the cycle's code.
+    let file = repo_file("tests/errors/causality.lus");
+    let (ok, stdout, stderr) = velus(&["dump", &file, "--ir", "nlustre"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("node loopy"), "{stdout}");
+    let (ok, stdout, stderr) = velus(&["dump", &file, "--ir", "snlustre"]);
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("error[E0408]"), "{stderr}");
+}
+
+#[test]
+fn instantaneous_self_dependencies_are_rejected_everywhere() {
+    let dir = std::env::temp_dir().join(format!("velus-self-loop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("def.lus"),
+        "node def(x: int) returns (y: int) let y = y + x; tel\n",
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("call.lus"),
+        "node g(i: int) returns (o: int) let o = i + 1; tel\n\
+         node call(x: int) returns (y: int) let y = g(y); tel\n",
+    )
+    .unwrap();
+    for name in ["def.lus", "call.lus"] {
+        let file = dir.join(name).display().to_string();
+        for command in ["check", "compile"] {
+            let (ok, _, stderr) = velus(&[command, &file]);
+            assert!(!ok, "{command} {name} must fail");
+            assert!(
+                stderr.contains("error[E0408]") && stderr.contains("through y"),
+                "{command} {name}: {stderr}"
+            );
+        }
+    }
+    let (ok, stdout, stderr) = velus(&["batch", dir.to_str().unwrap(), "--passes", "1"]);
+    assert!(!ok, "{stdout}");
+    assert!(stdout.contains("pass 1: 0 ok, 2 failed"), "{stdout}");
+    assert_eq!(stderr.matches("E0408").count(), 2, "{stderr}");
+    // A delay reading its own previous value stays legal.
+    let fby = temp_lus(
+        "fby-self",
+        "node f(x: int) returns (a: int) let a = 0 fby a + x; tel\n",
+    );
+    let (ok, _, stderr) = velus(&["check", &fby]);
+    assert!(ok, "{stderr}");
 }

@@ -11,7 +11,10 @@
 //!   a `Fby` equation `d`, then `e` must run before `d` (the delayed
 //!   value is read before the state cell is overwritten).
 //!
-//! Cycles in this graph are causality errors.
+//! Cycles in this graph are causality errors. A `Def` or `Call` equation
+//! that reads a variable it defines (`y = y + x`, `y = g(y)`) gets a self
+//! edge, so it is a cycle of length one; a `Fby` that reads its own
+//! variable (`a = 0 fby a + x`) reads the previous value and is legal.
 
 use velus_common::{DenseBitSet, Ident, IdentMap};
 use velus_ops::Ops;
@@ -76,8 +79,9 @@ pub fn dep_graph<O: Ops>(node: &Node<O>) -> DepGraph {
         seen.reset(n);
         for x in &reads {
             if let Some(&d) = def_of.get(x) {
-                if d != i && seen.insert(d) {
+                if seen.insert(d) {
                     match &node.eqs[d] {
+                        Equation::Fby { .. } if d == i => {}
                         Equation::Fby { .. } => {
                             if !succs[i].contains(&d) {
                                 succs[i].push(d);
@@ -100,9 +104,11 @@ pub fn dep_graph<O: Ops>(node: &Node<O>) -> DepGraph {
 
 /// Extracts the variables on a dependency cycle, for error reporting.
 pub fn cycle_witness<O: Ops>(node: &Node<O>, graph: &DepGraph) -> Vec<Ident> {
-    // Kahn elimination; whatever remains is cyclic.
+    let n = graph.len();
+    // Kahn elimination from the sources leaves the cycles and everything
+    // downstream of them.
     let mut preds = graph.preds.clone();
-    let mut stack: Vec<usize> = (0..graph.len()).filter(|&i| preds[i] == 0).collect();
+    let mut stack: Vec<usize> = (0..n).filter(|&i| preds[i] == 0).collect();
     while let Some(i) = stack.pop() {
         for &j in &graph.succs[i] {
             preds[j] -= 1;
@@ -111,8 +117,29 @@ pub fn cycle_witness<O: Ops>(node: &Node<O>, graph: &DepGraph) -> Vec<Ident> {
             }
         }
     }
-    (0..graph.len())
-        .filter(|&i| preds[i] > 0)
+    let mut left: Vec<bool> = preds.iter().map(|&p| p > 0).collect();
+    // Peeling the equations with no remaining successor then drops the
+    // downstream readers: what is left lies on a cycle.
+    let mut succs_left = vec![0usize; n];
+    let mut preds_of: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for i in (0..n).filter(|&i| left[i]) {
+        for &j in graph.succs[i].iter().filter(|&&j| left[j]) {
+            succs_left[i] += 1;
+            preds_of[j].push(i);
+        }
+    }
+    let mut stack: Vec<usize> = (0..n).filter(|&i| left[i] && succs_left[i] == 0).collect();
+    while let Some(j) = stack.pop() {
+        left[j] = false;
+        for &i in &preds_of[j] {
+            succs_left[i] -= 1;
+            if succs_left[i] == 0 {
+                stack.push(i);
+            }
+        }
+    }
+    (0..n)
+        .filter(|&i| left[i])
         .flat_map(|i| node.eqs[i].defined().iter().copied())
         .collect()
 }
@@ -285,12 +312,13 @@ mod tests {
 
     #[test]
     fn cycle_is_reported() {
-        // a = b; b = a — instantaneous cycle.
+        // a = b; b = a — instantaneous cycle; y = a reads it but is not
+        // on it, so the witness leaves it out.
         let node: Node<ClightOps> = Node {
             name: id("cyc"),
             inputs: vec![],
-            outputs: vec![decl("a", CTy::I32)],
-            locals: vec![decl("b", CTy::I32)],
+            outputs: vec![decl("y", CTy::I32)],
+            locals: vec![decl("a", CTy::I32), decl("b", CTy::I32)],
             eqs: vec![
                 Equation::Def {
                     x: id("a"),
@@ -302,11 +330,77 @@ mod tests {
                     ck: Clock::Base,
                     rhs: CExpr::Expr(var("a")),
                 },
+                Equation::Def {
+                    x: id("y"),
+                    ck: Clock::Base,
+                    rhs: CExpr::Expr(var("a")),
+                },
             ],
         };
         let g = dep_graph(&node);
-        let w = cycle_witness(&node, &g);
-        assert!(w.contains(&id("a")) && w.contains(&id("b")));
+        assert_eq!(cycle_witness(&node, &g), vec![id("a"), id("b")]);
         let _ = Program::new(vec![node]); // silence unused-import style paths
+    }
+
+    /// A node `f(x) returns (y)` with the single equation `eq`.
+    fn one_eq_node(eq: Equation<ClightOps>) -> Node<ClightOps> {
+        Node {
+            name: id("f"),
+            inputs: vec![decl("x", CTy::I32)],
+            outputs: vec![decl("y", CTy::I32)],
+            locals: vec![],
+            eqs: vec![eq],
+        }
+    }
+
+    fn y_plus_x() -> Expr<ClightOps> {
+        Expr::Binop(
+            velus_ops::CBinOp::Add,
+            Box::new(var("y")),
+            Box::new(var("x")),
+            CTy::I32,
+        )
+    }
+
+    #[test]
+    fn an_equation_reading_what_it_defines_is_a_cycle() {
+        // y = y + x and y = g(y): instantaneous self-dependencies.
+        for eq in [
+            Equation::Def {
+                x: id("y"),
+                ck: Clock::Base,
+                rhs: CExpr::Expr(y_plus_x()),
+            },
+            Equation::Call {
+                xs: vec![id("y")],
+                ck: Clock::Base,
+                node: id("g"),
+                args: vec![var("y")],
+            },
+        ] {
+            let node = one_eq_node(eq);
+            let g = dep_graph(&node);
+            assert_eq!((g.succs[0].clone(), g.preds[0]), (vec![0], 1));
+            assert_eq!(cycle_witness(&node, &g), vec![id("y")]);
+            assert!(matches!(
+                crate::schedule::schedule_order(&node),
+                Err(SemError::SchedulingCycle(_, w)) if w == vec![id("y")]
+            ));
+        }
+    }
+
+    #[test]
+    fn a_delay_reading_its_own_variable_is_legal() {
+        // y = 0 fby (y + x) reads the previous value of y.
+        let node = one_eq_node(Equation::Fby {
+            x: id("y"),
+            ck: Clock::Base,
+            init: CConst::int(0),
+            rhs: y_plus_x(),
+        });
+        let g = dep_graph(&node);
+        assert!(g.succs[0].is_empty());
+        assert_eq!(g.preds[0], 0);
+        assert_eq!(check_schedule(&node), Ok(()));
     }
 }

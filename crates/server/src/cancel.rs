@@ -3,7 +3,7 @@
 //!
 //! A [`CancelToken`] is created per request when the service admits it
 //! and threaded into the compiler through
-//! [`Compiler::compile_cancellable`](crate::Compiler::compile_cancellable).
+//! [`Compiler::compile`](crate::Compiler::compile).
 //! It combines three signals:
 //!
 //! * a **deadline** (from the request's `deadline_ms`, measured from

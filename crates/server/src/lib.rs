@@ -32,14 +32,14 @@
 //!   and [`Compiler::cost_hint`] supplies the per-request hint.
 //!
 //! ```
-//! use velus_server::{ArtifactKind, Compiler, CompileOutput, CompileRequest, CompileService,
-//!                    ServiceConfig};
+//! use velus_server::{ArtifactKind, CancelToken, Compiler, CompileOutput, CompileRequest,
+//!                    CompileService, ServiceConfig};
 //!
 //! struct Upper;
 //! impl Compiler for Upper {
 //!     type Artifact = String;
 //!     type Error = String;
-//!     fn compile(&self, req: &CompileRequest, kinds: &[ArtifactKind])
+//!     fn compile(&self, req: &CompileRequest, kinds: &[ArtifactKind], _: &CancelToken)
 //!         -> Result<CompileOutput<String>, String>
 //!     {
 //!         let artifacts = kinds
@@ -59,7 +59,7 @@
 
 #![warn(missing_docs)]
 
-pub use velus_common::{DiagRecord, FailureReport};
+pub use velus_common::{DiagRecord, FailureReport, IoMode};
 
 pub mod admit;
 pub mod cache;
@@ -79,18 +79,6 @@ pub use service::{
     ServiceError, Submission,
 };
 pub use stats::{KindStats, StageLatency, StatsSnapshot};
-
-/// How the artifact's I/O boundary is rendered (the Vélus instantiation
-/// maps this to the volatile-I/O vs. stdio test-mode `main`). Part of the
-/// cache key: different modes emit different code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum IoMode {
-    /// The correctness statement's view: volatile loads and stores.
-    #[default]
-    Volatile,
-    /// The paper's scanf/printf test harness.
-    Stdio,
-}
 
 /// Which back-end cost model a WCET artifact is computed under. The
 /// substrate treats this as opaque cache-key data; the instantiation
@@ -564,6 +552,14 @@ pub trait Compiler: Send + Sync + 'static {
     /// what the set needs (and no more — e.g. skip emission when
     /// [`ArtifactKind::CCode`] is absent).
     ///
+    /// `cancel` is the request's [`CancelToken`]: long compilations may
+    /// check it at internal boundaries (pass transitions, injected
+    /// delays) and abort cooperatively when the deadline expires or the
+    /// service drains. A compiler that ignores it stays correct, just
+    /// not early-exiting: the service detects expiry itself after the
+    /// call returns. Callers without a deadline pass
+    /// [`CancelToken::unbounded`].
+    ///
     /// # Errors
     ///
     /// Any compilation failure; the service maps it to
@@ -572,23 +568,8 @@ pub trait Compiler: Send + Sync + 'static {
         &self,
         req: &CompileRequest,
         kinds: &[ArtifactKind],
-    ) -> Result<CompileOutput<Self::Artifact>, Self::Error>;
-
-    /// Like [`Compiler::compile`], but handed the request's
-    /// [`CancelToken`] so long compilations can abort cooperatively at
-    /// internal boundaries (pass transitions, injected delays) when the
-    /// deadline expires or the service drains. The default ignores the
-    /// token — existing compilers stay correct, just not early-exiting;
-    /// the service detects expiry itself after the call returns.
-    fn compile_cancellable(
-        &self,
-        req: &CompileRequest,
-        kinds: &[ArtifactKind],
         cancel: &CancelToken,
-    ) -> Result<CompileOutput<Self::Artifact>, Self::Error> {
-        let _ = cancel;
-        self.compile(req, kinds)
-    }
+    ) -> Result<CompileOutput<Self::Artifact>, Self::Error>;
 
     /// Flattens a compilation failure into the structured, coded
     /// [`FailureReport`] the service stores in

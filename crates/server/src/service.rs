@@ -950,7 +950,7 @@ fn compile_guarded<C: Compiler>(
     let compile_start = Instant::now();
     let guard = trace::enter("compile");
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        inner.compiler.compile_cancellable(req, kinds, token)
+        inner.compiler.compile(req, kinds, token)
     }));
     trace::exit(guard);
     match outcome {
@@ -1021,10 +1021,23 @@ mod tests {
             &self,
             req: &CompileRequest,
             kinds: &[ArtifactKind],
+            cancel: &CancelToken,
         ) -> Result<crate::CompileOutput<String>, String> {
             self.calls.fetch_add(1, Ordering::SeqCst);
             match req.source.as_str() {
                 "BOOM" => panic!("toy compiler exploded"),
+                "SLOW" => {
+                    // Spin in short slices like a cooperative pipeline
+                    // checking the token at pass boundaries (bounded as a
+                    // failsafe so a broken drain cannot hang the tests).
+                    for _ in 0..30_000 {
+                        if let Some(reason) = cancel.state() {
+                            return Err(format!("cancelled:{}", reason.code()));
+                        }
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                    Err("slow request was never cancelled".to_owned())
+                }
                 "ERR" => Err("toy compile error".to_owned()),
                 "SRCERR" => Err("source:bad program".to_owned()),
                 "FLAKY" => {
@@ -1072,28 +1085,6 @@ mod tests {
                     Vec::new()
                 })),
             }
-        }
-
-        fn compile_cancellable(
-            &self,
-            req: &CompileRequest,
-            kinds: &[ArtifactKind],
-            cancel: &CancelToken,
-        ) -> Result<crate::CompileOutput<String>, String> {
-            if req.source == "SLOW" {
-                self.calls.fetch_add(1, Ordering::SeqCst);
-                // Spin in short slices like a cooperative pipeline
-                // checking the token at pass boundaries (bounded as a
-                // failsafe so a broken drain cannot hang the tests).
-                for _ in 0..30_000 {
-                    if let Some(reason) = cancel.state() {
-                        return Err(format!("cancelled:{}", reason.code()));
-                    }
-                    thread::sleep(Duration::from_millis(1));
-                }
-                return Err("slow request was never cancelled".to_owned());
-            }
-            self.compile(req, kinds)
         }
 
         fn failure_report(&self, _req: &CompileRequest, err: &String) -> FailureReport {

@@ -194,7 +194,7 @@ impl<C> ChaosCompiler<C> {
     fn run<Out>(
         &self,
         source: &str,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
         inner: impl FnOnce() -> Result<Out, ChaosError<<C as Compiler>::Error>>,
     ) -> Result<Out, ChaosError<<C as Compiler>::Error>>
     where
@@ -235,7 +235,7 @@ impl<C> ChaosCompiler<C> {
                 // check surface the coded condition.
                 let mut left = self.config.delay;
                 while !left.is_zero() {
-                    if cancel.is_some_and(|t| t.state().is_some()) {
+                    if cancel.state().is_some() {
                         break;
                     }
                     let slice = left.min(Duration::from_millis(1));
@@ -257,21 +257,11 @@ impl<C: Compiler> Compiler for ChaosCompiler<C> {
         &self,
         req: &CompileRequest,
         kinds: &[ArtifactKind],
-    ) -> Result<CompileOutput<C::Artifact>, Self::Error> {
-        self.run(&req.source, None, || {
-            self.inner.compile(req, kinds).map_err(ChaosError::Inner)
-        })
-    }
-
-    fn compile_cancellable(
-        &self,
-        req: &CompileRequest,
-        kinds: &[ArtifactKind],
         cancel: &CancelToken,
     ) -> Result<CompileOutput<C::Artifact>, Self::Error> {
-        self.run(&req.source, Some(cancel), || {
+        self.run(&req.source, cancel, || {
             self.inner
-                .compile_cancellable(req, kinds, cancel)
+                .compile(req, kinds, cancel)
                 .map_err(ChaosError::Inner)
         })
     }
@@ -308,6 +298,7 @@ mod tests {
             &self,
             req: &CompileRequest,
             kinds: &[ArtifactKind],
+            _: &CancelToken,
         ) -> Result<CompileOutput<String>, String> {
             Ok(CompileOutput::new(
                 kinds
@@ -361,12 +352,13 @@ mod tests {
         let src = first_source_with(&chaos, Fault::Transient);
         let req = CompileRequest::new("t", src);
         let kinds = [ArtifactKind::CCode];
+        let unbounded = CancelToken::unbounded();
         assert!(matches!(
-            chaos.compile(&req, &kinds),
+            chaos.compile(&req, &kinds, &unbounded),
             Err(ChaosError::Injected(_))
         ));
         let out = chaos
-            .compile(&req, &kinds)
+            .compile(&req, &kinds, &unbounded)
             .expect("second attempt succeeds");
         assert_eq!(out.artifacts.len(), 1);
         let stats = chaos.chaos_stats();
@@ -375,7 +367,7 @@ mod tests {
             (1, 1)
         );
         // A third attempt does not double-count the recovery.
-        let _ = chaos.compile(&req, &kinds);
+        let _ = chaos.compile(&req, &kinds, &unbounded);
         assert_eq!(chaos.chaos_stats().recovered_transients, 1);
     }
 
@@ -386,7 +378,7 @@ mod tests {
         let req = CompileRequest::new("p", src);
         for _ in 0..2 {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = chaos.compile(&req, &[ArtifactKind::CCode]);
+                let _ = chaos.compile(&req, &[ArtifactKind::CCode], &CancelToken::unbounded());
             }));
             assert!(caught.is_err(), "panic-class inputs panic on every attempt");
         }
@@ -409,7 +401,7 @@ mod tests {
         let started = std::time::Instant::now();
         // The 60 s delay collapses because the token is already fired;
         // the inner compiler (which ignores the token) then succeeds.
-        let out = chaos.compile_cancellable(&req, &[ArtifactKind::CCode], &token);
+        let out = chaos.compile(&req, &[ArtifactKind::CCode], &token);
         assert!(started.elapsed() < Duration::from_secs(10));
         assert!(out.is_ok());
         assert_eq!(chaos.chaos_stats().injected_delays, 1);
@@ -423,6 +415,7 @@ mod tests {
             .compile(
                 &CompileRequest::new("c", src.clone()),
                 &[ArtifactKind::CCode],
+                &CancelToken::unbounded(),
             )
             .expect("clean input compiles");
         assert_eq!(out.artifacts[0].1, src.to_uppercase());

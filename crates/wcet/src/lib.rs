@@ -45,31 +45,6 @@ pub enum CostModel {
 impl CostModel {
     /// All models, in the paper's column order.
     pub const ALL: [CostModel; 3] = [CostModel::CompCert, CostModel::Gcc, CostModel::GccInline];
-
-    /// The CLI spelling (`cc`, `gcc`, `gcci`).
-    pub fn name(self) -> &'static str {
-        match self {
-            CostModel::CompCert => "cc",
-            CostModel::Gcc => "gcc",
-            CostModel::GccInline => "gcci",
-        }
-    }
-}
-
-impl std::str::FromStr for CostModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<CostModel, String> {
-        velus_common::parse_enum_flag(
-            "cost model",
-            s,
-            &[
-                ("cc", CostModel::CompCert),
-                ("gcc", CostModel::Gcc),
-                ("gcci", CostModel::GccInline),
-            ],
-        )
-    }
 }
 
 /// Errors of the analysis.

@@ -16,9 +16,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let compiled = velus::compile(&source, Some(&name))?;
 
     println!("/* ===== volatile-I/O form (the correctness statement's view) ===== */");
-    println!("{}", velus::emit_c(&compiled, velus::TestIo::Volatile));
+    println!("{}", velus::emit_c(&compiled, velus::IoMode::Volatile));
     println!("/* ===== stdio test mode (the paper's scanf/printf entry point) ===== */");
-    let stdio = velus::emit_c(&compiled, velus::TestIo::Stdio);
+    let stdio = velus::emit_c(&compiled, velus::IoMode::Stdio);
     // Print only the main of the second form to avoid repeating the body.
     let mut in_main = false;
     for line in stdio.lines() {

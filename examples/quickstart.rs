@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== fused Obc ==\n{}\n", compiled.obc_fused);
 
     // 2. Emit compilable C.
-    let c_code = velus::emit_c(&compiled, velus::TestIo::Stdio);
+    let c_code = velus::emit_c(&compiled, velus::IoMode::Stdio);
     println!("== generated C ({} bytes) ==", c_code.len());
     for line in c_code.lines().take(24) {
         println!("{line}");
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Validate the paper's correctness statement on this prefix: all
     //    semantic levels and the volatile trace agree.
-    let report = velus::validate_with_report(&compiled, &inputs, n as usize)?;
+    let report = velus::validate(&compiled, &inputs, n as usize)?;
     println!(
         "validated {} instants ({} MemCorres, {} staterep, {} trace events)",
         report.instants, report.memcorres_checks, report.staterep_checks, report.trace_events

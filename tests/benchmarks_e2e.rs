@@ -84,7 +84,7 @@ fn every_benchmark_emits_clean_c() {
     for name in BENCHMARKS {
         let source = load(name);
         let compiled = velus::compile(&source, Some(name)).unwrap();
-        for io in [velus::TestIo::Volatile, velus::TestIo::Stdio] {
+        for io in [velus::IoMode::Volatile, velus::IoMode::Stdio] {
             let c = velus::emit_c(&compiled, io);
             assert!(!c.contains('$'), "{name}: unsanitized identifier\n{c}");
             assert!(c.contains("int main(void)"), "{name}");

@@ -28,7 +28,7 @@ fn have_cc() -> bool {
 fn run_through_cc(name: &str, stdin_text: &str) -> Vec<Vec<i64>> {
     let source = std::fs::read_to_string(velus_repro::benchmark_path(name)).unwrap();
     let compiled = velus::compile(&source, Some(name)).unwrap();
-    let c_code = velus::emit_c(&compiled, velus::TestIo::Stdio);
+    let c_code = velus::emit_c(&compiled, velus::IoMode::Stdio);
 
     let dir = std::env::temp_dir().join(format!("velus-cc-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -147,7 +147,7 @@ fn all_integer_benchmarks_compile_under_cc() {
     ] {
         let source = std::fs::read_to_string(velus_repro::benchmark_path(name)).unwrap();
         let compiled = velus::compile(&source, Some(name)).unwrap();
-        let c_code = velus::emit_c(&compiled, velus::TestIo::Volatile);
+        let c_code = velus::emit_c(&compiled, velus::IoMode::Volatile);
         let dir = std::env::temp_dir().join(format!("velus-ccall-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let c_path = dir.join(format!("{name}.c"));

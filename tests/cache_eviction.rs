@@ -152,7 +152,7 @@ fn evicted_program_recompiles_and_reverifies() {
     // The recompile re-verified through the full pipeline and matches a
     // fresh single-shot compilation.
     let fresh = velus::compile(&sources[0].1, Some("prog0")).unwrap();
-    assert_eq!(velus::emit_c(&fresh, velus::TestIo::Volatile), first_c);
+    assert_eq!(velus::emit_c(&fresh, velus::IoMode::Volatile), first_c);
     // Recompiling refilled the cache, evicting the next LRU entry.
     let stats = svc.stats();
     assert_eq!(stats.cache_entries, 2);

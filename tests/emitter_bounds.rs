@@ -10,7 +10,7 @@
 //! most doubles the C, and the C stays within a small multiple of the
 //! source.
 
-use velus::TestIo;
+use velus::IoMode;
 use velus_testkit::shapes::nest_source;
 
 /// Stack for compiling the deepest nest: the front end and the emitter
@@ -23,7 +23,7 @@ const NEST_STACK_BYTES: usize = 256 << 20;
 fn sizes(depth: usize) -> (usize, usize) {
     let src = nest_source(depth);
     let compiled = velus::compile(&src, Some("nest")).expect("the nest compiles");
-    (src.len(), velus::emit_c(&compiled, TestIo::Volatile).len())
+    (src.len(), velus::emit_c(&compiled, IoMode::Volatile).len())
 }
 
 #[test]

@@ -12,13 +12,13 @@
 use proptest::prelude::*;
 
 use velus::passes::StagedPipeline;
-use velus::{emit_c, TestIo};
+use velus::{emit_c, IoMode};
 use velus_testkit::industrial::{industrial_source, IndustrialConfig};
 
 fn staged_c(source: &str, root: Option<&str>) -> String {
     let mut observe = |_: velus::Stage, _: std::time::Duration| {};
     let mut staged = StagedPipeline::from_source(source, root, &mut observe).expect("compiles");
-    staged.emit(TestIo::Volatile).expect("emits")
+    staged.emit(IoMode::Volatile).expect("emits")
 }
 
 #[test]
@@ -58,8 +58,8 @@ fn emission_is_deterministic_per_pipeline() {
     let mut observe = |_: velus::Stage, _: std::time::Duration| {};
     let mut staged =
         StagedPipeline::from_source(&source, Some("tracker"), &mut observe).expect("compiles");
-    let first = staged.emit(TestIo::Volatile).expect("emits");
-    let second = staged.emit(TestIo::Volatile).expect("emits again");
+    let first = staged.emit(IoMode::Volatile).expect("emits");
+    let second = staged.emit(IoMode::Volatile).expect("emits again");
     assert_eq!(first, second, "re-emitting must be byte-stable");
 }
 
@@ -82,7 +82,7 @@ proptest! {
         let oneshot = velus::compile(&source, Some(&root)).unwrap();
         prop_assert_eq!(
             staged_c(&source, Some(&root)),
-            emit_c(&oneshot, TestIo::Volatile)
+            emit_c(&oneshot, IoMode::Volatile)
         );
         // The stdio test harness shares the emitter internals; keep it
         // covered by the same byte-equality property.
@@ -90,8 +90,8 @@ proptest! {
         let mut staged =
             StagedPipeline::from_source(&source, Some(&root), &mut observe).unwrap();
         prop_assert_eq!(
-            staged.emit(TestIo::Stdio).unwrap(),
-            emit_c(&oneshot, TestIo::Stdio)
+            staged.emit(IoMode::Stdio).unwrap(),
+            emit_c(&oneshot, IoMode::Stdio)
         );
     }
 }

@@ -84,14 +84,14 @@ fn corpus() -> Vec<(String, String, Option<String>)> {
 
 fn one_shot_c(source: &str, root: Option<&str>) -> String {
     let compiled = velus::compile(source, root).expect("corpus compiles");
-    velus::emit_c(&compiled, velus::TestIo::Volatile)
+    velus::emit_c(&compiled, velus::IoMode::Volatile)
 }
 
 fn staged_c(source: &str, root: Option<&str>) -> String {
     let mut observe = |_stage: Stage, _dur: std::time::Duration| {};
     let mut staged =
         velus::StagedPipeline::from_source(source, root, &mut observe).expect("corpus compiles");
-    staged.emit(velus::TestIo::Volatile).expect("corpus emits")
+    staged.emit(velus::IoMode::Volatile).expect("corpus emits")
 }
 
 #[test]

@@ -10,7 +10,7 @@ use velus::passes::{
     CheckPass, ElaboratePass, EmitInput, EmitPass, FrontendInput, FusePass, GenerateInput,
     GeneratePass, Pass, PassManager, SchedulePass, TranslatePass,
 };
-use velus::{emit_c, TestIo};
+use velus::{emit_c, IoMode};
 use velus_common::SpanMap;
 use velus_testkit::industrial::{industrial_source, IndustrialConfig};
 
@@ -70,7 +70,7 @@ fn stagewise_c(source: &str, root: Option<&str>) -> String {
             &EmitPass,
             EmitInput {
                 clight: &clight,
-                io: TestIo::Volatile,
+                io: IoMode::Volatile,
             },
             &spans,
         )
@@ -98,7 +98,7 @@ fn stagewise_equals_oneshot_on_the_paper_corpus() {
         let oneshot = velus::compile(&source, Some(name)).unwrap();
         assert_eq!(
             stagewise_c(&source, Some(name)),
-            emit_c(&oneshot, TestIo::Volatile),
+            emit_c(&oneshot, IoMode::Volatile),
             "{name}: stagewise and one-shot C must be byte-identical"
         );
     }
@@ -123,7 +123,7 @@ proptest! {
         let oneshot = velus::compile(&source, Some(&root)).unwrap();
         prop_assert_eq!(
             stagewise_c(&source, Some(&root)),
-            emit_c(&oneshot, TestIo::Volatile)
+            emit_c(&oneshot, IoMode::Volatile)
         );
     }
 }

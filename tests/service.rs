@@ -62,7 +62,7 @@ fn warm_hit_skips_the_pipeline_and_reemits_identical_c() {
         )
         .unwrap();
         assert_eq!(
-            velus::emit_c(&fresh, velus::TestIo::Volatile),
+            velus::emit_c(&fresh, velus::IoMode::Volatile),
             cold_artifact.c_code().unwrap()
         );
     }

@@ -9,7 +9,7 @@
 //! on the test thread itself and in a service worker.
 
 use velus::service::{service, ServiceConfig};
-use velus::{ArtifactKind, CompileOptions, CompileRequest, IrStageKind, TestIo, WcetModelKind};
+use velus::{ArtifactKind, CompileOptions, CompileRequest, IoMode, IrStageKind, WcetModelKind};
 use velus_common::Ident;
 
 const EQUATIONS: usize = 10_000;
@@ -42,7 +42,7 @@ fn a_long_node_compiles_on_a_default_thread_stack() {
         .body;
     assert_eq!(step.len(), EQUATIONS + 1);
     assert_eq!(step.to_string().lines().count(), EQUATIONS + 1);
-    let c = velus::emit_c(&compiled, TestIo::Volatile);
+    let c = velus::emit_c(&compiled, IoMode::Volatile);
     assert!(
         c.contains(&format!("y = v{EQUATIONS};")),
         "tail of the chain"

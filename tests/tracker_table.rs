@@ -132,7 +132,7 @@ fn fused_obc_matches_the_section_3_3_shape() {
 fn generated_c_matches_figure_9_structure() {
     let source = std::fs::read_to_string(velus_repro::benchmark_path("tracker")).unwrap();
     let compiled = velus::compile(&source, Some("tracker")).unwrap();
-    let c = velus::emit_c(&compiled, velus::TestIo::Volatile);
+    let c = velus::emit_c(&compiled, velus::IoMode::Volatile);
     // Fig. 9's structural landmarks (names are sanitized: $ -> __).
     assert!(c.contains("struct tracker {"), "{c}");
     assert!(c.contains("struct tracker__step {"), "{c}");
