@@ -185,7 +185,6 @@ fn main() -> ExitCode {
             workers,
             admission: AdmissionConfig {
                 queue_cap: Some(queue_cap),
-                cost_budget_ms: None,
             },
             retry: RetryPolicy::with_budget(retries),
             ..Default::default()

@@ -12,7 +12,6 @@
 //! * `industrial` — the §5 compile-time scaling experiment;
 //! * `schedules` — the §5 schedule-quality observation;
 //! * `service` — throughput scaling of the batch compilation service;
-//! * `sched` — FIFO vs cost-predicted scheduling on a skewed corpus;
 //! * `contention` — identifier-interner contention across threads;
 //! * `pipeline` — per-stage time and allocation profile of the cold
 //!   compile path (counting global allocator; see

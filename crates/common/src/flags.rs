@@ -27,10 +27,10 @@ use crate::span::Span;
 /// ```
 /// use velus_common::parse_enum_flag;
 ///
-/// let table = [("fifo", 0), ("cost", 1)];
-/// assert_eq!(parse_enum_flag("schedule", "cost", &table), Ok(1));
-/// let err = parse_enum_flag("schedule", "cosst", &table).unwrap_err();
-/// assert!(err.contains("[E0901]") && err.contains("did you mean `cost`"), "{err}");
+/// let table = [("human", 0), ("json", 1)];
+/// assert_eq!(parse_enum_flag("error format", "json", &table), Ok(1));
+/// let err = parse_enum_flag("error format", "jsn", &table).unwrap_err();
+/// assert!(err.contains("[E0901]") && err.contains("did you mean `json`"), "{err}");
 /// ```
 ///
 /// # Errors

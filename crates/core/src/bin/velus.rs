@@ -10,8 +10,7 @@
 //! velus lint    FILE [--node NAME]                        static-analysis lint findings
 //! velus dump    FILE [--node NAME] [--ir nlustre|snlustre|obc|obc-fused]
 //! velus batch   DIR [--workers N] [--passes N] [--stdio]
-//!               [--cache-cap N] [--sched fifo|cost]
-//!               [--emit KINDS] [--trace-out FILE]
+//!               [--cache-cap N] [--emit KINDS] [--trace-out FILE]
 //!               [--metrics-out FILE] [--slow-trace-ms N]
 //!               [--deadline-ms N] [--queue-cap N]
 //!               [--retries N] [--drain-ms N]              batch-compile a directory
@@ -51,9 +50,8 @@
 //! passes exercise the per-kind artifact cache and every artifact is
 //! checked byte-for-byte against the cold pass. `--cache-cap N` bounds
 //! the artifact cache to N entries (LRU eviction; evicted programs
-//! recompile and re-verify on later passes) and `--sched cost` submits
-//! each pass longest-predicted-first instead of FIFO, shortening the
-//! makespan of skewed batches.
+//! recompile and re-verify on later passes). Each pass submits the
+//! files in sorted path order.
 //!
 //! The robustness flags drive the serving layer's fault tolerance:
 //! `--deadline-ms N` gives every request an N ms deadline (expiry —
@@ -67,8 +65,8 @@
 //!
 //! The observability flags thread the batch through `velus-obs`:
 //! `--trace-out FILE` records every request as a span tree (queue wait,
-//! scheduling, cache probe, each pipeline pass, artifact handling) and
-//! writes Chrome trace-event JSON loadable in Perfetto;
+//! cache probe, each pipeline pass, artifact handling) and writes
+//! Chrome trace-event JSON loadable in Perfetto;
 //! `--metrics-out FILE` writes the closing statistics snapshot in the
 //! Prometheus text format; `--slow-trace-ms N` additionally retains the
 //! complete span tree of every request slower than N ms in the flight
@@ -98,7 +96,6 @@ struct Args {
     workers: usize,
     passes: usize,
     cache_cap: Option<usize>,
-    sched: String,
     error_format: ErrorFormat,
     trace_out: Option<String>,
     metrics_out: Option<String>,
@@ -134,7 +131,6 @@ fn parse_args() -> Result<Args, String> {
         workers: 0,
         passes: 2,
         cache_cap: None,
-        sched: "fifo".to_owned(),
         error_format: ErrorFormat::Human,
         trace_out: None,
         metrics_out: None,
@@ -182,7 +178,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|_| "invalid --cache-cap value")?,
                 )
             }
-            "--sched" => parsed.sched = args.next().ok_or("missing value for --sched")?,
             "--trace-out" => {
                 parsed.trace_out = Some(args.next().ok_or("missing value for --trace-out")?)
             }
@@ -247,7 +242,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn usage() -> String {
     "usage: velus <compile|check|run|validate|wcet|lint|dump> FILE [options]
-       velus batch DIR [--workers N] [--passes N] [--stdio] [--cache-cap N] [--sched fifo|cost] [--emit KINDS]
+       velus batch DIR [--workers N] [--passes N] [--stdio] [--cache-cap N] [--emit KINDS]
                        [--trace-out FILE] [--metrics-out FILE] [--slow-trace-ms N]
                        [--deadline-ms N] [--queue-cap N] [--retries N] [--drain-ms N]
 check, dump, wcet and lint are --emit report, --emit IR, --emit wcet:MODEL and --emit lint
@@ -422,7 +417,6 @@ fn run_batch(args: &Args) -> Result<(), String> {
     // --cache-cap bounds the artifact cache (entries); evictions are
     // reported in the closing statistics table.
     config.cache.max_entries = args.cache_cap;
-    config.schedule = args.sched.parse()?;
     // Robustness knobs: a bounded admission queue sheds excess load
     // with E0801, and transient failures are retried up to the budget.
     config.admission.queue_cap = args.queue_cap;
@@ -451,11 +445,10 @@ fn run_batch(args: &Args) -> Result<(), String> {
     }
     let emit_list: Vec<String> = kinds.iter().map(|k| k.to_string()).collect();
     say!(
-        "batch: {} programs from {dir}, {} workers, {} pass(es), {} scheduling, emit {}{}",
+        "batch: {} programs from {dir}, {} workers, {} pass(es), emit {}{}",
         requests.len(),
         svc.worker_count(),
         args.passes,
-        args.sched,
         emit_list.join(","),
         match args.cache_cap {
             Some(cap) => format!(", cache cap {cap}"),

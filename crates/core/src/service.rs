@@ -125,19 +125,6 @@ impl Compiler for PipelineCompiler {
         FailureReport::from_diagnostics(&err.to_diagnostics(&SpanMap::new()), &req.source)
     }
 
-    /// Pre-scan cost estimate: source bytes plus a weighted count of
-    /// `node` keywords. Pipeline cost grows superlinearly with the node
-    /// count (each node is scheduled, translated, fused, and checked
-    /// individually), so node-heavy sources must outrank byte-heavy
-    /// ones; the weight is a rough per-node fixed cost in source-byte
-    /// units. A text scan, not a parse — it runs on every request of a
-    /// batch before any compilation starts — but it does honor the
-    /// lexer's comment rules: `node` inside `(* … *)` or `--` comments
-    /// is not a node, and `node(` (no trailing whitespace) is.
-    fn cost_hint(&self, req: &CompileRequest) -> u64 {
-        req.source.len() as u64 + 512 * count_node_keywords(&req.source)
-    }
-
     /// The byte cap weighs each kind by what it actually retains: the C
     /// text's length, a structural estimate of a retained IR, a small
     /// constant for reports. A dump-heavy artifact is no longer
@@ -145,58 +132,6 @@ impl Compiler for PipelineCompiler {
     fn artifact_bytes(artifact: &ServiceArtifact) -> usize {
         artifact.estimated_bytes()
     }
-}
-
-/// Counts `node` keywords outside comments. Mirrors the lexer's comment
-/// rules (nestable `(* … *)`, `--` to end of line) and its identifier
-/// boundaries, without building tokens.
-fn count_node_keywords(source: &str) -> u64 {
-    let bytes = source.as_bytes();
-    let n = bytes.len();
-    let mut i = 0;
-    let mut count = 0u64;
-    while i < n {
-        let c = bytes[i];
-        // Line comment: skip to end of line.
-        if c == b'-' && i + 1 < n && bytes[i + 1] == b'-' {
-            while i < n && bytes[i] != b'\n' {
-                i += 1;
-            }
-            continue;
-        }
-        // Block comment, nestable. An unterminated comment swallows the
-        // rest of the source — same as the lexer (which then errors).
-        if c == b'(' && i + 1 < n && bytes[i + 1] == b'*' {
-            let mut depth = 1;
-            i += 2;
-            while i < n && depth > 0 {
-                if bytes[i] == b'(' && i + 1 < n && bytes[i + 1] == b'*' {
-                    depth += 1;
-                    i += 2;
-                } else if bytes[i] == b'*' && i + 1 < n && bytes[i + 1] == b')' {
-                    depth -= 1;
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-            }
-            continue;
-        }
-        // An identifier-or-keyword word; count exact `node` matches.
-        if c.is_ascii_alphabetic() || c == b'_' {
-            let start = i;
-            i += 1;
-            while i < n && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                i += 1;
-            }
-            if &bytes[start..i] == b"node" {
-                count += 1;
-            }
-            continue;
-        }
-        i += 1;
-    }
-    count
 }
 
 /// The concrete service type for the Vélus pipeline.
@@ -326,30 +261,6 @@ mod tests {
         ]);
         assert_eq!(batch.ok_count(), 1);
         assert!(batch.items[1].result.is_err());
-    }
-
-    #[test]
-    fn cost_hint_ignores_comments_and_finds_adjacent_keywords() {
-        let real = CompileRequest::new("r", "node f(x: int) returns (y: int) let y = x; tel");
-        let commented = CompileRequest::new(
-            "r",
-            "(* node node node (* node *) node *)\n-- node node\n\
-             node f(x: int) returns (y: int) let y = x; tel",
-        );
-        let hint = |req: &CompileRequest| PipelineCompiler.cost_hint(req) - req.source.len() as u64;
-        // Exactly one real `node` in both sources: equal node weight.
-        assert_eq!(hint(&real), 512);
-        assert_eq!(
-            hint(&commented),
-            512,
-            "commented-out keywords must not count"
-        );
-        // `node` is recognized by identifier boundary, not whitespace…
-        let tight = CompileRequest::new("r", "node(x)");
-        assert_eq!(hint(&tight), 512);
-        // …and `nodes`/`mynode` are different identifiers.
-        let lookalike = CompileRequest::new("r", "nodes mynode node_2");
-        assert_eq!(hint(&lookalike), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! casts — §4.1), guards are boolean, and call sites match the callee's
 //! signature.
 
-use velus_common::{Ident, IdentMap};
+use velus_common::{IdentMap, IdentSet};
 use velus_ops::Ops;
 
 use crate::ast::{Block, Class, Method, ObcExpr, ObcProgram, Stmt};
@@ -186,7 +186,7 @@ fn check_method<O: Ops>(
 ///
 /// The first typing or structural violation, in declaration order.
 pub fn check_program<O: Ops>(prog: &ObcProgram<O>) -> Result<(), ObcError> {
-    let mut seen: Vec<Ident> = Vec::new();
+    let mut seen: IdentSet = velus_common::ident_set_with_capacity(prog.classes.len());
     for class in &prog.classes {
         if seen.contains(&class.name) {
             return Err(ObcError::Malformed(format!(
@@ -205,7 +205,7 @@ pub fn check_program<O: Ops>(prog: &ObcProgram<O>) -> Result<(), ObcError> {
         for m in &class.methods {
             check_method(prog, class, m)?;
         }
-        seen.push(class.name);
+        seen.insert(class.name);
     }
     Ok(())
 }
@@ -214,6 +214,7 @@ pub fn check_program<O: Ops>(prog: &ObcProgram<O>) -> Result<(), ObcError> {
 mod tests {
     use super::*;
     use crate::ast::{reset_name, step_name};
+    use velus_common::Ident;
     use velus_ops::{CBinOp, CConst, CTy, ClightOps};
 
     fn id(s: &str) -> Ident {
@@ -283,7 +284,26 @@ mod tests {
     fn rejects_forward_instances() {
         let mut p = counter();
         p.classes[0].instances.push((id("sub"), id("later")));
-        assert!(matches!(check_program(&p), Err(ObcError::Malformed(_))));
+        let mut later = counter().classes.remove(0);
+        later.name = id("later");
+        p.classes.push(later);
+        assert_eq!(
+            check_program(&p),
+            Err(ObcError::Malformed(
+                "class k: instance sub of undeclared class later".to_owned()
+            ))
+        );
+    }
+
+    #[test]
+    fn rejects_duplicate_classes() {
+        let mut p = counter();
+        let again = p.classes[0].clone();
+        p.classes.push(again);
+        assert_eq!(
+            check_program(&p),
+            Err(ObcError::Malformed("duplicate class k".to_owned()))
+        );
     }
 
     #[test]

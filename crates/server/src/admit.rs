@@ -1,21 +1,12 @@
-//! Admission control: bounded queues, cost-aware load shedding, panic
-//! quarantine, and the retry/backoff policy.
+//! Admission control: bounded queues, load shedding, panic quarantine,
+//! and the retry/backoff policy.
 //!
 //! The service admits a request before queueing it and releases the
-//! admission when the request completes. Two independent bounds apply:
+//! admission when the request completes. A **count cap**
+//! ([`AdmissionConfig::queue_cap`]) bounds outstanding admitted requests
+//! (queued + running) — the classic bounded queue.
 //!
-//! * a **count cap** ([`AdmissionConfig::queue_cap`]) on outstanding
-//!   admitted requests (queued + running) — the classic bounded queue;
-//! * a **cost budget** ([`AdmissionConfig::cost_budget_ms`]) on the
-//!   *predicted* total compile time of outstanding work, priced with
-//!   the same [`CostModel`](crate::CostModel) ratio that drives
-//!   `--sched cost`. A single thousand-node program can exhaust the
-//!   budget that a hundred ten-line programs fit into, which is the
-//!   point: shedding is proportional to offered load, not request
-//!   count. While the model is cold (no observed ratio yet) the budget
-//!   is not enforced — there is nothing sound to price with.
-//!
-//! Over-budget work is rejected with `E0801` immediately instead of
+//! Over-cap work is rejected with `E0801` immediately instead of
 //! queueing unboundedly; a draining service rejects with `E0805`.
 //!
 //! `Quarantine` is the panic blocklist: when a request's compilation
@@ -42,17 +33,12 @@ pub struct AdmissionConfig {
     /// Maximum outstanding admitted requests (queued + running).
     /// `None` = unbounded.
     pub queue_cap: Option<usize>,
-    /// Maximum *predicted* total compile time of outstanding work, in
-    /// milliseconds, priced with the cost model's observed
-    /// nanoseconds-per-hint ratio. `None` = unbounded; not enforced
-    /// while the model is cold.
-    pub cost_budget_ms: Option<u64>,
 }
 
 /// Why a request was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AdmitReject {
-    /// Queue cap or cost budget exceeded (`E0801`).
+    /// Queue cap exceeded (`E0801`).
     Overloaded {
         /// Outstanding admitted requests at rejection time.
         queued: u64,
@@ -67,9 +53,6 @@ pub(crate) struct Admission {
     config: AdmissionConfig,
     /// Admitted, not yet completed requests.
     outstanding: AtomicU64,
-    /// Predicted nanoseconds of outstanding work (only maintained when
-    /// a cost budget is configured).
-    outstanding_cost_ns: AtomicU64,
     draining: AtomicBool,
 }
 
@@ -81,19 +64,13 @@ impl Admission {
         }
     }
 
-    pub(crate) fn config(&self) -> AdmissionConfig {
-        self.config
-    }
-
-    /// Tries to admit one request predicted to cost `cost_ns`
-    /// nanoseconds (0 when no budget is configured or the model is
-    /// cold). On success the caller owns one admission and must
-    /// [`release`](Admission::release) it with the same cost.
-    pub(crate) fn try_admit(&self, cost_ns: u64) -> Result<(), AdmitReject> {
+    /// Tries to admit one request. On success the caller owns one
+    /// admission and must [`release`](Admission::release) it.
+    pub(crate) fn try_admit(&self) -> Result<(), AdmitReject> {
         if self.draining.load(Ordering::Relaxed) {
             return Err(AdmitReject::Draining);
         }
-        // Optimistically reserve, then check; over-budget reservations
+        // Optimistically reserve, then check; over-cap reservations
         // roll back. Two racing admits can both reserve the last slot
         // and one rolls back — the cap is honored, never overshot
         // silently by more than the race window.
@@ -104,32 +81,12 @@ impl Admission {
                 return Err(AdmitReject::Overloaded { queued: queued - 1 });
             }
         }
-        if self.config.cost_budget_ms.is_some() && cost_ns > 0 {
-            let budget_ns = self.config.cost_budget_ms.unwrap_or(0) * 1_000_000;
-            let total = self
-                .outstanding_cost_ns
-                .fetch_add(cost_ns, Ordering::Relaxed)
-                + cost_ns;
-            // The *first* outstanding request is always admitted even if
-            // it alone exceeds the budget — otherwise a single large
-            // program could never compile at all.
-            if total > budget_ns && total != cost_ns {
-                self.outstanding_cost_ns
-                    .fetch_sub(cost_ns, Ordering::Relaxed);
-                self.outstanding.fetch_sub(1, Ordering::Relaxed);
-                return Err(AdmitReject::Overloaded { queued: queued - 1 });
-            }
-        }
         Ok(())
     }
 
     /// Releases one admission obtained from [`try_admit`](Admission::try_admit).
-    pub(crate) fn release(&self, cost_ns: u64) {
+    pub(crate) fn release(&self) {
         self.outstanding.fetch_sub(1, Ordering::Relaxed);
-        if cost_ns > 0 {
-            self.outstanding_cost_ns
-                .fetch_sub(cost_ns, Ordering::Relaxed);
-        }
     }
 
     /// Outstanding admitted requests.
@@ -297,51 +254,30 @@ mod tests {
     fn unbounded_admission_admits_everything() {
         let a = Admission::new(AdmissionConfig::default());
         for _ in 0..10_000 {
-            a.try_admit(0).unwrap();
+            a.try_admit().unwrap();
         }
         assert_eq!(a.outstanding(), 10_000);
     }
 
     #[test]
     fn queue_cap_sheds_and_release_reopens() {
-        let a = Admission::new(AdmissionConfig {
-            queue_cap: Some(2),
-            cost_budget_ms: None,
-        });
-        a.try_admit(0).unwrap();
-        a.try_admit(0).unwrap();
-        assert_eq!(a.try_admit(0), Err(AdmitReject::Overloaded { queued: 2 }));
+        let a = Admission::new(AdmissionConfig { queue_cap: Some(2) });
+        a.try_admit().unwrap();
+        a.try_admit().unwrap();
+        assert_eq!(a.try_admit(), Err(AdmitReject::Overloaded { queued: 2 }));
         assert_eq!(a.outstanding(), 2, "rejection rolls its reservation back");
-        a.release(0);
-        a.try_admit(0).unwrap();
+        a.release();
+        a.try_admit().unwrap();
         assert_eq!(a.outstanding(), 2);
-    }
-
-    #[test]
-    fn cost_budget_sheds_but_always_fits_one_request() {
-        let a = Admission::new(AdmissionConfig {
-            queue_cap: None,
-            cost_budget_ms: Some(10), // 10 ms budget
-        });
-        // A single 50 ms request is admitted (budget would deadlock an
-        // empty service otherwise)…
-        a.try_admit(50_000_000).unwrap();
-        // …but a second request on top of the blown budget is shed.
-        assert!(a.try_admit(1_000_000).is_err());
-        a.release(50_000_000);
-        // Cheap requests fit side by side.
-        a.try_admit(4_000_000).unwrap();
-        a.try_admit(4_000_000).unwrap();
-        assert!(a.try_admit(4_000_000).is_err());
     }
 
     #[test]
     fn draining_closes_admission() {
         let a = Admission::new(AdmissionConfig::default());
-        a.try_admit(0).unwrap();
+        a.try_admit().unwrap();
         a.close();
         assert!(a.is_closed());
-        assert_eq!(a.try_admit(0), Err(AdmitReject::Draining));
+        assert_eq!(a.try_admit(), Err(AdmitReject::Draining));
         assert_eq!(a.outstanding(), 1, "in-flight work is unaffected");
     }
 

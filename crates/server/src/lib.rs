@@ -25,11 +25,7 @@
 //!
 //! * the cache is **lock-striped** into shards selected by the digest's
 //!   high bits and bounded by entry/byte caps with LRU eviction
-//!   ([`cache::CacheConfig`]); eviction counters surface in the stats;
-//! * batches can be submitted **longest-predicted-first** instead of
-//!   FIFO ([`sched::SchedulePolicy::Cost`]): an online [`sched::CostModel`]
-//!   learns nanoseconds-per-hint from the service's own stage timings
-//!   and [`Compiler::cost_hint`] supplies the per-request hint.
+//!   ([`cache::CacheConfig`]); eviction counters surface in the stats.
 //!
 //! ```
 //! use velus_server::{ArtifactKind, CancelToken, Compiler, CompileOutput, CompileRequest,
@@ -65,7 +61,6 @@ pub mod admit;
 pub mod cache;
 pub mod cancel;
 pub mod pool;
-pub mod sched;
 pub mod service;
 pub mod stats;
 
@@ -73,7 +68,6 @@ pub use admit::{AdmissionConfig, RetryPolicy};
 pub use cache::{ArtifactCache, CacheConfig, CacheCounters, CacheKey};
 pub use cancel::{CancelReason, CancelToken};
 pub use pool::{ShutdownTimeout, WorkerPool, WORKER_STACK_BYTES};
-pub use sched::{CostModel, SchedulePolicy};
 pub use service::{
     ArtifactReport, BatchReport, CompileService, DrainReport, RequestReport, ServiceConfig,
     ServiceError, Submission,
@@ -580,16 +574,6 @@ pub trait Compiler: Send + Sync + 'static {
     fn failure_report(&self, req: &CompileRequest, err: &Self::Error) -> FailureReport {
         let _ = req;
         FailureReport::from_message(err.to_string())
-    }
-
-    /// A cheap syntactic estimate of how expensive `req` is to compile,
-    /// in arbitrary but consistent units (only relative magnitudes
-    /// matter). Drives cost-predicted batch scheduling
-    /// ([`SchedulePolicy::Cost`]); the default is the source length.
-    /// Must be far cheaper than compiling — it runs on every request
-    /// of a batch before any is submitted.
-    fn cost_hint(&self, req: &CompileRequest) -> u64 {
-        req.source.len() as u64
     }
 
     /// The resident size the cache should account for an artifact, in

@@ -13,10 +13,9 @@
 //!            shed                 rejected      retry w/ backoff
 //! ```
 //!
-//! * **Admission** ([`crate::AdmissionConfig`]) bounds outstanding work
-//!   by count and by *predicted cost* (the cost model's ns/hint ratio)
-//!   and sheds the excess with [`ServiceError::Overloaded`] instead of
-//!   queueing unboundedly.
+//! * **Admission** ([`crate::AdmissionConfig`]) bounds the count of
+//!   outstanding work and sheds the excess with
+//!   [`ServiceError::Overloaded`] instead of queueing unboundedly.
 //! * **Deadlines**: a request's `deadline_ms` starts at admission; the
 //!   per-request [`CancelToken`] is checked before each attempt and at
 //!   every pass boundary of a cooperative compiler.
@@ -44,7 +43,6 @@ use crate::admit::{Admission, AdmissionConfig, AdmitReject, Backoff, Quarantine,
 use crate::cache::{ArtifactCache, CacheConfig, CacheKey};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::pool::{WorkerPool, DEFAULT_SHUTDOWN_TIMEOUT};
-use crate::sched::{submission_order, CostModel, SchedulePolicy};
 use crate::stats::{StatsCollector, StatsSnapshot};
 use crate::{ArtifactKind, CompileRequest, Compiler, DiagRecord, FailureReport};
 
@@ -61,16 +59,14 @@ pub struct ServiceConfig {
     pub caching: bool,
     /// Cache shape and capacity (shard count, entry/byte caps).
     pub cache: CacheConfig,
-    /// Batch submission order (FIFO or cost-predicted LPT).
-    pub schedule: SchedulePolicy,
     /// Structured-tracing recorder. When set, every request runs under
-    /// a trace scope (queue wait, scheduling, cache probe, pipeline
-    /// passes, artifact handling) and the recorder's flight recorder
-    /// retains the slowest requests' span trees. `None` (the default)
-    /// keeps the service entirely trace-free.
+    /// a trace scope (queue wait, cache probe, pipeline passes, artifact
+    /// handling) and the recorder's flight recorder retains the slowest
+    /// requests' span trees. `None` (the default) keeps the service
+    /// entirely trace-free.
     pub recorder: Option<Recorder>,
-    /// Admission bounds (queue cap, cost budget). The default admits
-    /// everything, matching the pre-admission behavior.
+    /// Admission bounds (queue cap). The default admits everything,
+    /// matching the pre-admission behavior.
     pub admission: AdmissionConfig,
     /// Retry policy for transient failures. The default budget is 0:
     /// retrying is opt-in.
@@ -89,7 +85,6 @@ impl Default for ServiceConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
             caching: true,
             cache: CacheConfig::default(),
-            schedule: SchedulePolicy::default(),
             recorder: None,
             admission: AdmissionConfig::default(),
             retry: RetryPolicy::default(),
@@ -122,9 +117,8 @@ pub enum ServiceError<E> {
     /// The worker executing the request disappeared before reporting
     /// (should not happen; a defensive placeholder, never silent).
     Lost,
-    /// Admission control shed the request: the queue cap or cost budget
-    /// was exceeded (`E0801`). Retrying later, when load has receded,
-    /// may succeed.
+    /// Admission control shed the request: the queue cap was exceeded
+    /// (`E0801`). Retrying later, when load has receded, may succeed.
     Overloaded {
         /// Outstanding admitted requests at rejection time.
         queued: u64,
@@ -348,6 +342,7 @@ impl std::fmt::Display for DrainReport {
 /// A single request dispatched through [`CompileService::submit`].
 pub struct Submission<C: Compiler> {
     admitted: bool,
+    name: String,
     rx: mpsc::Receiver<RequestReport<C>>,
 }
 
@@ -361,7 +356,7 @@ impl<C: Compiler> Submission<C> {
     /// Blocks until the request's report is available.
     pub fn wait(self) -> RequestReport<C> {
         self.rx.recv().unwrap_or_else(|_| RequestReport {
-            name: "<lost>".to_owned(),
+            name: self.name,
             result: Err(ServiceError::Lost),
             cache_hit: false,
             warnings: Vec::new(),
@@ -378,7 +373,6 @@ struct Inner<C: Compiler> {
     cache: ArtifactCache<C::Artifact>,
     caching: bool,
     stats: StatsCollector,
-    cost_model: CostModel,
     in_flight: AtomicU64,
     admission: Admission,
     quarantine: Quarantine,
@@ -388,22 +382,6 @@ struct Inner<C: Compiler> {
 }
 
 impl<C: Compiler> Inner<C> {
-    /// The cost-model ratio for admission pricing — `None` (and no
-    /// pricing work at all) unless a cost budget is configured *and*
-    /// the model has observed samples. `ns_per_hint` locks and sorts
-    /// the model's window, so the fault-free warm path must not pay it.
-    fn admission_ratio(&self) -> Option<f64> {
-        if self.admission.config().cost_budget_ms.is_some() {
-            self.cost_model.ns_per_hint()
-        } else {
-            None
-        }
-    }
-
-    fn price(&self, req: &CompileRequest, ratio: Option<f64>) -> u64 {
-        ratio.map_or(0, |r| (self.compiler.cost_hint(req) as f64 * r) as u64)
-    }
-
     fn token_for(&self, req: &CompileRequest) -> CancelToken {
         CancelToken::for_request(
             req.deadline_ms
@@ -417,7 +395,6 @@ impl<C: Compiler> Inner<C> {
 /// [`Compiler`]. See the crate docs for the architecture.
 pub struct CompileService<C: Compiler> {
     inner: Arc<Inner<C>>,
-    schedule: SchedulePolicy,
     pool: WorkerPool,
     recorder: Option<Recorder>,
 }
@@ -431,14 +408,12 @@ impl<C: Compiler> CompileService<C> {
                 cache: ArtifactCache::with_config(config.cache, Box::new(C::artifact_bytes)),
                 caching: config.caching,
                 stats: StatsCollector::new(),
-                cost_model: CostModel::new(),
                 in_flight: AtomicU64::new(0),
                 admission: Admission::new(config.admission),
                 quarantine: Quarantine::new(config.quarantine_cap),
                 retry: config.retry,
                 kill: Arc::new(AtomicBool::new(false)),
             }),
-            schedule: config.schedule,
             pool: WorkerPool::with_shutdown_timeout(config.workers, config.shutdown_timeout),
             recorder: config.recorder,
         }
@@ -492,12 +467,6 @@ impl<C: Compiler> CompileService<C> {
         )
     }
 
-    /// The online cost model driving [`SchedulePolicy::Cost`] and the
-    /// admission cost budget.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.inner.cost_model
-    }
-
     /// Drops every cached artifact (for benchmarking cold paths).
     pub fn clear_cache(&self) {
         self.inner.cache.clear();
@@ -520,78 +489,36 @@ impl<C: Compiler> CompileService<C> {
     /// Dispatches one request to the worker pool without blocking: the
     /// open-loop entry point (arrivals are not gated on completions).
     /// A shed request resolves immediately with its coded rejection.
+    ///
+    /// With a recorder configured, the request runs under its own trace
+    /// scope, opened with a `queue-wait` interval from submission to
+    /// worker pickup.
     pub fn submit(&self, req: CompileRequest) -> Submission<C> {
         let (tx, rx) = mpsc::channel();
-        let cost_ns = self.inner.price(&req, self.inner.admission_ratio());
-        if let Err(reject) = self.inner.admission.try_admit(cost_ns) {
+        let name = req.name.clone();
+        if let Err(reject) = self.inner.admission.try_admit() {
             let report = rejected(&self.inner.stats, req.name, reject_error(reject));
             let _ = tx.send(report);
             return Submission {
                 admitted: false,
+                name,
                 rx,
             };
         }
+        // The token starts now, at admission: queue wait counts against
+        // the request's deadline.
         let token = self.inner.token_for(&req);
         let inner = Arc::clone(&self.inner);
+        // The trace ID is allocated at submission so the queue-wait
+        // interval (submit → worker pickup) can be keyed to it.
+        let traced = self
+            .recorder
+            .clone()
+            .map(|rec| (rec.new_trace(), rec.now_ns(), rec));
         self.pool.execute(move || {
-            let report = run_request(&inner, req, &token);
-            inner.admission.release(cost_ns);
-            let _ = tx.send(report);
-        });
-        Submission { admitted: true, rx }
-    }
-
-    /// Compiles a batch on the worker pool and reports per-request
-    /// outcomes **in request order** (output order does not depend on
-    /// worker count or scheduling).
-    ///
-    /// Submission order follows the configured [`SchedulePolicy`]:
-    /// FIFO submits in request order; cost-predicted scheduling submits
-    /// longest-predicted-first (LPT), which shortens the makespan of
-    /// skewed batches by keeping the expensive requests off the tail.
-    ///
-    /// Requests the admission layer sheds fail immediately with a coded
-    /// [`ServiceError::Overloaded`]/[`ServiceError::Draining`] — their
-    /// slots in the report are never silently dropped.
-    pub fn compile_batch(&self, reqs: Vec<CompileRequest>) -> BatchReport<C> {
-        let start = Instant::now();
-        let n = reqs.len();
-        let order = match self.schedule {
-            SchedulePolicy::Fifo => (0..n).collect(),
-            SchedulePolicy::Cost => {
-                // One lock + sort for the whole batch, not per request.
-                let ratio = self.inner.cost_model.ns_per_hint().unwrap_or(1.0);
-                let costs: Vec<u64> = reqs
-                    .iter()
-                    .map(|r| (self.inner.compiler.cost_hint(r) as f64 * ratio) as u64)
-                    .collect();
-                submission_order(SchedulePolicy::Cost, &costs)
-            }
-        };
-        let admit_ratio = self.inner.admission_ratio();
-        let mut slots_in: Vec<Option<CompileRequest>> = reqs.into_iter().map(Some).collect();
-        let (tx, rx) = mpsc::channel::<(usize, RequestReport<C>)>();
-        for (submit_index, index) in order.into_iter().enumerate() {
-            let req = slots_in[index].take().expect("each request submits once");
-            let cost_ns = self.inner.price(&req, admit_ratio);
-            if let Err(reject) = self.inner.admission.try_admit(cost_ns) {
-                let report = rejected(&self.inner.stats, req.name, reject_error(reject));
-                let _ = tx.send((index, report));
-                continue;
-            }
-            // The token starts now, at admission: queue wait counts
-            // against the request's deadline.
-            let token = self.inner.token_for(&req);
-            let tx = tx.clone();
-            let inner = Arc::clone(&self.inner);
-            let schedule = self.schedule;
-            // The trace ID is allocated at submission so the queue-wait
-            // interval (submit → worker pickup) can be keyed to it.
-            let traced = self
-                .recorder
-                .clone()
-                .map(|rec| (rec.new_trace(), rec.now_ns(), rec));
-            self.pool.execute(move || {
+            let report = {
+                // The scope closes before the report is sent, so a
+                // waiter that drains the recorder sees the whole trace.
                 let _scope = traced.as_ref().map(|(trace_id, submit_ns, rec)| {
                     let scope = rec.scope_with(&req.name, *trace_id);
                     trace::complete(
@@ -599,38 +526,31 @@ impl<C: Compiler> CompileService<C> {
                         *submit_ns,
                         rec.now_ns().saturating_sub(*submit_ns),
                     );
-                    trace::instant(
-                        "sched",
-                        Some(format!("policy={schedule:?} submit_index={submit_index}")),
-                    );
                     scope
                 });
-                let report = run_request(&inner, req, &token);
-                inner.admission.release(cost_ns);
-                // The receiver outlives the batch; a send failure means
-                // the batch was abandoned, which compile_batch never does.
-                let _ = tx.send((index, report));
-            });
+                run_request(&inner, req, &token)
+            };
+            inner.admission.release();
+            let _ = tx.send(report);
+        });
+        Submission {
+            admitted: true,
+            name,
+            rx,
         }
-        drop(tx);
-        let mut slots: Vec<Option<RequestReport<C>>> = (0..n).map(|_| None).collect();
-        for (index, report) in rx {
-            slots[index] = Some(report);
-        }
-        let items = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or_else(|| RequestReport {
-                    name: format!("request-{i}"),
-                    result: Err(ServiceError::Lost),
-                    cache_hit: false,
-                    warnings: Vec::new(),
-                    latency: Duration::ZERO,
-                    attempts: 0,
-                })
-            })
-            .collect();
+    }
+
+    /// Compiles a batch on the worker pool and reports per-request
+    /// outcomes **in request order**: each request goes through
+    /// [`CompileService::submit`] in order, then each is waited for.
+    ///
+    /// Requests the admission layer sheds fail immediately with a coded
+    /// [`ServiceError::Overloaded`]/[`ServiceError::Draining`] — their
+    /// slots in the report are never silently dropped.
+    pub fn compile_batch(&self, reqs: Vec<CompileRequest>) -> BatchReport<C> {
+        let start = Instant::now();
+        let submissions: Vec<Submission<C>> = reqs.into_iter().map(|r| self.submit(r)).collect();
+        let items = submissions.into_iter().map(Submission::wait).collect();
         BatchReport {
             items,
             wall: start.elapsed(),
@@ -947,7 +867,6 @@ fn compile_guarded<C: Compiler>(
     kinds: &[ArtifactKind],
     token: &CancelToken,
 ) -> Result<crate::CompileOutput<C::Artifact>, ServiceError<C::Error>> {
-    let compile_start = Instant::now();
     let guard = trace::enter("compile");
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         inner.compiler.compile(req, kinds, token)
@@ -956,13 +875,6 @@ fn compile_guarded<C: Compiler>(
     match outcome {
         Ok(Ok(output)) => {
             inner.stats.record_stages(&output.samples);
-            // Teach the cost model what this request actually cost
-            // (successes only: failures abort early and would skew the
-            // nanoseconds-per-hint ratio down).
-            inner.cost_model.record(
-                inner.compiler.cost_hint(req),
-                compile_start.elapsed().as_nanos() as u64,
-            );
             Ok(output)
         }
         Ok(Err(error)) => {
@@ -1370,45 +1282,12 @@ mod tests {
     }
 
     #[test]
-    fn cost_scheduling_reorders_submission_but_not_results() {
-        let svc = CompileService::new(
-            Toy::new(),
-            ServiceConfig {
-                workers: 1,
-                caching: true,
-                schedule: crate::SchedulePolicy::Cost,
-                ..Default::default()
-            },
-        );
-        // Toy's default cost hint is the source length: the longest
-        // source is submitted (and with one worker, compiled) first.
-        let reqs = vec![
-            CompileRequest::new("short", "s"),
-            CompileRequest::new("long", "the longest source of them all"),
-            CompileRequest::new("mid", "a medium one"),
-        ];
-        let batch = svc.compile_batch(reqs.clone());
-        assert_eq!(batch.ok_count(), 3);
-        // Reports stay in request order regardless of submission order.
-        let names: Vec<&str> = batch.items.iter().map(|i| i.name.as_str()).collect();
-        assert_eq!(names, ["short", "long", "mid"]);
-        // The model learned from the uncached compilations.
-        assert_eq!(svc.cost_model().samples(), 3);
-        // A warm batch is unaffected by scheduling: all hits.
-        let warm = svc.compile_batch(reqs);
-        assert_eq!(warm.hit_count(), 3);
-    }
-
-    #[test]
     fn a_zero_queue_cap_sheds_every_request_with_coded_errors() {
         let svc = CompileService::new(
             Toy::new(),
             ServiceConfig {
                 workers: 2,
-                admission: AdmissionConfig {
-                    queue_cap: Some(0),
-                    cost_budget_ms: None,
-                },
+                admission: AdmissionConfig { queue_cap: Some(0) },
                 ..Default::default()
             },
         );

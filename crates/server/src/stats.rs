@@ -18,21 +18,6 @@ use velus_obs::{PromWriter, ShardedHistogram};
 use crate::cache::CacheCounters;
 use crate::{ArtifactKind, Stage, StageSample};
 
-/// Nearest-rank percentile of a **sorted** sample set; 0 on empty input.
-///
-/// The serving statistics themselves use histograms now, but the
-/// benches still rank their (small, exact) sample vectors with this.
-pub fn percentile(sorted: &[u64], pct: u32) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let pct = pct.min(100) as usize;
-    // Nearest-rank: the smallest value with at least pct% of samples at
-    // or below it.
-    let rank = (pct * sorted.len()).div_ceil(100).max(1);
-    sorted[rank - 1]
-}
-
 /// Per-kind request/hit/miss counters (one slot per
 /// [`ArtifactKind::GROUPS`] entry).
 #[derive(Default)]
@@ -685,32 +670,6 @@ impl std::fmt::Display for StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let xs: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&xs, 50), 50);
-        assert_eq!(percentile(&xs, 95), 95);
-        assert_eq!(percentile(&xs, 100), 100);
-        assert_eq!(percentile(&xs, 0), 1);
-        assert_eq!(percentile(&[], 50), 0);
-        assert_eq!(percentile(&[7], 50), 7);
-        assert_eq!(percentile(&[7], 95), 7);
-        assert_eq!(percentile(&[1, 2], 50), 1);
-        assert_eq!(percentile(&[1, 2], 95), 2);
-    }
-
-    #[test]
-    fn percentile_edge_cases_hold() {
-        // Empty and single-sample inputs (the degenerate distributions
-        // a cold service reports).
-        assert_eq!(percentile(&[], 0), 0);
-        assert_eq!(percentile(&[], 100), 0);
-        assert_eq!(percentile(&[42], 0), 42);
-        assert_eq!(percentile(&[42], 100), 42);
-        // Percentiles above 100 clamp instead of indexing out of range.
-        assert_eq!(percentile(&[1, 2, 3], 1000), 3);
-    }
 
     #[test]
     fn latency_recording_is_insertion_order_independent() {

@@ -274,10 +274,6 @@ impl<C: Compiler> Compiler for ChaosCompiler<C> {
         }
     }
 
-    fn cost_hint(&self, req: &CompileRequest) -> u64 {
-        self.inner.cost_hint(req)
-    }
-
     fn artifact_bytes(artifact: &C::Artifact) -> usize {
         C::artifact_bytes(artifact)
     }

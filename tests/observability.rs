@@ -142,6 +142,33 @@ fn spans_balance_and_nest_per_trace_across_worker_threads() {
     }
 }
 
+#[test]
+fn submitted_requests_are_traced_like_batch_requests() {
+    let recorder = Recorder::new(RecorderConfig::default());
+    let svc = service(ServiceConfig {
+        workers: 2,
+        recorder: Some(recorder.clone()),
+        ..Default::default()
+    });
+    let req = generated_corpus(1).pop().expect("one request");
+    let report = svc.submit(req).wait();
+    assert!(report.result.is_ok(), "request must compile");
+    // The worker closes the request scope before the report is sent,
+    // so the trace is complete once `wait` returns.
+    let data = recorder.drain();
+    let traces: std::collections::BTreeSet<u64> = data.events.iter().map(|e| e.trace).collect();
+    assert_eq!(traces.len(), 1, "one trace for the one request");
+    let has = |kind: fn(&EventKind) -> bool, name: &str| {
+        data.events.iter().any(|e| kind(&e.kind) && e.name == name)
+    };
+    let enter = |k: &EventKind| matches!(k, EventKind::Enter);
+    let complete = |k: &EventKind| matches!(k, EventKind::Complete { .. });
+    assert!(has(complete, "queue-wait"), "no queue-wait interval");
+    for span in ["request", "cache-probe", "compile", "elaborate", "emit"] {
+        assert!(has(enter, span), "no `{span}` span");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 

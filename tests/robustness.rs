@@ -65,10 +65,7 @@ fn an_expired_deadline_fails_the_real_pipeline_with_e0802() {
 fn a_full_admission_queue_sheds_submissions_with_e0801() {
     let svc = service(ServiceConfig {
         workers: 1,
-        admission: AdmissionConfig {
-            queue_cap: Some(0),
-            cost_budget_ms: None,
-        },
+        admission: AdmissionConfig { queue_cap: Some(0) },
         ..Default::default()
     });
     let sub = svc.submit(CompileRequest::new("shed", PROGRAM));
