@@ -31,7 +31,9 @@
 //! even though a plain compile never runs it. The smoke run also guards
 //! the executable semantics: it fails if one `velus::run_oracles` over
 //! [`ORACLE_INSTANTS`] instants of a paper benchmark allocates more than
-//! [`ORACLE_ALLOCS_GUARD`] times on average.
+//! [`ORACLE_ALLOCS_GUARD`] times on average, and the cache hit path: it
+//! fails if the request content digest is less than
+//! [`DIGEST_SPEEDUP_GUARD`] times as fast as byte-at-a-time FNV-1a.
 //!
 //! `--overhead` instead measures the cost of the observability layer:
 //! the industrial corpus is compiled with tracing disabled and then
@@ -52,6 +54,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -61,7 +64,7 @@ use velus_bench::{parse_bool_flag, parse_flag, parse_string_flag};
 use velus_common::IoMode;
 use velus_obs::trace;
 use velus_obs::{Histogram, Recorder, RecorderConfig};
-use velus_server::Stage;
+use velus_server::{CompileRequest, ContentDigest, Stage};
 use velus_testkit::industrial::{industrial_source, IndustrialConfig};
 use velus_testkit::shapes::{chain_source, nest_source};
 
@@ -242,6 +245,61 @@ fn oracle_allocs_per_run() -> f64 {
         );
     }
     allocs as f64 / BENCHMARKS.len() as f64
+}
+
+/// Floor on how many times faster [`ContentDigest::of`] — the one pass
+/// over a request's content that every cache hit pays — reads the paper
+/// corpus plus a 1 MiB buffer than a byte-at-a-time FNV-1a loop over the
+/// same bytes, enforced by `--smoke` (the cache hit-path guard). Both
+/// loops run in one process, best of [`DIGEST_RUNS`] each, so the ratio
+/// calibrates itself to the machine; the word-at-a-time digest measures
+/// about 10x on a 2-vCPU VM. A digest that went back to reading bytes
+/// one at a time lands near 1x.
+const DIGEST_SPEEDUP_GUARD: f64 = 4.0;
+
+/// Timed repetitions per loop in the [`DIGEST_SPEEDUP_GUARD`] check.
+const DIGEST_RUNS: usize = 5;
+
+/// The [`DIGEST_SPEEDUP_GUARD`] ratio: best FNV-1a time over best
+/// digest time, over the same requests.
+fn digest_speedup() -> f64 {
+    let mut requests: Vec<CompileRequest> = BENCHMARKS
+        .iter()
+        .map(|name| CompileRequest::new(*name, load(name)).with_root(*name))
+        .collect();
+    // 1 MiB of printable ASCII from a fixed LCG: the same bytes every run.
+    let mut state: u32 = 1;
+    let big: String = (0..1 << 20)
+        .map(|_| {
+            state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            char::from(b' ' + ((state >> 16) % 95) as u8)
+        })
+        .collect();
+    requests.push(CompileRequest::new("1MiB", big));
+    let best = |digest_one: &dyn Fn(&CompileRequest) -> u64| {
+        (0..DIGEST_RUNS)
+            .map(|_| {
+                let start = Instant::now();
+                let folded = requests
+                    .iter()
+                    .fold(0u64, |acc, r| acc ^ digest_one(black_box(r)));
+                black_box(folded);
+                start.elapsed()
+            })
+            .min()
+            .expect("at least one run")
+    };
+    let digest = best(&|r| ContentDigest::of(r).seed());
+    let fnv = best(&|r| {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let root = r.root.as_deref().unwrap_or("");
+        for &b in r.source.as_bytes().iter().chain(root.as_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    });
+    fnv.as_secs_f64() / digest.as_secs_f64().max(1e-9)
 }
 
 fn print_profile(label: &str, p: &Profile, stage_filter: Option<&str>) {
@@ -674,6 +732,7 @@ fn main() {
     }
     if smoke {
         let oracle_allocs = oracle_allocs_per_run();
+        let speedup = digest_speedup();
         assert!(
             frontend_allocs_on_benchmarks <= FRONTEND_ALLOCS_GUARD,
             "frontend allocation regression: {frontend_allocs_on_benchmarks:.1} allocs/compile \
@@ -693,12 +752,20 @@ fn main() {
              of {ORACLE_ALLOCS_GUARD:.0} (see ORACLE_ALLOCS_GUARD in \
              crates/bench/src/bin/pipeline.rs)"
         );
+        assert!(
+            speedup >= DIGEST_SPEEDUP_GUARD,
+            "cache hit-path regression: the content digest runs only {speedup:.1}x as fast as \
+             byte-at-a-time FNV-1a over the same bytes, below the checked-in guard of \
+             {DIGEST_SPEEDUP_GUARD:.0}x (see DIGEST_SPEEDUP_GUARD in \
+             crates/bench/src/bin/pipeline.rs)"
+        );
         println!(
             "smoke ok: harness emitted well-formed JSON; frontend allocs/compile \
              {frontend_allocs_on_benchmarks:.1} within guard {FRONTEND_ALLOCS_GUARD:.0}; \
              analysis allocs/compile {analysis_allocs_on_benchmarks:.1} within guard \
              {ANALYSIS_ALLOCS_GUARD:.0}; oracle allocs/run {oracle_allocs:.1} within guard \
-             {ORACLE_ALLOCS_GUARD:.0}"
+             {ORACLE_ALLOCS_GUARD:.0}; content digest {speedup:.1}x FNV-1a, guard \
+             {DIGEST_SPEEDUP_GUARD:.0}x"
         );
     }
 }

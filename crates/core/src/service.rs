@@ -113,7 +113,11 @@ impl Compiler for PipelineCompiler {
             .iter()
             .map(|w| DiagRecord::of(w, &req.source))
             .collect();
+        // Freeing every IR of a big program is measurable work of its
+        // own; the span keeps it out of `compile`'s self time.
+        let teardown = trace::enter("teardown");
         drop(staged);
+        trace::exit(teardown);
         Ok(CompileOutput::new(artifacts, sink.samples).with_warnings(warnings))
     }
 

@@ -10,9 +10,9 @@
 //! queueing unboundedly; a draining service rejects with `E0805`.
 //!
 //! `Quarantine` is the panic blocklist: when a request's compilation
-//! still panics after its retry budget, its cache digest enters a small
-//! ring; subsequent requests with the same digest are rejected with
-//! `E0803` before touching a worker. The ring is bounded, so a stream
+//! still panics after its retry budget, its content digest enters a
+//! small ring; subsequent requests with the same content — under any
+//! artifact kind — are rejected with `E0803` before touching a worker. The ring is bounded, so a stream
 //! of distinct poisonous inputs ages old entries out rather than
 //! growing without limit.
 //!
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::cache::CacheKey;
+use crate::cache::ContentDigest;
 
 /// Admission bounds. The default is unbounded (every request admitted),
 /// which preserves the pre-admission behavior of `compile_batch`.
@@ -111,7 +111,7 @@ impl Admission {
 pub(crate) struct Quarantine {
     cap: usize,
     len: AtomicU64,
-    ring: Mutex<Vec<CacheKey>>,
+    ring: Mutex<Vec<ContentDigest>>,
     hits: AtomicU64,
 }
 
@@ -124,31 +124,31 @@ impl Quarantine {
         }
     }
 
-    /// Whether `key` is quarantined; counts a hit when it is.
-    pub(crate) fn check(&self, key: &CacheKey) -> bool {
+    /// Whether `digest` is quarantined; counts a hit when it is.
+    pub(crate) fn check(&self, digest: &ContentDigest) -> bool {
         if self.len.load(Ordering::Relaxed) == 0 {
             return false;
         }
-        let hit = self.ring.lock().expect("quarantine lock").contains(key);
+        let hit = self.ring.lock().expect("quarantine lock").contains(digest);
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         hit
     }
 
-    /// Quarantines `key` (dedup; oldest entry evicted at capacity).
-    pub(crate) fn insert(&self, key: CacheKey) {
+    /// Quarantines `digest` (dedup; oldest entry evicted at capacity).
+    pub(crate) fn insert(&self, digest: ContentDigest) {
         if self.cap == 0 {
             return;
         }
         let mut ring = self.ring.lock().expect("quarantine lock");
-        if ring.contains(&key) {
+        if ring.contains(&digest) {
             return;
         }
         if ring.len() == self.cap {
             ring.remove(0);
         }
-        ring.push(key);
+        ring.push(digest);
         self.len.store(ring.len() as u64, Ordering::Relaxed);
     }
 
@@ -243,11 +243,8 @@ impl Backoff {
 mod tests {
     use super::*;
 
-    fn key(n: u8) -> CacheKey {
-        CacheKey::of_request(
-            &crate::CompileRequest::new("k", format!("src{n}")),
-            &crate::ArtifactKind::CCode,
-        )
+    fn key(n: u8) -> ContentDigest {
+        ContentDigest::of(&crate::CompileRequest::new("k", format!("src{n}")))
     }
 
     #[test]

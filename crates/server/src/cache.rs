@@ -1,24 +1,29 @@
 //! The content-addressed artifact cache.
 //!
-//! Keys are a 128-bit FNV-1a digest of the request's *content* — source
-//! text, root selection, I/O mode, and the **artifact kind** being
-//! cached. Equal content therefore maps to the same artifact regardless
-//! of the request's label, and a warm hit returns the identical `Arc`
-//! so emitted code is bit-for-bit the artifact produced by the cold
-//! compilation. Each kind of a multi-kind request is a separate entry:
-//! a WCET request neither recomputes nor re-caches the C artifact, and
-//! each entry is weighed by its own kind's resident size.
+//! Every request is digested **once**: [`ContentDigest::of`] reads the
+//! request's *content* — source text, root selection and I/O mode — in
+//! one word-at-a-time pass and yields 128 bits. Each artifact kind's
+//! [`CacheKey`] is then derived from that digest in O(1)
+//! ([`ContentDigest::key`]), so a multi-kind request reads its source
+//! once, not once per kind. Equal content maps to the same artifact
+//! regardless of the request's label, and a warm hit returns the
+//! identical `Arc`, so emitted code is bit-for-bit the artifact produced
+//! by the cold compilation. Each kind of a multi-kind request is a
+//! separate entry: a WCET request neither recomputes nor re-caches the C
+//! artifact, and each entry is weighed by its own kind's resident size.
 //!
-//! FNV-1a is fast but not collision-resistant, so every entry keeps the
-//! content it was stored under and a lookup **verifies the content on
-//! hit**: a digest collision degrades to a miss (and a recompile), never
-//! to serving another program's artifact.
+//! The digest is a locator, not a proof of identity: it is fast, not
+//! collision-resistant. Every entry keeps the content it was stored
+//! under and a lookup **verifies the content on hit**, byte for byte, so
+//! a digest collision degrades to a miss (and a recompile), never to
+//! serving another program's artifact.
 //!
 //! # Sharding and eviction
 //!
 //! The table is striped into [`CacheConfig::shards`] lock-striped shards
-//! selected by the high bits of the digest (uniform, since the digest
-//! is), so concurrent workers only contend when they touch the same
+//! selected by the high bits of the key (the digest's finalizer and the
+//! kind derivation both mix every input bit into them, so stripes fill
+//! evenly), so concurrent workers only contend when they touch the same
 //! stripe. Capacity is bounded: each entry is weighed (stored source
 //! bytes plus an artifact weigher supplied by the service) and the cache
 //! enforces optional total entry/byte caps with **LRU eviction** —
@@ -35,75 +40,132 @@ use std::sync::{Arc, Mutex};
 
 use crate::{ArtifactKind, CompileRequest, IoMode};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Odd 64-bit constants with well-spread bits (wyhash's secrets): each
+/// lane and each finalizer step folds against a different one.
+const K: [u64; 4] = [
+    0xa076_1d64_78bd_642f,
+    0xe703_7ed1_a0b4_28db,
+    0x8ebc_6af0_9c88_c6e3,
+    0x5899_65cc_7537_4cc3,
+];
 
-#[derive(Clone, Copy)]
-struct Fnv(u64);
+/// The first block of every digest, so these digests never coincide
+/// with another use of the same hash.
+const DOMAIN: &[u8; 16] = b"velus-content-v1";
 
-impl Fnv {
-    fn new(offset: u64) -> Fnv {
-        Fnv(offset)
+/// Folded multiply: the 128-bit product's halves XORed together. Every
+/// input bit reaches the middle bits of the result, which is what makes
+/// one multiply per lane and block enough.
+fn fold(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
+}
+
+/// Two independent folded-multiply lanes over 16-byte blocks. Both lanes
+/// read the whole block with their words in opposite roles, so the two
+/// halves of the digest do not depend on the input in the same way.
+struct Lanes {
+    a: u64,
+    b: u64,
+}
+
+impl Lanes {
+    fn new() -> Lanes {
+        let mut lanes = Lanes { a: K[0], b: K[1] };
+        lanes.bytes(DOMAIN);
+        lanes
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+    fn block(&mut self, w0: u64, w1: u64) {
+        self.a = fold(w0 ^ K[2], w1 ^ self.a);
+        self.b = fold(w1 ^ K[3], w0 ^ self.b);
+    }
+
+    /// Absorbs `bytes` as little-endian words, so the value is the same
+    /// on every platform; a partial last block is zero-padded (the
+    /// lengths, absorbed first, tell padding from data).
+    fn bytes(&mut self, bytes: &[u8]) {
+        let mut blocks = bytes.chunks_exact(16);
+        for block in &mut blocks {
+            let (w0, w1) = block.split_at(8);
+            self.block(word(w0), word(w1));
+        }
+        let tail = blocks.remainder();
+        if !tail.is_empty() {
+            let mut padded = [0u8; 16];
+            padded[..tail.len()].copy_from_slice(tail);
+            let (w0, w1) = padded.split_at(8);
+            self.block(word(w0), word(w1));
         }
     }
 }
 
-/// A 128-bit content digest identifying a compilation input.
+/// A 128-bit digest of a request's content: source text, root selection
+/// and I/O mode. The `name` label is deliberately excluded (two files
+/// with equal content share their cache entries), and so is the kind
+/// *set*: each kind keys its own entry through [`ContentDigest::key`],
+/// so a later request that shares only some kinds still hits those.
+///
+/// The digest is computed once per request. The service derives every
+/// per-kind cache key, the retry-jitter seed and the panic-quarantine
+/// entry from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
+pub struct ContentDigest {
     hi: u64,
     lo: u64,
 }
 
-impl CacheKey {
-    /// Digests a request's content (source, root, I/O mode) together
-    /// with the artifact `kind` being cached. The `name` label is
-    /// deliberately excluded: two files with equal content share one
-    /// cache entry per kind. The kind *set* of the request is likewise
-    /// excluded — each kind keys its own entry, so a later request that
-    /// shares only some kinds still hits those.
-    pub fn of_request(req: &CompileRequest, kind: &ArtifactKind) -> CacheKey {
-        // Two independent FNV streams (different offset bases, one with a
-        // domain tag) give a 128-bit key; fields are length-prefixed so
-        // concatenations cannot collide.
-        let mut a = Fnv::new(FNV_OFFSET);
-        let mut b = Fnv::new(FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15);
-        b.write(b"velus-cache-v2");
-        for fnv in [&mut a, &mut b] {
-            let mut field = |bytes: &[u8]| {
-                fnv.write(&(bytes.len() as u64).to_le_bytes());
-                fnv.write(bytes);
-            };
-            field(req.source.as_bytes());
-            field(req.root.as_deref().unwrap_or("").as_bytes());
-            let tag = kind.key_tag();
-            field(&[
-                req.root.is_some() as u8,
-                (req.options.io as u8),
-                tag[0],
-                tag[1],
-            ]);
+impl ContentDigest {
+    /// Digests a request in one pass. Every length and flag is absorbed
+    /// before any text (source length, root length, root presence, I/O
+    /// mode), so no two field splits of the same bytes collide: `("ab",
+    /// root "c")` differs from `("a", root "bc")`, and no root differs
+    /// from an empty one.
+    pub fn of(req: &CompileRequest) -> ContentDigest {
+        let root = req.root.as_deref().unwrap_or("");
+        let mut lanes = Lanes::new();
+        lanes.block(req.source.len() as u64, root.len() as u64);
+        lanes.block(u64::from(req.root.is_some()), req.options.io as u64);
+        lanes.bytes(req.source.as_bytes());
+        lanes.bytes(root.as_bytes());
+        // Finalize: both output halves depend on both lanes, so the high
+        // bits that select a shard are as uniform as the low ones.
+        let hi = fold(lanes.a ^ K[0], lanes.b ^ K[1]);
+        let lo = fold(lanes.b ^ K[2], lanes.a ^ hi);
+        ContentDigest { hi, lo }
+    }
+
+    /// The cache key of one artifact `kind` of this content, in O(1).
+    /// Distinct kinds of the same content always get distinct keys: the
+    /// low half is the digest's XOR a bijection of the kind tag.
+    pub fn key(&self, kind: &ArtifactKind) -> CacheKey {
+        let [major, minor] = kind.key_tag();
+        let tag = (u64::from(major) << 8 | u64::from(minor)).wrapping_add(1);
+        let lo = self.lo ^ tag.wrapping_mul(K[1]);
+        CacheKey {
+            hi: fold(self.hi ^ tag.wrapping_mul(K[0]), lo ^ K[3]),
+            lo,
         }
-        CacheKey { hi: a.0, lo: b.0 }
     }
 
-    /// A short hex rendering for logs.
-    pub fn short(&self) -> String {
-        format!("{:08x}", self.hi >> 32)
-    }
-
-    /// The digest folded to 64 bits — the per-request backoff RNG seed,
-    /// so retry jitter is deterministic per input yet decorrelated
-    /// across inputs.
-    pub(crate) fn seed(&self) -> u64 {
+    /// The digest folded to 64 bits: a per-input seed for deterministic
+    /// randomness (the service's retry jitter, the chaos layer's fault
+    /// rolls) that is fixed per content yet decorrelated across inputs.
+    pub fn seed(&self) -> u64 {
         self.hi ^ self.lo
     }
+}
+
+/// The cache key of one artifact kind of one request's content; see
+/// [`ContentDigest::key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CacheKey {
+    hi: u64,
+    lo: u64,
 }
 
 /// Shape and capacity of an [`ArtifactCache`].
@@ -434,7 +496,7 @@ mod tests {
     }
 
     fn key(r: &CompileRequest) -> CacheKey {
-        CacheKey::of_request(r, &C)
+        ContentDigest::of(r).key(&C)
     }
 
     fn bounded(max_entries: usize) -> ArtifactCache<String> {
@@ -449,9 +511,10 @@ mod tests {
 
     #[test]
     fn key_depends_on_content_not_name() {
-        let a = key(&CompileRequest::new("a", "node f() ..."));
-        let b = key(&CompileRequest::new("b", "node f() ..."));
-        assert_eq!(a, b);
+        let a = CompileRequest::new("a", "node f() ...");
+        let b = CompileRequest::new("b", "node f() ...");
+        assert_eq!(ContentDigest::of(&a), ContentDigest::of(&b));
+        assert_eq!(key(&a), key(&b));
     }
 
     #[test]
@@ -468,21 +531,96 @@ mod tests {
         );
         // Explicit empty root differs from no root (length prefixing).
         assert_ne!(k, key(&base.clone().with_root("")));
-        // Every other kind keys a distinct entry for the same content.
-        for kind in [
-            ArtifactKind::Wcet {
-                model: WcetModelKind::CompCert,
-            },
-            ArtifactKind::Wcet {
-                model: WcetModelKind::GccInline,
-            },
+        // Moving bytes across the source/root boundary changes the key.
+        assert_ne!(
+            key(&req("ab").with_root("c")),
+            key(&req("a").with_root("bc"))
+        );
+        // Every kind — each WCET model and IR stage included — keys a
+        // distinct entry for the same content.
+        let digest = ContentDigest::of(&base);
+        let mut kinds = vec![
+            ArtifactKind::CCode,
             ArtifactKind::BaselineDiff,
-            ArtifactKind::IrDump {
-                stage: IrStageKind::ObcFused,
-            },
-        ] {
-            assert_ne!(k, CacheKey::of_request(&base, &kind), "{kind}");
+            ArtifactKind::Report,
+            ArtifactKind::Lint,
+        ];
+        kinds.extend(
+            [
+                WcetModelKind::CompCert,
+                WcetModelKind::Gcc,
+                WcetModelKind::GccInline,
+            ]
+            .map(|model| ArtifactKind::Wcet { model }),
+        );
+        kinds.extend(
+            [
+                IrStageKind::NLustre,
+                IrStageKind::SnLustre,
+                IrStageKind::Obc,
+                IrStageKind::ObcFused,
+            ]
+            .map(|stage| ArtifactKind::IrDump { stage }),
+        );
+        let keys: std::collections::HashSet<CacheKey> =
+            kinds.iter().map(|kind| digest.key(kind)).collect();
+        assert_eq!(keys.len(), kinds.len(), "one distinct key per kind");
+    }
+
+    #[test]
+    fn digest_is_pinned_across_platforms() {
+        // Words are read little-endian, so this value is the same on
+        // every target. The cache lives in memory, so a change here
+        // breaks no stored state, but it must be deliberate.
+        let digest = ContentDigest::of(
+            &CompileRequest::new("n", "node f(x: int) returns (y: int) let y = x; tel")
+                .with_root("f"),
+        );
+        assert_eq!(
+            digest,
+            ContentDigest {
+                hi: 0xd6a9_6d93_7f99_ba1d,
+                lo: 0xe360_9250_302e_59c6,
+            }
+        );
+    }
+
+    #[test]
+    fn every_block_tail_length_changes_the_digest() {
+        // Sources of length 0..=41 cover empty input, a partial block of
+        // every size, exact blocks and block-plus-tail.
+        let text = "node f(x: int) returns (y: int) let y = x; tel";
+        let digests: Vec<ContentDigest> = (0..=41)
+            .map(|n| ContentDigest::of(&req(&text[..n])))
+            .collect();
+        for (n, pair) in digests.windows(2).enumerate() {
+            assert_ne!(pair[0], pair[1], "length {n} vs {}", n + 1);
         }
+        // Trailing zero bytes are data, not padding.
+        for n in 0..=40 {
+            let short = "\0".repeat(n);
+            let long = "\0".repeat(n + 1);
+            assert_ne!(
+                ContentDigest::of(&req(&short)),
+                ContentDigest::of(&req(&long))
+            );
+        }
+    }
+
+    #[test]
+    fn keys_spread_evenly_over_shards() {
+        // Shards are picked by the key's top bits; 4,096 similar sources
+        // must not pile into a few of 16 stripes.
+        let mut counts = [0usize; 16];
+        for i in 0..4096 {
+            let k = key(&req(&format!("node n{i}(x: int) returns (y: int)")));
+            counts[(k.hi >> 60) as usize] += 1;
+        }
+        let mean = 4096 / 16;
+        assert!(
+            counts.iter().all(|&c| c <= 2 * mean),
+            "uneven shards: {counts:?}"
+        );
     }
 
     #[test]

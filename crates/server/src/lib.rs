@@ -8,9 +8,10 @@
 //! * [`CompileService`] — accepts batches of [`CompileRequest`]s and runs
 //!   them on a [`pool::WorkerPool`], in parallel, with panic isolation
 //!   per request;
-//! * [`cache::ArtifactCache`] — a content-addressed memo table keyed by
-//!   `(source hash, root, options)`: a warm hit skips the whole pipeline
-//!   and returns the identical artifact;
+//! * [`cache::ArtifactCache`] — a content-addressed memo table keyed per
+//!   artifact kind from one [`ContentDigest`] of the request's source,
+//!   root and I/O mode: a warm hit skips the whole pipeline and returns
+//!   the identical artifact;
 //! * [`stats::StatsSnapshot`] — requests, hit/miss counts, and p50/p95
 //!   latency per pipeline stage, for capacity planning.
 //!
@@ -65,7 +66,7 @@ pub mod service;
 pub mod stats;
 
 pub use admit::{AdmissionConfig, RetryPolicy};
-pub use cache::{ArtifactCache, CacheConfig, CacheCounters, CacheKey};
+pub use cache::{ArtifactCache, CacheConfig, CacheCounters, CacheKey, ContentDigest};
 pub use cancel::{CancelReason, CancelToken};
 pub use pool::{ShutdownTimeout, WorkerPool, WORKER_STACK_BYTES};
 pub use service::{

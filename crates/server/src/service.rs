@@ -40,7 +40,7 @@ use velus_obs::trace;
 use velus_obs::Recorder;
 
 use crate::admit::{Admission, AdmissionConfig, AdmitReject, Backoff, Quarantine, RetryPolicy};
-use crate::cache::{ArtifactCache, CacheConfig, CacheKey};
+use crate::cache::{ArtifactCache, CacheConfig, ContentDigest};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::pool::{WorkerPool, DEFAULT_SHUTDOWN_TIMEOUT};
 use crate::stats::{StatsCollector, StatsSnapshot};
@@ -653,13 +653,12 @@ fn run_request<C: Compiler>(
     inner.stats.record_request();
     inner.in_flight.fetch_add(1, Ordering::Relaxed);
     let kinds = req.options.effective_kinds();
-    let keys: Vec<CacheKey> = kinds
-        .iter()
-        .map(|kind| CacheKey::of_request(&req, kind))
-        .collect();
+    // One pass over the content; every kind's key, the retry jitter and
+    // the quarantine entry derive from it.
+    let digest = ContentDigest::of(&req);
 
     let mut attempts: u32 = 0;
-    let mut backoff = Backoff::new(inner.retry, keys[0].seed());
+    let mut backoff = Backoff::new(inner.retry, digest.seed());
     let mut all_hit = false;
     let mut warnings: Vec<DiagRecord> = Vec::new();
     let result = loop {
@@ -669,13 +668,13 @@ fn run_request<C: Compiler>(
         if let Some(reason) = token.state() {
             break Err(cancel_to_error(reason));
         }
-        if inner.quarantine.check(&keys[0]) {
+        if inner.quarantine.check(&digest) {
             inner.stats.record_quarantine_hit();
             break Err(ServiceError::Quarantined);
         }
         let first = attempts == 0;
         attempts += 1;
-        let (hit, warn, outcome) = attempt(inner, &req, &kinds, &keys, token, first);
+        let (hit, warn, outcome) = attempt(inner, &req, &kinds, &digest, token, first);
         all_hit = hit;
         warnings = warn;
         match outcome {
@@ -725,10 +724,11 @@ fn run_request<C: Compiler>(
                     }
                 }
                 // Final outcome. A panic that survived its retries
-                // quarantines the input's digest: repeat offenders are
-                // rejected instantly instead of re-poisoning workers.
+                // quarantines the input's content digest — whatever
+                // kinds it asked for: repeat offenders are rejected
+                // instantly instead of re-poisoning workers.
                 if matches!(err, ServiceError::Panic(_)) {
-                    inner.quarantine.insert(keys[0]);
+                    inner.quarantine.insert(digest);
                 }
                 break Err(err);
             }
@@ -778,7 +778,7 @@ fn attempt<C: Compiler>(
     inner: &Inner<C>,
     req: &CompileRequest,
     kinds: &[ArtifactKind],
-    keys: &[CacheKey],
+    digest: &ContentDigest,
     token: &CancelToken,
     first: bool,
 ) -> (
@@ -788,9 +788,9 @@ fn attempt<C: Compiler>(
 ) {
     let probe = trace::enter("cache-probe");
     let mut slots: Vec<Option<Arc<C::Artifact>>> = Vec::with_capacity(kinds.len());
-    for (kind, key) in kinds.iter().zip(keys) {
+    for kind in kinds {
         let found = if inner.caching {
-            inner.cache.get(key, req, kind)
+            inner.cache.get(&digest.key(kind), req, kind)
         } else {
             None
         };
@@ -835,7 +835,7 @@ fn attempt<C: Compiler>(
                     continue;
                 };
                 let shared = if inner.caching {
-                    inner.cache.insert(keys[slot], req, kind, artifact)
+                    inner.cache.insert(digest.key(&kind), req, kind, artifact)
                 } else {
                     Arc::new(artifact)
                 };
@@ -901,7 +901,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompileOptions, StageSample};
+    use crate::{CompileOptions, StageSample, WcetModelKind};
 
     /// A toy compiler: uppercases the source; `source == "BOOM"` panics,
     /// `source == "ERR"` errors (uncoded → transient class),
@@ -1403,6 +1403,31 @@ mod tests {
             .compile_one(CompileRequest::new("ok", "fine"))
             .result
             .is_ok());
+    }
+
+    #[test]
+    fn the_quarantine_holds_for_every_artifact_kind() {
+        // A source that panicked under the default kind (C) is rejected
+        // when re-requested for another kind: the quarantine keys on the
+        // content, not on one kind's cache key.
+        let svc = service(1);
+        let first = svc.compile_one(CompileRequest::new("p1", "BOOM"));
+        assert!(matches!(first.result, Err(ServiceError::Panic(_))));
+        assert_eq!(svc.inner.compiler.calls.load(Ordering::SeqCst), 1);
+        let wcet = CompileRequest::new("p2", "BOOM").with_options(CompileOptions::for_kinds(vec![
+            ArtifactKind::Wcet {
+                model: WcetModelKind::CompCert,
+            },
+        ]));
+        let second = svc.compile_one(wcet);
+        assert!(matches!(second.result, Err(ServiceError::Quarantined)));
+        assert_eq!(second.attempts, 0);
+        assert_eq!(
+            svc.inner.compiler.calls.load(Ordering::SeqCst),
+            1,
+            "the quarantined input never reached the compiler again"
+        );
+        assert_eq!(svc.stats().quarantine_hits, 1);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Deterministic fault injection for the compilation service: a
 //! [`ChaosCompiler`] wraps any [`Compiler`] and injects seeded panics,
-//! transient failures, and delays, keyed on the request *content* so a
-//! given `(seed, source)` pair always misbehaves the same way.
+//! transient failures, and delays, keyed on the request *content* — the
+//! service's own [`ContentDigest`] mixed with the seed — so a given
+//! `(seed, content)` pair always misbehaves the same way.
 //!
 //! The fault classes map one-to-one onto the serving layer's
 //! fault-tolerance mechanisms, so the chaos bench (`velus-bench --bin
@@ -24,7 +25,8 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use velus_server::{
-    ArtifactKind, CancelToken, CompileOutput, CompileRequest, Compiler, FailureReport,
+    ArtifactKind, CancelToken, CompileOutput, CompileRequest, Compiler, ContentDigest,
+    FailureReport,
 };
 
 /// Fault rates (per mille of requests) and shapes. Rates are applied in
@@ -95,18 +97,6 @@ impl<E: std::fmt::Display> std::fmt::Display for ChaosError<E> {
     }
 }
 
-/// FNV-1a over the request source, mixed with the seed — the same
-/// content always rolls the same fault for a given seed, regardless of
-/// the request's name.
-fn content_digest(source: &str, seed: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for &b in source.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// xorshift64* finalizer: decorrelates the digest bits before the roll.
 fn mix(mut x: u64) -> u64 {
     x ^= x >> 12;
@@ -168,10 +158,11 @@ impl<C> ChaosCompiler<C> {
         }
     }
 
-    /// The fault class a source is assigned under this configuration
-    /// (exposed so benches can predict / partition their corpora).
-    pub fn is_faulted(&self, source: &str) -> bool {
-        self.fault_for(content_digest(source, self.config.seed)) != Fault::None
+    /// The service's content digest of `req` mixed with the seed: the
+    /// same content always rolls the same fault for a given seed,
+    /// regardless of the request's name.
+    fn digest(&self, req: &CompileRequest) -> u64 {
+        ContentDigest::of(req).seed() ^ self.config.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
     fn fault_for(&self, digest: u64) -> Fault {
@@ -193,14 +184,14 @@ impl<C> ChaosCompiler<C> {
 
     fn run<Out>(
         &self,
-        source: &str,
+        req: &CompileRequest,
         cancel: &CancelToken,
         inner: impl FnOnce() -> Result<Out, ChaosError<<C as Compiler>::Error>>,
     ) -> Result<Out, ChaosError<<C as Compiler>::Error>>
     where
         C: Compiler,
     {
-        let digest = content_digest(source, self.config.seed);
+        let digest = self.digest(req);
         match self.fault_for(digest) {
             Fault::Panic => {
                 self.injected_panics.fetch_add(1, Ordering::Relaxed);
@@ -259,7 +250,7 @@ impl<C: Compiler> Compiler for ChaosCompiler<C> {
         kinds: &[ArtifactKind],
         cancel: &CancelToken,
     ) -> Result<CompileOutput<C::Artifact>, Self::Error> {
-        self.run(&req.source, cancel, || {
+        self.run(req, cancel, || {
             self.inner
                 .compile(req, kinds, cancel)
                 .map_err(ChaosError::Inner)
@@ -306,10 +297,14 @@ mod tests {
         }
     }
 
+    fn fault_of(chaos: &ChaosCompiler<Upper>, source: &str) -> Fault {
+        chaos.fault_for(chaos.digest(&CompileRequest::new("f", source)))
+    }
+
     fn first_source_with(chaos: &ChaosCompiler<Upper>, fault: Fault) -> String {
         (0..100_000)
             .map(|i| format!("src-{i}"))
-            .find(|s| chaos.fault_for(content_digest(s, chaos.config.seed)) == fault)
+            .find(|s| fault_of(chaos, s) == fault)
             .expect("fault class must be reachable at these rates")
     }
 
@@ -319,11 +314,14 @@ mod tests {
         let b = ChaosCompiler::new(Upper, ChaosConfig::default());
         for i in 0..200 {
             let s = format!("prog {i}");
-            assert_eq!(
-                a.fault_for(content_digest(&s, 0)),
-                b.fault_for(content_digest(&s, 0))
-            );
+            assert_eq!(fault_of(&a, &s), fault_of(&b, &s));
         }
+        // The request's name is not part of its content.
+        let (x, y) = (
+            CompileRequest::new("x", "prog 0"),
+            CompileRequest::new("y", "prog 0"),
+        );
+        assert_eq!(a.digest(&x), a.digest(&y));
         // A different seed shuffles the assignment (at these rates some
         // input must differ within 200 tries).
         let c = ChaosCompiler::new(
@@ -336,7 +334,7 @@ mod tests {
         assert!(
             (0..200).any(|i| {
                 let s = format!("prog {i}");
-                a.fault_for(content_digest(&s, 0)) != c.fault_for(content_digest(&s, 1))
+                fault_of(&a, &s) != fault_of(&c, &s)
             }),
             "seed must influence fault assignment"
         );

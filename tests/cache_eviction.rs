@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use velus_server::{
-    ArtifactCache, ArtifactKind, CacheConfig, CacheKey, CompileRequest, WcetModelKind,
+    ArtifactCache, ArtifactKind, CacheConfig, CompileRequest, ContentDigest, WcetModelKind,
 };
 
 /// Replays a random operation sequence against a capped cache and
@@ -34,7 +34,7 @@ fn check_random_workload(ops: &[u8], max_entries: usize, max_bytes: usize, shard
             }
         };
         let req = CompileRequest::new(format!("r{k}"), format!("source-{:03}", k / 2));
-        let key = CacheKey::of_request(&req, &kind);
+        let key = ContentDigest::of(&req).key(&kind);
         if op >= 128 {
             if let Some(artifact) = cache.get(&key, &req, &kind) {
                 assert_eq!(
@@ -89,7 +89,7 @@ proptest! {
         for &op in &ops {
             let k = usize::from(op) % 16;
             let req = CompileRequest::new(format!("r{k}"), format!("src-{k}"));
-            let key = CacheKey::of_request(&req, &ArtifactKind::CCode);
+            let key = ContentDigest::of(&req).key(&ArtifactKind::CCode);
             cache.insert(key, &req, ArtifactKind::CCode, format!("A{k}"));
         }
         prop_assert_eq!(cache.counters().evictions, 0);

@@ -164,7 +164,14 @@ fn submitted_requests_are_traced_like_batch_requests() {
     let enter = |k: &EventKind| matches!(k, EventKind::Enter);
     let complete = |k: &EventKind| matches!(k, EventKind::Complete { .. });
     assert!(has(complete, "queue-wait"), "no queue-wait interval");
-    for span in ["request", "cache-probe", "compile", "elaborate", "emit"] {
+    for span in [
+        "request",
+        "cache-probe",
+        "compile",
+        "elaborate",
+        "emit",
+        "teardown",
+    ] {
         assert!(has(enter, span), "no `{span}` span");
     }
 }
