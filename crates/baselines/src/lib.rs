@@ -77,8 +77,7 @@ impl BaselineScheme {
 pub fn heptagon_obc<O: Ops>(prog: &Program<O>) -> Result<ObcProgram<O>, BaselineError> {
     let mut renormed = renorm::renormalize(prog);
     schedule_program(&mut renormed)?;
-    let obc = translate_program(&renormed)?;
-    Ok(fuse_program(&obc))
+    Ok(fuse_program(translate_program(&renormed)?))
 }
 
 /// Compiles `prog` to Obc the way Lustre v6 would: re-normalized, each

@@ -13,7 +13,12 @@
 //!   `ok + failed + shed == submitted`;
 //! * every shed / timed-out / quarantined request carries its stable
 //!   `E08xx` code;
-//! * ≥ 90 % of injected transient failures succeed on retry.
+//! * ≥ 90 % of injected transient failures succeed on retry;
+//! * every fault class actually fired: at least one injected panic, one
+//!   transient failure and one delay, and at least one input
+//!   quarantined. The corpus makes this deterministic: it opens with
+//!   one input of each fault class (found by drawing sources in order),
+//!   so they reach the still-empty queue before any overload.
 //!
 //! Reports shed rate, retry success, and p50/p99/p999 latency of the
 //! admitted requests, then drains the service.
@@ -36,26 +41,53 @@ use velus::{CompileRequest, PipelineCompiler};
 use velus_bench::{parse_bool_flag, parse_flag};
 use velus_obs::Histogram;
 use velus_server::{AdmissionConfig, CompileService, RetryPolicy, ServiceError, Submission};
-use velus_testkit::chaos::{ChaosCompiler, ChaosConfig};
+use velus_testkit::chaos::{ChaosCompiler, ChaosConfig, Fault};
 
 type ChaosService = CompileService<ChaosCompiler<PipelineCompiler>>;
 
-/// Distinct tiny programs: a unique constant per request keeps every
-/// content digest (cache key and chaos fault roll) distinct.
-fn corpus(n: usize) -> Vec<CompileRequest> {
-    (0..n)
-        .map(|k| {
-            let source = format!(
-                "node main(x: int) returns (y: int)\n\
-                 var acc: int;\n\
-                 let\n\
-                   acc = ({k} fby acc) + x;\n\
-                   y = if acc > {} then 0 else acc;\n\
-                 tel\n",
-                1000 + k
-            );
-            CompileRequest::new(format!("chaos{k:03}"), source)
+/// The `k`-th distinct tiny program: a unique constant per program keeps
+/// every content digest (cache key and chaos fault roll) distinct.
+fn program(k: usize) -> CompileRequest {
+    let source = format!(
+        "node main(x: int) returns (y: int)\n\
+         var acc: int;\n\
+         let\n\
+           acc = ({k} fby acc) + x;\n\
+           y = if acc > {} then 0 else acc;\n\
+         tel\n",
+        1000 + k
+    );
+    CompileRequest::new(format!("chaos{k:03}"), source)
+}
+
+/// The fault classes every run must inject.
+const FAULTS: [Fault; 3] = [Fault::Panic, Fault::Transient, Fault::Delay];
+
+/// `n` distinct programs: first the earliest-drawn program of each class
+/// in [`FAULTS`] as `chaos` rolls them, then the other programs in draw
+/// order. Leading with the witnesses submits them while the queue is
+/// still empty, so every fault class fires whatever the seed.
+fn corpus(n: usize, chaos: &ChaosCompiler<PipelineCompiler>) -> Vec<CompileRequest> {
+    assert!(
+        n >= FAULTS.len(),
+        "--seeds must cover the {} fault classes",
+        FAULTS.len()
+    );
+    let witnesses: Vec<usize> = FAULTS
+        .iter()
+        .map(|&fault| {
+            (0..)
+                .find(|&k| chaos.fault_of(&program(k)) == fault)
+                .expect("every fault class has a nonzero rate")
         })
+        .collect();
+    let rest = (0..).filter(|k| !witnesses.contains(k));
+    witnesses
+        .iter()
+        .copied()
+        .chain(rest)
+        .take(n)
+        .map(program)
         .collect()
 }
 
@@ -163,7 +195,14 @@ fn main() -> ExitCode {
         };
     }
 
-    let reqs = corpus(seeds);
+    let compiler = ChaosCompiler::new(
+        PipelineCompiler,
+        ChaosConfig {
+            seed: chaos_seed,
+            ..Default::default()
+        },
+    );
+    let reqs = corpus(seeds, &compiler);
     let capacity = measure_capacity(&reqs, workers);
     let target = 2.0 * capacity;
     let interarrival = Duration::from_secs_f64(1.0 / target.max(1.0));
@@ -172,13 +211,6 @@ fn main() -> ExitCode {
     );
     note!("fault-free capacity {capacity:.1} prog/s -> open-loop target {target:.1} prog/s");
 
-    let compiler = ChaosCompiler::new(
-        PipelineCompiler,
-        ChaosConfig {
-            seed: chaos_seed,
-            ..Default::default()
-        },
-    );
     let svc: ChaosService = CompileService::new(
         compiler,
         ServiceConfig {
@@ -287,6 +319,18 @@ fn main() -> ExitCode {
             chaos.recovered_transients,
             chaos.injected_transients
         ));
+    }
+    for (class, injected) in [
+        ("panic", chaos.injected_panics),
+        ("transient failure", chaos.injected_transients),
+        ("delay", chaos.injected_delays),
+    ] {
+        if injected == 0 {
+            violations.push(format!("no {class} was injected"));
+        }
+    }
+    if stats.quarantined == 0 {
+        violations.push("no input was quarantined".to_owned());
     }
     if drain.outstanding != 0 {
         violations.push(format!(

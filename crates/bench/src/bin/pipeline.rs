@@ -24,9 +24,10 @@
 //! corpus, asserts the JSON output is well formed, *and* acts as the
 //! allocation guard: it profiles the paper-benchmark corpus and fails
 //! if frontend allocs-per-compile exceed [`FRONTEND_ALLOCS_GUARD`]
-//! (checked in ~10% above the post-arena number, so an accidental
-//! allocation regression fails CI) or if the static-analysis (lint)
-//! pass exceeds [`ANALYSIS_ALLOCS_GUARD`]. The lint pass is forced
+//! (checked in ~10% above the measured number, so an accidental
+//! allocation regression fails CI), if the whole C path (frontend
+//! through emit) exceeds [`COMPILE_ALLOCS_GUARD`], or if the
+//! static-analysis (lint) pass exceeds [`ANALYSIS_ALLOCS_GUARD`]. The lint pass is forced
 //! after emission so the `analysis` stage row carries real numbers,
 //! even though a plain compile never runs it. The smoke run also guards
 //! the executable semantics: it fails if one `velus::run_oracles` over
@@ -198,13 +199,19 @@ fn profile_corpus(corpus: &[(String, String)], passes: usize) -> Profile {
 
 /// Ceiling on frontend allocs/compile over the paper-benchmark corpus,
 /// enforced by `--smoke` (the CI perf guard). Set ~10% above the
-/// post-arena single-pass measurement (284.4; see `BENCH_pipeline.json`,
-/// `after_arena_frontend` — the single-pass smoke number runs a touch
-/// above the three-pass profile because identifier interning is not
-/// amortized): the count is deterministic — it counts allocator calls,
-/// not time — so exceeding it means a real front-end allocation
+/// single-pass measurement (225.9; the single-pass smoke number runs a
+/// touch above the three-pass profile because identifier interning is
+/// not amortized): the count is deterministic — it counts allocator
+/// calls, not time — so exceeding it means a real front-end allocation
 /// regression, not machine noise.
-const FRONTEND_ALLOCS_GUARD: f64 = 315.0;
+const FRONTEND_ALLOCS_GUARD: f64 = 250.0;
+
+/// Ceiling on the allocs of a whole cold C compile — every stage from
+/// frontend through emit, the lint pass excluded — per compile of the
+/// paper-benchmark corpus, enforced by `--smoke`. Set ~10% above the
+/// single-pass measurement (706.7), so a pass that goes back to cloning
+/// or boxing per statement fails CI.
+const COMPILE_ALLOCS_GUARD: f64 = 780.0;
 
 /// Ceiling on analysis (lint) allocs/compile over the paper-benchmark
 /// corpus, also enforced by `--smoke`. The lint pass is off the compile
@@ -708,6 +715,7 @@ fn main() {
     println!("pipeline bench: per-stage cold compile profile ({passes} passes)\n");
     let mut sections: Vec<String> = Vec::new();
     let mut frontend_allocs_on_benchmarks = 0.0f64;
+    let mut compile_allocs_on_benchmarks = 0.0f64;
     let mut analysis_allocs_on_benchmarks = 0.0f64;
     for (label, corpus) in &corpora {
         let profile = profile_corpus(corpus, passes);
@@ -716,6 +724,12 @@ fn main() {
         if *label == "benchmarks" {
             let t = profile.stages[stage_index(Stage::Frontend)];
             frontend_allocs_on_benchmarks = t.allocs as f64 / profile.compiles as f64;
+            let c_path: u64 = Stage::ALL
+                .iter()
+                .filter(|&&s| s != Stage::Analysis)
+                .map(|&s| profile.stages[stage_index(s)].allocs)
+                .sum();
+            compile_allocs_on_benchmarks = c_path as f64 / profile.compiles as f64;
             let a = profile.stages[stage_index(Stage::Analysis)];
             analysis_allocs_on_benchmarks = a.allocs as f64 / profile.compiles as f64;
         }
@@ -740,6 +754,13 @@ fn main() {
              (see FRONTEND_ALLOCS_GUARD in crates/bench/src/bin/pipeline.rs)"
         );
         assert!(
+            compile_allocs_on_benchmarks <= COMPILE_ALLOCS_GUARD,
+            "compile allocation regression: {compile_allocs_on_benchmarks:.1} allocs per C \
+             compile (frontend through emit) on the benchmark corpus exceeds the checked-in \
+             guard of {COMPILE_ALLOCS_GUARD:.0} (see COMPILE_ALLOCS_GUARD in \
+             crates/bench/src/bin/pipeline.rs)"
+        );
+        assert!(
             analysis_allocs_on_benchmarks <= ANALYSIS_ALLOCS_GUARD,
             "lint allocation regression: {analysis_allocs_on_benchmarks:.1} allocs/compile \
              on the benchmark corpus exceeds the checked-in guard of {ANALYSIS_ALLOCS_GUARD:.0} \
@@ -761,8 +782,9 @@ fn main() {
         );
         println!(
             "smoke ok: harness emitted well-formed JSON; frontend allocs/compile \
-             {frontend_allocs_on_benchmarks:.1} within guard {FRONTEND_ALLOCS_GUARD:.0}; \
-             analysis allocs/compile {analysis_allocs_on_benchmarks:.1} within guard \
+             {frontend_allocs_on_benchmarks:.1} within guard {FRONTEND_ALLOCS_GUARD:.0}; C-path \
+             allocs/compile {compile_allocs_on_benchmarks:.1} within guard \
+             {COMPILE_ALLOCS_GUARD:.0}; analysis allocs/compile {analysis_allocs_on_benchmarks:.1} within guard \
              {ANALYSIS_ALLOCS_GUARD:.0}; oracle allocs/run {oracle_allocs:.1} within guard \
              {ORACLE_ALLOCS_GUARD:.0}; content digest {speedup:.1}x FNV-1a, guard \
              {DIGEST_SPEEDUP_GUARD:.0}x"

@@ -25,7 +25,7 @@ fn naive_switches(node: &velus_nlustre::ast::Node<velus_ops::ClightOps>) -> usiz
     let mut order = Vec::new();
     while let Some(i) = queue.pop_front() {
         order.push(i);
-        for &j in &graph.succs[i] {
+        for &j in graph.succs(i) {
             preds[j] -= 1;
             if preds[j] == 0 {
                 queue.push_back(j);

@@ -27,12 +27,14 @@ pub enum Expr {
     Temp(Ident, CType),
     /// An addressable variable (in `e`); an lvalue.
     Var(Ident, CType),
-    /// `a.f` — field of an lvalue of struct type `s`.
-    Field(Box<Expr>, Ident, Ident, CType),
-    /// `(*p).f` — field through a pointer to struct `s`.
-    DerefField(Box<Expr>, Ident, Ident, CType),
-    /// `&a` — address of an lvalue.
-    AddrOf(Box<Expr>),
+    /// `a.f` — field `f` of the addressable variable `a` of struct type
+    /// `s`.
+    Field(Ident, Ident, Ident, CType),
+    /// `(*p).f` — field `f` through the pointer temporary `p` to struct
+    /// `s`.
+    DerefField(Ident, Ident, Ident, CType),
+    /// `&a` — the address of a struct place.
+    AddrOf(Place),
     /// Unary operation (including casts) on scalars.
     Unop(CUnOp, Box<Expr>, CTy),
     /// Binary operation on scalars.
@@ -44,9 +46,9 @@ impl Expr {
     pub fn ty(&self) -> CType {
         match self {
             Expr::Const(_, t) => CType::Scalar(*t),
-            Expr::Temp(_, t) | Expr::Var(_, t) => t.clone(),
-            Expr::Field(_, _, _, t) | Expr::DerefField(_, _, _, t) => t.clone(),
-            Expr::AddrOf(e) => CType::Pointer(Box::new(e.ty())),
+            Expr::Temp(_, t) | Expr::Var(_, t) => *t,
+            Expr::Field(_, _, _, t) | Expr::DerefField(_, _, _, t) => *t,
+            Expr::AddrOf(place) => CType::Pointer(place.struct_name()),
             Expr::Unop(_, _, t) | Expr::Binop(_, _, _, t) => CType::Scalar(*t),
         }
     }
@@ -65,6 +67,35 @@ impl Expr {
     /// Whether the expression is an lvalue (denotes a memory location).
     pub fn is_lvalue(&self) -> bool {
         matches!(self, Expr::Var(..) | Expr::Field(..) | Expr::DerefField(..))
+    }
+}
+
+/// A struct-typed place whose address is taken: what a call passes as
+/// the callee's `self` or `out` pointer. Both shapes are flat, so taking
+/// an address allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Place {
+    /// The addressable variable `x` of struct type `s`.
+    Var(Ident, Ident),
+    /// `(*p).f` — the field `f`, of struct type `fs`, through the pointer
+    /// temporary `p` to struct `s` (an instance inside `self`).
+    DerefField(Ident, Ident, Ident, Ident),
+}
+
+impl Place {
+    /// The struct type of the place.
+    pub fn struct_name(self) -> Ident {
+        match self {
+            Place::Var(_, s) | Place::DerefField(_, _, _, s) => s,
+        }
+    }
+
+    /// The place as an lvalue expression.
+    pub fn lvalue(self) -> Expr {
+        match self {
+            Place::Var(x, s) => Expr::Var(x, CType::Struct(s)),
+            Place::DerefField(p, s, f, fs) => Expr::DerefField(p, s, f, CType::Struct(fs)),
+        }
     }
 }
 
@@ -141,11 +172,10 @@ mod tests {
         assert_eq!(c.ty(), CType::Scalar(CTy::I32));
         let v = Expr::Var(Ident::new("o"), CType::Struct(Ident::new("s")));
         assert!(v.is_lvalue());
-        let a = Expr::AddrOf(Box::new(v));
-        assert_eq!(
-            a.ty(),
-            CType::Pointer(Box::new(CType::Struct(Ident::new("s"))))
-        );
+        let place = Place::Var(Ident::new("o"), Ident::new("s"));
+        assert_eq!(place.lvalue(), v);
+        let a = Expr::AddrOf(place);
+        assert_eq!(a.ty(), CType::ptr_to_struct(Ident::new("s")));
         assert!(!a.is_lvalue());
     }
 }

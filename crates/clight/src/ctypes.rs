@@ -16,12 +16,14 @@ use crate::ClightError;
 pub const PTR_SIZE: u32 = 4;
 
 /// A Clight type.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CType {
     /// A scalar (integer, boolean or float) type.
     Scalar(CTy),
-    /// A pointer to a value of the given type.
-    Pointer(Box<CType>),
+    /// A pointer to the named struct: the only pointers generated code
+    /// has are `self`, `out` and the addresses of instance and output
+    /// records, so the pointee is a name rather than a boxed type.
+    Pointer(Ident),
     /// A named struct.
     Struct(Ident),
     /// The void type (function returns only).
@@ -29,9 +31,9 @@ pub enum CType {
 }
 
 impl CType {
-    /// Shorthand for a pointer to a named struct.
+    /// A pointer to a named struct.
     pub fn ptr_to_struct(name: Ident) -> CType {
-        CType::Pointer(Box::new(CType::Struct(name)))
+        CType::Pointer(name)
     }
 
     /// The scalar type, if this is a scalar.
@@ -47,7 +49,7 @@ impl std::fmt::Display for CType {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CType::Scalar(t) => write!(f, "{}", t.c_name()),
-            CType::Pointer(t) => write!(f, "{t}*"),
+            CType::Pointer(s) => write!(f, "struct {s}*"),
             CType::Struct(s) => write!(f, "struct {s}"),
             CType::Void => f.write_str("void"),
         }
@@ -179,7 +181,7 @@ impl LayoutEnv {
         c.fields
             .iter()
             .find(|(x, _)| *x == f)
-            .map(|(_, t)| t.clone())
+            .map(|(_, t)| *t)
             .ok_or(ClightError::UnknownField(s, f))
     }
 
@@ -255,8 +257,9 @@ mod tests {
     #[test]
     fn pointers_are_word_sized() {
         let env = LayoutEnv::new(vec![]).unwrap();
-        let p = CType::Pointer(Box::new(CType::Scalar(CTy::F64)));
+        let p = CType::ptr_to_struct(id("s"));
         assert_eq!(env.size_align(&p).unwrap(), (4, 4));
+        assert_eq!(p.to_string(), "struct s*");
     }
 
     #[test]

@@ -24,29 +24,29 @@ use velus_obc::ast::{
 };
 use velus_ops::{CTy, ClightOps};
 
-use crate::ast::{Block, Expr, Function, Program, Stmt};
+use crate::ast::{Block, Expr, Function, Place, Program, Stmt};
 use crate::ctypes::{CType, Composite};
 use crate::ClightError;
 
 /// The function name for `class.method` (e.g. `tracker$step`).
 pub fn method_fn_name(class: Ident, method: Ident) -> Ident {
-    Ident::new(&format!("{class}${method}"))
+    Ident::from_fmt(format_args!("{class}${method}"))
 }
 
 /// The struct name holding the outputs of `class.method` (only exists
 /// when the method has two or more outputs).
 pub fn out_struct_name(class: Ident, method: Ident) -> Ident {
-    Ident::new(&format!("{class}${method}"))
+    Ident::from_fmt(format_args!("{class}${method}"))
 }
 
 /// The volatile global carrying the root input `x`.
 pub fn vol_in_name(x: Ident) -> Ident {
-    Ident::new(&format!("in${x}"))
+    Ident::from_fmt(format_args!("in${x}"))
 }
 
 /// The volatile global carrying the root output `x`.
 pub fn vol_out_name(x: Ident) -> Ident {
-    Ident::new(&format!("out${x}"))
+    Ident::from_fmt(format_args!("out${x}"))
 }
 
 /// The name of the generated simulation entry point.
@@ -72,8 +72,9 @@ fn out_ident() -> Ident {
 
 struct MCtx<'a> {
     class: &'a Class<ClightOps>,
-    multi_out: bool,
-    out_struct: Ident,
+    /// The method's output struct, when it has two or more outputs.
+    out_struct: Option<Ident>,
+    /// The outputs held in `out_struct` (empty without one).
     outputs: IdentSet,
     /// Addressable locals added for multi-output callee results.
     extra_vars: Vec<(Ident, CType)>,
@@ -83,35 +84,29 @@ struct MCtx<'a> {
 }
 
 impl MCtx<'_> {
-    fn self_expr(&self) -> Expr {
-        Expr::Temp(self_ident(), CType::ptr_to_struct(self.class.name))
+    /// `(*self).x`, of scalar type `ty`.
+    fn state_field(&self, x: Ident, ty: CTy) -> Expr {
+        Expr::DerefField(self_ident(), self.class.name, x, CType::Scalar(ty))
     }
 
-    fn out_expr(&self) -> Expr {
-        Expr::Temp(out_ident(), CType::ptr_to_struct(self.out_struct))
+    /// `(*out).x` when `x` is an output kept in the output struct.
+    fn out_field(&self, x: Ident, ty: CTy) -> Option<Expr> {
+        let out_struct = self.out_struct.filter(|_| self.outputs.contains(&x))?;
+        Some(Expr::DerefField(
+            out_ident(),
+            out_struct,
+            x,
+            CType::Scalar(ty),
+        ))
     }
 
     fn gen_expr(&self, e: &ObcExpr<ClightOps>) -> Expr {
         match e {
             ObcExpr::Const(c) => Expr::Const(c.val(), c.ty()),
-            ObcExpr::State(x, ty) => Expr::DerefField(
-                Box::new(self.self_expr()),
-                self.class.name,
-                *x,
-                CType::Scalar(*ty),
-            ),
-            ObcExpr::Var(x, ty) => {
-                if self.multi_out && self.outputs.contains(x) {
-                    Expr::DerefField(
-                        Box::new(self.out_expr()),
-                        self.out_struct,
-                        *x,
-                        CType::Scalar(*ty),
-                    )
-                } else {
-                    Expr::Temp(*x, CType::Scalar(*ty))
-                }
-            }
+            ObcExpr::State(x, ty) => self.state_field(*x, *ty),
+            ObcExpr::Var(x, ty) => self
+                .out_field(*x, *ty)
+                .unwrap_or(Expr::Temp(*x, CType::Scalar(*ty))),
             ObcExpr::Unop(op, e1, ty) => Expr::Unop(*op, Box::new(self.gen_expr(e1)), *ty),
             ObcExpr::Binop(op, e1, e2, ty) => Expr::Binop(
                 *op,
@@ -124,18 +119,9 @@ impl MCtx<'_> {
 
     /// A write to the Obc variable `x` of type `ty`.
     fn gen_write(&self, x: Ident, ty: CTy, rhs: Expr) -> Stmt {
-        if self.multi_out && self.outputs.contains(&x) {
-            Stmt::Assign(
-                Expr::DerefField(
-                    Box::new(self.out_expr()),
-                    self.out_struct,
-                    x,
-                    CType::Scalar(ty),
-                ),
-                rhs,
-            )
-        } else {
-            Stmt::Set(x, rhs)
+        match self.out_field(x, ty) {
+            Some(field) => Stmt::Assign(field, rhs),
+            None => Stmt::Set(x, rhs),
         }
     }
 
@@ -165,15 +151,9 @@ impl MCtx<'_> {
                 let rhs = self.gen_expr(e);
                 out.push(self.gen_write(*x, ty, rhs));
             }
-            OStmt::AssignSt(x, e) => out.push(Stmt::Assign(
-                Expr::DerefField(
-                    Box::new(self.self_expr()),
-                    self.class.name,
-                    *x,
-                    CType::Scalar(e.ty()),
-                ),
-                self.gen_expr(e),
-            )),
+            OStmt::AssignSt(x, e) => {
+                out.push(Stmt::Assign(self.state_field(*x, e.ty()), self.gen_expr(e)))
+            }
             OStmt::If(c, t, f) => {
                 let s = Stmt::If(
                     self.gen_expr(c),
@@ -196,12 +176,8 @@ impl MCtx<'_> {
                     .method(*m)
                     .ok_or_else(|| ClightError::Malformed(format!("unknown method {k}.{m}")))?;
                 let fname = method_fn_name(*k, *m);
-                let self_arg = Expr::AddrOf(Box::new(Expr::DerefField(
-                    Box::new(self.self_expr()),
-                    self.class.name,
-                    *i,
-                    CType::Struct(*k),
-                )));
+                let self_arg =
+                    Expr::AddrOf(Place::DerefField(self_ident(), self.class.name, *i, *k));
                 let mut cargs = vec![self_arg];
                 match cm.outputs.len() {
                     0 => {
@@ -212,7 +188,7 @@ impl MCtx<'_> {
                         cargs.extend(args.iter().map(|a| self.gen_expr(a)));
                         let (_, oty) = &cm.outputs[0];
                         self.fresh += 1;
-                        let aux = Ident::new(&format!("res${i}${}", self.fresh));
+                        let aux = Ident::from_fmt(format_args!("res${i}${}", self.fresh));
                         self.extra_temps.push((aux, CType::Scalar(*oty)));
                         out.push(Stmt::Call(Some(aux), fname, cargs));
                         out.push(self.gen_write(
@@ -224,26 +200,18 @@ impl MCtx<'_> {
                     _ => {
                         let ostruct = out_struct_name(*k, *m);
                         self.fresh += 1;
-                        let ovar = Ident::new(&format!("out${i}${m}"));
+                        let ovar = Ident::from_fmt(format_args!("out${i}${m}"));
                         if !self.extra_vars.iter().any(|(v, _)| *v == ovar) {
                             self.extra_vars.push((ovar, CType::Struct(ostruct)));
                         }
-                        cargs.push(Expr::AddrOf(Box::new(Expr::Var(
-                            ovar,
-                            CType::Struct(ostruct),
-                        ))));
+                        cargs.push(Expr::AddrOf(Place::Var(ovar, ostruct)));
                         cargs.extend(args.iter().map(|a| self.gen_expr(a)));
                         out.push(Stmt::Call(None, fname, cargs));
                         for ((o, oty), r) in cm.outputs.iter().zip(results) {
                             out.push(self.gen_write(
                                 *r,
                                 *oty,
-                                Expr::Field(
-                                    Box::new(Expr::Var(ovar, CType::Struct(ostruct))),
-                                    ostruct,
-                                    *o,
-                                    CType::Scalar(*oty),
-                                ),
+                                Expr::Field(ovar, ostruct, *o, CType::Scalar(*oty)),
                             ));
                         }
                     }
@@ -259,13 +227,15 @@ fn gen_method(
     class: &Class<ClightOps>,
     m: &Method<ClightOps>,
 ) -> Result<Function, ClightError> {
-    let multi_out = m.outputs.len() >= 2;
-    let out_struct = out_struct_name(class.name, m.name);
+    let out_struct = (m.outputs.len() >= 2).then(|| out_struct_name(class.name, m.name));
     let mut ctx = MCtx {
         class,
-        multi_out,
         out_struct,
-        outputs: m.outputs.iter().map(|(x, _)| *x).collect(),
+        // Only outputs kept in an output struct are looked up.
+        outputs: match out_struct {
+            Some(_) => m.outputs.iter().map(|(x, _)| *x).collect(),
+            None => IdentSet::default(),
+        },
         extra_vars: Vec::new(),
         extra_temps: Vec::new(),
         fresh: 0,
@@ -273,7 +243,7 @@ fn gen_method(
     let mut body = ctx.gen_block(prog, &m.body)?;
 
     let mut params = vec![(self_ident(), CType::ptr_to_struct(class.name))];
-    if multi_out {
+    if let Some(out_struct) = out_struct {
         params.push((out_ident(), CType::ptr_to_struct(out_struct)));
     }
     params.extend(m.inputs.iter().map(|(x, t)| (*x, CType::Scalar(*t))));
@@ -283,7 +253,7 @@ fn gen_method(
         .iter()
         .map(|(x, t)| (*x, CType::Scalar(*t)))
         .collect();
-    temps.extend(ctx.extra_temps.clone());
+    temps.extend_from_slice(&ctx.extra_temps);
 
     let ret = if m.outputs.len() == 1 {
         let (o, oty) = &m.outputs[0];
@@ -304,8 +274,8 @@ fn gen_method(
     })
 }
 
-fn gen_composites(class: &Class<ClightOps>) -> Vec<Composite> {
-    let mut out = Vec::new();
+/// Appends the output structs of `class`'s methods, then its own struct.
+fn gen_composites(class: &Class<ClightOps>, out: &mut Vec<Composite>) {
     for m in &class.methods {
         if m.outputs.len() >= 2 {
             out.push(Composite {
@@ -327,7 +297,6 @@ fn gen_composites(class: &Class<ClightOps>) -> Vec<Composite> {
             .chain(class.instances.iter().map(|(i, k)| (*i, CType::Struct(*k))))
             .collect(),
     });
-    out
 }
 
 /// The generated `main` plus its volatile input and output declarations.
@@ -341,7 +310,6 @@ fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
         .method(step_name())
         .ok_or_else(|| ClightError::Malformed(format!("class {} has no step", root.name)))?;
     let self_var = self_ident();
-    let self_expr = Expr::Var(self_var, CType::Struct(root.name));
     let mut vols_in: Vec<(Ident, CTy)> = Vec::new();
     let mut vols_out: Vec<(Ident, CTy)> = Vec::new();
     let mut temps: Vec<(Ident, CType)> = Vec::new();
@@ -364,7 +332,8 @@ fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
 
     // The step call.
     let fname = method_fn_name(root.name, step_name());
-    let mut args = vec![Expr::AddrOf(Box::new(self_expr.clone()))];
+    let self_place = Place::Var(self_var, root.name);
+    let mut args = vec![Expr::AddrOf(self_place)];
     match step.outputs.len() {
         0 => {
             args.extend(
@@ -394,10 +363,7 @@ fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
             let ostruct = out_struct_name(root.name, step_name());
             let ovar = out_ident();
             vars.push((ovar, CType::Struct(ostruct)));
-            args.push(Expr::AddrOf(Box::new(Expr::Var(
-                ovar,
-                CType::Struct(ostruct),
-            ))));
+            args.push(Expr::AddrOf(Place::Var(ovar, ostruct)));
             args.extend(
                 step.inputs
                     .iter()
@@ -408,12 +374,7 @@ fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
                 vols_out.push((vol_out_name(*o), *oty));
                 loop_body.push(Stmt::VolStore(
                     vol_out_name(*o),
-                    Expr::Field(
-                        Box::new(Expr::Var(ovar, CType::Struct(ostruct))),
-                        ostruct,
-                        *o,
-                        CType::Scalar(*oty),
-                    ),
+                    Expr::Field(ovar, ostruct, *o, CType::Scalar(*oty)),
                 ));
             }
         }
@@ -423,7 +384,7 @@ fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
         Stmt::Call(
             None,
             method_fn_name(root.name, reset_name()),
-            vec![Expr::AddrOf(Box::new(self_expr))],
+            vec![Expr::AddrOf(self_place)],
         ),
         Stmt::Loop(loop_body),
     ];
@@ -452,7 +413,7 @@ pub fn generate(obc: &ObcProgram<ClightOps>, root: Ident) -> Result<Program, Cli
     let mut composites = Vec::new();
     let mut functions = Vec::new();
     for class in &obc.classes {
-        composites.extend(gen_composites(class));
+        gen_composites(class, &mut composites);
         for m in &class.methods {
             functions.push(gen_method(obc, class, m)?);
         }

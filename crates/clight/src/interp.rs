@@ -72,6 +72,14 @@ struct Frame {
     vars: IdentMap<(BlockId, Option<CTy>)>,
 }
 
+/// The block and scalar type of the addressable local `x`.
+fn addressable(fr: &Frame, x: Ident) -> Result<(BlockId, Option<CTy>), ClightError> {
+    fr.vars
+        .get(&x)
+        .copied()
+        .ok_or_else(|| ClightError::Malformed(format!("unknown variable {x}")))
+}
+
 /// The interpreter state for one program.
 pub struct Machine<'p> {
     prog: &'p Program,
@@ -145,29 +153,24 @@ impl<'p> Machine<'p> {
     fn lval(&mut self, fr: &Frame, e: &Expr) -> Result<(BlockId, u32, Option<CTy>), ClightError> {
         match e {
             Expr::Var(x, _) => {
-                let (b, ty) = *fr
-                    .vars
-                    .get(x)
-                    .ok_or_else(|| ClightError::Malformed(format!("unknown variable {x}")))?;
+                let (b, ty) = addressable(fr, *x)?;
                 Ok((b, 0, ty))
             }
             Expr::Field(a, s, f, ty) => {
-                let (b, o, _) = self.lval(fr, a)?;
+                let (b, _) = addressable(fr, *a)?;
                 let off = self.layouts.field_offset(*s, *f)?;
-                Ok((b, o + off, ty.as_scalar()))
+                Ok((b, off, ty.as_scalar()))
             }
-            Expr::DerefField(p, s, f, ty) => {
-                let pv = self.rval(fr, p)?;
-                match pv {
-                    RVal::Ptr(b, o) => {
-                        let off = self.layouts.field_offset(*s, *f)?;
-                        Ok((b, o + off, ty.as_scalar()))
-                    }
-                    RVal::Scalar(v) => Err(ClightError::ValueError(format!(
-                        "dereference of non-pointer {v}"
-                    ))),
+            Expr::DerefField(p, s, f, ty) => match fr.temps.get(p) {
+                Some(&RVal::Ptr(b, o)) => {
+                    let off = self.layouts.field_offset(*s, *f)?;
+                    Ok((b, o + off, ty.as_scalar()))
                 }
-            }
+                Some(RVal::Scalar(v)) => Err(ClightError::ValueError(format!(
+                    "dereference of non-pointer {v}"
+                ))),
+                None => Err(ClightError::Uninitialized(format!("temporary {p}"))),
+            },
             other => Err(ClightError::Malformed(format!(
                 "expression is not an lvalue: {other:?}"
             ))),
@@ -182,8 +185,8 @@ impl<'p> Machine<'p> {
                 .get(x)
                 .copied()
                 .ok_or_else(|| ClightError::Uninitialized(format!("temporary {x}"))),
-            Expr::AddrOf(a) => {
-                let (b, o, _) = self.lval(fr, a)?;
+            Expr::AddrOf(place) => {
+                let (b, o, _) = self.lval(fr, &place.lvalue())?;
                 Ok(RVal::Ptr(b, o))
             }
             Expr::Var(..) | Expr::Field(..) | Expr::DerefField(..) => {
@@ -442,12 +445,7 @@ mod tests {
         let st = id("st");
         let selfp = id("self");
         let self_ty = CType::ptr_to_struct(st);
-        let deref_c = Expr::DerefField(
-            Box::new(Expr::Temp(selfp, self_ty.clone())),
-            st,
-            id("c"),
-            CType::Scalar(CTy::I32),
-        );
+        let deref_c = Expr::DerefField(selfp, st, id("c"), CType::Scalar(CTy::I32));
         let n = id("n");
         let body = vec![
             Stmt::Set(

@@ -66,8 +66,9 @@ fn sanitize_into(buf: &mut String, x: Ident) {
 fn ctype_into(buf: &mut String, ty: &CType) {
     match ty {
         CType::Scalar(t) => buf.push_str(t.c_name()),
-        CType::Pointer(t) => {
-            ctype_into(buf, t);
+        CType::Pointer(s) => {
+            buf.push_str("struct ");
+            sanitize_into(buf, *s);
             buf.push('*');
         }
         CType::Struct(s) => {
@@ -122,19 +123,19 @@ fn expr_into(buf: &mut String, e: &Expr) {
         Expr::Const(v, ty) => literal_into(buf, v, *ty),
         Expr::Temp(x, _) | Expr::Var(x, _) => sanitize_into(buf, *x),
         Expr::Field(a, _, f, _) => {
-            expr_into(buf, a);
+            sanitize_into(buf, *a);
             buf.push('.');
             sanitize_into(buf, *f);
         }
         Expr::DerefField(p, _, f, _) => {
             buf.push_str("(*");
-            expr_into(buf, p);
+            sanitize_into(buf, *p);
             buf.push_str(").");
             sanitize_into(buf, *f);
         }
-        Expr::AddrOf(a) => {
+        Expr::AddrOf(place) => {
             buf.push('&');
-            expr_into(buf, a);
+            expr_into(buf, &place.lvalue());
         }
         Expr::Unop(CUnOp::Not, e1, _) => {
             buf.push_str("(!");
@@ -525,7 +526,7 @@ mod tests {
                         Expr::Binop(
                             CBinOp::Add,
                             Box::new(Expr::DerefField(
-                                Box::new(Expr::Temp(id("self"), CType::ptr_to_struct(id("st")))),
+                                id("self"),
                                 id("st"),
                                 id("c"),
                                 CType::Scalar(CTy::I32),

@@ -162,6 +162,11 @@ fn shard_of(hash: u64) -> usize {
 const RECENT_CAP: usize = 1 << 14;
 
 thread_local! {
+    /// The scratch text of [`Ident::from_fmt`].
+    static NAME_BUF: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+thread_local! {
     /// The identifiers this thread interned, by [`name_hash`]. A hit is
     /// confirmed by comparing the names, so a hash collision only costs
     /// the locked path.
@@ -228,7 +233,26 @@ impl Ident {
     /// Used by compilation passes that manufacture names from source names,
     /// e.g. `tracker` ↦ `tracker$step`.
     pub fn suffixed(self, suffix: &str) -> Ident {
-        Ident::new(&format!("{}{}", self.as_str(), suffix))
+        Ident::from_fmt(format_args!("{self}{suffix}"))
+    }
+
+    /// Interns formatted text, e.g.
+    /// `Ident::from_fmt(format_args!("{class}${method}"))`. The text is
+    /// built in a per-thread buffer, so a name that is already interned
+    /// costs no allocation (unlike `Ident::new(&format!(..))`).
+    pub fn from_fmt(args: fmt::Arguments<'_>) -> Ident {
+        use fmt::Write as _;
+        NAME_BUF
+            .try_with(|buf| {
+                // Busy only if formatting an argument interned a name.
+                let mut buf = buf.try_borrow_mut().ok()?;
+                buf.clear();
+                buf.write_fmt(args).expect("formatting into a String");
+                Some(Ident::new(&buf))
+            })
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| Ident::new(&args.to_string()))
     }
 }
 
@@ -284,30 +308,45 @@ impl From<&str> for Ident {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FreshGen {
-    tag: String,
+    tag: &'static str,
     next: u32,
 }
 
 impl FreshGen {
     /// Creates a generator whose names embed the pass tag `tag`.
-    pub fn new(tag: &str) -> FreshGen {
-        FreshGen {
-            tag: tag.to_owned(),
-            next: 0,
-        }
+    pub fn new(tag: &'static str) -> FreshGen {
+        FreshGen { tag, next: 0 }
     }
 
     /// Returns a fresh identifier with the given human-readable `prefix`.
     pub fn fresh(&mut self, prefix: &str) -> Ident {
         let n = self.next;
         self.next += 1;
-        Ident::new(&format!("{prefix}${}{n}", self.tag))
+        Ident::from_fmt(format_args!("{prefix}${}{n}", self.tag))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn formatted_names_intern_like_their_text() {
+        let (class, method) = (Ident::new("tracker"), Ident::new("step"));
+        let name = Ident::from_fmt(format_args!("{class}${method}"));
+        assert_eq!(name, Ident::new("tracker$step"));
+        // An argument that formats through `from_fmt` itself still works.
+        struct Nested;
+        impl fmt::Display for Nested {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "{}", Ident::from_fmt(format_args!("in{}", 1)))
+            }
+        }
+        assert_eq!(
+            Ident::from_fmt(format_args!("{Nested}$x")).as_str(),
+            "in1$x"
+        );
+    }
 
     #[test]
     fn interning_is_idempotent() {

@@ -487,9 +487,14 @@ pub fn produce(
     let mut artifacts = Vec::with_capacity(kinds.len());
     for kind in kinds {
         let artifact = match kind {
-            ArtifactKind::CCode => ServiceArtifact::CCode {
-                c_code: staged.emit(io)?,
-            },
+            ArtifactKind::CCode => {
+                let mut c_code = staged.emit(io)?;
+                // The printer reserves generously up front; an artifact
+                // may live in the cache, which weighs it by its length,
+                // so it keeps only its text (shrinking in place).
+                c_code.shrink_to_fit();
+                ServiceArtifact::CCode { c_code }
+            }
             ArtifactKind::Wcet { model } => {
                 let root = staged.root();
                 let root_span = staged.spans().node_span(root);

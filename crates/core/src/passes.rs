@@ -457,17 +457,18 @@ impl<'a> Pass<'a> for TranslatePass {
 }
 
 /// The fusion optimization; re-validation checks preservation of typing
-/// and `Fusible`.
+/// and `Fusible`. The pass consumes the translated program: fused bodies
+/// are built from its moved statements.
 pub struct FusePass;
 
-impl<'a> Pass<'a> for FusePass {
-    type Input = &'a ObcProgram<ClightOps>;
+impl Pass<'_> for FusePass {
+    type Input = ObcProgram<ClightOps>;
     type Output = ObcProgram<ClightOps>;
 
     const STAGE: Stage = Stage::Fuse;
     const NAME: &'static str = "fuse";
 
-    fn run(&self, input: &'a ObcProgram<ClightOps>) -> Result<ObcProgram<ClightOps>, VelusError> {
+    fn run(&self, input: ObcProgram<ClightOps>) -> Result<ObcProgram<ClightOps>, VelusError> {
         Ok(fuse_program(input))
     }
 
@@ -582,6 +583,8 @@ pub struct StagedPipeline<'o> {
     warnings: Diagnostics,
     spans: SpanMap,
     snlustre: Option<Scheduled>,
+    /// The translated program until fusion moves it out; from then on
+    /// rebuilt from `snlustre` the first time it is asked for.
     obc: Option<ObcProgram<ClightOps>>,
     obc_fused: Option<ObcProgram<ClightOps>>,
     clight: Option<velus_clight::ast::Program>,
@@ -727,35 +730,56 @@ impl<'o> StagedPipeline<'o> {
 
     /// The translated (unfused) Obc, translating on first demand.
     ///
+    /// Fusion moves the translated program instead of copying it, so once
+    /// [`StagedPipeline::obc_fused`] has run, the first call here rebuilds
+    /// it by translating the scheduled program again — the same
+    /// deterministic function of the same input, already re-validated
+    /// once, so the rebuild runs no pass and reports no stage.
+    ///
     /// # Errors
     ///
     /// Translation failures or failed typing/`Fusible` re-checks.
     pub fn obc(&mut self) -> Result<&ObcProgram<ClightOps>, VelusError> {
         if self.obc.is_none() {
-            self.snlustre()?;
-            let obc = self.pm.run(
-                &TranslatePass,
-                &self.snlustre.as_ref().expect("scheduled").program,
-                &self.spans,
-            )?;
+            let obc = if self.obc_fused.is_some() {
+                velus_obc::translate::translate_program(self.snlustre()?)?
+            } else {
+                self.translate()?
+            };
             self.obc = Some(obc);
         }
         Ok(self.obc.as_ref().expect("just translated"))
     }
 
-    /// The fused Obc, fusing on first demand.
+    /// Runs the translation pass over the scheduled program.
+    fn translate(&mut self) -> Result<ObcProgram<ClightOps>, VelusError> {
+        self.snlustre()?;
+        self.pm.run(
+            &TranslatePass,
+            &self.snlustre.as_ref().expect("scheduled").program,
+            &self.spans,
+        )
+    }
+
+    /// Moves the translated program out, translating it first if it is
+    /// not held.
+    fn take_obc(&mut self) -> Result<ObcProgram<ClightOps>, VelusError> {
+        match self.obc.take() {
+            Some(obc) => Ok(obc),
+            None => self.translate(),
+        }
+    }
+
+    /// The fused Obc, fusing on first demand. Fusion consumes the
+    /// translated program (see [`StagedPipeline::obc`]).
     ///
     /// # Errors
     ///
-    /// Failed preservation re-checks.
+    /// Translation failures or failed preservation re-checks.
     pub fn obc_fused(&mut self) -> Result<&ObcProgram<ClightOps>, VelusError> {
         if self.obc_fused.is_none() {
-            self.obc()?;
-            let fused = self.pm.run(
-                &FusePass,
-                self.obc.as_ref().expect("translated"),
-                &self.spans,
-            )?;
+            let obc = self.take_obc()?;
+            let fused = self.pm.run(&FusePass, obc, &self.spans)?;
             self.obc_fused = Some(fused);
         }
         Ok(self.obc_fused.as_ref().expect("just fused"))
@@ -836,11 +860,21 @@ impl<'o> StagedPipeline<'o> {
 
     /// Forces every stage and returns the classic whole-pipeline result.
     ///
+    /// The result holds the unfused and the fused Obc side by side, so
+    /// when fusion has not run yet the translated program is copied once
+    /// before fusion consumes it (translation still runs only once).
+    ///
     /// # Errors
     ///
     /// Any stage failure.
     pub fn into_compiled(mut self) -> Result<crate::pipeline::Compiled, VelusError> {
+        if self.obc_fused.is_none() {
+            let obc = self.take_obc()?;
+            self.obc_fused = Some(self.pm.run(&FusePass, obc.clone(), &self.spans)?);
+            self.obc = Some(obc);
+        }
         self.clight()?;
+        self.obc()?;
         let scheduled = self.snlustre.expect("forced");
         Ok(crate::pipeline::Compiled {
             nlustre: self
@@ -887,6 +921,77 @@ mod tests {
                 Stage::Translate,
                 Stage::Fuse,
             ]
+        );
+    }
+
+    /// A node with two sub-clocked equations on one clock, so fusion
+    /// merges their conditionals and the fused program differs.
+    const SAMPLED: &str = "
+        node f(x: int; c: bool) returns (y: int)
+        var a, b: int when c;
+        let
+          a = x when c;
+          b = (x when c) + 1;
+          y = merge c (a + b) 0;
+        tel
+    ";
+
+    #[test]
+    fn obc_after_fusion_is_rebuilt_by_translation_without_a_stage_sample() {
+        let mut stages: Vec<Stage> = Vec::new();
+        let mut observe = |stage: Stage, _: std::time::Duration| stages.push(stage);
+        let mut staged = StagedPipeline::from_source(SAMPLED, None, &mut observe).unwrap();
+        let fused = staged.obc_fused().unwrap().clone();
+        let rebuilt = staged.obc().unwrap().clone();
+        let fresh = velus_obc::translate::translate_program(staged.snlustre().unwrap()).unwrap();
+        assert_eq!(rebuilt, fresh);
+        assert_ne!(rebuilt, fused, "fusion merges the two guarded equations");
+        assert_eq!(staged.obc_fused().unwrap(), &fused, "fusion is memoized");
+        drop(staged);
+        assert_eq!(
+            stages,
+            vec![
+                Stage::Frontend,
+                Stage::Check,
+                Stage::Schedule,
+                Stage::Translate,
+                Stage::Fuse,
+            ],
+            "the rebuild runs no pass"
+        );
+    }
+
+    #[test]
+    fn into_compiled_translates_once_and_keeps_both_obc_programs() {
+        let mut stages: Vec<Stage> = Vec::new();
+        let mut observe = |stage: Stage, _: std::time::Duration| stages.push(stage);
+        let compiled = StagedPipeline::from_source(SAMPLED, None, &mut observe)
+            .unwrap()
+            .into_compiled()
+            .unwrap();
+        let obc = velus_obc::translate::translate_program(&compiled.snlustre).unwrap();
+        assert_eq!(compiled.obc, obc);
+        assert_eq!(compiled.obc_fused, fuse_program(obc));
+        assert_ne!(compiled.obc, compiled.obc_fused);
+        assert_eq!(
+            stages,
+            vec![
+                Stage::Frontend,
+                Stage::Check,
+                Stage::Schedule,
+                Stage::Translate,
+                Stage::Fuse,
+                Stage::Generate,
+            ]
+        );
+        // The same two programs when something forced fusion first.
+        let mut observe = |_: Stage, _: std::time::Duration| {};
+        let mut staged = StagedPipeline::from_source(SAMPLED, None, &mut observe).unwrap();
+        staged.clight().unwrap();
+        let late = staged.into_compiled().unwrap();
+        assert_eq!(
+            (late.obc, late.obc_fused),
+            (compiled.obc, compiled.obc_fused)
         );
     }
 

@@ -7,8 +7,9 @@
 //! Expressions and clock annotations live in a [`UArena`]: flat `Vec`
 //! pools addressed by [`ExprId`]/[`ClockId`] indices. Nodes are `Copy`,
 //! children sit densely in cache, and dropping a whole parse is freeing
-//! three `Vec`s. Call arguments are stored as contiguous runs in a side
-//! pool (`ExprRange`), so a call allocates nothing of its own. The
+//! four `Vec`s. Call arguments and equation left-hand sides are stored
+//! as contiguous runs in side pools (`ExprRange`), so neither a call nor
+//! an equation allocates anything of its own. The
 //! arena is external to the program — callers that compile repeatedly
 //! recycle it via [`UArena::clear`], which keeps the pool capacity.
 
@@ -44,8 +45,10 @@ impl ClockId {
 }
 
 /// A contiguous run of [`ExprId`]s in the arena's argument pool
-/// (used for call arguments), or of expressions in the expression pool
-/// (used to record which slice of the arena a node owns).
+/// (used for call arguments), of identifiers in its left-hand-side pool
+/// (an equation's defined variables), or of expressions in the
+/// expression pool (used to record which slice of the arena a node
+/// owns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExprRange {
     /// First index of the run.
@@ -129,12 +132,14 @@ pub enum UClock {
     On(ClockId, Ident, bool),
 }
 
-/// The expression, argument and clock pools behind a parsed program.
+/// The expression, argument, clock and left-hand-side pools behind a
+/// parsed program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UArena {
     exprs: Vec<UExpr>,
     args: Vec<ExprId>,
     clocks: Vec<UClock>,
+    lhs: Vec<Ident>,
 }
 
 impl Default for UArena {
@@ -150,6 +155,7 @@ impl UArena {
             exprs: Vec::new(),
             args: Vec::new(),
             clocks: vec![UClock::Base],
+            lhs: Vec::new(),
         }
     }
 
@@ -159,6 +165,7 @@ impl UArena {
         self.exprs.clear();
         self.args.clear();
         self.clocks.truncate(1);
+        self.lhs.clear();
     }
 
     /// Adds an expression, returning its id.
@@ -189,6 +196,35 @@ impl UArena {
         }
     }
 
+    /// Adds one defined variable to the left-hand side being parsed:
+    /// the run of an equation is the variables pushed since
+    /// [`UArena::lhs_mark`].
+    #[inline]
+    pub fn push_lhs(&mut self, x: Ident) {
+        self.lhs.push(x);
+    }
+
+    /// Where the next left-hand side starts.
+    #[inline]
+    pub fn lhs_mark(&self) -> u32 {
+        self.lhs.len() as u32
+    }
+
+    /// The left-hand side pushed since `mark`.
+    #[inline]
+    pub fn lhs_since(&self, mark: u32) -> ExprRange {
+        ExprRange {
+            start: mark,
+            len: self.lhs.len() as u32 - mark,
+        }
+    }
+
+    /// The defined variables of an equation.
+    #[inline]
+    pub fn lhs(&self, r: ExprRange) -> &[Ident] {
+        &self.lhs[r.start as usize..(r.start + r.len) as usize]
+    }
+
     /// The clock node behind `id`.
     #[inline]
     pub fn clock(&self, id: ClockId) -> UClock {
@@ -213,13 +249,14 @@ impl UArena {
         self.exprs.len()
     }
 
-    /// Pool capacities `(exprs, args, clocks)` — exposed so reuse
+    /// Pool capacities `(exprs, args, clocks, lhs)` — exposed so reuse
     /// tests can assert that recycled arenas stop growing.
-    pub fn capacities(&self) -> (usize, usize, usize) {
+    pub fn capacities(&self) -> (usize, usize, usize, usize) {
         (
             self.exprs.capacity(),
             self.args.capacity(),
             self.clocks.capacity(),
+            self.lhs.capacity(),
         )
     }
 }
@@ -247,10 +284,11 @@ pub struct UDecl {
 }
 
 /// An equation `x, y, … = e;`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UEquation {
-    /// The defined variables (a tuple pattern for multi-output calls).
-    pub lhs: Vec<Ident>,
+    /// The defined variables (a tuple pattern for multi-output calls): a
+    /// run in the arena's left-hand-side pool ([`UArena::lhs`]).
+    pub lhs: ExprRange,
     /// The right-hand side.
     pub rhs: ExprId,
     /// Source position.

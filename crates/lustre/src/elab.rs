@@ -28,10 +28,10 @@
 use velus_common::{
     codes, ident_map_with_capacity, DiagStage, Diagnostic, Diagnostics, Ident, IdentMap, Span,
 };
-use velus_nlustre::clock::Clock;
+use velus_nlustre::clock::{Clock, Clocks};
 use velus_ops::{Literal, Ops, SurfaceBinOp, SurfaceUnOp};
 
-use crate::ast::{ClockId, ExprId, UArena, UClock, UDecl, UExpr, UNode, UProgram};
+use crate::ast::{ClockId, ExprId, ExprRange, UArena, UClock, UDecl, UExpr, UNode, UProgram};
 
 /// An index into a [`TArena`]'s typed-expression pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,8 +223,9 @@ impl<O: Ops> std::ops::Index<TExprId> for TArena<O> {
 /// [`TArena`], so the equation itself is interface-independent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TEquation {
-    /// Defined variables.
-    pub lhs: Vec<Ident>,
+    /// Defined variables: the source equation's run in the surface
+    /// arena's left-hand-side pool ([`UArena::lhs`]), not a copy.
+    pub lhs: ExprRange,
     /// The (common) clock of the defined variables.
     pub ck: Clock,
     /// Typed right-hand side.
@@ -714,8 +715,8 @@ impl<'a, O: Ops> Elab<'a, O> {
 
     /// Checks that `e` is well clocked at `ck` (`None` = clock-polymorphic
     /// constant context is not needed: equations always give a concrete
-    /// expectation).
-    fn check_clock(&self, e: TExprId, ck: &Clock, span: Span) -> EResult<()> {
+    /// expectation). Merge branch clocks come from the node's `clocks`.
+    fn check_clock(&self, e: TExprId, ck: &Clock, span: Span, clocks: &mut Clocks) -> EResult<()> {
         match &self.ta[e] {
             TExpr::Const(_) => Ok(()),
             TExpr::Var(x, _) => {
@@ -730,15 +731,15 @@ impl<'a, O: Ops> Elab<'a, O> {
                     )
                 }
             }
-            TExpr::Unop(_, e1, _) => self.check_clock(*e1, ck, span),
+            TExpr::Unop(_, e1, _) => self.check_clock(*e1, ck, span, clocks),
             TExpr::Binop(_, l, r, _) => {
-                self.check_clock(*l, ck, span)?;
-                self.check_clock(*r, ck, span)
+                self.check_clock(*l, ck, span, clocks)?;
+                self.check_clock(*r, ck, span, clocks)
             }
             TExpr::When(e1, x, k) => match ck {
                 Clock::On(parent, y, k2) if y == x && k2 == k => {
                     self.check_var_clock(*x, parent, span)?;
-                    self.check_clock(*e1, parent, span)
+                    self.check_clock(*e1, parent, span, clocks)
                 }
                 _ => err(
                     codes::E0301,
@@ -748,22 +749,23 @@ impl<'a, O: Ops> Elab<'a, O> {
             },
             TExpr::Merge(x, t, f) => {
                 self.check_var_clock(*x, ck, span)?;
-                self.check_clock(*t, &ck.clone().on(*x, true), span)?;
-                self.check_clock(*f, &ck.clone().on(*x, false), span)
+                let (on_t, on_f) = (clocks.on(ck, *x, true), clocks.on(ck, *x, false));
+                self.check_clock(*t, &on_t, span, clocks)?;
+                self.check_clock(*f, &on_f, span, clocks)
             }
             TExpr::If(c, t, f) => {
-                self.check_clock(*c, ck, span)?;
-                self.check_clock(*t, ck, span)?;
-                self.check_clock(*f, ck, span)
+                self.check_clock(*c, ck, span, clocks)?;
+                self.check_clock(*t, ck, span, clocks)?;
+                self.check_clock(*f, ck, span, clocks)
             }
-            TExpr::Fby(_, e1) => self.check_clock(*e1, ck, span),
+            TExpr::Fby(_, e1) => self.check_clock(*e1, ck, span, clocks),
             TExpr::Arrow(l, r) => {
-                self.check_clock(*l, ck, span)?;
-                self.check_clock(*r, ck, span)
+                self.check_clock(*l, ck, span, clocks)?;
+                self.check_clock(*r, ck, span, clocks)
             }
             TExpr::Call(_, args, _) => {
                 for &a in self.ta.args(*args) {
-                    self.check_clock(a, ck, span)?;
+                    self.check_clock(a, ck, span, clocks)?;
                 }
                 Ok(())
             }
@@ -783,11 +785,18 @@ impl<'a, O: Ops> Elab<'a, O> {
     }
 }
 
-fn elab_clock<O: Ops>(ua: &UArena, id: ClockId, vars: &VarMap<O>, span: Span) -> EResult<Clock> {
+/// Resolves a declared clock, sharing every sub-clock through `clocks`.
+fn elab_clock<O: Ops>(
+    ua: &UArena,
+    id: ClockId,
+    vars: &VarMap<O>,
+    clocks: &mut Clocks,
+    span: Span,
+) -> EResult<Clock> {
     match ua.clock(id) {
         UClock::Base => Ok(Clock::Base),
         UClock::On(parent, x, k) => {
-            let p = elab_clock::<O>(ua, parent, vars, span)?;
+            let p = elab_clock::<O>(ua, parent, vars, clocks, span)?;
             match vars.get(&x) {
                 Some((t, cx, _)) => {
                     if *t != O::bool_type() {
@@ -804,7 +813,7 @@ fn elab_clock<O: Ops>(ua: &UArena, id: ClockId, vars: &VarMap<O>, span: Span) ->
                             span,
                         );
                     }
-                    Ok(p.on(x, k))
+                    Ok(clocks.on(&p, x, k))
                 }
                 None => err(codes::E0303, format!("unknown clock variable {x}"), span),
             }
@@ -915,7 +924,14 @@ fn order_nodes<O: Ops>(prog: &UProgram, ua: &UArena) -> EResult<Vec<usize>> {
     Ok(order)
 }
 
-fn elab_decls<O: Ops>(ua: &UArena, groups: [&[UDecl]; 3]) -> EResult<ElabDecls<O>> {
+/// Resolves the declarations of a node, building each distinct clock
+/// once (`clocks` is cleared first).
+fn elab_decls<O: Ops>(
+    ua: &UArena,
+    groups: [&[UDecl]; 3],
+    clocks: &mut Clocks,
+) -> EResult<ElabDecls<O>> {
+    clocks.clear();
     let total = groups.iter().map(|g| g.len()).sum::<usize>();
     // First pass: resolve types (clocks may reference any declared var).
     let mut tys: IdentMap<(O::Ty, Def)> = ident_map_with_capacity(total);
@@ -945,7 +961,7 @@ fn elab_decls<O: Ops>(ua: &UArena, groups: [&[UDecl]; 3]) -> EResult<ElabDecls<O
     let mut vars: VarMap<O> = ident_map_with_capacity(total);
     let mut pending: Vec<&UDecl> = Vec::new();
     for d in groups.iter().flat_map(|g| g.iter()) {
-        match elab_clock::<O>(ua, d.clock, &vars, d.span) {
+        match elab_clock::<O>(ua, d.clock, &vars, clocks, d.span) {
             Ok(ck) => {
                 let (ty, def) = tys[&d.name].clone();
                 vars.insert(d.name, (ty, ck, def));
@@ -957,7 +973,7 @@ fn elab_decls<O: Ops>(ua: &UArena, groups: [&[UDecl]; 3]) -> EResult<ElabDecls<O
         let before = pending.len();
         let mut next = Vec::new();
         for d in pending {
-            match elab_clock::<O>(ua, d.clock, &vars, d.span) {
+            match elab_clock::<O>(ua, d.clock, &vars, clocks, d.span) {
                 Ok(ck) => {
                     let (ty, def) = tys[&d.name].clone();
                     vars.insert(d.name, (ty, ck, def));
@@ -968,7 +984,7 @@ fn elab_decls<O: Ops>(ua: &UArena, groups: [&[UDecl]; 3]) -> EResult<ElabDecls<O
         if next.len() == before {
             // No progress: report the first real error.
             let d = next[0];
-            elab_clock::<O>(ua, d.clock, &vars, d.span)?;
+            elab_clock::<O>(ua, d.clock, &vars, clocks, d.span)?;
             unreachable!("elab_clock must fail where it failed before");
         }
         pending = next;
@@ -993,9 +1009,10 @@ fn elab_node<O: Ops>(
     consts: &IdentMap<O::Const>,
     sigs: &SigMap<O>,
     arg_stack: &mut Vec<TExprId>,
+    clocks: &mut Clocks,
 ) -> EResult<TNode<O>> {
     let (vars, [inputs, outputs, locals]) =
-        elab_decls::<O>(ua, [&unode.inputs, &unode.outputs, &unode.locals])?;
+        elab_decls::<O>(ua, [&unode.inputs, &unode.outputs, &unode.locals], clocks)?;
     // Interface variables live on the base clock (paper's restriction).
     for d in inputs.iter().chain(&outputs) {
         if d.ck != Clock::Base {
@@ -1029,10 +1046,11 @@ fn elab_node<O: Ops>(
 
     let mut eqs = Vec::with_capacity(unode.eqs.len());
     for ueq in &unode.eqs {
+        let lhs = ua.lhs(ueq.lhs);
         // The equation clock comes from the (identical) clocks of the
         // defined variables.
         let mut lhs_ck: Option<Clock> = None;
-        for x in &ueq.lhs {
+        for x in lhs {
             let Some((_, cx, def)) = elab.env.vars.get_mut(x) else {
                 return err(codes::E0201, format!("unknown variable {x}"), ueq.span);
             };
@@ -1067,7 +1085,7 @@ fn elab_node<O: Ops>(
         }
         let ck = lhs_ck.expect("patterns are non-empty");
 
-        let rhs = if ueq.lhs.len() > 1 {
+        let rhs = if lhs.len() > 1 {
             // Tuple call.
             match ua[ueq.rhs] {
                 UExpr::Call(f, args, s) => {
@@ -1078,18 +1096,18 @@ fn elab_node<O: Ops>(
                         Some(sig) => sig,
                         None => return err(codes::E0203, format!("unknown node {f}"), s),
                     };
-                    if outs.len() != ueq.lhs.len() {
+                    if outs.len() != lhs.len() {
                         return err(
                             codes::E0214,
                             format!(
                                 "node {f} has {} outputs, pattern binds {}",
                                 outs.len(),
-                                ueq.lhs.len()
+                                lhs.len()
                             ),
                             s,
                         );
                     }
-                    for (x, (oname, oty)) in ueq.lhs.iter().zip(outs) {
+                    for (x, (oname, oty)) in lhs.iter().zip(outs) {
                         let (tx, _, _) = &elab.env.vars[x];
                         if tx != oty {
                             return err(
@@ -1112,13 +1130,13 @@ fn elab_node<O: Ops>(
                 }
             }
         } else {
-            let x = ueq.lhs[0];
+            let x = lhs[0];
             let tx = elab.env.vars[&x].0.clone();
             elab.build(ueq.rhs, &tx)?
         };
-        elab.check_clock(rhs, &ck, ueq.span)?;
+        elab.check_clock(rhs, &ck, ueq.span, clocks)?;
         eqs.push(TEquation {
-            lhs: ueq.lhs.clone(),
+            lhs: ueq.lhs,
             ck,
             rhs,
             span: ueq.span,
@@ -1207,9 +1225,18 @@ pub fn elaborate<O: Ops>(
 
     let order = order_nodes::<O>(prog, ua)?;
     let mut sigs: SigMap<O> = ident_map_with_capacity(prog.nodes.len());
+    let mut clocks = Clocks::default();
     let mut nodes = Vec::with_capacity(prog.nodes.len());
     for i in order {
-        let tnode = elab_node::<O>(&prog.nodes[i], ua, ta, &consts, &sigs, &mut arg_stack)?;
+        let tnode = elab_node::<O>(
+            &prog.nodes[i],
+            ua,
+            ta,
+            &consts,
+            &sigs,
+            &mut arg_stack,
+            &mut clocks,
+        )?;
         sigs.insert(
             tnode.name,
             (

@@ -107,12 +107,13 @@ impl<O: Ops> FrontendScratch<O> {
     }
 
     /// Current pool capacities `(tokens, surface exprs, surface args,
-    /// surface clocks, typed exprs, typed args)` — exposed so tests can
-    /// assert a recycled scratch stops growing.
-    pub fn capacities(&self) -> (usize, usize, usize, usize, usize, usize) {
-        let (ue, ua, uc) = self.ua.capacities();
+    /// surface clocks, surface left-hand sides, typed exprs, typed
+    /// args)` — exposed so tests can assert a recycled scratch stops
+    /// growing.
+    pub fn capacities(&self) -> (usize, usize, usize, usize, usize, usize, usize) {
+        let (ue, ua, uc, ul) = self.ua.capacities();
         let (te, tg) = self.ta.capacities();
-        (self.tokens.capacity(), ue, ua, uc, te, tg)
+        (self.tokens.capacity(), ue, ua, uc, ul, te, tg)
     }
 }
 
@@ -140,8 +141,8 @@ pub fn frontend_with<O: Ops>(
     lexer::lex_into(source, &mut scratch.tokens)?;
     let uprog = parser::parse(&scratch.tokens, source, &mut scratch.ua)?;
     let (typed, mut warnings) = elab::elaborate::<O>(&uprog, &scratch.ua, &mut scratch.ta)?;
-    let (program, spans, pre_marks) =
-        normalize::normalize::<O>(typed, &scratch.ta).map_err(|e| {
+    let (program, spans, pre_marks) = normalize::normalize::<O>(typed, &scratch.ua, &scratch.ta)
+        .map_err(|e| {
             Diagnostics::from(
                 velus_common::Diagnostic::error(
                     codes::E0310,

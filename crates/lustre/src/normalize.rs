@@ -27,10 +27,11 @@
 
 use velus_common::{FreshGen, Ident, PreMarks, Span, SpanMap};
 use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program, VarDecl};
-use velus_nlustre::clock::Clock;
+use velus_nlustre::clock::{Clock, Clocks};
 use velus_nlustre::SemError;
 use velus_ops::Ops;
 
+use crate::ast::UArena;
 use crate::elab::{TArena, TEquation, TExpr, TExprId, TNode, TProgram};
 
 struct Norm<'a, O: Ops> {
@@ -42,6 +43,9 @@ struct Norm<'a, O: Ops> {
     /// rarely has more than a handful of distinct clocks, so a linear
     /// scan over a `Vec` beats hashing `Clock`s.
     init_flags: Vec<(Clock, Ident)>,
+    /// The node's clocks: those of its declarations, and the branch
+    /// clocks of its merges, each built once.
+    clocks: Clocks,
     /// Span of the source equation currently being normalized; every
     /// extracted equation inherits it.
     current_span: Span,
@@ -85,11 +89,15 @@ impl<'a, O: Ops> Norm<'a, O> {
                 Box::new(self.norm_cexpr(*t, ck)?),
                 Box::new(self.norm_cexpr(*f, ck)?),
             )),
-            TExpr::Merge(x, t, f) => Ok(CExpr::Merge(
-                *x,
-                Box::new(self.norm_cexpr(*t, &ck.clone().on(*x, true))?),
-                Box::new(self.norm_cexpr(*f, &ck.clone().on(*x, false))?),
-            )),
+            TExpr::Merge(x, t, f) => {
+                let on_t = self.clocks.on(ck, *x, true);
+                let on_f = self.clocks.on(ck, *x, false);
+                Ok(CExpr::Merge(
+                    *x,
+                    Box::new(self.norm_cexpr(*t, &on_t)?),
+                    Box::new(self.norm_cexpr(*f, &on_f)?),
+                ))
+            }
             TExpr::Arrow(l, r) => {
                 let h = self.init_flag(ck);
                 Ok(CExpr::If(
@@ -224,6 +232,7 @@ fn count_extractions<O: Ops>(ta: &TArena<O>, node: &TNode<O>) -> usize {
 
 fn normalize_node<O: Ops>(
     tnode: TNode<O>,
+    ua: &UArena,
     ta: &TArena<O>,
     spans: &mut SpanMap,
     marks: &mut PreMarks,
@@ -235,14 +244,24 @@ fn normalize_node<O: Ops>(
         new_locals: Vec::with_capacity(extractions),
         new_eqs: Vec::with_capacity(extractions),
         init_flags: Vec::new(),
+        clocks: Clocks::default(),
         current_span: Span::DUMMY,
         eq_spans: Vec::with_capacity(tnode.eqs.len() + extractions + 1),
         pre_marks: Vec::new(),
     };
+    for d in tnode
+        .inputs
+        .iter()
+        .chain(&tnode.outputs)
+        .chain(&tnode.locals)
+    {
+        norm.clocks.share(&d.ck);
+    }
     let output_names: Vec<Ident> = tnode.outputs.iter().map(|d| d.name).collect();
     let mut eqs = Vec::with_capacity(tnode.eqs.len() + 1);
 
     for TEquation { lhs, ck, rhs, span } in &tnode.eqs {
+        let lhs = ua.lhs(*lhs);
         norm.current_span = *span;
         for &x in lhs {
             norm.eq_spans.push((x, *span));
@@ -253,7 +272,7 @@ fn normalize_node<O: Ops>(
                 TExpr::Call(f, args, _) => {
                     let args = norm.norm_args(args, ck)?;
                     eqs.push(Equation::Call {
-                        xs: lhs.clone(),
+                        xs: lhs.to_vec(),
                         ck: ck.clone(),
                         node: f,
                         args,
@@ -353,8 +372,9 @@ fn normalize_node<O: Ops>(
     })
 }
 
-/// Normalizes a typed program into N-Lustre. `ta` is the arena the
-/// elaborator built the program's expressions into.
+/// Normalizes a typed program into N-Lustre. `ua` is the arena the
+/// program was parsed into (its equations' left-hand sides live there)
+/// and `ta` the arena the elaborator built its expressions into.
 ///
 /// The result satisfies the structural invariants of
 /// [`velus_nlustre::ast`] by construction and is re-validated by the
@@ -374,6 +394,7 @@ fn normalize_node<O: Ops>(
 /// reported as [`SemError`]s rather than panics.
 pub fn normalize<O: Ops>(
     prog: TProgram<O>,
+    ua: &UArena,
     ta: &TArena<O>,
 ) -> Result<(Program<O>, SpanMap, PreMarks), SemError> {
     let mut spans = SpanMap::new();
@@ -381,7 +402,7 @@ pub fn normalize<O: Ops>(
     let nodes = prog
         .nodes
         .into_iter()
-        .map(|n| normalize_node(n, ta, &mut spans, &mut marks))
+        .map(|n| normalize_node(n, ua, ta, &mut spans, &mut marks))
         .collect::<Result<Vec<_>, _>>()?;
     Ok((Program::new(nodes), spans, marks))
 }

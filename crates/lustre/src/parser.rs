@@ -438,19 +438,18 @@ impl Parser<'_, '_> {
 
     fn equation(&mut self) -> PResult<UEquation> {
         let start = self.span();
-        let mut lhs = Vec::new();
-        if self.eat(Tok::LParen) {
-            lhs.push(self.ident()?);
-            while self.eat(Tok::Comma) {
-                lhs.push(self.ident()?);
-            }
-            self.expect(Tok::RParen)?;
-        } else {
-            lhs.push(self.ident()?);
-            while self.eat(Tok::Comma) {
-                lhs.push(self.ident()?);
-            }
+        let mark = self.ast.lhs_mark();
+        let paren = self.eat(Tok::LParen);
+        let x = self.ident()?;
+        self.ast.push_lhs(x);
+        while self.eat(Tok::Comma) {
+            let x = self.ident()?;
+            self.ast.push_lhs(x);
         }
+        if paren {
+            self.expect(Tok::RParen)?;
+        }
+        let lhs = self.ast.lhs_since(mark);
         self.expect(Tok::Eq)?;
         let rhs = self.expr()?;
         self.expect(Tok::Semi)?;
@@ -609,8 +608,13 @@ mod tests {
               (speed, position) = two(gamma);
             tel
         ";
-        let (p, _) = parse_source(src).unwrap();
-        assert_eq!(p.nodes[0].eqs[0].lhs.len(), 2);
+        let (p, a) = parse_source(src).unwrap();
+        let lhs: Vec<&str> = a
+            .lhs(p.nodes[0].eqs[0].lhs)
+            .iter()
+            .map(|x| x.as_str())
+            .collect();
+        assert_eq!(lhs, ["speed", "position"]);
     }
 
     #[test]

@@ -6,10 +6,17 @@
 //! `ck onot x` when `ck` holds and `x` is false.
 
 use std::fmt;
+use std::sync::Arc;
 
 use velus_common::Ident;
 
 /// A clock expression.
+///
+/// The parent of a sub-clock is shared, not owned: cloning a clock is a
+/// reference-count increment, and two clocks cloned from one compare
+/// equal without walking their chains (`Arc`'s equality checks the
+/// pointer first). [`Clocks`] builds each distinct clock of a node once,
+/// so the equations and declarations of the node share them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Clock {
     /// The base clock of the enclosing node.
@@ -17,13 +24,13 @@ pub enum Clock {
     Base,
     /// A sub-clock: `on(ck, x, true)` is `ck on x`, `on(ck, x, false)` is
     /// `ck onot x`.
-    On(Box<Clock>, Ident, bool),
+    On(Arc<Clock>, Ident, bool),
 }
 
 impl Clock {
     /// Builds `self on x` (positive polarity) or `self onot x`.
     pub fn on(self, x: Ident, polarity: bool) -> Clock {
-        Clock::On(Box::new(self), x, polarity)
+        Clock::On(Arc::new(self), x, polarity)
     }
 
     /// Nesting depth: `base` is 0, each `on` adds one.
@@ -71,6 +78,46 @@ impl Clock {
                 None => return false,
             }
         }
+    }
+}
+
+/// The distinct clocks built so far, each built once: a per-node table
+/// that hands out shared copies instead of building a sub-clock again.
+/// A node has a handful of distinct clocks, so lookup is a scan.
+#[derive(Debug, Default)]
+pub struct Clocks {
+    built: Vec<Clock>,
+}
+
+impl Clocks {
+    /// Forgets the clocks built so far (keeping the table's capacity),
+    /// e.g. between nodes.
+    pub fn clear(&mut self) {
+        self.built.clear();
+    }
+
+    /// Records an already-built clock (a declared variable's, say), so
+    /// that [`Clocks::on`] hands out copies of it instead of building it
+    /// again.
+    pub fn share(&mut self, ck: &Clock) {
+        if matches!(ck, Clock::On(..)) && !self.built.contains(ck) {
+            self.built.push(ck.clone());
+        }
+    }
+
+    /// `parent on x` (or `parent onot x`): the clock built earlier when
+    /// there is one, otherwise a new one that later calls share.
+    pub fn on(&mut self, parent: &Clock, x: Ident, polarity: bool) -> Clock {
+        let found = self.built.iter().find(|ck| match ck {
+            Clock::On(p, y, k) => *y == x && *k == polarity && **p == *parent,
+            Clock::Base => false,
+        });
+        if let Some(ck) = found {
+            return ck.clone();
+        }
+        let ck = parent.clone().on(x, polarity);
+        self.built.push(ck.clone());
+        ck
     }
 }
 
@@ -123,5 +170,27 @@ mod tests {
         // Polarity matters.
         let on_x_neg = Clock::Base.on(x(), false);
         assert!(!on_x_neg.is_suffix_of(&on_xy));
+    }
+
+    #[test]
+    fn the_table_builds_each_clock_once() {
+        let mut clocks = Clocks::default();
+        let on_x = clocks.on(&Clock::Base, x(), true);
+        let on_xy = clocks.on(&on_x, y(), false);
+        let (Clock::On(a, ..), Clock::On(b, ..)) = (&on_xy, &clocks.on(&on_x, y(), false)) else {
+            panic!("sub-clocks");
+        };
+        assert!(Arc::ptr_eq(a, b), "the same parent, shared");
+        assert_eq!(on_xy, Clock::Base.on(x(), true).on(y(), false));
+        assert_ne!(clocks.on(&Clock::Base, x(), false), on_x);
+        // A clock built elsewhere is handed out once shared.
+        let declared = Clock::Base.on(y(), true);
+        let mut clocks = Clocks::default();
+        clocks.share(&declared);
+        let (Clock::On(a, ..), Clock::On(b, ..)) = (&declared, &clocks.on(&Clock::Base, y(), true))
+        else {
+            panic!("sub-clocks");
+        };
+        assert!(Arc::ptr_eq(a, b));
     }
 }

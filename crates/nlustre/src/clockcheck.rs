@@ -12,10 +12,11 @@ use velus_common::{Ident, IdentMap};
 use velus_ops::Ops;
 
 use crate::ast::{CExpr, Equation, Expr, Node, Program};
-use crate::clock::Clock;
+use crate::clock::{Clock, Clocks};
 use crate::SemError;
 
-type CkEnv = IdentMap<Clock>;
+/// Declared variable → its clock, borrowed from the node.
+type CkEnv<'n> = IdentMap<&'n Clock>;
 
 fn clock_error<T>(msg: String) -> Result<T, SemError> {
     Err(SemError::ClockError(msg))
@@ -34,7 +35,7 @@ pub fn check_expr_clock<O: Ops>(env: &CkEnv, e: &Expr<O>, ck: &Clock) -> Result<
         Expr::Const(_) => Ok(()),
         Expr::Var(x, _) => match env.get(x) {
             None => Err(SemError::UndefinedVariable(*x)),
-            Some(cx) if cx == ck => Ok(()),
+            Some(&cx) if cx == ck => Ok(()),
             Some(cx) => clock_error(format!("variable {x} on clock {cx}, expected {ck}")),
         },
         Expr::Unop(_, e1, _) => check_expr_clock::<O>(env, e1, ck),
@@ -47,7 +48,7 @@ pub fn check_expr_clock<O: Ops>(env: &CkEnv, e: &Expr<O>, ck: &Clock) -> Result<
                 // The sampling variable must itself live on the parent clock.
                 match env.get(x) {
                     None => Err(SemError::UndefinedVariable(*x)),
-                    Some(cx) if cx == parent.as_ref() => check_expr_clock::<O>(env, e1, parent),
+                    Some(&cx) if cx == parent.as_ref() => check_expr_clock::<O>(env, e1, parent),
                     Some(cx) => {
                         clock_error(format!("sampler {x} on clock {cx}, expected {parent}"))
                     }
@@ -59,27 +60,35 @@ pub fn check_expr_clock<O: Ops>(env: &CkEnv, e: &Expr<O>, ck: &Clock) -> Result<
 }
 
 /// Checks that control expression `ce` is well clocked at clock `ck`.
+/// The branch clocks of a `merge` come from `clocks`, so each is built
+/// once per node.
 ///
 /// # Errors
 ///
 /// Returns [`SemError::ClockError`] on any mismatch.
-pub fn check_cexpr_clock<O: Ops>(env: &CkEnv, ce: &CExpr<O>, ck: &Clock) -> Result<(), SemError> {
+pub fn check_cexpr_clock<O: Ops>(
+    env: &CkEnv,
+    clocks: &mut Clocks,
+    ce: &CExpr<O>,
+    ck: &Clock,
+) -> Result<(), SemError> {
     match ce {
         CExpr::Merge(x, t, f) => {
             match env.get(x) {
                 None => return Err(SemError::UndefinedVariable(*x)),
-                Some(cx) if cx == ck => {}
+                Some(&cx) if cx == ck => {}
                 Some(cx) => {
                     return clock_error(format!("merge variable {x} on clock {cx}, expected {ck}"))
                 }
             }
-            check_cexpr_clock::<O>(env, t, &ck.clone().on(*x, true))?;
-            check_cexpr_clock::<O>(env, f, &ck.clone().on(*x, false))
+            let (on_t, on_f) = (clocks.on(ck, *x, true), clocks.on(ck, *x, false));
+            check_cexpr_clock::<O>(env, clocks, t, &on_t)?;
+            check_cexpr_clock::<O>(env, clocks, f, &on_f)
         }
         CExpr::If(c, t, f) => {
             check_expr_clock::<O>(env, c, ck)?;
-            check_cexpr_clock::<O>(env, t, ck)?;
-            check_cexpr_clock::<O>(env, f, ck)
+            check_cexpr_clock::<O>(env, clocks, t, ck)?;
+            check_cexpr_clock::<O>(env, clocks, f, ck)
         }
         CExpr::Expr(e) => check_expr_clock::<O>(env, e, ck),
     }
@@ -89,7 +98,7 @@ fn check_decl_clock(env: &CkEnv, x: Ident, ck: &Clock) -> Result<(), SemError> {
     if let Clock::On(parent, y, _) = ck {
         match env.get(y) {
             None => return Err(SemError::UndefinedVariable(*y)),
-            Some(cy) if cy == parent.as_ref() => {}
+            Some(&cy) if cy == parent.as_ref() => {}
             Some(cy) => {
                 return clock_error(format!(
                     "declaration of {x}: sampler {y} on clock {cy}, expected {parent}"
@@ -110,11 +119,28 @@ pub fn check_node_clocks<O: Ops>(
     nodes_before: &IdentMap<&Node<O>>,
     node: &Node<O>,
 ) -> Result<(), SemError> {
-    let mut env: CkEnv = velus_common::ident_map_with_capacity(
-        node.inputs.len() + node.outputs.len() + node.locals.len(),
-    );
+    check_node_clocks_with(
+        nodes_before,
+        node,
+        &mut IdentMap::default(),
+        &mut Clocks::default(),
+    )
+}
+
+/// [`check_node_clocks`] through a caller's environment map and clock
+/// table, both cleared first, so a program check reuses them across
+/// nodes.
+fn check_node_clocks_with<'n, O: Ops>(
+    nodes_before: &IdentMap<&Node<O>>,
+    node: &'n Node<O>,
+    env: &mut CkEnv<'n>,
+    clocks: &mut Clocks,
+) -> Result<(), SemError> {
+    env.clear();
+    clocks.clear();
     for d in node.inputs.iter().chain(&node.outputs).chain(&node.locals) {
-        env.insert(d.name, d.ck.clone());
+        env.insert(d.name, &d.ck);
+        clocks.share(&d.ck);
     }
     // Node interfaces live on the base clock (the paper's simplification:
     // all inputs and outputs of an application share one clock).
@@ -127,11 +153,11 @@ pub fn check_node_clocks<O: Ops>(
         }
     }
     for d in node.locals.iter() {
-        check_decl_clock(&env, d.name, &d.ck)?;
+        check_decl_clock(env, d.name, &d.ck)?;
     }
 
     for eq in &node.eqs {
-        check_eq_clocks::<O>(&env, nodes_before, eq)
+        check_eq_clocks::<O>(env, clocks, nodes_before, eq)
             .map_err(|e| e.in_node_at(node.name, eq.defined().first().copied()))?;
     }
     Ok(())
@@ -140,6 +166,7 @@ pub fn check_node_clocks<O: Ops>(
 /// Checks one equation against the node's clock environment.
 fn check_eq_clocks<O: Ops>(
     env: &CkEnv,
+    clocks: &mut Clocks,
     nodes_before: &IdentMap<&Node<O>>,
     eq: &Equation<O>,
 ) -> Result<(), SemError> {
@@ -148,7 +175,7 @@ fn check_eq_clocks<O: Ops>(
     for &x in eq.defined() {
         match env.get(&x) {
             None => return Err(SemError::UndefinedVariable(x)),
-            Some(cx) if cx == ck => {}
+            Some(&cx) if cx == ck => {}
             Some(cx) => {
                 return clock_error(format!("{x} declared on clock {cx} but defined on {ck}"))
             }
@@ -156,7 +183,7 @@ fn check_eq_clocks<O: Ops>(
     }
     check_decl_clock(env, eq.defined()[0], ck)?;
     match eq {
-        Equation::Def { rhs, .. } => check_cexpr_clock::<O>(env, rhs, ck)?,
+        Equation::Def { rhs, .. } => check_cexpr_clock::<O>(env, clocks, rhs, ck)?,
         Equation::Fby { rhs, .. } => check_expr_clock::<O>(env, rhs, ck)?,
         Equation::Call { node: f, args, .. } => {
             let _callee = nodes_before
@@ -178,8 +205,17 @@ fn check_eq_clocks<O: Ops>(
 /// Returns the first violation found, in declaration order.
 pub fn check_program_clocks<O: Ops>(prog: &Program<O>) -> Result<(), SemError> {
     let mut declared: IdentMap<&Node<O>> = velus_common::ident_map_with_capacity(prog.nodes.len());
+    let vars = prog
+        .nodes
+        .iter()
+        .map(|n| n.inputs.len() + n.outputs.len() + n.locals.len())
+        .max()
+        .unwrap_or(0);
+    let mut env: CkEnv = velus_common::ident_map_with_capacity(vars);
+    let mut clocks = Clocks::default();
     for node in &prog.nodes {
-        check_node_clocks::<O>(&declared, node).map_err(|e| e.in_node(node.name))?;
+        check_node_clocks_with::<O>(&declared, node, &mut env, &mut clocks)
+            .map_err(|e| e.in_node(node.name))?;
         declared.insert(node.name, node);
     }
     Ok(())

@@ -22,12 +22,18 @@ use velus_ops::Ops;
 use crate::ast::{Equation, Node};
 use crate::SemError;
 
-/// The precedence graph of a node's equations: `succs[i]` lists the
-/// equations that must run *after* equation `i`.
+/// The precedence graph of a node's equations, in compressed sparse row
+/// form: the successors of equation `i` — the equations that must run
+/// *after* it — are `targets[offsets[i]..offsets[i + 1]]`, in the order
+/// the edges were found. Two flat arrays instead of one list per
+/// equation, so building a graph costs a handful of allocations however
+/// many equations the node has.
 #[derive(Debug, Clone)]
 pub struct DepGraph {
-    /// Successor lists, indexed by equation.
-    pub succs: Vec<Vec<usize>>,
+    /// Row starts into `targets`, one per equation plus the end.
+    offsets: Vec<usize>,
+    /// Every equation's successors, row after row.
+    targets: Vec<usize>,
     /// Predecessor counts, indexed by equation.
     pub preds: Vec<usize>,
 }
@@ -35,12 +41,24 @@ pub struct DepGraph {
 impl DepGraph {
     /// Number of equations.
     pub fn len(&self) -> usize {
-        self.succs.len()
+        self.preds.len()
     }
 
     /// Whether the graph has no equations.
     pub fn is_empty(&self) -> bool {
-        self.succs.is_empty()
+        self.preds.is_empty()
+    }
+
+    /// The equations that must run after equation `i`, in the order the
+    /// edges were found (readers in equation order, each reader's
+    /// definers in read order).
+    pub fn succs(&self, i: usize) -> &[usize] {
+        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Every edge `(from, to)`, row by row.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.len()).flat_map(move |i| self.succs(i).iter().map(move |&j| (i, j)))
     }
 }
 
@@ -56,18 +74,14 @@ pub fn dep_graph<O: Ops>(node: &Node<O>) -> DepGraph {
             def_of.insert(x, i);
         }
     }
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut preds = vec![0usize; n];
-    // Duplicate-edge suppression in two layers. A per-reader
-    // seen-bitset over the definer index (O(n) memory, reset per
-    // reader) collapses duplicate reads of the same variable to one
-    // candidate edge — the case that degenerated with the old
-    // O(out-degree) `succs[a].contains(&b)` scan per *read* on dense
-    // graphs. The scan itself remains, but now runs once per distinct
-    // (reader, definer) pair: it still catches the cross-reader
-    // duplicate where a Def equation and the Fby it reads from produce
-    // the same directed edge from both ends (`y = cum + x;
-    // cum = 0 fby y` yields 0→1 twice).
+    // The edges as found, `(from, to)`. A per-reader seen-bitset over
+    // the definer index (reset per reader) collapses duplicate reads of
+    // the same variable to one candidate edge, so the list holds each
+    // (reader, definer) pair once. The one duplicate it can still hold
+    // is across readers: a Def equation and the Fby it reads from give
+    // the same directed edge from both ends (`y = cum + x; cum = 0 fby
+    // y` yields 0→1 twice); the row pass below drops it.
+    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(2 * n);
     let mut seen = DenseBitSet::new();
     let mut reads: Vec<Ident> = Vec::new();
     for (i, eq) in node.eqs.iter().enumerate() {
@@ -82,24 +96,57 @@ pub fn dep_graph<O: Ops>(node: &Node<O>) -> DepGraph {
                 if seen.insert(d) {
                     match &node.eqs[d] {
                         Equation::Fby { .. } if d == i => {}
-                        Equation::Fby { .. } => {
-                            if !succs[i].contains(&d) {
-                                succs[i].push(d);
-                                preds[d] += 1;
-                            }
-                        }
-                        _ => {
-                            if !succs[d].contains(&i) {
-                                succs[d].push(i);
-                                preds[i] += 1;
-                            }
-                        }
+                        Equation::Fby { .. } => edges.push((i, d)),
+                        _ => edges.push((d, i)),
                     }
                 }
             }
         }
     }
-    DepGraph { succs, preds }
+    // Rows by a stable counting sort on the source, so each row keeps
+    // the order its edges were found in.
+    let mut offsets = vec![0usize; n + 1];
+    for &(a, _) in &edges {
+        offsets[a + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor = offsets[..n].to_vec();
+    let mut targets = vec![0usize; edges.len()];
+    for &(a, b) in &edges {
+        targets[cursor[a]] = b;
+        cursor[a] += 1;
+    }
+    // Drop the repeat of an edge within its row (keeping the first) and
+    // count predecessors, compacting the rows in place. `cursor` is
+    // reused as the row that last reached each target.
+    let last_row = &mut cursor;
+    last_row.fill(usize::MAX);
+    let mut preds = vec![0usize; n];
+    let mut kept = 0;
+    let mut start = 0;
+    for a in 0..n {
+        let end = offsets[a + 1];
+        offsets[a] = kept;
+        for k in start..end {
+            let b = targets[k];
+            if last_row[b] != a {
+                last_row[b] = a;
+                targets[kept] = b;
+                kept += 1;
+                preds[b] += 1;
+            }
+        }
+        start = end;
+    }
+    offsets[n] = kept;
+    targets.truncate(kept);
+    DepGraph {
+        offsets,
+        targets,
+        preds,
+    }
 }
 
 /// Extracts the variables on a dependency cycle, for error reporting.
@@ -110,7 +157,7 @@ pub fn cycle_witness<O: Ops>(node: &Node<O>, graph: &DepGraph) -> Vec<Ident> {
     let mut preds = graph.preds.clone();
     let mut stack: Vec<usize> = (0..n).filter(|&i| preds[i] == 0).collect();
     while let Some(i) = stack.pop() {
-        for &j in &graph.succs[i] {
+        for &j in graph.succs(i) {
             preds[j] -= 1;
             if preds[j] == 0 {
                 stack.push(j);
@@ -123,7 +170,7 @@ pub fn cycle_witness<O: Ops>(node: &Node<O>, graph: &DepGraph) -> Vec<Ident> {
     let mut succs_left = vec![0usize; n];
     let mut preds_of: Vec<Vec<usize>> = vec![Vec::new(); n];
     for i in (0..n).filter(|&i| left[i]) {
-        for &j in graph.succs[i].iter().filter(|&&j| left[j]) {
+        for &j in graph.succs(i).iter().filter(|&&j| left[j]) {
             succs_left[i] += 1;
             preds_of[j].push(i);
         }
@@ -155,20 +202,20 @@ pub fn cycle_witness<O: Ops>(node: &Node<O>, graph: &DepGraph) -> Vec<Ident> {
 /// [`SemError::BadSchedule`] naming the offending variable.
 pub fn check_schedule<O: Ops>(node: &Node<O>) -> Result<(), SemError> {
     let graph = dep_graph(node);
-    for (i, ss) in graph.succs.iter().enumerate() {
-        for &j in ss {
-            if j <= i {
-                let who = node.eqs[j].defined();
-                return Err(SemError::BadSchedule(format!(
-                    "in node {}: equation for {} must come after equation {}",
-                    node.name,
-                    who.first().map(|x| x.to_string()).unwrap_or_default(),
-                    i
-                )));
-            }
-        }
+    let backward = graph.edges().find(|&(i, j)| j <= i);
+    match backward {
+        Some((i, j)) => Err(SemError::BadSchedule(format!(
+            "in node {}: equation for {} must come after equation {}",
+            node.name,
+            node.eqs[j]
+                .defined()
+                .first()
+                .map(|x| x.to_string())
+                .unwrap_or_default(),
+            i
+        ))),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -240,8 +287,9 @@ mod tests {
         let g = dep_graph(&node);
         // y's equation (0) must precede the fby (1): edge 0 -> 1 from the
         // fby reading y, and edge 0 -> 1 from y reading cum (fby).
-        assert_eq!(g.succs[0], vec![1]);
-        assert!(g.succs[1].is_empty());
+        assert_eq!(g.succs(0), [1]);
+        assert!(g.succs(1).is_empty());
+        assert_eq!(g.preds, [0, 1], "the edge found twice counts once");
     }
 
     #[test]
@@ -283,11 +331,11 @@ mod tests {
         let g = dep_graph(&node);
         // One edge from `a`'s equation to each reader, despite the nine
         // duplicate reads per equation.
-        let mut succs = g.succs[0].clone();
+        let mut succs = g.succs(0).to_vec();
         succs.sort_unstable();
         succs.dedup();
         assert_eq!(succs.len(), m, "duplicate edges survived deduplication");
-        assert_eq!(g.succs[0].len(), m);
+        assert_eq!(g.succs(0).len(), m);
         assert_eq!(g.preds[0], 0);
         for i in 1..=m {
             assert_eq!(g.preds[i], 1, "reader {i} must have exactly one pred");
@@ -303,10 +351,10 @@ mod tests {
             rhs: var("x"),
         };
         let g = dep_graph(&node);
-        assert!(g.succs[0].is_empty());
+        assert!(g.succs(0).is_empty());
         assert_eq!(g.preds[0], m, "one edge per reader into the fby");
         for i in 1..=m {
-            assert_eq!(g.succs[i], vec![0]);
+            assert_eq!(g.succs(i), [0]);
         }
     }
 
@@ -380,7 +428,7 @@ mod tests {
         ] {
             let node = one_eq_node(eq);
             let g = dep_graph(&node);
-            assert_eq!((g.succs[0].clone(), g.preds[0]), (vec![0], 1));
+            assert_eq!((g.succs(0), g.preds[0]), (&[0][..], 1));
             assert_eq!(cycle_witness(&node, &g), vec![id("y")]);
             assert!(matches!(
                 crate::schedule::schedule_order(&node),
@@ -399,7 +447,7 @@ mod tests {
             rhs: y_plus_x(),
         });
         let g = dep_graph(&node);
-        assert!(g.succs[0].is_empty());
+        assert!(g.succs(0).is_empty());
         assert_eq!(g.preds[0], 0);
         assert_eq!(check_schedule(&node), Ok(()));
     }

@@ -49,7 +49,7 @@ pub fn schedule_order<O: Ops>(node: &Node<O>) -> Result<Vec<usize>, SemError> {
         let i = ready.remove(pick_pos).expect("position is in range");
         last = Some(i);
         order.push(i);
-        for &j in &graph.succs[i] {
+        for &j in graph.succs(i) {
             preds[j] -= 1;
             if preds[j] == 0 {
                 ready.push_back(j);

@@ -111,10 +111,9 @@ pub fn check_cexpr<O: Ops>(env: &Env<O>, ce: &CExpr<O>) -> Result<O::Ty, SemErro
     }
 }
 
-fn build_env<O: Ops>(node: &Node<O>) -> Result<Env<O>, SemError> {
-    let mut env: Env<O> = velus_common::ident_map_with_capacity(
-        node.inputs.len() + node.outputs.len() + node.locals.len(),
-    );
+/// Fills `env` (cleared first) with the declared types of `node`.
+fn build_env<O: Ops>(node: &Node<O>, env: &mut Env<O>) -> Result<(), SemError> {
+    env.clear();
     for d in node.inputs.iter().chain(&node.outputs).chain(&node.locals) {
         if env.insert(d.name, d.ty.clone()).is_some() {
             return Err(SemError::Malformed(format!(
@@ -123,7 +122,7 @@ fn build_env<O: Ops>(node: &Node<O>) -> Result<Env<O>, SemError> {
             )));
         }
     }
-    Ok(env)
+    Ok(())
 }
 
 fn check_equation<O: Ops>(
@@ -205,14 +204,29 @@ pub fn check_node<O: Ops>(
     declared_before: &IdentMap<&Node<O>>,
     node: &Node<O>,
 ) -> Result<(), SemError> {
-    let env = build_env::<O>(node)?;
+    check_node_with(
+        declared_before,
+        node,
+        &mut Env::<O>::default(),
+        &mut IdentSet::default(),
+    )
+}
+
+/// [`check_node`] through a caller's type environment and definition
+/// set, both cleared first, so a program check reuses them across nodes.
+fn check_node_with<O: Ops>(
+    declared_before: &IdentMap<&Node<O>>,
+    node: &Node<O>,
+    env: &mut Env<O>,
+    defined: &mut IdentSet,
+) -> Result<(), SemError> {
+    build_env::<O>(node, env)?;
     if node.outputs.is_empty() {
         return Err(SemError::Malformed("node has no outputs".to_owned()));
     }
 
     // Every output and local is defined exactly once; inputs never.
-    let mut defined: IdentSet =
-        velus_common::ident_set_with_capacity(node.outputs.len() + node.locals.len());
+    defined.clear();
     for eq in &node.eqs {
         for &x in eq.defined() {
             if node.is_input(x) {
@@ -226,7 +240,7 @@ pub fn check_node<O: Ops>(
         }
         // Call results must be pairwise distinct (checked above via `defined`),
         // and the instance is identified by the first result variable.
-        check_equation::<O>(&env, declared_before, eq)
+        check_equation::<O>(env, declared_before, eq)
             .map_err(|e| e.in_node_at(node.name, eq.defined().first().copied()))?;
     }
     for d in node.outputs.iter().chain(&node.locals) {
@@ -249,6 +263,14 @@ pub fn check_node<O: Ops>(
 /// Returns the first violation found, in declaration order.
 pub fn check_program<O: Ops>(prog: &Program<O>) -> Result<(), SemError> {
     let mut declared: IdentMap<&Node<O>> = velus_common::ident_map_with_capacity(prog.nodes.len());
+    let vars = prog
+        .nodes
+        .iter()
+        .map(|n| n.inputs.len() + n.outputs.len() + n.locals.len())
+        .max()
+        .unwrap_or(0);
+    let mut env: Env<O> = velus_common::ident_map_with_capacity(vars);
+    let mut defined = velus_common::ident_set_with_capacity(vars);
     for node in &prog.nodes {
         if declared.contains_key(&node.name) {
             return Err(SemError::Malformed(format!(
@@ -256,7 +278,8 @@ pub fn check_program<O: Ops>(prog: &Program<O>) -> Result<(), SemError> {
                 node.name
             )));
         }
-        check_node::<O>(&declared, node).map_err(|e| e.in_node(node.name))?;
+        check_node_with::<O>(&declared, node, &mut env, &mut defined)
+            .map_err(|e| e.in_node(node.name))?;
         declared.insert(node.name, node);
     }
     Ok(())

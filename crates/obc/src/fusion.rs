@@ -17,7 +17,7 @@
 use velus_common::{Ident, IdentMap};
 use velus_ops::Ops;
 
-use crate::ast::{Block, Class, Method, ObcExpr, ObcProgram, Stmt};
+use crate::ast::{Block, Class, ObcExpr, ObcProgram, Stmt};
 
 /// The `zip` function of Fig. 8: integrates the statements of `t`, in
 /// order, into the end of `s`. An incoming conditional whose guard equals
@@ -28,23 +28,24 @@ use crate::ast::{Block, Class, Method, ObcExpr, ObcProgram, Stmt};
 /// On blocks this is one pass over `t`: the paper's rules that walk down
 /// right-nested sequences become "look at the last statement", and only
 /// merged branches recurse (so depth follows `if` nesting, not the
-/// length of the sequence). Each statement of `t` is cloned at most once,
-/// and the guard of a merged conditional not at all.
-pub fn zip<O: Ops>(s: &mut Block<O>, t: &Block<O>) {
-    for stmt in t.iter() {
+/// length of the sequence). `t` is consumed: every statement moves into
+/// `s` and nothing is cloned, and the guard of a merged conditional is
+/// dropped.
+pub fn zip<O: Ops>(s: &mut Block<O>, t: Block<O>) {
+    for stmt in t.0 {
         match (s.last_mut(), stmt) {
-            (Some(Stmt::If(e1, t1, f1)), Stmt::If(e2, t2, f2)) if *e1 == *e2 => {
+            (Some(Stmt::If(e1, t1, f1)), Stmt::If(e2, t2, f2)) if *e1 == e2 => {
                 zip(t1, t2);
                 zip(f1, f2);
             }
-            _ => s.push(stmt.clone()),
+            (_, stmt) => s.push(stmt),
         }
     }
 }
 
 /// The `fuse` function: zips a sequence into `skip`, so every run of
 /// adjacent conditionals on equal guards ends up as one conditional.
-pub fn fuse<O: Ops>(s: &Block<O>) -> Block<O> {
+pub fn fuse<O: Ops>(s: Block<O>) -> Block<O> {
     let mut fused = Block(Vec::with_capacity(s.len()));
     zip(&mut fused, s);
     fused
@@ -116,31 +117,18 @@ fn fusible_block<O: Ops>(s: &Block<O>, g: &mut Guards) -> bool {
     })
 }
 
-/// Fuses the bodies of every method of a class.
-pub fn fuse_class<O: Ops>(class: &Class<O>) -> Class<O> {
-    Class {
-        name: class.name,
-        memories: class.memories.clone(),
-        instances: class.instances.clone(),
-        methods: class
-            .methods
-            .iter()
-            .map(|m| Method {
-                name: m.name,
-                inputs: m.inputs.clone(),
-                outputs: m.outputs.clone(),
-                locals: m.locals.clone(),
-                body: fuse(&m.body),
-            })
-            .collect(),
+/// Fuses the bodies of every method of a class, in place.
+pub fn fuse_class<O: Ops>(class: &mut Class<O>) {
+    for m in &mut class.methods {
+        m.body = fuse(std::mem::take(&mut m.body));
     }
 }
 
-/// Fuses a whole program.
-pub fn fuse_program<O: Ops>(prog: &ObcProgram<O>) -> ObcProgram<O> {
-    ObcProgram {
-        classes: prog.classes.iter().map(fuse_class).collect(),
-    }
+/// Fuses a whole program. The program is consumed: the fused bodies are
+/// built from the moved statements of the unfused ones.
+pub fn fuse_program<O: Ops>(mut prog: ObcProgram<O>) -> ObcProgram<O> {
+    prog.classes.iter_mut().for_each(fuse_class);
+    prog
 }
 
 #[cfg(test)]
@@ -177,7 +165,7 @@ mod tests {
             iff("x", assign("a", 1), B::new()),
             iff("x", assign("b", 2), B::new()),
         ]);
-        let fused = fuse(&s);
+        let fused = fuse(s);
         match &fused[..] {
             [Stmt::If(_, t, f)] => {
                 assert_eq!(t.size(), 2);
@@ -200,7 +188,7 @@ mod tests {
             ),
             Stmt::AssignSt(id("pt"), ObcExpr::Var(id("t"), CTy::I32)),
         ]);
-        let fused = fuse(&s);
+        let fused = fuse(s);
         // One if remains, followed by the state update.
         let text = fused.to_string();
         assert_eq!(text.matches("if x {").count(), 1, "{text}");
@@ -213,7 +201,7 @@ mod tests {
             iff("x", assign("a", 1), B::new()),
             iff("y", assign("b", 2), B::new()),
         ]);
-        let fused = fuse(&s);
+        let fused = fuse(s);
         assert_eq!(fused.to_string().matches("if ").count(), 2);
     }
 
@@ -256,7 +244,7 @@ mod tests {
             Stmt::AssignSt(id("pt"), ObcExpr::Var(id("t"), CTy::I32)),
         ]);
         assert!(fusible(&s));
-        let fused = fuse(&s);
+        let fused = fuse(s.clone());
         assert!(fusible(&fused));
         for x in [true, false] {
             let (m1, e1) = run(&s, x);
@@ -277,7 +265,7 @@ mod tests {
         let s2 = iff("x", assign("a", 1), assign("a", 2));
         let whole = Block(vec![s1, s2]);
         assert!(!fusible(&whole));
-        let fused = fuse(&whole);
+        let fused = fuse(whole.clone());
         // Semantics differ when x starts true: original sets a := 2
         // (x was flipped), fused sets a := 1.
         let (_, e1) = run(&whole, true);
@@ -289,9 +277,9 @@ mod tests {
     fn zip_eliminates_skips() {
         let a = B::from(assign("a", 1));
         let mut s = B::new();
-        zip(&mut s, &a);
+        zip(&mut s, a.clone());
         assert_eq!(s, a);
-        zip(&mut s, &B::new());
+        zip(&mut s, B::new());
         assert_eq!(s, a);
     }
 
@@ -302,7 +290,7 @@ mod tests {
             iff("x", iff("y", assign("a", 1), B::new()), B::new()),
             iff("x", iff("y", assign("b", 2), B::new()), B::new()),
         ]);
-        let fused = fuse(&s);
+        let fused = fuse(s);
         let text = fused.to_string();
         assert_eq!(text.matches("if y {").count(), 1, "{text}");
         assert_eq!(fused.size(), 6, "{text}");
@@ -319,7 +307,7 @@ mod tests {
         let fused = std::thread::Builder::new()
             .stack_size(64 * 1024)
             .spawn(move || {
-                let fused = fuse(&body);
+                let fused = fuse(body);
                 assert!(fusible(&fused));
                 fused.len()
             })

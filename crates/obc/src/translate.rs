@@ -22,13 +22,31 @@ use crate::ast::{reset_name, step_name, Block, Class, Method, ObcExpr, ObcProgra
 use crate::ObcError;
 
 /// Per-node translation context: which variables are memories, and the
-/// type of every variable.
+/// type of every variable. [`translate_program`] refills one context
+/// node after node.
 struct Ctx<O: Ops> {
     mems: IdentSet,
     types: IdentMap<O::Ty>,
 }
 
 impl<O: Ops> Ctx<O> {
+    fn new() -> Self {
+        Ctx {
+            mems: IdentSet::default(),
+            types: IdentMap::default(),
+        }
+    }
+
+    /// Empties the context and fills it for `node`.
+    fn fill(&mut self, node: &Node<O>) {
+        self.mems.clear();
+        self.mems.extend(node.mems_iter());
+        self.types.clear();
+        for d in node.inputs.iter().chain(&node.outputs).chain(&node.locals) {
+            self.types.insert(d.name, d.ty.clone());
+        }
+    }
+
     fn ty(&self, x: Ident) -> Result<O::Ty, ObcError> {
         self.types
             .get(&x)
@@ -145,46 +163,46 @@ fn treq_reset<O: Ops>(eq: &Equation<O>) -> Option<Stmt<O>> {
 /// Rejects nodes where a `fby` defines an output directly (normalization
 /// introduces a copy first) and propagates unbound-variable errors.
 pub fn translate_node<O: Ops>(node: &Node<O>) -> Result<Class<O>, ObcError> {
-    let mems: IdentSet = node.mems_iter().collect();
+    translate_node_in(&mut Ctx::new(), node)
+}
+
+/// [`translate_node`] through a reusable context.
+fn translate_node_in<O: Ops>(ctx: &mut Ctx<O>, node: &Node<O>) -> Result<Class<O>, ObcError> {
+    ctx.fill(node);
+    let ctx = &*ctx;
     for d in &node.outputs {
-        if mems.contains(&d.name) {
+        if ctx.mems.contains(&d.name) {
             return Err(ObcError::Malformed(format!(
                 "node {}: output {} is fby-defined; normalization must introduce a copy",
                 node.name, d.name
             )));
         }
     }
-    let mut types: IdentMap<O::Ty> = velus_common::ident_map_with_capacity(
-        node.inputs.len() + node.outputs.len() + node.locals.len(),
-    );
-    for d in node.inputs.iter().chain(&node.outputs).chain(&node.locals) {
-        types.insert(d.name, d.ty.clone());
-    }
-    let ctx = Ctx::<O> { mems, types };
 
     let step_body = node
         .eqs
         .iter()
-        .map(|eq| treq(&ctx, eq))
+        .map(|eq| treq(ctx, eq))
         .collect::<Result<Block<O>, _>>()?;
-    let reset_body: Block<O> = node.eqs.iter().filter_map(treq_reset).collect();
-
-    let memories = node
+    // Every delay and every call leaves a reset statement, and is a
+    // memory or an instance: count them once to size those vectors.
+    let fbys = ctx.mems.len();
+    let calls = node
         .eqs
         .iter()
-        .filter_map(|eq| match eq {
-            Equation::Fby { x, .. } => Some((*x, ctx.types[x].clone())),
-            _ => None,
-        })
-        .collect();
-    let instances = node
-        .eqs
-        .iter()
-        .filter_map(|eq| match eq {
-            Equation::Call { xs, node: f, .. } => Some((xs[0], *f)),
-            _ => None,
-        })
-        .collect();
+        .filter(|eq| matches!(eq, Equation::Call { .. }))
+        .count();
+    let mut reset_body = Block(Vec::with_capacity(fbys + calls));
+    reset_body.extend(node.eqs.iter().filter_map(treq_reset));
+    let mut memories = Vec::with_capacity(fbys);
+    let mut instances = Vec::with_capacity(calls);
+    for eq in &node.eqs {
+        match eq {
+            Equation::Fby { x, .. } => memories.push((*x, ctx.types[x].clone())),
+            Equation::Call { xs, node: f, .. } => instances.push((xs[0], *f)),
+            Equation::Def { .. } => {}
+        }
+    }
 
     let step = Method {
         name: step_name(),
@@ -194,12 +212,16 @@ pub fn translate_node<O: Ops>(node: &Node<O>) -> Result<Class<O>, ObcError> {
             .iter()
             .map(|d| (d.name, d.ty.clone()))
             .collect(),
-        locals: node
-            .locals
-            .iter()
-            .filter(|d| !ctx.mems.contains(&d.name))
-            .map(|d| (d.name, d.ty.clone()))
-            .collect(),
+        locals: {
+            let mut locals = Vec::with_capacity(node.locals.len().saturating_sub(fbys));
+            locals.extend(
+                node.locals
+                    .iter()
+                    .filter(|d| !ctx.mems.contains(&d.name))
+                    .map(|d| (d.name, d.ty.clone())),
+            );
+            locals
+        },
         body: step_body,
     };
     let reset = Method {
@@ -228,10 +250,11 @@ pub fn translate_node<O: Ops>(node: &Node<O>) -> Result<Class<O>, ObcError> {
 ///
 /// See [`translate_node`].
 pub fn translate_program<O: Ops>(prog: &Program<O>) -> Result<ObcProgram<O>, ObcError> {
+    let mut ctx = Ctx::new();
     let classes = prog
         .nodes
         .iter()
-        .map(translate_node)
+        .map(|node| translate_node_in(&mut ctx, node))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(ObcProgram { classes })
 }

@@ -14,8 +14,8 @@ use crate::ast::{Block, Class, Method, ObcExpr, ObcProgram, Stmt};
 use crate::ObcError;
 
 struct Scope<'a, O: Ops> {
-    vars: IdentMap<O::Ty>,
-    mems: IdentMap<O::Ty>,
+    vars: &'a IdentMap<O::Ty>,
+    mems: &'a IdentMap<O::Ty>,
     class: &'a Class<O>,
     prog: &'a ObcProgram<O>,
 }
@@ -154,13 +154,16 @@ fn check_stmt<O: Ops>(sc: &Scope<'_, O>, s: &Stmt<O>) -> Result<(), ObcError> {
     }
 }
 
+/// Checks one method. `mems` holds the class's memories; `vars` is
+/// scratch, refilled with the method's variables.
 fn check_method<O: Ops>(
     prog: &ObcProgram<O>,
     class: &Class<O>,
     m: &Method<O>,
+    mems: &IdentMap<O::Ty>,
+    vars: &mut IdentMap<O::Ty>,
 ) -> Result<(), ObcError> {
-    let mut vars: IdentMap<O::Ty> =
-        velus_common::ident_map_with_capacity(m.inputs.len() + m.outputs.len() + m.locals.len());
+    vars.clear();
     for (x, t) in m.inputs.iter().chain(&m.outputs).chain(&m.locals) {
         if vars.insert(*x, t.clone()).is_some() {
             return Err(ObcError::Malformed(format!(
@@ -169,7 +172,6 @@ fn check_method<O: Ops>(
             )));
         }
     }
-    let mems: IdentMap<O::Ty> = class.memories.iter().cloned().collect();
     let sc = Scope {
         vars,
         mems,
@@ -187,6 +189,7 @@ fn check_method<O: Ops>(
 /// The first typing or structural violation, in declaration order.
 pub fn check_program<O: Ops>(prog: &ObcProgram<O>) -> Result<(), ObcError> {
     let mut seen: IdentSet = velus_common::ident_set_with_capacity(prog.classes.len());
+    let (mut mems, mut vars) = (IdentMap::default(), IdentMap::default());
     for class in &prog.classes {
         if seen.contains(&class.name) {
             return Err(ObcError::Malformed(format!(
@@ -202,8 +205,10 @@ pub fn check_program<O: Ops>(prog: &ObcProgram<O>) -> Result<(), ObcError> {
                 )));
             }
         }
+        mems.clear();
+        mems.extend(class.memories.iter().cloned());
         for m in &class.methods {
-            check_method(prog, class, m)?;
+            check_method(prog, class, m, &mems, &mut vars)?;
         }
         seen.insert(class.name);
     }
@@ -342,7 +347,7 @@ mod tests {
         };
         let obc = crate::translate::translate_program(&Program::new(vec![node])).unwrap();
         assert_eq!(check_program(&obc), Ok(()));
-        let fused = crate::fusion::fuse_program(&obc);
+        let fused = crate::fusion::fuse_program(obc);
         assert_eq!(check_program(&fused), Ok(()));
     }
 }

@@ -203,36 +203,64 @@ pub struct CacheCounters {
     pub evictions: u64,
 }
 
-/// The content an entry was stored under, kept for hit verification.
-/// Only the key-relevant request fields are retained: source, root, I/O
-/// mode, and the artifact kind (the request's full kind set is *not*
-/// part of a per-kind entry's identity).
-struct StoredContent {
+/// The request content cache entries are stored under, kept for hit
+/// verification: the key-relevant request fields (source, root, I/O
+/// mode). The entries one request fills — one per artifact kind — share
+/// one copy, moved out of the finished request ([`RequestContent::take`]),
+/// so filling the cache copies no source text.
+#[derive(Debug, PartialEq, Eq)]
+pub struct RequestContent {
     source: String,
     root: Option<String>,
     io: IoMode,
+}
+
+impl RequestContent {
+    /// Moves the content out of a request that is done compiling,
+    /// leaving its source and root empty. The cache may hold the text for
+    /// long, so any spare capacity the request's buffers were built with
+    /// is given back (shrinking in place, not copying).
+    pub fn take(req: &mut CompileRequest) -> Arc<RequestContent> {
+        let mut source = std::mem::take(&mut req.source);
+        source.shrink_to_fit();
+        let mut root = req.root.take();
+        if let Some(root) = &mut root {
+            root.shrink_to_fit();
+        }
+        Arc::new(RequestContent {
+            source,
+            root,
+            io: req.options.io,
+        })
+    }
+
+    /// Whether `req` has exactly this content, byte for byte.
+    fn matches(&self, req: &CompileRequest) -> bool {
+        self.source == req.source && self.root == req.root && self.io == req.options.io
+    }
+
+    /// The bytes an entry is charged for its content.
+    fn bytes(&self) -> usize {
+        self.source.len() + self.root.as_deref().map_or(0, str::len)
+    }
+}
+
+/// The content and artifact kind an entry was stored under (the
+/// request's full kind set is *not* part of a per-kind entry's
+/// identity).
+struct StoredContent {
+    content: Arc<RequestContent>,
     kind: ArtifactKind,
 }
 
 impl StoredContent {
-    fn of_request(req: &CompileRequest, kind: ArtifactKind) -> StoredContent {
-        StoredContent {
-            source: req.source.clone(),
-            root: req.root.clone(),
-            io: req.options.io,
-            kind,
-        }
-    }
-
     fn matches(&self, req: &CompileRequest, kind: &ArtifactKind) -> bool {
-        self.source == req.source
-            && self.root == req.root
-            && self.io == req.options.io
-            && self.kind == *kind
+        self.kind == *kind && self.content.matches(req)
     }
 
-    fn bytes(&self) -> usize {
-        self.source.len() + self.root.as_deref().map_or(0, str::len)
+    /// Whether this is the same content, stored under the same kind.
+    fn is(&self, content: &Arc<RequestContent>, kind: &ArtifactKind) -> bool {
+        self.kind == *kind && (Arc::ptr_eq(&self.content, content) || self.content == *content)
     }
 }
 
@@ -346,29 +374,32 @@ impl<A> ArtifactCache<A> {
         }
     }
 
-    /// Inserts an artifact, returns the shared handle, and evicts least
-    /// recently used entries until the configured caps hold again. If
-    /// another worker raced the same content, the *first* insertion wins
-    /// and is returned — artifacts are deterministic functions of the
-    /// content, so either copy is equivalent; keeping the first
+    /// Inserts an artifact stored under `content` (shared with the other
+    /// kinds of the same request), returns the shared handle, and evicts
+    /// least recently used entries until the configured caps hold again.
+    /// If another worker raced the same content, the *first* insertion
+    /// wins and is returned — artifacts are deterministic functions of
+    /// the content, so either copy is equivalent; keeping the first
     /// maximizes sharing.
+    ///
+    /// Every entry is charged its content's full bytes, shared or not, so
+    /// the byte cap accounts as if each entry held its own copy.
     pub fn insert(
         &self,
         key: CacheKey,
-        req: &CompileRequest,
+        content: &Arc<RequestContent>,
         kind: ArtifactKind,
         artifact: A,
     ) -> Arc<A> {
         let shared = {
             let mut shard = self.shard(&key).lock().expect("cache shard lock");
             match shard.map.get(&key) {
-                Some(entry) if entry.stored.matches(req, &kind) => Arc::clone(&entry.artifact),
+                Some(entry) if entry.stored.is(content, &kind) => Arc::clone(&entry.artifact),
                 // Digest collision with different content: keep the incumbent
                 // (its requests still verify) and serve this artifact uncached.
                 Some(_) => Arc::new(artifact),
                 None => {
-                    let stored = StoredContent::of_request(req, kind);
-                    let weight = stored.bytes() + (self.weigher)(&artifact);
+                    let weight = content.bytes() + (self.weigher)(&artifact);
                     // An entry that alone exceeds the byte cap can never
                     // be retained; admitting it would purge every other
                     // (useful) entry on the way to evicting it. Serve it
@@ -381,7 +412,10 @@ impl<A> ArtifactCache<A> {
                     shard.map.insert(
                         key,
                         Entry {
-                            stored,
+                            stored: StoredContent {
+                                content: Arc::clone(content),
+                                kind,
+                            },
                             artifact: Arc::clone(&shared),
                             weight,
                             tick,
@@ -451,6 +485,14 @@ impl<A> ArtifactCache<A> {
         true
     }
 
+    /// The content the entry under `key` was stored with (test aid for
+    /// the sharing of one request's content across its kinds).
+    #[cfg(test)]
+    pub(crate) fn stored_content(&self, key: &CacheKey) -> Option<Arc<RequestContent>> {
+        let shard = self.shard(key).lock().expect("cache shard lock");
+        shard.map.get(key).map(|e| Arc::clone(&e.stored.content))
+    }
+
     /// Number of distinct artifacts held.
     pub fn len(&self) -> usize {
         self.entries.load(Ordering::Relaxed)
@@ -497,6 +539,52 @@ mod tests {
 
     fn key(r: &CompileRequest) -> CacheKey {
         ContentDigest::of(r).key(&C)
+    }
+
+    /// The content of `r`, moved out of a copy (`r` keeps its own).
+    fn content(r: &CompileRequest) -> Arc<RequestContent> {
+        RequestContent::take(&mut r.clone())
+    }
+
+    /// The content the entry under `key` holds.
+    fn stored(cache: &ArtifactCache<String>, key: &CacheKey) -> Arc<RequestContent> {
+        cache.stored_content(key).expect("an entry")
+    }
+
+    #[test]
+    fn the_kinds_of_one_request_share_one_moved_content() {
+        let cache: ArtifactCache<String> = ArtifactCache::new();
+        let mut r = req("node f(x: int) returns (y: int) let y = x; tel").with_root("f");
+        let probe = r.clone();
+        let digest = ContentDigest::of(&r);
+        let lint = ArtifactKind::Lint;
+        let shared = RequestContent::take(&mut r);
+        assert!(r.source.is_empty() && r.root.is_none(), "moved, not copied");
+        cache.insert(digest.key(&C), &shared, C, "c".into());
+        cache.insert(digest.key(&lint), &shared, lint, "lint".into());
+        let (c_content, lint_content) = (
+            stored(&cache, &digest.key(&C)),
+            stored(&cache, &digest.key(&lint)),
+        );
+        assert!(
+            Arc::ptr_eq(&c_content, &lint_content),
+            "one source allocation"
+        );
+        assert!(Arc::ptr_eq(&c_content, &shared));
+        // Each entry is still charged the whole content.
+        let each = probe.source.len() + "f".len();
+        assert_eq!(cache.counters().bytes as usize, 2 * each);
+        // A hit still verifies the content byte for byte.
+        assert_eq!(
+            cache.get(&digest.key(&lint), &probe, &lint).as_deref(),
+            Some(&"lint".to_owned())
+        );
+        let mut edited = probe.clone();
+        edited.source.push(' ');
+        assert!(cache.get(&digest.key(&lint), &edited, &lint).is_none());
+        let mut rerooted = probe.clone();
+        rerooted.root = None;
+        assert!(cache.get(&digest.key(&C), &rerooted, &C).is_none());
     }
 
     fn bounded(max_entries: usize) -> ArtifactCache<String> {
@@ -634,7 +722,7 @@ mod tests {
         ]));
         assert_eq!(key(&one), key(&many));
         let cache: ArtifactCache<String> = ArtifactCache::new();
-        cache.insert(key(&one), &one, C, "shared".to_owned());
+        cache.insert(key(&one), &content(&one), C, "shared".to_owned());
         assert_eq!(
             cache.get(&key(&many), &many, &C).as_deref(),
             Some(&"shared".to_owned())
@@ -647,7 +735,7 @@ mod tests {
         let r = req("x");
         let k = key(&r);
         assert!(cache.get(&k, &r, &C).is_none());
-        cache.insert(k, &r, C, "artifact".to_owned());
+        cache.insert(k, &content(&r), C, "artifact".to_owned());
         assert_eq!(
             cache.get(&k, &r, &C).as_deref(),
             Some(&"artifact".to_owned())
@@ -666,8 +754,8 @@ mod tests {
         let cache: ArtifactCache<String> = ArtifactCache::new();
         let r = req("x");
         let k = key(&r);
-        let first = cache.insert(k, &r, C, "one".to_owned());
-        let second = cache.insert(k, &r, C, "two".to_owned());
+        let first = cache.insert(k, &content(&r), C, "one".to_owned());
+        let second = cache.insert(k, &content(&r), C, "two".to_owned());
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(*second, "one");
     }
@@ -677,11 +765,11 @@ mod tests {
         let cache = bounded(2);
         let (ra, rb, rc) = (req("aa"), req("bb"), req("cc"));
         let (ka, kb, kc) = (key(&ra), key(&rb), key(&rc));
-        cache.insert(ka, &ra, C, "A".into());
-        cache.insert(kb, &rb, C, "B".into());
+        cache.insert(ka, &content(&ra), C, "A".into());
+        cache.insert(kb, &content(&rb), C, "B".into());
         // Touch A so B becomes the LRU, then overflow with C.
         assert!(cache.get(&ka, &ra, &C).is_some());
-        cache.insert(kc, &rc, C, "C".into());
+        cache.insert(kc, &content(&rc), C, "C".into());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.counters().evictions, 1);
         assert!(
@@ -702,14 +790,14 @@ mod tests {
             Box::new(String::len),
         );
         let ra = req("aaaa"); // 4 source bytes + 4 artifact bytes
-        cache.insert(key(&ra), &ra, C, "AAAA".into());
+        cache.insert(key(&ra), &content(&ra), C, "AAAA".into());
         assert_eq!(cache.counters().bytes, 8);
         let rb = req("bbbb");
-        cache.insert(key(&rb), &rb, C, "BBBB".into());
+        cache.insert(key(&rb), &content(&rb), C, "BBBB".into());
         assert_eq!((cache.len(), cache.counters().bytes), (2, 16));
         // A third entry pushes past 16 weighed bytes: the oldest goes.
         let rc = req("cccc");
-        cache.insert(key(&rc), &rc, C, "CCCC".into());
+        cache.insert(key(&rc), &content(&rc), C, "CCCC".into());
         assert!(cache.counters().bytes <= 16);
         assert_eq!(cache.counters().evictions, 1);
         assert!(cache.get(&key(&ra), &ra, &C).is_none());
@@ -726,12 +814,12 @@ mod tests {
         );
         // A resident entry that fits (2 source + 1 artifact = 3 bytes).
         let small = req("ok");
-        cache.insert(key(&small), &small, C, "K".into());
+        cache.insert(key(&small), &content(&small), C, "K".into());
         assert_eq!(cache.len(), 1);
         // An entry that could never fit is served but not admitted — and
         // the resident entry survives (no purge on the way to nothing).
         let r = req("way too large to ever fit");
-        let shared = cache.insert(key(&r), &r, C, "artifact".into());
+        let shared = cache.insert(key(&r), &content(&r), C, "artifact".into());
         assert_eq!(*shared, "artifact");
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.counters().evictions, 0);
@@ -743,7 +831,7 @@ mod tests {
         let cache = bounded(1);
         for s in ["p", "q", "r"] {
             let r = req(s);
-            cache.insert(key(&r), &r, C, s.to_uppercase());
+            cache.insert(key(&r), &content(&r), C, s.to_uppercase());
         }
         let evicted = cache.counters().evictions;
         assert_eq!(evicted, 2);
@@ -765,7 +853,7 @@ mod tests {
         );
         for k in 0..32 {
             let r = req(&format!("src{k}"));
-            cache.insert(key(&r), &r, C, format!("A{k}"));
+            cache.insert(key(&r), &content(&r), C, format!("A{k}"));
         }
         assert_eq!(cache.len(), 8);
         assert_eq!(cache.counters().evictions, 24);

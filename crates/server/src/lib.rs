@@ -66,7 +66,9 @@ pub mod service;
 pub mod stats;
 
 pub use admit::{AdmissionConfig, RetryPolicy};
-pub use cache::{ArtifactCache, CacheConfig, CacheCounters, CacheKey, ContentDigest};
+pub use cache::{
+    ArtifactCache, CacheConfig, CacheCounters, CacheKey, ContentDigest, RequestContent,
+};
 pub use cancel::{CancelReason, CancelToken};
 pub use pool::{ShutdownTimeout, WorkerPool, WORKER_STACK_BYTES};
 pub use service::{

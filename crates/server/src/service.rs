@@ -40,7 +40,7 @@ use velus_obs::trace;
 use velus_obs::Recorder;
 
 use crate::admit::{Admission, AdmissionConfig, AdmitReject, Backoff, Quarantine, RetryPolicy};
-use crate::cache::{ArtifactCache, CacheConfig, ContentDigest};
+use crate::cache::{ArtifactCache, CacheConfig, ContentDigest, RequestContent};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::pool::{WorkerPool, DEFAULT_SHUTDOWN_TIMEOUT};
 use crate::stats::{StatsCollector, StatsSnapshot};
@@ -646,7 +646,7 @@ fn cancel_to_error<E>(reason: CancelReason) -> ServiceError<E> {
 /// (`compile_one`).
 fn run_request<C: Compiler>(
     inner: &Inner<C>,
-    req: CompileRequest,
+    mut req: CompileRequest,
     token: &CancelToken,
 ) -> RequestReport<C> {
     let start = Instant::now();
@@ -674,7 +674,7 @@ fn run_request<C: Compiler>(
         }
         let first = attempts == 0;
         attempts += 1;
-        let (hit, warn, outcome) = attempt(inner, &req, &kinds, &digest, token, first);
+        let (hit, warn, outcome) = attempt(inner, &mut req, &kinds, &digest, token, first);
         all_hit = hit;
         warnings = warn;
         match outcome {
@@ -773,10 +773,14 @@ fn run_request<C: Compiler>(
 /// hit/miss counters record only on the first attempt so retries do
 /// not inflate per-request statistics; the cache is re-probed on every
 /// attempt (another worker may have filled it meanwhile).
+///
+/// A successful compile is the request's last use of its content, so the
+/// fill moves source and root out of `req` into the one
+/// [`RequestContent`] every filled kind shares.
 #[allow(clippy::type_complexity)]
 fn attempt<C: Compiler>(
     inner: &Inner<C>,
-    req: &CompileRequest,
+    req: &mut CompileRequest,
     kinds: &[ArtifactKind],
     digest: &ContentDigest,
     token: &CancelToken,
@@ -826,6 +830,7 @@ fn attempt<C: Compiler>(
                 .stats
                 .record_lint_codes(output.warnings.iter().map(|w| w.code));
             warnings = output.warnings;
+            let mut content: Option<Arc<RequestContent>> = None;
             for (kind, artifact) in output.artifacts {
                 // Only requested-and-missing kinds are admitted; a
                 // compiler returning extras (or duplicates) does not
@@ -835,7 +840,10 @@ fn attempt<C: Compiler>(
                     continue;
                 };
                 let shared = if inner.caching {
-                    inner.cache.insert(digest.key(&kind), req, kind, artifact)
+                    let content = content.get_or_insert_with(|| RequestContent::take(req));
+                    inner
+                        .cache
+                        .insert(digest.key(&kind), content, kind, artifact)
                 } else {
                     Arc::new(artifact)
                 };
@@ -1084,6 +1092,37 @@ mod tests {
         assert_eq!(
             (stats.requests, stats.cache_hits, stats.cache_misses),
             (16, 8, 8)
+        );
+    }
+
+    #[test]
+    fn a_multi_kind_fill_shares_one_moved_source() {
+        let svc = service(1);
+        let wcet = ArtifactKind::Wcet {
+            model: WcetModelKind::CompCert,
+        };
+        let req = CompileRequest::new("two", "source text").with_options(CompileOptions {
+            kinds: vec![ArtifactKind::CCode, wcet],
+            ..CompileOptions::default()
+        });
+        let digest = ContentDigest::of(&req);
+        assert!(svc.compile_one(req.clone()).result.is_ok());
+        let c = svc
+            .inner
+            .cache
+            .stored_content(&digest.key(&ArtifactKind::CCode));
+        let w = svc.inner.cache.stored_content(&digest.key(&wcet));
+        let (c, w) = (c.expect("C cached"), w.expect("WCET cached"));
+        assert!(
+            Arc::ptr_eq(&c, &w),
+            "both kinds share one source allocation"
+        );
+        // The warm request still verifies against the stored content.
+        let warm = svc.compile_one(req);
+        assert!(warm.cache_hit);
+        assert_eq!(
+            **warm.artifact(&wcet).unwrap(),
+            format!("{wcet}:SOURCE TEXT")
         );
     }
 

@@ -105,11 +105,16 @@ fn mix(mut x: u64) -> u64 {
     x.wrapping_mul(0x2545_f491_4f6c_dd1d)
 }
 
+/// The fault class an input rolls (fixed per content and seed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fault {
+pub enum Fault {
+    /// Every attempt panics.
     Panic,
+    /// The first attempt fails transiently; retries compile.
     Transient,
+    /// Every attempt sleeps for the configured delay, then compiles.
     Delay,
+    /// Compiles untouched.
     None,
 }
 
@@ -163,6 +168,13 @@ impl<C> ChaosCompiler<C> {
     /// regardless of the request's name.
     fn digest(&self, req: &CompileRequest) -> u64 {
         ContentDigest::of(req).seed() ^ self.config.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+
+    /// The fault class `req` rolls: what compiling it through this
+    /// injector will do. A benchmark uses it to build a corpus that
+    /// exercises every class.
+    pub fn fault_of(&self, req: &CompileRequest) -> Fault {
+        self.fault_for(self.digest(req))
     }
 
     fn fault_for(&self, digest: u64) -> Fault {
@@ -298,7 +310,7 @@ mod tests {
     }
 
     fn fault_of(chaos: &ChaosCompiler<Upper>, source: &str) -> Fault {
-        chaos.fault_for(chaos.digest(&CompileRequest::new("f", source)))
+        chaos.fault_of(&CompileRequest::new("f", source))
     }
 
     fn first_source_with(chaos: &ChaosCompiler<Upper>, fault: Fault) -> String {

@@ -170,9 +170,10 @@ impl Analyzer<'_> {
             Expr::Const(..) => self.c.reg,
             Expr::Temp(..) => 0,
             Expr::Var(..) => self.c.addr + self.c.mem,
-            Expr::Field(a, ..) => self.expr_addr(a) + self.c.addr + self.c.mem,
-            Expr::DerefField(p, ..) => self.expr(p) + self.c.addr + self.c.mem,
-            Expr::AddrOf(a) => self.expr_addr(a) + self.c.reg,
+            // The base of a field access is an addressable variable
+            // (no address arithmetic) or a pointer temporary (free).
+            Expr::Field(..) | Expr::DerefField(..) => self.c.addr + self.c.mem,
+            Expr::AddrOf(place) => self.expr_addr(&place.lvalue()) + self.c.reg,
             Expr::Unop(op, e1, _) => {
                 self.expr(e1)
                     + match op {
@@ -205,8 +206,7 @@ impl Analyzer<'_> {
     fn expr_addr(&self, e: &Expr) -> u64 {
         match e {
             Expr::Var(..) => 0,
-            Expr::Field(a, ..) => self.expr_addr(a) + self.c.addr,
-            Expr::DerefField(p, ..) => self.expr(p) + self.c.addr,
+            Expr::Field(..) | Expr::DerefField(..) => self.c.addr,
             other => self.expr(other),
         }
     }

@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 
 use velus_server::{
-    ArtifactCache, ArtifactKind, CacheConfig, CompileRequest, ContentDigest, WcetModelKind,
+    ArtifactCache, ArtifactKind, CacheConfig, CompileRequest, ContentDigest, RequestContent,
+    WcetModelKind,
 };
 
 /// Replays a random operation sequence against a capped cache and
@@ -44,7 +45,8 @@ fn check_random_workload(ops: &[u8], max_entries: usize, max_bytes: usize, shard
                 );
             }
         } else {
-            cache.insert(key, &req, kind, format!("ART-{k:03}"));
+            let content = RequestContent::take(&mut req.clone());
+            cache.insert(key, &content, kind, format!("ART-{k:03}"));
         }
         let counters = cache.counters();
         assert!(
@@ -88,9 +90,10 @@ proptest! {
         let cache: ArtifactCache<String> = ArtifactCache::new();
         for &op in &ops {
             let k = usize::from(op) % 16;
-            let req = CompileRequest::new(format!("r{k}"), format!("src-{k}"));
+            let mut req = CompileRequest::new(format!("r{k}"), format!("src-{k}"));
             let key = ContentDigest::of(&req).key(&ArtifactKind::CCode);
-            cache.insert(key, &req, ArtifactKind::CCode, format!("A{k}"));
+            let content = RequestContent::take(&mut req);
+            cache.insert(key, &content, ArtifactKind::CCode, format!("A{k}"));
         }
         prop_assert_eq!(cache.counters().evictions, 0);
         prop_assert!(cache.len() <= 16);

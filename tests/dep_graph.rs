@@ -1,0 +1,113 @@
+//! The compressed-row dependency graph against the adjacency-list
+//! builder it replaced: the same successors, in the same order, for
+//! every equation. Successor order decides which ready equation the
+//! scheduler sees first, so any difference would move schedules and
+//! with them the emitted C.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use velus_common::{DenseBitSet, Ident, IdentMap};
+use velus_nlustre::ast::{Equation, Node};
+use velus_nlustre::deps::dep_graph;
+use velus_ops::ClightOps;
+use velus_testkit::gen::{gen_program, GenConfig};
+
+/// The adjacency-list builder: one successor list per equation, each
+/// edge appended unless its row already holds it.
+fn reference_succs(node: &Node<ClightOps>) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let n = node.eqs.len();
+    let mut def_of: IdentMap<usize> = IdentMap::default();
+    for (i, eq) in node.eqs.iter().enumerate() {
+        for &x in eq.defined() {
+            def_of.insert(x, i);
+        }
+    }
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut preds = vec![0usize; n];
+    let mut seen = DenseBitSet::new();
+    let mut reads: Vec<Ident> = Vec::new();
+    for (i, eq) in node.eqs.iter().enumerate() {
+        reads.clear();
+        eq.reads_into(&mut reads);
+        seen.reset(n);
+        for x in &reads {
+            let Some(&d) = def_of.get(x) else { continue };
+            if !seen.insert(d) {
+                continue;
+            }
+            let (from, to) = match &node.eqs[d] {
+                Equation::Fby { .. } if d == i => continue,
+                Equation::Fby { .. } => (i, d),
+                _ => (d, i),
+            };
+            if !succs[from].contains(&to) {
+                succs[from].push(to);
+                preds[to] += 1;
+            }
+        }
+    }
+    (succs, preds)
+}
+
+fn assert_same_graph(node: &Node<ClightOps>) {
+    let graph = dep_graph(node);
+    let (succs, preds) = reference_succs(node);
+    assert_eq!(graph.len(), succs.len(), "node {}", node.name);
+    for (i, expected) in succs.iter().enumerate() {
+        assert_eq!(
+            graph.succs(i),
+            &expected[..],
+            "node {}, equation {i}",
+            node.name
+        );
+    }
+    assert_eq!(graph.preds, preds, "node {}", node.name);
+}
+
+#[test]
+fn compressed_rows_match_the_adjacency_lists_on_generated_programs() {
+    let mut edges = 0;
+    for seed in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cfg = GenConfig {
+            subclock_pct: 40,
+            ..GenConfig::default()
+        };
+        for node in &gen_program(&mut rng, &cfg).nodes {
+            assert_same_graph(node);
+            edges += dep_graph(node).edges().count();
+        }
+    }
+    assert!(edges > 1000, "the generated graphs have edges ({edges})");
+}
+
+#[test]
+fn the_cross_reader_duplicate_edge_is_kept_once() {
+    // `y` reads the delay `cum` (edge 0→1) and the delay reads `y` (the
+    // same edge 0→1 again, found from the other end).
+    let src = "
+        node acc(x: int) returns (y: int)
+        var cum: int;
+        let
+          y = cum + x;
+          cum = 0 fby y;
+        tel
+    ";
+    let (prog, _) = velus_lustre::compile_to_nlustre::<ClightOps>(src).unwrap();
+    let node = &prog.nodes[0];
+    assert_same_graph(node);
+    let graph = dep_graph(node);
+    let y = node
+        .eqs
+        .iter()
+        .position(|eq| eq.defines(Ident::new("y")))
+        .unwrap();
+    let cum = node
+        .eqs
+        .iter()
+        .position(|eq| eq.defines(Ident::new("cum")))
+        .unwrap();
+    assert_eq!(graph.succs(y), [cum]);
+    assert_eq!(graph.preds[cum], 1);
+}

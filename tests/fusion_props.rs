@@ -9,7 +9,7 @@ use rand::SeedableRng;
 
 use velus::StagedPipeline;
 use velus_common::Diagnostics;
-use velus_obc::ast::ObcProgram;
+use velus_obc::ast::{Block, ObcProgram, Stmt};
 use velus_obc::fusion::{fuse_program, fusible};
 use velus_obc::sem::run_class;
 use velus_ops::{CVal, ClightOps};
@@ -23,6 +23,33 @@ fn translated(seed: u64) -> (ObcProgram<ClightOps>, velus::Compiled) {
         .and_then(StagedPipeline::into_compiled)
         .expect("generated programs compile");
     (compiled.obc.clone(), compiled)
+}
+
+/// The clone-based `zip` fusion used before it moved its input: the
+/// reference the move-based [`fuse_program`] must agree with.
+fn reference_zip(s: &mut Block<ClightOps>, t: &Block<ClightOps>) {
+    for stmt in t.iter() {
+        match (s.last_mut(), stmt) {
+            (Some(Stmt::If(e1, t1, f1)), Stmt::If(e2, t2, f2)) if *e1 == *e2 => {
+                reference_zip(t1, t2);
+                reference_zip(f1, f2);
+            }
+            _ => s.push(stmt.clone()),
+        }
+    }
+}
+
+/// [`fuse_program`] by [`reference_zip`], leaving its input alone.
+fn reference_fuse_program(prog: &ObcProgram<ClightOps>) -> ObcProgram<ClightOps> {
+    let mut fused = prog.clone();
+    for class in &mut fused.classes {
+        for m in &mut class.methods {
+            let mut body = Block::new();
+            reference_zip(&mut body, &m.body);
+            m.body = body;
+        }
+    }
+    fused
 }
 
 fn obc_inputs(seed: u64, c: &velus::Compiled, n: usize) -> Vec<Option<Vec<CVal>>> {
@@ -57,7 +84,7 @@ proptest! {
     #[test]
     fn fuse_preserves_semantics_and_fusible(seed in any::<u64>()) {
         let (obc, compiled) = translated(seed);
-        let fused = fuse_program(&obc);
+        let fused = fuse_program(obc.clone());
         for class in &fused.classes {
             for m in &class.methods {
                 prop_assert!(fusible(&m.body));
@@ -74,9 +101,17 @@ proptest! {
     }
 
     #[test]
+    fn move_based_fusion_equals_the_clone_based_reference(seed in any::<u64>()) {
+        let (obc, compiled) = translated(seed);
+        let expected = reference_fuse_program(&obc);
+        prop_assert_eq!(&fuse_program(obc), &expected);
+        prop_assert_eq!(&compiled.obc_fused, &expected);
+    }
+
+    #[test]
     fn fuse_never_grows_code(seed in any::<u64>()) {
         let (obc, _) = translated(seed);
-        let fused = fuse_program(&obc);
+        let fused = fuse_program(obc.clone());
         let size = |p: &ObcProgram<ClightOps>| {
             p.classes
                 .iter()
@@ -90,8 +125,8 @@ proptest! {
     #[test]
     fn fuse_is_idempotent_on_translated_code(seed in any::<u64>()) {
         let (obc, _) = translated(seed);
-        let once = fuse_program(&obc);
-        let twice = fuse_program(&once);
+        let once = fuse_program(obc);
+        let twice = fuse_program(once.clone());
         prop_assert_eq!(once, twice);
     }
 }

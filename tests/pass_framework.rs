@@ -52,7 +52,7 @@ fn stagewise_c(source: &str, root: Option<&str>) -> String {
         .revalidate(&obc)
         .expect("re-check translation");
 
-    let obc_fused = pm.run(&FusePass, &obc, &spans).expect("fuse");
+    let obc_fused = pm.run(&FusePass, obc, &spans).expect("fuse");
     FusePass.revalidate(&obc_fused).expect("re-check fusion");
 
     let clight = pm

@@ -82,7 +82,7 @@ fn translation_and_obc_are_parametric() {
     velus_nlustre::schedule::schedule_program(&mut prog).unwrap();
     let obc = velus_obc::translate::translate_program(&prog).unwrap();
     velus_obc::typecheck::check_program(&obc).unwrap();
-    let fused = velus_obc::fusion::fuse_program(&obc);
+    let fused = velus_obc::fusion::fuse_program(obc);
 
     let inputs: Vec<Option<Vec<ToyVal>>> = (1..=4).map(|v| Some(vec![ToyVal::Int(v)])).collect();
     let outs = velus_obc::sem::run_class(&fused, id("acc"), &inputs).unwrap();
