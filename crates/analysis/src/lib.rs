@@ -46,7 +46,7 @@ pub use init::{check_initialization, InitMask};
 pub use live::{check_liveness, live_vars, reachable};
 pub use range::{check_ranges, AbsVal};
 
-use velus_common::{codes, Diagnostics, Ident, SpanMap};
+use velus_common::{codes, Diagnostics, NodeId, SpanMap};
 use velus_nlustre::ast::Program;
 use velus_ops::ClightOps;
 
@@ -59,7 +59,7 @@ use velus_ops::ClightOps;
 /// `spans` maps nodes and defined variables back to source positions.
 pub fn lint_program(
     prog: &Program<ClightOps>,
-    root: Ident,
+    root: NodeId,
     frontend_warnings: &Diagnostics,
     spans: &SpanMap,
 ) -> Diagnostics {

@@ -14,27 +14,36 @@
 
 use velus_common::{
     codes, ident_map_with_capacity, ident_set_with_capacity, DiagStage, Diagnostic, Diagnostics,
-    Ident, IdentMap, IdentSet, SpanMap,
+    Ident, IdentMap, IdentSet, NodeId, SpanMap,
 };
 use velus_nlustre::ast::{Equation, Node, Program};
+use velus_nlustre::clock::Clock;
 use velus_ops::Ops;
 
-/// The nodes transitively instantiated from `root` (on any clock),
-/// including `root` itself.
-pub fn reachable<O: Ops>(prog: &Program<O>, root: Ident) -> IdentSet {
-    let mut seen = IdentSet::default();
-    if prog.node(root).is_none() {
-        return seen;
+/// Which nodes `root` transitively instantiates through the call
+/// equations whose clock `follow` accepts, `root` included, by node id.
+/// Callees come before their callers, so one sweep down from the root
+/// settles every node.
+pub fn reachable<O: Ops>(
+    prog: &Program<O>,
+    root: NodeId,
+    follow: impl Fn(&Clock) -> bool,
+) -> Vec<bool> {
+    let mut seen = vec![false; prog.nodes.len()];
+    if let Some(r) = seen.get_mut(root.index()) {
+        *r = true;
     }
-    seen.insert(root);
-    let mut stack = vec![root];
-    while let Some(n) = stack.pop() {
-        let Some(node) = prog.node(n) else { continue };
-        for eq in &node.eqs {
-            if let Equation::Call { node: callee, .. } = eq {
-                if !seen.contains(callee) {
-                    seen.insert(*callee);
-                    stack.push(*callee);
+    for k in (0..seen.len()).rev() {
+        if !seen[k] {
+            continue;
+        }
+        for eq in &prog.nodes[k].eqs {
+            if let Equation::Call {
+                ck, node: callee, ..
+            } = eq
+            {
+                if follow(ck) {
+                    seen[callee.index()] = true;
                 }
             }
         }
@@ -88,19 +97,20 @@ pub fn live_vars<O: Ops>(node: &Node<O>) -> IdentSet {
 /// ([`codes::W0105`]) lints for `prog` rooted at `root` to `diags`.
 pub fn check_liveness<O: Ops>(
     prog: &Program<O>,
-    root: Ident,
+    root: NodeId,
     spans: &SpanMap,
     diags: &mut Diagnostics,
 ) {
-    let reached = reachable(prog, root);
-    for node in &prog.nodes {
-        if !reached.contains(&node.name) {
+    let reached = reachable(prog, root, |_| true);
+    for (node, reached) in prog.nodes.iter().zip(reached) {
+        if !reached {
             diags.push(
                 Diagnostic::warning(
                     codes::W0105,
                     format!(
-                        "node {} is never instantiated from the root node {root}",
-                        node.name
+                        "node {} is never instantiated from the root node {}",
+                        node.name,
+                        prog.nodes[root.index()].name
                     ),
                     spans.node_span(node.name),
                 )
@@ -260,7 +270,7 @@ mod tests {
                 Equation::Call {
                     xs: vec![Ident::new("mid")],
                     ck: Clock::Base,
-                    node: Ident::new("helper"),
+                    node: NodeId::new(1),
                     args: vec![Expr::Var(Ident::new("x"), CTy::I32)],
                 },
                 copy_eq("y", "mid"),
@@ -268,7 +278,7 @@ mod tests {
         };
         let prog = Program::new(vec![orphan, helper, f]);
         let mut diags = Diagnostics::new();
-        check_liveness(&prog, Ident::new("f"), &SpanMap::new(), &mut diags);
+        check_liveness(&prog, NodeId::new(2), &SpanMap::new(), &mut diags);
         let mut found: Vec<(&str, String)> = diags
             .iter()
             .map(|d| (d.code.id, d.message.clone()))
@@ -308,7 +318,7 @@ mod tests {
         };
         let prog = Program::new(vec![f]);
         let mut diags = Diagnostics::new();
-        check_liveness(&prog, Ident::new("f"), &SpanMap::new(), &mut diags);
+        check_liveness(&prog, NodeId::new(0), &SpanMap::new(), &mut diags);
         assert!(diags.is_empty(), "{diags}");
     }
 }

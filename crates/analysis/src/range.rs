@@ -42,7 +42,7 @@
 //! computed at ⊤ inputs (sound for every call site); `Program::nodes`
 //! is already in dependency order.
 
-use velus_common::{codes, DiagStage, Diagnostics, Ident, IdentMap, IdentSet, SpanMap};
+use velus_common::{codes, DiagStage, Diagnostics, Ident, NodeId, SpanMap};
 use velus_nlustre::ast::{CExpr, Equation, Expr, Program};
 use velus_nlustre::clock::Clock;
 use velus_ops::{CBinOp, CConst, CTy, CUnOp, CVal, ClightOps, Ops};
@@ -318,32 +318,6 @@ fn eval_cexpr(ce: &CExpr<ClightOps>, env: &Env<AbsVal>) -> AbsVal {
     }
 }
 
-/// The nodes that provably execute on *every* step of `root`: the root
-/// itself plus the closure over base-clock instantiations.
-fn definitely_active(prog: &Program<ClightOps>, root: Ident) -> IdentSet {
-    let mut active = IdentSet::default();
-    if prog.node(root).is_none() {
-        return active;
-    }
-    active.insert(root);
-    let mut stack = vec![root];
-    while let Some(n) = stack.pop() {
-        let Some(node) = prog.node(n) else { continue };
-        for eq in &node.eqs {
-            if let Equation::Call {
-                ck, node: callee, ..
-            } = eq
-            {
-                if *ck == Clock::Base && !active.contains(callee) {
-                    active.insert(*callee);
-                    stack.push(*callee);
-                }
-            }
-        }
-    }
-    active
-}
-
 /// The classification context of an expression position.
 #[derive(Clone, Copy)]
 struct Ctx {
@@ -557,13 +531,16 @@ impl Classifier<'_> {
 /// range-based lints to `diags`.
 pub fn check_ranges(
     prog: &Program<ClightOps>,
-    root: Ident,
+    root: NodeId,
     spans: &SpanMap,
     diags: &mut Diagnostics,
 ) {
-    let active = definitely_active(prog, root);
-    let mut summaries: IdentMap<Vec<AbsVal>> = IdentMap::default();
-    for node in &prog.nodes {
+    // The nodes that provably execute on *every* step of the root: the
+    // root itself plus the closure over base-clock instantiations.
+    let active = crate::live::reachable(prog, root, |ck| *ck == Clock::Base);
+    // The output ranges of the nodes analyzed so far, by node id.
+    let mut summaries: Vec<Vec<AbsVal>> = Vec::with_capacity(prog.nodes.len());
+    for (node, &node_active) in prog.nodes.iter().zip(&active) {
         let mut env: Env<AbsVal> = Env::new();
         for d in &node.inputs {
             env.set(d.name, AbsVal::Any);
@@ -575,23 +552,13 @@ pub fn check_ranges(
             }
             Equation::Call {
                 xs, node: callee, ..
-            } => match summaries.get(callee) {
-                Some(outs) => {
-                    for (x, v) in xs.iter().zip(outs) {
-                        out.push((*x, *v));
-                    }
+            } => {
+                for (x, v) in xs.iter().zip(&summaries[callee.index()]) {
+                    out.push((*x, *v));
                 }
-                None => {
-                    for x in xs {
-                        out.push((*x, AbsVal::Any));
-                    }
-                }
-            },
+            }
         });
-        summaries.insert(
-            node.name,
-            node.outputs.iter().map(|o| *env.get(o.name)).collect(),
-        );
+        summaries.push(node.outputs.iter().map(|o| *env.get(o.name)).collect());
 
         let mut cl = Classifier {
             env: &env,
@@ -605,7 +572,7 @@ pub fn check_ranges(
                 continue; // never active: nothing inside can run (or trap)
             }
             let ctx = Ctx {
-                node_active: active.contains(&node.name),
+                node_active,
                 base_clock: *eq.clock() == Clock::Base,
                 unconditional: true,
             };
@@ -660,7 +627,12 @@ mod tests {
 
     fn lint(prog: &Program<ClightOps>) -> Diagnostics {
         let mut d = Diagnostics::new();
-        check_ranges(prog, Ident::new("f"), &SpanMap::new(), &mut d);
+        check_ranges(
+            prog,
+            NodeId::new(prog.nodes.len() - 1),
+            &SpanMap::new(),
+            &mut d,
+        );
         d
     }
 

@@ -23,6 +23,7 @@ mod error;
 
 pub use error::BaselineError;
 
+use velus_common::NodeId;
 use velus_nlustre::ast::Program;
 use velus_nlustre::schedule::schedule_program;
 use velus_obc::ast::ObcProgram;
@@ -91,4 +92,11 @@ pub fn lustre_v6_obc<O: Ops>(prog: &Program<O>) -> Result<ObcProgram<O>, Baselin
     let mut renormed = renorm::renormalize(prog);
     schedule_program(&mut renormed)?;
     lustre_v6::translate_v6(&renormed)
+}
+
+/// The class of node `root` of `prog` in `obc`, a baseline's compilation
+/// of `prog`. Both schemes keep the node order; Lustre v6 puts its
+/// auxiliary delay classes in front of the node classes.
+pub fn root_class<O: Ops>(obc: &ObcProgram<O>, prog: &Program<O>, root: NodeId) -> NodeId {
+    NodeId::new(obc.classes.len() - prog.nodes.len() + root.index())
 }

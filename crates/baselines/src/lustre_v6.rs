@@ -23,7 +23,7 @@
 //! to every reader), the `set`s sit where the `fby` equations were
 //! scheduled. No fusion is applied, matching the modular v6 scheme.
 
-use velus_common::{Ident, IdentMap};
+use velus_common::{Ident, IdentMap, NodeId};
 use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program};
 use velus_nlustre::clock::Clock;
 use velus_obc::ast::{reset_name, step_name, Block, Class, Method, ObcExpr, ObcProgram, Stmt};
@@ -158,14 +158,21 @@ fn delay_instance(x: Ident) -> Ident {
     Ident::new(&format!("{x}$d"))
 }
 
-fn translate_node_v6<O: Ops>(node: &Node<O>) -> Result<Class<O>, BaselineError> {
+/// Translates one node. The delay classes of `delay_types` come first in
+/// the program, in that order, then the node classes in node order.
+fn translate_node_v6<O: Ops>(
+    node: &Node<O>,
+    delay_types: &[O::Ty],
+) -> Result<Class<O>, BaselineError> {
     let mut types: IdentMap<O::Ty> = IdentMap::<O::Ty>::default();
     for d in node.inputs.iter().chain(&node.outputs).chain(&node.locals) {
         types.insert(d.name, d.ty.clone());
     }
     let ctx = Ctx::<O> { types };
 
-    let mut instances: Vec<(Ident, Ident)> = Vec::new();
+    let fby_class = |ty: &O::Ty| NodeId::new(delay_types.iter().take_while(|t| *t != ty).count());
+    let node_class = |f: &NodeId| NodeId::new(delay_types.len() + f.index());
+    let mut instances: Vec<(Ident, NodeId)> = Vec::new();
     let mut gets: Vec<Stmt<O>> = Vec::new();
     let mut body: Vec<Stmt<O>> = Vec::new();
     let mut resets: Vec<Stmt<O>> = Vec::new();
@@ -174,7 +181,7 @@ fn translate_node_v6<O: Ops>(node: &Node<O>) -> Result<Class<O>, BaselineError> 
         match eq {
             Equation::Fby { x, ck, init, .. } => {
                 let ty = ctx.types[x].clone();
-                let cls = fby_class_name::<O>(&ty);
+                let cls = fby_class(&ty);
                 let inst = delay_instance(*x);
                 instances.push((inst, cls));
                 // x := fby.get(init), available to all readers.
@@ -197,10 +204,10 @@ fn translate_node_v6<O: Ops>(node: &Node<O>) -> Result<Class<O>, BaselineError> 
                 });
             }
             Equation::Call { xs, node: f, .. } => {
-                instances.push((xs[0], *f));
+                instances.push((xs[0], node_class(f)));
                 resets.push(Stmt::Call {
                     results: vec![],
-                    class: *f,
+                    class: node_class(f),
                     instance: xs[0],
                     method: reset_name(),
                     args: vec![],
@@ -219,7 +226,7 @@ fn translate_node_v6<O: Ops>(node: &Node<O>) -> Result<Class<O>, BaselineError> 
                     ck,
                     Stmt::Call {
                         results: vec![],
-                        class: fby_class_name::<O>(&ty),
+                        class: fby_class(&ty),
                         instance: delay_instance(*x),
                         method: set_name(),
                         args: vec![ctx.trexp(rhs)?],
@@ -240,7 +247,7 @@ fn translate_node_v6<O: Ops>(node: &Node<O>) -> Result<Class<O>, BaselineError> 
                     ck,
                     Stmt::Call {
                         results: xs.clone(),
-                        class: *f,
+                        class: node_class(f),
                         instance: xs[0],
                         method: step_name(),
                         args,
@@ -305,7 +312,7 @@ pub fn translate_v6<O: Ops>(prog: &Program<O>) -> Result<ObcProgram<O>, Baseline
         .map(|ty| make_fby_class::<O>(ty))
         .collect();
     for node in &prog.nodes {
-        classes.push(translate_node_v6(node)?);
+        classes.push(translate_node_v6(node, &delay_types)?);
     }
     Ok(ObcProgram { classes })
 }
@@ -339,7 +346,8 @@ mod tests {
             .classes
             .iter()
             .any(|c| c.name.as_str().starts_with("lv6$fby$")));
-        let f = obc.class(id("f")).unwrap();
+        let f = obc.classes.last().unwrap();
+        assert_eq!(f.name, id("f"));
         assert!(f.memories.is_empty());
         assert!(!f.instances.is_empty());
         typecheck::check_program(&obc).unwrap();
@@ -362,8 +370,9 @@ mod tests {
         let inputs: Vec<Option<Vec<CVal>>> = (0..8)
             .map(|i| Some(vec![CVal::int(100), CVal::int(i), CVal::bool(i == 5)]))
             .collect();
-        let a = run_class(&standard, id("counter"), &inputs).unwrap();
-        let b = run_class(&v6, id("counter"), &inputs).unwrap();
+        let root = NodeId::new(0);
+        let a = run_class(&standard, root, &inputs).unwrap();
+        let b = run_class(&v6, crate::root_class(&v6, &prog, root), &inputs).unwrap();
         assert_eq!(a, b);
     }
 
@@ -383,8 +392,9 @@ mod tests {
         let inputs: Vec<Option<Vec<CVal>>> = (0..8)
             .map(|i| Some(vec![CVal::bool(i % 3 == 0), CVal::int(i), CVal::int(-i)]))
             .collect();
-        let a = run_class(&standard, id("f"), &inputs).unwrap();
-        let b = run_class(&hept, id("f"), &inputs).unwrap();
+        let root = NodeId::new(0);
+        let a = run_class(&standard, root, &inputs).unwrap();
+        let b = run_class(&hept, crate::root_class(&hept, &prog, root), &inputs).unwrap();
         assert_eq!(a, b);
     }
 

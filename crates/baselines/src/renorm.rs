@@ -173,7 +173,6 @@ pub fn renormalize<O: Ops>(prog: &Program<O>) -> Program<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use velus_common::Ident;
     use velus_nlustre::schedule::schedule_program;
     use velus_nlustre::streams::SVal;
     use velus_nlustre::{clockcheck, dataflow, typecheck};
@@ -226,7 +225,7 @@ mod tests {
         );
         let mut renormed = renormalize(&prog);
         schedule_program(&mut renormed).unwrap();
-        let name = Ident::new("counter");
+        let name = velus_common::NodeId::new(0);
         let inputs: Vec<Vec<SVal<ClightOps>>> = vec![
             (0..6).map(|_| SVal::Pres(CVal::int(3))).collect(),
             (0..6).map(|i| SVal::Pres(CVal::int(i))).collect(),

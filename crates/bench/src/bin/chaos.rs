@@ -40,7 +40,7 @@ use velus::service::{service, ServiceConfig};
 use velus::{CompileRequest, PipelineCompiler};
 use velus_bench::{parse_bool_flag, parse_flag};
 use velus_obs::Histogram;
-use velus_server::{AdmissionConfig, CompileService, RetryPolicy, ServiceError, Submission};
+use velus_server::{CompileService, RetryPolicy, ServiceError, Submission};
 use velus_testkit::chaos::{ChaosCompiler, ChaosConfig, Fault};
 
 type ChaosService = CompileService<ChaosCompiler<PipelineCompiler>>;
@@ -215,9 +215,7 @@ fn main() -> ExitCode {
         compiler,
         ServiceConfig {
             workers,
-            admission: AdmissionConfig {
-                queue_cap: Some(queue_cap),
-            },
+            queue_cap: Some(queue_cap),
             retry: RetryPolicy::with_budget(retries),
             ..Default::default()
         },

@@ -38,13 +38,14 @@ fn run_scale(cfg: &IndustrialConfig) {
     );
 
     // Sanity: the compiled root exists and has a step function.
-    assert!(compiled
+    let step = compiled
         .clight
-        .function(velus_clight::generate::method_fn_name(
-            Ident::new(&root),
-            velus_obc::ast::step_name()
-        ))
-        .is_some());
+        .method_fn(compiled.root, velus_obc::ast::STEP)
+        .expect("the root class has methods");
+    assert_eq!(
+        compiled.clight.functions[step].name,
+        velus_clight::generate::method_fn_name(Ident::new(&root), velus_obc::ast::step_name())
+    );
 }
 
 fn main() {

@@ -8,8 +8,8 @@
 //! nanoseconds, allocation counts, and allocated bytes per compile.
 //!
 //! Two corpora are profiled: the 14 paper benchmarks under
-//! `benchmarks/`, and the 24-program `velus-testkit` industrial corpus
-//! the service benchmark uses (a third of it sub-clocked).
+//! `benchmarks/`, and a 24-program `velus-testkit` industrial corpus (a
+//! third of it sub-clocked).
 //!
 //! ```text
 //! cargo run --release -p velus-bench --bin pipeline \
@@ -43,9 +43,11 @@
 //! configuration, and the run fails if tracing inflates wall time by
 //! more than `--max-overhead-pct` (default 3).
 //!
-//! `--scale` instead draws cost curves: one node grown along one axis
-//! at a time ([`velus_testkit::shapes`]) — a chain of 2k→16k equations
-//! and an `if` nest of 500→4,000 levels — compiled as `c,lint`, with
+//! `--scale` instead draws cost curves: a program grown along one axis
+//! at a time ([`velus_testkit::shapes`]) — a node chaining 2k→16k
+//! equations, an `if` nest of 500→4,000 levels, an instance chain of
+//! 2k→16k nodes, and a root instantiating 2k→16k leaf nodes — compiled
+//! as `c,lint`, with
 //! per-stage ns (best of [`SCALE_REPS`]), allocs and bytes, the emitted
 //! C size, and each doubling ratio. It doubles as the linearity guard:
 //! the run fails when a stage's mean time ratio per doubling exceeds
@@ -67,7 +69,7 @@ use velus_obs::trace;
 use velus_obs::{Histogram, Recorder, RecorderConfig};
 use velus_server::{CompileRequest, ContentDigest, Stage};
 use velus_testkit::industrial::{industrial_source, IndustrialConfig};
-use velus_testkit::shapes::{chain_source, nest_source};
+use velus_testkit::shapes::{chain_source, instance_chain_source, nest_source, wide_root_source};
 
 /// A counting wrapper around the system allocator. Every allocation and
 /// reallocation bumps a global counter; the harness reads the counters
@@ -172,7 +174,7 @@ fn profile_one(profile: &mut Profile, source: &str, root: Option<&str>) -> usize
     c_bytes
 }
 
-/// The same deterministic industrial corpus the service benchmark uses.
+/// A deterministic industrial corpus of `programs` programs.
 fn industrial_corpus(programs: usize) -> Vec<(String, String)> {
     (0..programs)
         .map(|k| {
@@ -459,8 +461,10 @@ fn overhead_gate(corpus: &Corpus, passes: usize, max_pct: f64) {
     println!("overhead ok: tracing stays within {max_pct:.1}% of untraced wall time");
 }
 
-/// Sizes of the equations-per-node axis of `--scale`: one node whose
-/// body is a dependency chain of this many equations.
+/// Sizes of the equations-per-node axis of `--scale` (one node whose
+/// body is a dependency chain of this many equations), and of its two
+/// node-count axes (an instance chain of this many nodes, and a root
+/// instantiating this many leaf nodes).
 const SCALE_CHAIN: [usize; 4] = [2_000, 4_000, 8_000, 16_000];
 
 /// Sizes of the nesting axis of `--scale`: one node whose output is a
@@ -479,7 +483,7 @@ const SCALE_REPS: usize = 5;
 const SCALE_NS_RATIO_GUARD: f64 = 3.0;
 
 /// `--scale` fails when a stage's allocation count, or the emitted C,
-/// grows by more than this factor per doubling on either axis. Both
+/// grows by more than this factor per doubling on any axis. Both
 /// counts are deterministic, so the bound is tight.
 const SCALE_COUNT_RATIO_GUARD: f64 = 2.3;
 
@@ -551,14 +555,14 @@ fn ratio_list(rs: &[f64]) -> String {
     json_list(rs.iter().map(|r| format!("{r:.2}")))
 }
 
-/// The `--scale` mode: per-stage cost curves along two axes (equations
-/// per node, `if`-nesting depth), printed as tables with doubling
-/// ratios. Returns them as one JSON object, with the guard violations:
-/// every stage whose mean time ratio breaks [`SCALE_NS_RATIO_GUARD`]
-/// or whose count ratio breaks [`SCALE_COUNT_RATIO_GUARD`], on either
-/// axis.
+/// The `--scale` mode: per-stage cost curves along four axes (equations
+/// per node, `if`-nesting depth, instance depth, instances per node),
+/// printed as tables with doubling ratios. Returns them as one JSON
+/// object, with the guard violations: every stage whose mean time ratio
+/// breaks [`SCALE_NS_RATIO_GUARD`] or whose count ratio breaks
+/// [`SCALE_COUNT_RATIO_GUARD`], on any axis.
 fn scaling() -> (String, Vec<String>) {
-    let axes: [(&str, &str, Vec<ScalePoint>); 2] = [
+    let axes: [(&str, &str, Vec<ScalePoint>); 4] = [
         (
             "chain",
             "equations per node",
@@ -568,6 +572,16 @@ fn scaling() -> (String, Vec<String>) {
             "nest",
             "if-nesting depth",
             scale_curve(&SCALE_NEST, nest_source, "nest"),
+        ),
+        (
+            "instance_chain",
+            "nodes, instance depth = node count",
+            scale_curve(&SCALE_CHAIN, instance_chain_source, "top"),
+        ),
+        (
+            "wide_root",
+            "leaf nodes one root instantiates",
+            scale_curve(&SCALE_CHAIN, wide_root_source, "top"),
         ),
     ];
     let mut violations: Vec<String> = Vec::new();

@@ -3,9 +3,9 @@
 use std::path::PathBuf;
 
 use velus::VelusError;
-use velus_baselines::{heptagon_obc, lustre_v6_obc};
+use velus_baselines::{heptagon_obc, lustre_v6_obc, root_class};
 use velus_clight::generate::generate;
-use velus_common::Ident;
+use velus_common::NodeId;
 use velus_ops::ClightOps;
 use velus_wcet::{wcet_step, CostModel};
 
@@ -90,31 +90,34 @@ const MODELS: [CostModel; 3] = [CostModel::CompCert, CostModel::Gcc, CostModel::
 /// Compilation failures in any of the three schemes.
 pub fn figure12_row(name: &str, source: &str) -> Result<Row, VelusError> {
     let compiled = velus::compile(source, Some(name))?;
-    let root: Ident = compiled.root;
+    let root = compiled.root;
     let velus_cycles = wcet_step(&compiled.clight, root, CostModel::CompCert)
         .map_err(|e| VelusError::Validation(e.to_string()))?;
 
     let hept = heptagon_obc::<ClightOps>(&compiled.nlustre)
         .map_err(|e| VelusError::Validation(e.to_string()))?;
-    let hept_clight = generate(&hept, root)?;
+    let hept_root = root_class(&hept, &compiled.nlustre, root);
+    let hept_clight = generate(&hept, hept_root)?;
     let lus6 = lustre_v6_obc::<ClightOps>(&compiled.nlustre)
         .map_err(|e| VelusError::Validation(e.to_string()))?;
-    let lus6_clight = generate(&lus6, root)?;
+    let lus6_root = root_class(&lus6, &compiled.nlustre, root);
+    let lus6_clight = generate(&lus6, lus6_root)?;
 
-    let measure = |prog: &velus_clight::ast::Program| -> Result<[u64; 3], VelusError> {
-        let mut out = [0u64; 3];
-        for (k, m) in MODELS.iter().enumerate() {
-            out[k] =
-                wcet_step(prog, root, *m).map_err(|e| VelusError::Validation(e.to_string()))?;
-        }
-        Ok(out)
-    };
+    let measure =
+        |prog: &velus_clight::ast::Program, root: NodeId| -> Result<[u64; 3], VelusError> {
+            let mut out = [0u64; 3];
+            for (k, m) in MODELS.iter().enumerate() {
+                out[k] =
+                    wcet_step(prog, root, *m).map_err(|e| VelusError::Validation(e.to_string()))?;
+            }
+            Ok(out)
+        };
 
     Ok(Row {
         name: name.to_owned(),
         velus: velus_cycles,
-        hept: measure(&hept_clight)?,
-        lus6: measure(&lus6_clight)?,
+        hept: measure(&hept_clight, hept_root)?,
+        lus6: measure(&lus6_clight, lus6_root)?,
     })
 }
 

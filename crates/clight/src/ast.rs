@@ -13,7 +13,7 @@
 //! are passed to callees — and everything else in temporaries (the
 //! `register` variables of Fig. 9).
 
-use velus_common::Ident;
+use velus_common::{Ident, NodeId};
 use velus_ops::{CBinOp, CTy, CUnOp, CVal};
 
 use crate::ctypes::CType;
@@ -106,8 +106,9 @@ pub enum Stmt {
     Assign(Expr, Expr),
     /// `x = e;` — set a temporary.
     Set(Ident, Expr),
-    /// `[x =] f(args);` — call, optionally binding the result temporary.
-    Call(Option<Ident>, Ident, Vec<Expr>),
+    /// `[x =] f(args);` — call of `functions[f]`, optionally binding the
+    /// result temporary.
+    Call(Option<Ident>, usize, Vec<Expr>),
     /// Conditional.
     If(Expr, Block, Block),
     /// `x = volatile_load(g);` — consumes one input, emits a `Load` event.
@@ -147,8 +148,12 @@ pub struct Function {
 pub struct Program {
     /// Struct definitions, dependencies first.
     pub composites: Vec<crate::ctypes::Composite>,
-    /// Functions, callees first.
+    /// Functions, callees first: each class's methods, class by class in
+    /// class-id order, then the simulation `main`.
     pub functions: Vec<Function>,
+    /// Where each class's methods start: method `j` of class `k` (in the
+    /// Obc class's method order) is `functions[class_fns[k] + j]`.
+    pub class_fns: Vec<usize>,
     /// Volatile input globals (one per root-node input).
     pub volatiles_in: Vec<(Ident, CTy)>,
     /// Volatile output globals (one per root-node output).
@@ -156,9 +161,10 @@ pub struct Program {
 }
 
 impl Program {
-    /// Looks up a function by name.
-    pub fn function(&self, name: Ident) -> Option<&Function> {
-        self.functions.iter().find(|f| f.name == name)
+    /// The index of method `j` of class `class` (see
+    /// [`Program::class_fns`]), if the program has that class.
+    pub fn method_fn(&self, class: NodeId, j: usize) -> Option<usize> {
+        Some(self.class_fns.get(class.index())? + j)
     }
 }
 

@@ -168,23 +168,6 @@ impl LayoutEnv {
             .ok_or(ClightError::UnknownField(s, f))
     }
 
-    /// The type of field `f` in struct `s`.
-    ///
-    /// # Errors
-    ///
-    /// Unknown struct or field.
-    pub fn field_type(&self, s: Ident, f: Ident) -> Result<CType, ClightError> {
-        let c = self
-            .composites
-            .get(&s)
-            .ok_or(ClightError::UnknownStruct(s))?;
-        c.fields
-            .iter()
-            .find(|(x, _)| *x == f)
-            .map(|(_, t)| *t)
-            .ok_or(ClightError::UnknownField(s, f))
-    }
-
     /// The definition of struct `s`.
     ///
     /// # Errors

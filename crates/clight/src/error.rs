@@ -12,8 +12,8 @@ pub enum ClightError {
     UnknownStruct(Ident),
     /// Unknown field in a struct.
     UnknownField(Ident, Ident),
-    /// Unknown function.
-    UnknownFunction(Ident),
+    /// A function index past the program's functions.
+    UnknownFunction(usize),
     /// An out-of-bounds, misaligned or dead-block memory access.
     MemoryError(String),
     /// A read of uninitialized memory or an unset temporary.
@@ -35,7 +35,7 @@ impl fmt::Display for ClightError {
         match self {
             ClightError::UnknownStruct(s) => write!(f, "unknown struct {s}"),
             ClightError::UnknownField(s, x) => write!(f, "unknown field {x} of struct {s}"),
-            ClightError::UnknownFunction(g) => write!(f, "unknown function {g}"),
+            ClightError::UnknownFunction(g) => write!(f, "unknown function #{g}"),
             ClightError::MemoryError(m) => write!(f, "memory error: {m}"),
             ClightError::Uninitialized(m) => write!(f, "uninitialized read: {m}"),
             ClightError::UndefinedOperation(m) => write!(f, "undefined operation: {m}"),

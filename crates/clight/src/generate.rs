@@ -18,9 +18,10 @@
 //! class: volatile loads of the inputs, one `step`, volatile stores of
 //! the outputs, in an infinite loop.
 
-use velus_common::{Ident, IdentSet};
+use velus_common::{Ident, IdentSet, NodeId};
 use velus_obc::ast::{
     reset_name, step_name, Block as OBlock, Class, Method, ObcExpr, ObcProgram, Stmt as OStmt,
+    RESET, STEP,
 };
 use velus_ops::{CTy, ClightOps};
 
@@ -49,14 +50,6 @@ pub fn vol_out_name(x: Ident) -> Ident {
     Ident::from_fmt(format_args!("out${x}"))
 }
 
-/// The name of the generated simulation entry point.
-///
-/// Cached: looked up on every emission and by the validation harness.
-pub fn main_fn_name() -> Ident {
-    static MAIN: std::sync::OnceLock<Ident> = std::sync::OnceLock::new();
-    *MAIN.get_or_init(|| Ident::new("main"))
-}
-
 /// The cached `self` parameter name (referenced once per state access
 /// during generation — interning it each time took the interner lock).
 fn self_ident() -> Ident {
@@ -72,6 +65,8 @@ fn out_ident() -> Ident {
 
 struct MCtx<'a> {
     class: &'a Class<ClightOps>,
+    /// The index of each class's first method function.
+    class_fns: &'a [usize],
     /// The method's output struct, when it has two or more outputs.
     out_struct: Option<Ident>,
     /// The outputs held in `out_struct` (empty without one).
@@ -169,15 +164,16 @@ impl MCtx<'_> {
                 method: m,
                 args,
             } => {
-                let callee = prog
-                    .class(*k)
-                    .ok_or_else(|| ClightError::Malformed(format!("call to unknown class {k}")))?;
-                let cm: &Method<ClightOps> = callee
-                    .method(*m)
-                    .ok_or_else(|| ClightError::Malformed(format!("unknown method {k}.{m}")))?;
-                let fname = method_fn_name(*k, *m);
+                let callee = &prog.classes[k.index()];
+                let j = callee.methods.iter().position(|x| x.name == *m);
+                let j = j.ok_or_else(|| {
+                    ClightError::Malformed(format!("unknown method {}.{m}", callee.name))
+                })?;
+                let cm: &Method<ClightOps> = &callee.methods[j];
+                let fname = self.class_fns[k.index()] + j;
+                let k = callee.name;
                 let self_arg =
-                    Expr::AddrOf(Place::DerefField(self_ident(), self.class.name, *i, *k));
+                    Expr::AddrOf(Place::DerefField(self_ident(), self.class.name, *i, k));
                 let mut cargs = vec![self_arg];
                 match cm.outputs.len() {
                     0 => {
@@ -198,7 +194,7 @@ impl MCtx<'_> {
                         ));
                     }
                     _ => {
-                        let ostruct = out_struct_name(*k, *m);
+                        let ostruct = out_struct_name(k, *m);
                         self.fresh += 1;
                         let ovar = Ident::from_fmt(format_args!("out${i}${m}"));
                         if !self.extra_vars.iter().any(|(v, _)| *v == ovar) {
@@ -224,12 +220,14 @@ impl MCtx<'_> {
 
 fn gen_method(
     prog: &ObcProgram<ClightOps>,
+    class_fns: &[usize],
     class: &Class<ClightOps>,
     m: &Method<ClightOps>,
 ) -> Result<Function, ClightError> {
     let out_struct = (m.outputs.len() >= 2).then(|| out_struct_name(class.name, m.name));
     let mut ctx = MCtx {
         class,
+        class_fns,
         out_struct,
         // Only outputs kept in an output struct are looked up.
         outputs: match out_struct {
@@ -275,7 +273,11 @@ fn gen_method(
 }
 
 /// Appends the output structs of `class`'s methods, then its own struct.
-fn gen_composites(class: &Class<ClightOps>, out: &mut Vec<Composite>) {
+fn gen_composites(
+    prog: &ObcProgram<ClightOps>,
+    class: &Class<ClightOps>,
+    out: &mut Vec<Composite>,
+) {
     for m in &class.methods {
         if m.outputs.len() >= 2 {
             out.push(Composite {
@@ -294,7 +296,12 @@ fn gen_composites(class: &Class<ClightOps>, out: &mut Vec<Composite>) {
             .memories
             .iter()
             .map(|(x, t)| (*x, CType::Scalar(*t)))
-            .chain(class.instances.iter().map(|(i, k)| (*i, CType::Struct(*k))))
+            .chain(
+                class
+                    .instances
+                    .iter()
+                    .map(|(i, k)| (*i, CType::Struct(prog.classes[k.index()].name))),
+            )
             .collect(),
     });
 }
@@ -302,13 +309,18 @@ fn gen_composites(class: &Class<ClightOps>, out: &mut Vec<Composite>) {
 /// The generated `main` plus its volatile input and output declarations.
 type GeneratedMain = (Function, Vec<(Ident, CTy)>, Vec<(Ident, CTy)>);
 
-/// Generates the simulation `main` for the root class: `reset` once, then
-/// an infinite loop of volatile input loads, one `step`, and volatile
-/// output stores.
-fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
-    let step = root
-        .method(step_name())
-        .ok_or_else(|| ClightError::Malformed(format!("class {} has no step", root.name)))?;
+/// Generates the simulation `main` for the root class, whose methods start
+/// at function `first_fn`: `reset` once, then an infinite loop of
+/// volatile input loads, one `step`, and volatile output stores.
+fn gen_main(root: &Class<ClightOps>, first_fn: usize) -> Result<GeneratedMain, ClightError> {
+    let method = |j: usize, name: Ident| {
+        root.methods
+            .get(j)
+            .filter(|m| m.name == name)
+            .ok_or_else(|| ClightError::Malformed(format!("class {} has no {name}", root.name)))
+    };
+    let step = method(STEP, step_name())?;
+    method(RESET, reset_name())?;
     let self_var = self_ident();
     let mut vols_in: Vec<(Ident, CTy)> = Vec::new();
     let mut vols_out: Vec<(Ident, CTy)> = Vec::new();
@@ -331,7 +343,7 @@ fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
     }
 
     // The step call.
-    let fname = method_fn_name(root.name, step_name());
+    let fname = first_fn + STEP;
     let self_place = Place::Var(self_var, root.name);
     let mut args = vec![Expr::AddrOf(self_place)];
     match step.outputs.len() {
@@ -381,16 +393,12 @@ fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
     }
 
     let body = vec![
-        Stmt::Call(
-            None,
-            method_fn_name(root.name, reset_name()),
-            vec![Expr::AddrOf(self_place)],
-        ),
+        Stmt::Call(None, first_fn + RESET, vec![Expr::AddrOf(self_place)]),
         Stmt::Loop(loop_body),
     ];
     Ok((
         Function {
-            name: main_fn_name(),
+            name: Ident::new("main"),
             params: vec![],
             vars,
             temps,
@@ -407,25 +415,31 @@ fn gen_main(root: &Class<ClightOps>) -> Result<GeneratedMain, ClightError> {
 ///
 /// # Errors
 ///
-/// [`ClightError::Malformed`] on dangling class/method references (which
-/// the Obc type checker rules out).
-pub fn generate(obc: &ObcProgram<ClightOps>, root: Ident) -> Result<Program, ClightError> {
+/// [`ClightError::Malformed`] on an unknown root, a root without `step`
+/// and `reset` in their [`STEP`]/[`RESET`] places, or a call to an
+/// unknown method (which the Obc type checker rules out).
+pub fn generate(obc: &ObcProgram<ClightOps>, root: NodeId) -> Result<Program, ClightError> {
     let mut composites = Vec::new();
     let mut functions = Vec::new();
+    // Callees come first, so a call's class already has its entry.
+    let mut class_fns = Vec::with_capacity(obc.classes.len());
     for class in &obc.classes {
-        gen_composites(class, &mut composites);
+        class_fns.push(functions.len());
+        gen_composites(obc, class, &mut composites);
         for m in &class.methods {
-            functions.push(gen_method(obc, class, m)?);
+            functions.push(gen_method(obc, &class_fns, class, m)?);
         }
     }
     let root_class = obc
-        .class(root)
+        .classes
+        .get(root.index())
         .ok_or_else(|| ClightError::Malformed(format!("unknown root class {root}")))?;
-    let (main, vols_in, vols_out) = gen_main(root_class)?;
+    let (main, vols_in, vols_out) = gen_main(root_class, class_fns[root.index()])?;
     functions.push(main);
     Ok(Program {
         composites,
         functions,
+        class_fns,
         volatiles_in: vols_in,
         volatiles_out: vols_out,
     })
@@ -485,13 +499,13 @@ mod tests {
     #[test]
     fn generated_main_produces_the_expected_trace() {
         let obc = acc_class();
-        let prog = generate(&obc, id("acc")).unwrap();
+        let prog = generate(&obc, NodeId::new(0)).unwrap();
         let mut m = Machine::new(&prog).unwrap();
         m.push_inputs(
             vol_in_name(id("x")),
             [CVal::int(1), CVal::int(2), CVal::int(3)],
         );
-        let trace = m.run_main(main_fn_name()).unwrap();
+        let trace = m.run_main().unwrap();
         let outs: Vec<CVal> = trace
             .iter()
             .filter_map(|e| match e {
@@ -505,10 +519,9 @@ mod tests {
     #[test]
     fn single_output_step_returns_by_value() {
         let obc = acc_class();
-        let prog = generate(&obc, id("acc")).unwrap();
-        let f = prog
-            .function(method_fn_name(id("acc"), step_name()))
-            .unwrap();
+        let prog = generate(&obc, NodeId::new(0)).unwrap();
+        let f = &prog.functions[prog.method_fn(NodeId::new(0), STEP).unwrap()];
+        assert_eq!(f.name, method_fn_name(id("acc"), step_name()));
         assert_eq!(f.ret, CType::Scalar(CTy::I32));
         assert_eq!(f.params.len(), 2); // self + x, no out pointer
     }
@@ -516,14 +529,15 @@ mod tests {
     #[test]
     fn driving_step_directly() {
         let obc = acc_class();
-        let prog = generate(&obc, id("acc")).unwrap();
+        let prog = generate(&obc, NodeId::new(0)).unwrap();
         let mut m = Machine::new(&prog).unwrap();
         let b = m.alloc_struct(id("acc")).unwrap();
-        m.call(method_fn_name(id("acc"), reset_name()), &[RVal::Ptr(b, 0)])
+        let acc = NodeId::new(0);
+        m.call(prog.method_fn(acc, RESET).unwrap(), &[RVal::Ptr(b, 0)])
             .unwrap();
         let r = m
             .call(
-                method_fn_name(id("acc"), step_name()),
+                prog.method_fn(acc, STEP).unwrap(),
                 &[RVal::Ptr(b, 0), RVal::Scalar(CVal::int(5))],
             )
             .unwrap();

@@ -13,11 +13,11 @@
 //! input prefix terminates the simulation loop (finite-prefix check of
 //! the paper's infinite bisimulation).
 //!
-//! A call neither searches for its function nor allocates: functions are
-//! indexed by name once, in [`Machine::new`]; argument values go on one
-//! stack; frames come from a pool of idle ones, cleared but keeping
-//! their capacity; and the locals' blocks are freed in reverse, so the
-//! block memory reuses their bytes on the next call.
+//! A call neither searches for its function nor allocates: it names its
+//! function by index; argument values go on one stack; frames come from
+//! a pool of idle ones, cleared but keeping their capacity; and the
+//! locals' blocks are freed in reverse, so the block memory reuses their
+//! bytes on the next call.
 
 use std::collections::VecDeque;
 
@@ -90,11 +90,10 @@ pub struct Machine<'p> {
     vol_inputs: IdentMap<VecDeque<CVal>>,
     /// The volatile event trace accumulated so far.
     pub trace: Vec<Event>,
-    /// Call depth guard (generated programs are non-recursive; this
-    /// catches malformed inputs instead of overflowing the stack).
+    /// Call depth guard: a non-recursive program nests no deeper than it
+    /// has functions, so a deeper call reveals a malformed program
+    /// instead of overflowing the stack.
     depth: usize,
-    /// The index of each function, as [`Program::function`] finds it.
-    funcs: IdentMap<usize>,
     /// Argument values of the calls being set up.
     args: Vec<RVal>,
     /// Idle frames, taken by a call and given back on return.
@@ -102,8 +101,6 @@ pub struct Machine<'p> {
     /// The blocks of the addressable locals of the calls in progress.
     locals: Vec<BlockId>,
 }
-
-const MAX_DEPTH: usize = 256;
 
 impl<'p> Machine<'p> {
     /// Creates a machine for `prog`, computing struct layouts.
@@ -113,10 +110,6 @@ impl<'p> Machine<'p> {
     /// Layout errors (unknown struct in a field).
     pub fn new(prog: &'p Program) -> Result<Machine<'p>, ClightError> {
         let layouts = LayoutEnv::new(prog.composites.clone())?;
-        let mut funcs = IdentMap::default();
-        for (i, f) in prog.functions.iter().enumerate() {
-            funcs.entry(f.name).or_insert(i);
-        }
         Ok(Machine {
             prog,
             layouts,
@@ -124,7 +117,6 @@ impl<'p> Machine<'p> {
             vol_inputs: IdentMap::default(),
             trace: Vec::new(),
             depth: 0,
-            funcs,
             args: Vec::new(),
             frames: Vec::new(),
             locals: Vec::new(),
@@ -331,40 +323,45 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Calls function `fname` with the given argument values and returns
-    /// its result (`None` for void). Local blocks are allocated on entry
-    /// and freed on exit, as in Clight.
+    /// Calls function `functions[f]` with the given argument values and
+    /// returns its result (`None` for void). Local blocks are allocated
+    /// on entry and freed on exit, as in Clight.
     ///
     /// # Errors
     ///
     /// All dynamic errors of the model: unknown functions, arity
     /// mismatches, memory violations, undefined operations.
-    pub fn call(&mut self, fname: Ident, args: &[RVal]) -> Result<Option<RVal>, ClightError> {
+    pub fn call(&mut self, f: usize, args: &[RVal]) -> Result<Option<RVal>, ClightError> {
         let base = self.args.len();
         self.args.extend_from_slice(args);
-        self.invoke(fname, base)
+        self.invoke(f, base)
     }
 
-    /// Calls `fname` on the arguments `self.args[base..]`, which it pops
-    /// (see [`Machine::call`]). A failed call may leave arguments or
-    /// local blocks on the stacks; later calls only use what lies above
-    /// their own base.
-    fn invoke(&mut self, fname: Ident, base: usize) -> Result<Option<RVal>, ClightError> {
+    /// Calls `functions[f]` on the arguments `self.args[base..]`, which
+    /// it pops (see [`Machine::call`]). A failed call may leave arguments
+    /// or local blocks on the stacks; later calls only use what lies
+    /// above their own base.
+    fn invoke(&mut self, f: usize, base: usize) -> Result<Option<RVal>, ClightError> {
         // Borrowed for the program's lifetime, not through `self`: the
         // body runs against `&mut self` without being cloned per call.
         let prog = self.prog;
         let given = self.args.len() - base;
-        let f: &Function = match self.funcs.get(&fname) {
-            _ if self.depth >= MAX_DEPTH => Err(ClightError::Malformed(format!(
+        let f: &Function = prog
+            .functions
+            .get(f)
+            .ok_or(ClightError::UnknownFunction(f))?;
+        let fname = f.name;
+        if self.depth >= prog.functions.len() {
+            return Err(ClightError::Malformed(format!(
                 "call depth exceeded at {fname} (recursive program?)"
-            ))),
-            Some(&i) if prog.functions[i].params.len() == given => Ok(&prog.functions[i]),
-            Some(&i) => Err(ClightError::Malformed(format!(
+            )));
+        }
+        if f.params.len() != given {
+            return Err(ClightError::Malformed(format!(
                 "{fname}: {given} arguments for {} parameters",
-                prog.functions[i].params.len()
-            ))),
-            None => Err(ClightError::UnknownFunction(fname)),
-        }?;
+                f.params.len()
+            )));
+        }
         let mut fr = self.frames.pop().unwrap_or_default();
         fr.temps.clear();
         fr.vars.clear();
@@ -402,14 +399,16 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Runs the simulation entry point `main_fn` until the volatile
-    /// inputs are exhausted, returning the accumulated event trace.
+    /// Runs the simulation entry point — the last function, where
+    /// generation puts `main` — until the volatile inputs are exhausted,
+    /// returning the accumulated event trace.
     ///
     /// # Errors
     ///
     /// See [`Machine::call`].
-    pub fn run_main(&mut self, main_fn: Ident) -> Result<&[Event], ClightError> {
-        self.call(main_fn, &[])?;
+    pub fn run_main(&mut self) -> Result<&[Event], ClightError> {
+        let main = self.prog.functions.len().wrapping_sub(1);
+        self.call(main, &[])?;
         Ok(&self.trace)
     }
 }
@@ -473,8 +472,7 @@ mod tests {
                 ret: CType::Scalar(CTy::I32),
                 body,
             }],
-            volatiles_in: vec![],
-            volatiles_out: vec![],
+            ..Program::default()
         }
     }
 
@@ -486,7 +484,7 @@ mod tests {
         m.mem.store(CTy::I32, b, 0, &CVal::int(0)).unwrap();
         for expected in [2, 4, 6] {
             let r = m
-                .call(id("bump"), &[RVal::Ptr(b, 0), RVal::Scalar(CVal::int(2))])
+                .call(0, &[RVal::Ptr(b, 0), RVal::Scalar(CVal::int(2))])
                 .unwrap();
             assert_eq!(r, Some(RVal::Scalar(CVal::int(expected))));
         }
@@ -500,7 +498,7 @@ mod tests {
         let b = m.alloc_struct(id("st")).unwrap();
         // No store to (*self).c before the first call: the load fails.
         let err = m
-            .call(id("bump"), &[RVal::Ptr(b, 0), RVal::Scalar(CVal::int(1))])
+            .call(0, &[RVal::Ptr(b, 0), RVal::Scalar(CVal::int(1))])
             .unwrap_err();
         assert!(matches!(err, ClightError::Uninitialized(_)));
     }
@@ -530,12 +528,13 @@ mod tests {
                 ret: CType::Void,
                 body,
             }],
+            class_fns: vec![],
             volatiles_in: vec![(id("in"), CTy::I32)],
             volatiles_out: vec![(id("out"), CTy::I32)],
         };
         let mut m = Machine::new(&prog).unwrap();
         m.push_inputs(id("in"), [CVal::int(10), CVal::int(20)]);
-        let trace = m.run_main(id("main")).unwrap();
+        let trace = m.run_main().unwrap();
         assert_eq!(
             trace,
             &[
@@ -546,6 +545,16 @@ mod tests {
             ]
         );
         assert!(render_trace(trace).contains("store out = 21"));
+    }
+
+    #[test]
+    fn calls_past_the_last_function_are_errors() {
+        let mut prog = bump_program();
+        prog.functions[0].params.clear();
+        prog.functions[0].body = vec![Stmt::Call(None, 7, vec![])];
+        let mut m = Machine::new(&prog).unwrap();
+        assert_eq!(m.call(9, &[]), Err(ClightError::UnknownFunction(9)));
+        assert_eq!(m.call(0, &[]), Err(ClightError::UnknownFunction(7)));
     }
 
     #[test]
@@ -566,11 +575,10 @@ mod tests {
                 ret: CType::Void,
                 body: vec![],
             }],
-            volatiles_in: vec![],
-            volatiles_out: vec![],
+            ..Program::default()
         };
         let mut m = Machine::new(&prog).unwrap();
-        m.call(id("f"), &[]).unwrap();
-        m.call(id("f"), &[]).unwrap();
+        m.call(0, &[]).unwrap();
+        m.call(0, &[]).unwrap();
     }
 }

@@ -172,13 +172,14 @@ fn expr(e: &Expr) -> String {
     buf
 }
 
-fn block(w: &mut Cw, b: &[Stmt]) {
+/// Prints a block; `fns` names the functions calls refer to.
+fn block(w: &mut Cw, b: &[Stmt], fns: &[Function]) {
     for s in b {
-        stmt(w, s);
+        stmt(w, s, fns);
     }
 }
 
-fn stmt(w: &mut Cw, s: &Stmt) {
+fn stmt(w: &mut Cw, s: &Stmt, fns: &[Function]) {
     match s {
         Stmt::Assign(lv, e) => {
             w.indent();
@@ -202,7 +203,7 @@ fn stmt(w: &mut Cw, s: &Stmt) {
                 sanitize_into(&mut w.buf, *x);
                 w.buf.push_str(" = ");
             }
-            sanitize_into(&mut w.buf, *f);
+            sanitize_into(&mut w.buf, fns[*f].name);
             w.buf.push('(');
             for (k, a) in args.iter().enumerate() {
                 if k > 0 {
@@ -220,12 +221,12 @@ fn stmt(w: &mut Cw, s: &Stmt) {
             w.buf.push_str(") {");
             w.nl();
             w.indent += 1;
-            block(w, t);
+            block(w, t, fns);
             w.indent -= 1;
             if !f.is_empty() {
                 w.line("} else {");
                 w.indent += 1;
-                block(w, f);
+                block(w, f, fns);
                 w.indent -= 1;
             }
             w.line("}");
@@ -249,7 +250,7 @@ fn stmt(w: &mut Cw, s: &Stmt) {
         Stmt::Loop(body) => {
             w.line("for (;;) {");
             w.indent += 1;
-            block(w, body);
+            block(w, body, fns);
             w.indent -= 1;
             w.line("}");
         }
@@ -400,14 +401,14 @@ pub fn print_program(prog: &Program, io: IoMode) -> String {
         for (x, t) in &f.temps {
             decl_line(&mut w, "register ", *x, t);
         }
-        block(&mut w, &f.body);
+        block(&mut w, &f.body, &prog.functions);
         w.indent -= 1;
         w.line("}");
         w.blank();
     }
 
     // The entry point.
-    if let Some(main) = prog.function(Ident::new("main")) {
+    if let Some(main) = prog.functions.last().filter(|f| f.name.as_str() == "main") {
         w.line("int main(void) {");
         w.indent += 1;
         match io {
@@ -418,7 +419,7 @@ pub fn print_program(prog: &Program, io: IoMode) -> String {
                 for (x, t) in &main.temps {
                     decl_line(&mut w, "register ", *x, t);
                 }
-                block(&mut w, &main.body);
+                block(&mut w, &main.body, &prog.functions);
             }
             IoMode::Stdio => {
                 // The unverified scanf/printf test harness of §5: read one
@@ -491,7 +492,7 @@ fn stmt_stdio(w: &mut Cw, s: &Stmt, prog: &Program) {
             w.buf.push_str(");");
             w.nl();
         }
-        other => stmt(w, other),
+        other => stmt(w, other, &prog.functions),
     }
 }
 
@@ -538,6 +539,7 @@ mod tests {
                     Stmt::Return(Some(Expr::Temp(id("n"), CType::Scalar(CTy::I32)))),
                 ],
             }],
+            class_fns: vec![0],
             volatiles_in: vec![(id("in$x"), CTy::I32)],
             volatiles_out: vec![(id("out$n"), CTy::I32)],
         }

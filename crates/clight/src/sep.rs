@@ -16,7 +16,7 @@
 //! reproduction "proves" memory safety of generated code — by exhaustive
 //! checking along executions instead of by induction.
 
-use velus_common::Ident;
+use velus_common::NodeId;
 use velus_nlustre::memory::Memory;
 use velus_ops::{CTy, CVal, ClightOps};
 
@@ -159,15 +159,13 @@ impl Assertion {
 pub fn staterep(
     layouts: &LayoutEnv,
     prog: &velus_obc::ast::ObcProgram<ClightOps>,
-    class: Ident,
+    class: NodeId,
     mem: &Memory<CVal>,
     block: BlockId,
     ofs: u32,
 ) -> Result<Assertion, ClightError> {
-    let cls = match prog.class(class) {
-        Some(c) => c,
-        None => return Ok(Assertion::False),
-    };
+    let cls = &prog.classes[class.index()];
+    let class = cls.name;
     let mut parts = Vec::new();
     for (x, ty) in &cls.memories {
         let off = layouts.field_offset(class, *x)?;

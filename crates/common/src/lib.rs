@@ -21,6 +21,8 @@
 //!   the reusable scratch-buffer pattern for `*_into` traversals),
 //! * [`pretty`] — a minimal indentation-aware code writer used by the C
 //!   pretty-printer and the IR dumpers,
+//! * [`NodeId`] — a node's dense index, the one handle every IR uses to
+//!   reach a callee,
 //! * [`IoMode`] — how emitted C performs its I/O, shared by the C printer
 //!   and the compile service's cache key.
 //!
@@ -66,4 +68,34 @@ pub enum IoMode {
     /// A `main` that `scanf`s inputs and `printf`s outputs (the unverified
     /// test entry point of §5).
     Stdio,
+}
+
+/// A node's position in its program, callees first. Obc classes and
+/// Clight methods keep that order, so one id names a node, its class and
+/// its functions, and every callee lookup after elaboration is an index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct NodeId(u32);
+
+impl NodeId {
+    /// The id of the node at position `i`.
+    pub fn new(i: usize) -> NodeId {
+        NodeId(u32::try_from(i).expect("fewer than 2^32 nodes"))
+    }
+
+    /// The node's position.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// Whether node `caller` may call this one: the non-recursion
+    /// invariant, callee before caller (hence also in range).
+    pub fn callable_from(self, caller: NodeId) -> bool {
+        self < caller
+    }
+}
+
+impl std::fmt::Display for NodeId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "#{}", self.0)
+    }
 }

@@ -408,7 +408,7 @@ fn analysis_err(root_span: Span, msg: String) -> VelusError {
 
 fn wcet_of(
     clight: &velus_clight::ast::Program,
-    root: velus_common::Ident,
+    root: velus_common::NodeId,
     model: CostModel,
     root_span: Span,
 ) -> Result<u64, VelusError> {
@@ -417,6 +417,7 @@ fn wcet_of(
 
 fn baseline_diff(staged: &mut StagedPipeline<'_>) -> Result<BaselineDiffArtifact, VelusError> {
     let root = staged.root();
+    let root_name = staged.snlustre()?.nodes[root.index()].name;
     // The Vélus row measures the validated pipeline's own output.
     let velus_obc_size: usize = staged
         .obc_fused()?
@@ -425,7 +426,7 @@ fn baseline_diff(staged: &mut StagedPipeline<'_>) -> Result<BaselineDiffArtifact
         .flat_map(|c| &c.methods)
         .map(|m| m.body.size())
         .sum();
-    let root_span = staged.spans().node_span(root);
+    let root_span = staged.spans().node_span(root_name);
     let clight = staged.clight()?;
     let mut velus_wcet = [0u64; 3];
     for (k, model) in CostModel::ALL.into_iter().enumerate() {
@@ -449,11 +450,12 @@ fn baseline_diff(staged: &mut StagedPipeline<'_>) -> Result<BaselineDiffArtifact
         // A scheme whose Obc fails Clight generation is an analysis
         // failure like its siblings above — structured, never a bare
         // stage-less `Clight` variant.
-        let clight = velus_clight::generate::generate(&obc, root)
+        let class = velus_baselines::root_class(&obc, staged.nlustre(), root);
+        let clight = velus_clight::generate::generate(&obc, class)
             .map_err(|e| analysis_err(root_span, e.to_string()))?;
         let mut wcet = [0u64; 3];
         for (k, model) in CostModel::ALL.into_iter().enumerate() {
-            wcet[k] = wcet_of(&clight, root, model, root_span)?;
+            wcet[k] = wcet_of(&clight, class, model, root_span)?;
         }
         rows.push(BaselineRow {
             scheme: scheme.name(),
@@ -462,7 +464,7 @@ fn baseline_diff(staged: &mut StagedPipeline<'_>) -> Result<BaselineDiffArtifact
         });
     }
     Ok(BaselineDiffArtifact {
-        root: root.to_string(),
+        root: root_name.to_string(),
         rows,
     })
 }
@@ -497,11 +499,12 @@ pub fn produce(
             }
             ArtifactKind::Wcet { model } => {
                 let root = staged.root();
-                let root_span = staged.spans().node_span(root);
+                let root_name = staged.snlustre()?.nodes[root.index()].name;
+                let root_span = staged.spans().node_span(root_name);
                 let cycles = wcet_of(staged.clight()?, root, cost_model(*model), root_span)?;
                 ServiceArtifact::Wcet(WcetArtifact {
                     model: *model,
-                    root: root.to_string(),
+                    root: root_name.to_string(),
                     cycles,
                 })
             }
@@ -538,8 +541,10 @@ fn lint(staged: &mut StagedPipeline<'_>, source: &str) -> Result<LintArtifact, V
 /// the program's shape and the coded warnings.
 fn report(staged: &mut StagedPipeline<'_>, source: &str) -> Result<ReportArtifact, VelusError> {
     staged.clight()?;
+    let root = staged.root();
     let snlustre = staged.snlustre()?;
     let (nodes, equations) = (snlustre.nodes.len(), snlustre.equation_count());
+    let root = snlustre.nodes[root.index()].name.to_string();
     // Everything up to (not including) emission ran and re-validated.
     let stages = crate::passes::PASS_ORDER[..crate::passes::PASS_ORDER.len() - 1].to_vec();
     let warnings = staged
@@ -548,7 +553,7 @@ fn report(staged: &mut StagedPipeline<'_>, source: &str) -> Result<ReportArtifac
         .map(|w| DiagRecord::of(w, source))
         .collect();
     Ok(ReportArtifact {
-        root: staged.root().to_string(),
+        root,
         nodes,
         equations,
         stages,

@@ -419,7 +419,7 @@ fn run_batch(args: &Args) -> Result<(), String> {
     config.cache.max_entries = args.cache_cap;
     // Robustness knobs: a bounded admission queue sheds excess load
     // with E0801, and transient failures are retried up to the budget.
-    config.admission.queue_cap = args.queue_cap;
+    config.queue_cap = args.queue_cap;
     config.retry = velus_server::RetryPolicy::with_budget(args.retries);
     // Any observability flag turns the tracing recorder on; without
     // them the batch runs entirely trace-free.

@@ -28,7 +28,9 @@
 use std::cell::OnceCell;
 use std::time::Instant;
 
-use velus_common::{codes, DiagStage, Diagnostic, Diagnostics, Ident, IoMode, Span, SpanMap};
+use velus_common::{
+    codes, DiagStage, Diagnostic, Diagnostics, Ident, IoMode, NodeId, Span, SpanMap,
+};
 use velus_nlustre::ast::Program;
 use velus_nlustre::{clockcheck, typecheck};
 use velus_obc::ast::ObcProgram;
@@ -242,7 +244,7 @@ pub struct Elaborated {
     /// Elaborated, normalized, unscheduled N-Lustre.
     pub nlustre: Program<ClightOps>,
     /// The resolved root node.
-    pub root: Ident,
+    pub root: NodeId,
     /// Front-end warnings (e.g. the initialization lint).
     pub warnings: Diagnostics,
     /// Node/equation source spans recorded by the elaborator.
@@ -251,22 +253,16 @@ pub struct Elaborated {
 
 /// Picks the default root node: a node never instantiated by another
 /// (the program's sink); ties broken towards the last one declared.
-fn default_root(prog: &Program<ClightOps>) -> Option<Ident> {
-    let called: velus_common::IdentSet = prog
-        .nodes
-        .iter()
-        .flat_map(|node| &node.eqs)
-        .filter_map(|eq| match eq {
-            velus_nlustre::ast::Equation::Call { node: f, .. } => Some(*f),
-            _ => None,
-        })
-        .collect();
-    prog.nodes
-        .iter()
-        .rev()
-        .map(|n| n.name)
-        .find(|n| !called.contains(n))
-        .or_else(|| prog.nodes.last().map(|n| n.name))
+fn default_root(prog: &Program<ClightOps>) -> Option<NodeId> {
+    let mut called = vec![false; prog.nodes.len()];
+    for eq in prog.nodes.iter().flat_map(|node| &node.eqs) {
+        if let velus_nlustre::ast::Equation::Call { node: f, .. } = eq {
+            called[f.index()] = true;
+        }
+    }
+    let last = prog.nodes.len().checked_sub(1)?;
+    let root = (0..=last).rev().find(|&k| !called[k]).unwrap_or(last);
+    Some(NodeId::new(root))
 }
 
 /// Parse, elaborate, and normalize to N-Lustre; resolve the root.
@@ -297,12 +293,11 @@ impl<'a> Pass<'a> for ElaboratePass {
         })?;
         let (nlustre, warnings, spans) = (front.program, front.warnings, front.spans);
         let root = match input.root {
+            // The one name lookup after elaboration: the requested root.
             Some(r) => {
-                let root = Ident::new(r);
-                if nlustre.node(root).is_none() {
-                    return Err(unknown_root(root));
-                }
-                root
+                let name = Ident::new(r);
+                let root = nlustre.nodes.iter().position(|n| n.name == name);
+                NodeId::new(root.ok_or_else(|| unknown_root(name))?)
             }
             None => default_root(&nlustre).ok_or_else(|| {
                 VelusError::Diag(Diagnostics::from(
@@ -321,7 +316,7 @@ impl<'a> Pass<'a> for ElaboratePass {
 }
 
 /// The coded form of "no node named `root`".
-fn unknown_root(root: Ident) -> VelusError {
+fn unknown_root(root: impl std::fmt::Display) -> VelusError {
     VelusError::Diag(Diagnostics::from(
         Diagnostic::error(codes::E0902, format!("no node named {root}"), Span::DUMMY)
             .at_stage(DiagStage::Driver),
@@ -484,7 +479,7 @@ pub struct GenerateInput<'a> {
     /// The fused Obc program.
     pub obc_fused: &'a ObcProgram<ClightOps>,
     /// The root class to build the simulation `main` for.
-    pub root: Ident,
+    pub root: NodeId,
 }
 
 /// Generate Clight (with the simulation `main` for the root).
@@ -536,7 +531,7 @@ pub struct LintInput<'a> {
     /// The scheduled program to analyze.
     pub program: &'a Program<ClightOps>,
     /// The root node (reachability/activity start from it).
-    pub root: Ident,
+    pub root: NodeId,
     /// The front-end warnings, whose initialization findings (`W0101`)
     /// the lint report carries over.
     pub warnings: &'a Diagnostics,
@@ -579,7 +574,7 @@ pub struct StagedPipeline<'o> {
     /// The elaborated program until scheduling moves it out; from then
     /// on rebuilt from `snlustre` the first time it is asked for.
     nlustre: OnceCell<Program<ClightOps>>,
-    root: Ident,
+    root: NodeId,
     warnings: Diagnostics,
     spans: SpanMap,
     snlustre: Option<Scheduled>,
@@ -642,7 +637,7 @@ impl<'o> StagedPipeline<'o> {
     /// An unknown root or failed elaborator postconditions.
     pub fn from_program(
         nlustre: Program<ClightOps>,
-        root: Ident,
+        root: NodeId,
         warnings: Diagnostics,
         observe: StageObserver<'o>,
     ) -> Result<StagedPipeline<'o>, VelusError> {
@@ -680,7 +675,7 @@ impl<'o> StagedPipeline<'o> {
     }
 
     /// The resolved root node.
-    pub fn root(&self) -> Ident {
+    pub fn root(&self) -> NodeId {
         self.root
     }
 

@@ -8,7 +8,7 @@
 //! reports, IR dumps, the multi-artifact service) drive the
 //! [`StagedPipeline`] directly and stop early.
 
-use velus_common::{Diagnostics, Ident, IoMode, SpanMap};
+use velus_common::{Diagnostics, IoMode, NodeId, SpanMap};
 use velus_nlustre::ast::Program;
 use velus_obc::ast::ObcProgram;
 use velus_ops::ClightOps;
@@ -32,7 +32,7 @@ pub struct Compiled {
     /// Generated Clight (with the simulation `main` for `root`).
     pub clight: velus_clight::ast::Program,
     /// The root node the program is compiled for.
-    pub root: Ident,
+    pub root: NodeId,
     /// Front-end warnings (e.g. the initialization lint).
     pub warnings: Diagnostics,
     /// Node/equation source spans (for rendering later failures, e.g.
@@ -61,6 +61,7 @@ pub fn emit_c(compiled: &Compiled, io: IoMode) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use velus_common::Ident;
 
     const COUNTER: &str = "
         node counter(ini, inc: int; res: bool) returns (n: int)
@@ -72,7 +73,7 @@ mod tests {
     #[test]
     fn full_pipeline_runs() {
         let c = compile(COUNTER, None).unwrap();
-        assert_eq!(c.root, Ident::new("counter"));
+        assert_eq!(c.snlustre.nodes[c.root.index()].name, Ident::new("counter"));
         assert!(!c.clight.functions.is_empty());
         let code = emit_c(&c, IoMode::Volatile);
         assert!(code.contains("struct counter"), "{code}");
@@ -109,7 +110,7 @@ mod tests {
             let p = counter(0, g, false); tel"
         );
         let c = compile(&src, None).unwrap();
-        assert_eq!(c.root, Ident::new("top"));
+        assert_eq!(c.snlustre.nodes[c.root.index()].name, Ident::new("top"));
     }
 
     #[test]
@@ -120,7 +121,7 @@ mod tests {
             let p = counter(0, g, false); tel"
         );
         let c = compile(&src, Some("counter")).unwrap();
-        assert_eq!(c.root, Ident::new("counter"));
+        assert_eq!(c.snlustre.nodes[c.root.index()].name, Ident::new("counter"));
         assert!(compile(&src, Some("missing")).is_err());
     }
 

@@ -24,14 +24,14 @@
 //! Any disagreement is reported as [`VelusError::Validation`] naming the
 //! stage and instant.
 
-use velus_clight::generate::{main_fn_name, method_fn_name, vol_in_name};
+use velus_clight::generate::vol_in_name;
 use velus_clight::interp::{Event, Machine, RVal};
 use velus_clight::sep::staterep;
 use velus_common::Ident;
 use velus_nlustre::memory::Memory;
 use velus_nlustre::msem::MSem;
 use velus_nlustre::streams::{SVal, StreamSet};
-use velus_obc::ast::{reset_name, step_name};
+use velus_obc::ast::{reset_name, step_name, RESET, STEP};
 use velus_obc::memcorres::check_memcorres;
 use velus_obc::sem::Interp;
 use velus_ops::{CVal, ClightOps, Ops};
@@ -241,7 +241,7 @@ pub fn run_oracles(
     let node = c
         .snlustre
         .node(root)
-        .ok_or_else(|| VelusError::Usage(format!("no node named {root}")))?;
+        .ok_or_else(|| VelusError::Usage(format!("no node {root}")))?;
     let mut rep = OracleReport::new(n);
 
     // 1. Dataflow semantics, unscheduled and scheduled.
@@ -312,16 +312,19 @@ pub fn run_oracles(
     // 4. Clight, driven step by step, with staterep at every boundary.
     {
         let mut machine = Machine::new(&c.clight)?;
-        let selfb = machine.alloc_struct(root)?;
-        machine.call(method_fn_name(root, reset_name()), &[RVal::Ptr(selfb, 0)])?;
+        let selfb = machine.alloc_struct(node.name)?;
+        let missing = || VelusError::Validation("missing step method".to_owned());
+        let reset_fn = c.clight.method_fn(root, RESET).ok_or_else(missing)?;
+        machine.call(reset_fn, &[RVal::Ptr(selfb, 0)])?;
         let step_m = c
             .obc_fused
-            .class(root)
-            .and_then(|k| k.method(step_name()))
-            .ok_or_else(|| VelusError::Validation("missing step method".to_owned()))?;
-        let step_fn = method_fn_name(root, step_name());
+            .classes
+            .get(root.index())
+            .and_then(|k| k.methods.get(STEP))
+            .ok_or_else(missing)?;
+        let step_fn = c.clight.method_fn(root, STEP).ok_or_else(missing)?;
         let multi = step_m.outputs.len() >= 2;
-        let out_struct = velus_clight::generate::out_struct_name(root, step_name());
+        let out_struct = velus_clight::generate::out_struct_name(node.name, step_name());
         let outb = if multi {
             Some(machine.alloc_struct(out_struct)?)
         } else {
@@ -438,7 +441,7 @@ pub fn run_oracles(
                 .collect::<Result<_, _>>()?;
             machine.push_inputs(g, stream);
         }
-        machine.run_main(main_fn_name())?;
+        machine.run_main()?;
 
         // Build the expected trace.
         let per_instant = usize::from(tick.is_some()) + in_globals.len() + out_globals.len();

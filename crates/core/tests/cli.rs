@@ -544,3 +544,23 @@ fn instantaneous_self_dependencies_are_rejected_everywhere() {
     let (ok, _, stderr) = velus(&["check", &fby]);
     assert!(ok, "{stderr}");
 }
+
+#[test]
+fn a_300_deep_instance_chain_compiles_and_validates() {
+    // n0 adds one; each nk instantiates n(k-1). The reference
+    // interpreters nest as deep as the chain, which is no deeper than
+    // the program has functions.
+    let mut src = String::from("node n0(x: int) returns (y: int) let y = x + 1; tel\n");
+    for k in 1..300 {
+        src.push_str(&format!(
+            "node n{k}(x: int) returns (y: int) let y = n{}(x); tel\n",
+            k - 1
+        ));
+    }
+    let path = temp_lus("deep-chain", &src);
+    let (ok, _, stderr) = velus(&["compile", &path, "--node", "n299"]);
+    assert!(ok, "{stderr}");
+    let (ok, stdout, stderr) = velus(&["validate", &path, "--node", "n299", "--steps", "3"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("validated 3 instants"), "{stdout}");
+}

@@ -104,13 +104,13 @@ fn corrupted_step_output_is_caught() {
 fn corrupted_clight_constant_is_caught() {
     let mut c = compiled();
     // Corrupt the generated Clight reset: flip the stored constants.
-    let reset_name = velus_clight::generate::method_fn_name(c.root, velus_obc::ast::reset_name());
-    let f = c
-        .clight
-        .functions
-        .iter_mut()
-        .find(|f| f.name == reset_name)
-        .unwrap();
+    let reset = c.clight.method_fn(c.root, velus_obc::ast::RESET).unwrap();
+    let reset_name = velus_clight::generate::method_fn_name(
+        c.snlustre.nodes[c.root.index()].name,
+        velus_obc::ast::reset_name(),
+    );
+    let f = &mut c.clight.functions[reset];
+    assert_eq!(f.name, reset_name);
     fn corrupt_clight(b: &mut velus_clight::ast::Block) {
         use velus_clight::ast::{Expr, Stmt};
         for s in b {

@@ -26,7 +26,8 @@
 //! applied circularly".
 
 use velus_common::{
-    codes, ident_map_with_capacity, DiagStage, Diagnostic, Diagnostics, Ident, IdentMap, Span,
+    codes, ident_map_with_capacity, DiagStage, Diagnostic, Diagnostics, Ident, IdentMap, NodeId,
+    Span,
 };
 use velus_nlustre::clock::{Clock, Clocks};
 use velus_ops::{Literal, Ops, SurfaceBinOp, SurfaceUnOp};
@@ -95,8 +96,9 @@ pub enum TExpr<O: Ops> {
     /// Node instantiation; the annotation is the callee's *first*
     /// output type (the value type in expression position — tuple calls
     /// only occur at equation level, where the pattern is checked
-    /// against the full signature directly).
-    Call(Ident, TRange, O::Ty),
+    /// against the full signature directly). Elaboration resolves the
+    /// callee's name to its id here, once.
+    Call(NodeId, TRange, O::Ty),
 }
 
 /// The typed-expression and argument pools behind a [`TProgram`].
@@ -272,8 +274,9 @@ enum PTy<O: Ops> {
     FloatLit,
 }
 
-/// Callee signatures: name → (input types, named output types).
-type SigMap<O> = IdentMap<(Vec<<O as Ops>::Ty>, Vec<(Ident, <O as Ops>::Ty)>)>;
+/// Callee signatures: name → (id, input types, named output types) — the
+/// one name → node resolution of the compiler.
+type SigMap<O> = IdentMap<(NodeId, Vec<<O as Ops>::Ty>, Vec<(Ident, <O as Ops>::Ty)>)>;
 
 /// Whether an equation may define a declared variable, and whether one
 /// already has: a flag in the variable's [`VarMap`] entry, so the
@@ -301,7 +304,7 @@ struct NodeEnv<'e, O: Ops> {
     /// Global constants (shared across nodes, hence borrowed — cloning
     /// them per node made elaboration quadratic in program size).
     consts: &'e IdentMap<O::Const>,
-    /// Callee signatures: name → (input types, outputs); borrowed for
+    /// Callee signatures: name → (id, input types, outputs); borrowed for
     /// the same reason, and call sites borrow straight from the map
     /// rather than cloning the signature vectors.
     sigs: &'e SigMap<O>,
@@ -426,8 +429,8 @@ impl<'a, O: Ops> Elab<'a, O> {
                     return Ok(PTy::Known(t));
                 }
                 match self.env.sigs.get(&f) {
-                    Some((_, outs)) if outs.len() == 1 => Ok(PTy::Known(outs[0].1.clone())),
-                    Some((_, outs)) => err(
+                    Some((_, _, outs)) if outs.len() == 1 => Ok(PTy::Known(outs[0].1.clone())),
+                    Some((_, _, outs)) => err(
                         codes::E0214,
                         format!(
                             "node {f} has {} outputs; tuple calls only at equation level",
@@ -603,7 +606,7 @@ impl<'a, O: Ops> Elab<'a, O> {
                 // Borrow the signature straight out of the (outer-lived)
                 // map — no per-call-site clone of the signature vectors.
                 let sigs: &'a SigMap<O> = self.env.sigs;
-                let (ins, outs) = match sigs.get(&f) {
+                let (callee, ins, outs) = match sigs.get(&f) {
                     Some(sig) => sig,
                     None => return err(codes::E0203, format!("unknown node or type {f}"), s),
                 };
@@ -626,7 +629,7 @@ impl<'a, O: Ops> Elab<'a, O> {
                 }
                 let targs = self.build_args(f, ins, args, s)?;
                 let out_ty = outs[0].1.clone();
-                Ok(self.ta.push(TExpr::Call(f, targs, out_ty)))
+                Ok(self.ta.push(TExpr::Call(*callee, targs, out_ty)))
             }
         }
     }
@@ -1092,7 +1095,7 @@ fn elab_node<O: Ops>(
                     if O::type_of_name(f.as_str()).is_some() {
                         return err(codes::E0214, "a cast returns a single value", s);
                     }
-                    let (ins, outs) = match sigs.get(&f) {
+                    let (callee, ins, outs) = match sigs.get(&f) {
                         Some(sig) => sig,
                         None => return err(codes::E0203, format!("unknown node {f}"), s),
                     };
@@ -1119,7 +1122,7 @@ fn elab_node<O: Ops>(
                     }
                     let targs = elab.build_args(f, ins, args, s)?;
                     let out_ty = outs[0].1.clone();
-                    elab.ta.push(TExpr::Call(f, targs, out_ty))
+                    elab.ta.push(TExpr::Call(*callee, targs, out_ty))
                 }
                 ref other => {
                     return err(
@@ -1240,6 +1243,7 @@ pub fn elaborate<O: Ops>(
         sigs.insert(
             tnode.name,
             (
+                NodeId::new(nodes.len()),
                 tnode.inputs.iter().map(|d| d.ty.clone()).collect(),
                 tnode
                     .outputs

@@ -493,7 +493,7 @@ mod tests {
             "node id(a: int) returns (b: int) let b = a; tel
              node g(x: int) returns (y: int) let y = id(id(x)) + 1; tel",
         );
-        let g = prog.node(velus_common::Ident::new("g")).unwrap();
+        let g = &prog.nodes[1];
         let calls = g
             .eqs
             .iter()

@@ -1,7 +1,7 @@
 //! Feature tests of the front end: the accepted language beyond the
 //! paper's normalized core.
 
-use velus_common::Ident;
+use velus_common::{Ident, NodeId};
 use velus_lustre::compile_to_nlustre;
 use velus_nlustre::dataflow::run_node;
 use velus_nlustre::streams::{SVal, StreamSet};
@@ -14,7 +14,8 @@ fn run_ints(src: &str, node: &str, inputs: Vec<Vec<i32>>, n: usize) -> Vec<Vec<i
         .into_iter()
         .map(|vs| vs.into_iter().map(|v| SVal::Pres(CVal::int(v))).collect())
         .collect();
-    let outs = run_node(&prog, Ident::new(node), &streams, n).unwrap();
+    let root = prog.nodes.iter().position(|d| d.name == Ident::new(node));
+    let outs = run_node(&prog, NodeId::new(root.unwrap()), &streams, n).unwrap();
     outs.into_iter()
         .map(|s| {
             s.into_iter()
@@ -88,7 +89,7 @@ fn real_arithmetic_round_trips() {
         SVal::Pres(CVal::float(1.0)),
         SVal::Pres(CVal::float(3.0)),
     ]];
-    let outs = run_node(&prog, Ident::new("f"), &streams, 2).unwrap();
+    let outs = run_node(&prog, NodeId::new(0), &streams, 2).unwrap();
     assert_eq!(outs[0][1], SVal::Pres(CVal::float(2.0)));
 }
 

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use velus_common::Ident;
+use velus_common::{Ident, NodeId};
 use velus_ops::Ops;
 
 use crate::clock::Clock;
@@ -168,8 +168,9 @@ pub enum Equation<O: Ops> {
         xs: Vec<Ident>,
         /// Clock of the equation.
         ck: Clock,
-        /// Name of the instantiated node.
-        node: Ident,
+        /// The instantiated node (callees come first: its id is below
+        /// the caller's).
+        node: NodeId,
         /// Argument expressions.
         args: Vec<Expr<O>>,
     },
@@ -222,17 +223,29 @@ impl<O: Ops> Equation<O> {
     }
 }
 
-impl<O: Ops> fmt::Display for Equation<O> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl<O: Ops> Equation<O> {
+    /// Writes the equation, naming a callee through `nodes` (its id when
+    /// `nodes` does not hold it).
+    fn fmt_in(&self, f: &mut fmt::Formatter<'_>, nodes: &[Node<O>]) -> fmt::Result {
         match self {
             Equation::Def { x, ck, rhs } => write!(f, "{x} ={ck}= {rhs}"),
             Equation::Fby { x, ck, init, rhs } => write!(f, "{x} ={ck}= {init} fby {rhs}"),
             Equation::Call { xs, ck, node, args } => {
                 let xs: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
                 let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-                write!(f, "({}) ={ck}= {node}({})", xs.join(", "), args.join(", "))
+                let (xs, args) = (xs.join(", "), args.join(", "));
+                match nodes.get(node.index()) {
+                    Some(callee) => write!(f, "({xs}) ={ck}= {}({args})", callee.name),
+                    None => write!(f, "({xs}) ={ck}= {node}({args})"),
+                }
             }
         }
+    }
+}
+
+impl<O: Ops> fmt::Display for Equation<O> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.fmt_in(f, &[])
     }
 }
 
@@ -289,29 +302,19 @@ impl<O: Ops> Node<O> {
         self.inputs.iter().any(|d| d.name == x)
     }
 
-    /// The set of variables defined by `fby` equations (the paper's
-    /// `mems`), in equation order.
-    pub fn mems(&self) -> Vec<Ident> {
-        self.mems_iter().collect()
-    }
-
-    /// The `fby`-defined variables in equation order, without
-    /// allocating (the scratch form of [`Node::mems`]).
+    /// The variables defined by `fby` equations (the paper's `mems`), in
+    /// equation order.
     pub fn mems_iter(&self) -> impl Iterator<Item = Ident> + '_ {
         self.eqs.iter().filter_map(|eq| match eq {
             Equation::Fby { x, .. } => Some(*x),
             _ => None,
         })
     }
-
-    /// The index of the equation defining `x`, if any.
-    pub fn defining_eq(&self, x: Ident) -> Option<usize> {
-        self.eqs.iter().position(|eq| eq.defines(x))
-    }
 }
 
-impl<O: Ops> fmt::Display for Node<O> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl<O: Ops> Node<O> {
+    /// Writes the node, naming callees through `nodes`.
+    fn fmt_in(&self, f: &mut fmt::Formatter<'_>, nodes: &[Node<O>]) -> fmt::Result {
         let fmt_decls = |ds: &[VarDecl<O>]| -> String {
             ds.iter()
                 .map(|d| d.to_string())
@@ -330,15 +333,23 @@ impl<O: Ops> fmt::Display for Node<O> {
         }
         writeln!(f, "let")?;
         for eq in &self.eqs {
-            writeln!(f, "  {eq};")?;
+            write!(f, "  ")?;
+            eq.fmt_in(f, nodes)?;
+            writeln!(f, ";")?;
         }
         write!(f, "tel")
     }
 }
 
-/// A program: a list of nodes, callees first (established by
-/// [`Program::validate`](crate::typecheck)-time ordering in the front
-/// end).
+impl<O: Ops> fmt::Display for Node<O> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.fmt_in(f, &[])
+    }
+}
+
+/// A program: a list of nodes, callees first. A node's [`NodeId`] is its
+/// position, and every call names a node before its caller (the
+/// non-recursion invariant the checkers enforce).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program<O: Ops> {
     /// The nodes, in dependency order (callees before callers).
@@ -351,9 +362,9 @@ impl<O: Ops> Program<O> {
         Program { nodes }
     }
 
-    /// Looks up a node by name.
-    pub fn node(&self, name: Ident) -> Option<&Node<O>> {
-        self.nodes.iter().find(|n| n.name == name)
+    /// The node with id `id`, if the program has one.
+    pub fn node(&self, id: NodeId) -> Option<&Node<O>> {
+        self.nodes.get(id.index())
     }
 
     /// Total number of equations across all nodes.
@@ -369,7 +380,7 @@ impl<O: Ops> fmt::Display for Program<O> {
                 writeln!(f)?;
                 writeln!(f)?;
             }
-            write!(f, "{n}")?;
+            n.fmt_in(f, &self.nodes)?;
         }
         Ok(())
     }

@@ -8,7 +8,7 @@
 //! As with typing, we re-validate well-clockedness after each pass rather
 //! than proving its preservation.
 
-use velus_common::{Ident, IdentMap};
+use velus_common::{Ident, IdentMap, NodeId};
 use velus_ops::Ops;
 
 use crate::ast::{CExpr, Equation, Expr, Node, Program};
@@ -110,33 +110,19 @@ fn check_decl_clock(env: &CkEnv, x: Ident, ck: &Clock) -> Result<(), SemError> {
     Ok(())
 }
 
-/// Checks one node; callee interfaces are needed for call equations.
-///
-/// # Errors
-///
-/// Returns the first clocking violation found.
-pub fn check_node_clocks<O: Ops>(
-    nodes_before: &IdentMap<&Node<O>>,
-    node: &Node<O>,
-) -> Result<(), SemError> {
-    check_node_clocks_with(
-        nodes_before,
-        node,
-        &mut IdentMap::default(),
-        &mut Clocks::default(),
-    )
-}
-
-/// [`check_node_clocks`] through a caller's environment map and clock
-/// table, both cleared first, so a program check reuses them across
-/// nodes.
-fn check_node_clocks_with<'n, O: Ops>(
-    nodes_before: &IdentMap<&Node<O>>,
+/// Checks node `node`, with id `id`, whose calls may only name the nodes
+/// before it, through an environment map and a clock table, both
+/// cleared first, which a program check reuses across nodes.
+fn check_node_clocks<'n, O: Ops>(
     node: &'n Node<O>,
+    id: NodeId,
     env: &mut CkEnv<'n>,
     clocks: &mut Clocks,
 ) -> Result<(), SemError> {
+    let vars = node.inputs.len() + node.outputs.len() + node.locals.len();
     env.clear();
+    env.shrink_to(vars);
+    env.reserve(vars);
     clocks.clear();
     for d in node.inputs.iter().chain(&node.outputs).chain(&node.locals) {
         env.insert(d.name, &d.ck);
@@ -157,7 +143,7 @@ fn check_node_clocks_with<'n, O: Ops>(
     }
 
     for eq in &node.eqs {
-        check_eq_clocks::<O>(env, clocks, nodes_before, eq)
+        check_eq_clocks::<O>(env, clocks, id, eq)
             .map_err(|e| e.in_node_at(node.name, eq.defined().first().copied()))?;
     }
     Ok(())
@@ -167,7 +153,7 @@ fn check_node_clocks_with<'n, O: Ops>(
 fn check_eq_clocks<O: Ops>(
     env: &CkEnv,
     clocks: &mut Clocks,
-    nodes_before: &IdentMap<&Node<O>>,
+    caller: NodeId,
     eq: &Equation<O>,
 ) -> Result<(), SemError> {
     let ck = eq.clock();
@@ -186,10 +172,9 @@ fn check_eq_clocks<O: Ops>(
         Equation::Def { rhs, .. } => check_cexpr_clock::<O>(env, clocks, rhs, ck)?,
         Equation::Fby { rhs, .. } => check_expr_clock::<O>(env, rhs, ck)?,
         Equation::Call { node: f, args, .. } => {
-            let _callee = nodes_before
-                .get(f)
-                .copied()
-                .ok_or(SemError::UnknownNode(*f))?;
+            if !f.callable_from(caller) {
+                return Err(SemError::UnknownNode(*f));
+            }
             for a in args {
                 check_expr_clock::<O>(env, a, ck)?;
             }
@@ -204,19 +189,11 @@ fn check_eq_clocks<O: Ops>(
 ///
 /// Returns the first violation found, in declaration order.
 pub fn check_program_clocks<O: Ops>(prog: &Program<O>) -> Result<(), SemError> {
-    let mut declared: IdentMap<&Node<O>> = velus_common::ident_map_with_capacity(prog.nodes.len());
-    let vars = prog
-        .nodes
-        .iter()
-        .map(|n| n.inputs.len() + n.outputs.len() + n.locals.len())
-        .max()
-        .unwrap_or(0);
-    let mut env: CkEnv = velus_common::ident_map_with_capacity(vars);
+    let mut env = CkEnv::default();
     let mut clocks = Clocks::default();
-    for node in &prog.nodes {
-        check_node_clocks_with::<O>(&declared, node, &mut env, &mut clocks)
+    for (i, node) in prog.nodes.iter().enumerate() {
+        check_node_clocks::<O>(node, NodeId::new(i), &mut env, &mut clocks)
             .map_err(|e| e.in_node(node.name))?;
-        declared.insert(node.name, node);
     }
     Ok(())
 }
@@ -337,5 +314,31 @@ mod tests {
             check_program_clocks(&p).unwrap_err().innermost(),
             SemError::ClockError(_)
         ));
+    }
+
+    #[test]
+    fn rejects_calls_to_later_or_missing_nodes() {
+        let leaf = || sampler_node(true);
+        let call = |k: usize| Node {
+            locals: vec![],
+            eqs: vec![Equation::Call {
+                xs: vec![id("o")],
+                ck: Clock::Base,
+                node: NodeId::new(k),
+                args: vec![],
+            }],
+            ..leaf()
+        };
+        // A later node, the caller itself, and a node past the end.
+        for p in [[call(1), leaf()], [leaf(), call(1)], [leaf(), call(9)]] {
+            assert!(matches!(
+                check_program_clocks(&Program::new(p.into()))
+                    .unwrap_err()
+                    .innermost(),
+                SemError::UnknownNode(_)
+            ));
+        }
+        let p = Program::new(vec![leaf(), call(0)]);
+        assert_eq!(check_program_clocks(&p), Ok(()));
     }
 }

@@ -28,7 +28,7 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
-use velus_common::{ident_map_with_capacity, BuildIdentHasher, Ident, IdentMap};
+use velus_common::{ident_map_with_capacity, BuildIdentHasher, Ident, IdentMap, NodeId};
 use velus_ops::Ops;
 
 use crate::ast::{CExpr, Equation, Expr, Node, Program};
@@ -45,36 +45,25 @@ enum Binding {
     Eq(usize, usize),
 }
 
-/// Per-node static information, computed once.
-#[derive(Debug)]
-struct NodeInfo {
-    bindings: IdentMap<Binding>,
-    /// For each call equation (by index), the program index of the
-    /// callee; `None` for other equations and unknown callees.
-    callees: Vec<Option<usize>>,
-}
+/// Where each variable of a node gets its values, computed once per node.
+type Bindings = IdentMap<Binding>;
 
-fn node_info<O: Ops>(node: &Node<O>, index: &IdentMap<usize>) -> Result<NodeInfo, SemError> {
+fn bindings<O: Ops>(node: &Node<O>) -> Result<Bindings, SemError> {
     let mut bindings = ident_map_with_capacity(node.inputs.len() + node.eqs.len());
     for (i, d) in node.inputs.iter().enumerate() {
         bindings.insert(d.name, Binding::Input(i));
     }
-    let mut callees = Vec::with_capacity(node.eqs.len());
     for (i, eq) in node.eqs.iter().enumerate() {
         for (k, &x) in eq.defined().iter().enumerate() {
             bindings.insert(x, Binding::Eq(i, k));
         }
-        callees.push(match eq {
-            Equation::Call { node: f, .. } => index.get(f).copied(),
-            _ => None,
-        });
     }
     for d in node.outputs.iter().chain(&node.locals) {
         if !bindings.contains_key(&d.name) {
             return Err(SemError::UndefinedVariable(d.name));
         }
     }
-    Ok(NodeInfo { bindings, callees })
+    Ok(bindings)
 }
 
 /// A node instance in the (dynamically unfolded) instance tree.
@@ -111,8 +100,8 @@ impl<O: Ops> Inst<O> {
 /// The demand-driven dataflow evaluator for one root node.
 ///
 /// The program is borrowed for the evaluator's lifetime `'p`, so
-/// evaluation reads equations in place; callees are resolved to program
-/// indices once, and the memo streams are sized to the demanded horizon.
+/// evaluation reads equations in place; a call's node id indexes the
+/// program, and the memo streams are sized to the demanded horizon.
 ///
 /// # Examples
 ///
@@ -120,7 +109,7 @@ impl<O: Ops> Inst<O> {
 ///
 /// ```
 /// # use velus_nlustre::{ast::*, clock::Clock, dataflow::Dataflow, streams::*};
-/// # use velus_common::Ident;
+/// # use velus_common::{Ident, NodeId};
 /// # use velus_ops::{CConst, CTy, CBinOp, ClightOps};
 /// # let n = Ident::new("n");
 /// # let node = Node::<ClightOps> {
@@ -141,7 +130,7 @@ impl<O: Ops> Inst<O> {
 /// #     }],
 /// # };
 /// # let prog = Program::new(vec![node]);
-/// let mut eval = Dataflow::new(&prog, Ident::new("count"), vec![])?;
+/// let mut eval = Dataflow::new(&prog, NodeId::new(0), vec![])?;
 /// let outs = eval.run(3)?;
 /// // n = 0 fby (n + 1) counts 0, 1, 2, …
 /// assert_eq!(outs[0].len(), 3);
@@ -149,7 +138,7 @@ impl<O: Ops> Inst<O> {
 /// ```
 pub struct Dataflow<'p, O: Ops> {
     prog: &'p Program<O>,
-    infos: Vec<NodeInfo>,
+    infos: Vec<Bindings>,
     insts: Vec<Inst<O>>,
     inputs: Cow<'p, [Vec<SVal<O>>]>,
     root_node: usize,
@@ -169,20 +158,16 @@ impl<'p, O: Ops> Dataflow<'p, O> {
     /// equation.
     pub fn new(
         prog: &'p Program<O>,
-        f: Ident,
+        f: NodeId,
         inputs: impl Into<Cow<'p, [Vec<SVal<O>>]>>,
     ) -> Result<Self, SemError> {
         let inputs = inputs.into();
-        // The first node of each name, as a by-name scan would find it.
-        let mut index: IdentMap<usize> = IdentMap::default();
-        for (i, n) in prog.nodes.iter().enumerate() {
-            index.entry(n.name).or_insert(i);
-        }
-        let root_node = *index.get(&f).ok_or(SemError::UnknownNode(f))?;
+        prog.node(f).ok_or(SemError::UnknownNode(f))?;
+        let root_node = f.index();
         let infos = prog
             .nodes
             .iter()
-            .map(|n| node_info(n, &index))
+            .map(bindings)
             .collect::<Result<Vec<_>, _>>()?;
         if inputs.len() != prog.nodes[root_node].inputs.len() {
             return Err(SemError::InputMismatch(format!(
@@ -191,7 +176,7 @@ impl<'p, O: Ops> Dataflow<'p, O> {
                 prog.nodes[root_node].inputs.len()
             )));
         }
-        let root = Inst::new(root_node, None, infos[root_node].bindings.len());
+        let root = Inst::new(root_node, None, infos[root_node].len());
         Ok(Dataflow {
             prog,
             infos,
@@ -368,7 +353,7 @@ impl<'p, O: Ops> Dataflow<'p, O> {
         }
         let prog = self.prog;
         let node_idx = self.insts[inst].node;
-        let eq_idx = match self.infos[node_idx].bindings.get(&x) {
+        let eq_idx = match self.infos[node_idx].get(&x) {
             Some(Binding::Eq(i, _)) => *i,
             _ => return Err(SemError::UndefinedVariable(x)),
         };
@@ -429,7 +414,7 @@ impl<'p, O: Ops> Dataflow<'p, O> {
     fn var_at_inner(&mut self, inst: usize, x: Ident, n: usize) -> Result<SVal<O>, SemError> {
         let prog = self.prog;
         let node_idx = self.insts[inst].node;
-        let binding = match self.infos[node_idx].bindings.get(&x) {
+        let binding = match self.infos[node_idx].get(&x) {
             Some(b) => *b,
             None => return Err(SemError::UndefinedVariable(x)),
         };
@@ -476,14 +461,15 @@ impl<'p, O: Ops> Dataflow<'p, O> {
                         if !self.clock_at(inst, ck, n)? {
                             return Ok(SVal::Abs);
                         }
-                        let sub = self.sub_instance(inst, eq_idx, *f)?;
-                        let callee = &prog.nodes[self.insts[sub].node];
+                        let sub = self.sub_instance(inst, eq_idx, *f);
+                        let callee = &prog.nodes[f.index()];
                         let out_name = callee.outputs[out_idx].name;
                         let v = self.var_at(sub, out_name, n)?;
                         match v {
                             SVal::Pres(v) => Ok(SVal::Pres(v)),
                             SVal::Abs => Err(SemError::ClockError(format!(
-                                "output {out_name} of {f} absent while the call clock is active"
+                                "output {out_name} of {} absent while the call clock is active",
+                                callee.name
                             ))),
                         }
                     }
@@ -492,17 +478,16 @@ impl<'p, O: Ops> Dataflow<'p, O> {
         }
     }
 
-    fn sub_instance(&mut self, inst: usize, eq_idx: usize, f: Ident) -> Result<usize, SemError> {
+    fn sub_instance(&mut self, inst: usize, eq_idx: usize, f: NodeId) -> usize {
         if let Some(&s) = self.insts[inst].subs.get(&eq_idx) {
-            return Ok(s);
+            return s;
         }
-        let node =
-            self.infos[self.insts[inst].node].callees[eq_idx].ok_or(SemError::UnknownNode(f))?;
         let id = self.insts.len();
-        let vars = self.infos[node].bindings.len();
-        self.insts.push(Inst::new(node, Some((inst, eq_idx)), vars));
+        let vars = self.infos[f.index()].len();
+        self.insts
+            .push(Inst::new(f.index(), Some((inst, eq_idx)), vars));
         self.insts[inst].subs.insert(eq_idx, id);
-        Ok(id)
+        id
     }
 }
 
@@ -517,7 +502,7 @@ impl<'p, O: Ops> Dataflow<'p, O> {
 /// See [`Dataflow::run`].
 pub fn run_node<O: Ops>(
     prog: &Program<O>,
-    f: Ident,
+    f: NodeId,
     inputs: &StreamSet<O>,
     n: usize,
 ) -> Result<StreamSet<O>, SemError> {
@@ -621,7 +606,7 @@ mod tests {
             pres(&[1, 2, 3, 4, 5]),
             presb(&[false, false, false, true, false]),
         ];
-        let outs = run_node(&prog, id("counter"), &inputs, 5).unwrap();
+        let outs = run_node(&prog, NodeId::new(0), &inputs, 5).unwrap();
         // n(0) = ini = 10; then 12, 15; reset to 10; then 15.
         assert_eq!(outs[0], pres(&[10, 12, 15, 10, 15]));
     }
@@ -634,7 +619,7 @@ mod tests {
             pres(&[1, 2]),
             presb(&[false, false, false]),
         ];
-        let eval = Dataflow::new(&prog, id("counter"), inputs).unwrap();
+        let eval = Dataflow::new(&prog, NodeId::new(0), inputs).unwrap();
         assert_eq!(eval.horizon(), 2);
         // No inputs: unbounded horizon.
         let loopless = Node {
@@ -649,7 +634,7 @@ mod tests {
             }],
         };
         let prog = Program::new(vec![loopless]);
-        let eval = Dataflow::new(&prog, id("free"), vec![]).unwrap();
+        let eval = Dataflow::new(&prog, NodeId::new(0), vec![]).unwrap();
         assert_eq!(eval.horizon(), usize::MAX);
     }
 
@@ -673,7 +658,7 @@ mod tests {
             }],
         };
         let prog = Program::new(vec![node]);
-        let err = run_node(&prog, id("loopy"), &vec![], 1).unwrap_err();
+        let err = run_node(&prog, NodeId::new(0), &vec![], 1).unwrap_err();
         assert_eq!(err, SemError::CausalityLoop(id("y")));
     }
 
@@ -698,7 +683,7 @@ mod tests {
             }],
         };
         let prog = Program::new(vec![node]);
-        let outs = run_node(&prog, id("count"), &vec![], 4).unwrap();
+        let outs = run_node(&prog, NodeId::new(0), &vec![], 4).unwrap();
         assert_eq!(outs[0], pres(&[0, 1, 2, 3]));
     }
 
@@ -721,7 +706,7 @@ mod tests {
             }],
         };
         let prog = Program::new(vec![node]);
-        let err = run_node(&prog, id("divz"), &vec![pres(&[0])], 1).unwrap_err();
+        let err = run_node(&prog, NodeId::new(0), &vec![pres(&[0])], 1).unwrap_err();
         assert!(matches!(err, SemError::UndefinedOperation(_)));
     }
 
@@ -737,7 +722,7 @@ mod tests {
                 Equation::Call {
                     xs: vec![id("s")],
                     ck: Clock::Base,
-                    node: id("counter"),
+                    node: NodeId::new(0),
                     args: vec![
                         Expr::Const(CConst::int(0)),
                         ivar("g"),
@@ -747,7 +732,7 @@ mod tests {
                 Equation::Call {
                     xs: vec![id("p")],
                     ck: Clock::Base,
-                    node: id("counter"),
+                    node: NodeId::new(0),
                     args: vec![
                         Expr::Const(CConst::int(0)),
                         ivar("s"),
@@ -759,7 +744,7 @@ mod tests {
         let prog = Program::new(vec![counter(), dc]);
         // This is the d_integrator of Fig. 3; §2.2's table gives the values.
         let acc = pres(&[0, 2, 4, -2, 0, 3, -3, 2]);
-        let outs = run_node(&prog, id("dc"), &vec![acc], 8).unwrap();
+        let outs = run_node(&prog, NodeId::new(1), &vec![acc], 8).unwrap();
         assert_eq!(outs[0], pres(&[0, 2, 6, 4, 4, 7, 4, 6]));
         assert_eq!(outs[1], pres(&[0, 2, 8, 12, 16, 23, 27, 33]));
     }
@@ -782,7 +767,7 @@ mod tests {
                 Equation::Call {
                     xs: vec![id("c")],
                     ck: on_x.clone(),
-                    node: id("counter"),
+                    node: NodeId::new(0),
                     args: vec![
                         Expr::When(Box::new(Expr::Const(CConst::int(0))), id("x"), true),
                         Expr::When(Box::new(Expr::Const(CConst::int(1))), id("x"), true),
@@ -806,7 +791,7 @@ mod tests {
         };
         let prog = Program::new(vec![counter(), n]);
         let xs = presb(&[false, true, true, false, true]);
-        let outs = run_node(&prog, id("sampled"), &vec![xs], 5).unwrap();
+        let outs = run_node(&prog, NodeId::new(1), &vec![xs], 5).unwrap();
         assert_eq!(outs[0], pres(&[-1, 0, 1, -1, 2]));
     }
 }

@@ -422,7 +422,7 @@ mod tests {
             Equation::Call {
                 xs: vec![id("y")],
                 ck: Clock::Base,
-                node: id("g"),
+                node: velus_common::NodeId::new(0),
                 args: vec![var("y")],
             },
         ] {

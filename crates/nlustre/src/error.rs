@@ -2,15 +2,18 @@
 
 use std::fmt;
 
-use velus_common::{codes, Code, Diagnostic, Diagnostics, Ident, Span, SpanMap, ToDiagnostics};
+use velus_common::{
+    codes, Code, Diagnostic, Diagnostics, Ident, NodeId, Span, SpanMap, ToDiagnostics,
+};
 
 /// Errors raised by the semantic models and the scheduling passes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SemError {
     /// A variable with no defining equation (and not an input) was read.
     UndefinedVariable(Ident),
-    /// A node instantiation refers to a node that does not exist.
-    UnknownNode(Ident),
+    /// A node instantiation names no node before the caller (a later
+    /// node, which would allow recursion, or one past the program's end).
+    UnknownNode(NodeId),
     /// The demand-driven evaluation looped: instantaneous dependency cycle.
     CausalityLoop(Ident),
     /// An operator was applied outside its domain (e.g. division by zero).
@@ -153,9 +156,6 @@ impl ToDiagnostics for SemError {
             }
             SemError::UndefinedVariable(x) | SemError::CausalityLoop(x) => {
                 Diagnostic::error(self.code(), self.to_string(), spans.var_span(None, *x))
-            }
-            SemError::UnknownNode(n) => {
-                Diagnostic::error(self.code(), self.to_string(), spans.node_span(*n))
             }
             _ => Diagnostic::error(self.code(), self.to_string(), Span::DUMMY),
         };

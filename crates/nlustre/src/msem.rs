@@ -16,7 +16,7 @@
 //! the translation): within one instant, variables are read after they
 //! are written, except `fby` variables which are read before.
 
-use velus_common::{Ident, IdentMap};
+use velus_common::{Ident, IdentMap, NodeId};
 use velus_ops::Ops;
 
 use crate::ast::{CExpr, Equation, Expr, Node, Program};
@@ -33,27 +33,19 @@ pub type MemTrace<O> = Memory<Vec<<O as Ops>::Val>>;
 /// initial constant, each instance holds the callee's initial tree.
 ///
 /// This mirrors what the generated `reset` method establishes.
-///
-/// # Errors
-///
-/// Fails with [`SemError::UnknownNode`] if a call refers to a missing node.
-pub fn initial_memory<O: Ops>(
-    prog: &Program<O>,
-    node: &Node<O>,
-) -> Result<Memory<O::Val>, SemError> {
+pub fn initial_memory<O: Ops>(prog: &Program<O>, node: &Node<O>) -> Memory<O::Val> {
     let mut mem = Memory::new();
     for eq in &node.eqs {
         match eq {
             Equation::Fby { x, init, .. } => mem.set_value(*x, O::sem_const(init)),
             Equation::Call { xs, node: f, .. } => {
-                let callee = prog.node(*f).ok_or(SemError::UnknownNode(*f))?;
-                let sub = initial_memory(prog, callee)?;
+                let sub = initial_memory(prog, &prog.nodes[f.index()]);
                 mem.instances.insert(xs[0], sub);
             }
             Equation::Def { .. } => {}
         }
     }
-    Ok(mem)
+    mem
 }
 
 /// Instantaneous environment `R` for one node, one instant.
@@ -159,7 +151,7 @@ fn eval_cexpr<O: Ops>(ctx: &Ctx<'_, O>, ce: &CExpr<O>) -> Result<O::Val, SemErro
 
 /// The instant-by-instant evaluator with explicit memory.
 ///
-/// Callees are resolved by name once, at construction; the environments
+/// Callees are found by their id; the environments
 /// of the root and of every call level are cleared and reused from one
 /// instant to the next, so a step allocates only when a map first grows.
 pub struct MSem<'p, O: Ops> {
@@ -177,10 +169,10 @@ pub struct MSem<'p, O: Ops> {
     frames: Frames<'p, O>,
 }
 
-/// The node table and the reusable callee environments of [`MSem`].
+/// The program's nodes and the reusable callee environments of [`MSem`].
 struct Frames<'p, O: Ops> {
-    /// The first node of each name, as [`Program::node`] finds it.
-    nodes: IdentMap<&'p Node<O>>,
+    /// The nodes, indexed by the calls' ids.
+    nodes: &'p [Node<O>],
     /// Idle environments, taken by a call and given back on return.
     pool: Vec<Env<O>>,
 }
@@ -191,14 +183,10 @@ impl<'p, O: Ops> MSem<'p, O> {
     ///
     /// # Errors
     ///
-    /// Fails if the node does not exist or a call target is missing.
-    pub fn new(prog: &'p Program<O>, f: Ident) -> Result<Self, SemError> {
+    /// Fails if the node does not exist.
+    pub fn new(prog: &'p Program<O>, f: NodeId) -> Result<Self, SemError> {
         let node = prog.node(f).ok_or(SemError::UnknownNode(f))?;
-        let mem = initial_memory(prog, node)?;
-        let mut nodes = IdentMap::default();
-        for n in &prog.nodes {
-            nodes.entry(n.name).or_insert(n);
-        }
+        let mem = initial_memory(prog, node);
         Ok(MSem {
             node,
             mem,
@@ -208,7 +196,7 @@ impl<'p, O: Ops> MSem<'p, O> {
             span: 0,
             env: IdentMap::default(),
             frames: Frames {
-                nodes,
+                nodes: &prog.nodes,
                 pool: Vec::new(),
             },
         })
@@ -370,7 +358,7 @@ impl<'p, O: Ops> Frames<'p, O> {
                 Equation::Call {
                     xs, node: f, args, ..
                 } => {
-                    let callee = *self.nodes.get(f).ok_or(SemError::UnknownNode(*f))?;
+                    let callee = &self.nodes[f.index()];
                     if active {
                         let mut sub_env = self.pool.pop().unwrap_or_default();
                         sub_env.clear();
@@ -412,7 +400,7 @@ impl<'p, O: Ops> Frames<'p, O> {
 /// See [`MSem::step`].
 pub fn run_node_with_memory<O: Ops>(
     prog: &Program<O>,
-    f: Ident,
+    f: NodeId,
     inputs: &StreamSet<O>,
     n: usize,
 ) -> Result<(StreamSet<O>, MemTrace<O>), SemError> {
@@ -477,8 +465,8 @@ mod tests {
     fn matches_dataflow_semantics() {
         let prog = accumulator();
         let inputs = vec![pres(&[1, 2, 3, 4])];
-        let df = dataflow::run_node(&prog, id("acc"), &inputs, 4).unwrap();
-        let (ms, _) = run_node_with_memory(&prog, id("acc"), &inputs, 4).unwrap();
+        let df = dataflow::run_node(&prog, NodeId::new(0), &inputs, 4).unwrap();
+        let (ms, _) = run_node_with_memory(&prog, NodeId::new(0), &inputs, 4).unwrap();
         assert_eq!(df, ms);
         assert_eq!(ms[0], pres(&[1, 3, 6, 10]));
     }
@@ -487,7 +475,7 @@ mod tests {
     fn memory_trace_is_the_pre_instant_state() {
         let prog = accumulator();
         let inputs = vec![pres(&[1, 2, 3, 4])];
-        let (_, m) = run_node_with_memory(&prog, id("acc"), &inputs, 4).unwrap();
+        let (_, m) = run_node_with_memory(&prog, NodeId::new(0), &inputs, 4).unwrap();
         // M.values(cum)(n) is the state before instant n: 0, 1, 3, 6.
         let cum: Vec<i32> = m.values[&id("cum")]
             .iter()
@@ -521,7 +509,7 @@ mod tests {
             ],
         };
         let prog = Program::new(vec![node]);
-        let mut m = MSem::new(&prog, id("bad")).unwrap();
+        let mut m = MSem::new(&prog, NodeId::new(0)).unwrap();
         let err = m.step(&pres(&[1])).unwrap_err();
         assert!(matches!(err, SemError::BadSchedule(_)));
     }

@@ -10,12 +10,13 @@
 //!
 //! * structural sanity: distinct node names, distinct variable names,
 //!   every non-input defined exactly once, inputs never defined, calls
-//!   referring to *previously declared* nodes with matching arities;
+//!   naming a node *before* the caller (callee id < caller id: no
+//!   recursion) with matching arities;
 //! * the typing judgment: every annotation matches the operator
 //!   interface's typing functions, equation left- and right-hand sides
 //!   agree, call arguments and results match the callee's signature.
 
-use velus_common::{IdentMap, IdentSet};
+use velus_common::{IdentMap, IdentSet, NodeId};
 use velus_ops::Ops;
 
 use crate::ast::{CExpr, Equation, Expr, Node, Program};
@@ -111,9 +112,13 @@ pub fn check_cexpr<O: Ops>(env: &Env<O>, ce: &CExpr<O>) -> Result<O::Ty, SemErro
     }
 }
 
-/// Fills `env` (cleared first) with the declared types of `node`.
+/// Fills `env` (cleared first, and sized for `node`) with the declared
+/// types of `node`.
 fn build_env<O: Ops>(node: &Node<O>, env: &mut Env<O>) -> Result<(), SemError> {
+    let vars = node.inputs.len() + node.outputs.len() + node.locals.len();
     env.clear();
+    env.shrink_to(vars);
+    env.reserve(vars);
     for d in node.inputs.iter().chain(&node.outputs).chain(&node.locals) {
         if env.insert(d.name, d.ty.clone()).is_some() {
             return Err(SemError::Malformed(format!(
@@ -127,7 +132,8 @@ fn build_env<O: Ops>(node: &Node<O>, env: &mut Env<O>) -> Result<(), SemError> {
 
 fn check_equation<O: Ops>(
     env: &Env<O>,
-    declared_before: &IdentMap<&Node<O>>,
+    nodes: &[Node<O>],
+    caller: NodeId,
     eq: &Equation<O>,
 ) -> Result<(), SemError> {
     match eq {
@@ -154,10 +160,11 @@ fn check_equation<O: Ops>(
         Equation::Call {
             xs, node: f, args, ..
         } => {
-            let callee = declared_before
-                .get(f)
-                .copied()
-                .ok_or(SemError::UnknownNode(*f))?;
+            if !f.callable_from(caller) {
+                return Err(SemError::UnknownNode(*f));
+            }
+            let callee = &nodes[f.index()];
+            let f = callee.name;
             if callee.inputs.len() != args.len() {
                 return Err(SemError::InputMismatch(format!(
                     "call to {f}: {} arguments for {} inputs",
@@ -195,38 +202,26 @@ fn check_equation<O: Ops>(
     }
 }
 
-/// Checks one node against the nodes declared before it.
-///
-/// # Errors
-///
-/// Returns the first structural or typing violation found.
-pub fn check_node<O: Ops>(
-    declared_before: &IdentMap<&Node<O>>,
-    node: &Node<O>,
-) -> Result<(), SemError> {
-    check_node_with(
-        declared_before,
-        node,
-        &mut Env::<O>::default(),
-        &mut IdentSet::default(),
-    )
-}
-
-/// [`check_node`] through a caller's type environment and definition
-/// set, both cleared first, so a program check reuses them across nodes.
-fn check_node_with<O: Ops>(
-    declared_before: &IdentMap<&Node<O>>,
-    node: &Node<O>,
+/// Checks node `id` of `nodes`, whose calls may only name the nodes
+/// before it, through a type environment and a definition set, both
+/// cleared first, which a program check reuses across nodes.
+fn check_node<O: Ops>(
+    nodes: &[Node<O>],
+    id: NodeId,
     env: &mut Env<O>,
     defined: &mut IdentSet,
 ) -> Result<(), SemError> {
+    let node = &nodes[id.index()];
     build_env::<O>(node, env)?;
     if node.outputs.is_empty() {
         return Err(SemError::Malformed("node has no outputs".to_owned()));
     }
 
     // Every output and local is defined exactly once; inputs never.
+    let vars = node.outputs.len() + node.locals.len();
     defined.clear();
+    defined.shrink_to(vars);
+    defined.reserve(vars);
     for eq in &node.eqs {
         for &x in eq.defined() {
             if node.is_input(x) {
@@ -240,7 +235,7 @@ fn check_node_with<O: Ops>(
         }
         // Call results must be pairwise distinct (checked above via `defined`),
         // and the instance is identified by the first result variable.
-        check_equation::<O>(env, declared_before, eq)
+        check_equation::<O>(env, nodes, id, eq)
             .map_err(|e| e.in_node_at(node.name, eq.defined().first().copied()))?;
     }
     for d in node.outputs.iter().chain(&node.locals) {
@@ -254,33 +249,27 @@ fn check_node_with<O: Ops>(
     Ok(())
 }
 
-/// Checks a whole program: structure and typing of every node, with calls
-/// restricted to previously declared nodes (which rules out recursion, as
-/// the paper requires).
+/// Checks a whole program: unique node names, and structure and typing
+/// of every node, with calls restricted to the nodes before the caller
+/// (which rules out recursion, as the paper requires).
 ///
 /// # Errors
 ///
 /// Returns the first violation found, in declaration order.
 pub fn check_program<O: Ops>(prog: &Program<O>) -> Result<(), SemError> {
-    let mut declared: IdentMap<&Node<O>> = velus_common::ident_map_with_capacity(prog.nodes.len());
-    let vars = prog
-        .nodes
-        .iter()
-        .map(|n| n.inputs.len() + n.outputs.len() + n.locals.len())
-        .max()
-        .unwrap_or(0);
-    let mut env: Env<O> = velus_common::ident_map_with_capacity(vars);
-    let mut defined = velus_common::ident_set_with_capacity(vars);
-    for node in &prog.nodes {
-        if declared.contains_key(&node.name) {
+    // Names only: each node becomes a class and a C function of its name.
+    // Callees are found by id, never through this set.
+    let mut names: IdentSet = velus_common::ident_set_with_capacity(prog.nodes.len());
+    let (mut env, mut defined) = (Env::<O>::default(), IdentSet::default());
+    for (i, node) in prog.nodes.iter().enumerate() {
+        if !names.insert(node.name) {
             return Err(SemError::Malformed(format!(
                 "duplicate node name {}",
                 node.name
             )));
         }
-        check_node_with::<O>(&declared, node, &mut env, &mut defined)
+        check_node::<O>(&prog.nodes, NodeId::new(i), &mut env, &mut defined)
             .map_err(|e| e.in_node(node.name))?;
-        declared.insert(node.name, node);
     }
     Ok(())
 }
@@ -362,6 +351,15 @@ mod tests {
     }
 
     #[test]
+    fn rejects_duplicate_node_names() {
+        let p = P::new(vec![double(), double()]);
+        assert_eq!(
+            check_program(&p),
+            Err(SemError::Malformed("duplicate node name double".to_owned()))
+        );
+    }
+
+    #[test]
     fn rejects_double_definition() {
         let mut n = double();
         let eq = n.eqs[0].clone();
@@ -391,7 +389,7 @@ mod tests {
     #[test]
     fn rejects_call_to_later_node() {
         // caller declared before callee: forward reference is rejected.
-        let caller = Node {
+        let mut caller = Node {
             name: id("caller"),
             inputs: vec![decl("a", CTy::I32)],
             outputs: vec![decl("b", CTy::I32)],
@@ -399,16 +397,24 @@ mod tests {
             eqs: vec![Equation::Call {
                 xs: vec![id("b")],
                 ck: Clock::Base,
-                node: id("double"),
+                node: NodeId::new(1),
                 args: vec![Expr::Var(id("a"), CTy::I32)],
             }],
         };
-        let p = P::new(vec![caller, double()]);
-        assert!(matches!(
-            check_program(&p).unwrap_err().innermost(),
-            SemError::UnknownNode(_)
-        ));
-        let p = P::new(vec![double(), p.nodes[0].clone()]);
+        let mut calling = |k: usize| {
+            if let Equation::Call { node, .. } = &mut caller.eqs[0] {
+                *node = NodeId::new(k);
+            }
+            caller.clone()
+        };
+        // A later node, then a node past the end of the program.
+        for p in [vec![calling(1), double()], vec![double(), calling(7)]] {
+            assert!(matches!(
+                check_program(&P::new(p)).unwrap_err().innermost(),
+                SemError::UnknownNode(_)
+            ));
+        }
+        let p = P::new(vec![double(), calling(0)]);
         assert_eq!(check_program(&p), Ok(()));
     }
 

@@ -8,7 +8,7 @@
 use std::fmt;
 
 use velus_common::pretty::Printer;
-use velus_common::Ident;
+use velus_common::{Ident, NodeId};
 use velus_ops::Ops;
 
 /// Returns the conventional name of the `step` method.
@@ -16,16 +16,23 @@ use velus_ops::Ops;
 /// Cached: translation asks for it once per equation, and re-interning
 /// even a known string takes the interner's shard lock.
 pub fn step_name() -> Ident {
-    static STEP: std::sync::OnceLock<Ident> = std::sync::OnceLock::new();
-    *STEP.get_or_init(|| Ident::new("step"))
+    static NAME: std::sync::OnceLock<Ident> = std::sync::OnceLock::new();
+    *NAME.get_or_init(|| Ident::new("step"))
 }
 
 /// Returns the conventional name of the `reset` method (cached, see
 /// [`step_name`]).
 pub fn reset_name() -> Ident {
-    static RESET: std::sync::OnceLock<Ident> = std::sync::OnceLock::new();
-    *RESET.get_or_init(|| Ident::new("reset"))
+    static NAME: std::sync::OnceLock<Ident> = std::sync::OnceLock::new();
+    *NAME.get_or_init(|| Ident::new("reset"))
 }
+
+/// The position of `step` among a node class's methods: translation lays
+/// every node's class out as `step`, then `reset`.
+pub const STEP: usize = 0;
+
+/// The position of `reset` among a node class's methods (see [`STEP`]).
+pub const RESET: usize = 1;
 
 /// An Obc expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,8 +112,8 @@ pub enum Stmt<O: Ops> {
     Call {
         /// Variables receiving the results.
         results: Vec<Ident>,
-        /// Class of the instance.
-        class: Ident,
+        /// Class of the instance (a class before the caller's).
+        class: NodeId,
         /// Instance name.
         instance: Ident,
         /// Method name.
@@ -135,16 +142,18 @@ impl<O: Ops> Stmt<O> {
         }
     }
 
-    fn print(&self, p: &mut Printer) {
+    /// Prints the statement, naming callee classes through `classes`
+    /// (their id when `classes` does not hold them).
+    fn print(&self, p: &mut Printer, classes: &[Class<O>]) {
         match self {
             Stmt::Assign(x, e) => p.line_args(format_args!("{x} := {e};")),
             Stmt::AssignSt(x, e) => p.line_args(format_args!("state({x}) := {e};")),
             Stmt::If(e, t, f) => {
                 p.line_args(format_args!("if {e} {{"));
-                p.block(|p| t.print(p));
+                p.block(|p| t.print(p, classes));
                 if !f.is_empty() {
                     p.line("} else {");
-                    p.block(|p| f.print(p));
+                    p.block(|p| f.print(p, classes));
                 }
                 p.line("}");
             }
@@ -163,7 +172,8 @@ impl<O: Ops> Stmt<O> {
                     format!("{} := ", rs.join(", "))
                 };
                 p.line_args(format_args!(
-                    "{lhs}{class}({instance}).{method}({});",
+                    "{lhs}{}({instance}).{method}({});",
+                    ClassName(*class, classes),
                     es.join(", ")
                 ));
             }
@@ -174,7 +184,7 @@ impl<O: Ops> Stmt<O> {
 impl<O: Ops> fmt::Display for Stmt<O> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut p = Printer::new();
-        self.print(&mut p);
+        self.print(&mut p, &[]);
         f.write_str(p.finish().trim_end())
     }
 }
@@ -208,12 +218,12 @@ impl<O: Ops> Block<O> {
         self.iter().map(Stmt::size).sum::<usize>().max(1)
     }
 
-    fn print(&self, p: &mut Printer) {
+    fn print(&self, p: &mut Printer, classes: &[Class<O>]) {
         if self.is_empty() {
             p.line("skip;");
         }
         for s in self.iter() {
-            s.print(p);
+            s.print(p, classes);
         }
     }
 }
@@ -253,7 +263,7 @@ impl<O: Ops> FromIterator<Stmt<O>> for Block<O> {
 impl<O: Ops> fmt::Display for Block<O> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut p = Printer::new();
-        self.print(&mut p);
+        self.print(&mut p, &[]);
         f.write_str(p.finish().trim_end())
     }
 }
@@ -283,8 +293,9 @@ pub struct Class<O: Ops> {
     pub name: Ident,
     /// Typed memory cells (one per `fby`).
     pub memories: Vec<TypedVar<O>>,
-    /// `(instance name, class name)` pairs (one per node call).
-    pub instances: Vec<(Ident, Ident)>,
+    /// `(instance name, class)` pairs (one per node call), each class
+    /// before this one.
+    pub instances: Vec<(Ident, NodeId)>,
     /// The methods.
     pub methods: Vec<Method<O>>,
 }
@@ -294,27 +305,26 @@ impl<O: Ops> Class<O> {
     pub fn method(&self, name: Ident) -> Option<&Method<O>> {
         self.methods.iter().find(|m| m.name == name)
     }
-
-    /// The class of a declared instance.
-    pub fn instance_class(&self, instance: Ident) -> Option<Ident> {
-        self.instances
-            .iter()
-            .find(|(i, _)| *i == instance)
-            .map(|(_, c)| *c)
-    }
 }
 
-/// An Obc program: a list of classes, callees first.
+/// An Obc program: a list of classes, callees first. Translation keeps
+/// the node order, so class `k` is node `k`'s class, and a class's
+/// [`NodeId`] is its position.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObcProgram<O: Ops> {
     /// The classes in dependency order.
     pub classes: Vec<Class<O>>,
 }
 
-impl<O: Ops> ObcProgram<O> {
-    /// Looks up a class by name.
-    pub fn class(&self, name: Ident) -> Option<&Class<O>> {
-        self.classes.iter().find(|c| c.name == name)
+/// Displays class `id`'s name when `classes` holds it, the id otherwise.
+pub(crate) struct ClassName<'a, O: Ops>(pub NodeId, pub &'a [Class<O>]);
+
+impl<O: Ops> fmt::Display for ClassName<'_, O> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1.get(self.0.index()) {
+            Some(class) => write!(f, "{}", class.name),
+            None => write!(f, "{}", self.0),
+        }
     }
 }
 
@@ -328,7 +338,10 @@ impl<O: Ops> fmt::Display for ObcProgram<O> {
                     p.line_args(format_args!("memory {x}: {ty};"));
                 }
                 for (i, c) in &class.instances {
-                    p.line_args(format_args!("instance {i}: {c};"));
+                    p.line_args(format_args!(
+                        "instance {i}: {};",
+                        ClassName(*c, &self.classes)
+                    ));
                 }
                 for m in &class.methods {
                     let fmt_vars = |vs: &[TypedVar<O>]| {
@@ -344,7 +357,7 @@ impl<O: Ops> fmt::Display for ObcProgram<O> {
                         fmt_vars(&m.inputs),
                         fmt_vars(&m.locals),
                     ));
-                    p.block(|p| m.body.print(p));
+                    p.block(|p| m.body.print(p, &self.classes));
                     p.line("}");
                 }
             });
@@ -378,7 +391,7 @@ mod tests {
         assert!(!s.may_write(id("c")));
         let call: S = Stmt::Call {
             results: vec![id("a"), id("b")],
-            class: id("k"),
+            class: NodeId::new(0),
             instance: id("i"),
             method: step_name(),
             args: vec![],

@@ -2,7 +2,9 @@
 
 use std::fmt;
 
-use velus_common::{codes, Code, Diagnostic, Diagnostics, Ident, Span, SpanMap, ToDiagnostics};
+use velus_common::{
+    codes, Code, Diagnostic, Diagnostics, Ident, NodeId, Span, SpanMap, ToDiagnostics,
+};
 
 /// Errors raised by the Obc semantics, translation and checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -11,8 +13,9 @@ pub enum ObcError {
     UnboundVariable(Ident),
     /// A state variable was read but has no memory cell.
     UnboundState(Ident),
-    /// A class name could not be resolved.
-    UnknownClass(Ident),
+    /// A call or instance names no class before the caller's (a later
+    /// class, which would allow recursion, or one past the program's end).
+    UnknownClass(NodeId),
     /// A method name could not be resolved in a class.
     UnknownMethod(Ident, Ident),
     /// An operator was applied outside its domain.
@@ -67,7 +70,6 @@ impl ToDiagnostics for ObcError {
     fn to_diagnostics(&self, spans: &SpanMap) -> Diagnostics {
         let span = match self {
             ObcError::UnboundVariable(x) | ObcError::UnboundState(x) => spans.var_span(None, *x),
-            ObcError::UnknownClass(c) => spans.node_span(*c),
             ObcError::UnknownMethod(c, _) => spans.node_span(*c),
             _ => Span::DUMMY,
         };

@@ -72,7 +72,7 @@ fn check_rec<O: Ops>(
                 }
             }
             Equation::Call { xs, node: f, .. } => {
-                let callee = prog.node(*f).ok_or(ObcError::UnknownClass(*f))?;
+                let callee = &prog.nodes[f.index()];
                 let sub_trace = mtrace.instance(xs[0]).ok_or_else(|| {
                     ObcError::MemCorres(format!("no recorded sub-memory {}{}", render(path), xs[0]))
                 })?;
@@ -97,7 +97,7 @@ mod tests {
     use super::*;
     use crate::sem::Interp;
     use crate::translate::translate_program;
-    use velus_common::Ident;
+    use velus_common::{Ident, NodeId};
     use velus_nlustre::ast::{CExpr, Expr, VarDecl};
     use velus_nlustre::clock::Clock;
     use velus_nlustre::msem::MSem;
@@ -147,11 +147,11 @@ mod tests {
     #[test]
     fn memcorres_holds_along_an_execution() {
         let prog = accumulator();
-        let node = prog.node(id("acc")).unwrap();
+        let node = &prog.nodes[0];
         let obc = translate_program(&prog).unwrap();
 
         // Run the memory semantics with recording.
-        let mut msem = MSem::new(&prog, id("acc")).unwrap().recording();
+        let mut msem = MSem::new(&prog, NodeId::new(0)).unwrap().recording();
         let inputs: Vec<Vec<SVal<ClightOps>>> =
             vec![(1..=4).map(|v| SVal::Pres(CVal::int(v))).collect()];
         // Run the Obc side in lockstep, checking the relation at each
@@ -161,7 +161,7 @@ mod tests {
         let mut outs = Vec::new();
         interp
             .call(
-                id("acc"),
+                NodeId::new(0),
                 &mut mem,
                 crate::ast::reset_name(),
                 &[],
@@ -177,7 +177,7 @@ mod tests {
             let vals: Vec<CVal> = at.iter().map(|v| *v.value().unwrap()).collect();
             interp
                 .call(
-                    id("acc"),
+                    NodeId::new(0),
                     &mut mem,
                     crate::ast::step_name(),
                     &vals,
@@ -190,8 +190,8 @@ mod tests {
     #[test]
     fn corrupted_memory_is_detected() {
         let prog = accumulator();
-        let node = prog.node(id("acc")).unwrap();
-        let mut msem = MSem::new(&prog, id("acc")).unwrap().recording();
+        let node = &prog.nodes[0];
+        let mut msem = MSem::new(&prog, NodeId::new(0)).unwrap().recording();
         msem.step(&[SVal::Pres(CVal::int(1))]).unwrap();
 
         let mut mem = velus_nlustre::memory::Memory::new();
@@ -215,12 +215,12 @@ mod tests {
             eqs: vec![Equation::Call {
                 xs: vec![id("y")],
                 ck: Clock::Base,
-                node: id("acc"),
+                node: NodeId::new(0),
                 args: vec![Expr::Var(id("x"), CTy::I32)],
             }],
         });
-        let node = prog.node(id("top")).unwrap();
-        let mut msem = MSem::new(&prog, id("top")).unwrap().recording();
+        let node = &prog.nodes[1];
+        let mut msem = MSem::new(&prog, NodeId::new(1)).unwrap().recording();
         for v in [1, 2] {
             msem.step(&[SVal::Pres(CVal::int(v))]).unwrap();
         }

@@ -12,9 +12,7 @@
 //! the paper rules out via scheduling, `MemCorres`, and the existence of
 //! the dataflow semantics. Here they surface as [`ObcError`]s.
 
-use std::collections::HashMap;
-
-use velus_common::{BuildIdentHasher, Ident, IdentMap, IdentSet};
+use velus_common::{Ident, IdentMap, NodeId};
 use velus_nlustre::memory::Memory;
 use velus_ops::Ops;
 
@@ -55,15 +53,12 @@ pub fn eval_expr<O: Ops>(
 
 /// The Obc interpreter of one program.
 ///
-/// Methods are resolved by class and method name once, at construction.
-/// Calls in progress keep their argument values on one stack, and a
-/// callee's environment comes from a pool of idle ones that returns
-/// cleared maps, so repeated calls allocate only when a map first grows.
+/// A call's class id indexes the program. Calls in progress keep their
+/// argument values on one stack, and a callee's environment comes from a
+/// pool of idle ones that returns cleared maps, so repeated calls
+/// allocate only when a map first grows.
 pub struct Interp<'p, O: Ops> {
     prog: &'p ObcProgram<O>,
-    /// The method of each (class, method) pair, as [`ObcProgram::class`]
-    /// and [`crate::ast::Class::method`] find it.
-    methods: HashMap<(Ident, Ident), &'p Method<O>, BuildIdentHasher>,
     /// Argument values of the calls being set up.
     args: Vec<O::Val>,
     /// Idle environments, taken by a call and given back on return.
@@ -73,18 +68,8 @@ pub struct Interp<'p, O: Ops> {
 impl<'p, O: Ops> Interp<'p, O> {
     /// An interpreter for `prog`.
     pub fn new(prog: &'p ObcProgram<O>) -> Interp<'p, O> {
-        let mut methods = HashMap::default();
-        let mut seen = IdentSet::default();
-        for cls in &prog.classes {
-            if seen.insert(cls.name) {
-                for m in &cls.methods {
-                    methods.entry((cls.name, m.name)).or_insert(m);
-                }
-            }
-        }
         Interp {
             prog,
-            methods,
             args: Vec::new(),
             pool: Vec::new(),
         }
@@ -153,7 +138,8 @@ impl<'p, O: Ops> Interp<'p, O> {
                 let (callee_env, m) = self.invoke(*class, sub, *method, base)?;
                 if m.outputs.len() != results.len() {
                     return Err(ObcError::ArityMismatch(format!(
-                        "call to {class}.{method}: {} results bound to {} variables",
+                        "call to {}.{method}: {} results bound to {} variables",
+                        self.prog.classes[class.index()].name,
                         m.outputs.len(),
                         results.len()
                     )));
@@ -174,10 +160,11 @@ impl<'p, O: Ops> Interp<'p, O> {
     ///
     /// # Errors
     ///
-    /// See [`Interp::exec_stmt`].
+    /// [`ObcError::UnknownClass`] if the program has no class `class`;
+    /// otherwise see [`Interp::exec_stmt`].
     pub fn call(
         &mut self,
-        class: Ident,
+        class: NodeId,
         mem: &mut Memory<O::Val>,
         method: Ident,
         args: &[O::Val],
@@ -199,17 +186,21 @@ impl<'p, O: Ops> Interp<'p, O> {
     /// lies above their own base.
     fn invoke(
         &mut self,
-        class: Ident,
+        class: NodeId,
         mem: &mut Memory<O::Val>,
         method: Ident,
         base: usize,
     ) -> Result<(VEnv<O>, &'p Method<O>), ObcError> {
-        let Some(&m) = self.methods.get(&(class, method)) else {
-            return Err(match self.prog.class(class) {
-                None => ObcError::UnknownClass(class),
-                Some(_) => ObcError::UnknownMethod(class, method),
-            });
-        };
+        // Borrowed for the program's lifetime, not through `self`.
+        let prog = self.prog;
+        let class = prog
+            .classes
+            .get(class.index())
+            .ok_or(ObcError::UnknownClass(class))?;
+        let m = class
+            .method(method)
+            .ok_or(ObcError::UnknownMethod(class.name, method))?;
+        let class = class.name;
         let given = self.args.len() - base;
         if given != m.inputs.len() {
             return Err(ObcError::ArityMismatch(format!(
@@ -248,7 +239,7 @@ impl<'p, O: Ops> Interp<'p, O> {
 /// See [`Interp::call`].
 pub fn run_class<O: Ops>(
     prog: &ObcProgram<O>,
-    class: Ident,
+    class: NodeId,
     inputs: &[Option<Vec<O::Val>>],
 ) -> Result<Vec<Option<Vec<O::Val>>>, ObcError> {
     let mut interp = Interp::new(prog);
@@ -328,7 +319,7 @@ mod tests {
             Some(vec![CVal::int(2)]),
             Some(vec![CVal::int(3)]),
         ];
-        let outs = run_class(&prog, id("counter"), &inputs).unwrap();
+        let outs = run_class(&prog, NodeId::new(0), &inputs).unwrap();
         let vals: Vec<i32> = outs
             .iter()
             .map(|o| match o.as_ref().unwrap()[0] {
@@ -344,7 +335,7 @@ mod tests {
         let prog = counter_class();
         let inputs: Vec<Option<Vec<CVal>>> =
             vec![Some(vec![CVal::int(5)]), None, Some(vec![CVal::int(5)])];
-        let outs = run_class(&prog, id("counter"), &inputs).unwrap();
+        let outs = run_class(&prog, NodeId::new(0), &inputs).unwrap();
         assert!(outs[1].is_none());
         assert_eq!(outs[2].as_ref().unwrap()[0], CVal::int(10));
     }
@@ -356,7 +347,7 @@ mod tests {
         // step before reset: state(c) is unbound.
         let err = Interp::new(&prog)
             .call(
-                id("counter"),
+                NodeId::new(0),
                 &mut mem,
                 step_name(),
                 &[CVal::int(1)],
@@ -364,6 +355,24 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, ObcError::UnboundState(id("c")));
+    }
+
+    #[test]
+    fn calls_past_the_last_class_are_errors() {
+        let mut prog = counter_class();
+        prog.classes[0].methods[1].body = Stmt::Call {
+            results: vec![],
+            class: NodeId::new(5),
+            instance: id("a"),
+            method: reset_name(),
+            args: vec![],
+        }
+        .into();
+        let mut interp = Interp::new(&prog);
+        let mut reset = |k| interp.call(k, &mut Memory::new(), reset_name(), &[], &mut Vec::new());
+        let unknown = |k| Err(ObcError::UnknownClass(NodeId::new(k)));
+        assert_eq!(reset(NodeId::new(9)), unknown(9));
+        assert_eq!(reset(NodeId::new(0)), unknown(5));
     }
 
     #[test]
@@ -377,7 +386,7 @@ mod tests {
         prog.classes.push(Class {
             name: id("pair"),
             memories: vec![],
-            instances: vec![(id("a"), id("counter")), (id("b"), id("counter"))],
+            instances: vec![(id("a"), NodeId::new(0)), (id("b"), NodeId::new(0))],
             methods: vec![
                 Method {
                     name: step_name(),
@@ -387,14 +396,14 @@ mod tests {
                     body: Block(vec![
                         Stmt::Call {
                             results: vec![x],
-                            class: id("counter"),
+                            class: NodeId::new(0),
                             instance: id("a"),
                             method: step_name(),
                             args: vec![ObcExpr::Var(i, CTy::I32)],
                         },
                         Stmt::Call {
                             results: vec![y],
-                            class: id("counter"),
+                            class: NodeId::new(0),
                             instance: id("b"),
                             method: step_name(),
                             args: vec![ObcExpr::Var(x, CTy::I32)],
@@ -409,14 +418,14 @@ mod tests {
                     body: Block(vec![
                         Stmt::Call {
                             results: vec![],
-                            class: id("counter"),
+                            class: NodeId::new(0),
                             instance: id("a"),
                             method: reset_name(),
                             args: vec![],
                         },
                         Stmt::Call {
                             results: vec![],
-                            class: id("counter"),
+                            class: NodeId::new(0),
                             instance: id("b"),
                             method: reset_name(),
                             args: vec![],
@@ -426,7 +435,7 @@ mod tests {
             ],
         });
         let inputs: Vec<Option<Vec<CVal>>> = (0..3).map(|_| Some(vec![CVal::int(1)])).collect();
-        let outs = run_class(&prog, id("pair"), &inputs).unwrap();
+        let outs = run_class(&prog, NodeId::new(1), &inputs).unwrap();
         let last = outs[2].as_ref().unwrap();
         // a counts 1,2,3; b accumulates a: 1, 3, 6.
         assert_eq!(last[0], CVal::int(3));
@@ -440,11 +449,11 @@ mod tests {
         let mut interp = Interp::new(&prog);
         let mut outs = Vec::new();
         interp
-            .call(id("counter"), &mut mem, reset_name(), &[], &mut outs)
+            .call(NodeId::new(0), &mut mem, reset_name(), &[], &mut outs)
             .unwrap();
         let err = interp
             .call(
-                id("counter"),
+                NodeId::new(0),
                 &mut mem,
                 step_name(),
                 &[CVal::float(1.0)],
@@ -455,7 +464,7 @@ mod tests {
         // The interpreter stays usable after an error.
         interp
             .call(
-                id("counter"),
+                NodeId::new(0),
                 &mut mem,
                 step_name(),
                 &[CVal::int(4)],

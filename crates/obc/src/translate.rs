@@ -353,12 +353,12 @@ mod tests {
         let inc: Vec<SVal<ClightOps>> = (0..n).map(|i| SVal::Pres(CVal::int(i as i32))).collect();
         let res: Vec<SVal<ClightOps>> = (0..n).map(|i| SVal::Pres(CVal::bool(i == 3))).collect();
         let inputs = vec![ini, inc, res];
-        let df = dataflow::run_node(&prog, id("counter"), &inputs, n).unwrap();
+        let df = dataflow::run_node(&prog, velus_common::NodeId::new(0), &inputs, n).unwrap();
 
         let obc_inputs: Vec<Option<Vec<CVal>>> = (0..n)
             .map(|i| Some(inputs.iter().map(|s| *s[i].value().unwrap()).collect()))
             .collect();
-        let outs = run_class(&obc, id("counter"), &obc_inputs).unwrap();
+        let outs = run_class(&obc, velus_common::NodeId::new(0), &obc_inputs).unwrap();
         for i in 0..n {
             assert_eq!(
                 df[0][i].value().unwrap(),
@@ -372,7 +372,7 @@ mod tests {
     fn reset_reinitializes() {
         let prog = Program::new(vec![counter()]);
         let obc = translate_program(&prog).unwrap();
-        let class = obc.class(id("counter")).unwrap();
+        let class = &obc.classes[0];
         let reset = class.method(reset_name()).unwrap();
         let text = reset.body.to_string();
         assert!(text.contains("state(f) := true;"), "{text}");

@@ -7,15 +7,17 @@
 //! casts — §4.1), guards are boolean, and call sites match the callee's
 //! signature.
 
-use velus_common::{IdentMap, IdentSet};
+use velus_common::{IdentMap, IdentSet, NodeId};
 use velus_ops::Ops;
 
-use crate::ast::{Block, Class, Method, ObcExpr, ObcProgram, Stmt};
+use crate::ast::{Block, Class, ClassName, Method, ObcExpr, ObcProgram, Stmt};
 use crate::ObcError;
 
 struct Scope<'a, O: Ops> {
     vars: &'a IdentMap<O::Ty>,
     mems: &'a IdentMap<O::Ty>,
+    /// The class's instances: name → class.
+    insts: &'a IdentMap<NodeId>,
     class: &'a Class<O>,
     prog: &'a ObcProgram<O>,
 }
@@ -106,12 +108,15 @@ fn check_stmt<O: Ops>(sc: &Scope<'_, O>, s: &Stmt<O>) -> Result<(), ObcError> {
             method,
             args,
         } => {
-            match sc.class.instance_class(*instance) {
-                Some(c) if c == *class => {}
+            match sc.insts.get(instance) {
+                Some(c) if c == class => {}
                 Some(c) => {
+                    let name = |c: &NodeId| sc.prog.classes[c.index()].name;
                     return Err(ObcError::TypeError(format!(
-                        "instance {instance} has class {c}, call names {class}"
-                    )))
+                        "instance {instance} has class {}, call names {}",
+                        name(c),
+                        name(class)
+                    )));
                 }
                 None => {
                     return Err(ObcError::Malformed(format!(
@@ -120,15 +125,16 @@ fn check_stmt<O: Ops>(sc: &Scope<'_, O>, s: &Stmt<O>) -> Result<(), ObcError> {
                     )))
                 }
             }
-            let callee = sc
-                .prog
-                .class(*class)
-                .ok_or(ObcError::UnknownClass(*class))?;
+            // The instance's class was checked to come before this one.
+            let callee = &sc.prog.classes[class.index()];
             let m = callee
                 .method(*method)
-                .ok_or(ObcError::UnknownMethod(*class, *method))?;
+                .ok_or(ObcError::UnknownMethod(callee.name, *method))?;
             if m.inputs.len() != args.len() || m.outputs.len() != results.len() {
-                return Err(ObcError::ArityMismatch(format!("call to {class}.{method}")));
+                return Err(ObcError::ArityMismatch(format!(
+                    "call to {}.{method}",
+                    callee.name
+                )));
             }
             for (a, (px, pt)) in args.iter().zip(&m.inputs) {
                 let ta = expr_ty(sc, a)?;
@@ -154,13 +160,13 @@ fn check_stmt<O: Ops>(sc: &Scope<'_, O>, s: &Stmt<O>) -> Result<(), ObcError> {
     }
 }
 
-/// Checks one method. `mems` holds the class's memories; `vars` is
-/// scratch, refilled with the method's variables.
+/// Checks one method. `mems` and `insts` hold the class's memories and
+/// instances; `vars` is scratch, refilled with the method's variables.
 fn check_method<O: Ops>(
     prog: &ObcProgram<O>,
     class: &Class<O>,
     m: &Method<O>,
-    mems: &IdentMap<O::Ty>,
+    (mems, insts): (&IdentMap<O::Ty>, &IdentMap<NodeId>),
     vars: &mut IdentMap<O::Ty>,
 ) -> Result<(), ObcError> {
     vars.clear();
@@ -175,42 +181,52 @@ fn check_method<O: Ops>(
     let sc = Scope {
         vars,
         mems,
+        insts,
         class,
         prog,
     };
     check_block(&sc, &m.body)
 }
 
-/// Checks well-typedness of a whole Obc program. Classes may only
-/// instantiate previously declared classes (ruling out recursion).
+/// Checks well-typedness of a whole Obc program. Class names are unique,
+/// and classes may only instantiate the classes before them (ruling out
+/// recursion).
 ///
 /// # Errors
 ///
 /// The first typing or structural violation, in declaration order.
 pub fn check_program<O: Ops>(prog: &ObcProgram<O>) -> Result<(), ObcError> {
-    let mut seen: IdentSet = velus_common::ident_set_with_capacity(prog.classes.len());
-    let (mut mems, mut vars) = (IdentMap::default(), IdentMap::default());
-    for class in &prog.classes {
-        if seen.contains(&class.name) {
+    // Names only: the emitted C declares one struct and one function per
+    // class name. Callees are found by id, never through this set.
+    let mut names: IdentSet = velus_common::ident_set_with_capacity(prog.classes.len());
+    let (mut mems, mut insts, mut vars) = (
+        IdentMap::default(),
+        IdentMap::default(),
+        IdentMap::default(),
+    );
+    for (k, class) in prog.classes.iter().enumerate() {
+        if !names.insert(class.name) {
             return Err(ObcError::Malformed(format!(
                 "duplicate class {}",
                 class.name
             )));
         }
-        for (i, c) in &class.instances {
-            if !seen.contains(c) {
+        insts.clear();
+        for &(i, c) in &class.instances {
+            if !c.callable_from(NodeId::new(k)) {
                 return Err(ObcError::Malformed(format!(
-                    "class {}: instance {i} of undeclared class {c}",
-                    class.name
+                    "class {}: instance {i} of undeclared class {}",
+                    class.name,
+                    ClassName(c, &prog.classes)
                 )));
             }
+            insts.insert(i, c);
         }
         mems.clear();
         mems.extend(class.memories.iter().cloned());
         for m in &class.methods {
-            check_method(prog, class, m, &mems, &mut vars)?;
+            check_method(prog, class, m, (&mems, &insts), &mut vars)?;
         }
-        seen.insert(class.name);
     }
     Ok(())
 }
@@ -287,17 +303,22 @@ mod tests {
 
     #[test]
     fn rejects_forward_instances() {
-        let mut p = counter();
-        p.classes[0].instances.push((id("sub"), id("later")));
-        let mut later = counter().classes.remove(0);
-        later.name = id("later");
-        p.classes.push(later);
-        assert_eq!(
-            check_program(&p),
-            Err(ObcError::Malformed(
-                "class k: instance sub of undeclared class later".to_owned()
-            ))
-        );
+        // An instance of the class after `k`, then of a class past the end.
+        for (callee, name) in [(1, "later"), (5, "#5")] {
+            let mut p = counter();
+            p.classes[0]
+                .instances
+                .push((id("sub"), NodeId::new(callee)));
+            let mut later = counter().classes.remove(0);
+            later.name = id("later");
+            p.classes.push(later);
+            assert_eq!(
+                check_program(&p),
+                Err(ObcError::Malformed(format!(
+                    "class k: instance sub of undeclared class {name}"
+                )))
+            );
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! The service admits a request before queueing it and releases the
 //! admission when the request completes. A **count cap**
-//! ([`AdmissionConfig::queue_cap`]) bounds outstanding admitted requests
-//! (queued + running) — the classic bounded queue.
+//! ([`ServiceConfig::queue_cap`](crate::ServiceConfig::queue_cap)) bounds
+//! outstanding admitted requests (queued + running) — the classic
+//! bounded queue.
 //!
 //! Over-cap work is rejected with `E0801` immediately instead of
 //! queueing unboundedly; a draining service rejects with `E0805`.
@@ -26,15 +27,6 @@ use std::time::Duration;
 
 use crate::cache::ContentDigest;
 
-/// Admission bounds. The default is unbounded (every request admitted),
-/// which preserves the pre-admission behavior of `compile_batch`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdmissionConfig {
-    /// Maximum outstanding admitted requests (queued + running).
-    /// `None` = unbounded.
-    pub queue_cap: Option<usize>,
-}
-
 /// Why a request was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AdmitReject {
@@ -50,16 +42,17 @@ pub(crate) enum AdmitReject {
 /// The admission gate: outstanding-work accounting plus the drain flag.
 #[derive(Debug, Default)]
 pub(crate) struct Admission {
-    config: AdmissionConfig,
+    /// Maximum outstanding admitted requests; `None` = unbounded.
+    queue_cap: Option<usize>,
     /// Admitted, not yet completed requests.
     outstanding: AtomicU64,
     draining: AtomicBool,
 }
 
 impl Admission {
-    pub(crate) fn new(config: AdmissionConfig) -> Admission {
+    pub(crate) fn new(queue_cap: Option<usize>) -> Admission {
         Admission {
-            config,
+            queue_cap,
             ..Admission::default()
         }
     }
@@ -75,7 +68,7 @@ impl Admission {
         // and one rolls back — the cap is honored, never overshot
         // silently by more than the race window.
         let queued = self.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(cap) = self.config.queue_cap {
+        if let Some(cap) = self.queue_cap {
             if queued > cap as u64 {
                 self.outstanding.fetch_sub(1, Ordering::Relaxed);
                 return Err(AdmitReject::Overloaded { queued: queued - 1 });
@@ -249,7 +242,7 @@ mod tests {
 
     #[test]
     fn unbounded_admission_admits_everything() {
-        let a = Admission::new(AdmissionConfig::default());
+        let a = Admission::new(None);
         for _ in 0..10_000 {
             a.try_admit().unwrap();
         }
@@ -258,7 +251,7 @@ mod tests {
 
     #[test]
     fn queue_cap_sheds_and_release_reopens() {
-        let a = Admission::new(AdmissionConfig { queue_cap: Some(2) });
+        let a = Admission::new(Some(2));
         a.try_admit().unwrap();
         a.try_admit().unwrap();
         assert_eq!(a.try_admit(), Err(AdmitReject::Overloaded { queued: 2 }));
@@ -270,7 +263,7 @@ mod tests {
 
     #[test]
     fn draining_closes_admission() {
-        let a = Admission::new(AdmissionConfig::default());
+        let a = Admission::new(None);
         a.try_admit().unwrap();
         a.close();
         assert!(a.is_closed());

@@ -65,7 +65,7 @@ pub mod pool;
 pub mod service;
 pub mod stats;
 
-pub use admit::{AdmissionConfig, RetryPolicy};
+pub use admit::RetryPolicy;
 pub use cache::{
     ArtifactCache, CacheConfig, CacheCounters, CacheKey, ContentDigest, RequestContent,
 };

@@ -13,7 +13,7 @@
 //!            shed                 rejected      retry w/ backoff
 //! ```
 //!
-//! * **Admission** ([`crate::AdmissionConfig`]) bounds the count of
+//! * **Admission** ([`ServiceConfig::queue_cap`]) bounds the count of
 //!   outstanding work and sheds the excess with
 //!   [`ServiceError::Overloaded`] instead of queueing unboundedly.
 //! * **Deadlines**: a request's `deadline_ms` starts at admission; the
@@ -39,7 +39,7 @@ use velus_common::{codes, RetryClass, Severity};
 use velus_obs::trace;
 use velus_obs::Recorder;
 
-use crate::admit::{Admission, AdmissionConfig, AdmitReject, Backoff, Quarantine, RetryPolicy};
+use crate::admit::{Admission, AdmitReject, Backoff, Quarantine, RetryPolicy};
 use crate::cache::{ArtifactCache, CacheConfig, ContentDigest, RequestContent};
 use crate::cancel::{CancelReason, CancelToken};
 use crate::pool::{WorkerPool, DEFAULT_SHUTDOWN_TIMEOUT};
@@ -65,9 +65,10 @@ pub struct ServiceConfig {
     /// requests' span trees. `None` (the default) keeps the service
     /// entirely trace-free.
     pub recorder: Option<Recorder>,
-    /// Admission bounds (queue cap). The default admits everything,
-    /// matching the pre-admission behavior.
-    pub admission: AdmissionConfig,
+    /// Maximum outstanding admitted requests (queued + running); over
+    /// it, requests are shed with `E0801`. `None` (the default) admits
+    /// everything.
+    pub queue_cap: Option<usize>,
     /// Retry policy for transient failures. The default budget is 0:
     /// retrying is opt-in.
     pub retry: RetryPolicy,
@@ -86,7 +87,7 @@ impl Default for ServiceConfig {
             caching: true,
             cache: CacheConfig::default(),
             recorder: None,
-            admission: AdmissionConfig::default(),
+            queue_cap: None,
             retry: RetryPolicy::default(),
             quarantine_cap: 64,
             shutdown_timeout: DEFAULT_SHUTDOWN_TIMEOUT,
@@ -409,7 +410,7 @@ impl<C: Compiler> CompileService<C> {
                 caching: config.caching,
                 stats: StatsCollector::new(),
                 in_flight: AtomicU64::new(0),
-                admission: Admission::new(config.admission),
+                admission: Admission::new(config.queue_cap),
                 quarantine: Quarantine::new(config.quarantine_cap),
                 retry: config.retry,
                 kill: Arc::new(AtomicBool::new(false)),
@@ -465,11 +466,6 @@ impl<C: Compiler> CompileService<C> {
             self.in_flight(),
             self.inner.quarantine.len(),
         )
-    }
-
-    /// Drops every cached artifact (for benchmarking cold paths).
-    pub fn clear_cache(&self) {
-        self.inner.cache.clear();
     }
 
     /// Compiles one request on the calling thread (same cache,
@@ -1326,7 +1322,7 @@ mod tests {
             Toy::new(),
             ServiceConfig {
                 workers: 2,
-                admission: AdmissionConfig { queue_cap: Some(0) },
+                queue_cap: Some(0),
                 ..Default::default()
             },
         );

@@ -576,8 +576,8 @@ fn fmt_nanos(ns: u64) -> String {
 }
 
 impl std::fmt::Display for StatsSnapshot {
-    /// Renders an aligned plain-text table (the `velus batch` CLI and
-    /// the service bench print this verbatim).
+    /// Renders an aligned plain-text table (the `velus batch` CLI prints
+    /// this verbatim).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,

@@ -38,13 +38,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use velus::{Compiled, StagedPipeline, VelusError};
-use velus_clight::generate::{method_fn_name, out_struct_name};
+use velus_clight::generate::out_struct_name;
 use velus_clight::interp::{Machine, RVal};
 use velus_clight::ClightError;
-use velus_common::{json_escape, Diagnostics, Ident, SpanMap};
+use velus_common::{json_escape, Diagnostics, Ident, NodeId, SpanMap};
 use velus_nlustre::ast::{CExpr, Equation, Expr, Program};
 use velus_nlustre::streams::{SVal, StreamSet};
-use velus_obc::ast::{reset_name, step_name};
+use velus_obc::ast::{step_name, RESET, STEP};
 use velus_ops::{CConst, CTy, CVal, ClightOps, Literal, Ops};
 
 use crate::gen::{gen_inputs, gen_program, GenConfig};
@@ -388,24 +388,29 @@ fn drive(
         .snlustre
         .node(root)
         .ok_or_else(|| format!("root {root} missing from the scheduled program"))?;
+    let method = |j| {
+        c.clight
+            .method_fn(root, j)
+            .ok_or_else(|| format!("root {root} missing from the Clight program"))
+    };
     let err = |e: ClightError| e.to_string();
 
     let mut machine = Machine::new(&c.clight).map_err(err)?;
-    let selfb = machine.alloc_struct(root).map_err(err)?;
+    let selfb = machine.alloc_struct(node.name).map_err(err)?;
     machine
-        .call(method_fn_name(root, reset_name()), &[RVal::Ptr(selfb, 0)])
+        .call(method(RESET)?, &[RVal::Ptr(selfb, 0)])
         .map_err(err)?;
     let outb = if node.outputs.len() >= 2 {
         Some(
             machine
-                .alloc_struct(out_struct_name(root, step_name()))
+                .alloc_struct(out_struct_name(node.name, step_name()))
                 .map_err(err)?,
         )
     } else {
         None
     };
 
-    let step_fn = method_fn_name(root, step_name());
+    let step_fn = method(STEP)?;
     let mut args = Vec::with_capacity(2 + inputs.len());
     for i in 0..steps {
         args.clear();
@@ -573,8 +578,8 @@ fn check_compiled(
 pub struct ShrinkCase {
     /// The program (mutated in place by the shrinker).
     pub prog: Program<ClightOps>,
-    /// The root node name (never deleted).
-    pub root: Ident,
+    /// The root node (never deleted).
+    pub root: NodeId,
     /// Input streams for the root node.
     pub inputs: StreamSet<ClightOps>,
     /// Checked prefix length.
@@ -593,6 +598,39 @@ impl ShrinkCase {
     pub fn source(&self) -> String {
         lustre_source(&self.prog)
     }
+
+    /// Deletes node `i` and renumbers the calls and the root past it, so
+    /// every call still names the same callee; refuses the root and any
+    /// node still called.
+    fn remove_node(&mut self, i: usize) -> bool {
+        if i == self.root.index() || callees(&self.prog).any(|f| f.index() == i) {
+            return false;
+        }
+        self.prog.nodes.remove(i);
+        let shift = |f: &mut NodeId| {
+            if f.index() > i {
+                *f = NodeId::new(f.index() - 1);
+            }
+        };
+        for eq in self.prog.nodes.iter_mut().flat_map(|n| &mut n.eqs) {
+            if let Equation::Call { node, .. } = eq {
+                shift(node);
+            }
+        }
+        shift(&mut self.root);
+        true
+    }
+}
+
+/// The callee of every call equation of `prog`, caller by caller.
+fn callees(prog: &Program<ClightOps>) -> impl Iterator<Item = NodeId> + '_ {
+    prog.nodes
+        .iter()
+        .flat_map(|n| &n.eqs)
+        .filter_map(|eq| match eq {
+            Equation::Call { node, .. } => Some(*node),
+            _ => None,
+        })
 }
 
 /// What the shrinker did.
@@ -834,15 +872,14 @@ pub fn shrink(
             }
         }
 
-        // 2. Delete whole nodes (never the root).
+        // 2. Delete whole nodes (never the root, nor a called node).
         let mut i = 0;
         while i < case.prog.nodes.len() && stats.attempts < budget {
-            if case.prog.nodes[i].name == case.root {
+            let mut cand = case.clone();
+            if !cand.remove_node(i) {
                 i += 1;
                 continue;
             }
-            let mut cand = case.clone();
-            cand.prog.nodes.remove(i);
             if try_candidate(case, cand, &mut stats) {
                 improved = true;
             } else {
@@ -851,20 +888,18 @@ pub fn shrink(
         }
 
         // 3. Delete root inputs, declaration and stream together.
-        let root_idx = case.prog.nodes.iter().position(|n| n.name == case.root);
-        if let Some(root_idx) = root_idx {
-            let mut k = 0;
-            while k < case.prog.nodes[root_idx].inputs.len() && stats.attempts < budget {
-                let mut cand = case.clone();
-                cand.prog.nodes[root_idx].inputs.remove(k);
-                if k < cand.inputs.len() {
-                    cand.inputs.remove(k);
-                }
-                if try_candidate(case, cand, &mut stats) {
-                    improved = true;
-                } else {
-                    k += 1;
-                }
+        let root_idx = case.root.index();
+        let mut k = 0;
+        while k < case.prog.nodes[root_idx].inputs.len() && stats.attempts < budget {
+            let mut cand = case.clone();
+            cand.prog.nodes[root_idx].inputs.remove(k);
+            if k < cand.inputs.len() {
+                cand.inputs.remove(k);
+            }
+            if try_candidate(case, cand, &mut stats) {
+                improved = true;
+            } else {
+                k += 1;
             }
         }
 
@@ -1406,7 +1441,7 @@ fn shrink_and_package(
 
     let traps = profile.gen.trap_divisors;
     if let Some(c) = case.as_mut() {
-        let root_s = c.root.to_string();
+        let root_s = c.prog.nodes[c.root.index()].name.to_string();
         // Only shrink if the AST form actually reproduces (a mutant's
         // elaborated AST may not round-trip; then we keep the textual
         // source untouched).
@@ -1474,11 +1509,7 @@ pub fn run_seed(seed: u64, cfg: &CampaignConfig) -> SeedResult {
     let profile = &cfg.profiles[(seed % cfg.profiles.len() as u64) as usize];
     let mut rng = StdRng::seed_from_u64(seed);
     let prog = gen_program(&mut rng, &profile.gen);
-    let root = prog
-        .nodes
-        .last()
-        .expect("generated programs are non-empty")
-        .name;
+    let root = NodeId::new(prog.nodes.len() - 1);
     let source = lustre_source(&prog);
     let do_mutate = cfg.mutate_pct > 0 && rng.gen_range(0..100) < cfg.mutate_pct;
 
@@ -1509,13 +1540,13 @@ fn run_generated(
     profile: &Profile,
     rng: &mut StdRng,
     prog: Program<ClightOps>,
-    root: Ident,
+    root: NodeId,
     source: &str,
     budget: usize,
 ) -> (SeedOutcome, Option<ClaimCheck>) {
     let node = prog.node(root).expect("root exists").clone();
     let inputs = gen_inputs(rng, &node, profile.steps);
-    let root_s = root.to_string();
+    let root_s = node.name.to_string();
     let checked = check(
         source,
         Some(&root_s),
@@ -1639,7 +1670,7 @@ fn run_mutant(
         first @ (CheckOutcome::Diverged(_) | CheckOutcome::Panicked { .. }) => {
             // Shrink on the *elaborated* AST of the mutant; if that AST
             // does not round-trip the packager keeps the raw text.
-            let root_s = root.to_string();
+            let root_s = compiled.snlustre.nodes[root.index()].name.to_string();
             let case = ShrinkCase {
                 prog: compiled.nlustre,
                 root,
@@ -1819,9 +1850,10 @@ mod tests {
         // exactly that boundary and keep the witness.
         let mut rng = StdRng::seed_from_u64(7);
         let prog = gen_program(&mut rng, &GenConfig::default());
-        let root = prog.nodes.last().unwrap().name;
+        let root = NodeId::new(prog.nodes.len() - 1);
         let node = prog.node(root).unwrap().clone();
         let inputs = gen_inputs(&mut rng, &node, 12);
+        let root_name = node.name;
         let mut case = ShrinkCase {
             prog,
             root,
@@ -1834,7 +1866,7 @@ mod tests {
         });
         assert_eq!(case.steps, 3, "steps not minimized");
         assert!(case.prog.nodes.iter().any(|n| n.name == witness));
-        assert!(case.prog.nodes.iter().any(|n| n.name == root));
+        assert_eq!(case.prog.nodes[case.root.index()].name, root_name);
         assert!(stats.accepted >= 1);
         assert!(stats.attempts >= stats.accepted);
         // Input streams were truncated along with the step count.
@@ -1842,10 +1874,52 @@ mod tests {
     }
 
     #[test]
+    fn deleting_an_uncalled_node_keeps_every_call_on_its_callee() {
+        // A node's text names its callees through the ids, so the other
+        // nodes, and the root's name, must print as before.
+        let text = |c: &ShrinkCase| -> Vec<String> {
+            let root = c.prog.nodes[c.root.index()].name.to_string();
+            let prog = c.prog.to_string();
+            prog.split("\n\n")
+                .map(str::to_owned)
+                .chain([root])
+                .collect()
+        };
+        let mut shifted = false;
+        for seed in 0..8 {
+            let cfg = GenConfig {
+                nodes: 6,
+                ..GenConfig::default()
+            };
+            let prog = gen_program(&mut StdRng::seed_from_u64(seed), &cfg);
+            let root = NodeId::new(prog.nodes.len() - 1);
+            let (inputs, steps) = (Vec::new(), 1);
+            let case = ShrinkCase {
+                prog,
+                root,
+                inputs,
+                steps,
+            };
+            assert!(!case.clone().remove_node(root.index()), "the root stays");
+            for i in 0..root.index() {
+                let mut cand = case.clone();
+                if cand.remove_node(i) {
+                    let mut kept = text(&case);
+                    kept.remove(i);
+                    assert_eq!(text(&cand), kept, "seed {seed}, node {i}");
+                    velus_nlustre::typecheck::check_program(&cand.prog).unwrap();
+                    shifted |= callees(&case.prog).any(|f| f.index() > i);
+                }
+            }
+        }
+        assert!(shifted, "no deletion renumbered a call");
+    }
+
+    #[test]
     fn shrinking_respects_the_budget_and_terminates() {
         let mut rng = StdRng::seed_from_u64(11);
         let prog = gen_program(&mut rng, &GenConfig::default());
-        let root = prog.nodes.last().unwrap().name;
+        let root = NodeId::new(prog.nodes.len() - 1);
         let node = prog.node(root).unwrap().clone();
         let inputs = gen_inputs(&mut rng, &node, 12);
         let mut case = ShrinkCase {
@@ -1866,9 +1940,9 @@ mod tests {
         // full oracle set, proving shrink steps preserve well-formedness.
         let mut rng = StdRng::seed_from_u64(3);
         let prog = gen_program(&mut rng, &GenConfig::default());
-        let root = prog.nodes.last().unwrap().name;
-        let root_s = root.to_string();
+        let root = NodeId::new(prog.nodes.len() - 1);
         let node = prog.node(root).unwrap().clone();
+        let root_s = node.name.to_string();
         let inputs = gen_inputs(&mut rng, &node, 6);
         let mut case = ShrinkCase {
             prog,
@@ -1922,7 +1996,7 @@ mod tests {
         // find the failure gone (acceptable).
         let mut rng = StdRng::seed_from_u64(5);
         let prog = gen_program(&mut rng, &GenConfig::default());
-        let root = prog.nodes.last().unwrap().name;
+        let root = NodeId::new(prog.nodes.len() - 1);
         let node = prog.node(root).unwrap().clone();
         let inputs = gen_inputs(&mut rng, &node, 5);
         let profile = lint_traps_profile();
@@ -1941,7 +2015,7 @@ mod tests {
             }),
             detail: "synthetic record for the round-trip test".to_owned(),
             source: lustre_source(&prog),
-            root: Some(root.to_string()),
+            root: Some(node.name.to_string()),
             steps: 5,
             inputs: Some(inputs),
             shrink: ShrinkStats {

@@ -19,7 +19,7 @@
 
 use rand::prelude::*;
 
-use velus_common::Ident;
+use velus_common::{Ident, NodeId};
 use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program, VarDecl};
 use velus_nlustre::clock::Clock;
 use velus_nlustre::streams::{SVal, StreamSet};
@@ -385,7 +385,9 @@ fn gen_node<R: Rng>(
         };
         // A call to an earlier node?
         if !earlier.is_empty() && g.rng.gen_ratio(1, 4) {
-            let callee = earlier.choose(g.rng).expect("non-empty").clone();
+            // The draw `choose` makes, keeping the callee's id.
+            let k = g.rng.gen_range(0..earlier.len());
+            let callee = &earlier[k];
             let args: Vec<Expr<ClightOps>> =
                 callee.inputs.iter().map(|d| g.expr(d.ty, &ck, 1)).collect();
             let xs: Vec<Ident> = callee
@@ -410,7 +412,7 @@ fn gen_node<R: Rng>(
             eqs.push(Equation::Call {
                 xs,
                 ck,
-                node: callee.name,
+                node: NodeId::new(k),
                 args,
             });
             continue;
@@ -667,7 +669,7 @@ mod tests {
             let mut prog = gen_program(&mut rng, &GenConfig::default());
             velus_nlustre::schedule::schedule_program(&mut prog)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
-            let root = prog.nodes.last().expect("nodes").name;
+            let root = NodeId::new(prog.nodes.len() - 1);
             let node = prog.node(root).unwrap().clone();
             let inputs = gen_inputs(&mut rng, &node, 10);
             velus_nlustre::dataflow::run_node(&prog, root, &inputs, 10)
@@ -693,7 +695,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
             velus_nlustre::schedule::schedule_program(&mut prog)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
-            let root = prog.nodes.last().expect("nodes").name;
+            let root = NodeId::new(prog.nodes.len() - 1);
             let node = prog.node(root).unwrap().clone();
             let inputs = gen_inputs(&mut rng, &node, 8);
             velus_nlustre::dataflow::run_node(&prog, root, &inputs, 8)

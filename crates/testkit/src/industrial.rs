@@ -14,7 +14,7 @@
 //! include parsing and elaboration in the measurement, as the paper's
 //! timing does).
 
-use velus_common::Ident;
+use velus_common::{Ident, NodeId};
 use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program, VarDecl};
 use velus_nlustre::clock::Clock;
 use velus_ops::{CBinOp, CConst, CTy, ClightOps};
@@ -172,7 +172,7 @@ fn make_node(index: usize, cfg: &IndustrialConfig, det: &mut Det) -> Node<Clight
 
     // Calls to earlier nodes.
     for k in 0..cfg.fan_in.min(index) {
-        let callee = Ident::new(&format!("blk{}", det.below(index)));
+        let callee = NodeId::new(det.below(index));
         let r = Ident::new(&format!("r{k}"));
         locals.push(VarDecl {
             name: r,

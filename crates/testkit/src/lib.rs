@@ -22,9 +22,9 @@
 //! * [`json`] — a minimal JSON reader: replays reproducer records and
 //!   checks the well-formedness of every JSON document the workspace
 //!   emits (`velus-bench --bin jsoncheck`).
-//! * [`shapes`] — single-node sources that grow along one axis
-//!   (equations per node, `if` nesting), for scaling curves and output
-//!   bounds.
+//! * [`shapes`] — sources that grow along one axis (equations per node,
+//!   `if` nesting, instance depth, instances per node), for scaling
+//!   curves and output bounds.
 //! * [`chaos`] — deterministic fault injection for the compilation
 //!   service: a [`chaos::ChaosCompiler`] wrapping any compiler with
 //!   seeded panics, transient failures, and cancellable delays (the

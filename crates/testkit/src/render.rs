@@ -116,14 +116,8 @@ fn decls_into(ds: &[VarDecl<ClightOps>], out: &mut String) {
     }
 }
 
-/// Renders one node in surface syntax.
-pub fn node_source(node: &Node<ClightOps>) -> String {
-    let mut out = String::new();
-    node_into(node, &mut out);
-    out
-}
-
-fn node_into(node: &Node<ClightOps>, out: &mut String) {
+/// Renders one node in surface syntax, naming callees through `nodes`.
+fn node_into(node: &Node<ClightOps>, nodes: &[Node<ClightOps>], out: &mut String) {
     let _ = write!(out, "node {}(", node.name);
     decls_into(&node.inputs, out);
     out.push_str(") returns (");
@@ -149,6 +143,7 @@ fn node_into(node: &Node<ClightOps>, out: &mut String) {
             Equation::Call {
                 xs, node: f, args, ..
             } => {
+                let f = nodes[f.index()].name;
                 if xs.len() == 1 {
                     let _ = write!(out, "{} = {f}(", xs[0]);
                 } else {
@@ -183,7 +178,7 @@ pub fn lustre_source(prog: &Program<ClightOps>) -> String {
         if i > 0 {
             out.push('\n');
         }
-        node_into(node, &mut out);
+        node_into(node, &prog.nodes, &mut out);
     }
     out
 }
@@ -218,14 +213,15 @@ mod tests {
             for seed in 0..25u64 {
                 let mut rng = StdRng::seed_from_u64(seed + 7000 * k as u64);
                 let prog = gen_program(&mut rng, cfg);
-                let root = prog.nodes.last().expect("non-empty").name;
+                let root = velus_common::NodeId::new(prog.nodes.len() - 1);
                 let src = lustre_source(&prog);
                 let fe = velus_lustre::frontend::<velus_ops::ClightOps>(&src).unwrap_or_else(|e| {
                     panic!("cfg {k} seed {seed}: frontend rejected:\n{src}\n{e}")
                 });
-                assert!(
-                    fe.program.node(root).is_some(),
-                    "cfg {k} seed {seed}: root {root} lost in round trip\n{src}"
+                assert_eq!(
+                    fe.program.node(root).map(|n| n.name),
+                    prog.node(root).map(|n| n.name),
+                    "cfg {k} seed {seed}: root lost in round trip\n{src}"
                 );
             }
         }

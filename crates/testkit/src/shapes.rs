@@ -1,11 +1,13 @@
-//! Single-node source shapes for scaling curves: one generator per axis
-//! along which a pass could grow superlinearly.
+//! Source shapes for scaling curves: one generator per axis along which
+//! a pass could grow superlinearly.
 //!
-//! The fixed corpora contain only small nodes, so they hide costs
-//! quadratic in the size of one node. Each generator here grows one
-//! dimension of a single node and keeps everything else fixed, so that
-//! doubling its argument should at most double every pass's time,
-//! allocations and output (`velus-bench --bin pipeline --scale`).
+//! The fixed corpora contain only small nodes and few of them, so they
+//! hide costs quadratic in the size of one node or in the node count.
+//! Each generator here grows one dimension — equations or nesting in
+//! one node, instance depth or instance fan-out across nodes — and keeps
+//! everything else fixed, so that doubling its argument should at most
+//! double every pass's time, allocations and output
+//! (`velus-bench --bin pipeline --scale`).
 
 use std::fmt::Write as _;
 
@@ -53,5 +55,50 @@ pub fn nest_source(depth: usize) -> String {
         );
     }
     src.push_str("x;\ntel\n");
+    src
+}
+
+/// An instance chain of `n` nodes (`n` ≥ 2): `n0` adds one to its input,
+/// each later node instantiates the one before, and the last is the root
+/// `top`, so the instance depth is the node count. The shape on which
+/// a callee looked up by a scan over the nodes costs quadratic time.
+pub fn instance_chain_source(n: usize) -> String {
+    let mut src = String::from("node n0(x: int) returns (y: int)\nlet y = x + 1; tel\n");
+    for k in 1..n {
+        let name = if k + 1 == n {
+            "top".to_owned()
+        } else {
+            format!("n{k}")
+        };
+        let _ = writeln!(
+            src,
+            "node {name}(x: int) returns (y: int)\nlet y = n{}(x) + 1; tel",
+            k - 1
+        );
+    }
+    src
+}
+
+/// A root `top` that instantiates `n` distinct leaf nodes, each once,
+/// threading one value through them: `n + 1` nodes, instance depth one.
+/// The shape on which a per-class or per-call scan over the instances
+/// costs quadratic time.
+pub fn wide_root_source(n: usize) -> String {
+    let mut src = String::new();
+    for k in 0..n {
+        let _ = writeln!(
+            src,
+            "node leaf{k}(x: int) returns (y: int)\nlet y = x + 1; tel"
+        );
+    }
+    src.push_str("node top(x: int) returns (y: int)\nvar ");
+    for k in 0..n {
+        let _ = write!(src, "{}r{k}", if k == 0 { "" } else { ", " });
+    }
+    src.push_str(": int;\nlet\n  r0 = leaf0(x);\n");
+    for k in 1..n {
+        let _ = writeln!(src, "  r{k} = leaf{k}(r{});", k - 1);
+    }
+    let _ = writeln!(src, "  y = r{};\ntel", n - 1);
     src
 }

@@ -26,7 +26,7 @@
 //! hardware model); the *relationships* between compilation schemes are.
 
 use velus_clight::ast::{Expr, Function, Program, Stmt};
-use velus_common::{Ident, IdentMap};
+use velus_common::{Ident, NodeId};
 use velus_ops::{CBinOp, CTy, CUnOp};
 
 /// Which back end's code shape to model.
@@ -50,8 +50,10 @@ impl CostModel {
 /// Errors of the analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WcetError {
-    /// The function (or a callee) was not found.
-    UnknownFunction(Ident),
+    /// A function index past the program's functions.
+    UnknownFunction(usize),
+    /// The program has no class with this id.
+    UnknownRoot(NodeId),
     /// The function contains a loop (only the simulation `main` does).
     LoopInAnalyzedCode(Ident),
 }
@@ -59,7 +61,8 @@ pub enum WcetError {
 impl std::fmt::Display for WcetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WcetError::UnknownFunction(g) => write!(f, "unknown function {g}"),
+            WcetError::UnknownFunction(g) => write!(f, "unknown function #{g}"),
+            WcetError::UnknownRoot(k) => write!(f, "unknown root class {k}"),
             WcetError::LoopInAnalyzedCode(g) => write!(f, "loop in analyzed function {g}"),
         }
     }
@@ -161,7 +164,8 @@ fn costs(model: CostModel) -> Costs {
 struct Analyzer<'p> {
     prog: &'p Program,
     c: Costs,
-    memo: IdentMap<u64>,
+    /// The full cost of each function analyzed so far, by index.
+    memo: Vec<Option<u64>>,
 }
 
 impl Analyzer<'_> {
@@ -265,48 +269,46 @@ impl Analyzer<'_> {
     }
 
     /// Body cost without frame overhead (for inlining).
-    fn function_body_cost(&mut self, fname: Ident) -> Result<u64, WcetError> {
+    fn function_body_cost(&mut self, f: usize) -> Result<u64, WcetError> {
         // Borrowed for the program's lifetime, not through `self`, so the
         // body is walked in place rather than cloned.
-        let prog = self.prog;
-        let f: &Function = prog
-            .function(fname)
-            .ok_or(WcetError::UnknownFunction(fname))?;
-        self.block(fname, &f.body)
+        let f: &Function = self
+            .prog
+            .functions
+            .get(f)
+            .ok_or(WcetError::UnknownFunction(f))?;
+        self.block(f.name, &f.body)
     }
 
     /// Full cost: frame + spills + body. Memoized.
-    fn function_cost(&mut self, fname: Ident) -> Result<u64, WcetError> {
-        if let Some(&c) = self.memo.get(&fname) {
+    fn function_cost(&mut self, i: usize) -> Result<u64, WcetError> {
+        if let Some(&Some(c)) = self.memo.get(i) {
             return Ok(c);
         }
-        let f: &Function = self
-            .prog
-            .function(fname)
-            .ok_or(WcetError::UnknownFunction(fname))?;
+        let body = self.function_body_cost(i)?;
+        let f: &Function = &self.prog.functions[i];
         let live = f.temps.len() + f.params.len();
         let spills = live.saturating_sub(self.c.regs) as u64 * self.c.spill;
-        let body = self.function_body_cost(fname)?;
         let total = self.c.frame + spills + body;
-        self.memo.insert(fname, total);
+        self.memo[i] = Some(total);
         Ok(total)
     }
 }
 
-/// Estimates the WCET in cycles of function `fname` of `prog` under the
-/// given cost model.
+/// Estimates the WCET in cycles of function `functions[f]` of `prog` under
+/// the given cost model.
 ///
 /// # Errors
 ///
-/// Unknown functions; loops in the analyzed code (only the generated
+/// An unknown function; loops in the analyzed code (only the generated
 /// `main` contains one — analyze `step` functions).
-pub fn wcet_function(prog: &Program, fname: Ident, model: CostModel) -> Result<u64, WcetError> {
+pub fn wcet_function(prog: &Program, f: usize, model: CostModel) -> Result<u64, WcetError> {
     let mut a = Analyzer {
         prog,
         c: costs(model),
-        memo: IdentMap::default(),
+        memo: vec![None; prog.functions.len()],
     };
-    a.function_cost(fname)
+    a.function_cost(f)
 }
 
 /// Estimates the WCET of the `step` function of class `root` — the
@@ -314,9 +316,11 @@ pub fn wcet_function(prog: &Program, fname: Ident, model: CostModel) -> Result<u
 ///
 /// # Errors
 ///
-/// See [`wcet_function`].
-pub fn wcet_step(prog: &Program, root: Ident, model: CostModel) -> Result<u64, WcetError> {
-    let step = velus_clight::generate::method_fn_name(root, velus_obc::ast::step_name());
+/// An unknown root class; see [`wcet_function`].
+pub fn wcet_step(prog: &Program, root: NodeId, model: CostModel) -> Result<u64, WcetError> {
+    let step = prog
+        .method_fn(root, velus_obc::ast::STEP)
+        .ok_or(WcetError::UnknownRoot(root))?;
     wcet_function(prog, step, model)
 }
 
@@ -348,8 +352,7 @@ mod tests {
                 ret: CType::Void,
                 body,
             }],
-            volatiles_in: vec![],
-            volatiles_out: vec![],
+            ..Program::default()
         }
     }
 
@@ -364,13 +367,13 @@ mod tests {
             light.clone(),
         );
         let p = prog_with(vec![s], 1);
-        let both = wcet_function(&p, id("f"), CostModel::CompCert).unwrap();
+        let both = wcet_function(&p, 0, CostModel::CompCert).unwrap();
         let p_heavy = prog_with(heavy, 1);
-        let heavy_only = wcet_function(&p_heavy, id("f"), CostModel::CompCert).unwrap();
+        let heavy_only = wcet_function(&p_heavy, 0, CostModel::CompCert).unwrap();
         assert!(both > heavy_only, "{both} vs {heavy_only}");
         // But not by the cost of the light branch too.
         let p_light = prog_with(light, 1);
-        let light_only = wcet_function(&p_light, id("f"), CostModel::CompCert).unwrap();
+        let light_only = wcet_function(&p_light, 0, CostModel::CompCert).unwrap();
         assert!(both < heavy_only + light_only + 10);
     }
 
@@ -386,8 +389,8 @@ mod tests {
         );
         let s = vec![tiny; 10];
         let p = prog_with(s, 1);
-        let cc = wcet_function(&p, id("f"), CostModel::CompCert).unwrap();
-        let gcc = wcet_function(&p, id("f"), CostModel::Gcc).unwrap();
+        let cc = wcet_function(&p, 0, CostModel::CompCert).unwrap();
+        let gcc = wcet_function(&p, 0, CostModel::Gcc).unwrap();
         assert!(gcc < cc, "gcc {gcc} vs cc {cc}");
     }
 
@@ -408,16 +411,15 @@ mod tests {
             vars: vec![],
             temps: vec![],
             ret: CType::Void,
-            body: vec![Stmt::Call(None, id("g"), vec![]); 5],
+            body: vec![Stmt::Call(None, 0, vec![]); 5],
         };
         let p = Program {
             composites: vec![],
             functions: vec![g, f],
-            volatiles_in: vec![],
-            volatiles_out: vec![],
+            ..Program::default()
         };
-        let gcc = wcet_function(&p, id("f"), CostModel::Gcc).unwrap();
-        let gcci = wcet_function(&p, id("f"), CostModel::GccInline).unwrap();
+        let gcc = wcet_function(&p, 1, CostModel::Gcc).unwrap();
+        let gcci = wcet_function(&p, 1, CostModel::GccInline).unwrap();
         assert!(gcci < gcc, "{gcci} vs {gcc}");
     }
 
@@ -426,8 +428,8 @@ mod tests {
         let s = vec![Stmt::Set(id("t0"), iconst(1))];
         let few = prog_with(s.clone(), 2);
         let many = prog_with(s, 30);
-        let a = wcet_function(&few, id("f"), CostModel::CompCert).unwrap();
-        let b = wcet_function(&many, id("f"), CostModel::CompCert).unwrap();
+        let a = wcet_function(&few, 0, CostModel::CompCert).unwrap();
+        let b = wcet_function(&many, 0, CostModel::CompCert).unwrap();
         assert!(b > a);
     }
 
@@ -435,7 +437,7 @@ mod tests {
     fn loops_are_rejected() {
         let p = prog_with(vec![Stmt::Loop(vec![])], 0);
         assert!(matches!(
-            wcet_function(&p, id("f"), CostModel::CompCert),
+            wcet_function(&p, 0, CostModel::CompCert),
             Err(WcetError::LoopInAnalyzedCode(_))
         ));
     }
@@ -462,8 +464,8 @@ mod tests {
         );
         let pd = prog_with(vec![div], 1);
         let pa = prog_with(vec![add], 1);
-        let d = wcet_function(&pd, id("f"), CostModel::CompCert).unwrap();
-        let a = wcet_function(&pa, id("f"), CostModel::CompCert).unwrap();
+        let d = wcet_function(&pd, 0, CostModel::CompCert).unwrap();
+        let a = wcet_function(&pa, 0, CostModel::CompCert).unwrap();
         assert!(d > a + 15);
     }
 }

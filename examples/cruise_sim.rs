@@ -6,7 +6,6 @@
 //! cargo run --example cruise_sim
 //! ```
 
-use velus_common::Ident;
 use velus_nlustre::msem::MSem;
 use velus_nlustre::streams::SVal;
 use velus_ops::{CVal, ClightOps};
@@ -22,7 +21,7 @@ fn real_v(x: f64) -> SVal<ClightOps> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = std::fs::read_to_string(velus_repro::benchmark_path("cruise"))?;
     let compiled = velus::compile(&source, Some("cruise"))?;
-    let mut sim = MSem::new(&compiled.snlustre, Ident::new("cruise"))?;
+    let mut sim = MSem::new(&compiled.snlustre, compiled.root)?;
 
     println!("instant | onoff brake | speed  -> throttle active");
     let mut speed = 20.0f64;

@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (0..n).map(|_| SVal::Pres(CVal::int(5))).collect(),
     ];
 
-    let mut eval = Dataflow::new(&compiled.snlustre, Ident::new("tracker"), inputs.clone())?;
+    let mut eval = Dataflow::new(&compiled.snlustre, compiled.root, inputs.clone())?;
     let mut table: Vec<(String, Vec<String>)> = Vec::new();
     for var in ["acc", "limit", "s", "p", "x", "c", "t", "pt"] {
         let mut row = Vec::new();

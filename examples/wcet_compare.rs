@@ -6,7 +6,7 @@
 //! cargo run --example wcet_compare [benchmark-name]
 //! ```
 
-use velus_baselines::{heptagon_obc, lustre_v6_obc};
+use velus_baselines::{heptagon_obc, lustre_v6_obc, root_class};
 use velus_obc::ast::ObcProgram;
 use velus_ops::ClightOps;
 use velus_wcet::{wcet_step, CostModel};
@@ -29,20 +29,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let hept = heptagon_obc::<ClightOps>(&compiled.nlustre)?;
     let lus6 = lustre_v6_obc::<ClightOps>(&compiled.nlustre)?;
-    let hept_cl = velus_clight::generate::generate(&hept, root)?;
-    let lus6_cl = velus_clight::generate::generate(&lus6, root)?;
+    let hept_root = root_class(&hept, &compiled.nlustre, root);
+    let lus6_root = root_class(&lus6, &compiled.nlustre, root);
+    let hept_cl = velus_clight::generate::generate(&hept, hept_root)?;
+    let lus6_cl = velus_clight::generate::generate(&lus6, lus6_root)?;
 
     println!("benchmark {name}: Obc statement counts");
     println!("  velus (fused):   {}", obc_size(&compiled.obc_fused));
     println!("  heptagon-style:  {}", obc_size(&hept));
     println!("  lustre-v6-style: {}", obc_size(&lus6));
     println!();
-    println!("WCET of {root}$step (cycles):");
+    println!("WCET of {name}$step (cycles):");
     println!(
         "  velus + CompCert-model:     {}",
         wcet_step(&compiled.clight, root, CostModel::CompCert)?
     );
-    for (label, prog) in [("heptagon", &hept_cl), ("lustre-v6", &lus6_cl)] {
+    for (label, prog, root) in [
+        ("heptagon", &hept_cl, hept_root),
+        ("lustre-v6", &lus6_cl, lus6_root),
+    ] {
         for model in [CostModel::CompCert, CostModel::Gcc, CostModel::GccInline] {
             println!(
                 "  {label:<10} + {model:?}: {}",

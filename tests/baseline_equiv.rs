@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use velus::StagedPipeline;
-use velus_baselines::{heptagon_obc, lustre_v6_obc};
+use velus_baselines::{heptagon_obc, lustre_v6_obc, root_class};
 use velus_common::Diagnostics;
 use velus_obc::sem::run_class;
 use velus_ops::{CVal, ClightOps};
@@ -17,7 +17,7 @@ use velus_testkit::gen::{gen_inputs, gen_program, GenConfig};
 fn check_seed(seed: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let prog = gen_program(&mut rng, &GenConfig::default());
-    let root = prog.nodes.last().expect("non-empty").name;
+    let root = velus_common::NodeId::new(prog.nodes.len() - 1);
     let node = prog.node(root).expect("root").clone();
     let compiled =
         StagedPipeline::from_program(prog.clone(), root, Diagnostics::new(), &mut |_, _| {})
@@ -38,8 +38,8 @@ fn check_seed(seed: u64) -> Result<(), String> {
     let reference = run_class(&compiled.obc_fused, root, &inputs)
         .map_err(|e| format!("seed {seed} reference: {e}"))?;
     for (label, obc) in [("heptagon", &hept), ("lustre-v6", &lus6)] {
-        let outs =
-            run_class(obc, root, &inputs).map_err(|e| format!("seed {seed} {label}: {e}"))?;
+        let outs = run_class(obc, root_class(obc, &prog, root), &inputs)
+            .map_err(|e| format!("seed {seed} {label}: {e}"))?;
         if outs != reference {
             return Err(format!("seed {seed}: {label} diverges from the reference"));
         }
@@ -72,12 +72,22 @@ fn baselines_agree_on_the_benchmark_suite() {
         };
         let reference = run_class(&compiled.obc_fused, compiled.root, &inputs).unwrap();
         assert_eq!(
-            run_class(&hept, compiled.root, &inputs).unwrap(),
+            run_class(
+                &hept,
+                root_class(&hept, &compiled.nlustre, compiled.root),
+                &inputs
+            )
+            .unwrap(),
             reference,
             "{name}"
         );
         assert_eq!(
-            run_class(&lus6, compiled.root, &inputs).unwrap(),
+            run_class(
+                &lus6,
+                root_class(&lus6, &compiled.nlustre, compiled.root),
+                &inputs
+            )
+            .unwrap(),
             reference,
             "{name}"
         );

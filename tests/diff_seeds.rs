@@ -73,7 +73,7 @@ fn reproducer_records_round_trip_through_disk_and_replay() {
     // full re-check that finds the failure gone.
     let mut rng = StdRng::seed_from_u64(41);
     let prog = gen_program(&mut rng, &GenConfig::default());
-    let root = prog.nodes.last().expect("non-empty").name;
+    let root = velus_common::NodeId::new(prog.nodes.len() - 1);
     let node = prog.node(root).expect("root exists").clone();
     let inputs = gen_inputs(&mut rng, &node, 6);
     let rep = Reproducer {
@@ -91,7 +91,7 @@ fn reproducer_records_round_trip_through_disk_and_replay() {
         }),
         detail: "synthetic record for the disk round-trip test".to_owned(),
         source: lustre_source(&prog),
-        root: Some(root.to_string()),
+        root: Some(node.name.to_string()),
         steps: 6,
         inputs: Some(inputs),
         shrink: ShrinkStats::default(),

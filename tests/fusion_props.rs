@@ -18,7 +18,7 @@ use velus_testkit::gen::{gen_inputs, gen_program, GenConfig};
 fn translated(seed: u64) -> (ObcProgram<ClightOps>, velus::Compiled) {
     let mut rng = StdRng::seed_from_u64(seed);
     let prog = gen_program(&mut rng, &GenConfig::default());
-    let root = prog.nodes.last().expect("non-empty").name;
+    let root = velus_common::NodeId::new(prog.nodes.len() - 1);
     let compiled = StagedPipeline::from_program(prog, root, Diagnostics::new(), &mut |_, _| {})
         .and_then(StagedPipeline::into_compiled)
         .expect("generated programs compile");

@@ -2,7 +2,7 @@
 //! configuration must compile through the full pipeline and validate.
 
 use velus::StagedPipeline;
-use velus_common::{Diagnostics, Ident};
+use velus_common::{Diagnostics, Ident, NodeId};
 use velus_testkit::industrial::{industrial_program, industrial_source, IndustrialConfig};
 
 /// Runs `f` on a thread with a service worker's stack. The reference
@@ -28,7 +28,7 @@ fn small_industrial_program_compiles_and_validates() {
             subclock_depth: 0,
         };
         let prog = industrial_program(&cfg);
-        let root = Ident::new("blk11");
+        let root = NodeId::new(11);
         let compiled = StagedPipeline::from_program(prog, root, Diagnostics::new(), &mut |_, _| {})
             .and_then(StagedPipeline::into_compiled)
             .unwrap();
@@ -49,13 +49,14 @@ fn industrial_source_compiles_through_the_frontend() {
     let compiled = velus::compile(&src, Some("blk19")).unwrap();
     assert_eq!(compiled.snlustre.nodes.len(), 20);
     // The generated step function exists in the Clight output.
-    assert!(compiled
+    let step = compiled
         .clight
-        .function(velus_clight::generate::method_fn_name(
-            Ident::new("blk19"),
-            velus_obc::ast::step_name()
-        ))
-        .is_some());
+        .method_fn(compiled.root, velus_obc::ast::STEP)
+        .unwrap();
+    assert_eq!(
+        compiled.clight.functions[step].name,
+        velus_clight::generate::method_fn_name(Ident::new("blk19"), velus_obc::ast::step_name())
+    );
 }
 
 #[test]
@@ -66,7 +67,7 @@ fn fusion_heavy_corpus_compiles_and_validates() {
     on_worker_stack(|| {
         let cfg = IndustrialConfig::fusion_heavy();
         let prog = industrial_program(&cfg);
-        let root = Ident::new(&format!("blk{}", cfg.nodes - 1));
+        let root = NodeId::new(cfg.nodes - 1);
         let compiled = StagedPipeline::from_program(prog, root, Diagnostics::new(), &mut |_, _| {})
             .and_then(StagedPipeline::into_compiled)
             .unwrap();
@@ -86,7 +87,7 @@ fn medium_industrial_compile_time_is_sane() {
         subclock_depth: 0,
     };
     let prog = industrial_program(&cfg);
-    let root = Ident::new("blk149");
+    let root = NodeId::new(149);
     let start = std::time::Instant::now();
     let compiled = StagedPipeline::from_program(prog, root, Diagnostics::new(), &mut |_, _| {})
         .and_then(StagedPipeline::into_compiled)

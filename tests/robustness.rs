@@ -12,7 +12,7 @@
 
 use velus::service::{service, ServiceConfig};
 use velus::CompileRequest;
-use velus_server::{AdmissionConfig, ServiceError};
+use velus_server::ServiceError;
 
 const PROGRAM: &str = "node main(x: int) returns (y: int)\n\
                        var acc: int;\n\
@@ -65,7 +65,7 @@ fn an_expired_deadline_fails_the_real_pipeline_with_e0802() {
 fn a_full_admission_queue_sheds_submissions_with_e0801() {
     let svc = service(ServiceConfig {
         workers: 1,
-        admission: AdmissionConfig { queue_cap: Some(0) },
+        queue_cap: Some(0),
         ..Default::default()
     });
     let sub = svc.submit(CompileRequest::new("shed", PROGRAM));

@@ -33,10 +33,11 @@ fn chain_source(n: usize) -> String {
 #[test]
 fn a_long_node_compiles_on_a_default_thread_stack() {
     let compiled = velus::compile(&chain_source(EQUATIONS), Some("long")).expect("compiles");
-    let step = &compiled
-        .obc_fused
-        .class(Ident::new("long"))
-        .expect("class")
+    assert_eq!(
+        compiled.snlustre.nodes[compiled.root.index()].name,
+        Ident::new("long")
+    );
+    let step = &compiled.obc_fused.classes[compiled.root.index()]
         .method(velus_obc::ast::step_name())
         .expect("step")
         .body;

@@ -65,7 +65,8 @@ fn the_dataflow_layer_is_parametric() {
     velus_nlustre::typecheck::check_program(&prog).unwrap();
     velus_nlustre::clockcheck::check_program_clocks(&prog).unwrap();
     let inputs = vec![(1..=5).map(|v| SVal::Pres(ToyVal::Int(v))).collect()];
-    let outs = velus_nlustre::dataflow::run_node(&prog, id("acc"), &inputs, 5).unwrap();
+    let outs =
+        velus_nlustre::dataflow::run_node(&prog, velus_common::NodeId::new(0), &inputs, 5).unwrap();
     let vals: Vec<i64> = outs[0]
         .iter()
         .map(|v| match v {
@@ -85,7 +86,7 @@ fn translation_and_obc_are_parametric() {
     let fused = velus_obc::fusion::fuse_program(obc);
 
     let inputs: Vec<Option<Vec<ToyVal>>> = (1..=4).map(|v| Some(vec![ToyVal::Int(v)])).collect();
-    let outs = velus_obc::sem::run_class(&fused, id("acc"), &inputs).unwrap();
+    let outs = velus_obc::sem::run_class(&fused, velus_common::NodeId::new(0), &inputs).unwrap();
     let vals: Vec<i64> = outs
         .iter()
         .map(|o| match o.as_ref().unwrap()[0] {
@@ -102,7 +103,8 @@ fn the_memory_semantics_is_parametric() {
     velus_nlustre::schedule::schedule_program(&mut prog).unwrap();
     let inputs = vec![(1..=4).map(|v| SVal::Pres(ToyVal::Int(v))).collect()];
     let (outs, mem) =
-        velus_nlustre::msem::run_node_with_memory(&prog, id("acc"), &inputs, 4).unwrap();
+        velus_nlustre::msem::run_node_with_memory(&prog, velus_common::NodeId::new(0), &inputs, 4)
+            .unwrap();
     assert_eq!(outs[0].len(), 4);
     // M.values(cum) = 0, 1, 3, 6 (the pre-instant states).
     assert_eq!(

@@ -41,8 +41,7 @@ fn the_semantic_table_of_section_2_2() {
     let source = std::fs::read_to_string(velus_repro::benchmark_path("tracker")).unwrap();
     let compiled = velus::compile(&source, Some("tracker")).unwrap();
     let n = 8;
-    let mut eval =
-        Dataflow::new(&compiled.snlustre, Ident::new("tracker"), table_inputs(n)).unwrap();
+    let mut eval = Dataflow::new(&compiled.snlustre, compiled.root, table_inputs(n)).unwrap();
 
     let some = |vs: &[i32]| vs.iter().map(|&v| Some(v)).collect::<Vec<_>>();
 
@@ -80,8 +79,7 @@ fn figure3_counter_with_zero_init_differs_as_documented() {
         .unwrap()
         .replace("counter(1 when x", "counter(0 when x");
     let compiled = velus::compile(&source, Some("tracker")).unwrap();
-    let mut eval =
-        Dataflow::new(&compiled.snlustre, Ident::new("tracker"), table_inputs(8)).unwrap();
+    let mut eval = Dataflow::new(&compiled.snlustre, compiled.root, table_inputs(8)).unwrap();
     assert_eq!(
         int_row(&mut eval, "c", 8),
         vec![None, None, Some(0), None, None, Some(1), None, Some(2)]
@@ -94,10 +92,8 @@ fn fused_obc_matches_the_section_3_3_shape() {
     // merge into one, followed by the state update of pt.
     let source = std::fs::read_to_string(velus_repro::benchmark_path("tracker")).unwrap();
     let compiled = velus::compile(&source, Some("tracker")).unwrap();
-    let class = compiled
-        .obc_fused
-        .class(Ident::new("tracker"))
-        .expect("tracker class");
+    let class = &compiled.obc_fused.classes[compiled.root.index()];
+    assert_eq!(class.name, Ident::new("tracker"));
     let step = class
         .method(velus_obc::ast::step_name())
         .expect("step method")
@@ -107,10 +103,7 @@ fn fused_obc_matches_the_section_3_3_shape() {
     assert_eq!(step.matches("if x {").count(), 1, "{step}");
     assert!(step.contains("state(pt) := t;"), "{step}");
     // The unfused version really had two.
-    let unfused = compiled
-        .obc
-        .class(Ident::new("tracker"))
-        .unwrap()
+    let unfused = compiled.obc.classes[compiled.root.index()]
         .method(velus_obc::ast::step_name())
         .unwrap()
         .body
