@@ -175,7 +175,7 @@ mod tests {
     use super::*;
     use velus_nlustre::schedule::schedule_program;
     use velus_nlustre::streams::SVal;
-    use velus_nlustre::{clockcheck, dataflow, typecheck};
+    use velus_nlustre::{check, dataflow};
     use velus_ops::{CVal, ClightOps};
 
     fn compile(src: &str) -> Program<ClightOps> {
@@ -194,8 +194,7 @@ mod tests {
         let node = &renormed.nodes[0];
         // y = t1 - 1; t1 = a + t2; t2 = b * c  (3 equations)
         assert!(node.eqs.len() >= 3, "{node}");
-        typecheck::check_program(&renormed).unwrap();
-        clockcheck::check_program_clocks(&renormed).unwrap();
+        check::check_program(&renormed).unwrap();
     }
 
     #[test]
@@ -247,8 +246,7 @@ mod tests {
              tel",
         );
         let renormed = renormalize(&prog);
-        typecheck::check_program(&renormed).unwrap();
-        clockcheck::check_program_clocks(&renormed).unwrap();
+        check::check_program(&renormed).unwrap();
         let node = &renormed.nodes[0];
         assert!(node.eqs.iter().any(|e| matches!(
             e,

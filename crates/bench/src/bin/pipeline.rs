@@ -46,10 +46,12 @@
 //! `--scale` instead draws cost curves: a program grown along one axis
 //! at a time ([`velus_testkit::shapes`]) — a node chaining 2k→16k
 //! equations, an `if` nest of 500→4,000 levels, an instance chain of
-//! 2k→16k nodes, and a root instantiating 2k→16k leaf nodes — compiled
-//! as `c,lint`, with
-//! per-stage ns (best of [`SCALE_REPS`]), allocs and bytes, the emitted
-//! C size, and each doubling ratio. It doubles as the linearity guard:
+//! 2k→16k nodes, a root instantiating 2k→16k leaf nodes, and 2k→16k leaf
+//! nodes nothing instantiates (one lint finding each) — compiled as
+//! `c,lint`, with per-stage ns (best of [`SCALE_REPS`]), allocs and
+//! bytes, the emitted C size, and each doubling ratio. The last axis
+//! adds a `render` row: rendering its lint findings in both forms, the
+//! caret form and JSON. It doubles as the linearity guard:
 //! the run fails when a stage's mean time ratio per doubling exceeds
 //! [`SCALE_NS_RATIO_GUARD`], or any allocs or C-bytes ratio exceeds
 //! [`SCALE_COUNT_RATIO_GUARD`]. `--json PATH` writes the curves (the
@@ -69,7 +71,9 @@ use velus_obs::trace;
 use velus_obs::{Histogram, Recorder, RecorderConfig};
 use velus_server::{CompileRequest, ContentDigest, Stage};
 use velus_testkit::industrial::{industrial_source, IndustrialConfig};
-use velus_testkit::shapes::{chain_source, instance_chain_source, nest_source, wide_root_source};
+use velus_testkit::shapes::{
+    chain_source, instance_chain_source, nest_source, uncalled_leaves_source, wide_root_source,
+};
 
 /// A counting wrapper around the system allocator. Every allocation and
 /// reallocation bumps a global counter; the harness reads the counters
@@ -462,9 +466,10 @@ fn overhead_gate(corpus: &Corpus, passes: usize, max_pct: f64) {
 }
 
 /// Sizes of the equations-per-node axis of `--scale` (one node whose
-/// body is a dependency chain of this many equations), and of its two
-/// node-count axes (an instance chain of this many nodes, and a root
-/// instantiating this many leaf nodes).
+/// body is a dependency chain of this many equations), and of its three
+/// node-count axes (an instance chain of this many nodes, a root
+/// instantiating this many leaf nodes, and this many leaf nodes that
+/// nothing instantiates).
 const SCALE_CHAIN: [usize; 4] = [2_000, 4_000, 8_000, 16_000];
 
 /// Sizes of the nesting axis of `--scale`: one node whose output is a
@@ -488,18 +493,48 @@ const SCALE_NS_RATIO_GUARD: f64 = 3.0;
 const SCALE_COUNT_RATIO_GUARD: f64 = 2.3;
 
 /// One point of a scaling curve: per-stage best ns, allocs and bytes of
-/// a `c,lint` compile, and the size of the emitted C.
+/// a `c,lint` compile, the size of the emitted C, and, on the axis that
+/// measures it, the cost of rendering the lint findings.
 struct ScalePoint {
     size: usize,
     stages: [StageTotals; Stage::ALL.len()],
     c_bytes: usize,
+    render: Option<StageTotals>,
+}
+
+/// Compiles `source` as `c,lint` untimed, then renders its lint findings
+/// in both forms, human and JSON, and returns the time and allocations
+/// of the rendering alone.
+fn render_findings(source: &str, root: &str) -> StageTotals {
+    let mut observe = |_: Stage, _: std::time::Duration| {};
+    let mut staged =
+        StagedPipeline::from_source(source, Some(root), &mut observe).expect("corpus compiles");
+    let findings = staged.lint().expect("corpus lints");
+    assert!(!findings.is_empty(), "the axis draws lint findings");
+    let before = counters();
+    let start = Instant::now();
+    black_box(findings.render_human(source));
+    black_box(findings.render_json(source));
+    let ns = start.elapsed().as_nanos() as u64;
+    let after = counters();
+    StageTotals {
+        ns,
+        allocs: after.0 - before.0,
+        bytes: after.1 - before.1,
+    }
 }
 
 /// Measures one curve: each source once untimed (interning its
 /// identifiers, so every timed run sees the same deterministic
 /// allocation counts), then [`SCALE_REPS`] rounds over all sizes, so a
-/// slow spell of the machine hits one round rather than one size.
-fn scale_curve(sizes: &[usize], source: impl Fn(usize) -> String, root: &str) -> Vec<ScalePoint> {
+/// slow spell of the machine hits one round rather than one size. With
+/// `render`, each round also times [`render_findings`].
+fn scale_curve(
+    sizes: &[usize],
+    source: impl Fn(usize) -> String,
+    root: &str,
+    render: bool,
+) -> Vec<ScalePoint> {
     let sources: Vec<String> = sizes.iter().map(|&n| source(n)).collect();
     let mut points: Vec<ScalePoint> = sizes
         .iter()
@@ -511,6 +546,10 @@ fn scale_curve(sizes: &[usize], source: impl Fn(usize) -> String, root: &str) ->
                 ..StageTotals::default()
             }; Stage::ALL.len()],
             c_bytes: profile_one(&mut Profile::default(), src, Some(root)),
+            render: render.then(|| StageTotals {
+                ns: u64::MAX,
+                ..render_findings(src, root)
+            }),
         })
         .collect();
     for _ in 0..SCALE_REPS {
@@ -523,6 +562,10 @@ fn scale_curve(sizes: &[usize], source: impl Fn(usize) -> String, root: &str) ->
                     allocs: t.allocs,
                     bytes: t.bytes,
                 };
+            }
+            if let Some(best) = &mut point.render {
+                let t = render_findings(src, root);
+                best.ns = best.ns.min(t.ns);
             }
         }
     }
@@ -555,33 +598,39 @@ fn ratio_list(rs: &[f64]) -> String {
     json_list(rs.iter().map(|r| format!("{r:.2}")))
 }
 
-/// The `--scale` mode: per-stage cost curves along four axes (equations
-/// per node, `if`-nesting depth, instance depth, instances per node),
-/// printed as tables with doubling ratios. Returns them as one JSON
-/// object, with the guard violations: every stage whose mean time ratio
-/// breaks [`SCALE_NS_RATIO_GUARD`] or whose count ratio breaks
+/// The `--scale` mode: per-stage cost curves along five axes (equations
+/// per node, `if`-nesting depth, instance depth, instances per node,
+/// lint findings), printed as tables with doubling ratios. Returns them
+/// as one JSON object, with the guard violations: every row (a stage, or
+/// the rendering of the findings) whose mean time ratio breaks
+/// [`SCALE_NS_RATIO_GUARD`] or whose count ratio breaks
 /// [`SCALE_COUNT_RATIO_GUARD`], on any axis.
 fn scaling() -> (String, Vec<String>) {
-    let axes: [(&str, &str, Vec<ScalePoint>); 4] = [
+    let axes: [(&str, &str, Vec<ScalePoint>); 5] = [
         (
             "chain",
             "equations per node",
-            scale_curve(&SCALE_CHAIN, chain_source, "chain"),
+            scale_curve(&SCALE_CHAIN, chain_source, "chain", false),
         ),
         (
             "nest",
             "if-nesting depth",
-            scale_curve(&SCALE_NEST, nest_source, "nest"),
+            scale_curve(&SCALE_NEST, nest_source, "nest", false),
         ),
         (
             "instance_chain",
             "nodes, instance depth = node count",
-            scale_curve(&SCALE_CHAIN, instance_chain_source, "top"),
+            scale_curve(&SCALE_CHAIN, instance_chain_source, "top", false),
         ),
         (
             "wide_root",
             "leaf nodes one root instantiates",
-            scale_curve(&SCALE_CHAIN, wide_root_source, "top"),
+            scale_curve(&SCALE_CHAIN, wide_root_source, "top", false),
+        ),
+        (
+            "lint_findings",
+            "leaf nodes nothing instantiates, one lint finding each",
+            scale_curve(&SCALE_CHAIN, uncalled_leaves_source, "top", true),
         ),
     ];
     let mut violations: Vec<String> = Vec::new();
@@ -593,11 +642,21 @@ fn scaling() -> (String, Vec<String>) {
             "stage", "size", "ns", "allocs", "bytes", "x ns", "x alc", "x byt"
         );
         let mut stage_json: Vec<String> = Vec::new();
-        for stage in Stage::ALL {
-            let k = stage_index(stage);
-            let ns: Vec<u64> = points.iter().map(|p| p.stages[k].ns).collect();
-            let allocs: Vec<u64> = points.iter().map(|p| p.stages[k].allocs).collect();
-            let bytes: Vec<u64> = points.iter().map(|p| p.stages[k].bytes).collect();
+        // One row per stage, then the rendering row where it was measured.
+        let mut rows: Vec<(&str, Vec<StageTotals>)> = Stage::ALL
+            .iter()
+            .map(|&stage| {
+                let k = stage_index(stage);
+                (stage.name(), points.iter().map(|p| p.stages[k]).collect())
+            })
+            .collect();
+        if let Some(render) = points.iter().map(|p| p.render).collect::<Option<Vec<_>>>() {
+            rows.push(("render", render));
+        }
+        for (name, totals) in &rows {
+            let ns: Vec<u64> = totals.iter().map(|t| t.ns).collect();
+            let allocs: Vec<u64> = totals.iter().map(|t| t.allocs).collect();
+            let bytes: Vec<u64> = totals.iter().map(|t| t.bytes).collect();
             let (rn, ra, rb) = (ratios(&ns), ratios(&allocs), ratios(&bytes));
             for (i, p) in points.iter().enumerate() {
                 let r = |rs: &[f64]| {
@@ -606,7 +665,7 @@ fn scaling() -> (String, Vec<String>) {
                 };
                 println!(
                     "  {:<10} {:>7} {:>12} {:>10} {:>12}   {:>6} {:>6} {:>6}",
-                    stage.name(),
+                    name,
                     p.size,
                     ns[i],
                     allocs[i],
@@ -618,22 +677,20 @@ fn scaling() -> (String, Vec<String>) {
             }
             let mean = mean_ratio(&ns);
             println!(
-                "  {:<10} {:>7} mean ns ratio per doubling {mean:.2}",
-                stage.name(),
+                "  {name:<10} {:>7} mean ns ratio per doubling {mean:.2}",
                 ""
             );
             if mean > SCALE_NS_RATIO_GUARD {
                 violations.push(format!(
-                    "{axis}/{}: mean ns ratio {mean:.2} (per doubling {rn:.2?})",
-                    stage.name()
+                    "{axis}/{name}: mean ns ratio {mean:.2} (per doubling {rn:.2?})"
                 ));
             }
             if ra.iter().any(|&r| r > SCALE_COUNT_RATIO_GUARD) {
-                violations.push(format!("{axis}/{}: allocs ratios {ra:.2?}", stage.name()));
+                violations.push(format!("{axis}/{name}: allocs ratios {ra:.2?}"));
             }
             stage_json.push(format!(
                 "          \"{}\": {{\"ns\": {}, \"allocs\": {}, \"bytes\": {}, \"ns_ratio\": {}, \"ns_ratio_mean\": {:.2}, \"allocs_ratio\": {}, \"bytes_ratio\": {}}}",
-                stage.name(),
+                name,
                 json_list(&ns),
                 json_list(&allocs),
                 json_list(&bytes),

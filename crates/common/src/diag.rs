@@ -22,7 +22,7 @@
 
 use std::fmt;
 
-use crate::span::{Loc, Span, SpanMap};
+use crate::span::{LineIndex, Span, SpanMap};
 
 /// How serious a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -384,7 +384,7 @@ pub mod codes {
 /// The pipeline stage a diagnostic originated from.
 ///
 /// Producers stamp the stage they know ([`Diagnostic::at_stage`]);
-/// boundaries that know better than `Unknown` — the `PassManager`, the
+/// boundaries that know better than `Unknown` — the pipeline's runner, the
 /// front-end driver — fill the rest with
 /// [`Diagnostics::tag_stage`], so every failure that crosses a public
 /// API carries a concrete stage.
@@ -525,10 +525,14 @@ impl Diagnostic {
     /// Renders the diagnostic on one line against `source` (line/column
     /// resolved, no caret block — see [`Diagnostic::render_pretty`]).
     pub fn render(&self, source: &str) -> String {
+        self.render_in(&LineIndex::new(source))
+    }
+
+    fn render_in(&self, lines: &LineIndex) -> String {
         if self.span.is_dummy() {
             format!("{}[{}]: {}", self.severity, self.code, self.message)
         } else {
-            let loc = Loc::of_offset(source, self.span.start);
+            let loc = lines.loc(self.span.start);
             format!("{loc}: {}[{}]: {}", self.severity, self.code, self.message)
         }
     }
@@ -544,15 +548,20 @@ impl Diagnostic {
     ///   = note: …
     /// ```
     pub fn render_pretty(&self, source: &str) -> String {
+        self.render_pretty_in(&LineIndex::new(source))
+    }
+
+    /// [`Diagnostic::render_pretty`] through an index of the source.
+    fn render_pretty_in(&self, lines: &LineIndex) -> String {
         let mut out = format!("{}[{}]: {}", self.severity, self.code, self.message);
         if self.stage != DiagStage::Unknown {
             out.push_str(&format!(" ({})", self.stage));
         }
         out.push('\n');
         if !self.span.is_dummy() {
-            let loc = Loc::of_offset(source, self.span.start);
+            let loc = lines.loc(self.span.start);
             out.push_str(&format!(" --> {loc}\n"));
-            if let Some(line) = source.lines().nth(loc.line as usize - 1) {
+            if let Some(line) = lines.line(loc.line) {
                 let gutter = loc.line.to_string();
                 let pad = " ".repeat(gutter.len());
                 out.push_str(&format!("{pad} |\n{gutter} | {line}\n{pad} | "));
@@ -563,7 +572,8 @@ impl Diagnostic {
                     .get(..(loc.col as usize - 1).min(line.len()))
                     .unwrap_or(line);
                 let rest_chars = line[lead.len()..].chars().count();
-                let span_chars = source
+                let span_chars = lines
+                    .source()
                     .get(self.span.start as usize..self.span.end as usize)
                     .map_or(1, |s| s.chars().count());
                 let width = span_chars.max(1).min(rest_chars.max(1));
@@ -576,7 +586,7 @@ impl Diagnostic {
             if note.span.is_dummy() {
                 out.push_str(&format!("  = note: {}\n", note.message));
             } else {
-                let loc = Loc::of_offset(source, note.span.start);
+                let loc = lines.loc(note.span.start);
                 out.push_str(&format!("  = note: {} (at {loc})\n", note.message));
             }
         }
@@ -716,9 +726,10 @@ impl Diagnostics {
 
     /// Renders all diagnostics against `source`, one per line.
     pub fn render(&self, source: &str) -> String {
+        let lines = LineIndex::new(source);
         self.items
             .iter()
-            .map(|d| d.render(source))
+            .map(|d| d.render_in(&lines))
             .collect::<Vec<_>>()
             .join("\n")
     }
@@ -726,10 +737,11 @@ impl Diagnostics {
     /// Renders the caret form of every diagnostic against `source`
     /// (deduplicated, position-ordered).
     pub fn render_human(&self, source: &str) -> String {
+        let lines = LineIndex::new(source);
         let blocks: Vec<String> = self
             .sorted_view()
             .into_iter()
-            .map(|d| d.render_pretty(source))
+            .map(|d| d.render_pretty_in(&lines))
             .collect();
         blocks.join("\n")
     }
@@ -739,13 +751,14 @@ impl Diagnostics {
     /// offline; the schema is documented in `docs/ARCHITECTURE.md`.
     pub fn render_json(&self, source: &str) -> String {
         let sorted = self.sorted_view();
+        let lines = LineIndex::new(source);
         let mut out = String::with_capacity(256);
         out.push_str("{\"diagnostics\":[");
         for (i, d) in sorted.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            render_diag_json(&mut out, d, source);
+            render_diag_json(&mut out, d, &lines);
         }
         let errors = sorted
             .iter()
@@ -758,15 +771,25 @@ impl Diagnostics {
         ));
         out
     }
+
+    /// Flattens every diagnostic, in emission order, resolving spans
+    /// against `source`.
+    pub fn records(&self, source: &str) -> Vec<DiagRecord> {
+        let lines = LineIndex::new(source);
+        self.items
+            .iter()
+            .map(|d| DiagRecord::resolve(d, &lines))
+            .collect()
+    }
 }
 
-fn render_span_json(out: &mut String, span: Span, source: &str) {
+fn render_span_json(out: &mut String, span: Span, lines: &LineIndex) {
     // Position-less diagnostics keep line/col 0, the same convention as
     // [`DiagRecord`] — a concrete 1:1 would be a false location.
     let (line, col) = if span.is_dummy() {
         (0, 0)
     } else {
-        let loc = Loc::of_offset(source, span.start);
+        let loc = lines.loc(span.start);
         (loc.line, loc.col)
     };
     out.push_str(&format!(
@@ -775,7 +798,7 @@ fn render_span_json(out: &mut String, span: Span, source: &str) {
     ));
 }
 
-fn render_diag_json(out: &mut String, d: &Diagnostic, source: &str) {
+fn render_diag_json(out: &mut String, d: &Diagnostic, lines: &LineIndex) {
     out.push_str(&format!(
         "{{\"code\":\"{}\",\"severity\":\"{}\",\"stage\":\"{}\",\"message\":\"{}\",\"span\":",
         d.code,
@@ -783,7 +806,7 @@ fn render_diag_json(out: &mut String, d: &Diagnostic, source: &str) {
         d.stage,
         json_escape(&d.message)
     ));
-    render_span_json(out, d.span, source);
+    render_span_json(out, d.span, lines);
     out.push_str(",\"notes\":[");
     for (i, n) in d.notes.iter().enumerate() {
         if i > 0 {
@@ -793,7 +816,7 @@ fn render_diag_json(out: &mut String, d: &Diagnostic, source: &str) {
             "{{\"message\":\"{}\",\"span\":",
             json_escape(&n.message)
         ));
-        render_span_json(out, n.span, source);
+        render_span_json(out, n.span, lines);
         out.push('}');
     }
     out.push_str("]}");
@@ -891,12 +914,12 @@ pub struct DiagRecord {
 }
 
 impl DiagRecord {
-    /// Flattens one diagnostic, resolving its span against `source`.
-    pub fn of(d: &Diagnostic, source: &str) -> DiagRecord {
+    /// Flattens one diagnostic, resolving its span through `lines`.
+    fn resolve(d: &Diagnostic, lines: &LineIndex) -> DiagRecord {
         let (line, col) = if d.span.is_dummy() {
             (0, 0)
         } else {
-            let loc = Loc::of_offset(source, d.span.start);
+            let loc = lines.loc(d.span.start);
             (loc.line, loc.col)
         };
         DiagRecord {
@@ -956,11 +979,12 @@ impl FailureReport {
     /// Flattens a set of diagnostics against its source text
     /// (presentation-ordered, deduplicated; borrows — no deep clone).
     pub fn from_diagnostics(diags: &Diagnostics, source: &str) -> FailureReport {
+        let lines = LineIndex::new(source);
         FailureReport {
             diagnostics: diags
                 .sorted_view()
                 .into_iter()
-                .map(|d| DiagRecord::of(d, source))
+                .map(|d| DiagRecord::resolve(d, &lines))
                 .collect(),
         }
     }

@@ -1,5 +1,6 @@
 //! Source locations.
 
+use std::cell::OnceCell;
 use std::fmt;
 
 /// A half-open byte range `[start, end)` into a source file.
@@ -86,6 +87,68 @@ impl Loc {
             None => upto.len() as u32 + 1,
         };
         Loc { line, col }
+    }
+}
+
+/// The line starts of one source text, so that resolving many offsets
+/// costs one pass over the source plus a binary search each, instead of
+/// a rescan from the start of the source for every offset. The index is
+/// built on first use: a rendering whose spans are all dummies never
+/// scans the source.
+pub(crate) struct LineIndex<'s> {
+    source: &'s str,
+    starts: OnceCell<Vec<u32>>,
+}
+
+impl<'s> LineIndex<'s> {
+    /// An index of `source`, not built yet.
+    pub(crate) fn new(source: &'s str) -> LineIndex<'s> {
+        LineIndex {
+            source,
+            starts: OnceCell::new(),
+        }
+    }
+
+    /// The indexed source text.
+    pub(crate) fn source(&self) -> &'s str {
+        self.source
+    }
+
+    /// The byte offset at which each line starts.
+    fn starts(&self) -> &[u32] {
+        self.starts.get_or_init(|| {
+            let newlines = self.source.bytes().enumerate().filter(|&(_, b)| b == b'\n');
+            std::iter::once(0)
+                .chain(newlines.map(|(i, _)| i as u32 + 1))
+                .collect()
+        })
+    }
+
+    /// The position of byte `offset`, as [`Loc::of_offset`] resolves it.
+    pub(crate) fn loc(&self, offset: u32) -> Loc {
+        let offset = offset.min(self.source.len() as u32);
+        let starts = self.starts();
+        let line = starts.partition_point(|&start| start <= offset);
+        Loc {
+            line: line as u32,
+            col: offset - starts[line - 1] + 1,
+        }
+    }
+
+    /// The text of 1-based line `line`, as `source.lines().nth(line - 1)`
+    /// gives it: without its `\n` or `\r\n`, and `None` past the last line.
+    pub(crate) fn line(&self, line: u32) -> Option<&'s str> {
+        let starts = self.starts();
+        let k = (line as usize).checked_sub(1)?;
+        let start = *starts.get(k)? as usize;
+        match starts.get(k + 1) {
+            Some(&next) => {
+                let text = &self.source[start..next as usize - 1];
+                Some(text.strip_suffix('\r').unwrap_or(text))
+            }
+            None if start < self.source.len() => Some(&self.source[start..]),
+            None => None,
+        }
     }
 }
 
@@ -312,6 +375,37 @@ mod tests {
         assert_eq!(Loc::of_offset(src, 5), Loc { line: 1, col: 6 });
         assert_eq!(Loc::of_offset(src, 9), Loc { line: 2, col: 1 });
         assert_eq!(Loc::of_offset(src, 10), Loc { line: 2, col: 2 });
+    }
+
+    #[test]
+    fn the_line_index_resolves_every_offset_like_a_rescan() {
+        // CRLF and LF endings, an empty line, a multi-byte character, and
+        // a last line without a newline (ending in a lone `\r`).
+        for src in [
+            "node f()\r\nreturns ();\n\nlet é = 1;\r\ntel\r",
+            "a\n",
+            "",
+            "\n\r\n",
+            "x",
+        ] {
+            let index = LineIndex::new(src);
+            for offset in 0..=src.len() as u32 + 2 {
+                if !src.is_char_boundary((offset as usize).min(src.len())) {
+                    continue;
+                }
+                let loc = Loc::of_offset(src, offset);
+                assert_eq!(index.loc(offset), loc, "{src:?} at {offset}");
+                assert_eq!(
+                    index.line(loc.line),
+                    src.lines().nth(loc.line as usize - 1),
+                    "{src:?} line {}",
+                    loc.line
+                );
+            }
+            let lines = src.lines().count() as u32;
+            assert_eq!(index.line(lines + 1), None, "{src:?}");
+            assert_eq!(index.line(0), None);
+        }
     }
 
     #[test]

@@ -10,15 +10,13 @@
 //!
 //! Each artifact records its own resident footprint
 //! ([`ServiceArtifact::estimated_bytes`]) so the service's cache byte
-//! cap weighs dump-heavy artifacts honestly — an IR dump retains the
-//! typed IR, not just a string, and is weighed as such.
+//! cap weighs every artifact by what it keeps — an IR dump keeps its
+//! rendered text, and is weighed by that text's length.
 
 use velus_baselines::BaselineScheme;
 use velus_common::{
     codes, json_escape, DiagRecord, DiagStage, Diagnostic, Diagnostics, IoMode, Span,
 };
-use velus_nlustre::ast::{CExpr, Equation, Expr, Program};
-use velus_obc::ast::ObcProgram;
 use velus_ops::ClightOps;
 use velus_server::{ArtifactKind, IrStageKind, WcetModelKind};
 use velus_wcet::CostModel;
@@ -181,133 +179,25 @@ impl LintArtifact {
     }
 }
 
-/// A retained intermediate representation (the typed AST, not its
-/// rendering — rendering is cheap and deterministic, retention is what
-/// the cache must weigh).
-#[derive(Debug, Clone)]
-pub enum IrSnapshot {
-    /// Elaborated, unscheduled N-Lustre.
-    NLustre(Program<ClightOps>),
-    /// Scheduled SN-Lustre.
-    SnLustre(Program<ClightOps>),
-    /// Translated Obc, before fusion.
-    Obc(ObcProgram<ClightOps>),
-    /// Obc after fusion.
-    ObcFused(ObcProgram<ClightOps>),
+/// A rendered intermediate representation: the `velus dump` text of one
+/// pipeline stage, rendered once when the artifact is produced, so
+/// serving it formats nothing and the cache weighs exactly what it keeps.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IrSnapshot {
+    stage: IrStageKind,
+    text: String,
 }
 
 impl IrSnapshot {
     /// Which pipeline stage the snapshot is of.
     pub fn stage(&self) -> IrStageKind {
-        match self {
-            IrSnapshot::NLustre(_) => IrStageKind::NLustre,
-            IrSnapshot::SnLustre(_) => IrStageKind::SnLustre,
-            IrSnapshot::Obc(_) => IrStageKind::Obc,
-            IrSnapshot::ObcFused(_) => IrStageKind::ObcFused,
-        }
+        self.stage
     }
-
-    /// Pretty-prints the retained IR (the `velus dump` format).
-    pub fn render(&self) -> String {
-        match self {
-            IrSnapshot::NLustre(p) | IrSnapshot::SnLustre(p) => format!("{p}"),
-            IrSnapshot::Obc(p) | IrSnapshot::ObcFused(p) => format!("{p}"),
-        }
-    }
-
-    /// An estimate of the retained IR's resident size in bytes, used to
-    /// weigh the artifact against the cache byte cap. A structural
-    /// count (AST nodes × per-node footprint), not a deep `size_of`
-    /// traversal — cheap, deterministic, and within a small factor of
-    /// the truth, which is all eviction accounting needs.
-    pub fn estimated_bytes(&self) -> usize {
-        match self {
-            IrSnapshot::NLustre(p) | IrSnapshot::SnLustre(p) => nlustre_bytes(p),
-            IrSnapshot::Obc(p) | IrSnapshot::ObcFused(p) => obc_bytes(p),
-        }
-    }
-}
-
-/// Approximate heap footprint of one N-Lustre expression node
-/// (discriminant, boxes, type annotation).
-const EXPR_NODE_BYTES: usize = 48;
-/// Approximate footprint of a declaration (name, type, clock chain).
-const DECL_BYTES: usize = 40;
-/// Fixed per-equation footprint (clock, defined variables).
-const EQ_BYTES: usize = 56;
-/// Fixed per-node / per-class / per-method footprint.
-const CONTAINER_BYTES: usize = 96;
-/// Approximate footprint of one Obc statement or expression node.
-const OBC_NODE_BYTES: usize = 56;
-
-fn expr_nodes(e: &Expr<ClightOps>) -> usize {
-    match e {
-        Expr::Var(..) | Expr::Const(..) => 1,
-        Expr::Unop(_, e1, _) => 1 + expr_nodes(e1),
-        Expr::Binop(_, e1, e2, _) => 1 + expr_nodes(e1) + expr_nodes(e2),
-        Expr::When(e1, _, _) => 1 + expr_nodes(e1),
-    }
-}
-
-fn cexpr_nodes(ce: &CExpr<ClightOps>) -> usize {
-    match ce {
-        CExpr::Merge(_, t, f) => 1 + cexpr_nodes(t) + cexpr_nodes(f),
-        CExpr::If(c, t, f) => 1 + expr_nodes(c) + cexpr_nodes(t) + cexpr_nodes(f),
-        CExpr::Expr(e) => expr_nodes(e),
-    }
-}
-
-/// Structural size estimate of an N-Lustre program.
-fn nlustre_bytes(prog: &Program<ClightOps>) -> usize {
-    prog.nodes
-        .iter()
-        .map(|node| {
-            let decls = (node.inputs.len() + node.outputs.len() + node.locals.len()) * DECL_BYTES;
-            let eqs: usize = node
-                .eqs
-                .iter()
-                .map(|eq| {
-                    EQ_BYTES
-                        + EXPR_NODE_BYTES
-                            * match eq {
-                                Equation::Def { rhs, .. } => cexpr_nodes(rhs),
-                                Equation::Fby { rhs, .. } => 1 + expr_nodes(rhs),
-                                Equation::Call { args, xs, .. } => {
-                                    xs.len() + args.iter().map(expr_nodes).sum::<usize>()
-                                }
-                            }
-                })
-                .sum();
-            CONTAINER_BYTES + decls + eqs
-        })
-        .sum()
-}
-
-/// Structural size estimate of an Obc program (statement counts via
-/// [`velus_obc::ast::Stmt::size`]).
-fn obc_bytes(prog: &ObcProgram<ClightOps>) -> usize {
-    prog.classes
-        .iter()
-        .map(|class| {
-            let header =
-                CONTAINER_BYTES + (class.memories.len() + class.instances.len()) * DECL_BYTES;
-            let methods: usize = class
-                .methods
-                .iter()
-                .map(|m| {
-                    CONTAINER_BYTES
-                        + (m.inputs.len() + m.outputs.len() + m.locals.len()) * DECL_BYTES
-                        + m.body.size() * OBC_NODE_BYTES
-                })
-                .sum();
-            header + methods
-        })
-        .sum()
 }
 
 /// One cached, served artifact — exactly what its kind needs, nothing
-/// more. A `Wcet` entry holds a few words; only `IrDump` retains an IR
-/// and only `CCode` retains the printed C.
+/// more. A `Wcet` entry holds a few words; `IrDump` keeps an IR's
+/// rendering and `CCode` the printed C.
 #[derive(Debug, Clone)]
 pub enum ServiceArtifact {
     /// The printed C translation unit.
@@ -319,7 +209,7 @@ pub enum ServiceArtifact {
     Wcet(WcetArtifact),
     /// A baseline-scheme comparison.
     BaselineDiff(BaselineDiffArtifact),
-    /// A retained intermediate representation.
+    /// A rendered intermediate representation.
     IrDump(IrSnapshot),
     /// A validation/diagnostics report.
     Report(ReportArtifact),
@@ -357,15 +247,15 @@ impl ServiceArtifact {
             ServiceArtifact::CCode { c_code } => c_code.clone(),
             ServiceArtifact::Wcet(w) => w.render(),
             ServiceArtifact::BaselineDiff(d) => d.render(),
-            ServiceArtifact::IrDump(ir) => ir.render(),
+            ServiceArtifact::IrDump(ir) => ir.text.clone(),
             ServiceArtifact::Report(r) => r.render(),
             ServiceArtifact::Lint(l) => l.render(),
         }
     }
 
     /// The artifact's resident footprint in bytes, for cache byte-cap
-    /// accounting: the C text's length, a small constant for reports,
-    /// and the structural IR estimate for dumps.
+    /// accounting: the C or dump text's length, and a small constant
+    /// plus the message lengths for reports.
     pub fn estimated_bytes(&self) -> usize {
         match self {
             ServiceArtifact::CCode { c_code } => c_code.len(),
@@ -375,7 +265,7 @@ impl ServiceArtifact {
                     + d.root.len()
                     + d.rows.len() * std::mem::size_of::<BaselineRow>()
             }
-            ServiceArtifact::IrDump(ir) => ir.estimated_bytes(),
+            ServiceArtifact::IrDump(ir) => ir.text.len(),
             ServiceArtifact::Report(r) => {
                 std::mem::size_of::<ReportArtifact>()
                     + r.root.len()
@@ -509,11 +399,14 @@ pub fn produce(
                 })
             }
             ArtifactKind::BaselineDiff => ServiceArtifact::BaselineDiff(baseline_diff(staged)?),
-            ArtifactKind::IrDump { stage } => ServiceArtifact::IrDump(match stage {
-                IrStageKind::NLustre => IrSnapshot::NLustre(staged.nlustre().clone()),
-                IrStageKind::SnLustre => IrSnapshot::SnLustre(staged.snlustre()?.clone()),
-                IrStageKind::Obc => IrSnapshot::Obc(staged.obc()?.clone()),
-                IrStageKind::ObcFused => IrSnapshot::ObcFused(staged.obc_fused()?.clone()),
+            ArtifactKind::IrDump { stage } => ServiceArtifact::IrDump(IrSnapshot {
+                stage: *stage,
+                text: match stage {
+                    IrStageKind::NLustre => staged.nlustre().to_string(),
+                    IrStageKind::SnLustre => staged.snlustre()?.to_string(),
+                    IrStageKind::Obc => staged.obc()?.to_string(),
+                    IrStageKind::ObcFused => staged.obc_fused()?.to_string(),
+                },
             }),
             ArtifactKind::Report => ServiceArtifact::Report(report(staged, source)?),
             ArtifactKind::Lint => ServiceArtifact::Lint(lint(staged, source)?),
@@ -530,7 +423,7 @@ pub fn produce(
 fn lint(staged: &mut StagedPipeline<'_>, source: &str) -> Result<LintArtifact, VelusError> {
     let findings = staged.lint()?;
     Ok(LintArtifact {
-        findings: findings.iter().map(|f| DiagRecord::of(f, source)).collect(),
+        findings: findings.records(source),
         human: findings.render_human(source),
         json: findings.render_json(source),
     })
@@ -547,11 +440,7 @@ fn report(staged: &mut StagedPipeline<'_>, source: &str) -> Result<ReportArtifac
     let root = snlustre.nodes[root.index()].name.to_string();
     // Everything up to (not including) emission ran and re-validated.
     let stages = crate::passes::PASS_ORDER[..crate::passes::PASS_ORDER.len() - 1].to_vec();
-    let warnings = staged
-        .warnings()
-        .iter()
-        .map(|w| DiagRecord::of(w, source))
-        .collect();
+    let warnings = staged.warnings().records(source);
     Ok(ReportArtifact {
         root,
         nodes,
@@ -614,8 +503,8 @@ mod tests {
         );
         let rendered = artifacts[0].1.render();
         assert!(rendered.contains("node counter"), "{rendered}");
-        // The retained IR is weighed structurally, not as its rendering.
-        assert!(artifacts[0].1.estimated_bytes() > 100);
+        // The dump keeps its rendering, and is weighed by it.
+        assert_eq!(artifacts[0].1.estimated_bytes(), rendered.len());
     }
 
     #[test]
@@ -675,18 +564,21 @@ mod tests {
 
     #[test]
     fn ir_estimates_scale_with_program_size() {
-        let small = velus_lustre::compile_to_nlustre::<ClightOps>(COUNTER)
-            .unwrap()
-            .0;
         let big_src = format!(
             "{COUNTER}
              node second(a: int) returns (b: int)
              var t: int;
              let t = a * 2; b = t + (0 fby b); tel"
         );
-        let big = velus_lustre::compile_to_nlustre::<ClightOps>(&big_src)
-            .unwrap()
-            .0;
-        assert!(nlustre_bytes(&big) > nlustre_bytes(&small));
+        let kinds = [ArtifactKind::IrDump {
+            stage: IrStageKind::NLustre,
+        }];
+        let weight = |src: &str| {
+            let mut observe = |_: velus_server::Stage, _: std::time::Duration| {};
+            let mut staged = StagedPipeline::from_source(src, None, &mut observe).unwrap();
+            let artifacts = produce(&mut staged, &kinds, IoMode::Volatile, src).unwrap();
+            artifacts[0].1.estimated_bytes()
+        };
+        assert!(weight(&big_src) > weight(COUNTER));
     }
 }

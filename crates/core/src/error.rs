@@ -9,7 +9,7 @@ use velus_obc::ObcError;
 /// Any failure of the pipeline or of translation validation.
 ///
 /// Every variant converts to coded, stage-tagged, span-carrying
-/// [`Diagnostics`] through [`ToDiagnostics`]; the pass framework
+/// [`Diagnostics`] through [`ToDiagnostics`]; the staged pipeline
 /// performs that conversion at the stage boundary (so errors escaping
 /// the [`StagedPipeline`](crate::StagedPipeline) are already
 /// [`VelusError::Diag`] with resolved spans), and the raw layer
@@ -60,8 +60,8 @@ impl ToDiagnostics for VelusError {
             VelusError::Sem(e) => e.to_diagnostics(spans),
             VelusError::Obc(e) => e.to_diagnostics(spans),
             VelusError::Clight(e) => e.to_diagnostics(spans),
-            // Validation failures leave the stage open: the pass
-            // manager tags re-check failures with their pass, and the
+            // Validation failures leave the stage open: the pipeline's
+            // runner tags re-check failures with their stage, and the
             // standalone validation harness tags `Validate`.
             VelusError::Validation(m) => Diagnostics::from(Diagnostic::error(
                 codes::E0701,

@@ -45,7 +45,7 @@ pub mod validate;
 
 pub use artifacts::ServiceArtifact;
 pub use error::VelusError;
-pub use passes::{PassManager, PassSink, StagedPipeline};
+pub use passes::{PassSink, StagedPipeline};
 pub use pipeline::{compile, emit_c, Compiled};
 pub use service::{PipelineCompiler, VelusService};
 pub use validate::{run_oracles, validate, OracleDivergence, OracleId, OracleReport};

@@ -1,29 +1,37 @@
-//! The staged pass framework: the paper's compiler as a composition of
-//! named, typed passes.
+//! The validated pipeline: the paper's compiler as a chain of plain
+//! functions, one transform and one check per stage.
 //!
 //! The paper presents the compiler as a chain of proved passes
-//! (elaborate → schedule → translate → fuse → generate); this module
-//! makes that composition first-class instead of a hand-rolled driver
-//! body. Each pass is a [`Pass`] implementation with
+//! (elaborate → schedule → translate → fuse → generate) and proves each
+//! pass's output properties once: well-typed and well-clocked N-Lustre,
+//! a valid schedule, `Fusible` Obc. This reproduction re-checks those
+//! properties after every run instead, so each stage here is a transform
+//! function plus the check function of its postcondition (the paper's
+//! proof obligation, executed — validation is part of the stage, not an
+//! optional extra):
 //!
-//! * a **typed input and output** (the IRs flow through the type system,
-//!   so passes cannot be composed out of order),
-//! * a **re-validation hook** ([`Pass::revalidate`]) — the paper proves
-//!   each pass's postcondition once; this reproduction re-checks it
-//!   after every run, and the hook is where that check lives,
-//! * **observation built in**: the [`PassManager`] wraps every run and
-//!   reports start/end/fail events to a [`PassSink`] (borrowed as a
-//!   [`StageObserver`]), which is what the compilation service's
-//!   per-stage statistics *and* its per-pass trace spans are built
-//!   from — one hook, two consumers.
+//! | stage | pass | transform | check |
+//! |---|---|---|---|
+//! | `Frontend` | `elaborate` | parse, elaborate, normalize; resolve the root | — |
+//! | `Check` | `check` | the identity | typing and clocking |
+//! | `Schedule` | `schedule` | order each node's equations | the schedule, typing and clocking |
+//! | `Translate` | `translate` | SN-Lustre to Obc | Obc typing, `Fusible` |
+//! | `Fuse` | `fuse` | the fusion optimization | Obc typing, `Fusible` |
+//! | `Generate` | `generate` | Obc to Clight | — |
+//! | `Emit` | `emit` | Clight to C text | — |
+//! | `Analysis` | `lint` | the static analyses | — |
 //!
-//! [`StagedPipeline`] composes the passes **on demand**: each IR is
-//! computed (and re-validated) the first time something asks for it and
+//! [`StagedPipeline`] composes the stages **on demand**: each IR is
+//! computed (and re-checked) the first time something asks for it and
 //! memoized afterwards, so a request that only needs the front half of
 //! the pipeline — a WCET report, an N-Lustre dump — never pays for the
 //! back half. [`crate::compile`] is
 //! `StagedPipeline::from_source(..)?.into_compiled()`: it forces every
-//! stage.
+//! stage. One private runner runs every stage: it honors cooperative
+//! cancellation at the stage boundary, reports start/end/fail events to
+//! a [`PassSink`] (the service's per-stage statistics *and* its per-pass
+//! trace spans are built from this one hook), and resolves failures to
+//! coded diagnostics.
 
 use std::cell::OnceCell;
 use std::time::Instant;
@@ -32,7 +40,6 @@ use velus_common::{
     codes, DiagStage, Diagnostic, Diagnostics, Ident, IoMode, NodeId, Span, SpanMap,
 };
 use velus_nlustre::ast::Program;
-use velus_nlustre::{clockcheck, typecheck};
 use velus_obc::ast::ObcProgram;
 use velus_obc::fusion::{fuse_program, fusible};
 use velus_ops::ClightOps;
@@ -40,16 +47,15 @@ use velus_server::{CancelReason, CancelToken, Stage};
 
 use crate::VelusError;
 
-/// The event sink of the pass framework: stage timing *and* tracing
-/// observe pass execution through this one hook.
+/// The event sink of the pipeline: stage timing *and* tracing observe
+/// stage execution through this one hook.
 ///
-/// [`PassManager`] calls [`pass_start`](PassSink::pass_start) before a
-/// pass body runs, then exactly one of [`pass_end`](PassSink::pass_end)
-/// (success, with the wall-clock duration covering the pass body *and*
-/// its re-validation hook — validation is part of the pass, not an
-/// optional extra) or [`pass_fail`](PassSink::pass_fail) (so a tracing
-/// sink can close the pass's span without recording a timing sample;
-/// failed passes have never contributed to the stage statistics).
+/// The pipeline calls [`pass_start`](PassSink::pass_start) before a
+/// stage runs, then exactly one of [`pass_end`](PassSink::pass_end)
+/// (success, with the wall-clock duration covering the transform *and*
+/// its check) or [`pass_fail`](PassSink::pass_fail) (so a tracing sink
+/// can close the pass's span without recording a timing sample; failed
+/// stages have never contributed to the stage statistics).
 ///
 /// Every `FnMut(Stage, Duration)` closure is a `PassSink` that only
 /// listens to `pass_end` — the historical timing-observer shape — so
@@ -60,12 +66,12 @@ pub trait PassSink {
         let _ = (stage, name);
     }
 
-    /// The pass and its re-validation succeeded, taking `dur`.
+    /// The pass and its check succeeded, taking `dur`.
     fn pass_end(&mut self, stage: Stage, dur: std::time::Duration) {
         let _ = (stage, dur);
     }
 
-    /// The pass (or its re-validation) failed.
+    /// The pass (or its check) failed.
     fn pass_fail(&mut self, stage: Stage, name: &'static str) {
         let _ = (stage, name);
     }
@@ -84,7 +90,7 @@ impl<F: FnMut(Stage, std::time::Duration)> PassSink for F {
 pub type StageObserver<'a> = &'a mut dyn PassSink;
 
 /// The diagnostic stage a statistics [`Stage`] maps to, for the stage
-/// tag the pass manager stamps on every failure.
+/// tag the runner stamps on every failure.
 pub fn diag_stage(stage: Stage) -> DiagStage {
     match stage {
         Stage::Frontend => DiagStage::Elaborate,
@@ -98,40 +104,32 @@ pub fn diag_stage(stage: Stage) -> DiagStage {
     }
 }
 
-/// One named, typed compiler pass.
-///
-/// The lifetime parameter lets a pass borrow its input (e.g.
-/// translation reads the scheduled program without consuming it).
-pub trait Pass<'a> {
-    /// What the pass consumes.
-    type Input: 'a;
-    /// What the pass produces.
-    type Output;
-
-    /// The statistics stage this pass reports under.
-    const STAGE: Stage;
-    /// A short stable name (used in diagnostics and docs).
-    const NAME: &'static str;
-
-    /// Runs the transformation.
-    ///
-    /// # Errors
-    ///
-    /// Any failure of the pass itself (the untrusted half).
-    fn run(&self, input: Self::Input) -> Result<Self::Output, VelusError>;
-
-    /// Re-checks the pass's postcondition on its output (the validated
-    /// half — the paper's proof obligation, executed). The default is a
-    /// no-op for passes whose output needs no separate check.
-    ///
-    /// # Errors
-    ///
-    /// A violated postcondition, reported as a validation failure.
-    fn revalidate(&self, output: &Self::Output) -> Result<(), VelusError> {
-        let _ = output;
-        Ok(())
+/// The pass a statistics [`Stage`] runs, by its stable name: the name of
+/// its trace span and of its entry in a report's validated stages.
+pub const fn pass_name(stage: Stage) -> &'static str {
+    match stage {
+        Stage::Frontend => "elaborate",
+        Stage::Check => "check",
+        Stage::Schedule => "schedule",
+        Stage::Translate => "translate",
+        Stage::Fuse => "fuse",
+        Stage::Generate => "generate",
+        Stage::Emit => "emit",
+        Stage::Analysis => "lint",
     }
 }
+
+/// The pass names of the compilation chain in pipeline order (the lint
+/// pass is off the chain).
+pub const PASS_ORDER: [&str; 7] = [
+    pass_name(Stage::Frontend),
+    pass_name(Stage::Check),
+    pass_name(Stage::Schedule),
+    pass_name(Stage::Translate),
+    pass_name(Stage::Fuse),
+    pass_name(Stage::Generate),
+    pass_name(Stage::Emit),
+];
 
 /// The coded form of a cancelled compilation: the serving layer's
 /// deadline (`E0802`) or drain (`E0805`) condition, stamped as a driver
@@ -147,108 +145,68 @@ fn cancelled(reason: CancelReason) -> VelusError {
     ))
 }
 
-/// Runs passes, re-validating and timing each one, and — when built
-/// with [`PassManager::with_cancel`] — honoring cooperative
-/// cancellation at every pass boundary: a request whose deadline
-/// expired (or whose service is draining) stops before the next pass
-/// instead of running the pipeline to completion for nobody.
-pub struct PassManager<'o> {
+/// The runner of one pipeline's stages: where its events go, and the
+/// token that can cancel it.
+struct Runner<'o> {
     observe: StageObserver<'o>,
     cancel: Option<&'o CancelToken>,
 }
 
-impl<'o> PassManager<'o> {
-    /// A manager reporting stage durations to `observe`.
-    pub fn new(observe: StageObserver<'o>) -> PassManager<'o> {
-        PassManager {
-            observe,
-            cancel: None,
-        }
-    }
-
-    /// A manager that additionally checks `cancel` before each pass.
-    pub fn with_cancel(observe: StageObserver<'o>, cancel: &'o CancelToken) -> PassManager<'o> {
-        PassManager {
-            observe,
-            cancel: Some(cancel),
-        }
-    }
-
-    /// Runs one pass: transformation, then re-validation, timing both.
+impl Runner<'_> {
+    /// Runs one stage: `transform`, then `check` on its output, timing
+    /// both.
     ///
     /// Failures leave this method **structured**: the layer error is
     /// converted to coded diagnostics ([`VelusError::Diag`]), its
     /// node/equation context resolved to source spans through `spans`,
     /// and every diagnostic that does not already know a finer stage is
-    /// tagged with this pass's stage.
+    /// tagged with this stage.
     ///
     /// # Errors
     ///
-    /// The pass's own failure, its postcondition check, or the coded
-    /// cancellation condition (`E0802`/`E0805`) when the manager's
-    /// token fired — checked *before* the pass starts, so no observer
-    /// events are emitted for a pass that never ran.
-    pub fn run<'a, P: Pass<'a>>(
+    /// The transform's own failure, its check, or the coded cancellation
+    /// condition (`E0802`/`E0805`) when the token fired — checked
+    /// *before* the stage starts, so a stage that never ran emits no
+    /// events.
+    fn run<T>(
         &mut self,
-        pass: &P,
-        input: P::Input,
+        stage: Stage,
         spans: &SpanMap,
-    ) -> Result<P::Output, VelusError> {
-        if let Some(reason) = self.cancel.and_then(|t| t.state()) {
+        transform: impl FnOnce() -> Result<T, VelusError>,
+        check: impl FnOnce(&T) -> Result<(), VelusError>,
+    ) -> Result<T, VelusError> {
+        if let Some(reason) = self.cancel.and_then(CancelToken::state) {
             return Err(cancelled(reason));
         }
-        self.observe.pass_start(P::STAGE, P::NAME);
+        let name = pass_name(stage);
+        self.observe.pass_start(stage, name);
         let start = Instant::now();
-        let result = pass.run(input).and_then(|output| {
-            pass.revalidate(&output)?;
-            Ok(output)
-        });
-        match result {
+        match transform().and_then(|output| check(&output).map(|()| output)) {
             Ok(output) => {
-                self.observe.pass_end(P::STAGE, start.elapsed());
+                self.observe.pass_end(stage, start.elapsed());
                 Ok(output)
             }
             Err(e) => {
-                self.observe.pass_fail(P::STAGE, P::NAME);
-                Err(e.into_structured(spans, diag_stage(P::STAGE)))
+                self.observe.pass_fail(stage, name);
+                Err(e.into_structured(spans, diag_stage(stage)))
             }
         }
     }
 }
 
-/// The pass names in pipeline order (documentation and test aid).
-pub const PASS_ORDER: [&str; 7] = [
-    ElaboratePass::NAME,
-    CheckPass::NAME,
-    SchedulePass::NAME,
-    TranslatePass::NAME,
-    FusePass::NAME,
-    GeneratePass::NAME,
-    EmitPass::NAME,
-];
-
-/// Input of the front end: source text plus the optional root override.
-#[derive(Debug, Clone, Copy)]
-pub struct FrontendInput<'a> {
-    /// The Lustre source text.
-    pub source: &'a str,
-    /// The requested root node name, if any.
-    pub root: Option<&'a str>,
+/// The check of a stage whose output needs none.
+fn no_check<T>(_: &T) -> Result<(), VelusError> {
+    Ok(())
 }
 
 /// Output of the front end: the elaborated program, the resolved root,
 /// the front-end warnings, and the source spans of every node and
 /// equation (what lets later stages report real positions).
-#[derive(Debug, Clone)]
-pub struct Elaborated {
-    /// Elaborated, normalized, unscheduled N-Lustre.
-    pub nlustre: Program<ClightOps>,
-    /// The resolved root node.
-    pub root: NodeId,
-    /// Front-end warnings (e.g. the initialization lint).
-    pub warnings: Diagnostics,
-    /// Node/equation source spans recorded by the elaborator.
-    pub spans: SpanMap,
+struct Elaborated {
+    nlustre: Program<ClightOps>,
+    root: NodeId,
+    warnings: Diagnostics,
+    spans: SpanMap,
 }
 
 /// Picks the default root node: a node never instantiated by another
@@ -265,9 +223,6 @@ fn default_root(prog: &Program<ClightOps>) -> Option<NodeId> {
     Some(NodeId::new(root))
 }
 
-/// Parse, elaborate, and normalize to N-Lustre; resolve the root.
-pub struct ElaboratePass;
-
 thread_local! {
     /// Per-thread front-end scratch (token buffer + both expression
     /// arenas), recycled across compiles so a long-running service or
@@ -277,42 +232,36 @@ thread_local! {
         std::cell::RefCell::new(velus_lustre::FrontendScratch::new());
 }
 
-impl<'a> Pass<'a> for ElaboratePass {
-    type Input = FrontendInput<'a>;
-    type Output = Elaborated;
-
-    const STAGE: Stage = Stage::Frontend;
-    const NAME: &'static str = "elaborate";
-
-    fn run(&self, input: FrontendInput<'a>) -> Result<Elaborated, VelusError> {
-        // Fall back to one-shot scratch if the thread-local is already
-        // borrowed (a compile re-entered from inside a compile).
-        let front = FRONTEND_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut scratch) => velus_lustre::frontend_with::<ClightOps>(input.source, &mut scratch),
-            Err(_) => velus_lustre::frontend::<ClightOps>(input.source),
-        })?;
-        let (nlustre, warnings, spans) = (front.program, front.warnings, front.spans);
-        let root = match input.root {
-            // The one name lookup after elaboration: the requested root.
-            Some(r) => {
-                let name = Ident::new(r);
-                let root = nlustre.nodes.iter().position(|n| n.name == name);
-                NodeId::new(root.ok_or_else(|| unknown_root(name))?)
-            }
-            None => default_root(&nlustre).ok_or_else(|| {
-                VelusError::Diag(Diagnostics::from(
-                    Diagnostic::error(codes::E0903, "program has no nodes", Span::DUMMY)
-                        .at_stage(DiagStage::Driver),
-                ))
-            })?,
-        };
-        Ok(Elaborated {
-            nlustre,
-            root,
-            warnings,
-            spans,
-        })
-    }
+/// The `elaborate` transform: parse, elaborate and normalize to
+/// N-Lustre, then resolve the root.
+fn elaborate(source: &str, root: Option<&str>) -> Result<Elaborated, VelusError> {
+    // Fall back to one-shot scratch if the thread-local is already
+    // borrowed (a compile re-entered from inside a compile).
+    let front = FRONTEND_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => velus_lustre::frontend_with::<ClightOps>(source, &mut scratch),
+        Err(_) => velus_lustre::frontend::<ClightOps>(source),
+    })?;
+    let (nlustre, warnings, spans) = (front.program, front.warnings, front.spans);
+    let root = match root {
+        // The one name lookup after elaboration: the requested root.
+        Some(r) => {
+            let name = Ident::new(r);
+            let root = nlustre.nodes.iter().position(|n| n.name == name);
+            NodeId::new(root.ok_or_else(|| unknown_root(name))?)
+        }
+        None => default_root(&nlustre).ok_or_else(|| {
+            VelusError::Diag(Diagnostics::from(
+                Diagnostic::error(codes::E0903, "program has no nodes", Span::DUMMY)
+                    .at_stage(DiagStage::Driver),
+            ))
+        })?,
+    };
+    Ok(Elaborated {
+        nlustre,
+        root,
+        warnings,
+        spans,
+    })
 }
 
 /// The coded form of "no node named `root`".
@@ -323,55 +272,24 @@ fn unknown_root(root: impl std::fmt::Display) -> VelusError {
     ))
 }
 
-/// Re-check the elaborator's postconditions (typing and clocking) on an
-/// already-elaborated program. The transformation is the identity; the
-/// checks *are* the pass.
-pub struct CheckPass;
-
-impl Pass<'_> for CheckPass {
-    type Input = Program<ClightOps>;
-    type Output = Program<ClightOps>;
-
-    const STAGE: Stage = Stage::Check;
-    const NAME: &'static str = "check";
-
-    fn run(&self, input: Program<ClightOps>) -> Result<Program<ClightOps>, VelusError> {
-        Ok(input)
-    }
-
-    fn revalidate(&self, output: &Program<ClightOps>) -> Result<(), VelusError> {
-        typecheck::check_program(output)?;
-        clockcheck::check_program_clocks(output)?;
-        Ok(())
-    }
+/// The `check` stage's check: the elaborator's postconditions, typing
+/// and clocking, in one walk.
+fn check_nlustre(prog: &Program<ClightOps>) -> Result<(), VelusError> {
+    Ok(velus_nlustre::check::check_program(prog)?)
 }
 
-/// Schedule the equations (untrusted heuristic); re-validation runs the
-/// paper's schedule checker plus the typing/clocking preservation
-/// checks.
-///
-/// The pass moves the equations of its input rather than copying the
-/// program: on success the input is left empty and the returned
-/// [`Scheduled`] records each node's permutation, from which the
-/// elaborated order can be rebuilt if anything still needs it. Every
-/// order is computed before anything moves, so a causality error leaves
-/// the input intact.
-pub struct SchedulePass;
-
-/// Output of [`SchedulePass`].
+/// The scheduled program, and per node the order applied: equation `k`
+/// of the scheduled node was equation `orders[n][k]` of its input.
 #[derive(Debug, Clone)]
-pub struct Scheduled {
-    /// The scheduled SN-Lustre program.
-    pub program: Program<ClightOps>,
-    /// Per node, the order applied: equation `k` of the scheduled node
-    /// was equation `orders[n][k]` of its input.
-    pub orders: Vec<Vec<usize>>,
+struct Scheduled {
+    program: Program<ClightOps>,
+    orders: Vec<Vec<usize>>,
 }
 
 impl Scheduled {
     /// Rebuilds the unscheduled input by undoing every node's
     /// permutation on a copy of the scheduled program.
-    pub fn unscheduled(&self) -> Program<ClightOps> {
+    fn unscheduled(&self) -> Program<ClightOps> {
         let mut prog = self.program.clone();
         for (node, order) in prog.nodes.iter_mut().zip(&self.orders) {
             let mut inverse = vec![0; order.len()];
@@ -384,44 +302,46 @@ impl Scheduled {
     }
 }
 
-impl<'a> Pass<'a> for SchedulePass {
-    type Input = &'a mut Program<ClightOps>;
-    type Output = Scheduled;
-
-    const STAGE: Stage = Stage::Schedule;
-    const NAME: &'static str = "schedule";
-
-    fn run(&self, input: &'a mut Program<ClightOps>) -> Result<Scheduled, VelusError> {
-        let orders = input
-            .nodes
-            .iter()
-            .map(velus_nlustre::schedule::schedule_order)
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut program = Program::new(std::mem::take(&mut input.nodes));
-        for (node, order) in program.nodes.iter_mut().zip(&orders) {
-            velus_nlustre::schedule::apply_order(node, order);
-        }
-        Ok(Scheduled { program, orders })
+/// The `schedule` transform (an untrusted heuristic).
+///
+/// It moves the equations of its input rather than copying the program:
+/// on success the input is left empty and the returned [`Scheduled`]
+/// records each node's permutation, from which the elaborated order can
+/// be rebuilt if anything still needs it. Every order is computed before
+/// anything moves, so a causality error leaves the input intact.
+fn schedule(input: &mut Program<ClightOps>) -> Result<Scheduled, VelusError> {
+    let orders = input
+        .nodes
+        .iter()
+        .map(velus_nlustre::schedule::schedule_order)
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut program = Program::new(std::mem::take(&mut input.nodes));
+    for (node, order) in program.nodes.iter_mut().zip(&orders) {
+        velus_nlustre::schedule::apply_order(node, order);
     }
-
-    fn revalidate(&self, output: &Scheduled) -> Result<(), VelusError> {
-        for node in &output.program.nodes {
-            velus_nlustre::deps::check_schedule(node)?;
-        }
-        typecheck::check_program(&output.program)?;
-        clockcheck::check_program_clocks(&output.program)?;
-        Ok(())
-    }
+    Ok(Scheduled { program, orders })
 }
 
-/// Checks that every method of every class is `Fusible` — the paper's
-/// invariant that translation establishes and fusion preserves.
-fn check_fusible(prog: &ObcProgram<ClightOps>, stage: &str) -> Result<(), VelusError> {
+/// The `schedule` stage's check: the paper's schedule checker, plus the
+/// preservation of typing and clocking.
+fn check_scheduled(scheduled: &Scheduled) -> Result<(), VelusError> {
+    for node in &scheduled.program.nodes {
+        velus_nlustre::deps::check_schedule(node)?;
+    }
+    check_nlustre(&scheduled.program)
+}
+
+/// The `translate` and `fuse` stages' check: Obc typing, and that every
+/// method of every class is `Fusible` — the paper's invariant that
+/// translation establishes and fusion preserves. `what` names the
+/// program in the failure.
+fn check_obc(prog: &ObcProgram<ClightOps>, what: &str) -> Result<(), VelusError> {
+    velus_obc::typecheck::check_program(prog)?;
     for class in &prog.classes {
         for m in &class.methods {
             if !fusible(&m.body) {
                 return Err(VelusError::Validation(format!(
-                    "{stage} method {}.{} is not Fusible",
+                    "{what} method {}.{} is not Fusible",
                     class.name, m.name
                 )));
             }
@@ -430,139 +350,7 @@ fn check_fusible(prog: &ObcProgram<ClightOps>, stage: &str) -> Result<(), VelusE
     Ok(())
 }
 
-/// Translate scheduled SN-Lustre to Obc; re-validation re-checks Obc
-/// typing and the `Fusible` postcondition.
-pub struct TranslatePass;
-
-impl<'a> Pass<'a> for TranslatePass {
-    type Input = &'a Program<ClightOps>;
-    type Output = ObcProgram<ClightOps>;
-
-    const STAGE: Stage = Stage::Translate;
-    const NAME: &'static str = "translate";
-
-    fn run(&self, input: &'a Program<ClightOps>) -> Result<ObcProgram<ClightOps>, VelusError> {
-        Ok(velus_obc::translate::translate_program(input)?)
-    }
-
-    fn revalidate(&self, output: &ObcProgram<ClightOps>) -> Result<(), VelusError> {
-        velus_obc::typecheck::check_program(output)?;
-        check_fusible(output, "translated")
-    }
-}
-
-/// The fusion optimization; re-validation checks preservation of typing
-/// and `Fusible`. The pass consumes the translated program: fused bodies
-/// are built from its moved statements.
-pub struct FusePass;
-
-impl Pass<'_> for FusePass {
-    type Input = ObcProgram<ClightOps>;
-    type Output = ObcProgram<ClightOps>;
-
-    const STAGE: Stage = Stage::Fuse;
-    const NAME: &'static str = "fuse";
-
-    fn run(&self, input: ObcProgram<ClightOps>) -> Result<ObcProgram<ClightOps>, VelusError> {
-        Ok(fuse_program(input))
-    }
-
-    fn revalidate(&self, output: &ObcProgram<ClightOps>) -> Result<(), VelusError> {
-        velus_obc::typecheck::check_program(output)?;
-        check_fusible(output, "fused")
-    }
-}
-
-/// Input of Clight generation: the fused Obc plus the root class.
-#[derive(Debug, Clone, Copy)]
-pub struct GenerateInput<'a> {
-    /// The fused Obc program.
-    pub obc_fused: &'a ObcProgram<ClightOps>,
-    /// The root class to build the simulation `main` for.
-    pub root: NodeId,
-}
-
-/// Generate Clight (with the simulation `main` for the root).
-pub struct GeneratePass;
-
-impl<'a> Pass<'a> for GeneratePass {
-    type Input = GenerateInput<'a>;
-    type Output = velus_clight::ast::Program;
-
-    const STAGE: Stage = Stage::Generate;
-    const NAME: &'static str = "generate";
-
-    fn run(&self, input: GenerateInput<'a>) -> Result<velus_clight::ast::Program, VelusError> {
-        Ok(velus_clight::generate::generate(
-            input.obc_fused,
-            input.root,
-        )?)
-    }
-}
-
-/// Input of emission: the Clight program plus the I/O rendering mode.
-#[derive(Debug, Clone, Copy)]
-pub struct EmitInput<'a> {
-    /// The generated Clight.
-    pub clight: &'a velus_clight::ast::Program,
-    /// How the I/O boundary is rendered.
-    pub io: IoMode,
-}
-
-/// Print the Clight as a compilable C translation unit.
-pub struct EmitPass;
-
-impl<'a> Pass<'a> for EmitPass {
-    type Input = EmitInput<'a>;
-    type Output = String;
-
-    const STAGE: Stage = Stage::Emit;
-    const NAME: &'static str = "emit";
-
-    fn run(&self, input: EmitInput<'a>) -> Result<String, VelusError> {
-        Ok(velus_clight::printer::print_program(input.clight, input.io))
-    }
-}
-
-/// Input of the lint pass: the scheduled program plus everything the
-/// analyses resolve findings through.
-#[derive(Debug, Clone, Copy)]
-pub struct LintInput<'a> {
-    /// The scheduled program to analyze.
-    pub program: &'a Program<ClightOps>,
-    /// The root node (reachability/activity start from it).
-    pub root: NodeId,
-    /// The front-end warnings, whose initialization findings (`W0101`)
-    /// the lint report carries over.
-    pub warnings: &'a Diagnostics,
-    /// Node/equation spans the findings anchor to.
-    pub spans: &'a SpanMap,
-}
-
-/// The static-analysis lint pass (`velus-analysis`): initialization,
-/// value ranges, liveness, dead clocks. Off the main compilation chain
-/// — it runs only when a lint artifact (or `velus lint`) asks for it,
-/// and its findings never fail the compilation.
-pub struct LintPass;
-
-impl<'a> Pass<'a> for LintPass {
-    type Input = LintInput<'a>;
-    type Output = Diagnostics;
-
-    const STAGE: Stage = Stage::Analysis;
-    const NAME: &'static str = "lint";
-
-    fn run(&self, input: LintInput<'a>) -> Result<Diagnostics, VelusError> {
-        Ok(velus_analysis::lint_program(
-            input.program,
-            input.root,
-            input.warnings,
-            input.spans,
-        ))
-    }
-}
-
-/// The pipeline composed on demand: each stage runs (and re-validates)
+/// The pipeline composed on demand: each stage runs (and is re-checked)
 /// the first time it is requested and is memoized afterwards.
 ///
 /// This is the engine behind both the classic whole-pipeline API
@@ -570,7 +358,7 @@ impl<'a> Pass<'a> for LintPass {
 /// service (a WCET-only request forces stages up to Clight generation
 /// and never runs emission; an N-Lustre dump stops after the checks).
 pub struct StagedPipeline<'o> {
-    pm: PassManager<'o>,
+    runner: Runner<'o>,
     /// The elaborated program until scheduling moves it out; from then
     /// on rebuilt from `snlustre` the first time it is asked for.
     nlustre: OnceCell<Program<ClightOps>>,
@@ -603,7 +391,7 @@ impl<'o> StagedPipeline<'o> {
     }
 
     /// [`StagedPipeline::from_source`] with an optional cancellation
-    /// token, checked at every pass boundary for the pipeline's whole
+    /// token, checked at every stage boundary for the pipeline's whole
     /// life (later on-demand stages included).
     ///
     /// # Errors
@@ -616,16 +404,14 @@ impl<'o> StagedPipeline<'o> {
         observe: StageObserver<'o>,
         cancel: Option<&'o CancelToken>,
     ) -> Result<StagedPipeline<'o>, VelusError> {
-        let mut pm = match cancel {
-            Some(token) => PassManager::with_cancel(observe, token),
-            None => PassManager::new(observe),
-        };
-        let elaborated = pm.run(
-            &ElaboratePass,
-            FrontendInput { source, root },
+        let mut runner = Runner { observe, cancel };
+        let elaborated = runner.run(
+            Stage::Frontend,
             &SpanMap::new(),
+            || elaborate(source, root),
+            no_check,
         )?;
-        Self::from_elaborated(elaborated, pm)
+        Self::from_elaborated(elaborated, runner)
     }
 
     /// Starts from an already-elaborated program (used by benchmarks and
@@ -651,21 +437,30 @@ impl<'o> StagedPipeline<'o> {
                 warnings,
                 spans: SpanMap::new(),
             },
-            PassManager::new(observe),
+            Runner {
+                observe,
+                cancel: None,
+            },
         )
     }
 
     fn from_elaborated(
         elaborated: Elaborated,
-        mut pm: PassManager<'o>,
+        mut runner: Runner<'o>,
     ) -> Result<StagedPipeline<'o>, VelusError> {
-        let nlustre = pm.run(&CheckPass, elaborated.nlustre, &elaborated.spans)?;
+        let Elaborated {
+            nlustre,
+            root,
+            warnings,
+            spans,
+        } = elaborated;
+        let nlustre = runner.run(Stage::Check, &spans, || Ok(nlustre), check_nlustre)?;
         Ok(StagedPipeline {
-            pm,
+            runner,
             nlustre: OnceCell::from(nlustre),
-            root: elaborated.root,
-            warnings: elaborated.warnings,
-            spans: elaborated.spans,
+            root,
+            warnings,
+            spans,
             snlustre: None,
             obc: None,
             obc_fused: None,
@@ -694,7 +489,7 @@ impl<'o> StagedPipeline<'o> {
     ///
     /// Scheduling moves the elaborated program instead of copying it, so
     /// once [`StagedPipeline::snlustre`] has run, the first call here
-    /// rebuilds it by undoing the schedule (see [`Scheduled::unscheduled`]).
+    /// rebuilds it by undoing each node's recorded permutation.
     pub fn nlustre(&self) -> &Program<ClightOps> {
         self.nlustre.get_or_init(|| {
             self.snlustre
@@ -715,8 +510,13 @@ impl<'o> StagedPipeline<'o> {
                 .nlustre
                 .get_mut()
                 .expect("the elaborated program is held until a schedule succeeds");
-            let scheduled = self.pm.run(&SchedulePass, elaborated, &self.spans)?;
-            // Moved out by the pass: rebuilt on demand by `nlustre`.
+            let scheduled = self.runner.run(
+                Stage::Schedule,
+                &self.spans,
+                || schedule(elaborated),
+                check_scheduled,
+            )?;
+            // Moved out by the transform: rebuilt on demand by `nlustre`.
             self.nlustre.take();
             self.snlustre = Some(scheduled);
         }
@@ -728,8 +528,8 @@ impl<'o> StagedPipeline<'o> {
     /// Fusion moves the translated program instead of copying it, so once
     /// [`StagedPipeline::obc_fused`] has run, the first call here rebuilds
     /// it by translating the scheduled program again — the same
-    /// deterministic function of the same input, already re-validated
-    /// once, so the rebuild runs no pass and reports no stage.
+    /// deterministic function of the same input, already re-checked
+    /// once, so the rebuild runs no stage and reports none.
     ///
     /// # Errors
     ///
@@ -746,13 +546,15 @@ impl<'o> StagedPipeline<'o> {
         Ok(self.obc.as_ref().expect("just translated"))
     }
 
-    /// Runs the translation pass over the scheduled program.
+    /// Runs the `translate` stage over the scheduled program.
     fn translate(&mut self) -> Result<ObcProgram<ClightOps>, VelusError> {
         self.snlustre()?;
-        self.pm.run(
-            &TranslatePass,
-            &self.snlustre.as_ref().expect("scheduled").program,
+        let snlustre = &self.snlustre.as_ref().expect("scheduled").program;
+        self.runner.run(
+            Stage::Translate,
             &self.spans,
+            || Ok(velus_obc::translate::translate_program(snlustre)?),
+            |obc| check_obc(obc, "translated"),
         )
     }
 
@@ -765,6 +567,16 @@ impl<'o> StagedPipeline<'o> {
         }
     }
 
+    /// Runs the `fuse` stage, consuming `obc`.
+    fn fuse(&mut self, obc: ObcProgram<ClightOps>) -> Result<ObcProgram<ClightOps>, VelusError> {
+        self.runner.run(
+            Stage::Fuse,
+            &self.spans,
+            || Ok(fuse_program(obc)),
+            |fused| check_obc(fused, "fused"),
+        )
+    }
+
     /// The fused Obc, fusing on first demand. Fusion consumes the
     /// translated program (see [`StagedPipeline::obc`]).
     ///
@@ -774,7 +586,7 @@ impl<'o> StagedPipeline<'o> {
     pub fn obc_fused(&mut self) -> Result<&ObcProgram<ClightOps>, VelusError> {
         if self.obc_fused.is_none() {
             let obc = self.take_obc()?;
-            let fused = self.pm.run(&FusePass, obc, &self.spans)?;
+            let fused = self.fuse(obc)?;
             self.obc_fused = Some(fused);
         }
         Ok(self.obc_fused.as_ref().expect("just fused"))
@@ -788,13 +600,12 @@ impl<'o> StagedPipeline<'o> {
     pub fn clight(&mut self) -> Result<&velus_clight::ast::Program, VelusError> {
         if self.clight.is_none() {
             self.obc_fused()?;
-            let clight = self.pm.run(
-                &GeneratePass,
-                GenerateInput {
-                    obc_fused: self.obc_fused.as_ref().expect("fused"),
-                    root: self.root,
-                },
+            let (obc_fused, root) = (self.obc_fused.as_ref().expect("fused"), self.root);
+            let clight = self.runner.run(
+                Stage::Generate,
                 &self.spans,
+                || Ok(velus_clight::generate::generate(obc_fused, root)?),
+                no_check,
             )?;
             self.clight = Some(clight);
         }
@@ -813,15 +624,13 @@ impl<'o> StagedPipeline<'o> {
     pub fn lint(&mut self) -> Result<&Diagnostics, VelusError> {
         if self.lint.is_none() {
             self.snlustre()?;
-            let findings = self.pm.run(
-                &LintPass,
-                LintInput {
-                    program: &self.snlustre.as_ref().expect("scheduled").program,
-                    root: self.root,
-                    warnings: &self.warnings,
-                    spans: &self.spans,
-                },
-                &self.spans,
+            let program = &self.snlustre.as_ref().expect("scheduled").program;
+            let (root, warnings, spans) = (self.root, &self.warnings, &self.spans);
+            let findings = self.runner.run(
+                Stage::Analysis,
+                spans,
+                || Ok(velus_analysis::lint_program(program, root, warnings, spans)),
+                no_check,
             )?;
             self.lint = Some(findings);
         }
@@ -843,13 +652,12 @@ impl<'o> StagedPipeline<'o> {
     /// Any failure of the forced stages.
     pub fn emit(&mut self, io: IoMode) -> Result<String, VelusError> {
         self.clight()?;
-        self.pm.run(
-            &EmitPass,
-            EmitInput {
-                clight: self.clight.as_ref().expect("generated"),
-                io,
-            },
+        let clight = self.clight.as_ref().expect("generated");
+        self.runner.run(
+            Stage::Emit,
             &self.spans,
+            || Ok(velus_clight::printer::print_program(clight, io)),
+            no_check,
         )
     }
 
@@ -865,7 +673,7 @@ impl<'o> StagedPipeline<'o> {
     pub fn into_compiled(mut self) -> Result<crate::pipeline::Compiled, VelusError> {
         if self.obc_fused.is_none() {
             let obc = self.take_obc()?;
-            self.obc_fused = Some(self.pm.run(&FusePass, obc.clone(), &self.spans)?);
+            self.obc_fused = Some(self.fuse(obc.clone())?);
             self.obc = Some(obc);
         }
         self.clight()?;
@@ -1044,6 +852,7 @@ mod tests {
                 "emit"
             ]
         );
+        assert_eq!(pass_name(Stage::Analysis), "lint");
     }
 
     #[test]
@@ -1100,13 +909,14 @@ mod tests {
             .iter()
             .try_for_each(velus_nlustre::deps::check_schedule);
         assert!(ok.is_err(), "mis-ordered equations must fail the checker");
-        // And the SchedulePass both fixes and re-validates it.
+        // And the schedule stage both fixes and re-checks it.
         let mut observe = |_: Stage, _: std::time::Duration| {};
-        let mut pm = PassManager::new(&mut observe);
-        let mut prog = prog;
-        let scheduled = pm.run(&SchedulePass, &mut prog, &SpanMap::new()).unwrap();
-        scheduled
-            .program
+        let mut staged =
+            StagedPipeline::from_program(prog, NodeId::new(0), Diagnostics::new(), &mut observe)
+                .unwrap();
+        staged
+            .snlustre()
+            .unwrap()
             .nodes
             .iter()
             .try_for_each(velus_nlustre::deps::check_schedule)

@@ -1,5 +1,5 @@
-//! The classic whole-pipeline driver API over the staged pass
-//! framework ([`crate::passes`]).
+//! The classic whole-pipeline driver API over the staged pipeline
+//! ([`crate::passes`]).
 //!
 //! [`compile`] forces every pass of the [`StagedPipeline`] — elaborate,
 //! check, schedule, translate, fuse, generate — and returns every

@@ -1,5 +1,5 @@
 //! The Vélus instantiation of the batch compilation service
-//! (`velus-server`): the staged pass framework behind a worker pool
+//! (`velus-server`): the staged pipeline behind a worker pool
 //! and a content-addressed, per-artifact-kind cache.
 //!
 //! ```
@@ -26,7 +26,7 @@
 //! kind is cached independently: a `wcet`-only request never emits (or
 //! re-caches) C, a mixed request runs the shared pipeline prefix once.
 
-use velus_common::{DiagRecord, FailureReport, SpanMap, ToDiagnostics};
+use velus_common::{FailureReport, SpanMap, ToDiagnostics};
 use velus_obs::trace;
 use velus_server::{ArtifactKind, CancelToken, CompileOutput, CompileRequest, Compiler};
 
@@ -107,12 +107,10 @@ impl Compiler for PipelineCompiler {
         // of the front-end warnings (the initialization analysis is one
         // of the lint analyses), so they replace rather than duplicate
         // them.
-        let warnings: Vec<DiagRecord> = staged
+        let warnings = staged
             .lint_cached()
             .unwrap_or_else(|| staged.warnings())
-            .iter()
-            .map(|w| DiagRecord::of(w, &req.source))
-            .collect();
+            .records(&req.source);
         // Freeing every IR of a big program is measurable work of its
         // own; the span keeps it out of `compile`'s self time.
         let teardown = trace::enter("teardown");

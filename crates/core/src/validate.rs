@@ -668,4 +668,46 @@ mod tests {
             other => panic!("expected an undefined-operation error, got {other}"),
         }
     }
+
+    #[test]
+    fn first_divergence_locates_the_first_disagreement() {
+        let ints = |vs: &[i32]| -> Vec<SVal<ClightOps>> {
+            vs.iter().map(|&v| SVal::Pres(CVal::int(v))).collect()
+        };
+        let first =
+            |a: StreamSet<ClightOps>, b: StreamSet<ClightOps>| velus_first_divergence(&a, &b);
+        let at = |k, i, left: &str, right: &str| Some((k, i, left.to_owned(), right.to_owned()));
+        // Equal sets, empty sets and absent ticks agree.
+        assert_eq!(first(vec![ints(&[1])], vec![ints(&[1])]), None);
+        assert_eq!(first(vec![], vec![]), None);
+        assert_eq!(first(vec![vec![SVal::Abs]], vec![vec![SVal::Abs]]), None);
+        // The first differing instant; an absent tick against a present
+        // value; the first instant only one side has; the first stream
+        // only one side has, with the counts mirrored.
+        let abs_then = |v| vec![vec![SVal::Abs, v]];
+        assert_eq!(
+            first(vec![ints(&[1, 2])], vec![ints(&[1, 3])]),
+            at(0, 1, "2", "3")
+        );
+        assert_eq!(
+            first(abs_then(SVal::Abs), abs_then(SVal::Pres(CVal::int(0)))),
+            at(0, 1, ".", "0")
+        );
+        assert_eq!(
+            first(vec![ints(&[7, 8, 9])], vec![ints(&[7, 8])]),
+            at(0, 2, "9", "<missing>")
+        );
+        let (one, two) = (vec![ints(&[1])], vec![ints(&[1]), ints(&[2])]);
+        assert_eq!(
+            first(one.clone(), two.clone()),
+            at(1, 0, "1 streams", "2 streams")
+        );
+        assert_eq!(first(two, one), at(1, 0, "2 streams", "1 streams"));
+        // Floats compare bit-exactly: NaN agrees with NaN, -0.0 differs
+        // from 0.0.
+        let float = |v: f64| vec![vec![SVal::Pres(CVal::float(v))]];
+        assert_eq!(first(float(f64::NAN), float(f64::NAN)), None);
+        let d = first(float(0.0), float(-0.0)).expect("-0.0 differs from 0.0");
+        assert_eq!((d.0, d.1), (0, 0));
+    }
 }

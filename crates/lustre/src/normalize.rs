@@ -410,7 +410,7 @@ pub fn normalize<O: Ops>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use velus_nlustre::{clockcheck, typecheck};
+    use velus_nlustre::check;
     use velus_ops::ClightOps;
 
     fn compile(src: &str) -> Program<ClightOps> {
@@ -427,8 +427,7 @@ mod tests {
         let node = &prog.nodes[0];
         assert_eq!(node.eqs.len(), 2);
         assert!(node.eqs.iter().any(|e| matches!(e, Equation::Fby { .. })));
-        typecheck::check_program(&prog).unwrap();
-        clockcheck::check_program_clocks(&prog).unwrap();
+        check::check_program(&prog).unwrap();
     }
 
     #[test]
@@ -445,8 +444,7 @@ mod tests {
             .filter(|e| matches!(e, Equation::Fby { .. }))
             .count();
         assert_eq!(fbys, 1, "{node}");
-        typecheck::check_program(&prog).unwrap();
-        clockcheck::check_program_clocks(&prog).unwrap();
+        check::check_program(&prog).unwrap();
     }
 
     #[test]
@@ -500,7 +498,7 @@ mod tests {
             .filter(|e| matches!(e, Equation::Call { .. }))
             .count();
         assert_eq!(calls, 2, "{g}");
-        typecheck::check_program(&prog).unwrap();
+        check::check_program(&prog).unwrap();
     }
 
     #[test]
@@ -511,8 +509,7 @@ mod tests {
         );
         let node = &prog.nodes[0];
         assert_eq!(node.eqs.len(), 2, "{node}");
-        typecheck::check_program(&prog).unwrap();
-        clockcheck::check_program_clocks(&prog).unwrap();
+        check::check_program(&prog).unwrap();
     }
 
     #[test]
@@ -528,8 +525,7 @@ mod tests {
                position = counter(0, speed, false);
              tel",
         );
-        typecheck::check_program(&prog).unwrap();
-        clockcheck::check_program_clocks(&prog).unwrap();
+        check::check_program(&prog).unwrap();
         assert_eq!(prog.nodes.len(), 2);
         // counter first (callee), d_integrator second.
         assert_eq!(prog.nodes[0].name.as_str(), "counter");

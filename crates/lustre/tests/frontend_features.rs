@@ -119,7 +119,7 @@ fn deep_when_chains_type_check() {
         tel
     ";
     let (prog, _) = compile_to_nlustre::<ClightOps>(src).unwrap();
-    velus_nlustre::clockcheck::check_program_clocks(&prog).unwrap();
+    velus_nlustre::check::check_program(&prog).unwrap();
 }
 
 #[test]

@@ -1,0 +1,682 @@
+//! The well-typedness (§2.1) and well-clockedness (§2.2) judgments of
+//! N-Lustre, checked together in one walk.
+//!
+//! The paper proves that elaboration yields well-typed, well-clocked
+//! N-Lustre. Because our pipeline is unverified, we instead make the
+//! judgments *checkable* and re-validate them after every transforming
+//! pass: the `velus` crate's staged pipeline runs [`check_program`] after
+//! elaboration and again after scheduling.
+//!
+//! The two judgments are separate in the paper, but they read the same
+//! declarations and the same expressions, so [`check_program`] builds one
+//! environment per node, holding each variable's type and clock, and
+//! walks each equation once. For every node it verifies:
+//!
+//! * structural sanity: distinct node names, distinct variable names,
+//!   every non-input defined exactly once, inputs never defined, calls
+//!   naming a node *before* the caller (callee id < caller id: no
+//!   recursion) with matching arities;
+//! * the typing judgment: every annotation matches the operator
+//!   interface's typing functions, equation left- and right-hand sides
+//!   agree, call arguments and results match the callee's signature;
+//! * the clocking judgment: node interfaces live on the base clock, every
+//!   declared clock samples variables on its parent clock, every equation
+//!   defines variables declared on its own clock, sampled expressions only
+//!   combine streams on the right clocks, and `merge` combines
+//!   *complementary* streams — so the program can execute synchronously,
+//!   without buffering.
+
+use velus_common::{Ident, IdentMap, IdentSet, NodeId};
+use velus_ops::Ops;
+
+use crate::ast::{CExpr, Equation, Expr, Node, Program};
+use crate::clock::{Clock, Clocks};
+use crate::SemError;
+
+/// What the environment knows of one declared variable, borrowed from
+/// its declaration.
+struct Var<'n, O: Ops> {
+    ty: &'n O::Ty,
+    ck: &'n Clock,
+    input: bool,
+}
+
+type Env<'n, O> = IdentMap<Var<'n, O>>;
+
+fn type_error<T>(msg: String) -> Result<T, SemError> {
+    Err(SemError::TypeError(msg))
+}
+
+fn clock_error<T>(msg: String) -> Result<T, SemError> {
+    Err(SemError::ClockError(msg))
+}
+
+fn var<'e, 'n, O: Ops>(env: &'e Env<'n, O>, x: Ident) -> Result<&'e Var<'n, O>, SemError> {
+    env.get(&x).ok_or(SemError::UndefinedVariable(x))
+}
+
+/// Checks that expression `e` is well typed and well clocked *at* clock
+/// `ck`, and returns its type. Constants are clock-polymorphic; every
+/// variable must sit on exactly the expected clock; `e when x` shifts the
+/// expectation to the parent clock.
+fn check_expr<O: Ops>(env: &Env<O>, e: &Expr<O>, ck: &Clock) -> Result<O::Ty, SemError> {
+    match e {
+        Expr::Var(x, ty) => {
+            let v = var(env, *x)?;
+            if v.ty != ty {
+                return type_error(format!("variable {x} annotated {ty}, declared {}", v.ty));
+            }
+            if v.ck != ck {
+                return clock_error(format!("variable {x} on clock {}, expected {ck}", v.ck));
+            }
+            Ok(ty.clone())
+        }
+        Expr::Const(c) => Ok(O::type_of_const(c)),
+        Expr::Unop(op, e1, ty) => {
+            let t1 = check_expr::<O>(env, e1, ck)?;
+            match O::type_unop(*op, &t1) {
+                Some(rt) if rt == *ty => Ok(rt),
+                Some(rt) => type_error(format!("unop {op} annotated {ty}, inferred {rt}")),
+                None => type_error(format!("unop {op} inapplicable to {t1}")),
+            }
+        }
+        Expr::Binop(op, e1, e2, ty) => {
+            let t1 = check_expr::<O>(env, e1, ck)?;
+            let t2 = check_expr::<O>(env, e2, ck)?;
+            match O::type_binop(*op, &t1, &t2) {
+                Some(rt) if rt == *ty => Ok(rt),
+                Some(rt) => type_error(format!("binop {op} annotated {ty}, inferred {rt}")),
+                None => type_error(format!("binop {op} inapplicable to {t1}, {t2}")),
+            }
+        }
+        Expr::When(e1, x, k) => {
+            let parent = match ck {
+                Clock::On(parent, y, k2) if y == x && k2 == k => parent.as_ref(),
+                _ => return clock_error(format!("sampled expression `… when {x}` at clock {ck}")),
+            };
+            // The sampling variable is a boolean on the parent clock.
+            let v = var(env, *x)?;
+            if v.ck != parent {
+                return clock_error(format!("sampler {x} on clock {}, expected {parent}", v.ck));
+            }
+            if *v.ty != O::bool_type() {
+                return type_error(format!(
+                    "sampling variable {x} has type {}, expected bool",
+                    v.ty
+                ));
+            }
+            check_expr::<O>(env, e1, parent)
+        }
+    }
+}
+
+/// Checks that control expression `ce` is well typed and well clocked at
+/// clock `ck`, and returns its type. The branch clocks of a `merge` come
+/// from `clocks`, so each is built once per node.
+fn check_cexpr<O: Ops>(
+    env: &Env<O>,
+    clocks: &mut Clocks,
+    ce: &CExpr<O>,
+    ck: &Clock,
+) -> Result<O::Ty, SemError> {
+    match ce {
+        CExpr::Merge(x, t, f) => {
+            let v = var(env, *x)?;
+            if *v.ty != O::bool_type() {
+                return type_error(format!(
+                    "merge variable {x} has type {}, expected bool",
+                    v.ty
+                ));
+            }
+            if v.ck != ck {
+                return clock_error(format!(
+                    "merge variable {x} on clock {}, expected {ck}",
+                    v.ck
+                ));
+            }
+            let (on_t, on_f) = (clocks.on(ck, *x, true), clocks.on(ck, *x, false));
+            let tt = check_cexpr::<O>(env, clocks, t, &on_t)?;
+            let tf = check_cexpr::<O>(env, clocks, f, &on_f)?;
+            if tt == tf {
+                Ok(tt)
+            } else {
+                type_error(format!("merge branches disagree: {tt} vs {tf}"))
+            }
+        }
+        CExpr::If(c, t, f) => {
+            let tc = check_expr::<O>(env, c, ck)?;
+            if tc != O::bool_type() {
+                return type_error(format!("mux guard has type {tc}, expected bool"));
+            }
+            let tt = check_cexpr::<O>(env, clocks, t, ck)?;
+            let tf = check_cexpr::<O>(env, clocks, f, ck)?;
+            if tt == tf {
+                Ok(tt)
+            } else {
+                type_error(format!("mux branches disagree: {tt} vs {tf}"))
+            }
+        }
+        CExpr::Expr(e) => check_expr::<O>(env, e, ck),
+    }
+}
+
+/// Checks that every sampler of clock `ck` (declared for `x`) is declared
+/// on the clock it samples.
+fn check_decl_clock<O: Ops>(env: &Env<O>, x: Ident, ck: &Clock) -> Result<(), SemError> {
+    if let Clock::On(parent, y, _) = ck {
+        let cy = var(env, *y)?.ck;
+        if cy != parent.as_ref() {
+            return clock_error(format!(
+                "declaration of {x}: sampler {y} on clock {cy}, expected {parent}"
+            ));
+        }
+        check_decl_clock(env, x, parent)?;
+    }
+    Ok(())
+}
+
+/// Checks one equation of node `caller` against the node's environment.
+fn check_equation<O: Ops>(
+    env: &Env<O>,
+    clocks: &mut Clocks,
+    nodes: &[Node<O>],
+    caller: NodeId,
+    eq: &Equation<O>,
+) -> Result<(), SemError> {
+    let ck = eq.clock();
+    // The defined variables must be declared on the equation's clock.
+    for &x in eq.defined() {
+        let cx = var(env, x)?.ck;
+        if cx != ck {
+            return clock_error(format!("{x} declared on clock {cx} but defined on {ck}"));
+        }
+    }
+    check_decl_clock(env, eq.defined()[0], ck)?;
+    match eq {
+        Equation::Def { x, rhs, .. } => {
+            let trhs = check_cexpr::<O>(env, clocks, rhs, ck)?;
+            let tx = var(env, *x)?.ty;
+            if *tx != trhs {
+                return type_error(format!("{x} has type {tx} but is defined with type {trhs}"));
+            }
+        }
+        Equation::Fby { x, init, rhs, .. } => {
+            let trhs = check_expr::<O>(env, rhs, ck)?;
+            let tinit = O::type_of_const(init);
+            let tx = var(env, *x)?.ty;
+            if tinit != trhs {
+                return type_error(format!("fby initial value has type {tinit}, body {trhs}"));
+            }
+            if *tx != trhs {
+                return type_error(format!("{x} has type {tx} but fby produces {trhs}"));
+            }
+        }
+        Equation::Call {
+            xs, node: f, args, ..
+        } => {
+            if !f.callable_from(caller) {
+                return Err(SemError::UnknownNode(*f));
+            }
+            let callee = &nodes[f.index()];
+            let f = callee.name;
+            if callee.inputs.len() != args.len() {
+                return Err(SemError::InputMismatch(format!(
+                    "call to {f}: {} arguments for {} inputs",
+                    args.len(),
+                    callee.inputs.len()
+                )));
+            }
+            if callee.outputs.len() != xs.len() {
+                return Err(SemError::InputMismatch(format!(
+                    "call to {f}: {} result variables for {} outputs",
+                    xs.len(),
+                    callee.outputs.len()
+                )));
+            }
+            for (a, d) in args.iter().zip(&callee.inputs) {
+                let ta = check_expr::<O>(env, a, ck)?;
+                if ta != d.ty {
+                    return type_error(format!(
+                        "call to {f}: argument for {} has type {ta}, expected {}",
+                        d.name, d.ty
+                    ));
+                }
+            }
+            for (x, d) in xs.iter().zip(&callee.outputs) {
+                let tx = var(env, *x)?.ty;
+                if *tx != d.ty {
+                    return type_error(format!(
+                        "call to {f}: result {x} has type {tx}, output {} has type {}",
+                        d.name, d.ty
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Checks node `id` of `nodes`, whose calls may only name the nodes
+/// before it, through an environment, a definition set and a clock
+/// table, all cleared first, which a program check reuses across nodes.
+fn check_node<'n, O: Ops>(
+    nodes: &'n [Node<O>],
+    id: NodeId,
+    env: &mut Env<'n, O>,
+    defined: &mut IdentSet,
+    clocks: &mut Clocks,
+) -> Result<(), SemError> {
+    let node = &nodes[id.index()];
+    let vars = node.inputs.len() + node.outputs.len() + node.locals.len();
+    env.clear();
+    env.shrink_to(vars);
+    env.reserve(vars);
+    clocks.clear();
+    let decls = node.inputs.iter().chain(&node.outputs).chain(&node.locals);
+    for (k, d) in decls.enumerate() {
+        let v = Var {
+            ty: &d.ty,
+            ck: &d.ck,
+            input: k < node.inputs.len(),
+        };
+        if env.insert(d.name, v).is_some() {
+            return Err(SemError::Malformed(format!(
+                "duplicate declaration of {}",
+                d.name
+            )));
+        }
+        clocks.share(&d.ck);
+    }
+    if node.outputs.is_empty() {
+        return Err(SemError::Malformed("node has no outputs".to_owned()));
+    }
+    // Node interfaces live on the base clock (the paper's simplification:
+    // all inputs and outputs of an application share one clock).
+    for d in node.inputs.iter().chain(&node.outputs) {
+        if d.ck != Clock::Base {
+            return clock_error(format!(
+                "interface variable {} must be on the base clock",
+                d.name
+            ));
+        }
+    }
+    for d in &node.locals {
+        check_decl_clock(env, d.name, &d.ck)?;
+    }
+
+    // Every output and local is defined exactly once; inputs never.
+    let vars = node.outputs.len() + node.locals.len();
+    defined.clear();
+    defined.shrink_to(vars);
+    defined.reserve(vars);
+    for eq in &node.eqs {
+        for &x in eq.defined() {
+            if env.get(&x).is_some_and(|v| v.input) {
+                return Err(SemError::Malformed(format!(
+                    "input {x} is defined by an equation"
+                )));
+            }
+            if !defined.insert(x) {
+                return Err(SemError::Malformed(format!("variable {x} defined twice")));
+            }
+        }
+        // The instance is identified by the first result variable.
+        check_equation::<O>(env, clocks, nodes, id, eq)
+            .map_err(|e| e.in_node_at(node.name, eq.defined().first().copied()))?;
+    }
+    for d in node.outputs.iter().chain(&node.locals) {
+        if !defined.contains(&d.name) {
+            return Err(SemError::Malformed(format!(
+                "variable {} is never defined",
+                d.name
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Checks a whole program: unique node names, and the structure, typing
+/// and clocking of every node, with calls restricted to the nodes before
+/// the caller (which rules out recursion, as the paper requires).
+///
+/// # Errors
+///
+/// Returns the first violation found, in declaration order.
+pub fn check_program<O: Ops>(prog: &Program<O>) -> Result<(), SemError> {
+    // Names only: each node becomes a class and a C function of its name.
+    // Callees are found by id, never through this set.
+    let mut names: IdentSet = velus_common::ident_set_with_capacity(prog.nodes.len());
+    let (mut env, mut defined, mut clocks) =
+        (Env::<O>::default(), IdentSet::default(), Clocks::default());
+    for (i, node) in prog.nodes.iter().enumerate() {
+        if !names.insert(node.name) {
+            return Err(SemError::Malformed(format!(
+                "duplicate node name {}",
+                node.name
+            )));
+        }
+        check_node::<O>(
+            &prog.nodes,
+            NodeId::new(i),
+            &mut env,
+            &mut defined,
+            &mut clocks,
+        )
+        .map_err(|e| e.in_node(node.name))?;
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ast::VarDecl;
+    use velus_ops::{CBinOp, CConst, CTy, ClightOps};
+
+    type P = Program<ClightOps>;
+
+    fn id(s: &str) -> Ident {
+        Ident::new(s)
+    }
+
+    fn decl(name: &str, ty: CTy) -> VarDecl<ClightOps> {
+        decl_on(name, ty, Clock::Base)
+    }
+
+    fn decl_on(name: &str, ty: CTy, ck: Clock) -> VarDecl<ClightOps> {
+        VarDecl {
+            name: id(name),
+            ty,
+            ck,
+        }
+    }
+
+    // Typing.
+
+    /// node double(x: int) returns (y: int) let y = x + x; tel
+    fn double() -> Node<ClightOps> {
+        Node {
+            name: id("double"),
+            inputs: vec![decl("x", CTy::I32)],
+            outputs: vec![decl("y", CTy::I32)],
+            locals: vec![],
+            eqs: vec![Equation::Def {
+                x: id("y"),
+                ck: Clock::Base,
+                rhs: CExpr::Expr(Expr::Binop(
+                    CBinOp::Add,
+                    Box::new(Expr::Var(id("x"), CTy::I32)),
+                    Box::new(Expr::Var(id("x"), CTy::I32)),
+                    CTy::I32,
+                )),
+            }],
+        }
+    }
+
+    #[test]
+    fn accepts_well_typed_node() {
+        let p = P::new(vec![double()]);
+        assert_eq!(check_program(&p), Ok(()));
+    }
+
+    #[test]
+    fn rejects_bad_annotation() {
+        let mut n = double();
+        if let Equation::Def {
+            rhs: CExpr::Expr(Expr::Binop(_, _, _, ty)),
+            ..
+        } = &mut n.eqs[0]
+        {
+            *ty = CTy::Bool;
+        }
+        let p = P::new(vec![n]);
+        assert!(matches!(
+            check_program(&p).unwrap_err().innermost(),
+            SemError::TypeError(_)
+        ));
+    }
+
+    #[test]
+    fn rejects_undefined_output() {
+        let mut n = double();
+        n.eqs.clear();
+        let p = P::new(vec![n]);
+        assert!(matches!(
+            check_program(&p).unwrap_err().innermost(),
+            SemError::Malformed(_)
+        ));
+    }
+
+    #[test]
+    fn rejects_duplicate_node_names() {
+        let p = P::new(vec![double(), double()]);
+        assert_eq!(
+            check_program(&p),
+            Err(SemError::Malformed("duplicate node name double".to_owned()))
+        );
+    }
+
+    #[test]
+    fn rejects_double_definition() {
+        let mut n = double();
+        let eq = n.eqs[0].clone();
+        n.eqs.push(eq);
+        let p = P::new(vec![n]);
+        assert!(matches!(
+            check_program(&p).unwrap_err().innermost(),
+            SemError::Malformed(_)
+        ));
+    }
+
+    #[test]
+    fn rejects_input_definition() {
+        let mut n = double();
+        n.eqs.push(Equation::Def {
+            x: id("x"),
+            ck: Clock::Base,
+            rhs: CExpr::Expr(Expr::Const(CConst::int(0))),
+        });
+        let p = P::new(vec![n]);
+        assert!(matches!(
+            check_program(&p).unwrap_err().innermost(),
+            SemError::Malformed(_)
+        ));
+    }
+
+    #[test]
+    fn rejects_call_to_later_node() {
+        // caller declared before callee: forward reference is rejected.
+        let mut caller = Node {
+            name: id("caller"),
+            inputs: vec![decl("a", CTy::I32)],
+            outputs: vec![decl("b", CTy::I32)],
+            locals: vec![],
+            eqs: vec![Equation::Call {
+                xs: vec![id("b")],
+                ck: Clock::Base,
+                node: NodeId::new(1),
+                args: vec![Expr::Var(id("a"), CTy::I32)],
+            }],
+        };
+        let mut calling = |k: usize| {
+            if let Equation::Call { node, .. } = &mut caller.eqs[0] {
+                *node = NodeId::new(k);
+            }
+            caller.clone()
+        };
+        // A later node, then a node past the end of the program.
+        for p in [vec![calling(1), double()], vec![double(), calling(7)]] {
+            assert!(matches!(
+                check_program(&P::new(p)).unwrap_err().innermost(),
+                SemError::UnknownNode(_)
+            ));
+        }
+        let p = P::new(vec![double(), calling(0)]);
+        assert_eq!(check_program(&p), Ok(()));
+    }
+
+    #[test]
+    fn rejects_fby_type_mismatch() {
+        let n = Node {
+            name: id("bad"),
+            inputs: vec![decl("x", CTy::I32)],
+            outputs: vec![decl("y", CTy::I32)],
+            locals: vec![],
+            eqs: vec![Equation::Fby {
+                x: id("y"),
+                ck: Clock::Base,
+                init: CConst::bool(true),
+                rhs: Expr::Var(id("x"), CTy::I32),
+            }],
+        };
+        let p = P::new(vec![n]);
+        assert!(matches!(
+            check_program(&p).unwrap_err().innermost(),
+            SemError::TypeError(_)
+        ));
+    }
+
+    // Clocking.
+
+    /// node sampler(x: bool; v: int) returns (o: int)
+    ///   var s: int when x;
+    /// let s = v when x; o = merge x s ((0 fby o) whenot x); ...
+    fn sampler_node(good: bool) -> Node<ClightOps> {
+        let on_x = Clock::Base.on(id("x"), true);
+        let s_clock = if good { on_x.clone() } else { Clock::Base };
+        Node {
+            name: id("sampler"),
+            inputs: vec![decl("x", CTy::Bool), decl("v", CTy::I32)],
+            outputs: vec![decl("o", CTy::I32)],
+            locals: vec![decl_on("s", CTy::I32, s_clock.clone())],
+            eqs: vec![
+                Equation::Def {
+                    x: id("s"),
+                    ck: s_clock,
+                    rhs: CExpr::Expr(Expr::When(
+                        Box::new(Expr::Var(id("v"), CTy::I32)),
+                        id("x"),
+                        true,
+                    )),
+                },
+                Equation::Def {
+                    x: id("o"),
+                    ck: Clock::Base,
+                    rhs: CExpr::Merge(
+                        id("x"),
+                        Box::new(CExpr::Expr(Expr::Var(id("s"), CTy::I32))),
+                        Box::new(CExpr::Expr(Expr::When(
+                            Box::new(Expr::Const(CConst::int(0))),
+                            id("x"),
+                            false,
+                        ))),
+                    ),
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn accepts_well_clocked_sampling() {
+        let p = Program::new(vec![sampler_node(true)]);
+        assert_eq!(check_program(&p), Ok(()));
+    }
+
+    #[test]
+    fn rejects_misdeclared_sampled_variable() {
+        let p = Program::new(vec![sampler_node(false)]);
+        assert!(matches!(
+            check_program(&p).unwrap_err().innermost(),
+            SemError::ClockError(_)
+        ));
+    }
+
+    #[test]
+    fn rejects_binop_across_clocks() {
+        // o = v + (v when x) is not synchronizable.
+        let n = Node {
+            name: id("bad"),
+            inputs: vec![decl("x", CTy::Bool), decl("v", CTy::I32)],
+            outputs: vec![decl("o", CTy::I32)],
+            locals: vec![],
+            eqs: vec![Equation::Def {
+                x: id("o"),
+                ck: Clock::Base,
+                rhs: CExpr::Expr(Expr::Binop(
+                    CBinOp::Add,
+                    Box::new(Expr::Var(id("v"), CTy::I32)),
+                    Box::new(Expr::When(
+                        Box::new(Expr::Var(id("v"), CTy::I32)),
+                        id("x"),
+                        true,
+                    )),
+                    CTy::I32,
+                )),
+            }],
+        };
+        let p = Program::new(vec![n]);
+        assert!(matches!(
+            check_program(&p).unwrap_err().innermost(),
+            SemError::ClockError(_)
+        ));
+    }
+
+    #[test]
+    fn rejects_sampled_interface() {
+        let mut n = sampler_node(true);
+        n.outputs[0].ck = Clock::Base.on(id("x"), true);
+        let p = Program::new(vec![n]);
+        assert!(matches!(
+            check_program(&p).unwrap_err().innermost(),
+            SemError::ClockError(_)
+        ));
+    }
+
+    #[test]
+    fn rejects_calls_to_later_or_missing_nodes() {
+        let leaf = || sampler_node(true);
+        // A well-typed instance of the leaf: a distinct name, and one
+        // argument per leaf input.
+        let call = |k: usize| Node {
+            name: id("caller"),
+            locals: vec![],
+            eqs: vec![Equation::Call {
+                xs: vec![id("o")],
+                ck: Clock::Base,
+                node: NodeId::new(k),
+                args: vec![Expr::Var(id("x"), CTy::Bool), Expr::Var(id("v"), CTy::I32)],
+            }],
+            ..leaf()
+        };
+        // A later node, the caller itself, and a node past the end.
+        for p in [[call(1), leaf()], [leaf(), call(1)], [leaf(), call(9)]] {
+            assert!(matches!(
+                check_program(&Program::new(p.into()))
+                    .unwrap_err()
+                    .innermost(),
+                SemError::UnknownNode(_)
+            ));
+        }
+        let p = Program::new(vec![leaf(), call(0)]);
+        assert_eq!(check_program(&p), Ok(()));
+    }
+
+    #[test]
+    fn a_program_breaking_both_judgments_reports_its_first_violation() {
+        // Node `a` breaks clocking, the later node `b` breaks typing: the
+        // one walk reports them in declaration order.
+        let mut clocked = sampler_node(false);
+        clocked.name = id("a");
+        let mut typed = double();
+        typed.name = id("b");
+        if let Equation::Def {
+            rhs: CExpr::Expr(Expr::Binop(_, _, _, ty)),
+            ..
+        } = &mut typed.eqs[0]
+        {
+            *ty = CTy::Bool;
+        }
+        let err = check_program(&P::new(vec![clocked, typed])).unwrap_err();
+        assert!(matches!(err.innermost(), SemError::ClockError(_)), "{err}");
+    }
+}

@@ -8,8 +8,9 @@
 //!   ([`ast::CExpr`]) and the three equation shapes ([`ast::Equation`]).
 //! * [`clock`] — the hierarchical clocks `base`, `ck on x`, `ck onot x`.
 //! * [`streams`] — stream values with explicit presence and absence.
-//! * [`typecheck`] / [`clockcheck`] — the well-typedness and
-//!   well-clockedness judgments, checked independently after every pass.
+//! * [`check`] — the well-typedness and well-clockedness judgments,
+//!   re-checked together, in one walk per equation, after every pass
+//!   that produces N-Lustre.
 //! * [`dataflow`] — the reference *dataflow semantics*: a demand-driven,
 //!   memoized interpreter of the judgment `G ⊢node f(xs, ys)`, with
 //!   `fby#`/`hold#` exactly as in Fig. 6, and runtime causality detection.
@@ -27,15 +28,14 @@
 //! ([`velus_ops::Ops`]), as in the paper.
 
 pub mod ast;
+pub mod check;
 pub mod clock;
-pub mod clockcheck;
 pub mod dataflow;
 pub mod deps;
 pub mod memory;
 pub mod msem;
 pub mod schedule;
 pub mod streams;
-pub mod typecheck;
 
 mod error;
 

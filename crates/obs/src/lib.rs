@@ -21,7 +21,7 @@
 //!   by CI to gate emitted metrics dumps.
 //!
 //! The serving layer (`velus-server`) builds its statistics on [`hist`]
-//! and opens a [`trace::RequestScope`] per request; the pass framework
+//! and opens a [`trace::RequestScope`] per request; the staged pipeline
 //! (`velus` core) records one span per pipeline pass through the
 //! thread-local scope. When no scope is active every tracing call is a
 //! single thread-local read — cheap enough to leave compiled in.

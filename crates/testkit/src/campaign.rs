@@ -1907,7 +1907,7 @@ mod tests {
                     let mut kept = text(&case);
                     kept.remove(i);
                     assert_eq!(text(&cand), kept, "seed {seed}, node {i}");
-                    velus_nlustre::typecheck::check_program(&cand.prog).unwrap();
+                    velus_nlustre::check::check_program(&cand.prog).unwrap();
                     shifted |= callees(&case.prog).any(|f| f.index() > i);
                 }
             }

@@ -649,16 +649,14 @@ pub fn gen_inputs<R: Rng>(rng: &mut R, node: &Node<ClightOps>, n: usize) -> Stre
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use velus_nlustre::{clockcheck, typecheck};
+    use velus_nlustre::check;
 
     #[test]
     fn generated_programs_are_well_formed() {
         for seed in 0..30 {
             let mut rng = StdRng::seed_from_u64(seed);
             let prog = gen_program(&mut rng, &GenConfig::default());
-            typecheck::check_program(&prog).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
-            clockcheck::check_program_clocks(&prog)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
+            check::check_program(&prog).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
         }
     }
 
@@ -690,9 +688,7 @@ mod tests {
         for seed in 0..20 {
             let mut rng = StdRng::seed_from_u64(3000 + seed);
             let mut prog = gen_program(&mut rng, &cfg);
-            typecheck::check_program(&prog).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
-            clockcheck::check_program_clocks(&prog)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
+            check::check_program(&prog).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
             velus_nlustre::schedule::schedule_program(&mut prog)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
             let root = NodeId::new(prog.nodes.len() - 1);
@@ -716,9 +712,7 @@ mod tests {
         for seed in 0..20 {
             let mut rng = StdRng::seed_from_u64(4000 + seed);
             let mut prog = gen_program(&mut rng, &cfg);
-            typecheck::check_program(&prog).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
-            clockcheck::check_program_clocks(&prog)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
+            check::check_program(&prog).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
             velus_nlustre::schedule::schedule_program(&mut prog)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{prog}"));
         }
@@ -733,8 +727,7 @@ mod tests {
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(2000 + seed);
             let prog = gen_program(&mut rng, &cfg);
-            typecheck::check_program(&prog).unwrap();
-            clockcheck::check_program_clocks(&prog).unwrap();
+            check::check_program(&prog).unwrap();
         }
     }
 }

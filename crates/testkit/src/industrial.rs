@@ -383,15 +383,14 @@ pub fn industrial_source(cfg: &IndustrialConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use velus_nlustre::{clockcheck, typecheck};
+    use velus_nlustre::check;
 
     #[test]
     fn small_scale_is_well_formed() {
         let cfg = IndustrialConfig::small();
         let prog = industrial_program(&cfg);
         assert_eq!(prog.nodes.len(), cfg.nodes);
-        typecheck::check_program(&prog).unwrap();
-        clockcheck::check_program_clocks(&prog).unwrap();
+        check::check_program(&prog).unwrap();
     }
 
     #[test]
@@ -442,9 +441,7 @@ mod tests {
                 subclock_depth: depth,
             };
             let prog = industrial_program(&cfg);
-            typecheck::check_program(&prog).unwrap_or_else(|e| panic!("depth {depth}: {e}"));
-            clockcheck::check_program_clocks(&prog)
-                .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
+            check::check_program(&prog).unwrap_or_else(|e| panic!("depth {depth}: {e}"));
             // The cluster really is sub-clocked: some declaration sits
             // at the requested nesting depth.
             let max_depth = prog
@@ -472,6 +469,6 @@ mod tests {
         let (prog, _) = velus_lustre::compile_to_nlustre::<velus_ops::ClightOps>(&src)
             .unwrap_or_else(|e| panic!("{}", e.render(&src)));
         assert_eq!(prog.nodes.len(), 6);
-        clockcheck::check_program_clocks(&prog).unwrap();
+        check::check_program(&prog).unwrap();
     }
 }

@@ -9,7 +9,6 @@
 //!   compile-time experiment: configurable node count, equations per
 //!   node, and call fan-in, approximating a ≈6000-node / ≈162000-equation
 //!   application.
-//! * [`diff`] — stream-set diffing with readable reports.
 //! * [`render`] — N-Lustre back to parseable surface Lustre (the
 //!   reproducer format of the campaign runner).
 //! * [`campaign`] — the differential-semantics campaign engine: per-seed
@@ -23,8 +22,8 @@
 //!   checks the well-formedness of every JSON document the workspace
 //!   emits (`velus-bench --bin jsoncheck`).
 //! * [`shapes`] — sources that grow along one axis (equations per node,
-//!   `if` nesting, instance depth, instances per node), for scaling
-//!   curves and output bounds.
+//!   `if` nesting, instance depth, instances per node, lint findings),
+//!   for scaling curves and output bounds.
 //! * [`chaos`] — deterministic fault injection for the compilation
 //!   service: a [`chaos::ChaosCompiler`] wrapping any compiler with
 //!   seeded panics, transient failures, and cancellable delays (the
@@ -32,7 +31,6 @@
 
 pub mod campaign;
 pub mod chaos;
-pub mod diff;
 pub mod gen;
 pub mod industrial;
 pub mod json;

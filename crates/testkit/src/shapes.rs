@@ -4,10 +4,10 @@
 //! The fixed corpora contain only small nodes and few of them, so they
 //! hide costs quadratic in the size of one node or in the node count.
 //! Each generator here grows one dimension — equations or nesting in
-//! one node, instance depth or instance fan-out across nodes — and keeps
-//! everything else fixed, so that doubling its argument should at most
-//! double every pass's time, allocations and output
-//! (`velus-bench --bin pipeline --scale`).
+//! one node, instance depth or instance fan-out across nodes, or the
+//! number of lint findings — and keeps everything else fixed, so that
+//! doubling its argument should at most double every pass's time,
+//! allocations and output (`velus-bench --bin pipeline --scale`).
 
 use std::fmt::Write as _;
 
@@ -100,5 +100,22 @@ pub fn wide_root_source(n: usize) -> String {
         let _ = writeln!(src, "  r{k} = leaf{k}(r{});", k - 1);
     }
     let _ = writeln!(src, "  y = r{};\ntel", n - 1);
+    src
+}
+
+/// `n` leaf nodes that nothing instantiates, then the root `top`: every
+/// leaf is an unreachable node (a `W0105` lint finding), so the number
+/// of findings grows with `n` while every node stays small. The shape on
+/// which resolving each finding's position by a rescan of the source
+/// costs quadratic time.
+pub fn uncalled_leaves_source(n: usize) -> String {
+    let mut src = String::new();
+    for k in 0..n {
+        let _ = writeln!(
+            src,
+            "node leaf{k}(x: int) returns (y: int)\nlet y = x + 1; tel"
+        );
+    }
+    src.push_str("node top(x: int) returns (y: int)\nlet y = x + 1; tel\n");
     src
 }

@@ -1,80 +1,58 @@
-//! Properties of the staged pass framework: driving the `PassManager`
-//! stage by stage — with explicit re-validation between stages — must
-//! be observationally identical to the one-shot `velus::compile` path,
-//! for the paper corpus and for randomly shaped generated programs
-//! (including sub-clocked ones).
+//! Properties of the staged pipeline: forcing a `StagedPipeline` one
+//! stage at a time — running the public checkers of every layer between
+//! stages — must be observationally identical to the one-shot
+//! `velus::compile` path, for the paper corpus and for randomly shaped
+//! generated programs (including sub-clocked ones).
 
 use proptest::prelude::*;
 
-use velus::passes::{
-    CheckPass, ElaboratePass, EmitInput, EmitPass, FrontendInput, FusePass, GenerateInput,
-    GeneratePass, Pass, PassManager, SchedulePass, TranslatePass,
-};
+use velus::passes::StagedPipeline;
 use velus::{emit_c, IoMode};
-use velus_common::SpanMap;
+use velus_nlustre::ast::Program;
+use velus_obc::ast::ObcProgram;
+use velus_ops::ClightOps;
 use velus_testkit::industrial::{industrial_source, IndustrialConfig};
 
-/// Compiles by invoking every pass individually through a
-/// [`PassManager`], re-running each pass's validation hook between
-/// stages (on top of the hook the manager already runs), and returns
-/// the emitted C.
+/// The N-Lustre checks, run from outside the pipeline.
+fn recheck_nlustre(prog: &Program<ClightOps>) {
+    velus_nlustre::check::check_program(prog).expect("re-check typing and clocking");
+}
+
+/// The Obc checks, run from outside the pipeline.
+fn recheck_obc(prog: &ObcProgram<ClightOps>) {
+    velus_obc::typecheck::check_program(prog).expect("re-check Obc typing");
+    for class in &prog.classes {
+        for m in &class.methods {
+            assert!(
+                velus_obc::fusion::fusible(&m.body),
+                "{}.{} is not Fusible",
+                class.name,
+                m.name
+            );
+        }
+    }
+}
+
+/// Compiles by forcing each stage of a [`StagedPipeline`] in turn,
+/// re-running the public checkers on every IR between stages (on top of
+/// the checks the pipeline already runs), and returns the emitted C.
 fn stagewise_c(source: &str, root: Option<&str>) -> String {
     let mut stages = Vec::new();
     let mut observe = |stage: velus::Stage, _: std::time::Duration| stages.push(stage);
-    let mut pm = PassManager::new(&mut observe);
+    let mut staged = StagedPipeline::from_source(source, root, &mut observe).expect("elaborate");
+    recheck_nlustre(staged.nlustre());
 
-    let elaborated = pm
-        .run(
-            &ElaboratePass,
-            FrontendInput { source, root },
-            &SpanMap::new(),
-        )
-        .expect("elaborate");
-    let root = elaborated.root;
-    let spans = elaborated.spans;
-    let mut nlustre = pm
-        .run(&CheckPass, elaborated.nlustre, &spans)
-        .expect("check");
-    CheckPass.revalidate(&nlustre).expect("re-check");
+    let snlustre = staged.snlustre().expect("schedule");
+    for node in &snlustre.nodes {
+        velus_nlustre::deps::check_schedule(node).expect("re-check schedule");
+    }
+    recheck_nlustre(snlustre);
 
-    let scheduled = pm
-        .run(&SchedulePass, &mut nlustre, &spans)
-        .expect("schedule");
-    SchedulePass
-        .revalidate(&scheduled)
-        .expect("re-check schedule");
-    let snlustre = scheduled.program;
-
-    let obc = pm
-        .run(&TranslatePass, &snlustre, &spans)
-        .expect("translate");
-    TranslatePass
-        .revalidate(&obc)
-        .expect("re-check translation");
-
-    let obc_fused = pm.run(&FusePass, obc, &spans).expect("fuse");
-    FusePass.revalidate(&obc_fused).expect("re-check fusion");
-
-    let clight = pm
-        .run(
-            &GeneratePass,
-            GenerateInput {
-                obc_fused: &obc_fused,
-                root,
-            },
-            &spans,
-        )
-        .expect("generate");
-    let c = pm
-        .run(
-            &EmitPass,
-            EmitInput {
-                clight: &clight,
-                io: IoMode::Volatile,
-            },
-            &spans,
-        )
-        .expect("emit");
+    recheck_obc(staged.obc().expect("translate"));
+    recheck_obc(staged.obc_fused().expect("fuse"));
+    staged.clight().expect("generate");
+    let c = staged.emit(IoMode::Volatile).expect("emit");
+    drop(staged);
     // Every stage reported, in pipeline order.
     assert_eq!(
         stages,

@@ -62,8 +62,7 @@ fn toy_accumulator() -> Program<I64Ops> {
 #[test]
 fn the_dataflow_layer_is_parametric() {
     let prog = toy_accumulator();
-    velus_nlustre::typecheck::check_program(&prog).unwrap();
-    velus_nlustre::clockcheck::check_program_clocks(&prog).unwrap();
+    velus_nlustre::check::check_program(&prog).unwrap();
     let inputs = vec![(1..=5).map(|v| SVal::Pres(ToyVal::Int(v))).collect()];
     let outs =
         velus_nlustre::dataflow::run_node(&prog, velus_common::NodeId::new(0), &inputs, 5).unwrap();
