@@ -165,7 +165,7 @@ impl ReaderIndex {
         let mut each_read = |f: &mut dyn FnMut(u32, u32)| {
             for (j, eq) in node.eqs.iter().enumerate() {
                 reads.clear();
-                eq.reads_into(&mut reads);
+                eq.reads_into(&node.exprs, &mut reads);
                 for x in &reads {
                     if let Some(&s) = slot_of.get(x) {
                         f(s, j as u32);
@@ -309,7 +309,7 @@ pub fn solve<O: Ops, L: Lattice>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use velus_nlustre::ast::{CExpr, Equation, Expr, VarDecl};
+    use velus_nlustre::ast::{Equation, Exprs, VarDecl};
     use velus_nlustre::clock::Clock;
     use velus_ops::{CConst, CTy, ClightOps};
 
@@ -328,13 +328,15 @@ mod tests {
         }
     }
 
-    fn var(n: &str) -> Expr<ClightOps> {
-        Expr::Var(Ident::new(n), CTy::I32)
-    }
-
     #[test]
     fn propagates_through_a_copy_chain_and_a_fby_back_edge() {
         // x = 0 fby z; y = x; z = y;  — the back edge forces a re-queue.
+        let mut ex = Exprs::new();
+        let z = ex.var(Ident::new("z"), CTy::I32);
+        let x = ex.var(Ident::new("x"), CTy::I32);
+        let x = ex.simple(x);
+        let y = ex.var(Ident::new("y"), CTy::I32);
+        let y = ex.simple(y);
         let node: Node<ClightOps> = Node {
             name: Ident::new("f"),
             inputs: vec![],
@@ -349,19 +351,20 @@ mod tests {
                     x: Ident::new("x"),
                     ck: Clock::Base,
                     init: CConst::int(0),
-                    rhs: var("z"),
+                    rhs: z,
                 },
                 Equation::Def {
                     x: Ident::new("y"),
                     ck: Clock::Base,
-                    rhs: CExpr::Expr(var("x")),
+                    rhs: x,
                 },
                 Equation::Def {
                     x: Ident::new("z"),
                     ck: Clock::Base,
-                    rhs: CExpr::Expr(var("y")),
+                    rhs: y,
                 },
             ],
+            exprs: ex,
         };
         let mut env: Env<Reach> = Env::new();
         // Taint the fby: everything downstream must become reached.
@@ -383,7 +386,9 @@ mod tests {
             Equation::Fby { x, .. } => out.push((*x, Reach(true))),
             Equation::Def { x, rhs, .. } => {
                 let mut v = Reach::bottom();
-                for y in rhs.free_vars() {
+                let mut reads = Vec::new();
+                node.exprs.control_free_vars_into(*rhs, &mut reads);
+                for y in reads {
                     v.join_with(env.get(y));
                 }
                 out.push((*x, v));
@@ -401,10 +406,11 @@ mod tests {
         // and each equation is visited exactly once.
         const N: usize = 1_000;
         let v = |i: usize| Ident::new(&format!("v{i}"));
+        let mut ex = Exprs::new();
         let eqs = (1..=N)
             .map(|i| {
                 let prev = if i == 1 { Ident::new("x") } else { v(i - 1) };
-                let read = Expr::Var(prev, CTy::I32);
+                let read = ex.var(prev, CTy::I32);
                 if i % 6 == 0 {
                     Equation::Fby {
                         x: v(i),
@@ -413,15 +419,12 @@ mod tests {
                         rhs: read,
                     }
                 } else {
+                    let one = ex.constant(CConst::int(1));
+                    let sum = ex.binop(velus_ops::CBinOp::Add, read, one, CTy::I32);
                     Equation::Def {
                         x: v(i),
                         ck: Clock::Base,
-                        rhs: CExpr::Expr(Expr::Binop(
-                            velus_ops::CBinOp::Add,
-                            Box::new(read),
-                            Box::new(Expr::Const(CConst::int(1))),
-                            CTy::I32,
-                        )),
+                        rhs: ex.simple(sum),
                     }
                 }
             })
@@ -437,6 +440,7 @@ mod tests {
             outputs: vec![decl(v(N))],
             locals: (1..N).map(|i| decl(v(i))).collect(),
             eqs,
+            exprs: ex,
         };
         velus_nlustre::schedule::schedule_node(&mut node).expect("schedulable");
         let fby_pos = node

@@ -41,7 +41,7 @@
 //! non-empty, pointing at the originating `pre`'s span.
 
 use velus_common::{codes, DiagStage, Diagnostic, Diagnostics, Ident, IdentSet, PreMarks, Span};
-use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program};
+use velus_nlustre::ast::{CExpr, CExprId, Equation, Expr, ExprId, Exprs, Node, Program};
 use velus_nlustre::clock::Clock;
 use velus_ops::Ops;
 
@@ -123,20 +123,19 @@ impl Lattice for InitMask {
 fn init_flags<O: Ops>(node: &Node<O>) -> IdentSet {
     let is_true = |c: &O::Const| O::as_bool(&O::sem_const(c)) == Some(true);
     let is_false = |c: &O::Const| O::as_bool(&O::sem_const(c)) == Some(false);
+    let ex = &node.exprs;
     let mut flags = IdentSet::default();
     for eq in &node.eqs {
-        if let Equation::Fby {
-            x,
-            init,
-            rhs: Expr::Const(c),
-            ..
-        } = eq
-        {
-            if is_true(init) && is_false(c) {
+        if let Equation::Fby { x, init, rhs, .. } = eq {
+            if matches!(&ex[*rhs], Expr::Const(c) if is_true(init) && is_false(c)) {
                 flags.insert(*x);
             }
         }
     }
+    let constant = |c: CExprId, is: &dyn Fn(&O::Const) -> bool| match ex[c] {
+        CExpr::Expr(e) => matches!(&ex[e], Expr::Const(c) if is(c)),
+        _ => false,
+    };
     loop {
         let mut grew = false;
         for eq in &node.eqs {
@@ -146,12 +145,17 @@ fn init_flags<O: Ops>(node: &Node<O>) -> IdentSet {
             if flags.contains(x) {
                 continue;
             }
-            let is_flag = match rhs {
-                CExpr::Expr(Expr::Var(y, _)) => flags.contains(y),
-                CExpr::If(Expr::Var(h, _), t, f) | CExpr::Merge(h, t, f) => {
-                    flags.contains(h)
-                        && matches!(&**t, CExpr::Expr(Expr::Const(c)) if is_true(c))
-                        && matches!(&**f, CExpr::Expr(Expr::Const(c)) if is_false(c))
+            let guard = match ex[*rhs] {
+                CExpr::Expr(e) | CExpr::If(e, _, _) => match &ex[e] {
+                    Expr::Var(h, _) => Some(*h),
+                    _ => None,
+                },
+                CExpr::Merge(h, _, _) => Some(h),
+            };
+            let is_flag = match (ex[*rhs], guard) {
+                (CExpr::Expr(_), Some(y)) => flags.contains(&y),
+                (CExpr::If(_, t, f) | CExpr::Merge(_, t, f), Some(h)) => {
+                    flags.contains(&h) && constant(t, &is_true) && constant(f, &is_false)
                 }
                 _ => false,
             };
@@ -166,36 +170,52 @@ fn init_flags<O: Ops>(node: &Node<O>) -> IdentSet {
     }
 }
 
-fn eval_expr<O: Ops>(e: &Expr<O>, env: &Env<InitMask>) -> InitMask {
-    match e {
-        Expr::Var(x, _) => *env.get(*x),
-        Expr::Const(_) => InitMask::clean(),
-        Expr::Unop(_, e1, _) => eval_expr(e1, env),
-        Expr::Binop(_, e1, e2, _) => eval_expr(e1, env) | eval_expr(e2, env),
-        Expr::When(e1, x, _) => eval_expr(e1, env) | env.get(*x).smear(),
+/// The mask of `e`: operators or their operands' masks, so one loop
+/// over its post-order run joins its variables and smeared samplers.
+fn eval_expr<O: Ops>(ex: &Exprs<O>, e: ExprId, env: &Env<InitMask>) -> InitMask {
+    match &ex[e] {
+        Expr::Var(x, _) => return *env.get(*x),
+        Expr::Const(_) => return InitMask::clean(),
+        _ => {}
     }
+    let mut m = InitMask::clean();
+    for n in ex.tree(e) {
+        match n {
+            Expr::Var(x, _) => m = m | *env.get(*x),
+            Expr::When(_, x, _) => m = m | env.get(*x).smear(),
+            Expr::Const(_) | Expr::Unop(..) | Expr::Binop(..) => {}
+        }
+    }
+    m
 }
 
-fn eval_cexpr<O: Ops>(ce: &CExpr<O>, env: &Env<InitMask>, flags: &IdentSet) -> InitMask {
-    match ce {
+/// The mask of control expression `ce` (recursing on its `merge`/`if`
+/// nesting).
+fn eval_cexpr<O: Ops>(
+    ex: &Exprs<O>,
+    ce: CExprId,
+    env: &Env<InitMask>,
+    flags: &IdentSet,
+) -> InitMask {
+    match ex[ce] {
         CExpr::Merge(x, t, f) => {
-            let (mt, mf) = (eval_cexpr(t, env, flags), eval_cexpr(f, env, flags));
-            if flags.contains(x) {
+            let (mt, mf) = (eval_cexpr(ex, t, env, flags), eval_cexpr(ex, f, env, flags));
+            if flags.contains(&x) {
                 InitMask((mt.0 & 1) | (mf.0 & !1))
             } else {
-                env.get(*x).smear() | mt | mf
+                env.get(x).smear() | mt | mf
             }
         }
         CExpr::If(c, t, f) => {
-            let (mt, mf) = (eval_cexpr(t, env, flags), eval_cexpr(f, env, flags));
-            if let Expr::Var(h, _) = c {
+            let (mt, mf) = (eval_cexpr(ex, t, env, flags), eval_cexpr(ex, f, env, flags));
+            if let Expr::Var(h, _) = &ex[c] {
                 if flags.contains(h) {
                     return InitMask((mt.0 & 1) | (mf.0 & !1));
                 }
             }
-            eval_expr(c, env).smear() | mt | mf
+            eval_expr(ex, c, env).smear() | mt | mf
         }
-        CExpr::Expr(e) => eval_expr(e, env),
+        CExpr::Expr(e) => eval_expr(ex, e, env),
     }
 }
 
@@ -217,10 +237,11 @@ fn suspect_output<O: Ops>(
     solve(node, &mut env, |node, i, env, out| {
         let eq = &node.eqs[i];
         let ck = clock_mask(eq.clock(), env);
+        let ex = &node.exprs;
         match eq {
-            Equation::Def { x, rhs, .. } => out.push((*x, eval_cexpr(rhs, env, flags) | ck)),
+            Equation::Def { x, rhs, .. } => out.push((*x, eval_cexpr(ex, *rhs, env, flags) | ck)),
             Equation::Fby { x, rhs, .. } => {
-                let mut m = eval_expr(rhs, env).shift() | ck;
+                let mut m = eval_expr(ex, *rhs, env).shift() | ck;
                 if *x == marked {
                     m = m | InitMask(1);
                 }
@@ -228,8 +249,8 @@ fn suspect_output<O: Ops>(
             }
             Equation::Call { xs, args, .. } => {
                 let mut m = ck;
-                for a in args {
-                    m = m | eval_expr(a, env);
+                for &a in args {
+                    m = m | eval_expr(ex, a, env);
                 }
                 let m = m.smear();
                 for x in xs {
@@ -281,8 +302,29 @@ mod tests {
     use super::*;
     use velus_ops::{CConst, CTy, ClightOps};
 
-    fn ivar(n: &str) -> Expr<ClightOps> {
-        Expr::Var(Ident::new(n), CTy::I32)
+    type Ex = Exprs<ClightOps>;
+
+    fn ivar(ex: &mut Ex, n: &str) -> ExprId {
+        ex.var(Ident::new(n), CTy::I32)
+    }
+
+    /// `n` as a control expression.
+    fn read(ex: &mut Ex, n: &str) -> CExprId {
+        let e = ivar(ex, n);
+        ex.simple(e)
+    }
+
+    /// The constant `c` as a control expression.
+    fn konst(ex: &mut Ex, c: CConst) -> CExprId {
+        let e = ex.constant(c);
+        ex.simple(e)
+    }
+
+    /// `if h then c else m`, `h` a boolean variable.
+    fn guarded(ex: &mut Ex, h: &str, c: CConst, m: &str) -> CExprId {
+        let h = ex.var(Ident::new(h), CTy::Bool);
+        let (c, m) = (konst(ex, c), read(ex, m));
+        ex.ite(h, c, m)
     }
 
     fn decl(n: &str, ty: CTy) -> velus_nlustre::ast::VarDecl<ClightOps> {
@@ -293,7 +335,7 @@ mod tests {
         }
     }
 
-    fn def(x: &str, rhs: CExpr<ClightOps>) -> Equation<ClightOps> {
+    fn def(x: &str, rhs: CExprId) -> Equation<ClightOps> {
         Equation::Def {
             x: Ident::new(x),
             ck: Clock::Base,
@@ -301,7 +343,7 @@ mod tests {
         }
     }
 
-    fn fby(x: &str, init: CConst, rhs: Expr<ClightOps>) -> Equation<ClightOps> {
+    fn fby(x: &str, init: CConst, rhs: ExprId) -> Equation<ClightOps> {
         Equation::Fby {
             x: Ident::new(x),
             ck: Clock::Base,
@@ -310,10 +352,17 @@ mod tests {
         }
     }
 
+    /// `x = true fby false`.
+    fn flag(ex: &mut Ex, x: &str) -> Equation<ClightOps> {
+        let f = ex.constant(CConst::bool(false));
+        fby(x, CConst::bool(true), f)
+    }
+
     fn node(
         outputs: Vec<velus_nlustre::ast::VarDecl<ClightOps>>,
         locals: Vec<velus_nlustre::ast::VarDecl<ClightOps>>,
         eqs: Vec<Equation<ClightOps>>,
+        ex: Ex,
     ) -> Node<ClightOps> {
         Node {
             name: Ident::new("f"),
@@ -321,6 +370,7 @@ mod tests {
             outputs,
             locals,
             eqs,
+            exprs: ex,
         }
     }
 
@@ -350,13 +400,14 @@ mod tests {
     #[test]
     fn bare_pre_reaching_an_output_warns() {
         // m = default fby x (marked); y = m;
+        let mut ex = Ex::new();
+        let x = ivar(&mut ex, "x");
+        let m = read(&mut ex, "m");
         let n = node(
             vec![decl("y", CTy::I32)],
             vec![decl("m", CTy::I32)],
-            vec![
-                fby("m", CConst::int(0), ivar("x")),
-                def("y", CExpr::Expr(ivar("m"))),
-            ],
+            vec![fby("m", CConst::int(0), x), def("y", m)],
+            ex,
         );
         let d = run(&n, &["m"]);
         assert_eq!(d.len(), 1);
@@ -372,21 +423,15 @@ mod tests {
     fn flag_guarded_pre_is_clean() {
         // h = true fby false; m = default fby x (marked);
         // y = if h then 0 else m;   — the arrow shape: provably masked.
+        let mut ex = Ex::new();
+        let h = flag(&mut ex, "h");
+        let x = ivar(&mut ex, "x");
+        let y = guarded(&mut ex, "h", CConst::int(0), "m");
         let n = node(
             vec![decl("y", CTy::I32)],
             vec![decl("h", CTy::Bool), decl("m", CTy::I32)],
-            vec![
-                fby("h", CConst::bool(true), Expr::Const(CConst::bool(false))),
-                fby("m", CConst::int(0), ivar("x")),
-                def(
-                    "y",
-                    CExpr::If(
-                        Expr::Var(Ident::new("h"), CTy::Bool),
-                        Box::new(CExpr::Expr(Expr::Const(CConst::int(0)))),
-                        Box::new(CExpr::Expr(ivar("m"))),
-                    ),
-                ),
-            ],
+            vec![h, fby("m", CConst::int(0), x), def("y", y)],
+            ex,
         );
         assert!(run(&n, &["m"]).is_empty());
     }
@@ -395,13 +440,13 @@ mod tests {
     fn delayed_leak_through_an_explicit_fby_still_warns() {
         // m = default fby x (marked); y = 0 fby m — the default leaks
         // to y at instant 1 even though y itself is initialized.
+        let mut ex = Ex::new();
+        let (x, m) = (ivar(&mut ex, "x"), ivar(&mut ex, "m"));
         let n = node(
             vec![decl("y", CTy::I32)],
             vec![decl("m", CTy::I32)],
-            vec![
-                fby("m", CConst::int(0), ivar("x")),
-                fby("y", CConst::int(0), ivar("m")),
-            ],
+            vec![fby("m", CConst::int(0), x), fby("y", CConst::int(0), m)],
+            ex,
         );
         let d = run(&n, &["m"]);
         assert_eq!(d.len(), 1);
@@ -416,6 +461,10 @@ mod tests {
         // m1 = default fby x (marked); m2 = default fby m1 (marked);
         // h = true fby false; y = if h then 0 else m2 — the guard only
         // masks instant 0, but m1's default reaches y at instant 1.
+        let mut ex = Ex::new();
+        let h = flag(&mut ex, "h");
+        let (x, m1) = (ivar(&mut ex, "x"), ivar(&mut ex, "m1"));
+        let y = guarded(&mut ex, "h", CConst::int(0), "m2");
         let n = node(
             vec![decl("y", CTy::I32)],
             vec![
@@ -424,18 +473,12 @@ mod tests {
                 decl("m2", CTy::I32),
             ],
             vec![
-                fby("h", CConst::bool(true), Expr::Const(CConst::bool(false))),
-                fby("m1", CConst::int(0), ivar("x")),
-                fby("m2", CConst::int(0), ivar("m1")),
-                def(
-                    "y",
-                    CExpr::If(
-                        Expr::Var(Ident::new("h"), CTy::Bool),
-                        Box::new(CExpr::Expr(Expr::Const(CConst::int(0)))),
-                        Box::new(CExpr::Expr(ivar("m2"))),
-                    ),
-                ),
+                h,
+                fby("m1", CConst::int(0), x),
+                fby("m2", CConst::int(0), m1),
+                def("y", y),
             ],
+            ex,
         );
         // m1's run warns (its default reaches y at instant 1 through
         // m2); m2's own run is clean (bit 0 masked by the guard).
@@ -448,6 +491,17 @@ mod tests {
     fn propagated_flags_are_recognized() {
         // g = true fby false; h = if g then true else false;
         // y = merge h 0 m — still provably masked.
+        let mut ex = Ex::new();
+        let g = flag(&mut ex, "g");
+        let gv = ex.var(Ident::new("g"), CTy::Bool);
+        let (t, f) = (
+            konst(&mut ex, CConst::bool(true)),
+            konst(&mut ex, CConst::bool(false)),
+        );
+        let h = ex.ite(gv, t, f);
+        let x = ivar(&mut ex, "x");
+        let (zero, m) = (konst(&mut ex, CConst::int(0)), read(&mut ex, "m"));
+        let y = ex.merge(Ident::new("h"), zero, m);
         let n = node(
             vec![decl("y", CTy::I32)],
             vec![
@@ -455,26 +509,8 @@ mod tests {
                 decl("h", CTy::Bool),
                 decl("m", CTy::I32),
             ],
-            vec![
-                fby("g", CConst::bool(true), Expr::Const(CConst::bool(false))),
-                def(
-                    "h",
-                    CExpr::If(
-                        Expr::Var(Ident::new("g"), CTy::Bool),
-                        Box::new(CExpr::Expr(Expr::Const(CConst::bool(true)))),
-                        Box::new(CExpr::Expr(Expr::Const(CConst::bool(false)))),
-                    ),
-                ),
-                fby("m", CConst::int(0), ivar("x")),
-                def(
-                    "y",
-                    CExpr::Merge(
-                        Ident::new("h"),
-                        Box::new(CExpr::Expr(Expr::Const(CConst::int(0)))),
-                        Box::new(CExpr::Expr(ivar("m"))),
-                    ),
-                ),
-            ],
+            vec![g, def("h", h), fby("m", CConst::int(0), x), def("y", y)],
+            ex,
         );
         assert!(run(&n, &["m"]).is_empty());
     }

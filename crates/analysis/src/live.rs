@@ -85,7 +85,7 @@ pub fn live_vars<O: Ops>(node: &Node<O>) -> IdentSet {
     let mut reads: Vec<Ident> = Vec::new();
     while let Some(i) = work.pop() {
         reads.clear();
-        node.eqs[i].reads_into(&mut reads);
+        node.eqs[i].reads_into(&node.exprs, &mut reads);
         for &x in &reads {
             mark(x, &mut live, &mut work);
         }
@@ -157,7 +157,7 @@ fn live_vars_sweep<O: Ops>(node: &Node<O>) -> IdentSet {
                 continue;
             }
             reads.clear();
-            eq.reads_into(&mut reads);
+            eq.reads_into(&node.exprs, &mut reads);
             for &x in &reads {
                 changed |= live.insert(x);
             }
@@ -170,7 +170,7 @@ fn live_vars_sweep<O: Ops>(node: &Node<O>) -> IdentSet {
 mod tests {
     use super::*;
     use rand::prelude::*;
-    use velus_nlustre::ast::{CExpr, Expr, VarDecl};
+    use velus_nlustre::ast::{Exprs, VarDecl};
     use velus_nlustre::clock::Clock;
     use velus_ops::{CConst, CTy, ClightOps};
     use velus_testkit::campaign::{default_profiles, lint_traps_profile};
@@ -225,11 +225,25 @@ mod tests {
         }
     }
 
-    fn copy_eq(x: &str, y: &str) -> Equation<ClightOps> {
+    fn copy_eq(ex: &mut Exprs<ClightOps>, x: &str, y: &str) -> Equation<ClightOps> {
+        let y = ex.var(Ident::new(y), CTy::I32);
         Equation::Def {
             x: Ident::new(x),
             ck: Clock::Base,
-            rhs: CExpr::Expr(Expr::Var(Ident::new(y), CTy::I32)),
+            rhs: ex.simple(y),
+        }
+    }
+
+    /// A node `name(x) returns (o)` with `o = x`.
+    fn copy_node(name: &str) -> Node<ClightOps> {
+        let mut ex = Exprs::new();
+        Node {
+            name: Ident::new(name),
+            inputs: vec![decl("x", CTy::I32)],
+            outputs: vec![decl("o", CTy::I32)],
+            locals: vec![],
+            eqs: vec![copy_eq(&mut ex, "o", "x")],
+            exprs: ex,
         }
     }
 
@@ -237,20 +251,13 @@ mod tests {
     fn unused_locals_and_unreachable_nodes_are_reported() {
         // helper: reachable; orphan: not. In f, `dead` feeds nothing,
         // and the compiler-shaped `n#tmp` is exempt.
-        let orphan = Node::<ClightOps> {
-            name: Ident::new("orphan"),
-            inputs: vec![decl("x", CTy::I32)],
-            outputs: vec![decl("o", CTy::I32)],
-            locals: vec![],
-            eqs: vec![copy_eq("o", "x")],
-        };
-        let helper = Node::<ClightOps> {
-            name: Ident::new("helper"),
-            inputs: vec![decl("x", CTy::I32)],
-            outputs: vec![decl("o", CTy::I32)],
-            locals: vec![],
-            eqs: vec![copy_eq("o", "x")],
-        };
+        let (orphan, helper) = (copy_node("orphan"), copy_node("helper"));
+        let mut ex = Exprs::new();
+        let one = ex.constant(CConst::int(1));
+        let dead = ex.simple(one);
+        let tmp = copy_eq(&mut ex, "n#tmp", "x");
+        let x = ex.var(Ident::new("x"), CTy::I32);
+        let y = copy_eq(&mut ex, "y", "mid");
         let f = Node::<ClightOps> {
             name: Ident::new("f"),
             inputs: vec![decl("x", CTy::I32)],
@@ -264,17 +271,18 @@ mod tests {
                 Equation::Def {
                     x: Ident::new("dead"),
                     ck: Clock::Base,
-                    rhs: CExpr::Expr(Expr::Const(CConst::int(1))),
+                    rhs: dead,
                 },
-                copy_eq("n#tmp", "x"),
+                tmp,
                 Equation::Call {
                     xs: vec![Ident::new("mid")],
                     ck: Clock::Base,
                     node: NodeId::new(1),
-                    args: vec![Expr::Var(Ident::new("x"), CTy::I32)],
+                    args: vec![x],
                 },
-                copy_eq("y", "mid"),
+                y,
             ],
+            exprs: ex,
         };
         let prog = Program::new(vec![orphan, helper, f]);
         let mut diags = Diagnostics::new();
@@ -294,6 +302,11 @@ mod tests {
     #[test]
     fn clock_reads_keep_variables_live() {
         // k only appears as a clock of y's equation — still live.
+        let mut ex = Exprs::new();
+        let k = copy_eq(&mut ex, "k", "c");
+        let x = ex.var(Ident::new("x"), CTy::I32);
+        let x = ex.when(x, Ident::new("k"), true);
+        let y = ex.simple(x);
         let f = Node::<ClightOps> {
             name: Ident::new("f"),
             inputs: vec![decl("x", CTy::I32), decl("c", CTy::Bool)],
@@ -304,17 +317,14 @@ mod tests {
             }],
             locals: vec![decl("k", CTy::Bool)],
             eqs: vec![
-                copy_eq("k", "c"),
+                k,
                 Equation::Def {
                     x: Ident::new("y"),
                     ck: Clock::Base.on(Ident::new("k"), true),
-                    rhs: CExpr::Expr(Expr::When(
-                        Box::new(Expr::Var(Ident::new("x"), CTy::I32)),
-                        Ident::new("k"),
-                        true,
-                    )),
+                    rhs: y,
                 },
             ],
+            exprs: ex,
         };
         let prog = Program::new(vec![f]);
         let mut diags = Diagnostics::new();

@@ -43,7 +43,7 @@
 //! is already in dependency order.
 
 use velus_common::{codes, DiagStage, Diagnostics, Ident, NodeId, SpanMap};
-use velus_nlustre::ast::{CExpr, Equation, Expr, Program};
+use velus_nlustre::ast::{CExpr, CExprId, Equation, Expr, ExprId, Exprs, Program};
 use velus_nlustre::clock::Clock;
 use velus_ops::{CBinOp, CConst, CTy, CUnOp, CVal, ClightOps, Ops};
 
@@ -288,33 +288,62 @@ fn eval_unop(op: CUnOp, v: AbsVal, opty: CTy, rty: CTy) -> AbsVal {
     }
 }
 
-fn eval_expr(e: &Expr<ClightOps>, env: &Env<AbsVal>) -> AbsVal {
-    match e {
-        Expr::Var(x, ty) => eval_var(env, *x, *ty),
-        Expr::Const(c) => of_const(c),
-        Expr::Unop(op, e1, rty) => eval_unop(*op, eval_expr(e1, env), e1.ty(), *rty),
-        Expr::Binop(op, e1, e2, rty) => {
-            eval_binop(*op, eval_expr(e1, env), eval_expr(e2, env), e1.ty(), *rty)
-        }
-        Expr::When(e1, _, _) => eval_expr(e1, env),
+/// The abstract value of `e`: one loop over its post-order run, with
+/// `vals` as the value stack.
+fn eval_expr(
+    ex: &Exprs<ClightOps>,
+    e: ExprId,
+    env: &Env<AbsVal>,
+    vals: &mut Vec<AbsVal>,
+) -> AbsVal {
+    // A leaf needs no stack.
+    match &ex[e] {
+        Expr::Var(x, ty) => return eval_var(env, *x, *ty),
+        Expr::Const(c) => return of_const(c),
+        _ => vals.clear(),
     }
+    for n in ex.tree(e) {
+        let v = match n {
+            Expr::Var(x, ty) => eval_var(env, *x, *ty),
+            Expr::Const(c) => of_const(c),
+            Expr::Unop(op, e1, rty) => {
+                let v = vals.pop().expect("operand value");
+                eval_unop(*op, v, ex.ty(*e1), *rty)
+            }
+            Expr::Binop(op, e1, _, rty) => {
+                let v2 = vals.pop().expect("operand value");
+                let v1 = vals.pop().expect("operand value");
+                eval_binop(*op, v1, v2, ex.ty(*e1), *rty)
+            }
+            Expr::When(..) => continue,
+        };
+        vals.push(v);
+    }
+    vals.pop().expect("the expression's value")
 }
 
-fn eval_cexpr(ce: &CExpr<ClightOps>, env: &Env<AbsVal>) -> AbsVal {
-    match ce {
-        CExpr::Merge(x, t, f) => match eval_var(env, *x, CTy::Bool) {
-            AbsVal::Iv(1, 1) => eval_cexpr(t, env),
-            AbsVal::Iv(0, 0) => eval_cexpr(f, env),
+/// The abstract value of control expression `ce` (recursing on its
+/// `merge`/`if` nesting, as the statements it compiles to do).
+fn eval_cexpr(
+    ex: &Exprs<ClightOps>,
+    ce: CExprId,
+    env: &Env<AbsVal>,
+    vals: &mut Vec<AbsVal>,
+) -> AbsVal {
+    match ex[ce] {
+        CExpr::Merge(x, t, f) => match eval_var(env, x, CTy::Bool) {
+            AbsVal::Iv(1, 1) => eval_cexpr(ex, t, env, vals),
+            AbsVal::Iv(0, 0) => eval_cexpr(ex, f, env, vals),
             AbsVal::Bot => AbsVal::Bot,
-            _ => hull(eval_cexpr(t, env), eval_cexpr(f, env)),
+            _ => hull(eval_cexpr(ex, t, env, vals), eval_cexpr(ex, f, env, vals)),
         },
-        CExpr::If(c, t, f) => match eval_expr(c, env) {
-            AbsVal::Iv(1, 1) => eval_cexpr(t, env),
-            AbsVal::Iv(0, 0) => eval_cexpr(f, env),
+        CExpr::If(c, t, f) => match eval_expr(ex, c, env, vals) {
+            AbsVal::Iv(1, 1) => eval_cexpr(ex, t, env, vals),
+            AbsVal::Iv(0, 0) => eval_cexpr(ex, f, env, vals),
             AbsVal::Bot => AbsVal::Bot,
-            _ => hull(eval_cexpr(t, env), eval_cexpr(f, env)),
+            _ => hull(eval_cexpr(ex, t, env, vals), eval_cexpr(ex, f, env, vals)),
         },
-        CExpr::Expr(e) => eval_expr(e, env),
+        CExpr::Expr(e) => eval_expr(ex, e, env, vals),
     }
 }
 
@@ -344,6 +373,11 @@ impl Ctx {
 
 struct Classifier<'a> {
     env: &'a Env<AbsVal>,
+    ex: &'a Exprs<ClightOps>,
+    /// The pending nodes of [`Classifier::classify_expr`]'s walk.
+    work: &'a mut Vec<ExprId>,
+    /// The value stack of [`eval_expr`].
+    vals: &'a mut Vec<AbsVal>,
     node: Ident,
     spans: &'a SpanMap,
     diags: &'a mut Diagnostics,
@@ -356,47 +390,56 @@ impl Classifier<'_> {
             .push(velus_common::Diagnostic::new(code, message, span).at_stage(DiagStage::Analysis));
     }
 
-    fn classify_expr(&mut self, e: &Expr<ClightOps>, var: Ident, ctx: Ctx) {
-        match e {
-            Expr::Var(..) | Expr::Const(_) => {}
-            Expr::Unop(op, e1, _) => {
-                if let CUnOp::Cast(to) = op {
-                    if e1.ty().is_float() && !to.is_float() {
-                        self.report(
-                            codes::W0102,
-                            var,
-                            format!(
-                                "cast from {} to {to} traps when the value is out of range",
-                                e1.ty()
-                            ),
-                        );
+    /// Classifies the operators of `e` in pre-order (an operator's
+    /// findings before its operands'), with an explicit stack.
+    fn classify_expr(&mut self, e: ExprId, var: Ident, ctx: Ctx) {
+        let ex = self.ex;
+        if let Expr::Var(..) | Expr::Const(_) = ex[e] {
+            return;
+        }
+        self.work.clear();
+        self.work.push(e);
+        while let Some(id) = self.work.pop() {
+            match &ex[id] {
+                Expr::Var(..) | Expr::Const(_) => {}
+                Expr::Unop(op, e1, _) => {
+                    if let CUnOp::Cast(to) = op {
+                        let from = ex.ty(*e1);
+                        if from.is_float() && !to.is_float() {
+                            self.report(
+                                codes::W0102,
+                                var,
+                                format!(
+                                    "cast from {from} to {to} traps when the value is out of range"
+                                ),
+                            );
+                        }
                     }
+                    self.work.push(*e1);
                 }
-                self.classify_expr(e1, var, ctx);
-            }
-            Expr::Binop(op, e1, e2, rty) => {
-                if matches!(op, CBinOp::Div | CBinOp::Mod) && rty.is_integer() {
-                    self.classify_division(*op, e1, e2, *rty, var, ctx);
+                Expr::Binop(op, e1, e2, rty) => {
+                    if matches!(op, CBinOp::Div | CBinOp::Mod) && rty.is_integer() {
+                        self.classify_division(*op, *e1, *e2, *rty, var, ctx);
+                    }
+                    self.work.extend([*e2, *e1]);
                 }
-                self.classify_expr(e1, var, ctx);
-                self.classify_expr(e2, var, ctx);
+                Expr::When(e1, _, _) => self.work.push(*e1),
             }
-            Expr::When(e1, _, _) => self.classify_expr(e1, var, ctx),
         }
     }
 
     fn classify_division(
         &mut self,
         op: CBinOp,
-        e1: &Expr<ClightOps>,
-        e2: &Expr<ClightOps>,
+        e1: ExprId,
+        e2: ExprId,
         ty: CTy,
         var: Ident,
         ctx: Ctx,
     ) {
         let (Some(n), Some(d)) = (
-            concretize(eval_expr(e1, self.env), ty),
-            concretize(eval_expr(e2, self.env), ty),
+            concretize(eval_expr(self.ex, e1, self.env, self.vals), ty),
+            concretize(eval_expr(self.ex, e2, self.env, self.vals), ty),
         ) else {
             return; // ⊥ operand: the position never produces a value
         };
@@ -446,9 +489,10 @@ impl Classifier<'_> {
         }
     }
 
-    fn classify_cexpr(&mut self, ce: &CExpr<ClightOps>, var: Ident, ctx: Ctx) {
-        match ce {
-            CExpr::Merge(x, t, f) => match eval_var(self.env, *x, CTy::Bool) {
+    fn classify_cexpr(&mut self, ce: CExprId, var: Ident, ctx: Ctx) {
+        let ex = self.ex;
+        match ex[ce] {
+            CExpr::Merge(x, t, f) => match eval_var(self.env, x, CTy::Bool) {
                 AbsVal::Iv(1, 1) => {
                     self.report(
                         codes::W0103,
@@ -472,8 +516,9 @@ impl Classifier<'_> {
             },
             CExpr::If(c, t, f) => {
                 self.classify_expr(c, var, ctx);
-                match eval_expr(c, self.env) {
+                match eval_expr(ex, c, self.env, self.vals) {
                     AbsVal::Iv(1, 1) => {
+                        let c = ex.show(c);
                         self.report(
                             codes::W0103,
                             var,
@@ -482,6 +527,7 @@ impl Classifier<'_> {
                         self.classify_cexpr(t, var, ctx);
                     }
                     AbsVal::Iv(0, 0) => {
+                        let c = ex.show(c);
                         self.report(
                             codes::W0103,
                             var,
@@ -540,15 +586,20 @@ pub fn check_ranges(
     let active = crate::live::reachable(prog, root, |ck| *ck == Clock::Base);
     // The output ranges of the nodes analyzed so far, by node id.
     let mut summaries: Vec<Vec<AbsVal>> = Vec::with_capacity(prog.nodes.len());
+    // The expression walks' stacks, shared by every node.
+    let (mut work, mut vals) = (Vec::new(), Vec::new());
     for (node, &node_active) in prog.nodes.iter().zip(&active) {
         let mut env: Env<AbsVal> = Env::new();
         for d in &node.inputs {
             env.set(d.name, AbsVal::Any);
         }
         solve(node, &mut env, |node, i, env, out| match &node.eqs[i] {
-            Equation::Def { x, rhs, .. } => out.push((*x, eval_cexpr(rhs, env))),
+            Equation::Def { x, rhs, .. } => {
+                out.push((*x, eval_cexpr(&node.exprs, *rhs, env, &mut vals)))
+            }
             Equation::Fby { x, init, rhs, .. } => {
-                out.push((*x, hull(of_const(init), eval_expr(rhs, env))));
+                let v = eval_expr(&node.exprs, *rhs, env, &mut vals);
+                out.push((*x, hull(of_const(init), v)));
             }
             Equation::Call {
                 xs, node: callee, ..
@@ -562,6 +613,9 @@ pub fn check_ranges(
 
         let mut cl = Classifier {
             env: &env,
+            ex: &node.exprs,
+            work: &mut work,
+            vals: &mut vals,
             node: node.name,
             spans,
             diags,
@@ -577,10 +631,10 @@ pub fn check_ranges(
                 unconditional: true,
             };
             match eq {
-                Equation::Def { rhs, .. } => cl.classify_cexpr(rhs, var, ctx),
-                Equation::Fby { rhs, .. } => cl.classify_expr(rhs, var, ctx),
+                Equation::Def { rhs, .. } => cl.classify_cexpr(*rhs, var, ctx),
+                Equation::Fby { rhs, .. } => cl.classify_expr(*rhs, var, ctx),
                 Equation::Call { args, .. } => {
-                    for a in args {
+                    for &a in args {
                         cl.classify_expr(a, var, ctx);
                     }
                 }
@@ -594,8 +648,14 @@ mod tests {
     use super::*;
     use velus_nlustre::ast::{Node, VarDecl};
 
-    fn ivar(n: &str) -> Expr<ClightOps> {
-        Expr::Var(Ident::new(n), CTy::I32)
+    type Ex = Exprs<ClightOps>;
+
+    fn ivar(ex: &mut Ex, n: &str) -> ExprId {
+        ex.var(Ident::new(n), CTy::I32)
+    }
+
+    fn int(ex: &mut Ex, v: i32) -> ExprId {
+        ex.constant(CConst::int(v))
     }
 
     fn decl(n: &str, ty: CTy) -> VarDecl<ClightOps> {
@@ -606,8 +666,19 @@ mod tests {
         }
     }
 
-    fn binop(op: CBinOp, l: Expr<ClightOps>, r: Expr<ClightOps>) -> Expr<ClightOps> {
-        Expr::Binop(op, Box::new(l), Box::new(r), CTy::I32)
+    /// `l op r` as a control expression.
+    fn binop(ex: &mut Ex, op: CBinOp, l: ExprId, r: ExprId) -> CExprId {
+        let e = ex.binop(op, l, r, CTy::I32);
+        ex.simple(e)
+    }
+
+    /// `y = rhs`.
+    fn def(y: &str, rhs: CExprId) -> Equation<ClightOps> {
+        Equation::Def {
+            x: Ident::new(y),
+            ck: Clock::Base,
+            rhs,
+        }
     }
 
     fn single_node(
@@ -615,6 +686,7 @@ mod tests {
         outputs: Vec<VarDecl<ClightOps>>,
         locals: Vec<VarDecl<ClightOps>>,
         eqs: Vec<Equation<ClightOps>>,
+        ex: Ex,
     ) -> Program<ClightOps> {
         Program::new(vec![Node {
             name: Ident::new("f"),
@@ -622,6 +694,7 @@ mod tests {
             outputs,
             locals,
             eqs,
+            exprs: ex,
         }])
     }
 
@@ -642,76 +715,71 @@ mod tests {
 
     #[test]
     fn division_by_constant_zero_is_a_guaranteed_trap() {
+        let mut ex = Ex::new();
+        let (x, zero) = (ivar(&mut ex, "x"), int(&mut ex, 0));
+        let rhs = binop(&mut ex, CBinOp::Div, x, zero);
         let prog = single_node(
             vec![decl("x", CTy::I32)],
             vec![decl("y", CTy::I32)],
             vec![],
-            vec![Equation::Def {
-                x: Ident::new("y"),
-                ck: Clock::Base,
-                rhs: CExpr::Expr(binop(CBinOp::Div, ivar("x"), Expr::Const(CConst::int(0)))),
-            }],
+            vec![def("y", rhs)],
+            ex,
         );
         assert_eq!(codes_of(&lint(&prog)), vec!["E0110"]);
     }
 
     #[test]
     fn min_over_minus_one_is_a_guaranteed_trap() {
+        let mut ex = Ex::new();
+        let (min, m1) = (int(&mut ex, i32::MIN), int(&mut ex, -1));
+        let rhs = binop(&mut ex, CBinOp::Div, min, m1);
         let prog = single_node(
             vec![],
             vec![decl("y", CTy::I32)],
             vec![],
-            vec![Equation::Def {
-                x: Ident::new("y"),
-                ck: Clock::Base,
-                rhs: CExpr::Expr(binop(
-                    CBinOp::Div,
-                    Expr::Const(CConst::int(i32::MIN)),
-                    Expr::Const(CConst::int(-1)),
-                )),
-            }],
+            vec![def("y", rhs)],
+            ex,
         );
         assert_eq!(codes_of(&lint(&prog)), vec!["E0111"]);
     }
 
     #[test]
     fn division_by_an_input_is_a_possible_trap() {
+        let mut ex = Ex::new();
+        let (x, d) = (ivar(&mut ex, "x"), ivar(&mut ex, "d"));
+        let rhs = binop(&mut ex, CBinOp::Div, x, d);
         let prog = single_node(
             vec![decl("x", CTy::I32), decl("d", CTy::I32)],
             vec![decl("y", CTy::I32)],
             vec![],
-            vec![Equation::Def {
-                x: Ident::new("y"),
-                ck: Clock::Base,
-                rhs: CExpr::Expr(binop(CBinOp::Div, ivar("x"), ivar("d"))),
-            }],
+            vec![def("y", rhs)],
+            ex,
         );
         assert_eq!(codes_of(&lint(&prog)), vec!["W0102"]);
+    }
+
+    /// `if c then t else f` over integer constants, `c` a variable or a
+    /// constant.
+    fn ite(ex: &mut Ex, c: ExprId, t: ExprId, f: ExprId) -> CExprId {
+        let (t, f) = (ex.simple(t), ex.simple(f));
+        ex.ite(c, t, f)
     }
 
     #[test]
     fn division_by_a_provably_nonzero_range_is_clean() {
         // d = if c then 2 else 7; y = x / d — the hull [2, 7] excludes 0.
+        let mut ex = Ex::new();
+        let c = ex.var(Ident::new("c"), CTy::Bool);
+        let (two, seven) = (int(&mut ex, 2), int(&mut ex, 7));
+        let d_rhs = ite(&mut ex, c, two, seven);
+        let (x, d) = (ivar(&mut ex, "x"), ivar(&mut ex, "d"));
+        let y_rhs = binop(&mut ex, CBinOp::Div, x, d);
         let prog = single_node(
             vec![decl("x", CTy::I32), decl("c", CTy::Bool)],
             vec![decl("y", CTy::I32)],
             vec![decl("d", CTy::I32)],
-            vec![
-                Equation::Def {
-                    x: Ident::new("d"),
-                    ck: Clock::Base,
-                    rhs: CExpr::If(
-                        Expr::Var(Ident::new("c"), CTy::Bool),
-                        Box::new(CExpr::Expr(Expr::Const(CConst::int(2)))),
-                        Box::new(CExpr::Expr(Expr::Const(CConst::int(7)))),
-                    ),
-                },
-                Equation::Def {
-                    x: Ident::new("y"),
-                    ck: Clock::Base,
-                    rhs: CExpr::Expr(binop(CBinOp::Div, ivar("x"), ivar("d"))),
-                },
-            ],
+            vec![def("d", d_rhs), def("y", y_rhs)],
+            ex,
         );
         assert!(lint(&prog).is_empty(), "{}", lint(&prog));
     }
@@ -720,23 +788,18 @@ mod tests {
     fn zero_divisor_under_a_branch_degrades_to_a_warning() {
         // y = if c then x / 0 else 0 — the generated code only
         // evaluates the division when c holds, so no guaranteed claim.
+        let mut ex = Ex::new();
+        let c = ex.var(Ident::new("c"), CTy::Bool);
+        let (x, zero) = (ivar(&mut ex, "x"), int(&mut ex, 0));
+        let q = ex.binop(CBinOp::Div, x, zero, CTy::I32);
+        let other = int(&mut ex, 0);
+        let rhs = ite(&mut ex, c, q, other);
         let prog = single_node(
             vec![decl("x", CTy::I32), decl("c", CTy::Bool)],
             vec![decl("y", CTy::I32)],
             vec![],
-            vec![Equation::Def {
-                x: Ident::new("y"),
-                ck: Clock::Base,
-                rhs: CExpr::If(
-                    Expr::Var(Ident::new("c"), CTy::Bool),
-                    Box::new(CExpr::Expr(binop(
-                        CBinOp::Div,
-                        ivar("x"),
-                        Expr::Const(CConst::int(0)),
-                    ))),
-                    Box::new(CExpr::Expr(Expr::Const(CConst::int(0)))),
-                ),
-            }],
+            vec![def("y", rhs)],
+            ex,
         );
         assert_eq!(codes_of(&lint(&prog)), vec!["W0102"]);
     }
@@ -744,6 +807,16 @@ mod tests {
     #[test]
     fn constant_conditions_and_dead_clocks_are_reported() {
         // k = false; z = (x when k) — dead under clock; y = if true …
+        let on_k = Clock::Base.on(Ident::new("k"), true);
+        let mut ex = Ex::new();
+        let f = ex.constant(CConst::bool(false));
+        let k_rhs = ex.simple(f);
+        let x = ivar(&mut ex, "x");
+        let x = ex.when(x, Ident::new("k"), true);
+        let z_rhs = ex.simple(x);
+        let t = ex.constant(CConst::bool(true));
+        let (x, zero) = (ivar(&mut ex, "x"), int(&mut ex, 0));
+        let y_rhs = ite(&mut ex, t, x, zero);
         let prog = single_node(
             vec![decl("x", CTy::I32)],
             vec![decl("y", CTy::I32)],
@@ -752,30 +825,19 @@ mod tests {
                 VarDecl {
                     name: Ident::new("z"),
                     ty: CTy::I32,
-                    ck: Clock::Base.on(Ident::new("k"), true),
+                    ck: on_k.clone(),
                 },
             ],
             vec![
-                Equation::Def {
-                    x: Ident::new("k"),
-                    ck: Clock::Base,
-                    rhs: CExpr::Expr(Expr::Const(CConst::bool(false))),
-                },
+                def("k", k_rhs),
                 Equation::Def {
                     x: Ident::new("z"),
-                    ck: Clock::Base.on(Ident::new("k"), true),
-                    rhs: CExpr::Expr(Expr::When(Box::new(ivar("x")), Ident::new("k"), true)),
+                    ck: on_k,
+                    rhs: z_rhs,
                 },
-                Equation::Def {
-                    x: Ident::new("y"),
-                    ck: Clock::Base,
-                    rhs: CExpr::If(
-                        Expr::Const(CConst::bool(true)),
-                        Box::new(CExpr::Expr(ivar("x"))),
-                        Box::new(CExpr::Expr(Expr::Const(CConst::int(0)))),
-                    ),
-                },
+                def("y", y_rhs),
             ],
+            ex,
         );
         let mut found = codes_of(&lint(&prog));
         found.sort();
@@ -786,6 +848,11 @@ mod tests {
     fn counter_widening_terminates_and_stays_possible() {
         // c = 0 fby (c + 1); y = x / c — c's range widens to the full
         // type, so the division is a possible (not guaranteed) trap.
+        let mut ex = Ex::new();
+        let (c, one) = (ivar(&mut ex, "c"), int(&mut ex, 1));
+        let next = ex.binop(CBinOp::Add, c, one, CTy::I32);
+        let (x, c) = (ivar(&mut ex, "x"), ivar(&mut ex, "c"));
+        let y_rhs = binop(&mut ex, CBinOp::Div, x, c);
         let prog = single_node(
             vec![decl("x", CTy::I32)],
             vec![decl("y", CTy::I32)],
@@ -795,14 +862,11 @@ mod tests {
                     x: Ident::new("c"),
                     ck: Clock::Base,
                     init: CConst::int(0),
-                    rhs: binop(CBinOp::Add, ivar("c"), Expr::Const(CConst::int(1))),
+                    rhs: next,
                 },
-                Equation::Def {
-                    x: Ident::new("y"),
-                    ck: Clock::Base,
-                    rhs: CExpr::Expr(binop(CBinOp::Div, ivar("x"), ivar("c"))),
-                },
+                def("y", y_rhs),
             ],
+            ex,
         );
         assert_eq!(codes_of(&lint(&prog)), vec!["W0102"]);
     }
@@ -810,31 +874,27 @@ mod tests {
     #[test]
     fn unreachable_node_guarantees_degrade() {
         // g contains a certain trap but is never instantiated from f.
+        let mut g_ex = Ex::new();
+        let (one, zero) = (int(&mut g_ex, 1), int(&mut g_ex, 0));
+        let o_rhs = binop(&mut g_ex, CBinOp::Div, one, zero);
         let g = Node {
             name: Ident::new("g"),
             inputs: vec![],
             outputs: vec![decl("o", CTy::I32)],
             locals: vec![],
-            eqs: vec![Equation::Def {
-                x: Ident::new("o"),
-                ck: Clock::Base,
-                rhs: CExpr::Expr(binop(
-                    CBinOp::Div,
-                    Expr::Const(CConst::int(1)),
-                    Expr::Const(CConst::int(0)),
-                )),
-            }],
+            eqs: vec![def("o", o_rhs)],
+            exprs: g_ex,
         };
+        let mut f_ex = Ex::new();
+        let x = ivar(&mut f_ex, "x");
+        let y_rhs = f_ex.simple(x);
         let f = Node {
             name: Ident::new("f"),
             inputs: vec![decl("x", CTy::I32)],
             outputs: vec![decl("y", CTy::I32)],
             locals: vec![],
-            eqs: vec![Equation::Def {
-                x: Ident::new("y"),
-                ck: Clock::Base,
-                rhs: CExpr::Expr(ivar("x")),
-            }],
+            eqs: vec![def("y", y_rhs)],
+            exprs: f_ex,
         };
         let prog = Program::new(vec![g, f]);
         let d = lint(&prog);

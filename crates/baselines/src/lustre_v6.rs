@@ -24,9 +24,11 @@
 //! scheduled. No fusion is applied, matching the modular v6 scheme.
 
 use velus_common::{Ident, IdentMap, NodeId};
-use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program};
+use velus_nlustre::ast::{CExpr, CExprId, Equation, Expr, ExprId, Exprs, Node, Program};
 use velus_nlustre::clock::Clock;
-use velus_obc::ast::{reset_name, step_name, Block, Class, Method, ObcExpr, ObcProgram, Stmt};
+use velus_obc::ast::{
+    reset_name, step_name, Block, Class, Method, ObcExpr, ObcExprId, ObcExprs, ObcProgram, Stmt,
+};
 use velus_ops::Ops;
 
 use crate::BaselineError;
@@ -55,6 +57,19 @@ fn make_fby_class<O: Ops>(ty: &O::Ty) -> Class<O> {
         .expect("boolean constants exist");
     let ff = O::const_of_literal(&velus_ops::Literal::Bool(false), &bool_ty)
         .expect("boolean constants exist");
+    let mut get = ObcExprs::new();
+    let (g_first, g_i, g_m) = (
+        get.push(ObcExpr::State(first, bool_ty.clone())),
+        get.push(ObcExpr::Var(i, ty.clone())),
+        get.push(ObcExpr::State(m, ty.clone())),
+    );
+    let mut set = ObcExprs::new();
+    let (s_v, s_ff) = (
+        set.push(ObcExpr::Var(v, ty.clone())),
+        set.push(ObcExpr::Const(ff)),
+    );
+    let mut reset = ObcExprs::new();
+    let r_tt = reset.push(ObcExpr::Const(tt));
     Class {
         name: fby_class_name::<O>(ty),
         memories: vec![(first, bool_ty.clone()), (m, ty.clone())],
@@ -66,67 +81,83 @@ fn make_fby_class<O: Ops>(ty: &O::Ty) -> Class<O> {
                 outputs: vec![(y, ty.clone())],
                 locals: vec![],
                 body: Stmt::If(
-                    ObcExpr::State(first, bool_ty.clone()),
-                    Stmt::Assign(y, ObcExpr::Var(i, ty.clone())).into(),
-                    Stmt::Assign(y, ObcExpr::State(m, ty.clone())).into(),
+                    g_first,
+                    Stmt::Assign(y, g_i).into(),
+                    Stmt::Assign(y, g_m).into(),
                 )
                 .into(),
+                exprs: get,
             },
             Method {
                 name: set_name(),
                 inputs: vec![(v, ty.clone())],
                 outputs: vec![],
                 locals: vec![],
-                body: Block(vec![
-                    Stmt::AssignSt(m, ObcExpr::Var(v, ty.clone())),
-                    Stmt::AssignSt(first, ObcExpr::Const(ff)),
-                ]),
+                body: Block(vec![Stmt::AssignSt(m, s_v), Stmt::AssignSt(first, s_ff)]),
+                exprs: set,
             },
             Method {
                 name: reset_name(),
                 inputs: vec![],
                 outputs: vec![],
                 locals: vec![],
-                body: Stmt::AssignSt(first, ObcExpr::Const(tt)).into(),
+                body: Stmt::AssignSt(first, r_tt).into(),
+                exprs: reset,
             },
         ],
     }
 }
 
 /// Per-node context (no memories: every variable is a step local).
-struct Ctx<O: Ops> {
+struct Ctx<'a, O: Ops> {
     types: IdentMap<O::Ty>,
+    /// The node's expressions.
+    src: &'a Exprs<O>,
+    /// The step method's expressions, built as its body is.
+    out: ObcExprs<O>,
+    /// The translated operands of [`Ctx::trexp`]'s loop.
+    stack: Vec<ObcExprId>,
 }
 
-impl<O: Ops> Ctx<O> {
-    fn var(&self, x: Ident) -> Result<ObcExpr<O>, BaselineError> {
+impl<O: Ops> Ctx<'_, O> {
+    fn var(&mut self, x: Ident) -> Result<ObcExprId, BaselineError> {
         let ty = self
             .types
             .get(&x)
             .cloned()
             .ok_or(velus_obc::ObcError::UnboundVariable(x))?;
-        Ok(ObcExpr::Var(x, ty))
+        Ok(self.out.push(ObcExpr::Var(x, ty)))
     }
 
-    fn trexp(&self, e: &Expr<O>) -> Result<ObcExpr<O>, BaselineError> {
-        Ok(match e {
-            Expr::Const(c) => ObcExpr::Const(c.clone()),
-            Expr::Var(x, _) => self.var(*x)?,
-            Expr::When(e1, _, _) => self.trexp(e1)?,
-            Expr::Unop(op, e1, ty) => ObcExpr::Unop(*op, Box::new(self.trexp(e1)?), ty.clone()),
-            Expr::Binop(op, l, r, ty) => ObcExpr::Binop(
-                *op,
-                Box::new(self.trexp(l)?),
-                Box::new(self.trexp(r)?),
-                ty.clone(),
-            ),
-        })
+    /// Translates `e` in one loop over its post-order run, dropping the
+    /// `when`s.
+    fn trexp(&mut self, e: ExprId) -> Result<ObcExprId, BaselineError> {
+        let src = self.src;
+        self.stack.clear();
+        for n in src.tree(e) {
+            let id = match n {
+                Expr::Const(c) => self.out.push(ObcExpr::Const(c.clone())),
+                Expr::Var(x, _) => self.var(*x)?,
+                Expr::When(..) => continue,
+                Expr::Unop(op, _, ty) => {
+                    let a = self.stack.pop().expect("operand");
+                    self.out.push(ObcExpr::Unop(*op, a, ty.clone()))
+                }
+                Expr::Binop(op, _, _, ty) => {
+                    let r = self.stack.pop().expect("operand");
+                    let l = self.stack.pop().expect("operand");
+                    self.out.push(ObcExpr::Binop(*op, l, r, ty.clone()))
+                }
+            };
+            self.stack.push(id);
+        }
+        Ok(self.stack.pop().expect("the translation"))
     }
 
-    fn trcexp(&self, x: Ident, ce: &CExpr<O>) -> Result<Stmt<O>, BaselineError> {
-        Ok(match ce {
+    fn trcexp(&mut self, x: Ident, ce: CExprId) -> Result<Stmt, BaselineError> {
+        Ok(match self.src[ce] {
             CExpr::Merge(y, t, f) => Stmt::If(
-                self.var(*y)?,
+                self.var(y)?,
                 self.trcexp(x, t)?.into(),
                 self.trcexp(x, f)?.into(),
             ),
@@ -139,7 +170,7 @@ impl<O: Ops> Ctx<O> {
         })
     }
 
-    fn ctrl(&self, ck: &Clock, s: Stmt<O>) -> Result<Stmt<O>, BaselineError> {
+    fn ctrl(&mut self, ck: &Clock, s: Stmt) -> Result<Stmt, BaselineError> {
         match ck {
             Clock::Base => Ok(s),
             Clock::On(parent, x, polarity) => {
@@ -168,14 +199,19 @@ fn translate_node_v6<O: Ops>(
     for d in node.inputs.iter().chain(&node.outputs).chain(&node.locals) {
         types.insert(d.name, d.ty.clone());
     }
-    let ctx = Ctx::<O> { types };
+    let mut ctx = Ctx::<O> {
+        types,
+        src: &node.exprs,
+        out: ObcExprs::new(),
+        stack: Vec::new(),
+    };
 
     let fby_class = |ty: &O::Ty| NodeId::new(delay_types.iter().take_while(|t| *t != ty).count());
     let node_class = |f: &NodeId| NodeId::new(delay_types.len() + f.index());
     let mut instances: Vec<(Ident, NodeId)> = Vec::new();
-    let mut gets: Vec<Stmt<O>> = Vec::new();
-    let mut body: Vec<Stmt<O>> = Vec::new();
-    let mut resets: Vec<Stmt<O>> = Vec::new();
+    let mut gets: Vec<Stmt> = Vec::new();
+    let mut body: Vec<Stmt> = Vec::new();
+    let mut resets: Vec<Stmt> = Vec::new();
 
     for eq in &node.eqs {
         match eq {
@@ -185,16 +221,15 @@ fn translate_node_v6<O: Ops>(
                 let inst = delay_instance(*x);
                 instances.push((inst, cls));
                 // x := fby.get(init), available to all readers.
-                gets.push(ctx.ctrl(
-                    ck,
-                    Stmt::Call {
-                        results: vec![*x],
-                        class: cls,
-                        instance: inst,
-                        method: get_name(),
-                        args: vec![ObcExpr::Const(init.clone())],
-                    },
-                )?);
+                let init = ctx.out.push(ObcExpr::Const(init.clone()));
+                let get = Stmt::Call {
+                    results: vec![*x],
+                    class: cls,
+                    instance: inst,
+                    method: get_name(),
+                    args: vec![init],
+                };
+                gets.push(ctx.ctrl(ck, get)?);
                 resets.push(Stmt::Call {
                     results: vec![],
                     class: cls,
@@ -219,19 +254,20 @@ fn translate_node_v6<O: Ops>(
 
     for eq in &node.eqs {
         let s = match eq {
-            Equation::Def { x, ck, rhs } => ctx.ctrl(ck, ctx.trcexp(*x, rhs)?)?,
+            Equation::Def { x, ck, rhs } => {
+                let s = ctx.trcexp(*x, *rhs)?;
+                ctx.ctrl(ck, s)?
+            }
             Equation::Fby { x, ck, rhs, .. } => {
                 let ty = ctx.types[x].clone();
-                ctx.ctrl(
-                    ck,
-                    Stmt::Call {
-                        results: vec![],
-                        class: fby_class(&ty),
-                        instance: delay_instance(*x),
-                        method: set_name(),
-                        args: vec![ctx.trexp(rhs)?],
-                    },
-                )?
+                let set = Stmt::Call {
+                    results: vec![],
+                    class: fby_class(&ty),
+                    instance: delay_instance(*x),
+                    method: set_name(),
+                    args: vec![ctx.trexp(*rhs)?],
+                };
+                ctx.ctrl(ck, set)?
             }
             Equation::Call {
                 xs,
@@ -241,18 +277,16 @@ fn translate_node_v6<O: Ops>(
             } => {
                 let args = args
                     .iter()
-                    .map(|a| ctx.trexp(a))
+                    .map(|&a| ctx.trexp(a))
                     .collect::<Result<Vec<_>, _>>()?;
-                ctx.ctrl(
-                    ck,
-                    Stmt::Call {
-                        results: xs.clone(),
-                        class: node_class(f),
-                        instance: xs[0],
-                        method: step_name(),
-                        args,
-                    },
-                )?
+                let step = Stmt::Call {
+                    results: xs.clone(),
+                    class: node_class(f),
+                    instance: xs[0],
+                    method: step_name(),
+                    args,
+                };
+                ctx.ctrl(ck, step)?
             }
         };
         body.push(s);
@@ -268,6 +302,7 @@ fn translate_node_v6<O: Ops>(
             .collect(),
         locals: node.locals.iter().map(|d| (d.name, d.ty.clone())).collect(),
         body: gets.into_iter().chain(body).collect(),
+        exprs: ctx.out,
     };
     let reset = Method {
         name: reset_name(),
@@ -275,6 +310,7 @@ fn translate_node_v6<O: Ops>(
         outputs: vec![],
         locals: vec![],
         body: Block(resets),
+        exprs: ObcExprs::new(),
     };
     Ok(Class {
         name: node.name,

@@ -17,18 +17,25 @@
 //! tests in the workspace exercise exactly this equivalence).
 
 use velus_common::FreshGen;
-use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program, VarDecl};
+use velus_nlustre::ast::{CExpr, CExprId, Equation, Expr, ExprId, Exprs, Node, Program, VarDecl};
 use velus_nlustre::clock::Clock;
 use velus_ops::Ops;
 
-struct R<O: Ops> {
+/// The re-normalization of one node. Expressions are read from the
+/// node's pools (`src`) and built in `scratch` in the order this
+/// recursion finishes them, which interleaves a compound operand's
+/// fresh equation with the expression it was lifted from; the node's
+/// new pools get each finished root copied over in post-order.
+struct R<'a, O: Ops> {
+    src: &'a Exprs<O>,
+    scratch: Exprs<O>,
     fresh: FreshGen,
     locals: Vec<VarDecl<O>>,
     eqs: Vec<Equation<O>>,
 }
 
-impl<O: Ops> R<O> {
-    fn define(&mut self, prefix: &str, ty: O::Ty, ck: &Clock, rhs: CExpr<O>) -> Expr<O> {
+impl<O: Ops> R<'_, O> {
+    fn define(&mut self, prefix: &str, ty: O::Ty, ck: &Clock, rhs: CExprId) -> ExprId {
         let x = self.fresh.fresh(prefix);
         self.locals.push(VarDecl {
             name: x,
@@ -40,70 +47,79 @@ impl<O: Ops> R<O> {
             ck: ck.clone(),
             rhs,
         });
-        Expr::Var(x, ty)
+        self.scratch.var(x, ty)
     }
 
     /// Reduces `e` to an atom: a variable, a constant, or a sampling of
     /// an atom.
-    fn atomize(&mut self, e: &Expr<O>, ck: &Clock) -> Expr<O> {
-        match e {
-            Expr::Var(..) | Expr::Const(..) => e.clone(),
+    fn atomize(&mut self, e: ExprId, ck: &Clock) -> ExprId {
+        match &self.src[e] {
+            leaf @ (Expr::Var(..) | Expr::Const(..)) => self.scratch.push(leaf.clone()),
             Expr::When(e1, x, k) => {
+                let (e1, x, k) = (*e1, *x, *k);
                 let parent = match ck {
                     Clock::On(p, _, _) => p.as_ref().clone(),
                     Clock::Base => Clock::Base,
                 };
-                Expr::When(Box::new(self.atomize(e1, &parent)), *x, *k)
+                let a = self.atomize(e1, &parent);
+                self.scratch.when(a, x, k)
             }
-            compound => {
-                let ty = compound.ty();
-                let one_op = self.flatten(compound, ck);
-                self.define("t", ty, ck, CExpr::Expr(one_op))
+            Expr::Unop(..) | Expr::Binop(..) => {
+                let ty = self.src.ty(e);
+                let one_op = self.flatten(e, ck);
+                let rhs = self.scratch.simple(one_op);
+                self.define("t", ty, ck, rhs)
             }
         }
     }
 
     /// Reduces `e` to at most one operator over atoms.
-    fn flatten(&mut self, e: &Expr<O>, ck: &Clock) -> Expr<O> {
-        match e {
-            Expr::Unop(op, e1, ty) => Expr::Unop(*op, Box::new(self.atomize(e1, ck)), ty.clone()),
-            Expr::Binop(op, l, r, ty) => Expr::Binop(
-                *op,
-                Box::new(self.atomize(l, ck)),
-                Box::new(self.atomize(r, ck)),
-                ty.clone(),
-            ),
-            other => self.atomize(other, ck),
+    fn flatten(&mut self, e: ExprId, ck: &Clock) -> ExprId {
+        match self.src[e].clone() {
+            Expr::Unop(op, e1, ty) => {
+                let a = self.atomize(e1, ck);
+                self.scratch.unop(op, a, ty)
+            }
+            Expr::Binop(op, l, r, ty) => {
+                let l = self.atomize(l, ck);
+                let r = self.atomize(r, ck);
+                self.scratch.binop(op, l, r, ty)
+            }
+            _ => self.atomize(e, ck),
         }
     }
 
     /// Re-normalizes a control expression: merge structure is preserved
     /// (its branches live on sub-clocks), muxes become value selections
     /// over unconditionally computed atoms.
-    fn cexpr(&mut self, ce: &CExpr<O>, ck: &Clock) -> CExpr<O> {
-        match ce {
-            CExpr::Merge(x, t, f) => CExpr::Merge(
-                *x,
-                Box::new(self.cexpr(t, &ck.clone().on(*x, true))),
-                Box::new(self.cexpr(f, &ck.clone().on(*x, false))),
-            ),
+    fn cexpr(&mut self, ce: CExprId, ck: &Clock) -> CExprId {
+        match self.src[ce] {
+            CExpr::Merge(x, t, f) => {
+                let t = self.cexpr(t, &ck.clone().on(x, true));
+                let f = self.cexpr(f, &ck.clone().on(x, false));
+                self.scratch.merge(x, t, f)
+            }
             CExpr::If(c, t, f) => {
                 let c = self.atomize(c, ck);
                 let t = self.branch_atom(t, ck);
                 let f = self.branch_atom(f, ck);
-                CExpr::If(c, Box::new(CExpr::Expr(t)), Box::new(CExpr::Expr(f)))
+                let (t, f) = (self.scratch.simple(t), self.scratch.simple(f));
+                self.scratch.ite(c, t, f)
             }
-            CExpr::Expr(e) => CExpr::Expr(self.flatten(e, ck)),
+            CExpr::Expr(e) => {
+                let e = self.flatten(e, ck);
+                self.scratch.simple(e)
+            }
         }
     }
 
     /// Computes a mux branch into an atom (unconditionally active).
-    fn branch_atom(&mut self, ce: &CExpr<O>, ck: &Clock) -> Expr<O> {
-        match ce {
+    fn branch_atom(&mut self, ce: CExprId, ck: &Clock) -> ExprId {
+        match self.src[ce] {
             CExpr::Expr(e) => self.atomize(e, ck),
-            nested => {
-                let ty = nested.ty();
-                let rhs = self.cexpr(nested, ck);
+            _ => {
+                let ty = self.src.cty(ce);
+                let rhs = self.cexpr(ce, ck);
                 self.define("b", ty, ck, rhs)
             }
         }
@@ -112,6 +128,8 @@ impl<O: Ops> R<O> {
 
 fn renorm_node<O: Ops>(node: &Node<O>) -> Node<O> {
     let mut r = R::<O> {
+        src: &node.exprs,
+        scratch: Exprs::new(),
         fresh: FreshGen::new("hp"),
         locals: Vec::new(),
         eqs: Vec::new(),
@@ -120,7 +138,7 @@ fn renorm_node<O: Ops>(node: &Node<O>) -> Node<O> {
     for eq in &node.eqs {
         match eq {
             Equation::Def { x, ck, rhs } => {
-                let rhs = r.cexpr(rhs, ck);
+                let rhs = r.cexpr(*rhs, ck);
                 eqs.push(Equation::Def {
                     x: *x,
                     ck: ck.clone(),
@@ -128,7 +146,7 @@ fn renorm_node<O: Ops>(node: &Node<O>) -> Node<O> {
                 });
             }
             Equation::Fby { x, ck, init, rhs } => {
-                let rhs = r.atomize(rhs, ck);
+                let rhs = r.atomize(*rhs, ck);
                 eqs.push(Equation::Fby {
                     x: *x,
                     ck: ck.clone(),
@@ -142,7 +160,7 @@ fn renorm_node<O: Ops>(node: &Node<O>) -> Node<O> {
                 node: f,
                 args,
             } => {
-                let args = args.iter().map(|a| r.atomize(a, ck)).collect();
+                let args = args.iter().map(|&a| r.atomize(a, ck)).collect();
                 eqs.push(Equation::Call {
                     xs: xs.clone(),
                     ck: ck.clone(),
@@ -153,6 +171,10 @@ fn renorm_node<O: Ops>(node: &Node<O>) -> Node<O> {
         }
     }
     eqs.extend(r.eqs);
+    let mut exprs = Exprs::new();
+    for eq in &mut eqs {
+        exprs.copy_equation(&r.scratch, eq);
+    }
     let mut locals = node.locals.clone();
     locals.extend(r.locals);
     Node {
@@ -161,6 +183,7 @@ fn renorm_node<O: Ops>(node: &Node<O>) -> Node<O> {
         outputs: node.outputs.clone(),
         locals,
         eqs,
+        exprs,
     }
 }
 
@@ -250,10 +273,7 @@ mod tests {
         let node = &renormed.nodes[0];
         assert!(node.eqs.iter().any(|e| matches!(
             e,
-            Equation::Def {
-                rhs: CExpr::Merge(..),
-                ..
-            }
+            Equation::Def { rhs, .. } if matches!(node.exprs[*rhs], CExpr::Merge(..))
         )));
     }
 }

@@ -13,12 +13,19 @@
 //! are passed to callees — and everything else in temporaries (the
 //! `register` variables of Fig. 9).
 
-use velus_common::{Ident, NodeId};
+use velus_common::{Ident, NodeId, Pool, PoolNode};
 use velus_ops::{CBinOp, CTy, CUnOp, CVal};
 
 use crate::ctypes::CType;
 
-/// A Clight expression, annotated with its type.
+velus_common::pool_id! {
+    /// A Clight expression: the id of its root in its function's
+    /// [`Exprs`] pool.
+    pub struct ExprId;
+}
+
+/// A node of a Clight expression, annotated with its type; operators
+/// name their operands by id in the same pool.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A scalar constant.
@@ -36,13 +43,30 @@ pub enum Expr {
     /// `&a` — the address of a struct place.
     AddrOf(Place),
     /// Unary operation (including casts) on scalars.
-    Unop(CUnOp, Box<Expr>, CTy),
+    Unop(CUnOp, ExprId, CTy),
     /// Binary operation on scalars.
-    Binop(CBinOp, Box<Expr>, Box<Expr>, CTy),
+    Binop(CBinOp, ExprId, ExprId, CTy),
 }
 
+impl PoolNode for Expr {
+    type Id = ExprId;
+
+    #[inline]
+    fn operands(&self) -> (Option<ExprId>, Option<ExprId>) {
+        match self {
+            Expr::Unop(_, e, _) => (Some(*e), None),
+            Expr::Binop(_, l, r, _) => (Some(*l), Some(*r)),
+            _ => (None, None),
+        }
+    }
+}
+
+/// The expressions of one function: a post-order pool (see
+/// [`velus_common::Pool`]). Build bottom up, operands first.
+pub type Exprs = Pool<ExprId, Expr>;
+
 impl Expr {
-    /// The type of the expression.
+    /// The type of the expression, read off the node's annotation.
     pub fn ty(&self) -> CType {
         match self {
             Expr::Const(_, t) => CType::Scalar(*t),
@@ -103,22 +127,22 @@ impl Place {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `lv = e;` — store to memory.
-    Assign(Expr, Expr),
+    Assign(ExprId, ExprId),
     /// `x = e;` — set a temporary.
-    Set(Ident, Expr),
+    Set(Ident, ExprId),
     /// `[x =] f(args);` — call of `functions[f]`, optionally binding the
     /// result temporary.
-    Call(Option<Ident>, usize, Vec<Expr>),
+    Call(Option<Ident>, usize, Vec<ExprId>),
     /// Conditional.
-    If(Expr, Block, Block),
+    If(ExprId, Block, Block),
     /// `x = volatile_load(g);` — consumes one input, emits a `Load` event.
     VolLoad(Ident, Ident, CTy),
     /// `volatile_store(g, e);` — emits a `Store` event.
-    VolStore(Ident, Expr),
+    VolStore(Ident, ExprId),
     /// `while (1) { s }` — the simulation main loop.
     Loop(Block),
     /// `return [e];`
-    Return(Option<Expr>),
+    Return(Option<ExprId>),
 }
 
 /// A statement sequence, executed in order; the empty block is Clight's
@@ -141,6 +165,8 @@ pub struct Function {
     pub ret: CType,
     /// Body.
     pub body: Block,
+    /// The pool every expression of the body lives in.
+    pub exprs: Exprs,
 }
 
 /// A Clight program.

@@ -20,12 +20,12 @@
 
 use velus_common::{Ident, IdentSet, NodeId};
 use velus_obc::ast::{
-    reset_name, step_name, Block as OBlock, Class, Method, ObcExpr, ObcProgram, Stmt as OStmt,
-    RESET, STEP,
+    reset_name, step_name, Block as OBlock, Class, Method, ObcExpr, ObcExprId, ObcExprs,
+    ObcProgram, Stmt as OStmt, RESET, STEP,
 };
 use velus_ops::{CTy, ClightOps};
 
-use crate::ast::{Block, Expr, Function, Place, Program, Stmt};
+use crate::ast::{Block, Expr, ExprId, Exprs, Function, Place, Program, Stmt};
 use crate::ctypes::{CType, Composite};
 use crate::ClightError;
 
@@ -65,6 +65,12 @@ fn out_ident() -> Ident {
 
 struct MCtx<'a> {
     class: &'a Class<ClightOps>,
+    /// The Obc method's expressions.
+    src: &'a ObcExprs<ClightOps>,
+    /// The function's expressions, built as the body is.
+    exprs: Exprs,
+    /// The generated operands of [`MCtx::gen_expr`]'s loop.
+    stack: Vec<ExprId>,
     /// The index of each class's first method function.
     class_fns: &'a [usize],
     /// The method's output struct, when it has two or more outputs.
@@ -95,27 +101,48 @@ impl MCtx<'_> {
         ))
     }
 
-    fn gen_expr(&self, e: &ObcExpr<ClightOps>) -> Expr {
-        match e {
+    /// Generates Obc expression `e` into the function's pool: one loop
+    /// over its post-order run, node for node, so the result is in
+    /// post-order too.
+    fn gen_expr(&mut self, e: ObcExprId) -> ExprId {
+        let src = self.src;
+        // A leaf needs no stack.
+        if let Some(leaf) = self.gen_leaf(&src[e]) {
+            return self.exprs.push(leaf);
+        }
+        self.stack.clear();
+        for n in src.tree(e) {
+            let node = match n {
+                ObcExpr::Unop(op, _, ty) => Expr::Unop(*op, pop(&mut self.stack), *ty),
+                ObcExpr::Binop(op, _, _, ty) => {
+                    let r = pop(&mut self.stack);
+                    Expr::Binop(*op, pop(&mut self.stack), r, *ty)
+                }
+                leaf => self.gen_leaf(leaf).expect("a leaf"),
+            };
+            let id = self.exprs.push(node);
+            self.stack.push(id);
+        }
+        pop(&mut self.stack)
+    }
+
+    /// The Clight leaf of an Obc constant, variable or memory; `None`
+    /// for an operator.
+    fn gen_leaf(&self, e: &ObcExpr<ClightOps>) -> Option<Expr> {
+        Some(match e {
             ObcExpr::Const(c) => Expr::Const(c.val(), c.ty()),
             ObcExpr::State(x, ty) => self.state_field(*x, *ty),
             ObcExpr::Var(x, ty) => self
                 .out_field(*x, *ty)
                 .unwrap_or(Expr::Temp(*x, CType::Scalar(*ty))),
-            ObcExpr::Unop(op, e1, ty) => Expr::Unop(*op, Box::new(self.gen_expr(e1)), *ty),
-            ObcExpr::Binop(op, e1, e2, ty) => Expr::Binop(
-                *op,
-                Box::new(self.gen_expr(e1)),
-                Box::new(self.gen_expr(e2)),
-                *ty,
-            ),
-        }
+            ObcExpr::Unop(..) | ObcExpr::Binop(..) => return None,
+        })
     }
 
     /// A write to the Obc variable `x` of type `ty`.
-    fn gen_write(&self, x: Ident, ty: CTy, rhs: Expr) -> Stmt {
+    fn gen_write(&mut self, x: Ident, ty: CTy, rhs: ExprId) -> Stmt {
         match self.out_field(x, ty) {
-            Some(field) => Stmt::Assign(field, rhs),
+            Some(field) => Stmt::Assign(self.exprs.push(field), rhs),
             None => Stmt::Set(x, rhs),
         }
     }
@@ -123,7 +150,7 @@ impl MCtx<'_> {
     fn gen_block(
         &mut self,
         prog: &ObcProgram<ClightOps>,
-        s: &OBlock<ClightOps>,
+        s: &OBlock,
     ) -> Result<Block, ClightError> {
         let mut out = Block::with_capacity(s.len());
         for s in s.iter() {
@@ -137,21 +164,25 @@ impl MCtx<'_> {
     fn gen_stmt(
         &mut self,
         prog: &ObcProgram<ClightOps>,
-        s: &OStmt<ClightOps>,
+        s: &OStmt,
         out: &mut Block,
     ) -> Result<(), ClightError> {
         match s {
             OStmt::Assign(x, e) => {
-                let ty = e.ty();
-                let rhs = self.gen_expr(e);
-                out.push(self.gen_write(*x, ty, rhs));
+                let ty = self.src.ty(*e);
+                let rhs = self.gen_expr(*e);
+                let s = self.gen_write(*x, ty, rhs);
+                out.push(s);
             }
             OStmt::AssignSt(x, e) => {
-                out.push(Stmt::Assign(self.state_field(*x, e.ty()), self.gen_expr(e)))
+                let field = self.state_field(*x, self.src.ty(*e));
+                let field = self.exprs.push(field);
+                let rhs = self.gen_expr(*e);
+                out.push(Stmt::Assign(field, rhs))
             }
             OStmt::If(c, t, f) => {
                 let s = Stmt::If(
-                    self.gen_expr(c),
+                    self.gen_expr(*c),
                     self.gen_block(prog, t)?,
                     self.gen_block(prog, f)?,
                 );
@@ -174,24 +205,27 @@ impl MCtx<'_> {
                 let k = callee.name;
                 let self_arg =
                     Expr::AddrOf(Place::DerefField(self_ident(), self.class.name, *i, k));
-                let mut cargs = vec![self_arg];
+                let mut cargs = Vec::with_capacity(args.len() + 2);
+                cargs.push(self.exprs.push(self_arg));
                 match cm.outputs.len() {
                     0 => {
-                        cargs.extend(args.iter().map(|a| self.gen_expr(a)));
+                        for &a in args {
+                            cargs.push(self.gen_expr(a));
+                        }
                         out.push(Stmt::Call(None, fname, cargs));
                     }
                     1 => {
-                        cargs.extend(args.iter().map(|a| self.gen_expr(a)));
+                        for &a in args {
+                            cargs.push(self.gen_expr(a));
+                        }
                         let (_, oty) = &cm.outputs[0];
                         self.fresh += 1;
                         let aux = Ident::from_fmt(format_args!("res${i}${}", self.fresh));
                         self.extra_temps.push((aux, CType::Scalar(*oty)));
                         out.push(Stmt::Call(Some(aux), fname, cargs));
-                        out.push(self.gen_write(
-                            results[0],
-                            *oty,
-                            Expr::Temp(aux, CType::Scalar(*oty)),
-                        ));
+                        let res = self.exprs.push(Expr::Temp(aux, CType::Scalar(*oty)));
+                        let s = self.gen_write(results[0], *oty, res);
+                        out.push(s);
                     }
                     _ => {
                         let ostruct = out_struct_name(k, *m);
@@ -200,15 +234,16 @@ impl MCtx<'_> {
                         if !self.extra_vars.iter().any(|(v, _)| *v == ovar) {
                             self.extra_vars.push((ovar, CType::Struct(ostruct)));
                         }
-                        cargs.push(Expr::AddrOf(Place::Var(ovar, ostruct)));
-                        cargs.extend(args.iter().map(|a| self.gen_expr(a)));
+                        cargs.push(self.exprs.push(Expr::AddrOf(Place::Var(ovar, ostruct))));
+                        for &a in args {
+                            cargs.push(self.gen_expr(a));
+                        }
                         out.push(Stmt::Call(None, fname, cargs));
                         for ((o, oty), r) in cm.outputs.iter().zip(results) {
-                            out.push(self.gen_write(
-                                *r,
-                                *oty,
-                                Expr::Field(ovar, ostruct, *o, CType::Scalar(*oty)),
-                            ));
+                            let field = Expr::Field(ovar, ostruct, *o, CType::Scalar(*oty));
+                            let field = self.exprs.push(field);
+                            let s = self.gen_write(*r, *oty, field);
+                            out.push(s);
                         }
                     }
                 }
@@ -218,15 +253,23 @@ impl MCtx<'_> {
     }
 }
 
+/// Generates the function of method `m` of `class`; `stack` is the
+/// expression loop's scratch, handed from method to method.
 fn gen_method(
     prog: &ObcProgram<ClightOps>,
     class_fns: &[usize],
     class: &Class<ClightOps>,
     m: &Method<ClightOps>,
+    stack: &mut Vec<ExprId>,
 ) -> Result<Function, ClightError> {
     let out_struct = (m.outputs.len() >= 2).then(|| out_struct_name(class.name, m.name));
     let mut ctx = MCtx {
         class,
+        src: &m.exprs,
+        // Each Obc node becomes one Clight node; calls and writes to
+        // outputs add a few leaves.
+        exprs: Exprs::with_capacity(m.exprs.len() + m.body.len()),
+        stack: std::mem::take(stack),
         class_fns,
         out_struct,
         // Only outputs kept in an output struct are looked up.
@@ -238,7 +281,9 @@ fn gen_method(
         extra_temps: Vec::new(),
         fresh: 0,
     };
-    let mut body = ctx.gen_block(prog, &m.body)?;
+    let body = ctx.gen_block(prog, &m.body);
+    *stack = std::mem::take(&mut ctx.stack);
+    let mut body = body?;
 
     let mut params = vec![(self_ident(), CType::ptr_to_struct(class.name))];
     if let Some(out_struct) = out_struct {
@@ -256,7 +301,8 @@ fn gen_method(
     let ret = if m.outputs.len() == 1 {
         let (o, oty) = &m.outputs[0];
         temps.push((*o, CType::Scalar(*oty)));
-        body.push(Stmt::Return(Some(Expr::Temp(*o, CType::Scalar(*oty)))));
+        let o = ctx.exprs.push(Expr::Temp(*o, CType::Scalar(*oty)));
+        body.push(Stmt::Return(Some(o)));
         CType::Scalar(*oty)
     } else {
         CType::Void
@@ -269,7 +315,15 @@ fn gen_method(
         temps,
         ret,
         body,
+        exprs: ctx.exprs,
     })
+}
+
+/// Pops an operand the generation loop pushed before its parent.
+fn pop(stack: &mut Vec<ExprId>) -> ExprId {
+    stack
+        .pop()
+        .expect("operands are generated before their parent")
 }
 
 /// Appends the output structs of `class`'s methods, then its own struct.
@@ -327,6 +381,8 @@ fn gen_main(root: &Class<ClightOps>, first_fn: usize) -> Result<GeneratedMain, C
     let mut temps: Vec<(Ident, CType)> = Vec::new();
     let mut vars: Vec<(Ident, CType)> = vec![(self_var, CType::Struct(root.name))];
     let mut loop_body: Vec<Stmt> = Vec::new();
+    let mut exprs = Exprs::new();
+    let temp = |exprs: &mut Exprs, x: Ident, t: CTy| exprs.push(Expr::Temp(x, CType::Scalar(t)));
 
     // Volatile input loads. A node without inputs gets a pacing tick so
     // the simulated loop still consumes one volatile input per instant.
@@ -345,55 +401,46 @@ fn gen_main(root: &Class<ClightOps>, first_fn: usize) -> Result<GeneratedMain, C
     // The step call.
     let fname = first_fn + STEP;
     let self_place = Place::Var(self_var, root.name);
-    let mut args = vec![Expr::AddrOf(self_place)];
+    let mut args = vec![exprs.push(Expr::AddrOf(self_place))];
     match step.outputs.len() {
         0 => {
-            args.extend(
-                step.inputs
-                    .iter()
-                    .map(|(x, t)| Expr::Temp(*x, CType::Scalar(*t))),
-            );
+            for (x, t) in &step.inputs {
+                args.push(temp(&mut exprs, *x, *t));
+            }
             loop_body.push(Stmt::Call(None, fname, args));
         }
         1 => {
-            args.extend(
-                step.inputs
-                    .iter()
-                    .map(|(x, t)| Expr::Temp(*x, CType::Scalar(*t))),
-            );
+            for (x, t) in &step.inputs {
+                args.push(temp(&mut exprs, *x, *t));
+            }
             let (o, oty) = &step.outputs[0];
             let res = Ident::new("res");
             temps.push((res, CType::Scalar(*oty)));
             loop_body.push(Stmt::Call(Some(res), fname, args));
             vols_out.push((vol_out_name(*o), *oty));
-            loop_body.push(Stmt::VolStore(
-                vol_out_name(*o),
-                Expr::Temp(res, CType::Scalar(*oty)),
-            ));
+            let res = temp(&mut exprs, res, *oty);
+            loop_body.push(Stmt::VolStore(vol_out_name(*o), res));
         }
         _ => {
             let ostruct = out_struct_name(root.name, step_name());
             let ovar = out_ident();
             vars.push((ovar, CType::Struct(ostruct)));
-            args.push(Expr::AddrOf(Place::Var(ovar, ostruct)));
-            args.extend(
-                step.inputs
-                    .iter()
-                    .map(|(x, t)| Expr::Temp(*x, CType::Scalar(*t))),
-            );
+            args.push(exprs.push(Expr::AddrOf(Place::Var(ovar, ostruct))));
+            for (x, t) in &step.inputs {
+                args.push(temp(&mut exprs, *x, *t));
+            }
             loop_body.push(Stmt::Call(None, fname, args));
             for (o, oty) in &step.outputs {
                 vols_out.push((vol_out_name(*o), *oty));
-                loop_body.push(Stmt::VolStore(
-                    vol_out_name(*o),
-                    Expr::Field(ovar, ostruct, *o, CType::Scalar(*oty)),
-                ));
+                let field = Expr::Field(ovar, ostruct, *o, CType::Scalar(*oty));
+                loop_body.push(Stmt::VolStore(vol_out_name(*o), exprs.push(field)));
             }
         }
     }
 
+    let this = exprs.push(Expr::AddrOf(self_place));
     let body = vec![
-        Stmt::Call(None, first_fn + RESET, vec![Expr::AddrOf(self_place)]),
+        Stmt::Call(None, first_fn + RESET, vec![this]),
         Stmt::Loop(loop_body),
     ];
     Ok((
@@ -404,6 +451,7 @@ fn gen_main(root: &Class<ClightOps>, first_fn: usize) -> Result<GeneratedMain, C
             temps,
             ret: CType::Void,
             body,
+            exprs,
         },
         vols_in,
         vols_out,
@@ -423,11 +471,12 @@ pub fn generate(obc: &ObcProgram<ClightOps>, root: NodeId) -> Result<Program, Cl
     let mut functions = Vec::new();
     // Callees come first, so a call's class already has its entry.
     let mut class_fns = Vec::with_capacity(obc.classes.len());
+    let mut stack = Vec::new();
     for class in &obc.classes {
         class_fns.push(functions.len());
         gen_composites(obc, class, &mut composites);
         for m in &class.methods {
-            functions.push(gen_method(obc, &class_fns, class, m)?);
+            functions.push(gen_method(obc, &class_fns, class, m, &mut stack)?);
         }
     }
     let root_class = obc
@@ -449,7 +498,9 @@ pub fn generate(obc: &ObcProgram<ClightOps>, root: NodeId) -> Result<Program, Cl
 mod tests {
     use super::*;
     use crate::interp::{Event, Machine, RVal};
-    use velus_obc::ast::{Block as OBlock, Class, Method, ObcExpr, ObcProgram, Stmt as OStmt};
+    use velus_obc::ast::{
+        Block as OBlock, Class, Method, ObcExpr, ObcExprs, ObcProgram, Stmt as OStmt,
+    };
     use velus_ops::{CBinOp, CConst, CVal};
 
     fn id(s: &str) -> Ident {
@@ -460,6 +511,13 @@ mod tests {
     ///   (y: int) step(x: int) { y := state(c) + x; state(c) := y }
     ///   () reset() { state(c) := 0 } }
     fn acc_class() -> ObcProgram<ClightOps> {
+        let mut ex = ObcExprs::new();
+        let c = ex.push(ObcExpr::State(id("c"), CTy::I32));
+        let x = ex.push(ObcExpr::Var(id("x"), CTy::I32));
+        let sum = ex.push(ObcExpr::Binop(CBinOp::Add, c, x, CTy::I32));
+        let y = ex.push(ObcExpr::Var(id("y"), CTy::I32));
+        let mut reset_ex = ObcExprs::new();
+        let zero = reset_ex.push(ObcExpr::Const(CConst::int(0)));
         ObcProgram {
             classes: vec![Class {
                 name: id("acc"),
@@ -472,24 +530,18 @@ mod tests {
                         outputs: vec![(id("y"), CTy::I32)],
                         locals: vec![],
                         body: OBlock(vec![
-                            OStmt::Assign(
-                                id("y"),
-                                ObcExpr::Binop(
-                                    CBinOp::Add,
-                                    Box::new(ObcExpr::State(id("c"), CTy::I32)),
-                                    Box::new(ObcExpr::Var(id("x"), CTy::I32)),
-                                    CTy::I32,
-                                ),
-                            ),
-                            OStmt::AssignSt(id("c"), ObcExpr::Var(id("y"), CTy::I32)),
+                            OStmt::Assign(id("y"), sum),
+                            OStmt::AssignSt(id("c"), y),
                         ]),
+                        exprs: ex,
                     },
                     Method {
                         name: reset_name(),
                         inputs: vec![],
                         outputs: vec![],
                         locals: vec![],
-                        body: OStmt::AssignSt(id("c"), ObcExpr::Const(CConst::int(0))).into(),
+                        body: OStmt::AssignSt(id("c"), zero).into(),
+                        exprs: reset_ex,
                     },
                 ],
             }],

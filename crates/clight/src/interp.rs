@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use velus_common::{Ident, IdentMap};
 use velus_ops::{CTy, CVal, ClightOps, Ops};
 
-use crate::ast::{Expr, Function, Program, Stmt};
+use crate::ast::{Expr, ExprId, Exprs, Function, Program, Stmt};
 use crate::ctypes::{CType, LayoutEnv};
 use crate::memory::{BlockId, Mem};
 use crate::ClightError;
@@ -100,6 +100,8 @@ pub struct Machine<'p> {
     frames: Vec<Frame>,
     /// The blocks of the addressable locals of the calls in progress.
     locals: Vec<BlockId>,
+    /// The value stack of [`Machine::rval`].
+    vals: Vec<RVal>,
 }
 
 impl<'p> Machine<'p> {
@@ -120,6 +122,7 @@ impl<'p> Machine<'p> {
             args: Vec::new(),
             frames: Vec::new(),
             locals: Vec::new(),
+            vals: Vec::new(),
         })
     }
 
@@ -169,7 +172,67 @@ impl<'p> Machine<'p> {
         }
     }
 
-    fn rval(&mut self, fr: &Frame, e: &Expr) -> Result<RVal, ClightError> {
+    /// The value of expression `e` of `ex`: one loop over its
+    /// post-order run, with the machine's value stack.
+    fn rval(&mut self, fr: &Frame, ex: &Exprs, e: ExprId) -> Result<RVal, ClightError> {
+        // A leaf needs no stack.
+        if !matches!(ex[e], Expr::Unop(..) | Expr::Binop(..)) {
+            return self.leaf_rval(fr, &ex[e]);
+        }
+        self.vals.clear();
+        for n in ex.tree(e) {
+            let v = match n {
+                Expr::Unop(op, e1, _) => {
+                    let v = self.vals.pop().expect("operand value");
+                    let sc = ex[*e1].scalar_ty().ok_or_else(|| {
+                        ClightError::ValueError("unary operator on non-scalar".to_owned())
+                    })?;
+                    match v {
+                        RVal::Scalar(v) => ClightOps::sem_unop(*op, &v, &sc)
+                            .map(RVal::Scalar)
+                            .ok_or_else(|| ClightError::UndefinedOperation(format!("{op} {v}")))?,
+                        RVal::Ptr(..) => {
+                            return Err(ClightError::ValueError(
+                                "unary operator on pointer".to_owned(),
+                            ))
+                        }
+                    }
+                }
+                leaf @ (Expr::Const(..)
+                | Expr::Temp(..)
+                | Expr::AddrOf(_)
+                | Expr::Var(..)
+                | Expr::Field(..)
+                | Expr::DerefField(..)) => self.leaf_rval(fr, leaf)?,
+                Expr::Binop(op, e1, e2, _) => {
+                    let v2 = self.vals.pop().expect("operand value");
+                    let v1 = self.vals.pop().expect("operand value");
+                    let t1 = ex[*e1].scalar_ty();
+                    let t2 = ex[*e2].scalar_ty();
+                    match (v1, v2, t1, t2) {
+                        (RVal::Scalar(a), RVal::Scalar(b), Some(ta), Some(tb)) => {
+                            ClightOps::sem_binop(*op, &a, &ta, &b, &tb)
+                                .map(RVal::Scalar)
+                                .ok_or_else(|| {
+                                    ClightError::UndefinedOperation(format!("{a} {op} {b}"))
+                                })?
+                        }
+                        _ => {
+                            return Err(ClightError::ValueError(
+                                "binary operator on non-scalars".to_owned(),
+                            ))
+                        }
+                    }
+                }
+            };
+            self.vals.push(v);
+        }
+        Ok(self.vals.pop().expect("the expression's value"))
+    }
+
+    /// The value of a leaf: a constant, a temporary, an address, or a
+    /// load from an lvalue.
+    fn leaf_rval(&mut self, fr: &Frame, e: &Expr) -> Result<RVal, ClightError> {
         match e {
             Expr::Const(v, _) => Ok(RVal::Scalar(*v)),
             Expr::Temp(x, _) => fr
@@ -190,56 +253,32 @@ impl<'p> Machine<'p> {
                     )),
                 }
             }
-            Expr::Unop(op, e1, _) => {
-                let v = self.rval(fr, e1)?;
-                let sc = e1.scalar_ty().ok_or_else(|| {
-                    ClightError::ValueError("unary operator on non-scalar".to_owned())
-                })?;
-                match v {
-                    RVal::Scalar(v) => ClightOps::sem_unop(*op, &v, &sc)
-                        .map(RVal::Scalar)
-                        .ok_or_else(|| ClightError::UndefinedOperation(format!("{op} {v}"))),
-                    RVal::Ptr(..) => Err(ClightError::ValueError(
-                        "unary operator on pointer".to_owned(),
-                    )),
-                }
-            }
-            Expr::Binop(op, e1, e2, _) => {
-                let v1 = self.rval(fr, e1)?;
-                let v2 = self.rval(fr, e2)?;
-                let t1 = e1.scalar_ty();
-                let t2 = e2.scalar_ty();
-                match (v1, v2, t1, t2) {
-                    (RVal::Scalar(a), RVal::Scalar(b), Some(ta), Some(tb)) => {
-                        ClightOps::sem_binop(*op, &a, &ta, &b, &tb)
-                            .map(RVal::Scalar)
-                            .ok_or_else(|| ClightError::UndefinedOperation(format!("{a} {op} {b}")))
-                    }
-                    _ => Err(ClightError::ValueError(
-                        "binary operator on non-scalars".to_owned(),
-                    )),
-                }
-            }
+            Expr::Unop(..) | Expr::Binop(..) => unreachable!("operators are not leaves"),
         }
     }
 
     // ---- statements ------------------------------------------------------
 
     /// Executes a block: statement by statement until one returns.
-    fn exec_block(&mut self, fr: &mut Frame, b: &[Stmt]) -> Result<Outcome, ClightError> {
+    fn exec_block(
+        &mut self,
+        fr: &mut Frame,
+        ex: &Exprs,
+        b: &[Stmt],
+    ) -> Result<Outcome, ClightError> {
         for s in b {
-            if let ret @ Outcome::Return(_) = self.exec(fr, s)? {
+            if let ret @ Outcome::Return(_) = self.exec(fr, ex, s)? {
                 return Ok(ret);
             }
         }
         Ok(Outcome::Normal)
     }
 
-    fn exec(&mut self, fr: &mut Frame, s: &Stmt) -> Result<Outcome, ClightError> {
+    fn exec(&mut self, fr: &mut Frame, ex: &Exprs, s: &Stmt) -> Result<Outcome, ClightError> {
         match s {
             Stmt::Assign(lv, e) => {
-                let v = self.rval(fr, e)?;
-                let (b, o, ty) = self.lval(fr, lv)?;
+                let v = self.rval(fr, ex, *e)?;
+                let (b, o, ty) = self.lval(fr, &ex[*lv])?;
                 let sc = ty.ok_or_else(|| {
                     ClightError::ValueError("assignment to non-scalar location".to_owned())
                 })?;
@@ -254,22 +293,22 @@ impl<'p> Machine<'p> {
                 }
             }
             Stmt::Set(x, e) => {
-                let v = self.rval(fr, e)?;
+                let v = self.rval(fr, ex, *e)?;
                 fr.temps.insert(*x, v);
                 Ok(Outcome::Normal)
             }
             Stmt::If(c, t, f) => {
-                let v = self.rval(fr, c)?;
+                let v = self.rval(fr, ex, *c)?;
                 let b = v
                     .scalar()
                     .and_then(ClightOps::as_bool)
                     .ok_or_else(|| ClightError::ValueError(format!("guard {v:?}")))?;
-                self.exec_block(fr, if b { t } else { f })
+                self.exec_block(fr, ex, if b { t } else { f })
             }
             Stmt::Call(dest, fname, args) => {
                 let base = self.args.len();
-                for a in args {
-                    let v = self.rval(fr, a)?;
+                for &a in args {
+                    let v = self.rval(fr, ex, a)?;
                     self.args.push(v);
                 }
                 let r = self.invoke(*fname, base)?;
@@ -292,7 +331,7 @@ impl<'p> Machine<'p> {
                 Ok(Outcome::Normal)
             }
             Stmt::VolStore(g, e) => {
-                let v = self.rval(fr, e)?;
+                let v = self.rval(fr, ex, *e)?;
                 match v {
                     RVal::Scalar(v) => {
                         self.trace.push(Event::Store(*g, v));
@@ -304,7 +343,7 @@ impl<'p> Machine<'p> {
                 }
             }
             Stmt::Loop(body) => loop {
-                match self.exec_block(fr, body) {
+                match self.exec_block(fr, ex, body) {
                     Ok(Outcome::Normal) => continue,
                     Ok(ret @ Outcome::Return(_)) => return Ok(ret),
                     // Exhausted inputs end the simulated infinite loop:
@@ -315,7 +354,7 @@ impl<'p> Machine<'p> {
             },
             Stmt::Return(e) => {
                 let v = match e {
-                    Some(e) => Some(self.rval(fr, e)?),
+                    Some(e) => Some(self.rval(fr, ex, *e)?),
                     None => None,
                 };
                 Ok(Outcome::Return(v))
@@ -376,7 +415,7 @@ impl<'p> Machine<'p> {
             fr.vars.insert(*x, (b, ty.as_scalar()));
         }
         self.depth += 1;
-        let outcome = self.exec_block(&mut fr, &f.body);
+        let outcome = self.exec_block(&mut fr, &f.exprs, &f.body);
         self.depth -= 1;
         self.frames.push(fr);
         // Last allocated, first freed: the block memory takes the bytes
@@ -446,18 +485,17 @@ mod tests {
         let self_ty = CType::ptr_to_struct(st);
         let deref_c = Expr::DerefField(selfp, st, id("c"), CType::Scalar(CTy::I32));
         let n = id("n");
+        let mut ex = Exprs::new();
+        let c = ex.push(deref_c.clone());
+        let inc = ex.push(Expr::Temp(id("inc"), CType::Scalar(CTy::I32)));
+        let sum = ex.push(Expr::Binop(CBinOp::Add, c, inc, CTy::I32));
+        let c = ex.push(deref_c);
+        let n1 = ex.push(Expr::Temp(n, CType::Scalar(CTy::I32)));
+        let n2 = ex.push(Expr::Temp(n, CType::Scalar(CTy::I32)));
         let body = vec![
-            Stmt::Set(
-                n,
-                Expr::Binop(
-                    CBinOp::Add,
-                    Box::new(deref_c.clone()),
-                    Box::new(Expr::Temp(id("inc"), CType::Scalar(CTy::I32))),
-                    CTy::I32,
-                ),
-            ),
-            Stmt::Assign(deref_c, Expr::Temp(n, CType::Scalar(CTy::I32))),
-            Stmt::Return(Some(Expr::Temp(n, CType::Scalar(CTy::I32)))),
+            Stmt::Set(n, sum),
+            Stmt::Assign(c, n1),
+            Stmt::Return(Some(n2)),
         ];
         Program {
             composites: vec![Composite {
@@ -471,6 +509,7 @@ mod tests {
                 temps: vec![(n, CType::Scalar(CTy::I32))],
                 ret: CType::Scalar(CTy::I32),
                 body,
+                exprs: ex,
             }],
             ..Program::default()
         }
@@ -506,17 +545,13 @@ mod tests {
     #[test]
     fn volatile_trace_and_loop_termination() {
         // void main() { while (1) { x = vol_load(in); vol_store(out, x + 1); } }
+        let mut ex = Exprs::new();
+        let x = ex.push(Expr::Temp(id("x"), CType::Scalar(CTy::I32)));
+        let one = ex.push(Expr::Const(CVal::int(1), CTy::I32));
+        let sum = ex.push(Expr::Binop(CBinOp::Add, x, one, CTy::I32));
         let body = vec![Stmt::Loop(vec![
             Stmt::VolLoad(id("x"), id("in"), CTy::I32),
-            Stmt::VolStore(
-                id("out"),
-                Expr::Binop(
-                    CBinOp::Add,
-                    Box::new(Expr::Temp(id("x"), CType::Scalar(CTy::I32))),
-                    Box::new(Expr::Const(CVal::int(1), CTy::I32)),
-                    CTy::I32,
-                ),
-            ),
+            Stmt::VolStore(id("out"), sum),
         ])];
         let prog = Program {
             composites: vec![],
@@ -527,6 +562,7 @@ mod tests {
                 temps: vec![(id("x"), CType::Scalar(CTy::I32))],
                 ret: CType::Void,
                 body,
+                exprs: ex,
             }],
             class_fns: vec![],
             volatiles_in: vec![(id("in"), CTy::I32)],
@@ -574,6 +610,7 @@ mod tests {
                 temps: vec![],
                 ret: CType::Void,
                 body: vec![],
+                exprs: Exprs::new(),
             }],
             ..Program::default()
         };

@@ -21,16 +21,31 @@ use velus_common::pretty::MAX_INDENT_LEVELS;
 use velus_common::{Ident, IoMode};
 use velus_ops::{CTy, CUnOp, CVal};
 
-use crate::ast::{Expr, Function, Program, Stmt};
+use crate::ast::{Expr, ExprId, Exprs, Function, Program, Stmt};
 use crate::ctypes::CType;
 
 /// The single-buffer C writer: output text plus the indentation level.
 struct Cw {
     buf: String,
     indent: usize,
+    /// The pending pieces of the expression being written.
+    tasks: Vec<Task>,
+}
+
+/// A pending piece of an expression: a subexpression, or the text after
+/// an operand.
+enum Task {
+    Expr(ExprId),
+    Text(&'static str),
+    Op(velus_ops::CBinOp),
 }
 
 impl Cw {
+    /// Writes expression `e` of `ex`.
+    fn expr(&mut self, ex: &Exprs, e: ExprId) {
+        expr_into(&mut self.buf, &mut self.tasks, ex, e);
+    }
+
     fn indent(&mut self) {
         for _ in 0..self.indent.min(MAX_INDENT_LEVELS) * 2 {
             self.buf.push(' ');
@@ -118,7 +133,8 @@ fn literal_into(buf: &mut String, v: &CVal, ty: CTy) {
     }
 }
 
-fn expr_into(buf: &mut String, e: &Expr) {
+/// Writes a leaf expression (every node but an operator).
+fn leaf_into(buf: &mut String, e: &Expr) {
     match e {
         Expr::Const(v, ty) => literal_into(buf, v, *ty),
         Expr::Temp(x, _) | Expr::Var(x, _) => sanitize_into(buf, *x),
@@ -135,57 +151,93 @@ fn expr_into(buf: &mut String, e: &Expr) {
         }
         Expr::AddrOf(place) => {
             buf.push('&');
-            expr_into(buf, &place.lvalue());
+            leaf_into(buf, &place.lvalue());
         }
-        Expr::Unop(CUnOp::Not, e1, _) => {
-            buf.push_str("(!");
-            expr_into(buf, e1);
-            buf.push(')');
-        }
-        Expr::Unop(CUnOp::Neg, e1, _) => {
-            buf.push_str("(-");
-            expr_into(buf, e1);
-            buf.push(')');
-        }
-        Expr::Unop(CUnOp::Cast(to), e1, _) => {
-            buf.push_str("((");
-            buf.push_str(to.c_name());
-            buf.push(')');
-            expr_into(buf, e1);
-            buf.push(')');
-        }
-        Expr::Binop(op, e1, e2, _) => {
-            // The Display instance of CBinOp prints the C spelling.
-            buf.push('(');
-            expr_into(buf, e1);
-            let _ = write!(buf, " {op} ");
-            expr_into(buf, e2);
-            buf.push(')');
+        Expr::Unop(..) | Expr::Binop(..) => unreachable!("operators are not leaves"),
+    }
+}
+
+/// Writes expression `e` of `ex`, fully parenthesized, in one loop with
+/// `tasks` as the stack of pieces still to write.
+fn expr_into(buf: &mut String, tasks: &mut Vec<Task>, ex: &Exprs, e: ExprId) {
+    if !matches!(ex[e], Expr::Unop(..) | Expr::Binop(..)) {
+        return leaf_into(buf, &ex[e]);
+    }
+    tasks.clear();
+    tasks.push(Task::Expr(e));
+    while let Some(task) = tasks.pop() {
+        match task {
+            Task::Expr(e) => match &ex[e] {
+                Expr::Unop(CUnOp::Not, e1, _) => {
+                    buf.push_str("(!");
+                    tasks.extend([Task::Text(")"), Task::Expr(*e1)]);
+                }
+                Expr::Unop(CUnOp::Neg, e1, _) => {
+                    buf.push_str("(-");
+                    tasks.extend([Task::Text(")"), Task::Expr(*e1)]);
+                }
+                Expr::Unop(CUnOp::Cast(to), e1, _) => {
+                    buf.push_str("((");
+                    buf.push_str(to.c_name());
+                    buf.push(')');
+                    tasks.extend([Task::Text(")"), Task::Expr(*e1)]);
+                }
+                // The Display instance of CBinOp prints the C spelling; a
+                // leaf operand is written in place rather than pushed.
+                Expr::Binop(op, e1, e2, _) => match (&ex[*e1], &ex[*e2]) {
+                    (Expr::Unop(..) | Expr::Binop(..), _) => {
+                        buf.push('(');
+                        tasks.extend([
+                            Task::Text(")"),
+                            Task::Expr(*e2),
+                            Task::Op(*op),
+                            Task::Expr(*e1),
+                        ]);
+                    }
+                    (l, r) => {
+                        buf.push('(');
+                        leaf_into(buf, l);
+                        let _ = write!(buf, " {op} ");
+                        if let Expr::Unop(..) | Expr::Binop(..) = r {
+                            tasks.extend([Task::Text(")"), Task::Expr(*e2)]);
+                        } else {
+                            leaf_into(buf, r);
+                            buf.push(')');
+                        }
+                    }
+                },
+                leaf => leaf_into(buf, leaf),
+            },
+            Task::Text(t) => buf.push_str(t),
+            Task::Op(op) => {
+                let _ = write!(buf, " {op} ");
+            }
         }
     }
 }
 
 #[cfg(test)]
-fn expr(e: &Expr) -> String {
+fn expr(ex: &Exprs, e: ExprId) -> String {
     let mut buf = String::new();
-    expr_into(&mut buf, e);
+    expr_into(&mut buf, &mut Vec::new(), ex, e);
     buf
 }
 
-/// Prints a block; `fns` names the functions calls refer to.
-fn block(w: &mut Cw, b: &[Stmt], fns: &[Function]) {
+/// Prints a block whose expressions live in `ex`; `fns` names the
+/// functions calls refer to.
+fn block(w: &mut Cw, ex: &Exprs, b: &[Stmt], fns: &[Function]) {
     for s in b {
-        stmt(w, s, fns);
+        stmt(w, ex, s, fns);
     }
 }
 
-fn stmt(w: &mut Cw, s: &Stmt, fns: &[Function]) {
+fn stmt(w: &mut Cw, ex: &Exprs, s: &Stmt, fns: &[Function]) {
     match s {
         Stmt::Assign(lv, e) => {
             w.indent();
-            expr_into(&mut w.buf, lv);
+            w.expr(ex, *lv);
             w.buf.push_str(" = ");
-            expr_into(&mut w.buf, e);
+            w.expr(ex, *e);
             w.buf.push(';');
             w.nl();
         }
@@ -193,7 +245,7 @@ fn stmt(w: &mut Cw, s: &Stmt, fns: &[Function]) {
             w.indent();
             sanitize_into(&mut w.buf, *x);
             w.buf.push_str(" = ");
-            expr_into(&mut w.buf, e);
+            w.expr(ex, *e);
             w.buf.push(';');
             w.nl();
         }
@@ -209,7 +261,7 @@ fn stmt(w: &mut Cw, s: &Stmt, fns: &[Function]) {
                 if k > 0 {
                     w.buf.push_str(", ");
                 }
-                expr_into(&mut w.buf, a);
+                w.expr(ex, *a);
             }
             w.buf.push_str(");");
             w.nl();
@@ -217,16 +269,16 @@ fn stmt(w: &mut Cw, s: &Stmt, fns: &[Function]) {
         Stmt::If(c, t, f) => {
             w.indent();
             w.buf.push_str("if (");
-            expr_into(&mut w.buf, c);
+            w.expr(ex, *c);
             w.buf.push_str(") {");
             w.nl();
             w.indent += 1;
-            block(w, t, fns);
+            block(w, ex, t, fns);
             w.indent -= 1;
             if !f.is_empty() {
                 w.line("} else {");
                 w.indent += 1;
-                block(w, f, fns);
+                block(w, ex, f, fns);
                 w.indent -= 1;
             }
             w.line("}");
@@ -243,14 +295,14 @@ fn stmt(w: &mut Cw, s: &Stmt, fns: &[Function]) {
             w.indent();
             sanitize_into(&mut w.buf, *g);
             w.buf.push_str(" = ");
-            expr_into(&mut w.buf, e);
+            w.expr(ex, *e);
             w.buf.push(';');
             w.nl();
         }
         Stmt::Loop(body) => {
             w.line("for (;;) {");
             w.indent += 1;
-            block(w, body, fns);
+            block(w, ex, body, fns);
             w.indent -= 1;
             w.line("}");
         }
@@ -258,7 +310,7 @@ fn stmt(w: &mut Cw, s: &Stmt, fns: &[Function]) {
         Stmt::Return(Some(e)) => {
             w.indent();
             w.buf.push_str("return ");
-            expr_into(&mut w.buf, e);
+            w.expr(ex, *e);
             w.buf.push(';');
             w.nl();
         }
@@ -338,6 +390,9 @@ pub fn print_program(prog: &Program, io: IoMode) -> String {
     let mut w = Cw {
         buf: String::with_capacity(estimate_size(prog)),
         indent: 0,
+        // Deep enough for the expressions of typical programs; a deeper
+        // one grows it once.
+        tasks: Vec::with_capacity(64),
     };
     w.line("/* Generated by velus-rs (PLDI'17 Lustre-to-Clight pipeline). */");
     w.line("#include <stdint.h>");
@@ -401,7 +456,7 @@ pub fn print_program(prog: &Program, io: IoMode) -> String {
         for (x, t) in &f.temps {
             decl_line(&mut w, "register ", *x, t);
         }
-        block(&mut w, &f.body, &prog.functions);
+        block(&mut w, &f.exprs, &f.body, &prog.functions);
         w.indent -= 1;
         w.line("}");
         w.blank();
@@ -419,7 +474,7 @@ pub fn print_program(prog: &Program, io: IoMode) -> String {
                 for (x, t) in &main.temps {
                     decl_line(&mut w, "register ", *x, t);
                 }
-                block(&mut w, &main.body, &prog.functions);
+                block(&mut w, &main.exprs, &main.body, &prog.functions);
             }
             IoMode::Stdio => {
                 // The unverified scanf/printf test harness of §5: read one
@@ -432,7 +487,7 @@ pub fn print_program(prog: &Program, io: IoMode) -> String {
                 }
                 // Locate reset call and loop body from the generated
                 // main: re-emit with stdio I/O substituted.
-                block_stdio(&mut w, &main.body, prog);
+                block_stdio(&mut w, &main.exprs, &main.body, prog);
             }
         }
         w.line("return 0;");
@@ -444,19 +499,19 @@ pub fn print_program(prog: &Program, io: IoMode) -> String {
 
 /// Re-emits the generated main with `scanf`/`printf` in place of volatile
 /// accesses (the paper's test mode).
-fn block_stdio(w: &mut Cw, b: &[Stmt], prog: &Program) {
+fn block_stdio(w: &mut Cw, ex: &Exprs, b: &[Stmt], prog: &Program) {
     for s in b {
-        stmt_stdio(w, s, prog);
+        stmt_stdio(w, ex, s, prog);
     }
 }
 
-fn stmt_stdio(w: &mut Cw, s: &Stmt, prog: &Program) {
+fn stmt_stdio(w: &mut Cw, ex: &Exprs, s: &Stmt, prog: &Program) {
     match s {
         Stmt::Loop(body) => {
             // Terminate on EOF of the first scanf.
             w.line("for (;;) {");
             w.indent += 1;
-            block_stdio(w, body, prog);
+            block_stdio(w, ex, body, prog);
             w.indent -= 1;
             w.line("}");
         }
@@ -488,11 +543,11 @@ fn stmt_stdio(w: &mut Cw, s: &Stmt, prog: &Program) {
             w.buf.push_str("printf(\"");
             sanitize_into(&mut w.buf, *g);
             let _ = write!(w.buf, " = {pf}\\n\", ");
-            expr_into(&mut w.buf, e);
+            w.expr(ex, *e);
             w.buf.push_str(");");
             w.nl();
         }
-        other => stmt(w, other, &prog.functions),
+        other => stmt(w, ex, other, &prog.functions),
     }
 }
 
@@ -507,6 +562,16 @@ mod tests {
     }
 
     fn tiny_program() -> Program {
+        let mut ex = Exprs::new();
+        let c = ex.push(Expr::DerefField(
+            id("self"),
+            id("st"),
+            id("c"),
+            CType::Scalar(CTy::I32),
+        ));
+        let x = ex.push(Expr::Temp(id("x"), CType::Scalar(CTy::I32)));
+        let sum = ex.push(Expr::Binop(CBinOp::Add, c, x, CTy::I32));
+        let n = ex.push(Expr::Temp(id("n"), CType::Scalar(CTy::I32)));
         Program {
             composites: vec![Composite {
                 name: id("st"),
@@ -521,23 +586,8 @@ mod tests {
                 vars: vec![],
                 temps: vec![(id("n"), CType::Scalar(CTy::I32))],
                 ret: CType::Scalar(CTy::I32),
-                body: vec![
-                    Stmt::Set(
-                        id("n"),
-                        Expr::Binop(
-                            CBinOp::Add,
-                            Box::new(Expr::DerefField(
-                                id("self"),
-                                id("st"),
-                                id("c"),
-                                CType::Scalar(CTy::I32),
-                            )),
-                            Box::new(Expr::Temp(id("x"), CType::Scalar(CTy::I32))),
-                            CTy::I32,
-                        ),
-                    ),
-                    Stmt::Return(Some(Expr::Temp(id("n"), CType::Scalar(CTy::I32)))),
-                ],
+                body: vec![Stmt::Set(id("n"), sum), Stmt::Return(Some(n))],
+                exprs: ex,
             }],
             class_fns: vec![0],
             volatiles_in: vec![(id("in$x"), CTy::I32)],
@@ -560,33 +610,32 @@ mod tests {
 
     #[test]
     fn booleans_and_floats_have_c_spellings() {
-        let e = Expr::Binop(
-            CBinOp::And,
-            Box::new(Expr::Const(CVal::bool(true), CTy::Bool)),
-            Box::new(Expr::Const(CVal::bool(false), CTy::Bool)),
-            CTy::Bool,
-        );
-        assert_eq!(expr(&e), "(1 & 0)");
-        assert_eq!(expr(&Expr::Const(CVal::float(1.0), CTy::F64)), "1.0");
-        assert_eq!(expr(&Expr::Const(CVal::float(2.5), CTy::F64)), "2.5");
+        let mut ex = Exprs::new();
+        let t = ex.push(Expr::Const(CVal::bool(true), CTy::Bool));
+        let f = ex.push(Expr::Const(CVal::bool(false), CTy::Bool));
+        let e = ex.push(Expr::Binop(CBinOp::And, t, f, CTy::Bool));
+        assert_eq!(expr(&ex, e), "(1 & 0)");
+        let one = ex.push(Expr::Const(CVal::float(1.0), CTy::F64));
+        let half = ex.push(Expr::Const(CVal::float(2.5), CTy::F64));
+        assert_eq!(expr(&ex, one), "1.0");
+        assert_eq!(expr(&ex, half), "2.5");
     }
 
     #[test]
     fn int_min_is_emitted_without_overflow() {
-        assert_eq!(
-            expr(&Expr::Const(CVal::int(i32::MIN), CTy::I32)),
-            "(-2147483647 - 1)"
-        );
+        let mut ex = Exprs::new();
+        let min = ex.push(Expr::Const(CVal::int(i32::MIN), CTy::I32));
+        assert_eq!(expr(&ex, min), "(-2147483647 - 1)");
     }
 
     #[test]
     fn casts_print_as_c_casts() {
-        let e = Expr::Unop(
-            CUnOp::Cast(CTy::I8),
-            Box::new(Expr::Const(CVal::int(300), CTy::I32)),
-            CTy::I8,
-        );
-        assert_eq!(expr(&e), "((int8_t)300)");
+        let mut ex = Exprs::new();
+        let c = ex.push(Expr::Const(CVal::int(300), CTy::I32));
+        let e = ex.push(Expr::Unop(CUnOp::Cast(CTy::I8), c, CTy::I8));
+        let neg = ex.push(Expr::Unop(CUnOp::Neg, e, CTy::I8));
+        assert_eq!(expr(&ex, e), "((int8_t)300)");
+        assert_eq!(expr(&ex, neg), "(-((int8_t)300))");
     }
 
     #[test]

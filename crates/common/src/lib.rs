@@ -21,6 +21,8 @@
 //!   the reusable scratch-buffer pattern for `*_into` traversals),
 //! * [`pretty`] — a minimal indentation-aware code writer used by the C
 //!   pretty-printer and the IR dumpers,
+//! * [`Pool`] — the flat post-order expression pool of every IR after
+//!   the front end, with [`pool_id!`] for its `u32` id types,
 //! * [`NodeId`] — a node's dense index, the one handle every IR uses to
 //!   reach a callee,
 //! * [`IoMode`] — how emitted C performs its I/O, shared by the C printer
@@ -43,6 +45,7 @@ mod diag;
 mod flags;
 mod ident;
 mod identmap;
+mod pool;
 pub mod pretty;
 mod span;
 
@@ -56,6 +59,7 @@ pub use identmap::{
     ident_map_with_capacity, ident_set_with_capacity, BuildIdentHasher, DenseBitSet, IdentHasher,
     IdentMap, IdentScratch, IdentSet,
 };
+pub use pool::{Pool, PoolId, PoolNode, Step};
 pub use span::{Loc, NodeSpans, PreMarks, Span, SpanMap, Spanned};
 
 /// How emitted C performs its I/O. Part of the compile service's cache

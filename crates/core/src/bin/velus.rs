@@ -72,8 +72,9 @@
 //! complete span tree of every request slower than N ms in the flight
 //! recorder (the slowest request's tree is always printed).
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use velus::{
     compile, validate::default_inputs, ArtifactKind, IoMode, ServiceArtifact, VelusError,
@@ -82,6 +83,42 @@ use velus::{
 use velus_common::{codes, DiagStage, Diagnostic, Diagnostics, SpanMap, ToDiagnostics};
 use velus_nlustre::streams::{SVal, StreamSet};
 use velus_ops::{ClightOps, Literal, Ops};
+
+/// Set once stdout's reader has gone away.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout: everything `velus` prints goes through here. A
+/// reader that stops early (`velus lint big.lus | head`) closes the
+/// pipe; that ends the output quietly, and later writes are dropped,
+/// where `println!` would panic. Any other write error fails the
+/// process with a message.
+fn out(args: std::fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        } else {
+            eprintln!("velus: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`out`].
+macro_rules! outp {
+    ($($arg:tt)*) => {
+        out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`out`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 struct Args {
     cmd: String,
@@ -311,7 +348,7 @@ fn emit_error(diags: &Diagnostics, source: &str, format: ErrorFormat) -> String 
     match format {
         ErrorFormat::Human => diags.render_human(source),
         ErrorFormat::Json => {
-            println!("{}", diags.render_json(source));
+            outln!("{}", diags.render_json(source));
             String::new()
         }
     }
@@ -439,7 +476,7 @@ fn run_batch(args: &Args) -> Result<(), String> {
             if json_errors {
                 eprintln!($($arg)*);
             } else {
-                println!($($arg)*);
+                outln!($($arg)*);
             }
         };
     }
@@ -533,7 +570,7 @@ fn run_batch(args: &Args) -> Result<(), String> {
                     // later passes would just duplicate the stream).
                     ErrorFormat::Json if pass == 0 => {
                         let body = report.render_json();
-                        println!(
+                        outln!(
                             "{{\"program\":\"{}\",{}",
                             velus_common::json_escape(&item.name),
                             &body[1..]
@@ -623,7 +660,7 @@ fn main_inner() -> Result<(), String> {
     // arrive as empty strings and pass through untouched.
     match (args.error_format, result) {
         (ErrorFormat::Json, Err(msg)) if !msg.is_empty() => {
-            println!("{}", usage_json(&msg));
+            outln!("{}", usage_json(&msg));
             Err(String::new())
         }
         (_, result) => result,
@@ -715,7 +752,7 @@ fn dispatch(args: &Args) -> Result<(), String> {
                 stdout.push_str(text.trim_end_matches('\n'));
                 stdout.push('\n');
             }
-            print!("{stdout}");
+            outp!("{stdout}");
             if lint_errors {
                 // Findings are already on stdout; in human mode add a
                 // one-line verdict, in JSON mode exit nonzero quietly.
@@ -757,7 +794,7 @@ fn dispatch(args: &Args) -> Result<(), String> {
             })?;
             for i in 0..count {
                 let row: Vec<String> = outs.iter().map(|s| format!("{}", s[i])).collect();
-                println!("{}", row.join(" "));
+                outln!("{}", row.join(" "));
             }
             Ok(())
         }
@@ -769,7 +806,7 @@ fn dispatch(args: &Args) -> Result<(), String> {
                     let diags = e.to_diagnostics(&c.spans).tagged(DiagStage::Validate);
                     emit_error(&diags, &source, error_format)
                 })?;
-            println!(
+            outln!(
                 "validated {} instants: {} MemCorres checks, {} staterep checks, {} trace events",
                 report.instants,
                 report.memcorres_checks,

@@ -339,7 +339,7 @@ fn check_obc(prog: &ObcProgram<ClightOps>, what: &str) -> Result<(), VelusError>
     velus_obc::typecheck::check_program(prog)?;
     for class in &prog.classes {
         for m in &class.methods {
-            if !fusible(&m.body) {
+            if !fusible(&m.exprs, &m.body) {
                 return Err(VelusError::Validation(format!(
                     "{what} method {}.{} is not Fusible",
                     class.name, m.name

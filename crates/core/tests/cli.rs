@@ -564,3 +564,32 @@ fn a_300_deep_instance_chain_compiles_and_validates() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("validated 3 instants"), "{stdout}");
 }
+
+#[test]
+fn a_reader_that_stops_early_ends_the_output_quietly() {
+    // 1,000 nodes nothing instantiates: one lint finding each, far more
+    // JSON than the reader takes before closing the pipe.
+    let mut src = String::new();
+    for k in 0..1_000 {
+        src.push_str(&format!(
+            "node leaf{k}(x: int) returns (y: int)\nlet y = x + 1; tel\n"
+        ));
+    }
+    src.push_str("node many(x: int) returns (y: int)\nlet y = x + 1; tel\n");
+    let path = temp_lus(&format!("many-{}", std::process::id()), &src);
+    let mut child = Command::new(velus_bin())
+        .args(["lint", &path, "--error-format", "json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut head = [0u8; 300];
+    std::io::Read::read_exact(child.stdout.as_mut().unwrap(), &mut head).unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}

@@ -4,7 +4,7 @@
 
 use velus::validate::default_inputs;
 use velus_common::Ident;
-use velus_obc::ast::{Block, ObcExpr, Stmt};
+use velus_obc::ast::{ObcExpr, ObcExprs, Stmt};
 use velus_ops::{CConst, ClightOps};
 
 const SRC: &str = "
@@ -18,31 +18,16 @@ fn compiled() -> velus::Compiled {
     velus::compile(SRC, None).unwrap()
 }
 
-/// Rewrites every integer constant `0` to `1` in a block — a typical
-/// "wrong initial value" miscompilation.
-fn corrupt_block(b: &mut Block<ClightOps>) {
-    for s in b.iter_mut() {
-        match s {
-            Stmt::Assign(_, e) | Stmt::AssignSt(_, e) => corrupt_expr(e),
-            Stmt::If(c, t, f) => {
-                corrupt_expr(c);
-                corrupt_block(t);
-                corrupt_block(f);
-            }
-            Stmt::Call { args, .. } => args.iter_mut().for_each(corrupt_expr),
-        }
-    }
-}
-
-fn corrupt_expr(e: &mut ObcExpr<ClightOps>) {
-    match e {
-        ObcExpr::Const(c) if *c == CConst::int(0) => *e = ObcExpr::Const(CConst::int(1)),
-        ObcExpr::Unop(_, e1, _) => corrupt_expr(e1),
-        ObcExpr::Binop(_, e1, e2, _) => {
-            corrupt_expr(e1);
-            corrupt_expr(e2);
-        }
-        _ => {}
+/// Rewrites every integer constant `0` to `1` in a method's expressions
+/// — a typical "wrong initial value" miscompilation.
+fn corrupt_exprs(ex: &mut ObcExprs<ClightOps>) {
+    let zeros: Vec<_> =
+        ex.0.iter()
+            .filter(|(_, e)| **e == ObcExpr::Const(CConst::int(0)))
+            .map(|(id, _)| id)
+            .collect();
+    for id in zeros {
+        ex.0[id] = ObcExpr::Const(CConst::int(1));
     }
 }
 
@@ -63,7 +48,7 @@ fn corrupted_reset_is_caught_by_memcorres() {
         .iter_mut()
         .find(|m| m.name == velus_obc::ast::reset_name())
         .unwrap();
-    corrupt_block(&mut reset.body);
+    corrupt_exprs(&mut reset.exprs);
     let inputs = default_inputs(&c, 8);
     let err = velus::validate(&c, &inputs, 8).unwrap_err();
     // Either the MemCorres check or the output comparison trips.
@@ -85,15 +70,15 @@ fn corrupted_step_output_is_caught() {
         .unwrap();
     // Append a final overwrite of the output: n := n + 1.
     let n = Ident::new("n");
-    let bump = Stmt::Assign(
-        n,
-        ObcExpr::Binop(
-            velus_ops::CBinOp::Add,
-            Box::new(ObcExpr::Var(n, velus_ops::CTy::I32)),
-            Box::new(ObcExpr::Const(CConst::int(1))),
-            velus_ops::CTy::I32,
-        ),
-    );
+    let nv = step.exprs.push(ObcExpr::Var(n, velus_ops::CTy::I32));
+    let one = step.exprs.push(ObcExpr::Const(CConst::int(1)));
+    let sum = step.exprs.push(ObcExpr::Binop(
+        velus_ops::CBinOp::Add,
+        nv,
+        one,
+        velus_ops::CTy::I32,
+    ));
+    let bump = Stmt::Assign(n, sum);
     step.body.push(bump);
     let inputs = default_inputs(&c, 8);
     let err = velus::validate(&c, &inputs, 8).unwrap_err();
@@ -111,26 +96,26 @@ fn corrupted_clight_constant_is_caught() {
     );
     let f = &mut c.clight.functions[reset];
     assert_eq!(f.name, reset_name);
-    fn corrupt_clight(b: &mut velus_clight::ast::Block) {
+    fn corrupt_clight(ex: &mut velus_clight::ast::Exprs, b: &velus_clight::ast::Block) {
         use velus_clight::ast::{Expr, Stmt};
         for s in b {
             match s {
                 Stmt::Assign(_, e) => {
-                    if let Expr::Const(v, ty) = e {
-                        if *v == velus_ops::CVal::int(0) && *ty == velus_ops::CTy::I32 {
-                            *e = Expr::Const(velus_ops::CVal::int(7), *ty);
+                    if let Expr::Const(v, ty) = ex[*e] {
+                        if v == velus_ops::CVal::int(0) && ty == velus_ops::CTy::I32 {
+                            ex[*e] = Expr::Const(velus_ops::CVal::int(7), ty);
                         }
                     }
                 }
                 Stmt::If(_, t, f) => {
-                    corrupt_clight(t);
-                    corrupt_clight(f);
+                    corrupt_clight(ex, t);
+                    corrupt_clight(ex, f);
                 }
                 _ => {}
             }
         }
     }
-    corrupt_clight(&mut f.body);
+    corrupt_clight(&mut f.exprs, &f.body);
     let inputs = default_inputs(&c, 8);
     let err = velus::validate(&c, &inputs, 8).unwrap_err();
     let msg = err.to_string();
@@ -151,7 +136,7 @@ fn corrupting_the_unfused_obc_is_also_caught() {
         .iter_mut()
         .find(|m| m.name == velus_obc::ast::reset_name())
         .unwrap();
-    corrupt_block(&mut reset.body);
+    corrupt_exprs(&mut reset.exprs);
     let inputs = default_inputs(&c, 8);
     assert!(velus::validate(&c, &inputs, 8).is_err());
 }

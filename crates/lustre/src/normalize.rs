@@ -26,7 +26,7 @@
 //! every output vector is sized once up front.
 
 use velus_common::{FreshGen, Ident, PreMarks, Span, SpanMap};
-use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program, VarDecl};
+use velus_nlustre::ast::{CExprId, Equation, Expr, ExprId, Exprs, Node, Program, VarDecl};
 use velus_nlustre::clock::{Clock, Clocks};
 use velus_nlustre::SemError;
 use velus_ops::Ops;
@@ -54,6 +54,15 @@ struct Norm<'a, O: Ops> {
     /// Memory variable -> `pre` span, for the node's [`PreMarks`] entry
     /// (the initialization analysis only inspects these memories).
     pre_marks: Vec<(Ident, Span)>,
+    /// The node's expression pools, built in post-order.
+    exprs: Exprs<O>,
+    /// The variables standing for the sub-expressions extracted from
+    /// the simple expressions being normalized, innermost last (see
+    /// [`Norm::norm_expr`]).
+    extracted: Vec<(Ident, O::Ty)>,
+    /// The normalized guards and leaves of the control expressions
+    /// being normalized (see [`Norm::norm_cexpr`]).
+    leaves: Vec<ExprId>,
 }
 
 impl<'a, O: Ops> Norm<'a, O> {
@@ -70,53 +79,92 @@ impl<'a, O: Ops> Norm<'a, O> {
         }
         let h = self.fresh_var("h", O::bool_type(), ck.clone());
         self.eq_spans.push((h, self.current_span));
+        let rhs = self.exprs.constant(truthy::<O>(false));
         self.new_eqs.push(Equation::Fby {
             x: h,
             ck: ck.clone(),
             init: truthy::<O>(true),
-            rhs: Expr::Const(truthy::<O>(false)),
+            rhs,
         });
         self.init_flags.push((ck.clone(), h));
         h
     }
 
-    /// Normalizes `e` in control-expression position at clock `ck`.
-    fn norm_cexpr(&mut self, e: TExprId, ck: &Clock) -> Result<CExpr<O>, SemError> {
+    /// Normalizes `e` in control-expression position at clock `ck` into
+    /// the node's control pool.
+    ///
+    /// Two passes keep the pool in post-order (see [`Norm::norm_expr`]):
+    /// [`Norm::control_leaves`] normalizes the guards and leaves in
+    /// source order, which extracts whatever they nest into fresh
+    /// equations, then [`Norm::emit_control`] lays the tree out, uncut.
+    fn norm_cexpr(&mut self, e: TExprId, ck: &Clock) -> Result<CExprId, SemError> {
+        let mark = self.leaves.len();
+        self.control_leaves(e, ck)?;
+        let mut next = mark;
+        let id = self.emit_control(e, &mut next);
+        self.leaves.truncate(mark);
+        Ok(id)
+    }
+
+    fn control_leaves(&mut self, e: TExprId, ck: &Clock) -> Result<(), SemError> {
         let ta = self.ta;
         match &ta[e] {
-            TExpr::If(c, t, f) => Ok(CExpr::If(
-                self.norm_expr(*c, ck)?,
-                Box::new(self.norm_cexpr(*t, ck)?),
-                Box::new(self.norm_cexpr(*f, ck)?),
-            )),
+            TExpr::If(c, t, f) => {
+                let c = self.norm_expr(*c, ck)?;
+                self.leaves.push(c);
+                self.control_leaves(*t, ck)?;
+                self.control_leaves(*f, ck)
+            }
             TExpr::Merge(x, t, f) => {
                 let on_t = self.clocks.on(ck, *x, true);
                 let on_f = self.clocks.on(ck, *x, false);
-                Ok(CExpr::Merge(
-                    *x,
-                    Box::new(self.norm_cexpr(*t, &on_t)?),
-                    Box::new(self.norm_cexpr(*f, &on_f)?),
-                ))
+                self.control_leaves(*t, &on_t)?;
+                self.control_leaves(*f, &on_f)
             }
             TExpr::Arrow(l, r) => {
                 let h = self.init_flag(ck);
-                Ok(CExpr::If(
-                    Expr::Var(h, O::bool_type()),
-                    Box::new(self.norm_cexpr(*l, ck)?),
-                    Box::new(self.norm_cexpr(*r, ck)?),
-                ))
+                let h = self.exprs.var(h, O::bool_type());
+                self.leaves.push(h);
+                self.control_leaves(*l, ck)?;
+                self.control_leaves(*r, ck)
             }
-            _ => Ok(CExpr::Expr(self.norm_expr(e, ck)?)),
+            _ => {
+                let e = self.norm_expr(e, ck)?;
+                self.leaves.push(e);
+                Ok(())
+            }
         }
     }
 
-    /// Normalizes the arguments of a call into owned N-Lustre
-    /// expressions.
+    fn emit_control(&mut self, e: TExprId, next: &mut usize) -> CExprId {
+        let ta = self.ta;
+        match &ta[e] {
+            TExpr::If(_, t, f) | TExpr::Arrow(t, f) => {
+                let c = self.leaves[*next];
+                *next += 1;
+                let t = self.emit_control(*t, next);
+                let f = self.emit_control(*f, next);
+                self.exprs.ite(c, t, f)
+            }
+            TExpr::Merge(x, t, f) => {
+                let t = self.emit_control(*t, next);
+                let f = self.emit_control(*f, next);
+                self.exprs.merge(*x, t, f)
+            }
+            _ => {
+                let e = self.leaves[*next];
+                *next += 1;
+                self.exprs.simple(e)
+            }
+        }
+    }
+
+    /// Normalizes the arguments of a call into the node's pool.
     fn norm_args(
         &mut self,
         args: crate::elab::TRange,
         ck: &Clock,
-    ) -> Result<Vec<Expr<O>>, SemError> {
+    ) -> Result<Vec<ExprId>, SemError> {
         let ta = self.ta;
         let ids = ta.args(args);
         let mut out = Vec::with_capacity(ids.len());
@@ -126,24 +174,35 @@ impl<'a, O: Ops> Norm<'a, O> {
         Ok(out)
     }
 
-    /// Normalizes `e` in simple-expression position at clock `ck`,
-    /// extracting anything that is not a simple expression.
-    fn norm_expr(&mut self, e: TExprId, ck: &Clock) -> Result<Expr<O>, SemError> {
+    /// Normalizes `e` in simple-expression position at clock `ck` into
+    /// the node's pool, extracting anything that is not a simple
+    /// expression.
+    ///
+    /// An extracted sub-expression's own equation is normalized into the
+    /// same pool, so doing both in one recursion would cut the
+    /// expression's post-order run in two. Instead [`Norm::extract`]
+    /// first makes every extraction, in the order one recursion would
+    /// (fresh names, equations and errors come out the same), and then
+    /// [`Norm::emit`] lays the expression out, reading the extracted
+    /// variables back in the same order.
+    fn norm_expr(&mut self, e: TExprId, ck: &Clock) -> Result<ExprId, SemError> {
+        let mark = self.extracted.len();
+        self.extract(e, ck)?;
+        let mut next = mark;
+        let id = self.emit(e, &mut next);
+        self.extracted.truncate(mark);
+        Ok(id)
+    }
+
+    fn extract(&mut self, e: TExprId, ck: &Clock) -> Result<(), SemError> {
         let ta = self.ta;
         match &ta[e] {
-            TExpr::Const(c) => Ok(Expr::Const(c.clone())),
-            TExpr::Var(x, ty) => Ok(Expr::Var(*x, ty.clone())),
-            TExpr::Unop(op, e1, ty) => Ok(Expr::Unop(
-                *op,
-                Box::new(self.norm_expr(*e1, ck)?),
-                ty.clone(),
-            )),
-            TExpr::Binop(op, l, r, ty) => Ok(Expr::Binop(
-                *op,
-                Box::new(self.norm_expr(*l, ck)?),
-                Box::new(self.norm_expr(*r, ck)?),
-                ty.clone(),
-            )),
+            TExpr::Const(_) | TExpr::Var(..) => Ok(()),
+            TExpr::Unop(_, e1, _) => self.extract(*e1, ck),
+            TExpr::Binop(_, l, r, _) => {
+                self.extract(*l, ck)?;
+                self.extract(*r, ck)
+            }
             TExpr::When(e1, x, k) => {
                 let parent = match ck {
                     Clock::On(p, y, k2) if y == x && k2 == k => p.as_ref().clone(),
@@ -153,7 +212,7 @@ impl<'a, O: Ops> Norm<'a, O> {
                         )))
                     }
                 };
-                Ok(Expr::When(Box::new(self.norm_expr(*e1, &parent)?), *x, *k))
+                self.extract(*e1, &parent)
             }
             TExpr::Fby(init, e1) => {
                 let e1 = *e1;
@@ -171,7 +230,8 @@ impl<'a, O: Ops> Norm<'a, O> {
                     init,
                     rhs,
                 });
-                Ok(Expr::Var(x, ty))
+                self.extracted.push((x, ty));
+                Ok(())
             }
             TExpr::Call(f, args, out_ty) => {
                 let (f, args, out_ty) = (*f, *args, out_ty.clone());
@@ -184,7 +244,8 @@ impl<'a, O: Ops> Norm<'a, O> {
                     node: f,
                     args,
                 });
-                Ok(Expr::Var(x, out_ty))
+                self.extracted.push((x, out_ty));
+                Ok(())
             }
             TExpr::If(..) | TExpr::Merge(..) | TExpr::Arrow(..) => {
                 let rhs = self.norm_cexpr(e, ck)?;
@@ -196,9 +257,35 @@ impl<'a, O: Ops> Norm<'a, O> {
                     ck: ck.clone(),
                     rhs,
                 });
-                Ok(Expr::Var(x, ty))
+                self.extracted.push((x, ty));
+                Ok(())
             }
         }
+    }
+
+    fn emit(&mut self, e: TExprId, next: &mut usize) -> ExprId {
+        let ta = self.ta;
+        let node = match &ta[e] {
+            TExpr::Const(c) => Expr::Const(c.clone()),
+            TExpr::Var(x, ty) => Expr::Var(*x, ty.clone()),
+            TExpr::Unop(op, e1, ty) => Expr::Unop(*op, self.emit(*e1, next), ty.clone()),
+            TExpr::Binop(op, l, r, ty) => {
+                let l = self.emit(*l, next);
+                let r = self.emit(*r, next);
+                Expr::Binop(*op, l, r, ty.clone())
+            }
+            TExpr::When(e1, x, k) => Expr::When(self.emit(*e1, next), *x, *k),
+            TExpr::Fby(..)
+            | TExpr::Call(..)
+            | TExpr::If(..)
+            | TExpr::Merge(..)
+            | TExpr::Arrow(..) => {
+                let (x, ty) = self.extracted[*next].clone();
+                *next += 1;
+                Expr::Var(x, ty)
+            }
+        };
+        self.exprs.push(node)
     }
 }
 
@@ -248,7 +335,18 @@ fn normalize_node<O: Ops>(
         current_span: Span::DUMMY,
         eq_spans: Vec::with_capacity(tnode.eqs.len() + extractions + 1),
         pre_marks: Vec::new(),
+        exprs: Exprs::new(),
+        extracted: Vec::new(),
+        leaves: Vec::new(),
     };
+    // Each typed expression becomes at most one simple node; extraction
+    // adds a variable per fresh equation and a flag per arrow.
+    norm.exprs
+        .simple
+        .reserve(ta.exprs_in(tnode.exprs).len() + 2 * extractions + 1);
+    norm.exprs
+        .control
+        .reserve(tnode.eqs.len() + 2 * extractions);
     for d in tnode
         .inputs
         .iter()
@@ -309,10 +407,11 @@ fn normalize_node<O: Ops>(
                         init,
                         rhs,
                     });
+                    let copy = norm.exprs.var(m, ty);
                     eqs.push(Equation::Def {
                         x,
                         ck: ck.clone(),
-                        rhs: CExpr::Expr(Expr::Var(m, ty)),
+                        rhs: norm.exprs.simple(copy),
                     });
                 } else {
                     if let Some(ps) = pre {
@@ -369,6 +468,7 @@ fn normalize_node<O: Ops>(
         outputs: tnode.outputs,
         locals,
         eqs,
+        exprs: norm.exprs,
     })
 }
 

@@ -26,12 +26,13 @@
 //!   *complementary* streams — so the program can execute synchronously,
 //!   without buffering.
 
-use velus_common::{Ident, IdentMap, IdentSet, NodeId};
+use velus_common::{Ident, IdentMap, IdentSet, NodeId, Step};
 use velus_ops::Ops;
 
-use crate::ast::{CExpr, Equation, Expr, Node, Program};
+use crate::ast::{CExpr, CExprId, Equation, Expr, ExprId, Exprs, Node, Program};
 use crate::clock::{Clock, Clocks};
 use crate::SemError;
+use velus_common::PoolId;
 
 /// What the environment knows of one declared variable, borrowed from
 /// its declaration.
@@ -55,11 +56,180 @@ fn var<'e, 'n, O: Ops>(env: &'e Env<'n, O>, x: Ident) -> Result<&'e Var<'n, O>, 
     env.get(&x).ok_or(SemError::UndefinedVariable(x))
 }
 
+/// The reusable stacks of the simple-expression walk, kept across
+/// equations and nodes so checking a program allocates them once.
+pub(crate) struct Walk<O: Ops> {
+    /// Simple-expression steps, each with its count of enclosing `when`s
+    /// (its clock is that many parents above the walk's clock).
+    steps: Vec<(Step<ExprId>, usize)>,
+    tys: Vec<O::Ty>,
+}
+
+impl<O: Ops> Default for Walk<O> {
+    fn default() -> Walk<O> {
+        Walk {
+            steps: Vec::new(),
+            tys: Vec::new(),
+        }
+    }
+}
+
+/// The clock `whens` levels above `ck` (what a `when` that many levels up
+/// shifted the expectation to).
+fn up(ck: &Clock, whens: usize) -> &Clock {
+    let mut ck = ck;
+    for _ in 0..whens {
+        ck = ck
+            .parent()
+            .expect("a `when` was checked against an `on` clock");
+    }
+    ck
+}
+
 /// Checks that expression `e` is well typed and well clocked *at* clock
 /// `ck`, and returns its type. Constants are clock-polymorphic; every
 /// variable must sit on exactly the expected clock; `e when x` shifts the
-/// expectation to the parent clock.
-fn check_expr<O: Ops>(env: &Env<O>, e: &Expr<O>, ck: &Clock) -> Result<O::Ty, SemError> {
+/// expectation to the parent clock. `e` must first be stored in
+/// post-order, as every later walk assumes; the walk then visits the
+/// nodes in the order a recursive checker would, so the first violation
+/// reported is the same.
+fn check_expr<O: Ops>(
+    env: &Env<O>,
+    ex: &Exprs<O>,
+    w: &mut Walk<O>,
+    e: ExprId,
+    ck: &Clock,
+) -> Result<O::Ty, SemError> {
+    // The walk also checks the layout every later walk relies on: each
+    // operand comes before its parent, and the nodes finish in the order
+    // of the post-order run.
+    let mut next = ex
+        .simple
+        .first_checked(e)
+        .ok_or_else(|| not_post_order(e))?
+        .index();
+    let mut finish = |id: ExprId| {
+        if id.index() == next {
+            next += 1;
+            Ok(())
+        } else {
+            Err(not_post_order(id))
+        }
+    };
+    let before = |child: ExprId, parent: ExprId| {
+        if child < parent {
+            Ok(child)
+        } else {
+            Err(not_post_order(parent))
+        }
+    };
+    if let Some(t) = leaf_ty(env, &ex[e], ck)? {
+        return Ok(t);
+    }
+    w.steps.clear();
+    w.steps.push((Step::Enter(e), 0));
+    while let Some((step, whens)) = w.steps.pop() {
+        let ck = up(ck, whens);
+        // A leaf operand is checked as soon as its turn comes, not pushed
+        // as a step of its own.
+        let t = match (step, &ex[step.id()]) {
+            (Step::Enter(id), Expr::Unop(op, e1, ty)) => {
+                let e1 = before(*e1, id)?;
+                match leaf_ty(env, &ex[e1], ck)? {
+                    Some(t1) => {
+                        finish(e1)?;
+                        unop_ty::<O>(*op, t1, ty)?
+                    }
+                    None => {
+                        w.steps
+                            .extend([(Step::Exit(id), whens), (Step::Enter(e1), whens)]);
+                        continue;
+                    }
+                }
+            }
+            (Step::Enter(id), Expr::Binop(op, e1, e2, ty)) => {
+                let (e1, e2) = (before(*e1, id)?, before(*e2, id)?);
+                let Some(t1) = leaf_ty(env, &ex[e1], ck)? else {
+                    w.steps.extend([
+                        (Step::Exit(id), whens),
+                        (Step::Enter(e2), whens),
+                        (Step::Enter(e1), whens),
+                    ]);
+                    continue;
+                };
+                finish(e1)?;
+                match leaf_ty(env, &ex[e2], ck)? {
+                    Some(t2) => {
+                        finish(e2)?;
+                        binop_ty::<O>(*op, t1, t2, ty)?
+                    }
+                    None => {
+                        w.tys.push(t1);
+                        w.steps
+                            .extend([(Step::Exit(id), whens), (Step::Enter(e2), whens)]);
+                        continue;
+                    }
+                }
+            }
+            (Step::Enter(id), Expr::When(e1, x, k)) => {
+                let e1 = before(*e1, id)?;
+                let parent = match ck {
+                    Clock::On(parent, y, k2) if y == x && k2 == k => parent.as_ref(),
+                    _ => {
+                        return clock_error(format!(
+                            "sampled expression `… when {x}` at clock {ck}"
+                        ))
+                    }
+                };
+                // The sampling variable is a boolean on the parent clock.
+                let v = var(env, *x)?;
+                if v.ck != parent {
+                    return clock_error(format!(
+                        "sampler {x} on clock {}, expected {parent}",
+                        v.ck
+                    ));
+                }
+                if *v.ty != O::bool_type() {
+                    return type_error(format!(
+                        "sampling variable {x} has type {}, expected bool",
+                        v.ty
+                    ));
+                }
+                // The operand's type is the expression's.
+                match leaf_ty(env, &ex[e1], parent)? {
+                    Some(t) => {
+                        finish(e1)?;
+                        t
+                    }
+                    None => {
+                        w.steps
+                            .extend([(Step::Exit(id), whens), (Step::Enter(e1), whens + 1)]);
+                        continue;
+                    }
+                }
+            }
+            (Step::Enter(_), leaf) => leaf_ty(env, leaf, ck)?.expect("a leaf"),
+            (Step::Exit(_), Expr::Unop(op, _, ty)) => {
+                let t1 = w.tys.pop().expect("operand type");
+                unop_ty::<O>(*op, t1, ty)?
+            }
+            (Step::Exit(_), Expr::Binop(op, _, _, ty)) => {
+                let t2 = w.tys.pop().expect("operand type");
+                let t1 = w.tys.pop().expect("operand type");
+                binop_ty::<O>(*op, t1, t2, ty)?
+            }
+            (Step::Exit(_), Expr::When(..)) => w.tys.pop().expect("operand type"),
+            (Step::Exit(_), _) => unreachable!("only operators are finished"),
+        };
+        finish(step.id())?;
+        w.tys.push(t);
+    }
+    Ok(w.tys.pop().expect("the expression's type"))
+}
+
+/// The type of a leaf (a variable, which must sit on clock `ck`, or a
+/// constant), `None` for an operator.
+fn leaf_ty<O: Ops>(env: &Env<O>, e: &Expr<O>, ck: &Clock) -> Result<Option<O::Ty>, SemError> {
     match e {
         Expr::Var(x, ty) => {
             let v = var(env, *x)?;
@@ -69,59 +239,78 @@ fn check_expr<O: Ops>(env: &Env<O>, e: &Expr<O>, ck: &Clock) -> Result<O::Ty, Se
             if v.ck != ck {
                 return clock_error(format!("variable {x} on clock {}, expected {ck}", v.ck));
             }
-            Ok(ty.clone())
+            Ok(Some(ty.clone()))
         }
-        Expr::Const(c) => Ok(O::type_of_const(c)),
-        Expr::Unop(op, e1, ty) => {
-            let t1 = check_expr::<O>(env, e1, ck)?;
-            match O::type_unop(*op, &t1) {
-                Some(rt) if rt == *ty => Ok(rt),
-                Some(rt) => type_error(format!("unop {op} annotated {ty}, inferred {rt}")),
-                None => type_error(format!("unop {op} inapplicable to {t1}")),
-            }
-        }
-        Expr::Binop(op, e1, e2, ty) => {
-            let t1 = check_expr::<O>(env, e1, ck)?;
-            let t2 = check_expr::<O>(env, e2, ck)?;
-            match O::type_binop(*op, &t1, &t2) {
-                Some(rt) if rt == *ty => Ok(rt),
-                Some(rt) => type_error(format!("binop {op} annotated {ty}, inferred {rt}")),
-                None => type_error(format!("binop {op} inapplicable to {t1}, {t2}")),
-            }
-        }
-        Expr::When(e1, x, k) => {
-            let parent = match ck {
-                Clock::On(parent, y, k2) if y == x && k2 == k => parent.as_ref(),
-                _ => return clock_error(format!("sampled expression `… when {x}` at clock {ck}")),
-            };
-            // The sampling variable is a boolean on the parent clock.
-            let v = var(env, *x)?;
-            if v.ck != parent {
-                return clock_error(format!("sampler {x} on clock {}, expected {parent}", v.ck));
-            }
-            if *v.ty != O::bool_type() {
-                return type_error(format!(
-                    "sampling variable {x} has type {}, expected bool",
-                    v.ty
-                ));
-            }
-            check_expr::<O>(env, e1, parent)
-        }
+        Expr::Const(c) => Ok(Some(O::type_of_const(c))),
+        Expr::Unop(..) | Expr::Binop(..) | Expr::When(..) => Ok(None),
     }
+}
+
+/// The type of `op` applied to an operand of type `t1`, which must be
+/// the annotation `ty`.
+fn unop_ty<O: Ops>(op: O::UnOp, t1: O::Ty, ty: &O::Ty) -> Result<O::Ty, SemError> {
+    match O::type_unop(op, &t1) {
+        Some(rt) if rt == *ty => Ok(rt),
+        Some(rt) => type_error(format!("unop {op} annotated {ty}, inferred {rt}")),
+        None => type_error(format!("unop {op} inapplicable to {t1}")),
+    }
+}
+
+/// The type of `op` applied to operands of types `t1`, `t2`, which must
+/// be the annotation `ty`.
+fn binop_ty<O: Ops>(op: O::BinOp, t1: O::Ty, t2: O::Ty, ty: &O::Ty) -> Result<O::Ty, SemError> {
+    match O::type_binop(op, &t1, &t2) {
+        Some(rt) if rt == *ty => Ok(rt),
+        Some(rt) => type_error(format!("binop {op} annotated {ty}, inferred {rt}")),
+        None => type_error(format!("binop {op} inapplicable to {t1}, {t2}")),
+    }
+}
+
+/// The error for an expression whose pool run is not a post-order tree.
+fn not_post_order(e: impl std::fmt::Debug) -> SemError {
+    SemError::Malformed(format!("expression {e:?} is not stored in post-order"))
 }
 
 /// Checks that control expression `ce` is well typed and well clocked at
 /// clock `ck`, and returns its type. The branch clocks of a `merge` come
-/// from `clocks`, so each is built once per node.
+/// from `clocks`, so each is built once per node. The recursion follows
+/// the `merge`/`if` nesting only, as the statements it compiles to do,
+/// and checks the control pool's post-order layout on the way.
 fn check_cexpr<O: Ops>(
     env: &Env<O>,
+    ex: &Exprs<O>,
+    w: &mut Walk<O>,
     clocks: &mut Clocks,
-    ce: &CExpr<O>,
+    ce: CExprId,
     ck: &Clock,
 ) -> Result<O::Ty, SemError> {
-    match ce {
+    let mut next = ex
+        .control
+        .first_checked(ce)
+        .ok_or_else(|| not_post_order(ce))?
+        .index();
+    check_control(env, ex, w, clocks, ce, ck, &mut next)
+}
+
+fn check_control<O: Ops>(
+    env: &Env<O>,
+    ex: &Exprs<O>,
+    w: &mut Walk<O>,
+    clocks: &mut Clocks,
+    ce: CExprId,
+    ck: &Clock,
+    next: &mut usize,
+) -> Result<O::Ty, SemError> {
+    let before = |child: CExprId| {
+        if child < ce {
+            Ok(child)
+        } else {
+            Err(not_post_order(ce))
+        }
+    };
+    let t = match ex[ce] {
         CExpr::Merge(x, t, f) => {
-            let v = var(env, *x)?;
+            let v = var(env, x)?;
             if *v.ty != O::bool_type() {
                 return type_error(format!(
                     "merge variable {x} has type {}, expected bool",
@@ -134,30 +323,35 @@ fn check_cexpr<O: Ops>(
                     v.ck
                 ));
             }
-            let (on_t, on_f) = (clocks.on(ck, *x, true), clocks.on(ck, *x, false));
-            let tt = check_cexpr::<O>(env, clocks, t, &on_t)?;
-            let tf = check_cexpr::<O>(env, clocks, f, &on_f)?;
-            if tt == tf {
-                Ok(tt)
-            } else {
-                type_error(format!("merge branches disagree: {tt} vs {tf}"))
+            let (on_t, on_f) = (clocks.on(ck, x, true), clocks.on(ck, x, false));
+            let (t, f) = (before(t)?, before(f)?);
+            let tt = check_control(env, ex, w, clocks, t, &on_t, next)?;
+            let tf = check_control(env, ex, w, clocks, f, &on_f, next)?;
+            if tt != tf {
+                return type_error(format!("merge branches disagree: {tt} vs {tf}"));
             }
+            tt
         }
         CExpr::If(c, t, f) => {
-            let tc = check_expr::<O>(env, c, ck)?;
+            let tc = check_expr::<O>(env, ex, w, c, ck)?;
             if tc != O::bool_type() {
                 return type_error(format!("mux guard has type {tc}, expected bool"));
             }
-            let tt = check_cexpr::<O>(env, clocks, t, ck)?;
-            let tf = check_cexpr::<O>(env, clocks, f, ck)?;
-            if tt == tf {
-                Ok(tt)
-            } else {
-                type_error(format!("mux branches disagree: {tt} vs {tf}"))
+            let (t, f) = (before(t)?, before(f)?);
+            let tt = check_control(env, ex, w, clocks, t, ck, next)?;
+            let tf = check_control(env, ex, w, clocks, f, ck, next)?;
+            if tt != tf {
+                return type_error(format!("mux branches disagree: {tt} vs {tf}"));
             }
+            tt
         }
-        CExpr::Expr(e) => check_expr::<O>(env, e, ck),
+        CExpr::Expr(e) => check_expr(env, ex, w, e, ck)?,
+    };
+    if ce.index() != *next {
+        return Err(not_post_order(ce));
     }
+    *next += 1;
+    Ok(t)
 }
 
 /// Checks that every sampler of clock `ck` (declared for `x`) is declared
@@ -178,6 +372,8 @@ fn check_decl_clock<O: Ops>(env: &Env<O>, x: Ident, ck: &Clock) -> Result<(), Se
 /// Checks one equation of node `caller` against the node's environment.
 fn check_equation<O: Ops>(
     env: &Env<O>,
+    ex: &Exprs<O>,
+    w: &mut Walk<O>,
     clocks: &mut Clocks,
     nodes: &[Node<O>],
     caller: NodeId,
@@ -194,14 +390,14 @@ fn check_equation<O: Ops>(
     check_decl_clock(env, eq.defined()[0], ck)?;
     match eq {
         Equation::Def { x, rhs, .. } => {
-            let trhs = check_cexpr::<O>(env, clocks, rhs, ck)?;
+            let trhs = check_cexpr::<O>(env, ex, w, clocks, *rhs, ck)?;
             let tx = var(env, *x)?.ty;
             if *tx != trhs {
                 return type_error(format!("{x} has type {tx} but is defined with type {trhs}"));
             }
         }
         Equation::Fby { x, init, rhs, .. } => {
-            let trhs = check_expr::<O>(env, rhs, ck)?;
+            let trhs = check_expr::<O>(env, ex, w, *rhs, ck)?;
             let tinit = O::type_of_const(init);
             let tx = var(env, *x)?.ty;
             if tinit != trhs {
@@ -234,7 +430,7 @@ fn check_equation<O: Ops>(
                 )));
             }
             for (a, d) in args.iter().zip(&callee.inputs) {
-                let ta = check_expr::<O>(env, a, ck)?;
+                let ta = check_expr::<O>(env, ex, w, *a, ck)?;
                 if ta != d.ty {
                     return type_error(format!(
                         "call to {f}: argument for {} has type {ta}, expected {}",
@@ -265,6 +461,7 @@ fn check_node<'n, O: Ops>(
     env: &mut Env<'n, O>,
     defined: &mut IdentSet,
     clocks: &mut Clocks,
+    w: &mut Walk<O>,
 ) -> Result<(), SemError> {
     let node = &nodes[id.index()];
     let vars = node.inputs.len() + node.outputs.len() + node.locals.len();
@@ -321,7 +518,7 @@ fn check_node<'n, O: Ops>(
             }
         }
         // The instance is identified by the first result variable.
-        check_equation::<O>(env, clocks, nodes, id, eq)
+        check_equation::<O>(env, &node.exprs, w, clocks, nodes, id, eq)
             .map_err(|e| e.in_node_at(node.name, eq.defined().first().copied()))?;
     }
     for d in node.outputs.iter().chain(&node.locals) {
@@ -348,6 +545,7 @@ pub fn check_program<O: Ops>(prog: &Program<O>) -> Result<(), SemError> {
     let mut names: IdentSet = velus_common::ident_set_with_capacity(prog.nodes.len());
     let (mut env, mut defined, mut clocks) =
         (Env::<O>::default(), IdentSet::default(), Clocks::default());
+    let mut walk = Walk::default();
     for (i, node) in prog.nodes.iter().enumerate() {
         if !names.insert(node.name) {
             return Err(SemError::Malformed(format!(
@@ -361,6 +559,7 @@ pub fn check_program<O: Ops>(prog: &Program<O>) -> Result<(), SemError> {
             &mut env,
             &mut defined,
             &mut clocks,
+            &mut walk,
         )
         .map_err(|e| e.in_node(node.name))?;
     }
@@ -395,6 +594,9 @@ mod tests {
 
     /// node double(x: int) returns (y: int) let y = x + x; tel
     fn double() -> Node<ClightOps> {
+        let mut ex = Exprs::new();
+        let (x1, x2) = (ex.var(id("x"), CTy::I32), ex.var(id("x"), CTy::I32));
+        let sum = ex.binop(CBinOp::Add, x1, x2, CTy::I32);
         Node {
             name: id("double"),
             inputs: vec![decl("x", CTy::I32)],
@@ -403,13 +605,17 @@ mod tests {
             eqs: vec![Equation::Def {
                 x: id("y"),
                 ck: Clock::Base,
-                rhs: CExpr::Expr(Expr::Binop(
-                    CBinOp::Add,
-                    Box::new(Expr::Var(id("x"), CTy::I32)),
-                    Box::new(Expr::Var(id("x"), CTy::I32)),
-                    CTy::I32,
-                )),
+                rhs: ex.simple(sum),
             }],
+            exprs: ex,
+        }
+    }
+
+    /// Re-annotates the sum of `double` with `ty`.
+    fn retype_sum(n: &mut Node<ClightOps>, ty: CTy) {
+        let sum = n.exprs.simple.iter().last().unwrap().0;
+        if let Expr::Binop(_, _, _, t) = &mut n.exprs.simple[sum] {
+            *t = ty;
         }
     }
 
@@ -422,13 +628,7 @@ mod tests {
     #[test]
     fn rejects_bad_annotation() {
         let mut n = double();
-        if let Equation::Def {
-            rhs: CExpr::Expr(Expr::Binop(_, _, _, ty)),
-            ..
-        } = &mut n.eqs[0]
-        {
-            *ty = CTy::Bool;
-        }
+        retype_sum(&mut n, CTy::Bool);
         let p = P::new(vec![n]);
         assert!(matches!(
             check_program(&p).unwrap_err().innermost(),
@@ -471,10 +671,12 @@ mod tests {
     #[test]
     fn rejects_input_definition() {
         let mut n = double();
+        let zero = n.exprs.constant(CConst::int(0));
+        let rhs = n.exprs.simple(zero);
         n.eqs.push(Equation::Def {
             x: id("x"),
             ck: Clock::Base,
-            rhs: CExpr::Expr(Expr::Const(CConst::int(0))),
+            rhs,
         });
         let p = P::new(vec![n]);
         assert!(matches!(
@@ -486,6 +688,8 @@ mod tests {
     #[test]
     fn rejects_call_to_later_node() {
         // caller declared before callee: forward reference is rejected.
+        let mut ex = Exprs::new();
+        let a = ex.var(id("a"), CTy::I32);
         let mut caller = Node {
             name: id("caller"),
             inputs: vec![decl("a", CTy::I32)],
@@ -495,8 +699,9 @@ mod tests {
                 xs: vec![id("b")],
                 ck: Clock::Base,
                 node: NodeId::new(1),
-                args: vec![Expr::Var(id("a"), CTy::I32)],
+                args: vec![a],
             }],
+            exprs: ex,
         };
         let mut calling = |k: usize| {
             if let Equation::Call { node, .. } = &mut caller.eqs[0] {
@@ -517,6 +722,8 @@ mod tests {
 
     #[test]
     fn rejects_fby_type_mismatch() {
+        let mut ex = Exprs::new();
+        let x = ex.var(id("x"), CTy::I32);
         let n = Node {
             name: id("bad"),
             inputs: vec![decl("x", CTy::I32)],
@@ -526,8 +733,9 @@ mod tests {
                 x: id("y"),
                 ck: Clock::Base,
                 init: CConst::bool(true),
-                rhs: Expr::Var(id("x"), CTy::I32),
+                rhs: x,
             }],
+            exprs: ex,
         };
         let p = P::new(vec![n]);
         assert!(matches!(
@@ -544,6 +752,16 @@ mod tests {
     fn sampler_node(good: bool) -> Node<ClightOps> {
         let on_x = Clock::Base.on(id("x"), true);
         let s_clock = if good { on_x.clone() } else { Clock::Base };
+        let mut ex = Exprs::new();
+        let v = ex.var(id("v"), CTy::I32);
+        let v = ex.when(v, id("x"), true);
+        let s_rhs = ex.simple(v);
+        let s = ex.var(id("s"), CTy::I32);
+        let s = ex.simple(s);
+        let zero = ex.constant(CConst::int(0));
+        let zero = ex.when(zero, id("x"), false);
+        let zero = ex.simple(zero);
+        let o_rhs = ex.merge(id("x"), s, zero);
         Node {
             name: id("sampler"),
             inputs: vec![decl("x", CTy::Bool), decl("v", CTy::I32)],
@@ -553,26 +771,15 @@ mod tests {
                 Equation::Def {
                     x: id("s"),
                     ck: s_clock,
-                    rhs: CExpr::Expr(Expr::When(
-                        Box::new(Expr::Var(id("v"), CTy::I32)),
-                        id("x"),
-                        true,
-                    )),
+                    rhs: s_rhs,
                 },
                 Equation::Def {
                     x: id("o"),
                     ck: Clock::Base,
-                    rhs: CExpr::Merge(
-                        id("x"),
-                        Box::new(CExpr::Expr(Expr::Var(id("s"), CTy::I32))),
-                        Box::new(CExpr::Expr(Expr::When(
-                            Box::new(Expr::Const(CConst::int(0))),
-                            id("x"),
-                            false,
-                        ))),
-                    ),
+                    rhs: o_rhs,
                 },
             ],
+            exprs: ex,
         }
     }
 
@@ -594,6 +801,12 @@ mod tests {
     #[test]
     fn rejects_binop_across_clocks() {
         // o = v + (v when x) is not synchronizable.
+        let mut ex = Exprs::new();
+        let v1 = ex.var(id("v"), CTy::I32);
+        let v2 = ex.var(id("v"), CTy::I32);
+        let v2 = ex.when(v2, id("x"), true);
+        let sum = ex.binop(CBinOp::Add, v1, v2, CTy::I32);
+        let rhs = ex.simple(sum);
         let n = Node {
             name: id("bad"),
             inputs: vec![decl("x", CTy::Bool), decl("v", CTy::I32)],
@@ -602,17 +815,9 @@ mod tests {
             eqs: vec![Equation::Def {
                 x: id("o"),
                 ck: Clock::Base,
-                rhs: CExpr::Expr(Expr::Binop(
-                    CBinOp::Add,
-                    Box::new(Expr::Var(id("v"), CTy::I32)),
-                    Box::new(Expr::When(
-                        Box::new(Expr::Var(id("v"), CTy::I32)),
-                        id("x"),
-                        true,
-                    )),
-                    CTy::I32,
-                )),
+                rhs,
             }],
+            exprs: ex,
         };
         let p = Program::new(vec![n]);
         assert!(matches!(
@@ -637,16 +842,21 @@ mod tests {
         let leaf = || sampler_node(true);
         // A well-typed instance of the leaf: a distinct name, and one
         // argument per leaf input.
-        let call = |k: usize| Node {
-            name: id("caller"),
-            locals: vec![],
-            eqs: vec![Equation::Call {
-                xs: vec![id("o")],
-                ck: Clock::Base,
-                node: NodeId::new(k),
-                args: vec![Expr::Var(id("x"), CTy::Bool), Expr::Var(id("v"), CTy::I32)],
-            }],
-            ..leaf()
+        let call = |k: usize| {
+            let mut ex = Exprs::new();
+            let args = vec![ex.var(id("x"), CTy::Bool), ex.var(id("v"), CTy::I32)];
+            Node {
+                name: id("caller"),
+                locals: vec![],
+                eqs: vec![Equation::Call {
+                    xs: vec![id("o")],
+                    ck: Clock::Base,
+                    node: NodeId::new(k),
+                    args,
+                }],
+                exprs: ex,
+                ..leaf()
+            }
         };
         // A later node, the caller itself, and a node past the end.
         for p in [[call(1), leaf()], [leaf(), call(1)], [leaf(), call(9)]] {
@@ -669,14 +879,22 @@ mod tests {
         clocked.name = id("a");
         let mut typed = double();
         typed.name = id("b");
-        if let Equation::Def {
-            rhs: CExpr::Expr(Expr::Binop(_, _, _, ty)),
-            ..
-        } = &mut typed.eqs[0]
-        {
-            *ty = CTy::Bool;
-        }
+        retype_sum(&mut typed, CTy::Bool);
         let err = check_program(&P::new(vec![clocked, typed])).unwrap_err();
         assert!(matches!(err.innermost(), SemError::ClockError(_)), "{err}");
+    }
+
+    #[test]
+    fn rejects_expressions_out_of_post_order() {
+        // `x + x` whose operands are named right to left.
+        let mut n = double();
+        let sum = n.exprs.simple.iter().last().unwrap().0;
+        if let Expr::Binop(_, a, b, _) = &mut n.exprs.simple[sum] {
+            std::mem::swap(a, b);
+        }
+        assert!(matches!(
+            check_program(&P::new(vec![n])).unwrap_err().innermost(),
+            SemError::Malformed(_)
+        ));
     }
 }

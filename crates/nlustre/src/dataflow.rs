@@ -28,10 +28,10 @@
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
-use velus_common::{ident_map_with_capacity, BuildIdentHasher, Ident, IdentMap, NodeId};
+use velus_common::{ident_map_with_capacity, BuildIdentHasher, Ident, IdentMap, NodeId, Step};
 use velus_ops::Ops;
 
-use crate::ast::{CExpr, Equation, Expr, Node, Program};
+use crate::ast::{CExpr, CExprId, Equation, Expr, ExprId, Exprs, Node, Program};
 use crate::clock::Clock;
 use crate::streams::{SVal, StreamSet};
 use crate::SemError;
@@ -112,6 +112,9 @@ impl<O: Ops> Inst<O> {
 /// # use velus_common::{Ident, NodeId};
 /// # use velus_ops::{CConst, CTy, CBinOp, ClightOps};
 /// # let n = Ident::new("n");
+/// # let mut ex = Exprs::new();
+/// # let (nv, one) = (ex.var(n, CTy::I32), ex.constant(CConst::int(1)));
+/// # let rhs = ex.binop(CBinOp::Add, nv, one, CTy::I32);
 /// # let node = Node::<ClightOps> {
 /// #     name: Ident::new("count"),
 /// #     inputs: vec![],
@@ -121,13 +124,9 @@ impl<O: Ops> Inst<O> {
 /// #         x: n,
 /// #         ck: Clock::Base,
 /// #         init: CConst::int(0),
-/// #         rhs: Expr::Binop(
-/// #             CBinOp::Add,
-/// #             Box::new(Expr::Var(n, CTy::I32)),
-/// #             Box::new(Expr::Const(CConst::int(1))),
-/// #             CTy::I32,
-/// #         ),
+/// #         rhs,
 /// #     }],
+/// #     exprs: ex,
 /// # };
 /// # let prog = Program::new(vec![node]);
 /// let mut eval = Dataflow::new(&prog, NodeId::new(0), vec![])?;
@@ -145,6 +144,10 @@ pub struct Dataflow<'p, O: Ops> {
     /// Instants the current [`Dataflow::run`] demands: the capacity of
     /// each new memo stream.
     span: usize,
+    /// The expression walks' steps and values (see
+    /// [`Dataflow::eval_expr`]).
+    steps: Vec<Step<ExprId>>,
+    vals: Vec<O::Val>,
 }
 
 impl<'p, O: Ops> Dataflow<'p, O> {
@@ -184,6 +187,8 @@ impl<'p, O: Ops> Dataflow<'p, O> {
             inputs,
             root_node,
             span: 0,
+            steps: Vec::new(),
+            vals: Vec::new(),
         })
     }
 
@@ -277,51 +282,128 @@ impl<'p, O: Ops> Dataflow<'p, O> {
         }
     }
 
-    /// Evaluates a simple expression at instant `n`, under a context whose
-    /// clock is known to be active: every variable must be present.
-    fn eval_expr(&mut self, inst: usize, e: &Expr<O>, n: usize) -> Result<O::Val, SemError> {
+    /// Evaluates simple expression `e` of instance `inst`'s node at
+    /// instant `n`, under a context whose clock is known to be active:
+    /// every variable must be present.
+    ///
+    /// The walk keeps its steps and values on the evaluator's stacks,
+    /// above whatever an enclosing evaluation left there: demanding a
+    /// variable evaluates other equations first, and those run to
+    /// completion before this walk resumes.
+    fn eval_expr(&mut self, inst: usize, e: ExprId, n: usize) -> Result<O::Val, SemError> {
+        let (steps, vals) = (self.steps.len(), self.vals.len());
+        let v = self.eval_expr_steps(inst, e, n, steps);
+        if v.is_err() {
+            self.steps.truncate(steps);
+            self.vals.truncate(vals);
+        }
+        v
+    }
+
+    fn eval_expr_steps(
+        &mut self,
+        inst: usize,
+        e: ExprId,
+        n: usize,
+        base: usize,
+    ) -> Result<O::Val, SemError> {
+        let prog = self.prog;
+        let ex = &prog.nodes[self.insts[inst].node].exprs;
+        if let Some(v) = self.leaf(inst, &ex[e], n) {
+            return v;
+        }
+        self.steps.push(Step::Enter(e));
+        while self.steps.len() > base {
+            let step = self.steps.pop().expect("a step above the base");
+            // A leaf operand is evaluated as soon as its turn comes, not
+            // pushed as a step of its own.
+            let v = match (step, &ex[step.id()]) {
+                (Step::Enter(id), Expr::Unop(op, e1, _)) => match self.leaf(inst, &ex[*e1], n) {
+                    Some(v) => unop(ex, *op, *e1, v?, n)?,
+                    None => {
+                        self.steps.extend([Step::Exit(id), Step::Enter(*e1)]);
+                        continue;
+                    }
+                },
+                (Step::Enter(id), Expr::Binop(op, e1, e2, _)) => {
+                    let Some(v1) = self.leaf(inst, &ex[*e1], n) else {
+                        self.steps
+                            .extend([Step::Exit(id), Step::Enter(*e2), Step::Enter(*e1)]);
+                        continue;
+                    };
+                    let v1 = v1?;
+                    match self.leaf(inst, &ex[*e2], n) {
+                        Some(v2) => binop(ex, *op, (*e1, *e2), (v1, v2?), n)?,
+                        None => {
+                            self.vals.push(v1);
+                            self.steps.extend([Step::Exit(id), Step::Enter(*e2)]);
+                            continue;
+                        }
+                    }
+                }
+                (Step::Enter(_), Expr::When(e1, x, k)) => {
+                    // Context clock active implies x present with value k;
+                    // the operand's value is the expression's.
+                    match self.var_at(inst, *x, n)? {
+                        SVal::Pres(v) if O::as_bool(&v) == Some(*k) => {
+                            match self.leaf(inst, &ex[*e1], n) {
+                                Some(v) => v?,
+                                None => {
+                                    self.steps.push(Step::Enter(*e1));
+                                    continue;
+                                }
+                            }
+                        }
+                        other => {
+                            return Err(SemError::ClockError(format!(
+                                "sampling variable {x} = {other:?} inconsistent with active clock"
+                            )))
+                        }
+                    }
+                }
+                (Step::Enter(_), leaf) => self.leaf(inst, leaf, n).expect("a leaf")?,
+                (Step::Exit(_), Expr::Unop(op, e1, _)) => {
+                    let v = self.vals.pop().expect("operand value");
+                    unop(ex, *op, *e1, v, n)?
+                }
+                (Step::Exit(_), Expr::Binop(op, e1, e2, _)) => {
+                    let v2 = self.vals.pop().expect("operand value");
+                    let v1 = self.vals.pop().expect("operand value");
+                    binop(ex, *op, (*e1, *e2), (v1, v2), n)?
+                }
+                (Step::Exit(_), _) => unreachable!("only operators are finished"),
+            };
+            self.vals.push(v);
+        }
+        Ok(self.vals.pop().expect("the expression's value"))
+    }
+
+    /// The value of a leaf (a constant or a variable) at instant `n`,
+    /// `None` for an operator.
+    fn leaf(&mut self, inst: usize, e: &Expr<O>, n: usize) -> Option<Result<O::Val, SemError>> {
         match e {
-            Expr::Const(c) => Ok(O::sem_const(c)),
-            Expr::Var(x, _) => match self.var_at(inst, *x, n)? {
-                SVal::Pres(v) => Ok(v),
-                SVal::Abs => Err(SemError::ClockError(format!(
+            Expr::Const(c) => Some(Ok(O::sem_const(c))),
+            Expr::Var(x, _) => Some(match self.var_at(inst, *x, n) {
+                Ok(SVal::Pres(v)) => Ok(v),
+                Ok(SVal::Abs) => Err(SemError::ClockError(format!(
                     "variable {x} absent at instant {n} under an active clock"
                 ))),
-            },
-            Expr::Unop(op, e1, _) => {
-                let v = self.eval_expr(inst, e1, n)?;
-                let ty = e1.ty();
-                O::sem_unop(*op, &v, &ty).ok_or_else(|| {
-                    SemError::UndefinedOperation(format!("{op} {v} at type {ty} (instant {n})"))
-                })
-            }
-            Expr::Binop(op, e1, e2, _) => {
-                let v1 = self.eval_expr(inst, e1, n)?;
-                let v2 = self.eval_expr(inst, e2, n)?;
-                let (t1, t2) = (e1.ty(), e2.ty());
-                O::sem_binop(*op, &v1, &t1, &v2, &t2).ok_or_else(|| {
-                    SemError::UndefinedOperation(format!("{v1} {op} {v2} (instant {n})"))
-                })
-            }
-            Expr::When(e1, x, k) => {
-                // Context clock active implies x present with value k.
-                match self.var_at(inst, *x, n)? {
-                    SVal::Pres(v) if O::as_bool(&v) == Some(*k) => self.eval_expr(inst, e1, n),
-                    other => Err(SemError::ClockError(format!(
-                        "sampling variable {x} = {other:?} inconsistent with active clock"
-                    ))),
-                }
-            }
+                Err(e) => Err(e),
+            }),
+            Expr::Unop(..) | Expr::Binop(..) | Expr::When(..) => None,
         }
     }
 
-    /// Evaluates a control expression under an active clock. Both branches
-    /// of a mux are evaluated (the paper: "both branches are active"),
-    /// only the selected branch of a merge is.
-    fn eval_cexpr(&mut self, inst: usize, ce: &CExpr<O>, n: usize) -> Result<O::Val, SemError> {
-        match ce {
+    /// Evaluates control expression `ce` under an active clock. Both
+    /// branches of a mux are evaluated after its guard (the paper: "both
+    /// branches are active"), only the selected branch of a merge is. The
+    /// recursion follows the `merge`/`if` nesting only, as the statements
+    /// it compiles to do.
+    fn eval_cexpr(&mut self, inst: usize, ce: CExprId, n: usize) -> Result<O::Val, SemError> {
+        let prog = self.prog;
+        match prog.nodes[self.insts[inst].node].exprs[ce] {
             CExpr::Expr(e) => self.eval_expr(inst, e, n),
-            CExpr::Merge(x, t, f) => match self.var_at(inst, *x, n)? {
+            CExpr::Merge(x, t, f) => match self.var_at(inst, x, n)? {
                 SVal::Pres(v) => match O::as_bool(&v) {
                     Some(true) => self.eval_cexpr(inst, t, n),
                     Some(false) => self.eval_cexpr(inst, f, n),
@@ -373,7 +455,7 @@ impl<'p, O: Ops> Dataflow<'p, O> {
             // hold(m) depends on the argument stream at instant m-1.
             let prev_active = self.clock_at(inst, ck, m - 1)?;
             let v = if prev_active {
-                self.eval_expr(inst, rhs, m - 1)?
+                self.eval_expr(inst, *rhs, m - 1)?
             } else {
                 self.insts[inst].holds[&x][m - 1].clone()
             };
@@ -434,7 +516,7 @@ impl<'p, O: Ops> Dataflow<'p, O> {
                         _ => unreachable!("parent link always points at a call equation"),
                     };
                     if self.clock_at(p, ck, n)? {
-                        Ok(SVal::Pres(self.eval_expr(p, arg, n)?))
+                        Ok(SVal::Pres(self.eval_expr(p, *arg, n)?))
                     } else {
                         Ok(SVal::Abs)
                     }
@@ -445,7 +527,7 @@ impl<'p, O: Ops> Dataflow<'p, O> {
                 match eq {
                     Equation::Def { ck, rhs, .. } => {
                         if self.clock_at(inst, ck, n)? {
-                            Ok(SVal::Pres(self.eval_cexpr(inst, rhs, n)?))
+                            Ok(SVal::Pres(self.eval_cexpr(inst, *rhs, n)?))
                         } else {
                             Ok(SVal::Abs)
                         }
@@ -491,6 +573,33 @@ impl<'p, O: Ops> Dataflow<'p, O> {
     }
 }
 
+/// Applies `op` to the value `v` of operand `e1` at instant `n`.
+fn unop<O: Ops>(
+    ex: &Exprs<O>,
+    op: O::UnOp,
+    e1: ExprId,
+    v: O::Val,
+    n: usize,
+) -> Result<O::Val, SemError> {
+    let ty = ex.ty(e1);
+    O::sem_unop(op, &v, &ty)
+        .ok_or_else(|| SemError::UndefinedOperation(format!("{op} {v} at type {ty} (instant {n})")))
+}
+
+/// Applies `op` to the values `v1`, `v2` of operands `e1`, `e2` at
+/// instant `n`.
+fn binop<O: Ops>(
+    ex: &Exprs<O>,
+    op: O::BinOp,
+    (e1, e2): (ExprId, ExprId),
+    (v1, v2): (O::Val, O::Val),
+    n: usize,
+) -> Result<O::Val, SemError> {
+    let (t1, t2) = (ex.ty(e1), ex.ty(e2));
+    O::sem_binop(op, &v1, &t1, &v2, &t2)
+        .ok_or_else(|| SemError::UndefinedOperation(format!("{v1} {op} {v2} (instant {n})")))
+}
+
 /// Runs node `f` of `prog` on the given inputs for `n` instants and
 /// returns its output streams.
 ///
@@ -515,16 +624,18 @@ mod tests {
     use crate::ast::VarDecl;
     use velus_ops::{CBinOp, CConst, CTy, CVal, ClightOps};
 
+    type Ex = Exprs<ClightOps>;
+
     fn id(s: &str) -> Ident {
         Ident::new(s)
     }
 
-    fn ivar(x: &str) -> Expr<ClightOps> {
-        Expr::Var(id(x), CTy::I32)
+    fn ivar(ex: &mut Ex, x: &str) -> ExprId {
+        ex.var(id(x), CTy::I32)
     }
 
-    fn bvar(x: &str) -> Expr<ClightOps> {
-        Expr::Var(id(x), CTy::Bool)
+    fn bvar(ex: &mut Ex, x: &str) -> ExprId {
+        ex.var(id(x), CTy::Bool)
     }
 
     fn decl(name: &str, ty: CTy) -> VarDecl<ClightOps> {
@@ -532,6 +643,23 @@ mod tests {
             name: id(name),
             ty,
             ck: Clock::Base,
+        }
+    }
+
+    /// A node `name` with no locals and the one equation `y = ...`.
+    fn one_eq(
+        name: &str,
+        inputs: Vec<VarDecl<ClightOps>>,
+        eq: Equation<ClightOps>,
+        ex: Ex,
+    ) -> Node<ClightOps> {
+        Node {
+            name: id(name),
+            inputs,
+            outputs: vec![decl("y", CTy::I32)],
+            locals: vec![],
+            eqs: vec![eq],
+            exprs: ex,
         }
     }
 
@@ -545,6 +673,17 @@ mod tests {
     ///   c = 0 fby n;
     /// tel
     fn counter() -> Node<ClightOps> {
+        let mut ex = Ex::new();
+        let (f, res) = (bvar(&mut ex, "f"), bvar(&mut ex, "res"));
+        let guard = ex.binop(CBinOp::Or, f, res, CTy::Bool);
+        let ini = ivar(&mut ex, "ini");
+        let ini = ex.simple(ini);
+        let (c, inc) = (ivar(&mut ex, "c"), ivar(&mut ex, "inc"));
+        let sum = ex.binop(CBinOp::Add, c, inc, CTy::I32);
+        let sum = ex.simple(sum);
+        let n_rhs = ex.ite(guard, ini, sum);
+        let f_rhs = ex.constant(CConst::bool(false));
+        let c_rhs = ivar(&mut ex, "n");
         Node {
             name: id("counter"),
             inputs: vec![
@@ -558,35 +697,22 @@ mod tests {
                 Equation::Def {
                     x: id("n"),
                     ck: Clock::Base,
-                    rhs: CExpr::If(
-                        Expr::Binop(
-                            CBinOp::Or,
-                            Box::new(bvar("f")),
-                            Box::new(bvar("res")),
-                            CTy::Bool,
-                        ),
-                        Box::new(CExpr::Expr(ivar("ini"))),
-                        Box::new(CExpr::Expr(Expr::Binop(
-                            CBinOp::Add,
-                            Box::new(ivar("c")),
-                            Box::new(ivar("inc")),
-                            CTy::I32,
-                        ))),
-                    ),
+                    rhs: n_rhs,
                 },
                 Equation::Fby {
                     x: id("f"),
                     ck: Clock::Base,
                     init: CConst::bool(true),
-                    rhs: Expr::Const(CConst::bool(false)),
+                    rhs: f_rhs,
                 },
                 Equation::Fby {
                     x: id("c"),
                     ck: Clock::Base,
                     init: CConst::int(0),
-                    rhs: ivar("n"),
+                    rhs: c_rhs,
                 },
             ],
+            exprs: ex,
         }
     }
 
@@ -622,42 +748,37 @@ mod tests {
         let eval = Dataflow::new(&prog, NodeId::new(0), inputs).unwrap();
         assert_eq!(eval.horizon(), 2);
         // No inputs: unbounded horizon.
-        let loopless = Node {
-            name: id("free"),
-            inputs: vec![],
-            outputs: vec![decl("y", CTy::I32)],
-            locals: vec![],
-            eqs: vec![Equation::Def {
-                x: id("y"),
-                ck: Clock::Base,
-                rhs: CExpr::Expr(Expr::Const(CConst::int(1))),
-            }],
+        let mut ex = Ex::new();
+        let one = ex.constant(CConst::int(1));
+        let rhs = ex.simple(one);
+        let eq = Equation::Def {
+            x: id("y"),
+            ck: Clock::Base,
+            rhs,
         };
-        let prog = Program::new(vec![loopless]);
+        let prog = Program::new(vec![one_eq("free", vec![], eq, ex)]);
         let eval = Dataflow::new(&prog, NodeId::new(0), vec![]).unwrap();
         assert_eq!(eval.horizon(), usize::MAX);
+    }
+
+    /// `y op 1`.
+    fn y_op_one(ex: &mut Ex, op: CBinOp) -> ExprId {
+        let (y, one) = (ivar(ex, "y"), ex.constant(CConst::int(1)));
+        ex.binop(op, y, one, CTy::I32)
     }
 
     #[test]
     fn causality_loop_is_detected() {
         // y = y + 1 has no semantics.
-        let node = Node {
-            name: id("loopy"),
-            inputs: vec![],
-            outputs: vec![decl("y", CTy::I32)],
-            locals: vec![],
-            eqs: vec![Equation::Def {
-                x: id("y"),
-                ck: Clock::Base,
-                rhs: CExpr::Expr(Expr::Binop(
-                    CBinOp::Add,
-                    Box::new(ivar("y")),
-                    Box::new(Expr::Const(CConst::int(1))),
-                    CTy::I32,
-                )),
-            }],
+        let mut ex = Ex::new();
+        let sum = y_op_one(&mut ex, CBinOp::Add);
+        let rhs = ex.simple(sum);
+        let eq = Equation::Def {
+            x: id("y"),
+            ck: Clock::Base,
+            rhs,
         };
-        let prog = Program::new(vec![node]);
+        let prog = Program::new(vec![one_eq("loopy", vec![], eq, ex)]);
         let err = run_node(&prog, NodeId::new(0), &vec![], 1).unwrap_err();
         assert_eq!(err, SemError::CausalityLoop(id("y")));
     }
@@ -665,46 +786,31 @@ mod tests {
     #[test]
     fn fby_breaks_causality() {
         // y = 0 fby (y + 1) is fine.
-        let node = Node {
-            name: id("count"),
-            inputs: vec![],
-            outputs: vec![decl("y", CTy::I32)],
-            locals: vec![],
-            eqs: vec![Equation::Fby {
-                x: id("y"),
-                ck: Clock::Base,
-                init: CConst::int(0),
-                rhs: Expr::Binop(
-                    CBinOp::Add,
-                    Box::new(ivar("y")),
-                    Box::new(Expr::Const(CConst::int(1))),
-                    CTy::I32,
-                ),
-            }],
+        let mut ex = Ex::new();
+        let rhs = y_op_one(&mut ex, CBinOp::Add);
+        let eq = Equation::Fby {
+            x: id("y"),
+            ck: Clock::Base,
+            init: CConst::int(0),
+            rhs,
         };
-        let prog = Program::new(vec![node]);
+        let prog = Program::new(vec![one_eq("count", vec![], eq, ex)]);
         let outs = run_node(&prog, NodeId::new(0), &vec![], 4).unwrap();
         assert_eq!(outs[0], pres(&[0, 1, 2, 3]));
     }
 
     #[test]
     fn division_by_zero_is_an_undefined_operation() {
-        let node = Node {
-            name: id("divz"),
-            inputs: vec![decl("x", CTy::I32)],
-            outputs: vec![decl("y", CTy::I32)],
-            locals: vec![],
-            eqs: vec![Equation::Def {
-                x: id("y"),
-                ck: Clock::Base,
-                rhs: CExpr::Expr(Expr::Binop(
-                    CBinOp::Div,
-                    Box::new(Expr::Const(CConst::int(1))),
-                    Box::new(ivar("x")),
-                    CTy::I32,
-                )),
-            }],
+        let mut ex = Ex::new();
+        let (one, x) = (ex.constant(CConst::int(1)), ivar(&mut ex, "x"));
+        let q = ex.binop(CBinOp::Div, one, x, CTy::I32);
+        let rhs = ex.simple(q);
+        let eq = Equation::Def {
+            x: id("y"),
+            ck: Clock::Base,
+            rhs,
         };
+        let node = one_eq("divz", vec![decl("x", CTy::I32)], eq, ex);
         let prog = Program::new(vec![node]);
         let err = run_node(&prog, NodeId::new(0), &vec![pres(&[0])], 1).unwrap_err();
         assert!(matches!(err, SemError::UndefinedOperation(_)));
@@ -713,6 +819,15 @@ mod tests {
     #[test]
     fn node_instantiation_composes() {
         // double_counter calls counter twice, chained.
+        let mut ex = Ex::new();
+        let args = |ex: &mut Ex, inc: &str| {
+            vec![
+                ex.constant(CConst::int(0)),
+                ivar(ex, inc),
+                ex.constant(CConst::bool(false)),
+            ]
+        };
+        let (s_args, p_args) = (args(&mut ex, "g"), args(&mut ex, "s"));
         let dc = Node {
             name: id("dc"),
             inputs: vec![decl("g", CTy::I32)],
@@ -723,23 +838,16 @@ mod tests {
                     xs: vec![id("s")],
                     ck: Clock::Base,
                     node: NodeId::new(0),
-                    args: vec![
-                        Expr::Const(CConst::int(0)),
-                        ivar("g"),
-                        Expr::Const(CConst::bool(false)),
-                    ],
+                    args: s_args,
                 },
                 Equation::Call {
                     xs: vec![id("p")],
                     ck: Clock::Base,
                     node: NodeId::new(0),
-                    args: vec![
-                        Expr::Const(CConst::int(0)),
-                        ivar("s"),
-                        Expr::Const(CConst::bool(false)),
-                    ],
+                    args: p_args,
                 },
             ],
+            exprs: ex,
         };
         let prog = Program::new(vec![counter(), dc]);
         // This is the d_integrator of Fig. 3; §2.2's table gives the values.
@@ -754,6 +862,20 @@ mod tests {
         // o = counter(0 when x, 1 when x, false when x): counts activations
         // (starting at 0 on the first).
         let on_x = Clock::Base.on(id("x"), true);
+        let mut ex = Ex::new();
+        let args = [CConst::int(0), CConst::int(1), CConst::bool(false)]
+            .into_iter()
+            .map(|c| {
+                let c = ex.constant(c);
+                ex.when(c, id("x"), true)
+            })
+            .collect();
+        let c = ivar(&mut ex, "c");
+        let c = ex.simple(c);
+        let minus_one = ex.constant(CConst::int(-1));
+        let minus_one = ex.when(minus_one, id("x"), false);
+        let minus_one = ex.simple(minus_one);
+        let o_rhs = ex.merge(id("x"), c, minus_one);
         let n = Node {
             name: id("sampled"),
             inputs: vec![decl("x", CTy::Bool)],
@@ -768,26 +890,15 @@ mod tests {
                     xs: vec![id("c")],
                     ck: on_x.clone(),
                     node: NodeId::new(0),
-                    args: vec![
-                        Expr::When(Box::new(Expr::Const(CConst::int(0))), id("x"), true),
-                        Expr::When(Box::new(Expr::Const(CConst::int(1))), id("x"), true),
-                        Expr::When(Box::new(Expr::Const(CConst::bool(false))), id("x"), true),
-                    ],
+                    args,
                 },
                 Equation::Def {
                     x: id("o"),
                     ck: Clock::Base,
-                    rhs: CExpr::Merge(
-                        id("x"),
-                        Box::new(CExpr::Expr(Expr::Var(id("c"), CTy::I32))),
-                        Box::new(CExpr::Expr(Expr::When(
-                            Box::new(Expr::Const(CConst::int(-1))),
-                            id("x"),
-                            false,
-                        ))),
-                    ),
+                    rhs: o_rhs,
                 },
             ],
+            exprs: ex,
         };
         let prog = Program::new(vec![counter(), n]);
         let xs = presb(&[false, true, true, false, true]);

@@ -86,7 +86,7 @@ pub fn dep_graph<O: Ops>(node: &Node<O>) -> DepGraph {
     let mut reads: Vec<Ident> = Vec::new();
     for (i, eq) in node.eqs.iter().enumerate() {
         reads.clear();
-        eq.reads_into(&mut reads);
+        eq.reads_into(&node.exprs, &mut reads);
         if reads.is_empty() {
             continue;
         }
@@ -221,7 +221,7 @@ pub fn check_schedule<O: Ops>(node: &Node<O>) -> Result<(), SemError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{CExpr, Expr, Program, VarDecl};
+    use crate::ast::{ExprId, Exprs, Program, VarDecl};
     use crate::clock::Clock;
     use velus_ops::{CConst, CTy, ClightOps};
 
@@ -237,28 +237,30 @@ mod tests {
         }
     }
 
-    fn var(x: &str) -> Expr<ClightOps> {
-        Expr::Var(id(x), CTy::I32)
+    fn var(ex: &mut Exprs<ClightOps>, x: &str) -> ExprId {
+        ex.var(id(x), CTy::I32)
+    }
+
+    fn add(ex: &mut Exprs<ClightOps>, a: ExprId, b: ExprId) -> ExprId {
+        ex.binop(velus_ops::CBinOp::Add, a, b, CTy::I32)
     }
 
     /// y = cum + x ; cum = 0 fby y (well scheduled)
     fn two_eq_node(order: [usize; 2]) -> Node<ClightOps> {
+        let mut ex = Exprs::new();
+        let (cum, x) = (var(&mut ex, "cum"), var(&mut ex, "x"));
+        let sum = add(&mut ex, cum, x);
         let eqs = [
             Equation::Def {
                 x: id("y"),
                 ck: Clock::Base,
-                rhs: CExpr::Expr(Expr::Binop(
-                    velus_ops::CBinOp::Add,
-                    Box::new(var("cum")),
-                    Box::new(var("x")),
-                    CTy::I32,
-                )),
+                rhs: ex.simple(sum),
             },
             Equation::Fby {
                 x: id("cum"),
                 ck: Clock::Base,
                 init: CConst::int(0),
-                rhs: var("y"),
+                rhs: var(&mut ex, "y"),
             },
         ];
         Node {
@@ -267,6 +269,7 @@ mod tests {
             outputs: vec![decl("y", CTy::I32)],
             locals: vec![decl("cum", CTy::I32)],
             eqs: order.into_iter().map(|i| eqs[i].clone()).collect(),
+            exprs: ex,
         }
     }
 
@@ -299,26 +302,24 @@ mod tests {
         // pair must yield exactly one edge, and predecessor counts must
         // agree with the successor lists.
         let m = 40usize;
+        let mut ex = Exprs::new();
+        let x = var(&mut ex, "x");
         let mut eqs: Vec<Equation<ClightOps>> = vec![Equation::Def {
             x: id("a"),
             ck: Clock::Base,
-            rhs: CExpr::Expr(var("x")),
+            rhs: ex.simple(x),
         }];
         for i in 0..m {
             // w_i = a + a + … + a  (nine duplicate reads of `a`).
-            let mut rhs = var("a");
+            let mut rhs = var(&mut ex, "a");
             for _ in 0..8 {
-                rhs = Expr::Binop(
-                    velus_ops::CBinOp::Add,
-                    Box::new(rhs),
-                    Box::new(var("a")),
-                    CTy::I32,
-                );
+                let a = var(&mut ex, "a");
+                rhs = add(&mut ex, rhs, a);
             }
             eqs.push(Equation::Def {
                 x: id(&format!("w{i}")),
                 ck: Clock::Base,
-                rhs: CExpr::Expr(rhs),
+                rhs: ex.simple(rhs),
             });
         }
         let node: Node<ClightOps> = Node {
@@ -327,6 +328,7 @@ mod tests {
             outputs: vec![decl("a", CTy::I32)],
             locals: (0..m).map(|i| decl(&format!("w{i}"), CTy::I32)).collect(),
             eqs,
+            exprs: ex,
         };
         let g = dep_graph(&node);
         // One edge from `a`'s equation to each reader, despite the nine
@@ -348,7 +350,7 @@ mod tests {
             x: id("a"),
             ck: Clock::Base,
             init: CConst::int(0),
-            rhs: var("x"),
+            rhs: x,
         };
         let g = dep_graph(&node);
         assert!(g.succs(0).is_empty());
@@ -362,6 +364,12 @@ mod tests {
     fn cycle_is_reported() {
         // a = b; b = a — instantaneous cycle; y = a reads it but is not
         // on it, so the witness leaves it out.
+        let mut ex = Exprs::new();
+        let mut read = |x: &str| {
+            let v = var(&mut ex, x);
+            ex.simple(v)
+        };
+        let (b, a1, a2) = (read("b"), read("a"), read("a"));
         let node: Node<ClightOps> = Node {
             name: id("cyc"),
             inputs: vec![],
@@ -371,62 +379,73 @@ mod tests {
                 Equation::Def {
                     x: id("a"),
                     ck: Clock::Base,
-                    rhs: CExpr::Expr(var("b")),
+                    rhs: b,
                 },
                 Equation::Def {
                     x: id("b"),
                     ck: Clock::Base,
-                    rhs: CExpr::Expr(var("a")),
+                    rhs: a1,
                 },
                 Equation::Def {
                     x: id("y"),
                     ck: Clock::Base,
-                    rhs: CExpr::Expr(var("a")),
+                    rhs: a2,
                 },
             ],
+            exprs: ex,
         };
         let g = dep_graph(&node);
         assert_eq!(cycle_witness(&node, &g), vec![id("a"), id("b")]);
         let _ = Program::new(vec![node]); // silence unused-import style paths
     }
 
-    /// A node `f(x) returns (y)` with the single equation `eq`.
-    fn one_eq_node(eq: Equation<ClightOps>) -> Node<ClightOps> {
+    /// A node `f(x) returns (y)` with the single equation `eq` over the
+    /// expressions `ex`.
+    fn one_eq_node(eq: Equation<ClightOps>, ex: Exprs<ClightOps>) -> Node<ClightOps> {
         Node {
             name: id("f"),
             inputs: vec![decl("x", CTy::I32)],
             outputs: vec![decl("y", CTy::I32)],
             locals: vec![],
             eqs: vec![eq],
+            exprs: ex,
         }
     }
 
-    fn y_plus_x() -> Expr<ClightOps> {
-        Expr::Binop(
-            velus_ops::CBinOp::Add,
-            Box::new(var("y")),
-            Box::new(var("x")),
-            CTy::I32,
-        )
+    /// `y + x`, and the pool it is in.
+    fn y_plus_x() -> (ExprId, Exprs<ClightOps>) {
+        let mut ex = Exprs::new();
+        let (y, x) = (var(&mut ex, "y"), var(&mut ex, "x"));
+        (add(&mut ex, y, x), ex)
     }
 
     #[test]
     fn an_equation_reading_what_it_defines_is_a_cycle() {
         // y = y + x and y = g(y): instantaneous self-dependencies.
-        for eq in [
-            Equation::Def {
-                x: id("y"),
-                ck: Clock::Base,
-                rhs: CExpr::Expr(y_plus_x()),
-            },
-            Equation::Call {
-                xs: vec![id("y")],
-                ck: Clock::Base,
-                node: velus_common::NodeId::new(0),
-                args: vec![var("y")],
-            },
+        let (sum, mut def) = y_plus_x();
+        let rhs = def.simple(sum);
+        let mut call = Exprs::new();
+        let y = var(&mut call, "y");
+        for (eq, ex) in [
+            (
+                Equation::Def {
+                    x: id("y"),
+                    ck: Clock::Base,
+                    rhs,
+                },
+                def,
+            ),
+            (
+                Equation::Call {
+                    xs: vec![id("y")],
+                    ck: Clock::Base,
+                    node: velus_common::NodeId::new(0),
+                    args: vec![y],
+                },
+                call,
+            ),
         ] {
-            let node = one_eq_node(eq);
+            let node = one_eq_node(eq, ex);
             let g = dep_graph(&node);
             assert_eq!((g.succs(0), g.preds[0]), (&[0][..], 1));
             assert_eq!(cycle_witness(&node, &g), vec![id("y")]);
@@ -440,12 +459,16 @@ mod tests {
     #[test]
     fn a_delay_reading_its_own_variable_is_legal() {
         // y = 0 fby (y + x) reads the previous value of y.
-        let node = one_eq_node(Equation::Fby {
-            x: id("y"),
-            ck: Clock::Base,
-            init: CConst::int(0),
-            rhs: y_plus_x(),
-        });
+        let (rhs, ex) = y_plus_x();
+        let node = one_eq_node(
+            Equation::Fby {
+                x: id("y"),
+                ck: Clock::Base,
+                init: CConst::int(0),
+                rhs,
+            },
+            ex,
+        );
         let g = dep_graph(&node);
         assert!(g.succs(0).is_empty());
         assert_eq!(g.preds[0], 0);

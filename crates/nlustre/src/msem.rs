@@ -19,7 +19,7 @@
 use velus_common::{Ident, IdentMap, NodeId};
 use velus_ops::Ops;
 
-use crate::ast::{CExpr, Equation, Expr, Node, Program};
+use crate::ast::{CExpr, CExprId, Equation, Expr, ExprId, Exprs, Node, Program};
 use crate::clock::Clock;
 use crate::memory::Memory;
 use crate::streams::{SVal, StreamSet};
@@ -98,38 +98,65 @@ fn clock_true<O: Ops>(ctx: &Ctx<'_, O>, ck: &Clock) -> Result<bool, SemError> {
     }
 }
 
-fn eval_expr<O: Ops>(ctx: &Ctx<'_, O>, e: &Expr<O>) -> Result<O::Val, SemError> {
-    match e {
-        Expr::Const(c) => Ok(O::sem_const(c)),
-        Expr::Var(x, _) => match ctx.read(*x)? {
-            SVal::Pres(v) => Ok(v),
-            SVal::Abs => Err(SemError::ClockError(format!(
-                "variable {x} absent under active clock"
-            ))),
-        },
-        Expr::Unop(op, e1, _) => {
-            let v = eval_expr::<O>(ctx, e1)?;
-            let ty = e1.ty();
-            O::sem_unop(*op, &v, &ty)
-                .ok_or_else(|| SemError::UndefinedOperation(format!("{op} {v}")))
-        }
-        Expr::Binop(op, e1, e2, _) => {
-            let v1 = eval_expr::<O>(ctx, e1)?;
-            let v2 = eval_expr::<O>(ctx, e2)?;
-            O::sem_binop(*op, &v1, &e1.ty(), &v2, &e2.ty())
-                .ok_or_else(|| SemError::UndefinedOperation(format!("{v1} {op} {v2}")))
-        }
-        Expr::When(e1, _, _) => eval_expr::<O>(ctx, e1),
+/// Evaluates `e` of `ex` in one loop over its post-order run, with
+/// `vals` as the value stack.
+fn eval_expr<O: Ops>(
+    ctx: &Ctx<'_, O>,
+    ex: &Exprs<O>,
+    vals: &mut Vec<O::Val>,
+    e: ExprId,
+) -> Result<O::Val, SemError> {
+    let read = |x: Ident| match ctx.read(x)? {
+        SVal::Pres(v) => Ok(v),
+        SVal::Abs => Err(SemError::ClockError(format!(
+            "variable {x} absent under active clock"
+        ))),
+    };
+    // A leaf needs no stack.
+    match &ex[e] {
+        Expr::Const(c) => return Ok(O::sem_const(c)),
+        Expr::Var(x, _) => return read(*x),
+        _ => vals.clear(),
     }
+    for node in ex.tree(e) {
+        let v = match node {
+            Expr::Const(c) => O::sem_const(c),
+            Expr::Var(x, _) => read(*x)?,
+            Expr::Unop(op, e1, _) => {
+                let v = vals.pop().expect("operand value");
+                let ty = ex.ty(*e1);
+                O::sem_unop(*op, &v, &ty)
+                    .ok_or_else(|| SemError::UndefinedOperation(format!("{op} {v}")))?
+            }
+            Expr::Binop(op, e1, e2, _) => {
+                let v2 = vals.pop().expect("operand value");
+                let v1 = vals.pop().expect("operand value");
+                O::sem_binop(*op, &v1, &ex.ty(*e1), &v2, &ex.ty(*e2))
+                    .ok_or_else(|| SemError::UndefinedOperation(format!("{v1} {op} {v2}")))?
+            }
+            Expr::When(..) => continue,
+        };
+        vals.push(v);
+    }
+    Ok(vals.pop().expect("the expression's value"))
 }
 
-fn eval_cexpr<O: Ops>(ctx: &Ctx<'_, O>, ce: &CExpr<O>) -> Result<O::Val, SemError> {
-    match ce {
-        CExpr::Expr(e) => eval_expr::<O>(ctx, e),
-        CExpr::Merge(x, t, f) => match ctx.read(*x)? {
+/// Evaluates control expression `ce`: a mux evaluates its guard and
+/// both branches, in that order; a merge only the selected branch. The
+/// recursion follows the `merge`/`if` nesting only, as the statements it
+/// compiles to do; `vals` is the value stack of the simple expressions.
+fn eval_cexpr<O: Ops>(
+    ctx: &Ctx<'_, O>,
+    ex: &Exprs<O>,
+    vals: &mut Vec<O::Val>,
+    ce: CExprId,
+) -> Result<O::Val, SemError> {
+    match ex[ce] {
+        CExpr::Expr(e) => eval_expr::<O>(ctx, ex, vals, e),
+        CExpr::Merge(x, t, f) => match ctx.read(x)? {
             SVal::Pres(v) => match O::as_bool(&v) {
-                Some(true) => eval_cexpr::<O>(ctx, t),
-                Some(false) => eval_cexpr::<O>(ctx, f),
+                Some(true) => eval_cexpr::<O>(ctx, ex, vals, t),
+                Some(false) => eval_cexpr::<O>(ctx, ex, vals, f),
                 None => Err(SemError::TypeError("merge on non-boolean".to_owned())),
             },
             SVal::Abs => Err(SemError::ClockError(format!(
@@ -137,9 +164,9 @@ fn eval_cexpr<O: Ops>(ctx: &Ctx<'_, O>, ce: &CExpr<O>) -> Result<O::Val, SemErro
             ))),
         },
         CExpr::If(c, t, f) => {
-            let cv = eval_expr::<O>(ctx, c)?;
-            let tv = eval_cexpr::<O>(ctx, t)?;
-            let fv = eval_cexpr::<O>(ctx, f)?;
+            let cv = eval_expr::<O>(ctx, ex, vals, c)?;
+            let tv = eval_cexpr::<O>(ctx, ex, vals, t)?;
+            let fv = eval_cexpr::<O>(ctx, ex, vals, f)?;
             match O::as_bool(&cv) {
                 Some(true) => Ok(tv),
                 Some(false) => Ok(fv),
@@ -175,6 +202,8 @@ struct Frames<'p, O: Ops> {
     nodes: &'p [Node<O>],
     /// Idle environments, taken by a call and given back on return.
     pool: Vec<Env<O>>,
+    /// The value stack of the expression walks.
+    vals: Vec<O::Val>,
 }
 
 impl<'p, O: Ops> MSem<'p, O> {
@@ -198,6 +227,7 @@ impl<'p, O: Ops> MSem<'p, O> {
             frames: Frames {
                 nodes: &prog.nodes,
                 pool: Vec::new(),
+                vals: Vec::new(),
             },
         })
     }
@@ -332,12 +362,18 @@ impl<'p, O: Ops> Frames<'p, O> {
         env: &mut Env<O>,
         base: bool,
     ) -> Result<(), SemError> {
+        let ex = &node.exprs;
         for eq in &node.eqs {
             let active = clock_true::<O>(&Ctx { env, mem, base }, eq.clock())?;
             match eq {
                 Equation::Def { x, rhs, .. } => {
                     let v = if active {
-                        SVal::Pres(eval_cexpr::<O>(&Ctx { env, mem, base }, rhs)?)
+                        SVal::Pres(eval_cexpr::<O>(
+                            &Ctx { env, mem, base },
+                            ex,
+                            &mut self.vals,
+                            *rhs,
+                        )?)
                     } else {
                         SVal::Abs
                     };
@@ -349,7 +385,8 @@ impl<'p, O: Ops> Frames<'p, O> {
                             SemError::Malformed(format!("missing memory cell {x}"))
                         })?;
                         env.insert(*x, SVal::Pres(cur));
-                        let next = eval_expr::<O>(&Ctx { env, mem, base }, rhs)?;
+                        let next =
+                            eval_expr::<O>(&Ctx { env, mem, base }, ex, &mut self.vals, *rhs)?;
                         mem.set_value(*x, next);
                     } else {
                         env.insert(*x, SVal::Abs);
@@ -362,8 +399,9 @@ impl<'p, O: Ops> Frames<'p, O> {
                     if active {
                         let mut sub_env = self.pool.pop().unwrap_or_default();
                         sub_env.clear();
-                        for (k, a) in args.iter().enumerate() {
-                            let v = eval_expr::<O>(&Ctx { env, mem, base }, a)?;
+                        for (k, &a) in args.iter().enumerate() {
+                            let ctx = Ctx { env, mem, base };
+                            let v = eval_expr::<O>(&ctx, ex, &mut self.vals, a)?;
                             if let Some(d) = callee.inputs.get(k) {
                                 sub_env.insert(d.name, SVal::Pres(v));
                             }
@@ -434,6 +472,11 @@ mod tests {
 
     /// cum = 0 fby (cum + x), scheduled form: y = cum + x; cum = 0 fby y.
     fn accumulator() -> Program<ClightOps> {
+        let mut ex = Exprs::new();
+        let (cum, x) = (ex.var(id("cum"), CTy::I32), ex.var(id("x"), CTy::I32));
+        let sum = ex.binop(CBinOp::Add, cum, x, CTy::I32);
+        let y_rhs = ex.simple(sum);
+        let y = ex.var(id("y"), CTy::I32);
         let node = Node {
             name: id("acc"),
             inputs: vec![decl("x", CTy::I32)],
@@ -443,20 +486,16 @@ mod tests {
                 Equation::Def {
                     x: id("y"),
                     ck: Clock::Base,
-                    rhs: CExpr::Expr(Expr::Binop(
-                        CBinOp::Add,
-                        Box::new(Expr::Var(id("cum"), CTy::I32)),
-                        Box::new(Expr::Var(id("x"), CTy::I32)),
-                        CTy::I32,
-                    )),
+                    rhs: y_rhs,
                 },
                 Equation::Fby {
                     x: id("cum"),
                     ck: Clock::Base,
                     init: CConst::int(0),
-                    rhs: Expr::Var(id("y"), CTy::I32),
+                    rhs: y,
                 },
             ],
+            exprs: ex,
         };
         Program::new(vec![node])
     }
@@ -490,6 +529,11 @@ mod tests {
     #[test]
     fn reading_before_writing_is_a_schedule_error() {
         // Unscheduled: y reads z before z's equation runs.
+        let mut ex = Exprs::new();
+        let z = ex.var(id("z"), CTy::I32);
+        let z = ex.simple(z);
+        let x = ex.var(id("x"), CTy::I32);
+        let x = ex.simple(x);
         let node = Node {
             name: id("bad"),
             inputs: vec![decl("x", CTy::I32)],
@@ -499,14 +543,15 @@ mod tests {
                 Equation::Def {
                     x: id("y"),
                     ck: Clock::Base,
-                    rhs: CExpr::Expr(Expr::Var(id("z"), CTy::I32)),
+                    rhs: z,
                 },
                 Equation::Def {
                     x: id("z"),
                     ck: Clock::Base,
-                    rhs: CExpr::Expr(Expr::Var(id("x"), CTy::I32)),
+                    rhs: x,
                 },
             ],
+            exprs: ex,
         };
         let prog = Program::new(vec![node]);
         let mut m = MSem::new(&prog, NodeId::new(0)).unwrap();

@@ -67,8 +67,7 @@ pub fn schedule_order<O: Ops>(node: &Node<O>) -> Result<Vec<usize>, SemError> {
 
 /// Reorders a node's equations so that the `k`-th becomes the
 /// `order[k]`-th of the current list (the shape [`schedule_order`]
-/// returns), moving them rather than deep-cloning them (an equation owns
-/// its whole expression tree).
+/// returns), moving them rather than cloning them.
 ///
 /// # Panics
 ///
@@ -123,7 +122,7 @@ pub fn clock_switches<O: Ops>(node: &Node<O>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{CExpr, Expr, VarDecl};
+    use crate::ast::{Exprs, VarDecl};
     use crate::clock::Clock;
     use velus_common::Ident;
     use velus_ops::{CConst, CTy, ClightOps};
@@ -140,13 +139,22 @@ mod tests {
         }
     }
 
-    fn var(x: &str) -> Expr<ClightOps> {
-        Expr::Var(id(x), CTy::I32)
-    }
-
     /// A node with interleaved clocks, deliberately badly ordered.
     fn messy() -> Node<ClightOps> {
         let on_k = Clock::Base.on(id("k"), true);
+        let mut ex = Exprs::new();
+        let sum = |ex: &mut Exprs<ClightOps>| {
+            let (c, x) = (ex.var(id("c"), CTy::I32), ex.var(id("x"), CTy::I32));
+            ex.binop(velus_ops::CBinOp::Add, c, x, CTy::I32)
+        };
+        let o = sum(&mut ex);
+        let o = ex.simple(o);
+        let a = ex.var(id("x"), CTy::I32);
+        let a = ex.when(a, id("k"), true);
+        let a = ex.simple(a);
+        let c = sum(&mut ex);
+        let b = ex.var(id("a"), CTy::I32);
+        let b = ex.simple(b);
         Node {
             name: id("messy"),
             inputs: vec![
@@ -164,38 +172,29 @@ mod tests {
                 Equation::Def {
                     x: id("o"),
                     ck: Clock::Base,
-                    rhs: CExpr::Expr(Expr::Binop(
-                        velus_ops::CBinOp::Add,
-                        Box::new(var("c")),
-                        Box::new(var("x")),
-                        CTy::I32,
-                    )),
+                    rhs: o,
                 },
                 // a = x when k     (on k)
                 Equation::Def {
                     x: id("a"),
                     ck: on_k.clone(),
-                    rhs: CExpr::Expr(Expr::When(Box::new(var("x")), id("k"), true)),
+                    rhs: a,
                 },
                 // c = 0 fby (c+x)  (base)   — written after all readers
                 Equation::Fby {
                     x: id("c"),
                     ck: Clock::Base,
                     init: CConst::int(0),
-                    rhs: Expr::Binop(
-                        velus_ops::CBinOp::Add,
-                        Box::new(var("c")),
-                        Box::new(var("x")),
-                        CTy::I32,
-                    ),
+                    rhs: c,
                 },
                 // b = a            (on k)   — reads a
                 Equation::Def {
                     x: id("b"),
                     ck: on_k,
-                    rhs: CExpr::Expr(var("a")),
+                    rhs: b,
                 },
             ],
+            exprs: ex,
         }
     }
 
@@ -213,10 +212,11 @@ mod tests {
     fn cycle_reported_with_witness() {
         let mut node = messy();
         // Introduce a = b to close an instantaneous cycle a -> b -> a.
+        let b = node.exprs.var(id("b"), CTy::I32);
         node.eqs[1] = Equation::Def {
             x: id("a"),
             ck: Clock::Base.on(id("k"), true),
-            rhs: CExpr::Expr(var("b")),
+            rhs: node.exprs.simple(b),
         };
         let err = schedule_node(&mut node).unwrap_err();
         match err {

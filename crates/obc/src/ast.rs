@@ -8,7 +8,7 @@
 use std::fmt;
 
 use velus_common::pretty::Printer;
-use velus_common::{Ident, NodeId};
+use velus_common::{Ident, NodeId, Pool, PoolNode};
 use velus_ops::Ops;
 
 /// Returns the conventional name of the `step` method.
@@ -34,7 +34,14 @@ pub const STEP: usize = 0;
 /// The position of `reset` among a node class's methods (see [`STEP`]).
 pub const RESET: usize = 1;
 
-/// An Obc expression.
+velus_common::pool_id! {
+    /// An Obc expression: the id of its root in its method's
+    /// [`ObcExprs`] pool.
+    pub struct ObcExprId;
+}
+
+/// A node of an Obc expression; operators name their operands by id in
+/// the same pool.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObcExpr<O: Ops> {
     /// A local variable (method input, output or local).
@@ -44,13 +51,25 @@ pub enum ObcExpr<O: Ops> {
     /// A constant.
     Const(O::Const),
     /// Unary operator application, annotated with the result type.
-    Unop(O::UnOp, Box<ObcExpr<O>>, O::Ty),
+    Unop(O::UnOp, ObcExprId, O::Ty),
     /// Binary operator application, annotated with the result type.
-    Binop(O::BinOp, Box<ObcExpr<O>>, Box<ObcExpr<O>>, O::Ty),
+    Binop(O::BinOp, ObcExprId, ObcExprId, O::Ty),
+}
+
+impl<O: Ops> PoolNode for ObcExpr<O> {
+    type Id = ObcExprId;
+
+    fn operands(&self) -> (Option<ObcExprId>, Option<ObcExprId>) {
+        match self {
+            ObcExpr::Var(..) | ObcExpr::State(..) | ObcExpr::Const(_) => (None, None),
+            ObcExpr::Unop(_, e, _) => (Some(*e), None),
+            ObcExpr::Binop(_, l, r, _) => (Some(*l), Some(*r)),
+        }
+    }
 }
 
 impl<O: Ops> ObcExpr<O> {
-    /// The type of the expression.
+    /// The type of the node's value, read off its annotation.
     pub fn ty(&self) -> O::Ty {
         match self {
             ObcExpr::Var(_, ty) | ObcExpr::State(_, ty) => ty.clone(),
@@ -58,55 +77,131 @@ impl<O: Ops> ObcExpr<O> {
             ObcExpr::Unop(_, _, ty) | ObcExpr::Binop(_, _, _, ty) => ty.clone(),
         }
     }
+}
 
-    /// Appends the free *local* variables (not state) to `out`.
-    pub fn free_vars_into(&self, out: &mut Vec<Ident>) {
-        match self {
-            ObcExpr::Var(x, _) => out.push(*x),
-            ObcExpr::State(_, _) | ObcExpr::Const(_) => {}
-            ObcExpr::Unop(_, e, _) => e.free_vars_into(out),
-            ObcExpr::Binop(_, e1, e2, _) => {
-                e1.free_vars_into(out);
-                e2.free_vars_into(out);
-            }
-        }
-    }
+/// The expressions of one method: a post-order pool (see
+/// [`velus_common::Pool`]). Build bottom up, operands first.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ObcExprs<O: Ops>(pub Pool<ObcExprId, ObcExpr<O>>);
 
-    /// Appends the state variables read by the expression to `out`.
-    pub fn state_vars_into(&self, out: &mut Vec<Ident>) {
-        match self {
-            ObcExpr::State(x, _) => out.push(*x),
-            ObcExpr::Var(_, _) | ObcExpr::Const(_) => {}
-            ObcExpr::Unop(_, e, _) => e.state_vars_into(out),
-            ObcExpr::Binop(_, e1, e2, _) => {
-                e1.state_vars_into(out);
-                e2.state_vars_into(out);
-            }
-        }
+impl<O: Ops> Default for ObcExprs<O> {
+    fn default() -> ObcExprs<O> {
+        ObcExprs(Pool::new())
     }
 }
 
-impl<O: Ops> fmt::Display for ObcExpr<O> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ObcExpr::Var(x, _) => write!(f, "{x}"),
-            ObcExpr::State(x, _) => write!(f, "state({x})"),
-            ObcExpr::Const(c) => write!(f, "{c}"),
-            ObcExpr::Unop(op, e, _) => write!(f, "({op} {e})"),
-            ObcExpr::Binop(op, e1, e2, _) => write!(f, "({e1} {op} {e2})"),
+impl<O: Ops> std::ops::Index<ObcExprId> for ObcExprs<O> {
+    type Output = ObcExpr<O>;
+
+    fn index(&self, e: ObcExprId) -> &ObcExpr<O> {
+        &self.0[e]
+    }
+}
+
+impl<O: Ops> ObcExprs<O> {
+    /// An empty pool.
+    pub fn new() -> ObcExprs<O> {
+        ObcExprs::default()
+    }
+
+    /// Appends a node whose operands are already in the pool.
+    pub fn push(&mut self, e: ObcExpr<O>) -> ObcExprId {
+        self.0.push(e)
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the pool has no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The post-order run of `e`, ending at `e`.
+    pub fn tree(&self, e: ObcExprId) -> &[ObcExpr<O>] {
+        self.0.tree(e)
+    }
+
+    /// The type of expression `e`.
+    pub fn ty(&self, e: ObcExprId) -> O::Ty {
+        self[e].ty()
+    }
+
+    /// Whether expressions `a` and `b` are the same expression: their
+    /// post-order runs hold equal nodes, operand ids aside (a post-order
+    /// run and the nodes' arities fix the tree).
+    pub fn same(&self, a: ObcExprId, b: ObcExprId) -> bool {
+        if let (ObcExpr::Var(..) | ObcExpr::State(..), _) = (&self[a], &self[b]) {
+            return self[a] == self[b];
         }
+        let (ta, tb) = (self.tree(a), self.tree(b));
+        ta.len() == tb.len()
+            && ta.iter().zip(tb).all(|(x, y)| match (x, y) {
+                (ObcExpr::Unop(o1, _, t1), ObcExpr::Unop(o2, _, t2)) => o1 == o2 && t1 == t2,
+                (ObcExpr::Binop(o1, _, _, t1), ObcExpr::Binop(o2, _, _, t2)) => {
+                    o1 == o2 && t1 == t2
+                }
+                _ => x == y,
+            })
+    }
+
+    /// Displays expression `e`.
+    pub fn show(&self, e: ObcExprId) -> ShowExpr<'_, O> {
+        ShowExpr(self, e)
+    }
+}
+
+/// Displays an expression of an [`ObcExprs`] pool.
+pub struct ShowExpr<'a, O: Ops>(&'a ObcExprs<O>, ObcExprId);
+
+impl<O: Ops> fmt::Display for ShowExpr<'_, O> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        enum Task<O: Ops> {
+            Expr(ObcExprId),
+            Op(O::BinOp),
+            Close,
+        }
+        let ex = self.0;
+        let mut tasks = vec![Task::<O>::Expr(self.1)];
+        while let Some(task) = tasks.pop() {
+            match task {
+                Task::Expr(e) => match &ex[e] {
+                    ObcExpr::Var(x, _) => write!(f, "{x}")?,
+                    ObcExpr::State(x, _) => write!(f, "state({x})")?,
+                    ObcExpr::Const(c) => write!(f, "{c}")?,
+                    ObcExpr::Unop(op, e1, _) => {
+                        write!(f, "({op} ")?;
+                        tasks.extend([Task::Close, Task::Expr(*e1)]);
+                    }
+                    ObcExpr::Binop(op, e1, e2, _) => {
+                        f.write_str("(")?;
+                        tasks.extend([
+                            Task::Close,
+                            Task::Expr(*e2),
+                            Task::Op(*op),
+                            Task::Expr(*e1),
+                        ]);
+                    }
+                },
+                Task::Op(op) => write!(f, " {op} ")?,
+                Task::Close => f.write_str(")")?,
+            }
+        }
+        Ok(())
     }
 }
 
 /// An Obc statement.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt<O: Ops> {
+pub enum Stmt {
     /// `x := e` — update of a local variable.
-    Assign(Ident, ObcExpr<O>),
+    Assign(Ident, ObcExprId),
     /// `state(x) := e` — update of a memory.
-    AssignSt(Ident, ObcExpr<O>),
+    AssignSt(Ident, ObcExprId),
     /// `if e then s else s`.
-    If(ObcExpr<O>, Block<O>, Block<O>),
+    If(ObcExprId, Block, Block),
     /// `xs := c i.m(es)` — a method call on instance `i` of class `c`,
     /// binding the results to the distinct variables `xs`.
     Call {
@@ -119,11 +214,11 @@ pub enum Stmt<O: Ops> {
         /// Method name.
         method: Ident,
         /// Argument expressions.
-        args: Vec<ObcExpr<O>>,
+        args: Vec<ObcExprId>,
     },
 }
 
-impl<O: Ops> Stmt<O> {
+impl Stmt {
     /// Whether `s` may write the (local or state) variable `x` — the
     /// paper's `MayWrite` used by the fusion side condition.
     pub fn may_write(&self, x: Ident) -> bool {
@@ -142,18 +237,19 @@ impl<O: Ops> Stmt<O> {
         }
     }
 
-    /// Prints the statement, naming callee classes through `classes`
-    /// (their id when `classes` does not hold them).
-    fn print(&self, p: &mut Printer, classes: &[Class<O>]) {
+    /// Prints the statement, reading its expressions from `ex` and
+    /// naming callee classes through `classes` (their id when `classes`
+    /// does not hold them).
+    fn print<O: Ops>(&self, p: &mut Printer, ex: &ObcExprs<O>, classes: &[Class<O>]) {
         match self {
-            Stmt::Assign(x, e) => p.line_args(format_args!("{x} := {e};")),
-            Stmt::AssignSt(x, e) => p.line_args(format_args!("state({x}) := {e};")),
+            Stmt::Assign(x, e) => p.line_args(format_args!("{x} := {};", ex.show(*e))),
+            Stmt::AssignSt(x, e) => p.line_args(format_args!("state({x}) := {};", ex.show(*e))),
             Stmt::If(e, t, f) => {
-                p.line_args(format_args!("if {e} {{"));
-                p.block(|p| t.print(p, classes));
+                p.line_args(format_args!("if {} {{", ex.show(*e)));
+                p.block(|p| t.print(p, ex, classes));
                 if !f.is_empty() {
                     p.line("} else {");
-                    p.block(|p| f.print(p, classes));
+                    p.block(|p| f.print(p, ex, classes));
                 }
                 p.line("}");
             }
@@ -165,7 +261,7 @@ impl<O: Ops> Stmt<O> {
                 args,
             } => {
                 let rs: Vec<String> = results.iter().map(|r| r.to_string()).collect();
-                let es: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+                let es: Vec<String> = args.iter().map(|&a| ex.show(a).to_string()).collect();
                 let lhs = if rs.is_empty() {
                     String::new()
                 } else {
@@ -181,14 +277,6 @@ impl<O: Ops> Stmt<O> {
     }
 }
 
-impl<O: Ops> fmt::Display for Stmt<O> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut p = Printer::new();
-        self.print(&mut p, &[]);
-        f.write_str(p.finish().trim_end())
-    }
-}
-
 /// A statement sequence `s1; s2; …`, executed in order; the empty block
 /// is `skip`.
 ///
@@ -198,11 +286,11 @@ impl<O: Ops> fmt::Display for Stmt<O> {
 /// sequence instead of recursing once per statement: recursion depth
 /// follows `if` nesting only, never the number of equations in a node.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Block<O: Ops>(pub Vec<Stmt<O>>);
+pub struct Block(pub Vec<Stmt>);
 
-impl<O: Ops> Block<O> {
+impl Block {
     /// The empty block, `skip`.
-    pub fn new() -> Block<O> {
+    pub fn new() -> Block {
         Block(Vec::new())
     }
 
@@ -218,53 +306,52 @@ impl<O: Ops> Block<O> {
         self.iter().map(Stmt::size).sum::<usize>().max(1)
     }
 
-    fn print(&self, p: &mut Printer, classes: &[Class<O>]) {
+    fn print<O: Ops>(&self, p: &mut Printer, ex: &ObcExprs<O>, classes: &[Class<O>]) {
         if self.is_empty() {
             p.line("skip;");
         }
         for s in self.iter() {
-            s.print(p, classes);
+            s.print(p, ex, classes);
         }
+    }
+
+    /// The block's text, its expressions read from `ex`.
+    pub fn show<O: Ops>(&self, ex: &ObcExprs<O>) -> String {
+        let mut p = Printer::new();
+        self.print(&mut p, ex, &[]);
+        p.finish().trim_end().to_owned()
     }
 }
 
-impl<O: Ops> Default for Block<O> {
-    fn default() -> Block<O> {
+impl Default for Block {
+    fn default() -> Block {
         Block::new()
     }
 }
 
-impl<O: Ops> std::ops::Deref for Block<O> {
-    type Target = Vec<Stmt<O>>;
+impl std::ops::Deref for Block {
+    type Target = Vec<Stmt>;
 
-    fn deref(&self) -> &Vec<Stmt<O>> {
+    fn deref(&self) -> &Vec<Stmt> {
         &self.0
     }
 }
 
-impl<O: Ops> std::ops::DerefMut for Block<O> {
-    fn deref_mut(&mut self) -> &mut Vec<Stmt<O>> {
+impl std::ops::DerefMut for Block {
+    fn deref_mut(&mut self) -> &mut Vec<Stmt> {
         &mut self.0
     }
 }
 
-impl<O: Ops> From<Stmt<O>> for Block<O> {
-    fn from(s: Stmt<O>) -> Block<O> {
+impl From<Stmt> for Block {
+    fn from(s: Stmt) -> Block {
         Block(vec![s])
     }
 }
 
-impl<O: Ops> FromIterator<Stmt<O>> for Block<O> {
-    fn from_iter<I: IntoIterator<Item = Stmt<O>>>(iter: I) -> Block<O> {
+impl FromIterator<Stmt> for Block {
+    fn from_iter<I: IntoIterator<Item = Stmt>>(iter: I) -> Block {
         Block(iter.into_iter().collect())
-    }
-}
-
-impl<O: Ops> fmt::Display for Block<O> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut p = Printer::new();
-        self.print(&mut p, &[]);
-        f.write_str(p.finish().trim_end())
     }
 }
 
@@ -283,7 +370,9 @@ pub struct Method<O: Ops> {
     /// Local variables.
     pub locals: Vec<TypedVar<O>>,
     /// The body.
-    pub body: Block<O>,
+    pub body: Block,
+    /// The pool every expression of the body lives in.
+    pub exprs: ObcExprs<O>,
 }
 
 /// A class: memories, instances of previously declared classes, methods.
@@ -357,7 +446,7 @@ impl<O: Ops> fmt::Display for ObcProgram<O> {
                         fmt_vars(&m.inputs),
                         fmt_vars(&m.locals),
                     ));
-                    p.block(|p| m.body.print(p, &self.classes));
+                    p.block(|p| m.body.print(p, &m.exprs, &self.classes));
                     p.line("}");
                 }
             });
@@ -372,8 +461,8 @@ mod tests {
     use super::*;
     use velus_ops::{CConst, CTy, ClightOps};
 
-    type S = Stmt<ClightOps>;
-    type B = Block<ClightOps>;
+    type S = Stmt;
+    type B = Block;
 
     fn id(s: &str) -> Ident {
         Ident::new(s)
@@ -381,12 +470,11 @@ mod tests {
 
     #[test]
     fn may_write_sees_through_structure() {
-        let w: S = Stmt::AssignSt(id("pt"), ObcExpr::Const(CConst::int(0)));
-        let s = B::from(Stmt::If(
-            ObcExpr::Var(id("c"), CTy::Bool),
-            w.into(),
-            B::new(),
-        ));
+        let mut ex = ObcExprs::<ClightOps>::new();
+        let zero = ex.push(ObcExpr::Const(CConst::int(0)));
+        let c = ex.push(ObcExpr::Var(id("c"), CTy::Bool));
+        let w: S = Stmt::AssignSt(id("pt"), zero);
+        let s = B::from(Stmt::If(c, w.into(), B::new()));
         assert!(s.may_write(id("pt")));
         assert!(!s.may_write(id("c")));
         let call: S = Stmt::Call {
@@ -401,27 +489,38 @@ mod tests {
 
     #[test]
     fn display_is_readable() {
-        let s: S = Stmt::If(
-            ObcExpr::Var(id("x"), CTy::Bool),
-            Stmt::Assign(id("t"), ObcExpr::Var(id("c"), CTy::I32)).into(),
-            Stmt::Assign(id("t"), ObcExpr::State(id("pt"), CTy::I32)).into(),
-        );
-        let text = s.to_string();
+        let mut ex = ObcExprs::<ClightOps>::new();
+        let x = ex.push(ObcExpr::Var(id("x"), CTy::Bool));
+        let c = ex.push(ObcExpr::Var(id("c"), CTy::I32));
+        let pt = ex.push(ObcExpr::State(id("pt"), CTy::I32));
+        let s = B::from(S::If(
+            x,
+            Stmt::Assign(id("t"), c).into(),
+            Stmt::Assign(id("t"), pt).into(),
+        ));
+        let text = s.show(&ex);
         assert!(text.contains("if x {"));
         assert!(text.contains("t := state(pt);"));
         // An empty then-branch prints as `skip`, an empty else-branch not
         // at all.
-        let s: S = Stmt::If(ObcExpr::Var(id("x"), CTy::Bool), B::new(), B::new());
-        assert_eq!(s.to_string(), "if x {\n  skip;\n}");
+        let s = B::from(S::If(x, B::new(), B::new()));
+        assert_eq!(s.show(&ex), "if x {\n  skip;\n}");
+        // Operators print fully parenthesized.
+        let pt = ex.push(ObcExpr::State(id("pt"), CTy::I32));
+        let c = ex.push(ObcExpr::Var(id("c"), CTy::I32));
+        let neg = ex.push(ObcExpr::Unop(velus_ops::CUnOp::Neg, c, CTy::I32));
+        let sum = ex.push(ObcExpr::Binop(velus_ops::CBinOp::Add, pt, neg, CTy::I32));
+        assert_eq!(ex.tree(sum).len(), 4);
+        assert_eq!(ex.show(sum).to_string(), "(state(pt) + (- c))");
     }
 
     #[test]
     fn size_counts_atoms() {
-        let a: S = Stmt::Assign(id("x"), ObcExpr::Const(CConst::int(1)));
-        let s = Block(vec![
-            a.clone(),
-            Stmt::If(ObcExpr::Var(id("c"), CTy::Bool), a.into(), B::new()),
-        ]);
+        let mut ex = ObcExprs::<ClightOps>::new();
+        let one = ex.push(ObcExpr::Const(CConst::int(1)));
+        let c = ex.push(ObcExpr::Var(id("c"), CTy::Bool));
+        let a: S = Stmt::Assign(id("x"), one);
+        let s = Block(vec![a.clone(), Stmt::If(c, a.into(), B::new())]);
         assert_eq!(s.size(), 4);
         assert_eq!(B::new().size(), 1);
     }

@@ -98,7 +98,7 @@ mod tests {
     use crate::sem::Interp;
     use crate::translate::translate_program;
     use velus_common::{Ident, NodeId};
-    use velus_nlustre::ast::{CExpr, Expr, VarDecl};
+    use velus_nlustre::ast::{Exprs, VarDecl};
     use velus_nlustre::clock::Clock;
     use velus_nlustre::msem::MSem;
     use velus_nlustre::streams::SVal;
@@ -118,6 +118,11 @@ mod tests {
 
     /// y = cum + x; cum = 0 fby y (scheduled).
     fn accumulator() -> Program<ClightOps> {
+        let mut ex = Exprs::new();
+        let (cum, x) = (ex.var(id("cum"), CTy::I32), ex.var(id("x"), CTy::I32));
+        let sum = ex.binop(CBinOp::Add, cum, x, CTy::I32);
+        let y_rhs = ex.simple(sum);
+        let y = ex.var(id("y"), CTy::I32);
         Program::new(vec![velus_nlustre::ast::Node {
             name: id("acc"),
             inputs: vec![decl("x", CTy::I32)],
@@ -127,20 +132,16 @@ mod tests {
                 Equation::Def {
                     x: id("y"),
                     ck: Clock::Base,
-                    rhs: CExpr::Expr(Expr::Binop(
-                        CBinOp::Add,
-                        Box::new(Expr::Var(id("cum"), CTy::I32)),
-                        Box::new(Expr::Var(id("x"), CTy::I32)),
-                        CTy::I32,
-                    )),
+                    rhs: y_rhs,
                 },
                 Equation::Fby {
                     x: id("cum"),
                     ck: Clock::Base,
                     init: CConst::int(0),
-                    rhs: Expr::Var(id("y"), CTy::I32),
+                    rhs: y,
                 },
             ],
+            exprs: ex,
         }])
     }
 
@@ -207,6 +208,8 @@ mod tests {
     fn failure_messages_name_the_instance_path() {
         // top(x) = acc(x): the cell `cum` of instance `y`.
         let mut prog = accumulator();
+        let mut ex = Exprs::new();
+        let x = ex.var(id("x"), CTy::I32);
         prog.nodes.push(velus_nlustre::ast::Node {
             name: id("top"),
             inputs: vec![decl("x", CTy::I32)],
@@ -216,8 +219,9 @@ mod tests {
                 xs: vec![id("y")],
                 ck: Clock::Base,
                 node: NodeId::new(0),
-                args: vec![Expr::Var(id("x"), CTy::I32)],
+                args: vec![x],
             }],
+            exprs: ex,
         });
         let node = &prog.nodes[1];
         let mut msem = MSem::new(&prog, NodeId::new(1)).unwrap().recording();

@@ -16,13 +16,13 @@ use velus_common::{Ident, IdentMap, NodeId};
 use velus_nlustre::memory::Memory;
 use velus_ops::Ops;
 
-use crate::ast::{Block, Method, ObcExpr, ObcProgram, Stmt};
+use crate::ast::{Block, Method, ObcExpr, ObcExprId, ObcExprs, ObcProgram, Stmt};
 use crate::ObcError;
 
 /// A local environment (stack frame).
 pub type VEnv<O> = IdentMap<<O as Ops>::Val>;
 
-/// Evaluates an expression against a global memory and a local
+/// Evaluates expression `e` of `ex` against a global memory and a local
 /// environment.
 ///
 /// # Errors
@@ -31,24 +31,50 @@ pub type VEnv<O> = IdentMap<<O as Ops>::Val>;
 pub fn eval_expr<O: Ops>(
     mem: &Memory<O::Val>,
     env: &VEnv<O>,
-    e: &ObcExpr<O>,
+    ex: &ObcExprs<O>,
+    e: ObcExprId,
 ) -> Result<O::Val, ObcError> {
-    match e {
-        ObcExpr::Var(x, _) => env.get(x).cloned().ok_or(ObcError::UnboundVariable(*x)),
-        ObcExpr::State(x, _) => mem.value(*x).cloned().ok_or(ObcError::UnboundState(*x)),
-        ObcExpr::Const(c) => Ok(O::sem_const(c)),
-        ObcExpr::Unop(op, e1, _) => {
-            let v = eval_expr::<O>(mem, env, e1)?;
-            O::sem_unop(*op, &v, &e1.ty())
-                .ok_or_else(|| ObcError::UndefinedOperation(format!("{op} {v}")))
-        }
-        ObcExpr::Binop(op, e1, e2, _) => {
-            let v1 = eval_expr::<O>(mem, env, e1)?;
-            let v2 = eval_expr::<O>(mem, env, e2)?;
-            O::sem_binop(*op, &v1, &e1.ty(), &v2, &e2.ty())
-                .ok_or_else(|| ObcError::UndefinedOperation(format!("{v1} {op} {v2}")))
-        }
+    eval_expr_with(mem, env, ex, e, &mut Vec::new())
+}
+
+/// [`eval_expr`] with `vals` as the value stack: one loop over `e`'s
+/// post-order run.
+fn eval_expr_with<O: Ops>(
+    mem: &Memory<O::Val>,
+    env: &VEnv<O>,
+    ex: &ObcExprs<O>,
+    e: ObcExprId,
+    vals: &mut Vec<O::Val>,
+) -> Result<O::Val, ObcError> {
+    let var = |x: &Ident| env.get(x).cloned().ok_or(ObcError::UnboundVariable(*x));
+    let state = |x: &Ident| mem.value(*x).cloned().ok_or(ObcError::UnboundState(*x));
+    // A leaf needs no stack.
+    match &ex[e] {
+        ObcExpr::Var(x, _) => return var(x),
+        ObcExpr::State(x, _) => return state(x),
+        ObcExpr::Const(c) => return Ok(O::sem_const(c)),
+        _ => vals.clear(),
     }
+    for n in ex.tree(e) {
+        let v = match n {
+            ObcExpr::Var(x, _) => var(x)?,
+            ObcExpr::State(x, _) => state(x)?,
+            ObcExpr::Const(c) => O::sem_const(c),
+            ObcExpr::Unop(op, e1, _) => {
+                let v = vals.pop().expect("operand value");
+                O::sem_unop(*op, &v, &ex.ty(*e1))
+                    .ok_or_else(|| ObcError::UndefinedOperation(format!("{op} {v}")))?
+            }
+            ObcExpr::Binop(op, e1, e2, _) => {
+                let v2 = vals.pop().expect("operand value");
+                let v1 = vals.pop().expect("operand value");
+                O::sem_binop(*op, &v1, &ex.ty(*e1), &v2, &ex.ty(*e2))
+                    .ok_or_else(|| ObcError::UndefinedOperation(format!("{v1} {op} {v2}")))?
+            }
+        };
+        vals.push(v);
+    }
+    Ok(vals.pop().expect("the expression's value"))
 }
 
 /// The Obc interpreter of one program.
@@ -63,6 +89,8 @@ pub struct Interp<'p, O: Ops> {
     args: Vec<O::Val>,
     /// Idle environments, taken by a call and given back on return.
     pool: Vec<VEnv<O>>,
+    /// The expression walks' value stack.
+    vals: Vec<O::Val>,
 }
 
 impl<'p, O: Ops> Interp<'p, O> {
@@ -72,11 +100,12 @@ impl<'p, O: Ops> Interp<'p, O> {
             prog,
             args: Vec::new(),
             pool: Vec::new(),
+            vals: Vec::new(),
         }
     }
 
-    /// Executes a block, statement by statement (see
-    /// [`Interp::exec_stmt`]).
+    /// Executes a block whose expressions live in `ex`, statement by
+    /// statement (see [`Interp::exec_stmt`]).
     ///
     /// # Errors
     ///
@@ -85,9 +114,10 @@ impl<'p, O: Ops> Interp<'p, O> {
         &mut self,
         mem: &mut Memory<O::Val>,
         env: &mut VEnv<O>,
-        s: &Block<O>,
+        ex: &ObcExprs<O>,
+        s: &Block,
     ) -> Result<(), ObcError> {
-        s.iter().try_for_each(|s| self.exec_stmt(mem, env, s))
+        s.iter().try_for_each(|s| self.exec_stmt(mem, env, ex, s))
     }
 
     /// Executes a statement, updating `mem` and `env` in place (the
@@ -102,24 +132,25 @@ impl<'p, O: Ops> Interp<'p, O> {
         &mut self,
         mem: &mut Memory<O::Val>,
         env: &mut VEnv<O>,
-        s: &Stmt<O>,
+        ex: &ObcExprs<O>,
+        s: &Stmt,
     ) -> Result<(), ObcError> {
         match s {
             Stmt::Assign(x, e) => {
-                let v = eval_expr::<O>(mem, env, e)?;
+                let v = eval_expr_with::<O>(mem, env, ex, *e, &mut self.vals)?;
                 env.insert(*x, v);
                 Ok(())
             }
             Stmt::AssignSt(x, e) => {
-                let v = eval_expr::<O>(mem, env, e)?;
+                let v = eval_expr_with::<O>(mem, env, ex, *e, &mut self.vals)?;
                 mem.set_value(*x, v);
                 Ok(())
             }
             Stmt::If(c, t, f) => {
-                let v = eval_expr::<O>(mem, env, c)?;
+                let v = eval_expr_with::<O>(mem, env, ex, *c, &mut self.vals)?;
                 match O::as_bool(&v) {
-                    Some(true) => self.exec_block(mem, env, t),
-                    Some(false) => self.exec_block(mem, env, f),
+                    Some(true) => self.exec_block(mem, env, ex, t),
+                    Some(false) => self.exec_block(mem, env, ex, f),
                     None => Err(ObcError::TypeError(format!("guard evaluated to {v}"))),
                 }
             }
@@ -131,8 +162,9 @@ impl<'p, O: Ops> Interp<'p, O> {
                 args,
             } => {
                 let base = self.args.len();
-                for a in args {
-                    self.args.push(eval_expr::<O>(mem, env, a)?);
+                for &a in args {
+                    let v = eval_expr_with::<O>(mem, env, ex, a, &mut self.vals)?;
+                    self.args.push(v);
                 }
                 let sub = mem.instance_mut(*instance);
                 let (callee_env, m) = self.invoke(*class, sub, *method, base)?;
@@ -218,7 +250,7 @@ impl<'p, O: Ops> Interp<'p, O> {
             }
             env.insert(*x, v);
         }
-        self.exec_block(mem, &mut env, &m.body)?;
+        self.exec_block(mem, &mut env, &m.exprs, &m.body)?;
         if let Some((x, _)) = m.outputs.iter().find(|(x, _)| !env.contains_key(x)) {
             return Err(ObcError::UnboundVariable(*x));
         }
@@ -276,30 +308,28 @@ mod tests {
         let n = id("n");
         let c = id("c");
         let inc = id("inc");
+        let mut ex = ObcExprs::new();
+        let sc = ex.push(ObcExpr::State(c, CTy::I32));
+        let vinc = ex.push(ObcExpr::Var(inc, CTy::I32));
+        let sum = ex.push(ObcExpr::Binop(CBinOp::Add, sc, vinc, CTy::I32));
+        let vn = ex.push(ObcExpr::Var(n, CTy::I32));
         let step = Method {
             name: step_name(),
             inputs: vec![(inc, CTy::I32)],
             outputs: vec![(n, CTy::I32)],
             locals: vec![],
-            body: Block(vec![
-                Stmt::Assign(
-                    n,
-                    ObcExpr::Binop(
-                        CBinOp::Add,
-                        Box::new(ObcExpr::State(c, CTy::I32)),
-                        Box::new(ObcExpr::Var(inc, CTy::I32)),
-                        CTy::I32,
-                    ),
-                ),
-                Stmt::AssignSt(c, ObcExpr::Var(n, CTy::I32)),
-            ]),
+            body: Block(vec![Stmt::Assign(n, sum), Stmt::AssignSt(c, vn)]),
+            exprs: ex,
         };
+        let mut ex = ObcExprs::new();
+        let zero = ex.push(ObcExpr::Const(CConst::int(0)));
         let reset = Method {
             name: reset_name(),
             inputs: vec![],
             outputs: vec![],
             locals: vec![],
-            body: Stmt::AssignSt(c, ObcExpr::Const(CConst::int(0))).into(),
+            body: Stmt::AssignSt(c, zero).into(),
+            exprs: ex,
         };
         ObcProgram {
             classes: vec![Class {
@@ -383,6 +413,11 @@ mod tests {
         let x = id("x");
         let y = id("y");
         let i = id("i");
+        let mut ex = ObcExprs::new();
+        let (vi, vx) = (
+            ex.push(ObcExpr::Var(i, CTy::I32)),
+            ex.push(ObcExpr::Var(x, CTy::I32)),
+        );
         prog.classes.push(Class {
             name: id("pair"),
             memories: vec![],
@@ -399,16 +434,17 @@ mod tests {
                             class: NodeId::new(0),
                             instance: id("a"),
                             method: step_name(),
-                            args: vec![ObcExpr::Var(i, CTy::I32)],
+                            args: vec![vi],
                         },
                         Stmt::Call {
                             results: vec![y],
                             class: NodeId::new(0),
                             instance: id("b"),
                             method: step_name(),
-                            args: vec![ObcExpr::Var(x, CTy::I32)],
+                            args: vec![vx],
                         },
                     ]),
+                    exprs: ex,
                 },
                 Method {
                     name: reset_name(),
@@ -431,6 +467,7 @@ mod tests {
                             args: vec![],
                         },
                     ]),
+                    exprs: ObcExprs::new(),
                 },
             ],
         });

@@ -13,12 +13,14 @@
 //! A node-call instance is identified by its left-most result variable,
 //! which is unique within the node, exactly as in the paper.
 
-use velus_common::{Ident, IdentMap, IdentSet};
-use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program};
+use velus_common::{Ident, IdentMap, IdentSet, Pool};
+use velus_nlustre::ast::{CExpr, CExprId, Equation, Expr, ExprId, Exprs, Node, Program};
 use velus_nlustre::clock::Clock;
 use velus_ops::Ops;
 
-use crate::ast::{reset_name, step_name, Block, Class, Method, ObcExpr, ObcProgram, Stmt};
+use crate::ast::{
+    reset_name, step_name, Block, Class, Method, ObcExpr, ObcExprId, ObcExprs, ObcProgram, Stmt,
+};
 use crate::ObcError;
 
 /// Per-node translation context: which variables are memories, and the
@@ -27,6 +29,8 @@ use crate::ObcError;
 struct Ctx<O: Ops> {
     mems: IdentSet,
     types: IdentMap<O::Ty>,
+    /// The translated operands of [`Ctx::trexp`]'s loop.
+    stack: Vec<ObcExprId>,
 }
 
 impl<O: Ops> Ctx<O> {
@@ -34,6 +38,7 @@ impl<O: Ops> Ctx<O> {
         Ctx {
             mems: IdentSet::default(),
             types: IdentMap::default(),
+            stack: Vec::new(),
         }
     }
 
@@ -64,88 +69,132 @@ impl<O: Ops> Ctx<O> {
             ObcExpr::Var(x, ty)
         })
     }
-}
 
-/// `trexp`: propagates constants and operators, removes `when`s.
-fn trexp<O: Ops>(ctx: &Ctx<O>, e: &Expr<O>) -> Result<ObcExpr<O>, ObcError> {
-    Ok(match e {
-        Expr::Const(c) => ObcExpr::Const(c.clone()),
-        Expr::Var(x, _) => ctx.var(*x)?,
-        Expr::When(e1, _, _) => trexp(ctx, e1)?,
-        Expr::Unop(op, e1, ty) => ObcExpr::Unop(*op, Box::new(trexp(ctx, e1)?), ty.clone()),
-        Expr::Binop(op, e1, e2, ty) => ObcExpr::Binop(
-            *op,
-            Box::new(trexp(ctx, e1)?),
-            Box::new(trexp(ctx, e2)?),
-            ty.clone(),
-        ),
-    })
-}
-
-/// `trcexp`: maps a defined variable and a control expression to an update
-/// statement; merges and muxes become conditionals.
-fn trcexp<O: Ops>(ctx: &Ctx<O>, x: Ident, ce: &CExpr<O>) -> Result<Stmt<O>, ObcError> {
-    Ok(match ce {
-        CExpr::Merge(y, t, f) => Stmt::If(
-            ctx.var(*y)?,
-            trcexp(ctx, x, t)?.into(),
-            trcexp(ctx, x, f)?.into(),
-        ),
-        CExpr::If(c, t, f) => Stmt::If(
-            trexp(ctx, c)?,
-            trcexp(ctx, x, t)?.into(),
-            trcexp(ctx, x, f)?.into(),
-        ),
-        CExpr::Expr(e) => Stmt::Assign(x, trexp(ctx, e)?),
-    })
-}
-
-/// `ctrl`: nests a statement in the conditionals of its clock.
-fn ctrl<O: Ops>(ctx: &Ctx<O>, ck: &Clock, s: Stmt<O>) -> Result<Stmt<O>, ObcError> {
-    match ck {
-        Clock::Base => Ok(s),
-        Clock::On(parent, x, true) => {
-            let guarded = Stmt::If(ctx.var(*x)?, s.into(), Block::new());
-            ctrl(ctx, parent, guarded)
-        }
-        Clock::On(parent, x, false) => {
-            let guarded = Stmt::If(ctx.var(*x)?, Block::new(), s.into());
-            ctrl(ctx, parent, guarded)
-        }
+    /// [`Ctx::var`], appended to `out`.
+    fn var_in(&self, out: &mut ObcExprs<O>, x: Ident) -> Result<ObcExprId, ObcError> {
+        Ok(out.push(self.var(x)?))
     }
-}
 
-/// `treqs`: one equation of the `step` method.
-fn treq<O: Ops>(ctx: &Ctx<O>, eq: &Equation<O>) -> Result<Stmt<O>, ObcError> {
-    match eq {
-        Equation::Def { x, ck, rhs } => ctrl(ctx, ck, trcexp(ctx, *x, rhs)?),
-        Equation::Fby { x, ck, rhs, .. } => {
-            let s = Stmt::AssignSt(*x, trexp(ctx, rhs)?);
-            ctrl(ctx, ck, s)
+    /// `trexp`: propagates constants and operators, removes `when`s. One
+    /// loop over `e`'s post-order run appends the translation to `out`,
+    /// in post-order too.
+    fn trexp(
+        &mut self,
+        ex: &Exprs<O>,
+        out: &mut ObcExprs<O>,
+        e: ExprId,
+    ) -> Result<ObcExprId, ObcError> {
+        // A leaf needs no stack.
+        match &ex[e] {
+            Expr::Const(c) => return Ok(out.push(ObcExpr::Const(c.clone()))),
+            Expr::Var(x, _) => return self.var_in(out, *x),
+            _ => self.stack.clear(),
         }
-        Equation::Call { xs, ck, node, args } => {
-            let args = args
-                .iter()
-                .map(|a| trexp(ctx, a))
-                .collect::<Result<Vec<_>, _>>()?;
-            let s = Stmt::Call {
-                results: xs.clone(),
-                class: *node,
-                instance: xs[0],
-                method: step_name(),
-                args,
+        for n in ex.tree(e) {
+            let id = match n {
+                Expr::Const(c) => out.push(ObcExpr::Const(c.clone())),
+                Expr::Var(x, _) => self.var_in(out, *x)?,
+                // The operand's translation stands for the sampled value.
+                Expr::When(..) => continue,
+                Expr::Unop(op, _, ty) => {
+                    let a = pop(&mut self.stack);
+                    out.push(ObcExpr::Unop(*op, a, ty.clone()))
+                }
+                Expr::Binop(op, _, _, ty) => {
+                    let b = pop(&mut self.stack);
+                    let a = pop(&mut self.stack);
+                    out.push(ObcExpr::Binop(*op, a, b, ty.clone()))
+                }
             };
-            ctrl(ctx, ck, s)
+            self.stack.push(id);
         }
+        Ok(pop(&mut self.stack))
     }
+
+    /// `trcexp`: maps a defined variable and a control expression to an
+    /// update statement; merges and muxes become conditionals (so this
+    /// recursion follows their nesting, as the statements it builds do).
+    fn trcexp(
+        &mut self,
+        ex: &Exprs<O>,
+        out: &mut ObcExprs<O>,
+        x: Ident,
+        ce: CExprId,
+    ) -> Result<Stmt, ObcError> {
+        Ok(match ex[ce] {
+            CExpr::Merge(y, t, f) => Stmt::If(
+                self.var_in(out, y)?,
+                self.trcexp(ex, out, x, t)?.into(),
+                self.trcexp(ex, out, x, f)?.into(),
+            ),
+            CExpr::If(c, t, f) => Stmt::If(
+                self.trexp(ex, out, c)?,
+                self.trcexp(ex, out, x, t)?.into(),
+                self.trcexp(ex, out, x, f)?.into(),
+            ),
+            CExpr::Expr(e) => Stmt::Assign(x, self.trexp(ex, out, e)?),
+        })
+    }
+
+    /// `ctrl`: nests a statement in the conditionals of its clock.
+    fn ctrl(&self, out: &mut ObcExprs<O>, ck: &Clock, s: Stmt) -> Result<Stmt, ObcError> {
+        let mut s = s;
+        let mut ck = ck;
+        while let Clock::On(parent, x, k) = ck {
+            let guard = self.var_in(out, *x)?;
+            s = if *k {
+                Stmt::If(guard, s.into(), Block::new())
+            } else {
+                Stmt::If(guard, Block::new(), s.into())
+            };
+            ck = parent;
+        }
+        Ok(s)
+    }
+
+    /// `treqs`: one equation of the `step` method.
+    fn treq(
+        &mut self,
+        ex: &Exprs<O>,
+        out: &mut ObcExprs<O>,
+        eq: &Equation<O>,
+    ) -> Result<Stmt, ObcError> {
+        let s = match eq {
+            Equation::Def { x, rhs, .. } => self.trcexp(ex, out, *x, *rhs)?,
+            Equation::Fby { x, rhs, .. } => Stmt::AssignSt(*x, self.trexp(ex, out, *rhs)?),
+            Equation::Call { xs, node, args, .. } => {
+                let mut ids = Vec::with_capacity(args.len());
+                for &a in args {
+                    ids.push(self.trexp(ex, out, a)?);
+                }
+                Stmt::Call {
+                    results: xs.clone(),
+                    class: *node,
+                    instance: xs[0],
+                    method: step_name(),
+                    args: ids,
+                }
+            }
+        };
+        self.ctrl(out, eq.clock(), s)
+    }
+}
+
+/// Pops an operand the translation loop pushed before its parent.
+fn pop(stack: &mut Vec<ObcExprId>) -> ObcExprId {
+    stack
+        .pop()
+        .expect("operands are translated before their parent")
 }
 
 /// `treqr`: one equation of the `reset` method (delays become constant
 /// state updates, calls become `reset` invocations; definitions vanish).
-fn treq_reset<O: Ops>(eq: &Equation<O>) -> Option<Stmt<O>> {
+fn treq_reset<O: Ops>(out: &mut ObcExprs<O>, eq: &Equation<O>) -> Option<Stmt> {
     match eq {
         Equation::Def { .. } => None,
-        Equation::Fby { x, init, .. } => Some(Stmt::AssignSt(*x, ObcExpr::Const(init.clone()))),
+        Equation::Fby { x, init, .. } => {
+            Some(Stmt::AssignSt(*x, out.push(ObcExpr::Const(init.clone()))))
+        }
         Equation::Call { xs, node, .. } => Some(Stmt::Call {
             results: vec![],
             class: *node,
@@ -169,7 +218,6 @@ pub fn translate_node<O: Ops>(node: &Node<O>) -> Result<Class<O>, ObcError> {
 /// [`translate_node`] through a reusable context.
 fn translate_node_in<O: Ops>(ctx: &mut Ctx<O>, node: &Node<O>) -> Result<Class<O>, ObcError> {
     ctx.fill(node);
-    let ctx = &*ctx;
     for d in &node.outputs {
         if ctx.mems.contains(&d.name) {
             return Err(ObcError::Malformed(format!(
@@ -179,11 +227,15 @@ fn translate_node_in<O: Ops>(ctx: &mut Ctx<O>, node: &Node<O>) -> Result<Class<O
         }
     }
 
-    let step_body = node
-        .eqs
-        .iter()
-        .map(|eq| treq(ctx, eq))
-        .collect::<Result<Block<O>, _>>()?;
+    // Each N-Lustre node becomes at most one Obc node; clocks and merges
+    // add one variable per level.
+    let mut step_exprs = ObcExprs(Pool::with_capacity(
+        node.exprs.simple.len() + node.eqs.len(),
+    ));
+    let mut step_body = Block(Vec::with_capacity(node.eqs.len()));
+    for eq in &node.eqs {
+        step_body.push(ctx.treq(&node.exprs, &mut step_exprs, eq)?);
+    }
     // Every delay and every call leaves a reset statement, and is a
     // memory or an instance: count them once to size those vectors.
     let fbys = ctx.mems.len();
@@ -193,7 +245,12 @@ fn translate_node_in<O: Ops>(ctx: &mut Ctx<O>, node: &Node<O>) -> Result<Class<O
         .filter(|eq| matches!(eq, Equation::Call { .. }))
         .count();
     let mut reset_body = Block(Vec::with_capacity(fbys + calls));
-    reset_body.extend(node.eqs.iter().filter_map(treq_reset));
+    let mut reset_exprs = ObcExprs(Pool::with_capacity(fbys));
+    reset_body.extend(
+        node.eqs
+            .iter()
+            .filter_map(|eq| treq_reset(&mut reset_exprs, eq)),
+    );
     let mut memories = Vec::with_capacity(fbys);
     let mut instances = Vec::with_capacity(calls);
     for eq in &node.eqs {
@@ -223,6 +280,7 @@ fn translate_node_in<O: Ops>(ctx: &mut Ctx<O>, node: &Node<O>) -> Result<Class<O
             locals
         },
         body: step_body,
+        exprs: step_exprs,
     };
     let reset = Method {
         name: reset_name(),
@@ -230,6 +288,7 @@ fn translate_node_in<O: Ops>(ctx: &mut Ctx<O>, node: &Node<O>) -> Result<Class<O
         outputs: vec![],
         locals: vec![],
         body: reset_body,
+        exprs: reset_exprs,
     };
 
     Ok(Class {
@@ -280,12 +339,20 @@ mod tests {
         }
     }
 
-    fn ivar(x: &str) -> Expr<ClightOps> {
-        Expr::Var(id(x), CTy::I32)
-    }
-
     /// The scheduled counter of Fig. 3.
     fn counter() -> Node<ClightOps> {
+        let mut ex = Exprs::new();
+        let f = ex.var(id("f"), CTy::Bool);
+        let res = ex.var(id("res"), CTy::Bool);
+        let guard = ex.binop(CBinOp::Or, f, res, CTy::Bool);
+        let ini = ex.var(id("ini"), CTy::I32);
+        let ini = ex.simple(ini);
+        let (c, inc) = (ex.var(id("c"), CTy::I32), ex.var(id("inc"), CTy::I32));
+        let sum = ex.binop(CBinOp::Add, c, inc, CTy::I32);
+        let sum = ex.simple(sum);
+        let n_rhs = ex.ite(guard, ini, sum);
+        let f_rhs = ex.constant(CConst::bool(false));
+        let c_rhs = ex.var(id("n"), CTy::I32);
         Node {
             name: id("counter"),
             inputs: vec![
@@ -299,35 +366,22 @@ mod tests {
                 Equation::Def {
                     x: id("n"),
                     ck: Clock::Base,
-                    rhs: CExpr::If(
-                        Expr::Binop(
-                            CBinOp::Or,
-                            Box::new(Expr::Var(id("f"), CTy::Bool)),
-                            Box::new(Expr::Var(id("res"), CTy::Bool)),
-                            CTy::Bool,
-                        ),
-                        Box::new(CExpr::Expr(ivar("ini"))),
-                        Box::new(CExpr::Expr(Expr::Binop(
-                            CBinOp::Add,
-                            Box::new(ivar("c")),
-                            Box::new(ivar("inc")),
-                            CTy::I32,
-                        ))),
-                    ),
+                    rhs: n_rhs,
                 },
                 Equation::Fby {
                     x: id("f"),
                     ck: Clock::Base,
                     init: CConst::bool(true),
-                    rhs: Expr::Const(CConst::bool(false)),
+                    rhs: f_rhs,
                 },
                 Equation::Fby {
                     x: id("c"),
                     ck: Clock::Base,
                     init: CConst::int(0),
-                    rhs: ivar("n"),
+                    rhs: c_rhs,
                 },
             ],
+            exprs: ex,
         }
     }
 
@@ -339,7 +393,7 @@ mod tests {
         // Locals of the step method exclude the memories.
         let step = class.method(step_name()).unwrap();
         assert!(step.locals.is_empty());
-        let text = class.methods[0].body.to_string();
+        let text = class.methods[0].body.show(&class.methods[0].exprs);
         assert!(text.contains("state(c)"), "{text}");
         assert!(text.contains("state(f)"), "{text}");
     }
@@ -374,13 +428,15 @@ mod tests {
         let obc = translate_program(&prog).unwrap();
         let class = &obc.classes[0];
         let reset = class.method(reset_name()).unwrap();
-        let text = reset.body.to_string();
+        let text = reset.body.show(&reset.exprs);
         assert!(text.contains("state(f) := true;"), "{text}");
         assert!(text.contains("state(c) := 0;"), "{text}");
     }
 
     #[test]
     fn fby_defined_output_is_rejected() {
+        let mut ex = Exprs::new();
+        let x = ex.var(id("x"), CTy::I32);
         let node: Node<ClightOps> = Node {
             name: id("bad"),
             inputs: vec![decl("x", CTy::I32)],
@@ -390,8 +446,9 @@ mod tests {
                 x: id("y"),
                 ck: Clock::Base,
                 init: CConst::int(0),
-                rhs: ivar("x"),
+                rhs: x,
             }],
+            exprs: ex,
         };
         assert!(matches!(translate_node(&node), Err(ObcError::Malformed(_))));
     }
@@ -400,6 +457,16 @@ mod tests {
     fn clocked_equations_are_guarded() {
         // s on clock (base on k) becomes if k { s }.
         let on_k = Clock::Base.on(id("k"), true);
+        let mut ex = Exprs::new();
+        let x = ex.var(id("x"), CTy::I32);
+        let x = ex.when(x, id("k"), true);
+        let s_rhs = ex.simple(x);
+        let s = ex.var(id("s"), CTy::I32);
+        let s = ex.simple(s);
+        let zero = ex.constant(CConst::int(0));
+        let zero = ex.when(zero, id("k"), false);
+        let zero = ex.simple(zero);
+        let o_rhs = ex.merge(id("k"), s, zero);
         let node: Node<ClightOps> = Node {
             name: id("guarded"),
             inputs: vec![decl("k", CTy::Bool), decl("x", CTy::I32)],
@@ -413,25 +480,19 @@ mod tests {
                 Equation::Def {
                     x: id("s"),
                     ck: on_k,
-                    rhs: CExpr::Expr(Expr::When(Box::new(ivar("x")), id("k"), true)),
+                    rhs: s_rhs,
                 },
                 Equation::Def {
                     x: id("o"),
                     ck: Clock::Base,
-                    rhs: CExpr::Merge(
-                        id("k"),
-                        Box::new(CExpr::Expr(Expr::Var(id("s"), CTy::I32))),
-                        Box::new(CExpr::Expr(Expr::When(
-                            Box::new(Expr::Const(CConst::int(0))),
-                            id("k"),
-                            false,
-                        ))),
-                    ),
+                    rhs: o_rhs,
                 },
             ],
+            exprs: ex,
         };
         let class = translate_node(&node).unwrap();
-        let text = class.method(step_name()).unwrap().body.to_string();
+        let step = class.method(step_name()).unwrap();
+        let text = step.body.show(&step.exprs);
         assert!(text.contains("if k {"), "{text}");
         // The merge also compiles to a conditional on k.
         assert!(text.matches("if k {").count() >= 2, "{text}");

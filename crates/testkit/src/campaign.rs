@@ -42,7 +42,7 @@ use velus_clight::generate::out_struct_name;
 use velus_clight::interp::{Machine, RVal};
 use velus_clight::ClightError;
 use velus_common::{json_escape, Diagnostics, Ident, NodeId, SpanMap};
-use velus_nlustre::ast::{CExpr, Equation, Expr, Program};
+use velus_nlustre::ast::{CExpr, CExprId, Equation, Expr, ExprId, Exprs, Program};
 use velus_nlustre::streams::{SVal, StreamSet};
 use velus_obc::ast::{step_name, RESET, STEP};
 use velus_ops::{CConst, CTy, CVal, ClightOps, Literal, Ops};
@@ -650,59 +650,65 @@ fn default_const(ty: CTy) -> Option<CConst> {
     }
 }
 
-fn expr_ty(e: &Expr<ClightOps>) -> CTy {
-    match e {
-        Expr::Var(_, ty) => *ty,
-        Expr::Const(c) => c.ty(),
-        Expr::Unop(_, _, ty) => *ty,
-        Expr::Binop(_, _, _, ty) => *ty,
-        Expr::When(inner, _, _) => expr_ty(inner),
-    }
-}
-
-/// Pre-order walk over every expression node; `f` returns `true` to stop.
-fn walk_expr(e: &mut Expr<ClightOps>, f: &mut dyn FnMut(&mut Expr<ClightOps>) -> bool) -> bool {
-    if f(e) {
-        return true;
-    }
-    match e {
-        Expr::Unop(_, inner, _) => walk_expr(inner, f),
-        Expr::Binop(_, a, b, _) => walk_expr(a, f) || walk_expr(b, f),
-        Expr::When(inner, _, _) => walk_expr(inner, f),
-        Expr::Var(..) | Expr::Const(_) => false,
-    }
-}
-
-fn walk_cexpr(ce: &mut CExpr<ClightOps>, f: &mut dyn FnMut(&mut Expr<ClightOps>) -> bool) -> bool {
-    match ce {
-        CExpr::Merge(_, t, e) => walk_cexpr(t, f) || walk_cexpr(e, f),
-        CExpr::If(c, t, e) => walk_expr(c, f) || walk_cexpr(t, f) || walk_cexpr(e, f),
-        CExpr::Expr(e) => walk_expr(e, f),
-    }
-}
-
-fn walk_program(
-    prog: &mut Program<ClightOps>,
-    f: &mut dyn FnMut(&mut Expr<ClightOps>) -> bool,
+/// Pre-order walk over every expression node of `e` (a node before its
+/// operands, left to right); `f` returns `true` to stop.
+fn walk_expr(
+    ex: &mut Exprs<ClightOps>,
+    e: ExprId,
+    f: &mut dyn FnMut(&mut Exprs<ClightOps>, ExprId) -> bool,
 ) -> bool {
-    for node in &mut prog.nodes {
-        for eq in &mut node.eqs {
-            let stopped = match eq {
-                Equation::Def { rhs, .. } => walk_cexpr(rhs, f),
-                Equation::Fby { rhs, .. } => walk_expr(rhs, f),
-                Equation::Call { args, .. } => args.iter_mut().any(|a| walk_expr(a, f)),
-            };
-            if stopped {
-                return true;
-            }
+    let mut stack = vec![e];
+    while let Some(e) = stack.pop() {
+        if f(ex, e) {
+            return true;
+        }
+        match ex[e] {
+            Expr::Unop(_, inner, _) | Expr::When(inner, _, _) => stack.push(inner),
+            Expr::Binop(_, a, b, _) => stack.extend([b, a]),
+            Expr::Var(..) | Expr::Const(_) => {}
         }
     }
     false
 }
 
+fn walk_cexpr(
+    ex: &mut Exprs<ClightOps>,
+    ce: CExprId,
+    f: &mut dyn FnMut(&mut Exprs<ClightOps>, ExprId) -> bool,
+) -> bool {
+    match ex[ce] {
+        CExpr::Merge(_, t, e) => walk_cexpr(ex, t, f) || walk_cexpr(ex, e, f),
+        CExpr::If(c, t, e) => walk_expr(ex, c, f) || walk_cexpr(ex, t, f) || walk_cexpr(ex, e, f),
+        CExpr::Expr(e) => walk_expr(ex, e, f),
+    }
+}
+
+/// Walks every expression site of `prog`, node by node and equation by
+/// equation; `f` returns `true` to stop, and the walk then returns the
+/// node it stopped in.
+fn walk_program(
+    prog: &mut Program<ClightOps>,
+    f: &mut dyn FnMut(&mut Exprs<ClightOps>, ExprId) -> bool,
+) -> Option<usize> {
+    for (i, node) in prog.nodes.iter_mut().enumerate() {
+        let ex = &mut node.exprs;
+        for eq in &node.eqs {
+            let stopped = match eq {
+                Equation::Def { rhs, .. } => walk_cexpr(ex, *rhs, f),
+                Equation::Fby { rhs, .. } => walk_expr(ex, *rhs, f),
+                Equation::Call { args, .. } => args.iter().any(|&a| walk_expr(ex, a, f)),
+            };
+            if stopped {
+                return Some(i);
+            }
+        }
+    }
+    None
+}
+
 fn count_expr_sites(prog: &mut Program<ClightOps>) -> usize {
     let mut n = 0;
-    walk_program(prog, &mut |_| {
+    walk_program(prog, &mut |_, _| {
         n += 1;
         false
     });
@@ -715,12 +721,12 @@ fn count_expr_sites(prog: &mut Program<ClightOps>) -> usize {
 fn replace_expr_site(prog: &mut Program<ClightOps>, target: usize) -> bool {
     let mut k = 0;
     let mut replaced = false;
-    walk_program(prog, &mut |e| {
+    let stopped = walk_program(prog, &mut |ex, e| {
         if k == target {
             k += 1;
-            if !matches!(e, Expr::Const(_)) {
-                if let Some(c) = default_const(expr_ty(e)) {
-                    *e = Expr::Const(c);
+            if !matches!(ex[e], Expr::Const(_)) {
+                if let Some(c) = default_const(ex.ty(e)) {
+                    ex.simple[e] = Expr::Const(c);
                     replaced = true;
                 }
             }
@@ -730,31 +736,34 @@ fn replace_expr_site(prog: &mut Program<ClightOps>, target: usize) -> bool {
             false
         }
     });
+    if let (Some(i), true) = (stopped, replaced) {
+        prog.nodes[i].compact_exprs();
+    }
     replaced
 }
 
 fn count_if_sites(prog: &mut Program<ClightOps>) -> usize {
     let mut n = 0;
-    for node in &mut prog.nodes {
-        for eq in &mut node.eqs {
+    for node in &prog.nodes {
+        for eq in &node.eqs {
             if let Equation::Def { rhs, .. } = eq {
-                count_ifs(rhs, &mut n);
+                count_ifs(&node.exprs, *rhs, &mut n);
             }
         }
     }
     n
 }
 
-fn count_ifs(ce: &CExpr<ClightOps>, n: &mut usize) {
-    match ce {
+fn count_ifs(ex: &Exprs<ClightOps>, ce: CExprId, n: &mut usize) {
+    match ex[ce] {
         CExpr::If(_, t, e) => {
             *n += 1;
-            count_ifs(t, n);
-            count_ifs(e, n);
+            count_ifs(ex, t, n);
+            count_ifs(ex, e, n);
         }
         CExpr::Merge(_, t, e) => {
-            count_ifs(t, n);
-            count_ifs(e, n);
+            count_ifs(ex, t, n);
+            count_ifs(ex, e, n);
         }
         CExpr::Expr(_) => {}
     }
@@ -765,9 +774,10 @@ fn count_ifs(ce: &CExpr<ClightOps>, n: &mut usize) {
 fn collapse_if_site(prog: &mut Program<ClightOps>, target: usize, keep_then: bool) -> bool {
     let mut k = 0;
     for node in &mut prog.nodes {
-        for eq in &mut node.eqs {
+        for eq in &node.eqs {
             if let Equation::Def { rhs, .. } = eq {
-                if collapse_ifs(rhs, target, keep_then, &mut k) {
+                if collapse_ifs(&mut node.exprs, *rhs, target, keep_then, &mut k) {
+                    node.compact_exprs();
                     return true;
                 }
             }
@@ -776,27 +786,30 @@ fn collapse_if_site(prog: &mut Program<ClightOps>, target: usize, keep_then: boo
     false
 }
 
-fn collapse_ifs(ce: &mut CExpr<ClightOps>, target: usize, keep_then: bool, k: &mut usize) -> bool {
-    if let CExpr::If(_, t, e) = ce {
-        if *k == target {
-            *ce = if keep_then {
-                (**t).clone()
-            } else {
-                (**e).clone()
-            };
-            return true;
+/// Finds the `target`-th `if` under `ce` and overwrites it with the kept
+/// branch's node (its operands stay where they are, so the caller
+/// compacts the pool afterwards).
+fn collapse_ifs(
+    ex: &mut Exprs<ClightOps>,
+    ce: CExprId,
+    target: usize,
+    keep_then: bool,
+    k: &mut usize,
+) -> bool {
+    match ex[ce] {
+        CExpr::If(_, t, e) => {
+            if *k == target {
+                ex.control[ce] = ex[if keep_then { t } else { e }];
+                return true;
+            }
+            *k += 1;
+            collapse_ifs(ex, t, target, keep_then, k) || collapse_ifs(ex, e, target, keep_then, k)
         }
-        *k += 1;
-        let (t, e) = match ce {
-            CExpr::If(_, t, e) => (t, e),
-            _ => unreachable!("just matched"),
-        };
-        return collapse_ifs(t, target, keep_then, k) || collapse_ifs(e, target, keep_then, k);
+        CExpr::Merge(_, t, e) => {
+            collapse_ifs(ex, t, target, keep_then, k) || collapse_ifs(ex, e, target, keep_then, k)
+        }
+        CExpr::Expr(_) => false,
     }
-    if let CExpr::Merge(_, t, e) = ce {
-        return collapse_ifs(t, target, keep_then, k) || collapse_ifs(e, target, keep_then, k);
-    }
-    false
 }
 
 /// Deletes equation `eq_idx` of node `node_idx` along with the local

@@ -20,7 +20,7 @@
 use rand::prelude::*;
 
 use velus_common::{Ident, NodeId};
-use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program, VarDecl};
+use velus_nlustre::ast::{CExprId, Equation, ExprId, Exprs, Node, Program, VarDecl};
 use velus_nlustre::clock::Clock;
 use velus_nlustre::streams::{SVal, StreamSet};
 use velus_ops::{CBinOp, CConst, CTy, CUnOp, CVal, ClightOps};
@@ -85,6 +85,8 @@ struct NodeGen<'r, R: Rng> {
     cfg: GenConfig,
     vars: Vec<VarInfo>,
     fresh: u32,
+    /// The node's expressions, laid out in post-order as they are drawn.
+    ex: Exprs<ClightOps>,
 }
 
 impl<R: Rng> NodeGen<'_, R> {
@@ -120,7 +122,7 @@ impl<R: Rng> NodeGen<'_, R> {
     }
 
     /// Generates an expression of type `ty` at clock `ck`.
-    fn expr(&mut self, ty: CTy, ck: &Clock, depth: usize) -> Expr<ClightOps> {
+    fn expr(&mut self, ty: CTy, ck: &Clock, depth: usize) -> ExprId {
         // Leaves: variable on the right clock, a sampled parent-clock
         // expression, or a constant.
         if depth == 0 || self.rng.gen_ratio(1, 3) {
@@ -128,32 +130,29 @@ impl<R: Rng> NodeGen<'_, R> {
             if let Clock::On(parent, x, k) = ck {
                 if self.rng.gen_ratio(1, 2) {
                     let inner = self.expr(ty, parent, depth.saturating_sub(1));
-                    return Expr::When(Box::new(inner), *x, *k);
+                    return self.ex.when(inner, *x, *k);
                 }
             }
             if !candidates.is_empty() && self.rng.gen_ratio(3, 4) {
                 let v = candidates.choose(self.rng).expect("non-empty");
-                return Expr::Var(v.name, v.ty);
+                return self.ex.var(v.name, v.ty);
             }
-            return Expr::Const(self.const_of(ty));
+            let c = self.const_of(ty);
+            return self.ex.constant(c);
         }
         match ty {
             CTy::Bool => match self.rng.gen_range(0..4) {
-                0 => Expr::Unop(
-                    CUnOp::Not,
-                    Box::new(self.expr(CTy::Bool, ck, depth - 1)),
-                    CTy::Bool,
-                ),
+                0 => {
+                    let a = self.expr(CTy::Bool, ck, depth - 1);
+                    self.ex.unop(CUnOp::Not, a, CTy::Bool)
+                }
                 1 => {
                     let op = *[CBinOp::And, CBinOp::Or, CBinOp::Xor]
                         .choose(self.rng)
                         .expect("non-empty");
-                    Expr::Binop(
-                        op,
-                        Box::new(self.expr(CTy::Bool, ck, depth - 1)),
-                        Box::new(self.expr(CTy::Bool, ck, depth - 1)),
-                        CTy::Bool,
-                    )
+                    let l = self.expr(CTy::Bool, ck, depth - 1);
+                    let r = self.expr(CTy::Bool, ck, depth - 1);
+                    self.ex.binop(op, l, r, CTy::Bool)
                 }
                 _ => {
                     let operand_ty = if self.cfg.floats && self.rng.gen_ratio(1, 4) {
@@ -171,31 +170,24 @@ impl<R: Rng> NodeGen<'_, R> {
                     ]
                     .choose(self.rng)
                     .expect("non-empty");
-                    Expr::Binop(
-                        op,
-                        Box::new(self.expr(operand_ty, ck, depth - 1)),
-                        Box::new(self.expr(operand_ty, ck, depth - 1)),
-                        CTy::Bool,
-                    )
+                    let l = self.expr(operand_ty, ck, depth - 1);
+                    let r = self.expr(operand_ty, ck, depth - 1);
+                    self.ex.binop(op, l, r, CTy::Bool)
                 }
             },
             CTy::F64 => {
                 let op = *[CBinOp::Add, CBinOp::Sub, CBinOp::Mul]
                     .choose(self.rng)
                     .expect("non-empty");
-                Expr::Binop(
-                    op,
-                    Box::new(self.expr(CTy::F64, ck, depth - 1)),
-                    Box::new(self.expr(CTy::F64, ck, depth - 1)),
-                    CTy::F64,
-                )
+                let l = self.expr(CTy::F64, ck, depth - 1);
+                let r = self.expr(CTy::F64, ck, depth - 1);
+                self.ex.binop(op, l, r, CTy::F64)
             }
             _ => match self.rng.gen_range(0..5) {
-                0 => Expr::Unop(
-                    CUnOp::Neg,
-                    Box::new(self.expr(CTy::I32, ck, depth - 1)),
-                    CTy::I32,
-                ),
+                0 => {
+                    let a = self.expr(CTy::I32, ck, depth - 1);
+                    self.ex.unop(CUnOp::Neg, a, CTy::I32)
+                }
                 // Division by a non-zero constant only — and never by
                 // -1, because the dividend can reach `i32::MIN` at
                 // runtime and `INT_MIN / -1` (or `% -1`) overflows, an
@@ -215,46 +207,46 @@ impl<R: Rng> NodeGen<'_, R> {
                     };
                     if self.cfg.trap_divisors && self.rng.gen_ratio(1, 12) {
                         // The overflow trap: `i32::MIN op -1`.
-                        return Expr::Binop(
-                            op,
-                            Box::new(Expr::Const(CConst::int(i32::MIN))),
-                            Box::new(Expr::Const(CConst::int(-1))),
-                            CTy::I32,
-                        );
+                        let min = self.ex.constant(CConst::int(i32::MIN));
+                        let minus_one = self.ex.constant(CConst::int(-1));
+                        return self.ex.binop(op, min, minus_one, CTy::I32);
                     }
+                    // The divisor is drawn before the dividend but laid
+                    // out after it, as post-order wants: a constant is
+                    // pushed late, a drawn expression goes to a pool of
+                    // its own and is copied over.
                     let divisor = if self.cfg.trap_divisors && self.rng.gen_ratio(1, 2) {
                         if self.rng.gen_ratio(1, 4) {
                             // A certain divide-by-zero wherever it runs.
-                            Expr::Const(CConst::int(0))
+                            Err(CConst::int(0))
                         } else {
                             // An arbitrary divisor whose runtime value
                             // may or may not hit 0 (or -1).
-                            self.expr(CTy::I32, ck, depth - 1)
+                            let outer = std::mem::take(&mut self.ex);
+                            let d = self.expr(CTy::I32, ck, depth - 1);
+                            Ok((std::mem::replace(&mut self.ex, outer), d))
                         }
                     } else {
                         let mut d = self.rng.gen_range(1..7);
                         if self.rng.gen() && d != 1 {
                             d = -d;
                         }
-                        Expr::Const(CConst::int(d))
+                        Err(CConst::int(d))
                     };
-                    Expr::Binop(
-                        op,
-                        Box::new(self.expr(CTy::I32, ck, depth - 1)),
-                        Box::new(divisor),
-                        CTy::I32,
-                    )
+                    let dividend = self.expr(CTy::I32, ck, depth - 1);
+                    let divisor = match divisor {
+                        Ok((pool, d)) => self.ex.copy_expr(&pool, d),
+                        Err(c) => self.ex.constant(c),
+                    };
+                    self.ex.binop(op, dividend, divisor, CTy::I32)
                 }
                 _ => {
                     let op = *[CBinOp::Add, CBinOp::Sub, CBinOp::Mul]
                         .choose(self.rng)
                         .expect("non-empty");
-                    Expr::Binop(
-                        op,
-                        Box::new(self.expr(CTy::I32, ck, depth - 1)),
-                        Box::new(self.expr(CTy::I32, ck, depth - 1)),
-                        CTy::I32,
-                    )
+                    let l = self.expr(CTy::I32, ck, depth - 1);
+                    let r = self.expr(CTy::I32, ck, depth - 1);
+                    self.ex.binop(op, l, r, CTy::I32)
                 }
             },
         }
@@ -262,14 +254,12 @@ impl<R: Rng> NodeGen<'_, R> {
 
     /// A control expression: sometimes a mux or (on boolean clocks) a
     /// merge above a simple expression.
-    fn cexpr(&mut self, ty: CTy, ck: &Clock, depth: usize) -> CExpr<ClightOps> {
+    fn cexpr(&mut self, ty: CTy, ck: &Clock, depth: usize) -> CExprId {
         if depth > 0 && self.rng.gen_ratio(1, 4) {
             let c = self.expr(CTy::Bool, ck, depth - 1);
-            return CExpr::If(
-                c,
-                Box::new(self.cexpr(ty, ck, depth - 1)),
-                Box::new(self.cexpr(ty, ck, depth - 1)),
-            );
+            let t = self.cexpr(ty, ck, depth - 1);
+            let f = self.cexpr(ty, ck, depth - 1);
+            return self.ex.ite(c, t, f);
         }
         // A merge requires a boolean variable on this clock.
         if depth > 0 && self.rng.gen_ratio(1, 5) {
@@ -280,10 +270,12 @@ impl<R: Rng> NodeGen<'_, R> {
                 let on_f = ck.clone().on(x, false);
                 let t = self.expr(ty, &on_t, depth - 1);
                 let f = self.expr(ty, &on_f, depth - 1);
-                return CExpr::Merge(x, Box::new(CExpr::Expr(t)), Box::new(CExpr::Expr(f)));
+                let (t, f) = (self.ex.simple(t), self.ex.simple(f));
+                return self.ex.merge(x, t, f);
             }
         }
-        CExpr::Expr(self.expr(ty, ck, depth))
+        let e = self.expr(ty, ck, depth);
+        self.ex.simple(e)
     }
 
     fn roll_bait(&mut self) -> bool {
@@ -314,6 +306,7 @@ fn gen_node<R: Rng>(
         cfg: cfg.clone(),
         vars: Vec::new(),
         fresh: 0,
+        ex: Exprs::new(),
     };
 
     // Inputs: one guaranteed boolean (a clock candidate) plus 1–2 others.
@@ -388,8 +381,7 @@ fn gen_node<R: Rng>(
             // The draw `choose` makes, keeping the callee's id.
             let k = g.rng.gen_range(0..earlier.len());
             let callee = &earlier[k];
-            let args: Vec<Expr<ClightOps>> =
-                callee.inputs.iter().map(|d| g.expr(d.ty, &ck, 1)).collect();
+            let args: Vec<ExprId> = callee.inputs.iter().map(|d| g.expr(d.ty, &ck, 1)).collect();
             let xs: Vec<Ident> = callee
                 .outputs
                 .iter()
@@ -465,11 +457,11 @@ fn gen_node<R: Rng>(
         if g.roll_bait() {
             let ty = g.pick_ty();
             let x = g.fresh("v");
-            let rhs = CExpr::If(
-                Expr::Const(CConst::bool(g.rng.gen())),
-                Box::new(CExpr::Expr(g.expr(ty, &Clock::Base, 1))),
-                Box::new(CExpr::Expr(g.expr(ty, &Clock::Base, 1))),
-            );
+            let c = g.ex.constant(CConst::bool(g.rng.gen()));
+            let t = g.expr(ty, &Clock::Base, 1);
+            let f = g.expr(ty, &Clock::Base, 1);
+            let (t, f) = (g.ex.simple(t), g.ex.simple(f));
+            let rhs = g.ex.ite(c, t, f);
             locals.push(VarDecl {
                 name: x,
                 ty,
@@ -498,10 +490,11 @@ fn gen_node<R: Rng>(
                 ty: CTy::Bool,
                 ck: Clock::Base,
             });
+            let f = g.ex.constant(CConst::bool(false));
             eqs.push(Equation::Def {
                 x: z,
                 ck: Clock::Base,
-                rhs: CExpr::Expr(Expr::Const(CConst::bool(false))),
+                rhs: g.ex.simple(f),
             });
             g.vars.push(VarInfo {
                 name: z,
@@ -511,7 +504,8 @@ fn gen_node<R: Rng>(
             });
             let dead_ck = Clock::Base.on(z, true);
             let w = g.fresh("w");
-            let rhs = CExpr::Expr(g.expr(CTy::I32, &dead_ck, 1));
+            let e = g.expr(CTy::I32, &dead_ck, 1);
+            let rhs = g.ex.simple(e);
             locals.push(VarDecl {
                 name: w,
                 ty: CTy::I32,
@@ -531,21 +525,15 @@ fn gen_node<R: Rng>(
         if g.roll_bait() {
             let candidates = g.readable_vars(CTy::I32, &Clock::Base);
             if let Some(v) = candidates.choose(g.rng) {
-                let v = Expr::Var(v.name, CTy::I32);
-                let vv = Expr::Binop(CBinOp::Mul, Box::new(v.clone()), Box::new(v), CTy::I32);
-                let divisor = Expr::Binop(
-                    CBinOp::Add,
-                    Box::new(vv),
-                    Box::new(Expr::Const(CConst::int(1))),
-                    CTy::I32,
-                );
+                let v = v.name;
                 let x = g.fresh("q");
-                let rhs = CExpr::Expr(Expr::Binop(
-                    CBinOp::Div,
-                    Box::new(g.expr(CTy::I32, &Clock::Base, 1)),
-                    Box::new(divisor),
-                    CTy::I32,
-                ));
+                let dividend = g.expr(CTy::I32, &Clock::Base, 1);
+                let (v1, v2) = (g.ex.var(v, CTy::I32), g.ex.var(v, CTy::I32));
+                let vv = g.ex.binop(CBinOp::Mul, v1, v2, CTy::I32);
+                let one = g.ex.constant(CConst::int(1));
+                let divisor = g.ex.binop(CBinOp::Add, vv, one, CTy::I32);
+                let q = g.ex.binop(CBinOp::Div, dividend, divisor, CTy::I32);
+                let rhs = g.ex.simple(q);
                 locals.push(VarDecl {
                     name: x,
                     ty: CTy::I32,
@@ -623,6 +611,7 @@ fn gen_node<R: Rng>(
         outputs,
         locals,
         eqs,
+        exprs: g.ex,
     }
 }
 

@@ -15,7 +15,7 @@
 //! timing does).
 
 use velus_common::{Ident, NodeId};
-use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program, VarDecl};
+use velus_nlustre::ast::{Equation, ExprId, Exprs, Node, Program, VarDecl};
 use velus_nlustre::clock::Clock;
 use velus_ops::{CBinOp, CConst, CTy, ClightOps};
 
@@ -84,8 +84,13 @@ impl IndustrialConfig {
     }
 }
 
-fn ivar(name: Ident) -> Expr<ClightOps> {
-    Expr::Var(name, CTy::I32)
+fn ivar(ex: &mut Exprs<ClightOps>, name: Ident) -> ExprId {
+    ex.var(name, CTy::I32)
+}
+
+/// `l op r` over integers, of result type `ty`.
+fn bin(ex: &mut Exprs<ClightOps>, op: CBinOp, l: ExprId, r: ExprId, ty: CTy) -> ExprId {
+    ex.binop(op, l, r, ty)
 }
 
 /// The clock `Base on chain[0] on chain[1] … on chain[depth-1]` (all
@@ -98,10 +103,8 @@ fn clock_at(chain: &[Ident], depth: usize) -> Clock {
 
 /// Samples a base-clock expression down the whole chain:
 /// `e when chain[0] when chain[1] …`.
-fn sampled(e: Expr<ClightOps>, chain: &[Ident]) -> Expr<ClightOps> {
-    chain
-        .iter()
-        .fold(e, |e, &x| Expr::When(Box::new(e), x, true))
+fn sampled(ex: &mut Exprs<ClightOps>, e: ExprId, chain: &[Ident]) -> ExprId {
+    chain.iter().fold(e, |e, &x| ex.when(e, x, true))
 }
 
 /// A deterministic pseudo-random sequence (xorshift) so the generated
@@ -157,6 +160,7 @@ fn make_node(index: usize, cfg: &IndustrialConfig, det: &mut Det) -> Node<Clight
 
     let mut locals = Vec::new();
     let mut eqs = Vec::new();
+    let mut ex = Exprs::new();
     let mut last = x0;
 
     // Two delays per node (state, as real applications have).
@@ -183,7 +187,11 @@ fn make_node(index: usize, cfg: &IndustrialConfig, det: &mut Det) -> Node<Clight
             xs: vec![r],
             ck: Clock::Base,
             node: callee,
-            args: vec![ivar(last), ivar(x1), Expr::Var(mode, CTy::Bool)],
+            args: vec![
+                ivar(&mut ex, last),
+                ivar(&mut ex, x1),
+                ex.var(mode, CTy::Bool),
+            ],
         });
         last = r;
     }
@@ -205,18 +213,13 @@ fn make_node(index: usize, cfg: &IndustrialConfig, det: &mut Det) -> Node<Clight
                 ty: CTy::Bool,
                 ck: clock_at(&chain, k - 1),
             });
+            let (a, b) = (ivar(&mut ex, x0), ivar(&mut ex, x1));
+            let lt = bin(&mut ex, CBinOp::Lt, a, b, CTy::Bool);
+            let lt = sampled(&mut ex, lt, &chain[..k - 1]);
             eqs.push(Equation::Def {
                 x: s,
                 ck: clock_at(&chain, k - 1),
-                rhs: CExpr::Expr(sampled(
-                    Expr::Binop(
-                        CBinOp::Lt,
-                        Box::new(ivar(x0)),
-                        Box::new(ivar(x1)),
-                        CTy::Bool,
-                    ),
-                    &chain[..k - 1],
-                )),
+                rhs: ex.simple(lt),
             });
             chain.push(s);
         }
@@ -230,35 +233,30 @@ fn make_node(index: usize, cfg: &IndustrialConfig, det: &mut Det) -> Node<Clight
                 ck: deep.clone(),
             });
         }
+        let a = ivar(&mut ex, x1);
+        let a = sampled(&mut ex, a, &chain);
+        let b = ivar(&mut ex, m0);
+        let b = sampled(&mut ex, b, &chain);
+        let sum = bin(&mut ex, CBinOp::Add, a, b, CTy::I32);
         eqs.push(Equation::Def {
             x: ws[0],
             ck: deep.clone(),
-            rhs: CExpr::Expr(Expr::Binop(
-                CBinOp::Add,
-                Box::new(sampled(ivar(x1), &chain)),
-                Box::new(sampled(ivar(m0), &chain)),
-                CTy::I32,
-            )),
+            rhs: ex.simple(sum),
         });
+        let w0 = ivar(&mut ex, ws[0]);
+        let factor = ex.constant(CConst::int((det.below(5) + 2) as i32));
+        let prod = bin(&mut ex, CBinOp::Mul, w0, factor, CTy::I32);
         eqs.push(Equation::Def {
             x: ws[1],
             ck: deep.clone(),
-            rhs: CExpr::Expr(Expr::Binop(
-                CBinOp::Mul,
-                Box::new(ivar(ws[0])),
-                Box::new(Expr::Const(CConst::int((det.below(5) + 2) as i32))),
-                CTy::I32,
-            )),
+            rhs: ex.simple(prod),
         });
+        let (w1, w0) = (ivar(&mut ex, ws[1]), ivar(&mut ex, ws[0]));
+        let diff = bin(&mut ex, CBinOp::Sub, w1, w0, CTy::I32);
         eqs.push(Equation::Def {
             x: ws[2],
             ck: deep,
-            rhs: CExpr::Expr(Expr::Binop(
-                CBinOp::Sub,
-                Box::new(ivar(ws[1])),
-                Box::new(ivar(ws[0])),
-                CTy::I32,
-            )),
+            rhs: ex.simple(diff),
         });
         // Merge ladder: one merge per level, back down to base.
         let mut prev = ws[2];
@@ -273,15 +271,16 @@ fn make_node(index: usize, cfg: &IndustrialConfig, det: &mut Det) -> Node<Clight
             let sampler = chain[k - 1];
             // The absent branch re-samples a delayed base stream with
             // the opposite polarity.
-            let other = Expr::When(Box::new(sampled(ivar(m1), &chain[..k - 1])), sampler, false);
+            let here = ivar(&mut ex, prev);
+            let here = ex.simple(here);
+            let other = ivar(&mut ex, m1);
+            let other = sampled(&mut ex, other, &chain[..k - 1]);
+            let other = ex.when(other, sampler, false);
+            let other = ex.simple(other);
             eqs.push(Equation::Def {
                 x: u,
                 ck,
-                rhs: CExpr::Merge(
-                    sampler,
-                    Box::new(CExpr::Expr(ivar(prev))),
-                    Box::new(CExpr::Expr(other)),
-                ),
+                rhs: ex.merge(sampler, here, other),
             });
             prev = u;
         }
@@ -297,34 +296,32 @@ fn make_node(index: usize, cfg: &IndustrialConfig, det: &mut Det) -> Node<Clight
             ck: Clock::Base,
         });
         let rhs = match det.below(4) {
-            0 => CExpr::Expr(Expr::Binop(
-                CBinOp::Add,
-                Box::new(ivar(last)),
-                Box::new(ivar(m0)),
-                CTy::I32,
-            )),
-            1 => CExpr::Expr(Expr::Binop(
-                CBinOp::Mul,
-                Box::new(ivar(last)),
-                Box::new(Expr::Const(CConst::int((det.below(7) + 1) as i32))),
-                CTy::I32,
-            )),
-            2 => CExpr::If(
-                Expr::Var(mode, CTy::Bool),
-                Box::new(CExpr::Expr(Expr::Binop(
-                    CBinOp::Sub,
-                    Box::new(ivar(last)),
-                    Box::new(ivar(x1)),
-                    CTy::I32,
-                ))),
-                Box::new(CExpr::Expr(ivar(m1))),
-            ),
-            _ => CExpr::Expr(Expr::Binop(
-                CBinOp::Sub,
-                Box::new(ivar(last)),
-                Box::new(Expr::Const(CConst::int(det.below(16) as i32))),
-                CTy::I32,
-            )),
+            0 => {
+                let (a, b) = (ivar(&mut ex, last), ivar(&mut ex, m0));
+                let e = bin(&mut ex, CBinOp::Add, a, b, CTy::I32);
+                ex.simple(e)
+            }
+            1 => {
+                let a = ivar(&mut ex, last);
+                let b = ex.constant(CConst::int((det.below(7) + 1) as i32));
+                let e = bin(&mut ex, CBinOp::Mul, a, b, CTy::I32);
+                ex.simple(e)
+            }
+            2 => {
+                let c = ex.var(mode, CTy::Bool);
+                let (a, b) = (ivar(&mut ex, last), ivar(&mut ex, x1));
+                let t = bin(&mut ex, CBinOp::Sub, a, b, CTy::I32);
+                let t = ex.simple(t);
+                let f = ivar(&mut ex, m1);
+                let f = ex.simple(f);
+                ex.ite(c, t, f)
+            }
+            _ => {
+                let a = ivar(&mut ex, last);
+                let b = ex.constant(CConst::int(det.below(16) as i32));
+                let e = bin(&mut ex, CBinOp::Sub, a, b, CTy::I32);
+                ex.simple(e)
+            }
         };
         eqs.push(Equation::Def {
             x: v,
@@ -335,22 +332,23 @@ fn make_node(index: usize, cfg: &IndustrialConfig, det: &mut Det) -> Node<Clight
     }
 
     // Output and delays.
+    let y = ivar(&mut ex, last);
     eqs.push(Equation::Def {
         x: out,
         ck: Clock::Base,
-        rhs: CExpr::Expr(ivar(last)),
+        rhs: ex.simple(y),
     });
     eqs.push(Equation::Fby {
         x: m0,
         ck: Clock::Base,
         init: CConst::int(0),
-        rhs: ivar(last),
+        rhs: ivar(&mut ex, last),
     });
     eqs.push(Equation::Fby {
         x: m1,
         ck: Clock::Base,
         init: CConst::int(1),
-        rhs: ivar(m0),
+        rhs: ivar(&mut ex, m0),
     });
 
     Node {
@@ -359,6 +357,7 @@ fn make_node(index: usize, cfg: &IndustrialConfig, det: &mut Det) -> Node<Clight
         outputs,
         locals,
         eqs,
+        exprs: ex,
     }
 }
 

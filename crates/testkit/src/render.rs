@@ -17,7 +17,8 @@
 
 use std::fmt::Write as _;
 
-use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program, VarDecl};
+use velus_common::Ident;
+use velus_nlustre::ast::{CExpr, CExprId, Equation, Expr, ExprId, Exprs, Node, Program, VarDecl};
 use velus_nlustre::clock::Clock;
 use velus_ops::{CBinOp, CUnOp, ClightOps};
 
@@ -40,61 +41,81 @@ fn binop_surface(op: CBinOp) -> &'static str {
     }
 }
 
-fn expr_into(e: &Expr<ClightOps>, out: &mut String) {
-    match e {
-        Expr::Var(x, _) => {
-            let _ = write!(out, "{x}");
-        }
-        Expr::Const(c) => {
-            let _ = write!(out, "{c}");
-        }
-        Expr::Unop(CUnOp::Cast(ty), e, _) => {
-            let _ = write!(out, "{ty}(");
-            expr_into(e, out);
-            out.push(')');
-        }
-        Expr::Unop(op, e, _) => {
-            let _ = write!(out, "({op} ");
-            expr_into(e, out);
-            out.push(')');
-        }
-        Expr::Binop(op, a, b, _) => {
-            out.push('(');
-            expr_into(a, out);
-            let _ = write!(out, " {} ", binop_surface(*op));
-            expr_into(b, out);
-            out.push(')');
-        }
-        Expr::When(e, x, polarity) => {
-            out.push('(');
-            expr_into(e, out);
-            if *polarity {
+/// Renders simple expression `e` of `ex`, fully parenthesized, in one
+/// loop with an explicit stack of the pieces still to write.
+fn expr_into(ex: &Exprs<ClightOps>, e: ExprId, out: &mut String) {
+    enum Task {
+        Expr(ExprId),
+        Text(&'static str),
+        Op(CBinOp),
+        When(Ident, bool),
+    }
+    let mut tasks = vec![Task::Expr(e)];
+    while let Some(task) = tasks.pop() {
+        match task {
+            Task::Expr(e) => match &ex[e] {
+                Expr::Var(x, _) => {
+                    let _ = write!(out, "{x}");
+                }
+                Expr::Const(c) => {
+                    let _ = write!(out, "{c}");
+                }
+                Expr::Unop(CUnOp::Cast(ty), e, _) => {
+                    let _ = write!(out, "{ty}(");
+                    tasks.extend([Task::Text(")"), Task::Expr(*e)]);
+                }
+                Expr::Unop(op, e, _) => {
+                    let _ = write!(out, "({op} ");
+                    tasks.extend([Task::Text(")"), Task::Expr(*e)]);
+                }
+                Expr::Binop(op, a, b, _) => {
+                    out.push('(');
+                    tasks.extend([
+                        Task::Text(")"),
+                        Task::Expr(*b),
+                        Task::Op(*op),
+                        Task::Expr(*a),
+                    ]);
+                }
+                Expr::When(e, x, polarity) => {
+                    out.push('(');
+                    tasks.extend([Task::When(*x, *polarity), Task::Expr(*e)]);
+                }
+            },
+            Task::Text(t) => out.push_str(t),
+            Task::Op(op) => {
+                let _ = write!(out, " {} ", binop_surface(op));
+            }
+            Task::When(x, true) => {
                 let _ = write!(out, " when {x})");
-            } else {
+            }
+            Task::When(x, false) => {
                 let _ = write!(out, " when not {x})");
             }
         }
     }
 }
 
-fn cexpr_into(ce: &CExpr<ClightOps>, out: &mut String) {
-    match ce {
+/// Renders control expression `ce` (recursing on its `merge`/`if`
+/// nesting).
+fn cexpr_into(ex: &Exprs<ClightOps>, ce: CExprId, out: &mut String) {
+    match ex[ce] {
         CExpr::Merge(x, t, e) => {
             let _ = write!(out, "merge {x} (");
-            cexpr_into(t, out);
+            cexpr_into(ex, t, out);
             out.push_str(") (");
-            cexpr_into(e, out);
+            cexpr_into(ex, e, out);
             out.push(')');
         }
         CExpr::If(c, t, e) => {
             out.push_str("if ");
-            expr_into(c, out);
+            expr_into(ex, c, out);
             out.push_str(" then ");
-            cexpr_into(t, out);
+            cexpr_into(ex, t, out);
             out.push_str(" else ");
-            cexpr_into(e, out);
+            cexpr_into(ex, e, out);
         }
-        CExpr::Expr(e) => expr_into(e, out),
+        CExpr::Expr(e) => expr_into(ex, e, out),
     }
 }
 
@@ -134,11 +155,11 @@ fn node_into(node: &Node<ClightOps>, nodes: &[Node<ClightOps>], out: &mut String
         match eq {
             Equation::Def { x, rhs, .. } => {
                 let _ = write!(out, "{x} = ");
-                cexpr_into(rhs, out);
+                cexpr_into(&node.exprs, *rhs, out);
             }
             Equation::Fby { x, init, rhs, .. } => {
                 let _ = write!(out, "{x} = {init} fby ");
-                expr_into(rhs, out);
+                expr_into(&node.exprs, *rhs, out);
             }
             Equation::Call {
                 xs, node: f, args, ..
@@ -160,7 +181,7 @@ fn node_into(node: &Node<ClightOps>, nodes: &[Node<ClightOps>], out: &mut String
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    expr_into(a, out);
+                    expr_into(&node.exprs, *a, out);
                 }
                 out.push(')');
             }

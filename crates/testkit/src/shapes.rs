@@ -3,9 +3,10 @@
 //!
 //! The fixed corpora contain only small nodes and few of them, so they
 //! hide costs quadratic in the size of one node or in the node count.
-//! Each generator here grows one dimension — equations or nesting in
-//! one node, instance depth or instance fan-out across nodes, or the
-//! number of lint findings — and keeps everything else fixed, so that
+//! Each generator here grows one dimension — equations, `if` nesting or
+//! expression depth in one node, instance depth or instance fan-out
+//! across nodes, or the number of lint findings — and keeps everything
+//! else fixed, so that
 //! doubling its argument should at most double every pass's time,
 //! allocations and output (`velus-bench --bin pipeline --scale`).
 
@@ -117,5 +118,18 @@ pub fn uncalled_leaves_source(n: usize) -> String {
         );
     }
     src.push_str("node top(x: int) returns (y: int)\nlet y = x + 1; tel\n");
+    src
+}
+
+/// A node `deep(x: int) returns (y: int)` whose one equation sums `n`
+/// terms, `y = x + x + … + x`: an expression `n` operators deep, the
+/// shape on which every pass that recursed per operator grew its stack
+/// with the source.
+pub fn deep_expr_source(n: usize) -> String {
+    let mut src = String::from("node deep(x: int) returns (y: int)\nlet\n  y = x");
+    for _ in 1..n {
+        src.push_str(" + x");
+    }
+    src.push_str(";\ntel\n");
     src
 }

@@ -25,7 +25,7 @@
 //! Absolute numbers are not comparable to the paper's (different
 //! hardware model); the *relationships* between compilation schemes are.
 
-use velus_clight::ast::{Expr, Function, Program, Stmt};
+use velus_clight::ast::{Expr, ExprId, Exprs, Function, Program, Stmt};
 use velus_common::{Ident, NodeId};
 use velus_ops::{CBinOp, CTy, CUnOp};
 
@@ -169,49 +169,60 @@ struct Analyzer<'p> {
 }
 
 impl Analyzer<'_> {
-    fn expr(&self, e: &Expr) -> u64 {
-        match e {
+    /// The cost of expression `e` of `ex`: the sum of its nodes' own
+    /// costs, in one loop over its post-order run.
+    fn expr(&self, ex: &Exprs, e: ExprId) -> u64 {
+        ex.tree(e).iter().map(|n| self.node(ex, n)).sum()
+    }
+
+    /// The cost of one node, its operands aside.
+    fn node(&self, ex: &Exprs, n: &Expr) -> u64 {
+        match n {
             Expr::Const(..) => self.c.reg,
             Expr::Temp(..) => 0,
             Expr::Var(..) => self.c.addr + self.c.mem,
             // The base of a field access is an addressable variable
             // (no address arithmetic) or a pointer temporary (free).
             Expr::Field(..) | Expr::DerefField(..) => self.c.addr + self.c.mem,
-            Expr::AddrOf(place) => self.expr_addr(&place.lvalue()) + self.c.reg,
-            Expr::Unop(op, e1, _) => {
-                self.expr(e1)
-                    + match op {
-                        CUnOp::Not | CUnOp::Neg => self.c.alu,
-                        CUnOp::Cast(to) => {
-                            if to.is_float() {
-                                self.c.cvt
-                            } else {
-                                self.c.alu
-                            }
-                        }
+            Expr::AddrOf(place) => self.addr(ex, &place.lvalue()) + self.c.reg,
+            Expr::Unop(op, _, _) => match op {
+                CUnOp::Not | CUnOp::Neg => self.c.alu,
+                CUnOp::Cast(to) => {
+                    if to.is_float() {
+                        self.c.cvt
+                    } else {
+                        self.c.alu
                     }
-            }
-            Expr::Binop(op, e1, e2, ty) => {
-                let operands = self.expr(e1) + self.expr(e2);
+                }
+            },
+            Expr::Binop(op, e1, _, ty) => {
                 let is_float = matches!(ty, CTy::F32 | CTy::F64)
-                    || matches!(e1.ty().as_scalar(), Some(t) if t.is_float());
-                operands
-                    + match op {
-                        CBinOp::Mul if !is_float => self.c.mul,
-                        CBinOp::Div | CBinOp::Mod if !is_float => self.c.div,
-                        CBinOp::Mul | CBinOp::Div if is_float => self.c.fdiv.min(self.c.fop * 2),
-                        _ if is_float => self.c.fop,
-                        _ => self.c.alu,
-                    }
+                    || matches!(ex[*e1].ty().as_scalar(), Some(t) if t.is_float());
+                match op {
+                    CBinOp::Mul if !is_float => self.c.mul,
+                    CBinOp::Div | CBinOp::Mod if !is_float => self.c.div,
+                    CBinOp::Mul | CBinOp::Div if is_float => self.c.fdiv.min(self.c.fop * 2),
+                    _ if is_float => self.c.fop,
+                    _ => self.c.alu,
+                }
             }
         }
     }
 
-    fn expr_addr(&self, e: &Expr) -> u64 {
+    /// The cost of computing the address of lvalue `e` of `ex`.
+    fn expr_addr(&self, ex: &Exprs, e: ExprId) -> u64 {
+        match &ex[e] {
+            Expr::Unop(..) | Expr::Binop(..) => self.expr(ex, e),
+            leaf => self.addr(ex, leaf),
+        }
+    }
+
+    /// The address cost of a leaf lvalue.
+    fn addr(&self, ex: &Exprs, e: &Expr) -> u64 {
         match e {
             Expr::Var(..) => 0,
             Expr::Field(..) | Expr::DerefField(..) => self.c.addr,
-            other => self.expr(other),
+            other => self.node(ex, other),
         }
     }
 
@@ -234,18 +245,20 @@ impl Analyzer<'_> {
     }
 
     /// A block costs the sum of its statements.
-    fn block(&mut self, fname: Ident, b: &[Stmt]) -> Result<u64, WcetError> {
-        b.iter().map(|s| self.stmt(fname, s)).sum()
+    fn block(&mut self, fname: Ident, ex: &Exprs, b: &[Stmt]) -> Result<u64, WcetError> {
+        b.iter().map(|s| self.stmt(fname, ex, s)).sum()
     }
 
-    fn stmt(&mut self, fname: Ident, s: &Stmt) -> Result<u64, WcetError> {
+    fn stmt(&mut self, fname: Ident, ex: &Exprs, s: &Stmt) -> Result<u64, WcetError> {
         Ok(match s {
-            Stmt::Set(_, e) => self.expr(e) + self.c.reg,
-            Stmt::Assign(lv, e) => self.expr(e) + self.expr_addr(lv) + self.c.addr + self.c.mem,
+            Stmt::Set(_, e) => self.expr(ex, *e) + self.c.reg,
+            Stmt::Assign(lv, e) => {
+                self.expr(ex, *e) + self.expr_addr(ex, *lv) + self.c.addr + self.c.mem
+            }
             Stmt::If(cnd, t, f) => {
-                let cond = self.expr(cnd) + self.c.alu;
-                let tc = self.block(fname, t)?;
-                let fc = self.block(fname, f)?;
+                let cond = self.expr(ex, *cnd) + self.c.alu;
+                let tc = self.block(fname, ex, t)?;
+                let fc = self.block(fname, ex, f)?;
                 if self.c.if_conversion && Self::if_convertible(t) && Self::if_convertible(f) {
                     cond + tc + fc + self.c.predicate
                 } else {
@@ -253,7 +266,7 @@ impl Analyzer<'_> {
                 }
             }
             Stmt::Call(dest, g, args) => {
-                let args_cost: u64 = args.iter().map(|a| self.expr(a) + self.c.arg).sum();
+                let args_cost: u64 = args.iter().map(|&a| self.expr(ex, a) + self.c.arg).sum();
                 let callee = if self.c.inline {
                     self.function_body_cost(*g)?
                 } else {
@@ -262,9 +275,9 @@ impl Analyzer<'_> {
                 args_cost + callee + if dest.is_some() { self.c.reg } else { 0 }
             }
             Stmt::VolLoad(..) => self.c.vol + self.c.reg,
-            Stmt::VolStore(_, e) => self.expr(e) + self.c.vol,
+            Stmt::VolStore(_, e) => self.expr(ex, *e) + self.c.vol,
             Stmt::Loop(_) => return Err(WcetError::LoopInAnalyzedCode(fname)),
-            Stmt::Return(e) => e.as_ref().map_or(0, |e| self.expr(e)) + self.c.reg,
+            Stmt::Return(e) => e.map_or(0, |e| self.expr(ex, e)) + self.c.reg,
         })
     }
 
@@ -277,7 +290,7 @@ impl Analyzer<'_> {
             .functions
             .get(f)
             .ok_or(WcetError::UnknownFunction(f))?;
-        self.block(f.name, &f.body)
+        self.block(f.name, &f.exprs, &f.body)
     }
 
     /// Full cost: frame + spills + body. Memoized.
@@ -327,7 +340,7 @@ pub fn wcet_step(prog: &Program, root: NodeId, model: CostModel) -> Result<u64, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use velus_clight::ast::{Expr, Function, Program, Stmt};
+    use velus_clight::ast::{Expr, ExprId, Exprs, Function, Program, Stmt};
     use velus_clight::ctypes::CType;
     use velus_ops::CVal;
 
@@ -335,11 +348,20 @@ mod tests {
         Ident::new(s)
     }
 
-    fn iconst(v: i32) -> Expr {
-        Expr::Const(CVal::int(v), CTy::I32)
+    fn iconst(ex: &mut Exprs, v: i32) -> ExprId {
+        ex.push(Expr::Const(CVal::int(v), CTy::I32))
     }
 
-    fn prog_with(body: Vec<Stmt>, temps: usize) -> Program {
+    fn truth(ex: &mut Exprs) -> ExprId {
+        ex.push(Expr::Const(CVal::bool(true), CTy::Bool))
+    }
+
+    /// `x = 1`.
+    fn set(ex: &mut Exprs, x: &str) -> Stmt {
+        Stmt::Set(id(x), iconst(ex, 1))
+    }
+
+    fn prog_with(body: Vec<Stmt>, ex: Exprs, temps: usize) -> Program {
         Program {
             composites: vec![],
             functions: vec![Function {
@@ -351,6 +373,7 @@ mod tests {
                     .collect(),
                 ret: CType::Void,
                 body,
+                exprs: ex,
             }],
             ..Program::default()
         }
@@ -359,20 +382,17 @@ mod tests {
     #[test]
     fn branches_are_maxed_under_compcert() {
         // if c then {8 sets} else {1 set}: WCET takes the 8-set arm.
-        let heavy: Vec<Stmt> = (0..8).map(|_| Stmt::Set(id("x"), iconst(1))).collect();
-        let light = vec![Stmt::Set(id("x"), iconst(1))];
-        let s = Stmt::If(
-            Expr::Const(CVal::bool(true), CTy::Bool),
-            heavy.clone(),
-            light.clone(),
-        );
-        let p = prog_with(vec![s], 1);
+        let mut ex = Exprs::new();
+        let heavy: Vec<Stmt> = (0..8).map(|_| set(&mut ex, "x")).collect();
+        let light = vec![set(&mut ex, "x")];
+        let s = Stmt::If(truth(&mut ex), heavy.clone(), light.clone());
+        let p = prog_with(vec![s], ex.clone(), 1);
         let both = wcet_function(&p, 0, CostModel::CompCert).unwrap();
-        let p_heavy = prog_with(heavy, 1);
+        let p_heavy = prog_with(heavy, ex.clone(), 1);
         let heavy_only = wcet_function(&p_heavy, 0, CostModel::CompCert).unwrap();
         assert!(both > heavy_only, "{both} vs {heavy_only}");
         // But not by the cost of the light branch too.
-        let p_light = prog_with(light, 1);
+        let p_light = prog_with(light, ex, 1);
         let light_only = wcet_function(&p_light, 0, CostModel::CompCert).unwrap();
         assert!(both < heavy_only + light_only + 10);
     }
@@ -382,13 +402,10 @@ mod tests {
         // A tiny conditional: gcc pays both arms but no branch penalty;
         // repeated many times the predicated form must be cheaper than
         // branch-penalty form when arms are single sets.
-        let tiny = Stmt::If(
-            Expr::Const(CVal::bool(true), CTy::Bool),
-            vec![Stmt::Set(id("x"), iconst(1))],
-            vec![],
-        );
+        let mut ex = Exprs::new();
+        let tiny = Stmt::If(truth(&mut ex), vec![set(&mut ex, "x")], vec![]);
         let s = vec![tiny; 10];
-        let p = prog_with(s, 1);
+        let p = prog_with(s, ex, 1);
         let cc = wcet_function(&p, 0, CostModel::CompCert).unwrap();
         let gcc = wcet_function(&p, 0, CostModel::Gcc).unwrap();
         assert!(gcc < cc, "gcc {gcc} vs cc {cc}");
@@ -397,13 +414,16 @@ mod tests {
     #[test]
     fn inlining_removes_call_overhead() {
         // g() { set } ; f() { call g x 5 }
+        let mut ex = Exprs::new();
+        let body = vec![set(&mut ex, "t")];
         let g = Function {
             name: id("g"),
             params: vec![],
             vars: vec![],
             temps: vec![(id("t"), CType::Scalar(CTy::I32))],
             ret: CType::Void,
-            body: vec![Stmt::Set(id("t"), iconst(1))],
+            body,
+            exprs: ex,
         };
         let f = Function {
             name: id("f"),
@@ -412,6 +432,7 @@ mod tests {
             temps: vec![],
             ret: CType::Void,
             body: vec![Stmt::Call(None, 0, vec![]); 5],
+            exprs: Exprs::new(),
         };
         let p = Program {
             composites: vec![],
@@ -425,9 +446,10 @@ mod tests {
 
     #[test]
     fn register_pressure_costs() {
-        let s = vec![Stmt::Set(id("t0"), iconst(1))];
-        let few = prog_with(s.clone(), 2);
-        let many = prog_with(s, 30);
+        let mut ex = Exprs::new();
+        let s = vec![set(&mut ex, "t0")];
+        let few = prog_with(s.clone(), ex.clone(), 2);
+        let many = prog_with(s, ex, 30);
         let a = wcet_function(&few, 0, CostModel::CompCert).unwrap();
         let b = wcet_function(&many, 0, CostModel::CompCert).unwrap();
         assert!(b > a);
@@ -435,7 +457,7 @@ mod tests {
 
     #[test]
     fn loops_are_rejected() {
-        let p = prog_with(vec![Stmt::Loop(vec![])], 0);
+        let p = prog_with(vec![Stmt::Loop(vec![])], Exprs::new(), 0);
         assert!(matches!(
             wcet_function(&p, 0, CostModel::CompCert),
             Err(WcetError::LoopInAnalyzedCode(_))
@@ -444,26 +466,13 @@ mod tests {
 
     #[test]
     fn integer_division_is_expensive() {
-        let div = Stmt::Set(
-            id("t0"),
-            Expr::Binop(
-                CBinOp::Div,
-                Box::new(iconst(10)),
-                Box::new(iconst(3)),
-                CTy::I32,
-            ),
-        );
-        let add = Stmt::Set(
-            id("t0"),
-            Expr::Binop(
-                CBinOp::Add,
-                Box::new(iconst(10)),
-                Box::new(iconst(3)),
-                CTy::I32,
-            ),
-        );
-        let pd = prog_with(vec![div], 1);
-        let pa = prog_with(vec![add], 1);
+        let op = |op: CBinOp| {
+            let mut ex = Exprs::new();
+            let (a, b) = (iconst(&mut ex, 10), iconst(&mut ex, 3));
+            let e = ex.push(Expr::Binop(op, a, b, CTy::I32));
+            prog_with(vec![Stmt::Set(id("t0"), e)], ex, 1)
+        };
+        let (pd, pa) = (op(CBinOp::Div), op(CBinOp::Add));
         let d = wcet_function(&pd, 0, CostModel::CompCert).unwrap();
         let a = wcet_function(&pa, 0, CostModel::CompCert).unwrap();
         assert!(d > a + 15);

@@ -29,7 +29,7 @@ fn reference_succs(node: &Node<ClightOps>) -> (Vec<Vec<usize>>, Vec<usize>) {
     let mut reads: Vec<Ident> = Vec::new();
     for (i, eq) in node.eqs.iter().enumerate() {
         reads.clear();
-        eq.reads_into(&mut reads);
+        eq.reads_into(&node.exprs, &mut reads);
         seen.reset(n);
         for x in &reads {
             let Some(&d) = def_of.get(x) else { continue };

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 
 use velus::StagedPipeline;
 use velus_common::Diagnostics;
-use velus_obc::ast::{Block, ObcProgram, Stmt};
+use velus_obc::ast::{Block, ObcExprs, ObcProgram, Stmt};
 use velus_obc::fusion::{fuse_program, fusible};
 use velus_obc::sem::run_class;
 use velus_ops::{CVal, ClightOps};
@@ -27,12 +27,12 @@ fn translated(seed: u64) -> (ObcProgram<ClightOps>, velus::Compiled) {
 
 /// The clone-based `zip` fusion used before it moved its input: the
 /// reference the move-based [`fuse_program`] must agree with.
-fn reference_zip(s: &mut Block<ClightOps>, t: &Block<ClightOps>) {
+fn reference_zip(ex: &ObcExprs<ClightOps>, s: &mut Block, t: &Block) {
     for stmt in t.iter() {
         match (s.last_mut(), stmt) {
-            (Some(Stmt::If(e1, t1, f1)), Stmt::If(e2, t2, f2)) if *e1 == *e2 => {
-                reference_zip(t1, t2);
-                reference_zip(f1, f2);
+            (Some(Stmt::If(e1, t1, f1)), Stmt::If(e2, t2, f2)) if ex.same(*e1, *e2) => {
+                reference_zip(ex, t1, t2);
+                reference_zip(ex, f1, f2);
             }
             _ => s.push(stmt.clone()),
         }
@@ -45,7 +45,7 @@ fn reference_fuse_program(prog: &ObcProgram<ClightOps>) -> ObcProgram<ClightOps>
     for class in &mut fused.classes {
         for m in &mut class.methods {
             let mut body = Block::new();
-            reference_zip(&mut body, &m.body);
+            reference_zip(&m.exprs, &mut body, &m.body);
             m.body = body;
         }
     }
@@ -76,7 +76,7 @@ proptest! {
         let (obc, _) = translated(seed);
         for class in &obc.classes {
             for m in &class.methods {
-                prop_assert!(fusible(&m.body), "{}.{} not fusible", class.name, m.name);
+                prop_assert!(fusible(&m.exprs, &m.body), "{}.{} not fusible", class.name, m.name);
             }
         }
     }
@@ -87,7 +87,7 @@ proptest! {
         let fused = fuse_program(obc.clone());
         for class in &fused.classes {
             for m in &class.methods {
-                prop_assert!(fusible(&m.body));
+                prop_assert!(fusible(&m.exprs, &m.body));
             }
         }
         let inputs = obc_inputs(seed, &compiled, 8);

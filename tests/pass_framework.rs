@@ -24,7 +24,7 @@ fn recheck_obc(prog: &ObcProgram<ClightOps>) {
     for class in &prog.classes {
         for m in &class.methods {
             assert!(
-                velus_obc::fusion::fusible(&m.body),
+                velus_obc::fusion::fusible(&m.exprs, &m.body),
                 "{}.{} is not Fusible",
                 class.name,
                 m.name

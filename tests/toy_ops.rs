@@ -8,7 +8,7 @@
 //! a given language".
 
 use velus_common::Ident;
-use velus_nlustre::ast::{CExpr, Equation, Expr, Node, Program, VarDecl};
+use velus_nlustre::ast::{Equation, Exprs, Node, Program, VarDecl};
 use velus_nlustre::clock::Clock;
 use velus_nlustre::streams::SVal;
 use velus_ops::toy::{I64Ops, ToyBinOp, ToyTy, ToyVal};
@@ -21,6 +21,11 @@ fn id(s: &str) -> Ident {
 /// The accumulator node over the toy interface:
 /// `y = cum + x; cum = 0 fby y`.
 fn toy_accumulator() -> Program<I64Ops> {
+    let mut ex = Exprs::new();
+    let (cum, x) = (ex.var(id("cum"), ToyTy::Int), ex.var(id("x"), ToyTy::Int));
+    let sum = ex.binop(ToyBinOp::Add, cum, x, ToyTy::Int);
+    let y_rhs = ex.simple(sum);
+    let y = ex.var(id("y"), ToyTy::Int);
     Program::new(vec![Node {
         name: id("acc"),
         inputs: vec![VarDecl {
@@ -42,20 +47,16 @@ fn toy_accumulator() -> Program<I64Ops> {
             Equation::Def {
                 x: id("y"),
                 ck: Clock::Base,
-                rhs: CExpr::Expr(Expr::Binop(
-                    ToyBinOp::Add,
-                    Box::new(Expr::Var(id("cum"), ToyTy::Int)),
-                    Box::new(Expr::Var(id("x"), ToyTy::Int)),
-                    ToyTy::Int,
-                )),
+                rhs: y_rhs,
             },
             Equation::Fby {
                 x: id("cum"),
                 ck: Clock::Base,
                 init: ToyVal::Int(0),
-                rhs: Expr::Var(id("y"), ToyTy::Int),
+                rhs: y,
             },
         ],
+        exprs: ex,
     }])
 }
 

@@ -96,27 +96,24 @@ fn fused_obc_matches_the_section_3_3_shape() {
     assert_eq!(class.name, Ident::new("tracker"));
     let step = class
         .method(velus_obc::ast::step_name())
-        .expect("step method")
-        .body
-        .to_string();
+        .expect("step method");
+    let step = step.body.show(&step.exprs);
     // Exactly one conditional on x after fusion (unfused code has two).
     assert_eq!(step.matches("if x {").count(), 1, "{step}");
     assert!(step.contains("state(pt) := t;"), "{step}");
     // The unfused version really had two.
     let unfused = compiled.obc.classes[compiled.root.index()]
         .method(velus_obc::ast::step_name())
-        .unwrap()
-        .body
-        .to_string();
+        .unwrap();
+    let unfused = unfused.body.show(&unfused.exprs);
     assert_eq!(unfused.matches("if x {").count(), 2, "{unfused}");
 
     // The reset method matches the paper's listing: sub-resets plus the
     // constant state initialization.
     let reset = class
         .method(velus_obc::ast::reset_name())
-        .expect("reset method")
-        .body
-        .to_string();
+        .expect("reset method");
+    let reset = reset.body.show(&reset.exprs);
     assert!(reset.contains(".reset();"), "{reset}");
     assert!(reset.contains("state(pt) := 0;"), "{reset}");
 }
