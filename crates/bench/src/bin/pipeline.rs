@@ -34,7 +34,9 @@
 //! [`ORACLE_INSTANTS`] instants of a paper benchmark allocates more than
 //! [`ORACLE_ALLOCS_GUARD`] times on average, and the cache hit path: it
 //! fails if the request content digest is less than
-//! [`DIGEST_SPEEDUP_GUARD`] times as fast as byte-at-a-time FNV-1a.
+//! [`DIGEST_SPEEDUP_GUARD`] times as fast as byte-at-a-time FNV-1a, and
+//! the front end's stack depth: a [`DEEP_EXPR_GUARD_TERMS`]-term sum
+//! must compile to C on a service worker's stack.
 //!
 //! `--overhead` instead measures the cost of the observability layer:
 //! the industrial corpus is compiled with tracing disabled and then
@@ -207,20 +209,22 @@ fn profile_corpus(corpus: &[(String, String)], passes: usize) -> Profile {
 
 /// Ceiling on frontend allocs/compile over the paper-benchmark corpus,
 /// enforced by `--smoke` (the CI perf guard). Set ~10% above the
-/// single-pass measurement (225.9; the single-pass smoke number runs a
-/// touch above the three-pass profile because identifier interning is
-/// not amortized): the count is deterministic — it counts allocator
-/// calls, not time — so exceeding it means a real front-end allocation
-/// regression, not machine noise.
-const FRONTEND_ALLOCS_GUARD: f64 = 250.0;
+/// single-pass measurement (166.1, down from 202.8 when elaboration
+/// began lowering straight into N-Lustre; the single-pass smoke number
+/// runs a touch above the multi-pass profile because identifier
+/// interning is not amortized): the count is deterministic — it counts
+/// allocator calls, not time — so exceeding it means a real front-end
+/// allocation regression, not machine noise.
+const FRONTEND_ALLOCS_GUARD: f64 = 183.0;
 
 /// Ceiling on the allocs of a whole cold C compile — every stage from
 /// frontend through emit, the lint pass excluded — per compile of the
 /// paper-benchmark corpus, enforced by `--smoke`. Set ~10% above the
-/// single-pass measurement (651.6, down from 719.6 when the IRs after
-/// the front end stopped boxing every operator), so a pass that goes
-/// back to cloning or boxing per statement or per operator fails CI.
-const COMPILE_ALLOCS_GUARD: f64 = 725.0;
+/// single-pass measurement (614.9; 719.6 before the IRs after the
+/// front end stopped boxing every operator, 651.6 before elaboration
+/// lowered straight into N-Lustre), so a pass that goes back to cloning
+/// or boxing per statement or per operator fails CI.
+const COMPILE_ALLOCS_GUARD: f64 = 676.0;
 
 /// Ceiling on analysis (lint) allocs/compile over the paper-benchmark
 /// corpus, also enforced by `--smoke`. The lint pass is off the compile
@@ -261,6 +265,29 @@ fn oracle_allocs_per_run() -> f64 {
         );
     }
     allocs as f64 / BENCHMARKS.len() as f64
+}
+
+/// Terms in the sum `--smoke` compiles to C on a thread of
+/// [`velus_server::WORKER_STACK_BYTES`] (the front-end stack guard):
+/// elaboration still recurses once per operator of an expression, so a
+/// frame that grows lowers the depth a service worker takes. A stack
+/// overflow aborts the run. Release builds only: a debug build's frames
+/// are several times larger.
+const DEEP_EXPR_GUARD_TERMS: usize = 12_000;
+
+/// Compiles a [`DEEP_EXPR_GUARD_TERMS`]-term sum to C on a worker-sized
+/// thread and returns the C's length.
+fn deep_expr_c_on_a_worker_stack() -> usize {
+    let source = velus_testkit::shapes::deep_expr_source(DEEP_EXPR_GUARD_TERMS);
+    std::thread::Builder::new()
+        .stack_size(velus_server::WORKER_STACK_BYTES)
+        .spawn(move || {
+            let compiled = velus::compile(&source, Some("deep")).expect("the deep sum compiles");
+            velus::emit_c(&compiled, IoMode::Volatile).len()
+        })
+        .expect("spawn the stack-guard thread")
+        .join()
+        .expect("the deep sum compiles to C")
 }
 
 /// Floor on how many times faster [`ContentDigest::of`] — the one pass
@@ -831,6 +858,7 @@ fn main() {
     if smoke {
         let oracle_allocs = oracle_allocs_per_run();
         let speedup = digest_speedup();
+        let deep_c_bytes = deep_expr_c_on_a_worker_stack();
         assert!(
             frontend_allocs_on_benchmarks <= FRONTEND_ALLOCS_GUARD,
             "frontend allocation regression: {frontend_allocs_on_benchmarks:.1} allocs/compile \
@@ -871,7 +899,8 @@ fn main() {
              {COMPILE_ALLOCS_GUARD:.0}; analysis allocs/compile {analysis_allocs_on_benchmarks:.1} within guard \
              {ANALYSIS_ALLOCS_GUARD:.0}; oracle allocs/run {oracle_allocs:.1} within guard \
              {ORACLE_ALLOCS_GUARD:.0}; content digest {speedup:.1}x FNV-1a, guard \
-             {DIGEST_SPEEDUP_GUARD:.0}x"
+             {DIGEST_SPEEDUP_GUARD:.0}x; a {DEEP_EXPR_GUARD_TERMS}-term sum compiles to \
+             {deep_c_bytes} bytes of C on a worker stack"
         );
     }
 }

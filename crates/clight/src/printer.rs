@@ -364,6 +364,11 @@ fn decl_line(w: &mut Cw, prefix: &str, x: Ident, ty: &CType) {
 /// A cheap structural size estimate so the output buffer is allocated
 /// once up front. Counts are deliberately generous: over-reserving a
 /// few hundred bytes is cheaper than re-growing mid-emission.
+///
+/// A statement's share covers the handful of expression nodes it
+/// usually prints (the paper corpus peaks at 7 per statement); a
+/// function's expression nodes beyond [`NODES_PER_ATOM`] per statement
+/// — one deep expression, say — are counted on their own.
 fn estimate_size(prog: &Program) -> usize {
     fn atoms(b: &[Stmt]) -> usize {
         b.iter()
@@ -380,10 +385,16 @@ fn estimate_size(prog: &Program) -> usize {
         .iter()
         .map(|f| f.params.len() + f.vars.len() + f.temps.len() + 4)
         .sum();
-    let atoms: usize = prog.functions.iter().map(|f| atoms(&f.body)).sum();
+    let (atoms, deep) = prog.functions.iter().fold((0, 0), |(a, d), f| {
+        let n = atoms(&f.body);
+        (a + n, d + f.exprs.len().saturating_sub(NODES_PER_ATOM * n))
+    });
     let vols = prog.volatiles_in.len() + prog.volatiles_out.len();
-    256 + 48 * fields + 64 * decls + 56 * atoms + 48 * vols
+    256 + 48 * fields + 64 * decls + 56 * atoms + 16 * deep + 48 * vols
 }
+
+/// Expression nodes [`estimate_size`]'s per-statement share covers.
+const NODES_PER_ATOM: usize = 8;
 
 /// Prints the program as a single compilable C translation unit.
 pub fn print_program(prog: &Program, io: IoMode) -> String {
@@ -638,19 +649,39 @@ mod tests {
         assert_eq!(expr(&ex, neg), "(-((int8_t)300))");
     }
 
+    /// `tiny_program` with `n = x + x + … + x` (`terms` terms) in
+    /// place of its sum: one expression far deeper than its statements.
+    fn deep_sum_program(terms: usize) -> Program {
+        let mut prog = tiny_program();
+        let mut ex = Exprs::new();
+        let x = |ex: &mut Exprs| ex.push(Expr::Temp(id("x"), CType::Scalar(CTy::I32)));
+        let mut sum = x(&mut ex);
+        for _ in 1..terms {
+            let r = x(&mut ex);
+            sum = ex.push(Expr::Binop(CBinOp::Add, sum, r, CTy::I32));
+        }
+        let n = ex.push(Expr::Temp(id("n"), CType::Scalar(CTy::I32)));
+        let step = &mut prog.functions[0];
+        step.body = vec![Stmt::Set(id("n"), sum), Stmt::Return(Some(n))];
+        step.exprs = ex;
+        prog
+    }
+
     #[test]
     fn output_fits_the_presized_buffer() {
         // The estimate must cover the real output: emission should not
-        // re-grow the buffer (the whole point of pre-sizing).
-        let prog = tiny_program();
-        for io in [IoMode::Volatile, IoMode::Stdio] {
-            let c = print_program(&prog, io);
-            assert!(
-                c.len() <= estimate_size(&prog),
-                "estimate {} too small for {} bytes",
-                estimate_size(&prog),
-                c.len()
-            );
+        // re-grow the buffer (the whole point of pre-sizing), also when
+        // one expression is deep.
+        for prog in [tiny_program(), deep_sum_program(4_000)] {
+            for io in [IoMode::Volatile, IoMode::Stdio] {
+                let c = print_program(&prog, io);
+                assert!(
+                    c.len() <= estimate_size(&prog),
+                    "estimate {} too small for {} bytes",
+                    estimate_size(&prog),
+                    c.len()
+                );
+            }
         }
     }
 }

@@ -224,11 +224,11 @@ fn default_root(prog: &Program<ClightOps>) -> Option<NodeId> {
 }
 
 thread_local! {
-    /// Per-thread front-end scratch (token buffer + both expression
-    /// arenas), recycled across compiles so a long-running service or
-    /// bench loop stops allocating front-end working memory once the
-    /// pools fit the largest program seen.
-    static FRONTEND_SCRATCH: std::cell::RefCell<velus_lustre::FrontendScratch<ClightOps>> =
+    /// Per-thread front-end scratch (token buffer + surface arena),
+    /// recycled across compiles so a long-running service or bench loop
+    /// stops allocating front-end working memory once the pools fit the
+    /// largest program seen.
+    static FRONTEND_SCRATCH: std::cell::RefCell<velus_lustre::FrontendScratch> =
         std::cell::RefCell::new(velus_lustre::FrontendScratch::new());
 }
 

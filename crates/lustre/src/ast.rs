@@ -2,7 +2,7 @@
 //!
 //! This is the full Lustre expression language: operators nest freely,
 //! `fby`, `->` and `pre` appear anywhere, node calls return tuples.
-//! Elaboration types it; normalization flattens it into N-Lustre.
+//! Elaboration types it and flattens it into N-Lustre.
 //!
 //! Expressions and clock annotations live in a [`UArena`]: flat `Vec`
 //! pools addressed by [`ExprId`]/[`ClockId`] indices. Nodes are `Copy`,
@@ -237,12 +237,6 @@ impl UArena {
         &self.args[r.start as usize..(r.start + r.len) as usize]
     }
 
-    /// The expressions in a contiguous pool range (a node's slice).
-    #[inline]
-    pub fn exprs_in(&self, r: ExprRange) -> &[UExpr] {
-        &self.exprs[r.start as usize..(r.start + r.len) as usize]
-    }
-
     /// Number of expressions in the pool.
     #[inline]
     pub fn num_exprs(&self) -> usize {
@@ -309,8 +303,8 @@ pub struct UNode {
     /// The equations, in source order.
     pub eqs: Vec<UEquation>,
     /// The contiguous slice of the expression pool this node's
-    /// equations occupy (the parser emits nodes sequentially), used to
-    /// pre-size elaboration from a linear scan.
+    /// equations occupy (the parser emits nodes sequentially), whose
+    /// length pre-sizes the node's N-Lustre pools.
     pub exprs: ExprRange,
     /// Source position of the header.
     pub span: Span,

@@ -1,19 +1,20 @@
-//! Elaboration: typing and clocking of the surface syntax (§2.1).
+//! Elaboration: typing and clocking of the surface syntax (§2.1), and
+//! its lowering to N-Lustre.
 //!
 //! Elaboration rejects programs that are not well typed or well clocked
-//! and produces an *annotated* AST ([`TExpr`]) in which every variable and
-//! operator application carries its machine type, literals have been
-//! resolved to constants of the operator interface, `pre` has been
-//! desugared to `fby` of the type's default value (marked in the arena
-//! for the semantic initialization analysis), and casts have been
-//! resolved.
+//! and, in the same walk over each equation, emits the N-Lustre form of
+//! what it has checked (the N-Lustre builder is in `normalize.rs`):
+//! every variable and operator application carries its machine type,
+//! literals are resolved to constants of the operator interface, `pre`
+//! is desugared to `fby` of the type's default value (its memory marked
+//! for the semantic initialization analysis), casts are resolved, and
+//! delays, calls and control expressions nested in expressions are
+//! extracted into fresh equations. There is no typed intermediate tree.
 //!
-//! Typed expressions live in a [`TArena`] pool addressed by [`TExprId`],
-//! mirroring the surface arena: building is a bump push, dropping is
-//! freeing two `Vec`s, and call arguments are contiguous runs. Per-node
-//! tables are pre-sized from the declaration and equation counts, and
-//! the typed pool is reserved from the surface node's expression count,
-//! so elaborating a node does not grow tables mid-way.
+//! The judgments keep their order: an equation's first typing error is
+//! reported before any clocking error in it, as when the clocks were
+//! checked after the types. The walk records the first clocking error
+//! and reports it once the equation's typing has succeeded.
 //!
 //! Bidirectional typing: literals are type-polymorphic (`PTy::IntLit`,
 //! `PTy::FloatLit`) and take their type from context (`0 fby n` gives
@@ -27,244 +28,14 @@
 
 use velus_common::{
     codes, ident_map_with_capacity, DiagStage, Diagnostic, Diagnostics, Ident, IdentMap, NodeId,
-    Span,
+    PreMarks, Span, SpanMap,
 };
+use velus_nlustre::ast::{self as nl, CExpr, Expr, Program};
 use velus_nlustre::clock::{Clock, Clocks};
 use velus_ops::{Literal, Ops, SurfaceBinOp, SurfaceUnOp};
 
 use crate::ast::{ClockId, ExprId, ExprRange, UArena, UClock, UDecl, UExpr, UNode, UProgram};
-
-/// An index into a [`TArena`]'s typed-expression pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TExprId(u32);
-
-impl TExprId {
-    /// The position in the pool.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// A contiguous run in a [`TArena`] pool: call-argument runs (in the
-/// argument pool) and per-node expression slices (in the expression
-/// pool).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TRange {
-    /// First index of the run.
-    pub start: u32,
-    /// Number of elements.
-    pub len: u32,
-}
-
-impl TRange {
-    /// Number of elements.
-    #[inline]
-    pub fn len(self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether the run is empty.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        self.len == 0
-    }
-}
-
-/// A typed expression (surface constructs preserved, annotations added).
-/// Children are [`TExprId`]s into the owning [`TArena`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum TExpr<O: Ops> {
-    /// A constant (literal or global constant, resolved).
-    Const(O::Const),
-    /// A variable with its type.
-    Var(Ident, O::Ty),
-    /// Unary operator (including casts), annotated with the result type.
-    Unop(O::UnOp, TExprId, O::Ty),
-    /// Binary operator, annotated with the result type.
-    Binop(O::BinOp, TExprId, TExprId, O::Ty),
-    /// Sampling.
-    When(TExprId, Ident, bool),
-    /// Merge of complementary streams.
-    Merge(Ident, TExprId, TExprId),
-    /// Multiplexer.
-    If(TExprId, TExprId, TExprId),
-    /// Initialized delay (the `pre` form has already been desugared).
-    Fby(O::Const, TExprId),
-    /// Initialization `e1 -> e2`.
-    Arrow(TExprId, TExprId),
-    /// Node instantiation; the annotation is the callee's *first*
-    /// output type (the value type in expression position — tuple calls
-    /// only occur at equation level, where the pattern is checked
-    /// against the full signature directly). Elaboration resolves the
-    /// callee's name to its id here, once.
-    Call(NodeId, TRange, O::Ty),
-}
-
-/// The typed-expression and argument pools behind a [`TProgram`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TArena<O: Ops> {
-    exprs: Vec<TExpr<O>>,
-    args: Vec<TExprId>,
-    /// `Fby` expressions introduced by desugaring a `pre`, with the
-    /// `pre`'s source span (id-ascending). Normalization threads these
-    /// into the [`velus_common::PreMarks`] the initialization analysis
-    /// consumes; the old syntactic W0001 check lived here instead.
-    pre_spans: Vec<(TExprId, Span)>,
-}
-
-impl<O: Ops> Default for TArena<O> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<O: Ops> TArena<O> {
-    /// An empty arena.
-    pub fn new() -> Self {
-        TArena {
-            exprs: Vec::new(),
-            args: Vec::new(),
-            pre_spans: Vec::new(),
-        }
-    }
-
-    /// Empties the pools but keeps their capacity for reuse.
-    pub fn clear(&mut self) {
-        self.exprs.clear();
-        self.args.clear();
-        self.pre_spans.clear();
-    }
-
-    /// Records that `id` is a `Fby` desugared from a `pre` at `span`.
-    fn mark_pre(&mut self, id: TExprId, span: Span) {
-        debug_assert!(self.pre_spans.last().is_none_or(|(p, _)| p.0 < id.0));
-        self.pre_spans.push((id, span));
-    }
-
-    /// The `pre` span of `id`, when `id` is a `pre`-introduced `Fby`.
-    pub fn pre_span(&self, id: TExprId) -> Option<Span> {
-        self.pre_spans
-            .binary_search_by_key(&id.0, |(p, _)| p.0)
-            .ok()
-            .map(|i| self.pre_spans[i].1)
-    }
-
-    /// Adds an expression, returning its id.
-    #[inline]
-    pub fn push(&mut self, e: TExpr<O>) -> TExprId {
-        let id = TExprId(self.exprs.len() as u32);
-        self.exprs.push(e);
-        id
-    }
-
-    /// Moves `stack[base..]` into the argument pool, returning the run.
-    fn push_args(&mut self, stack: &mut Vec<TExprId>, base: usize) -> TRange {
-        let start = self.args.len() as u32;
-        self.args.extend(stack.drain(base..));
-        TRange {
-            start,
-            len: self.args.len() as u32 - start,
-        }
-    }
-
-    /// The argument run of a call.
-    #[inline]
-    pub fn args(&self, r: TRange) -> &[TExprId] {
-        &self.args[r.start as usize..(r.start + r.len) as usize]
-    }
-
-    /// The expressions in a contiguous pool range (a node's slice).
-    #[inline]
-    pub fn exprs_in(&self, r: TRange) -> &[TExpr<O>] {
-        &self.exprs[r.start as usize..(r.start + r.len) as usize]
-    }
-
-    /// Number of expressions in the pool.
-    #[inline]
-    pub fn num_exprs(&self) -> usize {
-        self.exprs.len()
-    }
-
-    /// Pool capacities `(exprs, args)` — exposed so reuse tests can
-    /// assert that recycled arenas stop growing.
-    pub fn capacities(&self) -> (usize, usize) {
-        (self.exprs.capacity(), self.args.capacity())
-    }
-
-    /// The type of an expression (first output for calls). Iterative:
-    /// the annotation is at most one spine walk away.
-    pub fn ty_of(&self, mut id: TExprId) -> O::Ty {
-        loop {
-            match &self[id] {
-                TExpr::Const(c) => return O::type_of_const(c),
-                TExpr::Var(_, ty)
-                | TExpr::Unop(_, _, ty)
-                | TExpr::Binop(_, _, _, ty)
-                | TExpr::Call(_, _, ty) => return ty.clone(),
-                TExpr::When(e, _, _)
-                | TExpr::Merge(_, e, _)
-                | TExpr::If(_, e, _)
-                | TExpr::Fby(_, e)
-                | TExpr::Arrow(e, _) => id = *e,
-            }
-        }
-    }
-}
-
-impl<O: Ops> std::ops::Index<TExprId> for TArena<O> {
-    type Output = TExpr<O>;
-
-    #[inline]
-    fn index(&self, id: TExprId) -> &TExpr<O> {
-        &self.exprs[id.index()]
-    }
-}
-
-/// A typed equation. The right-hand side is an id into the program's
-/// [`TArena`], so the equation itself is interface-independent.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TEquation {
-    /// Defined variables: the source equation's run in the surface
-    /// arena's left-hand-side pool ([`UArena::lhs`]), not a copy.
-    pub lhs: ExprRange,
-    /// The (common) clock of the defined variables.
-    pub ck: Clock,
-    /// Typed right-hand side.
-    pub rhs: TExprId,
-    /// The source equation's span (threaded into the
-    /// [`velus_common::SpanMap`] by normalization so mid-end failures
-    /// point back here).
-    pub span: Span,
-}
-
-/// A typed node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TNode<O: Ops> {
-    /// Node name.
-    pub name: Ident,
-    /// Typed, clocked inputs.
-    pub inputs: Vec<velus_nlustre::ast::VarDecl<O>>,
-    /// Typed, clocked outputs.
-    pub outputs: Vec<velus_nlustre::ast::VarDecl<O>>,
-    /// Typed, clocked locals.
-    pub locals: Vec<velus_nlustre::ast::VarDecl<O>>,
-    /// Typed equations.
-    pub eqs: Vec<TEquation>,
-    /// The contiguous slice of the typed pool this node occupies, used
-    /// by normalization to pre-size from a linear scan.
-    pub exprs: TRange,
-    /// The node header's span.
-    pub span: Span,
-}
-
-/// A typed program, nodes in dependency order (callees first). Ids
-/// index the [`TArena`] elaboration built it in.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TProgram<O: Ops> {
-    /// The nodes.
-    pub nodes: Vec<TNode<O>>,
-}
+use crate::normalize::Lower;
 
 /// Partial types for literal inference.
 #[derive(Debug, Clone, PartialEq)]
@@ -312,10 +83,18 @@ struct NodeEnv<'e, O: Ops> {
 
 struct Elab<'a, O: Ops> {
     ua: &'a UArena,
-    ta: &'a mut TArena<O>,
     env: NodeEnv<'a, O>,
-    /// Scratch for call arguments (drained into the arena per call).
-    arg_stack: &'a mut Vec<TExprId>,
+    /// The node's clocks: those of its declarations, and the branch
+    /// clocks of its merges, each built once.
+    clocks: &'a mut Clocks,
+    /// The node's N-Lustre form, built as the walk goes.
+    out: &'a mut Lower<O>,
+    /// The span of the equation being elaborated: clocking errors point
+    /// at the whole equation.
+    eq_span: Span,
+    /// The equation's first clocking error, reported once its typing
+    /// has succeeded.
+    clock_err: Option<Diagnostics>,
 }
 
 type EResult<T> = Result<T, Diagnostics>;
@@ -444,203 +223,309 @@ impl<'a, O: Ops> Elab<'a, O> {
         }
     }
 
-    /// Builds a typed expression at the expected type, returning its id
-    /// in the typed arena.
+    // ---- lowering --------------------------------------------------------
+
+    /// Types `e` at `expected`, clocks it at `ck` and lowers it in
+    /// simple-expression position, extracting what is not a simple
+    /// expression; returns its root in the node's pool.
+    fn simple(&mut self, e: ExprId, expected: &O::Ty, ck: &Clock) -> EResult<nl::ExprId> {
+        let mark = self.out.open();
+        self.stage(e, expected, ck)?;
+        Ok(self.out.close(mark))
+    }
+
+    /// [`Elab::simple`] for an open expression: stages `e`'s nodes and
+    /// returns its staged root.
     ///
-    /// A `pre` desugars to an uninitialized `fby` and is marked in the
-    /// arena ([`TArena::pre_span`]); whether its default value can
-    /// actually be observed is decided later by the semantic
-    /// initialization analysis (`velus-analysis`), not here.
-    fn build(&mut self, e: ExprId, expected: &O::Ty) -> EResult<TExprId> {
+    /// The recursion follows the expression's operators, so its frame
+    /// bounds how deep an expression a stack takes: it stays small by
+    /// handing what is not a simple operator to [`Elab::extract`], and
+    /// the checks and their messages to helpers of their own.
+    fn stage(&mut self, e: ExprId, expected: &O::Ty, ck: &Clock) -> EResult<nl::ExprId> {
+        let node = match self.ua[e] {
+            UExpr::Lit(..) | UExpr::Var(..) => self.leaf(e, expected, ck)?,
+            UExpr::Unop(sop, e1, s) => {
+                let operand_ty = match sop {
+                    SurfaceUnOp::Not => O::bool_type(),
+                    SurfaceUnOp::Neg => expected.clone(),
+                };
+                let a = self.stage(e1, &operand_ty, ck)?;
+                self.unop(sop, a, &operand_ty, expected, s)?
+            }
+            UExpr::Binop(sop, l, r, s) => {
+                let operand_ty = self.operand_ty(sop, l, r, expected, s)?;
+                let a = self.stage(l, &operand_ty, ck)?;
+                let b = self.stage(r, &operand_ty, ck)?;
+                self.binop(sop, a, b, &operand_ty, expected, s)?
+            }
+            UExpr::When(e1, x, k, s) => {
+                let parent = self.when_clock(x, k, ck, s)?;
+                Expr::When(self.stage(e1, expected, parent)?, x, k)
+            }
+            _ => return self.extract(e, expected, ck),
+        };
+        Ok(self.out.stage(node))
+    }
+
+    /// A literal, variable or global constant at type `expected` and
+    /// clock `ck`.
+    #[inline(never)]
+    fn leaf(&mut self, e: ExprId, expected: &O::Ty, ck: &Clock) -> EResult<Expr<O>> {
         match self.ua[e] {
             UExpr::Lit(lit, s) => match O::const_of_literal(&lit, expected) {
-                Some(c) => Ok(self.ta.push(TExpr::Const(c))),
+                Some(c) => Ok(Expr::Const(c)),
                 None => err(
                     codes::E0207,
                     format!("literal {lit} does not fit type {expected}"),
                     s,
                 ),
             },
-            UExpr::Var(x, s) => {
-                if let Some((t, _, _)) = self.env.vars.get(&x) {
-                    if t == expected {
-                        let t = t.clone();
-                        Ok(self.ta.push(TExpr::Var(x, t)))
-                    } else {
-                        err(
-                            codes::E0202,
-                            format!("variable {x} has type {t}, expected {expected}"),
-                            s,
-                        )
-                    }
-                } else if let Some(c) = self.env.consts.get(&x) {
-                    if O::type_of_const(c) == *expected {
-                        let c = c.clone();
-                        Ok(self.ta.push(TExpr::Const(c)))
-                    } else {
-                        err(
-                            codes::E0202,
-                            format!(
-                                "constant {x} has type {}, expected {expected}",
-                                O::type_of_const(c)
-                            ),
-                            s,
-                        )
-                    }
-                } else {
-                    err(codes::E0201, format!("unknown variable {x}"), s)
-                }
+            UExpr::Var(x, s) => self.var(x, expected, ck, s),
+            _ => unreachable!("a leaf is a literal or a variable"),
+        }
+    }
+
+    /// The unary operator `sop` applied to `a`, at type `expected`.
+    #[inline(never)]
+    fn unop(
+        &self,
+        sop: SurfaceUnOp,
+        a: nl::ExprId,
+        operand_ty: &O::Ty,
+        expected: &O::Ty,
+        s: Span,
+    ) -> EResult<Expr<O>> {
+        match O::elab_unop(sop, operand_ty) {
+            Some((op, rty)) if rty == *expected => Ok(Expr::Unop(op, a, rty)),
+            Some((_, rty)) => err(
+                codes::E0202,
+                format!("operator {sop} yields {rty}, expected {expected}"),
+                s,
+            ),
+            None => err(
+                codes::E0208,
+                format!("operator {sop} inapplicable at type {operand_ty}"),
+                s,
+            ),
+        }
+    }
+
+    /// The operand type of `l sop r` at type `expected`: inferred for
+    /// comparisons, fixed by the operator or the context otherwise.
+    #[inline(never)]
+    fn operand_ty(
+        &self,
+        sop: SurfaceBinOp,
+        l: ExprId,
+        r: ExprId,
+        expected: &O::Ty,
+        s: Span,
+    ) -> EResult<O::Ty> {
+        use SurfaceBinOp::*;
+        match sop {
+            Eq | Ne | Lt | Le | Gt | Ge => {
+                let a = self.infer(l)?;
+                let b = self.infer(r)?;
+                let u = self.unify(a, b, s)?;
+                self.resolve(u, s)
             }
-            UExpr::Unop(sop, e1, s) => {
-                let operand_ty = match sop {
-                    SurfaceUnOp::Not => O::bool_type(),
-                    SurfaceUnOp::Neg => expected.clone(),
-                };
-                let te = self.build(e1, &operand_ty)?;
-                match O::elab_unop(sop, &operand_ty) {
-                    Some((op, rty)) if rty == *expected => {
-                        Ok(self.ta.push(TExpr::Unop(op, te, rty)))
-                    }
-                    Some((_, rty)) => err(
-                        codes::E0202,
-                        format!("operator {sop} yields {rty}, expected {expected}"),
-                        s,
-                    ),
-                    None => err(
-                        codes::E0208,
-                        format!("operator {sop} inapplicable at type {operand_ty}"),
-                        s,
-                    ),
-                }
+            And | Or | Xor => Ok(O::bool_type()),
+            _ => Ok(expected.clone()),
+        }
+    }
+
+    /// The binary operator `sop` applied to `a` and `b`, at type
+    /// `expected`.
+    #[inline(never)]
+    fn binop(
+        &self,
+        sop: SurfaceBinOp,
+        a: nl::ExprId,
+        b: nl::ExprId,
+        operand_ty: &O::Ty,
+        expected: &O::Ty,
+        s: Span,
+    ) -> EResult<Expr<O>> {
+        match O::elab_binop(sop, operand_ty, operand_ty) {
+            Some((op, rty)) if rty == *expected => Ok(Expr::Binop(op, a, b, rty)),
+            Some((_, rty)) => err(
+                codes::E0202,
+                format!("operator {sop} yields {rty}, expected {expected}"),
+                s,
+            ),
+            None => err(
+                codes::E0208,
+                format!("operator {sop} inapplicable at type {operand_ty}"),
+                s,
+            ),
+        }
+    }
+
+    /// The clock of `e1` in `e1 when x` (`k`) at clock `ck`: the parent
+    /// of `ck`, which must sample `x`.
+    #[inline(never)]
+    fn when_clock<'c>(&mut self, x: Ident, k: bool, ck: &'c Clock, s: Span) -> EResult<&'c Clock> {
+        self.require_bool_var(x, s)?;
+        match ck {
+            Clock::On(parent, y, k2) if *y == x && *k2 == k => {
+                self.var_clock(x, parent);
+                Ok(parent)
             }
-            UExpr::Binop(sop, l, r, s) => {
-                use SurfaceBinOp::*;
-                let operand_ty = match sop {
-                    Eq | Ne | Lt | Le | Gt | Ge => {
-                        let a = self.infer(l)?;
-                        let b = self.infer(r)?;
-                        let u = self.unify(a, b, s)?;
-                        self.resolve(u, s)?
-                    }
-                    And | Or | Xor => O::bool_type(),
-                    _ => expected.clone(),
-                };
-                let tl = self.build(l, &operand_ty)?;
-                let tr = self.build(r, &operand_ty)?;
-                match O::elab_binop(sop, &operand_ty, &operand_ty) {
-                    Some((op, rty)) if rty == *expected => {
-                        Ok(self.ta.push(TExpr::Binop(op, tl, tr, rty)))
-                    }
-                    Some((_, rty)) => err(
-                        codes::E0202,
-                        format!("operator {sop} yields {rty}, expected {expected}"),
-                        s,
-                    ),
-                    None => err(
-                        codes::E0208,
-                        format!("operator {sop} inapplicable at type {operand_ty}"),
-                        s,
-                    ),
-                }
-            }
-            UExpr::When(e1, x, k, s) => {
-                self.require_bool_var(x, s)?;
-                let te = self.build(e1, expected)?;
-                Ok(self.ta.push(TExpr::When(te, x, k)))
-            }
-            UExpr::Merge(x, t, f, s) => {
-                self.require_bool_var(x, s)?;
-                let tt = self.build(t, expected)?;
-                let tf = self.build(f, expected)?;
-                Ok(self.ta.push(TExpr::Merge(x, tt, tf)))
-            }
-            UExpr::If(c, t, f, _) => {
-                let tc = self.build(c, &O::bool_type())?;
-                let tt = self.build(t, expected)?;
-                let tf = self.build(f, expected)?;
-                Ok(self.ta.push(TExpr::If(tc, tt, tf)))
-            }
-            UExpr::Fby(c, e1, _) => {
-                let init = self.const_value(c, expected)?;
-                let te = self.build(e1, expected)?;
-                Ok(self.ta.push(TExpr::Fby(init, te)))
-            }
-            UExpr::Arrow(l, r, _) => {
-                let tl = self.build(l, expected)?;
-                let tr = self.build(r, expected)?;
-                Ok(self.ta.push(TExpr::Arrow(tl, tr)))
-            }
-            UExpr::Pre(e1, s) => {
-                let te = self.build(e1, expected)?;
-                let id = self.ta.push(TExpr::Fby(O::default_const(expected), te));
-                self.ta.mark_pre(id, s);
-                Ok(id)
-            }
-            UExpr::Call(f, args, s) => {
-                // Type cast?
-                if let Some(to) = O::type_of_name(f.as_str()) {
-                    let args = self.ua.args(args);
-                    if args.len() != 1 {
-                        return err(
-                            codes::E0204,
-                            format!("cast {f}(…) takes exactly one argument"),
-                            s,
-                        );
-                    }
-                    if to != *expected {
-                        return err(
-                            codes::E0202,
-                            format!("cast to {to} used at type {expected}"),
-                            s,
-                        );
-                    }
-                    let arg = args[0];
-                    let from_p = self.infer(arg)?;
-                    let from = self.resolve(from_p, s)?;
-                    let te = self.build(arg, &from)?;
-                    return match O::elab_cast(&from, &to) {
-                        Some(op) => Ok(self.ta.push(TExpr::Unop(op, te, to))),
-                        None => err(codes::E0208, format!("no cast from {from} to {to}"), s),
-                    };
-                }
-                // Borrow the signature straight out of the (outer-lived)
-                // map — no per-call-site clone of the signature vectors.
-                let sigs: &'a SigMap<O> = self.env.sigs;
-                let (callee, ins, outs) = match sigs.get(&f) {
-                    Some(sig) => sig,
-                    None => return err(codes::E0203, format!("unknown node or type {f}"), s),
-                };
-                if outs.len() != 1 {
-                    return err(
-                        codes::E0214,
-                        format!(
-                            "node {f} has {} outputs; tuple calls only at equation level",
-                            outs.len()
-                        ),
-                        s,
-                    );
-                }
-                if outs[0].1 != *expected {
-                    return err(
-                        codes::E0202,
-                        format!("node {f} returns {}, expected {expected}", outs[0].1),
-                        s,
-                    );
-                }
-                let targs = self.build_args(f, ins, args, s)?;
-                let out_ty = outs[0].1.clone();
-                Ok(self.ta.push(TExpr::Call(*callee, targs, out_ty)))
+            _ => {
+                self.clock_error(format!("`… when {x}` used at clock `{ck}`"));
+                Ok(ck)
             }
         }
     }
 
-    fn build_args(
+    /// Lowers `e` — a cast, or a delay, node call or control expression
+    /// met in simple-expression position — and stages it: a cast is an
+    /// operator, everything else is extracted into a fresh equation at
+    /// `ck` and staged as the variable that stands for it.
+    #[inline(never)]
+    fn extract(&mut self, e: ExprId, expected: &O::Ty, ck: &Clock) -> EResult<nl::ExprId> {
+        match self.ua[e] {
+            UExpr::Call(f, args, s) if O::type_of_name(f.as_str()).is_some() => {
+                let cast = self.cast(f, args, expected, ck, s)?;
+                Ok(self.out.stage(cast))
+            }
+            UExpr::Fby(c, e1, _) => {
+                let init = const_value::<O>(self.ua, self.env.consts, c, expected)?;
+                let rhs = self.simple(e1, expected, ck)?;
+                Ok(self.out.extract_fby(expected, ck, init, rhs, None))
+            }
+            UExpr::Pre(e1, s) => {
+                let rhs = self.simple(e1, expected, ck)?;
+                let init = O::default_const(expected);
+                Ok(self.out.extract_fby(expected, ck, init, rhs, Some(s)))
+            }
+            UExpr::Call(f, args, s) => {
+                let (node, args) = self.call(f, args, expected, ck, s)?;
+                Ok(self.out.extract_call(expected, ck, node, args))
+            }
+            _ => {
+                let rhs = self.control(e, expected, ck)?;
+                Ok(self.out.extract_control(expected, ck, rhs))
+            }
+        }
+    }
+
+    /// A variable or global constant read at type `expected` and clock
+    /// `ck`.
+    fn var(&mut self, x: Ident, expected: &O::Ty, ck: &Clock, s: Span) -> EResult<Expr<O>> {
+        if let Some((t, cx, _)) = self.env.vars.get(&x) {
+            if t != expected {
+                return err(
+                    codes::E0202,
+                    format!("variable {x} has type {t}, expected {expected}"),
+                    s,
+                );
+            }
+            let var = Expr::Var(x, t.clone());
+            if cx != ck {
+                let msg = format!("variable {x} on clock `{cx}`, expected `{ck}`");
+                self.clock_error(msg);
+            }
+            Ok(var)
+        } else if let Some(c) = self.env.consts.get(&x) {
+            if O::type_of_const(c) == *expected {
+                Ok(Expr::Const(c.clone()))
+            } else {
+                err(
+                    codes::E0202,
+                    format!(
+                        "constant {x} has type {}, expected {expected}",
+                        O::type_of_const(c)
+                    ),
+                    s,
+                )
+            }
+        } else {
+            err(codes::E0201, format!("unknown variable {x}"), s)
+        }
+    }
+
+    /// The cast `to(arg)` at type `expected`, where `f` names type `to`.
+    fn cast(
+        &mut self,
+        f: Ident,
+        args: ExprRange,
+        expected: &O::Ty,
+        ck: &Clock,
+        s: Span,
+    ) -> EResult<Expr<O>> {
+        let to = O::type_of_name(f.as_str()).expect("a cast names a type");
+        let args = self.ua.args(args);
+        if args.len() != 1 {
+            return err(
+                codes::E0204,
+                format!("cast {f}(…) takes exactly one argument"),
+                s,
+            );
+        }
+        if to != *expected {
+            return err(
+                codes::E0202,
+                format!("cast to {to} used at type {expected}"),
+                s,
+            );
+        }
+        let arg = args[0];
+        let from_p = self.infer(arg)?;
+        let from = self.resolve(from_p, s)?;
+        let a = self.stage(arg, &from, ck)?;
+        match O::elab_cast(&from, &to) {
+            Some(op) => Ok(Expr::Unop(op, a, to)),
+            None => err(codes::E0208, format!("no cast from {from} to {to}"), s),
+        }
+    }
+
+    /// The single-output call `f(args)` at type `expected`: the callee's
+    /// id and the lowered arguments.
+    fn call(
+        &mut self,
+        f: Ident,
+        args: ExprRange,
+        expected: &O::Ty,
+        ck: &Clock,
+        s: Span,
+    ) -> EResult<(NodeId, Vec<nl::ExprId>)> {
+        // Borrow the signature straight out of the (outer-lived) map —
+        // no per-call-site clone of the signature vectors.
+        let sigs: &'a SigMap<O> = self.env.sigs;
+        let (callee, ins, outs) = match sigs.get(&f) {
+            Some(sig) => sig,
+            None => return err(codes::E0203, format!("unknown node or type {f}"), s),
+        };
+        if outs.len() != 1 {
+            return err(
+                codes::E0214,
+                format!(
+                    "node {f} has {} outputs; tuple calls only at equation level",
+                    outs.len()
+                ),
+                s,
+            );
+        }
+        if outs[0].1 != *expected {
+            return err(
+                codes::E0202,
+                format!("node {f} returns {}, expected {expected}", outs[0].1),
+                s,
+            );
+        }
+        Ok((*callee, self.args(f, ins, args, ck, s)?))
+    }
+
+    /// The arguments of a call to `f`, lowered at the input types `ins`.
+    fn args(
         &mut self,
         f: Ident,
         ins: &[O::Ty],
-        args: crate::ast::ExprRange,
+        args: ExprRange,
+        ck: &Clock,
         span: Span,
-    ) -> EResult<TRange> {
+    ) -> EResult<Vec<nl::ExprId>> {
         let ua: &'a UArena = self.ua;
         let args = ua.args(args);
         if ins.len() != args.len() {
@@ -654,17 +539,47 @@ impl<'a, O: Ops> Elab<'a, O> {
                 span,
             );
         }
-        let base = self.arg_stack.len();
+        let mut lowered = Vec::with_capacity(args.len());
         for (&a, t) in args.iter().zip(ins) {
-            match self.build(a, t) {
-                Ok(id) => self.arg_stack.push(id),
-                Err(e) => {
-                    self.arg_stack.truncate(base);
-                    return Err(e);
-                }
-            }
+            lowered.push(self.simple(a, t, ck)?);
         }
-        Ok(self.ta.push_args(self.arg_stack, base))
+        Ok(lowered)
+    }
+
+    /// Types `e` at `expected`, clocks it at `ck` and lowers it in
+    /// control-expression position: merges, muxes and arrows nest, and
+    /// everything else is a simple-expression leaf.
+    fn control(&mut self, e: ExprId, expected: &O::Ty, ck: &Clock) -> EResult<nl::CExprId> {
+        let mark = self.out.open_control();
+        self.stage_control(e, expected, ck)?;
+        Ok(self.out.close_control(mark))
+    }
+
+    fn stage_control(&mut self, e: ExprId, expected: &O::Ty, ck: &Clock) -> EResult<nl::CExprId> {
+        let node = match self.ua[e] {
+            UExpr::If(c, t, f, _) => {
+                let c = self.simple(c, &O::bool_type(), ck)?;
+                let t = self.stage_control(t, expected, ck)?;
+                let f = self.stage_control(f, expected, ck)?;
+                CExpr::If(c, t, f)
+            }
+            UExpr::Merge(x, t, f, s) => {
+                self.require_bool_var(x, s)?;
+                self.var_clock(x, ck);
+                let (on_t, on_f) = (self.clocks.on(ck, x, true), self.clocks.on(ck, x, false));
+                let t = self.stage_control(t, expected, &on_t)?;
+                let f = self.stage_control(f, expected, &on_f)?;
+                CExpr::Merge(x, t, f)
+            }
+            UExpr::Arrow(l, r, _) => {
+                let h = self.out.init_flag(ck);
+                let t = self.stage_control(l, expected, ck)?;
+                let f = self.stage_control(r, expected, ck)?;
+                CExpr::If(h, t, f)
+            }
+            _ => CExpr::Expr(self.simple(e, expected, ck)?),
+        };
+        Ok(self.out.stage_control(node))
     }
 
     fn require_bool_var(&self, x: Ident, span: Span) -> EResult<()> {
@@ -679,112 +594,66 @@ impl<'a, O: Ops> Elab<'a, O> {
         }
     }
 
-    /// Evaluates a constant expression (literal, possibly negated literal,
-    /// or global constant) at the expected type.
-    fn const_value(&self, e: ExprId, expected: &O::Ty) -> EResult<O::Const> {
-        match self.ua[e] {
-            UExpr::Lit(lit, s) => O::const_of_literal(&lit, expected).ok_or(()).or_else(|_| {
-                err(
-                    codes::E0207,
-                    format!("literal {lit} does not fit type {expected}"),
-                    s,
-                )
-            }),
-            UExpr::Var(x, s) => match self.env.consts.get(&x) {
-                Some(c) if O::type_of_const(c) == *expected => Ok(c.clone()),
-                Some(c) => err(
-                    codes::E0202,
-                    format!(
-                        "constant {x} has type {}, expected {expected}",
-                        O::type_of_const(c)
-                    ),
-                    s,
-                ),
-                None => err(
-                    codes::E0209,
-                    format!("`fby` initial value must be a constant, found variable {x}"),
-                    s,
-                ),
-            },
-            ref other => err(
-                codes::E0209,
-                "`fby` initial value must be a constant expression",
-                other.span(),
-            ),
-        }
-    }
-
     // ---- clocks ---------------------------------------------------------
 
-    /// Checks that `e` is well clocked at `ck` (`None` = clock-polymorphic
-    /// constant context is not needed: equations always give a concrete
-    /// expectation). Merge branch clocks come from the node's `clocks`.
-    fn check_clock(&self, e: TExprId, ck: &Clock, span: Span, clocks: &mut Clocks) -> EResult<()> {
-        match &self.ta[e] {
-            TExpr::Const(_) => Ok(()),
-            TExpr::Var(x, _) => {
-                let (_, cx, _) = self.env.vars.get(x).expect("vars checked during typing");
-                if cx == ck {
-                    Ok(())
-                } else {
-                    err(
-                        codes::E0301,
-                        format!("variable {x} on clock `{cx}`, expected `{ck}`"),
-                        span,
-                    )
-                }
-            }
-            TExpr::Unop(_, e1, _) => self.check_clock(*e1, ck, span, clocks),
-            TExpr::Binop(_, l, r, _) => {
-                self.check_clock(*l, ck, span, clocks)?;
-                self.check_clock(*r, ck, span, clocks)
-            }
-            TExpr::When(e1, x, k) => match ck {
-                Clock::On(parent, y, k2) if y == x && k2 == k => {
-                    self.check_var_clock(*x, parent, span)?;
-                    self.check_clock(*e1, parent, span, clocks)
-                }
-                _ => err(
-                    codes::E0301,
-                    format!("`… when {x}` used at clock `{ck}`"),
-                    span,
-                ),
-            },
-            TExpr::Merge(x, t, f) => {
-                self.check_var_clock(*x, ck, span)?;
-                let (on_t, on_f) = (clocks.on(ck, *x, true), clocks.on(ck, *x, false));
-                self.check_clock(*t, &on_t, span, clocks)?;
-                self.check_clock(*f, &on_f, span, clocks)
-            }
-            TExpr::If(c, t, f) => {
-                self.check_clock(*c, ck, span, clocks)?;
-                self.check_clock(*t, ck, span, clocks)?;
-                self.check_clock(*f, ck, span, clocks)
-            }
-            TExpr::Fby(_, e1) => self.check_clock(*e1, ck, span, clocks),
-            TExpr::Arrow(l, r) => {
-                self.check_clock(*l, ck, span, clocks)?;
-                self.check_clock(*r, ck, span, clocks)
-            }
-            TExpr::Call(_, args, _) => {
-                for &a in self.ta.args(*args) {
-                    self.check_clock(a, ck, span, clocks)?;
-                }
-                Ok(())
-            }
+    /// Records a clocking error of the current equation, unless an
+    /// earlier one is recorded.
+    fn clock_error(&mut self, msg: String) {
+        if self.clock_err.is_none() {
+            let d =
+                Diagnostic::error(codes::E0301, msg, self.eq_span).at_stage(DiagStage::Elaborate);
+            self.clock_err = Some(Diagnostics::from(d));
         }
     }
 
-    fn check_var_clock(&self, x: Ident, ck: &Clock, span: Span) -> EResult<()> {
-        match self.env.vars.get(&x) {
-            Some((_, cx, _)) if cx == ck => Ok(()),
-            Some((_, cx, _)) => err(
-                codes::E0301,
-                format!("variable {x} on clock `{cx}`, expected `{ck}`"),
-                span,
-            ),
-            None => err(codes::E0201, format!("unknown variable {x}"), span),
+    /// Checks that the (declared, boolean) variable `x` is on clock `ck`.
+    fn var_clock(&mut self, x: Ident, ck: &Clock) {
+        if let Some((_, cx, _)) = self.env.vars.get(&x) {
+            if cx != ck {
+                let msg = format!("variable {x} on clock `{cx}`, expected `{ck}`");
+                self.clock_error(msg);
+            }
         }
+    }
+}
+
+/// Evaluates a constant expression (literal, possibly negated literal,
+/// or global constant) at the expected type.
+fn const_value<O: Ops>(
+    ua: &UArena,
+    consts: &IdentMap<O::Const>,
+    e: ExprId,
+    expected: &O::Ty,
+) -> EResult<O::Const> {
+    match ua[e] {
+        UExpr::Lit(lit, s) => O::const_of_literal(&lit, expected).ok_or(()).or_else(|_| {
+            err(
+                codes::E0207,
+                format!("literal {lit} does not fit type {expected}"),
+                s,
+            )
+        }),
+        UExpr::Var(x, s) => match consts.get(&x) {
+            Some(c) if O::type_of_const(c) == *expected => Ok(c.clone()),
+            Some(c) => err(
+                codes::E0202,
+                format!(
+                    "constant {x} has type {}, expected {expected}",
+                    O::type_of_const(c)
+                ),
+                s,
+            ),
+            None => err(
+                codes::E0209,
+                format!("`fby` initial value must be a constant, found variable {x}"),
+                s,
+            ),
+        },
+        ref other => err(
+            codes::E0209,
+            "`fby` initial value must be a constant expression",
+            other.span(),
+        ),
     }
 }
 
@@ -1008,12 +877,11 @@ fn elab_decls<O: Ops>(
 fn elab_node<O: Ops>(
     unode: &UNode,
     ua: &UArena,
-    ta: &mut TArena<O>,
     consts: &IdentMap<O::Const>,
     sigs: &SigMap<O>,
-    arg_stack: &mut Vec<TExprId>,
     clocks: &mut Clocks,
-) -> EResult<TNode<O>> {
+    out: &mut Lower<O>,
+) -> EResult<nl::Node<O>> {
     let (vars, [inputs, outputs, locals]) =
         elab_decls::<O>(ua, [&unode.inputs, &unode.outputs, &unode.locals], clocks)?;
     // Interface variables live on the base clock (paper's restriction).
@@ -1034,20 +902,16 @@ fn elab_node<O: Ops>(
         );
     }
 
-    // Cheap first pass: the typed tree is at most one node per surface
-    // node (casts and folds only shrink it), so reserving the surface
-    // count keeps the pool from growing mid-node.
-    let tstart = ta.num_exprs() as u32;
-    ta.exprs.reserve(unode.exprs.len());
-
+    out.start_node(unode.exprs.len(), unode.eqs.len());
     let mut elab = Elab::<O> {
         ua,
-        ta,
         env: NodeEnv { vars, consts, sigs },
-        arg_stack,
+        clocks,
+        out: &mut *out,
+        eq_span: Span::DUMMY,
+        clock_err: None,
     };
 
-    let mut eqs = Vec::with_capacity(unode.eqs.len());
     for ueq in &unode.eqs {
         let lhs = ua.lhs(ueq.lhs);
         // The equation clock comes from the (identical) clocks of the
@@ -1087,8 +951,10 @@ fn elab_node<O: Ops>(
             }
         }
         let ck = lhs_ck.expect("patterns are non-empty");
+        elab.eq_span = ueq.span;
+        elab.out.start_equation(lhs, ueq.span);
 
-        let rhs = if lhs.len() > 1 {
+        if lhs.len() > 1 {
             // Tuple call.
             match ua[ueq.rhs] {
                 UExpr::Call(f, args, s) => {
@@ -1120,9 +986,8 @@ fn elab_node<O: Ops>(
                             );
                         }
                     }
-                    let targs = elab.build_args(f, ins, args, s)?;
-                    let out_ty = outs[0].1.clone();
-                    elab.ta.push(TExpr::Call(*callee, targs, out_ty))
+                    let args = elab.args(f, ins, args, &ck, s)?;
+                    elab.out.call_equation(lhs.to_vec(), &ck, *callee, args);
                 }
                 ref other => {
                     return err(
@@ -1135,15 +1000,35 @@ fn elab_node<O: Ops>(
         } else {
             let x = lhs[0];
             let tx = elab.env.vars[&x].0.clone();
-            elab.build(ueq.rhs, &tx)?
-        };
-        elab.check_clock(rhs, &ck, ueq.span, clocks)?;
-        eqs.push(TEquation {
-            lhs: ueq.lhs,
-            ck,
-            rhs,
-            span: ueq.span,
-        });
+            let output = || outputs.iter().any(|d| d.name == x);
+            match ua[ueq.rhs] {
+                // A top-level delay stays a delay equation, and a
+                // top-level call a call equation.
+                UExpr::Fby(c, e1, _) => {
+                    let init = const_value::<O>(ua, consts, c, &tx)?;
+                    let rhs = elab.simple(e1, &tx, &ck)?;
+                    elab.out
+                        .fby_equation(x, output(), &tx, &ck, init, rhs, None);
+                }
+                UExpr::Pre(e1, s) => {
+                    let rhs = elab.simple(e1, &tx, &ck)?;
+                    let init = O::default_const(&tx);
+                    elab.out
+                        .fby_equation(x, output(), &tx, &ck, init, rhs, Some(s));
+                }
+                UExpr::Call(f, args, s) if O::type_of_name(f.as_str()).is_none() => {
+                    let (node, args) = elab.call(f, args, &tx, &ck, s)?;
+                    elab.out.call_equation(vec![x], &ck, node, args);
+                }
+                _ => {
+                    let rhs = elab.control(ueq.rhs, &tx, &ck)?;
+                    elab.out.def_equation(x, &ck, rhs);
+                }
+            }
+        }
+        if let Some(e) = elab.clock_err.take() {
+            return Err(e);
+        }
     }
 
     // Every output and local must be defined.
@@ -1156,32 +1041,23 @@ fn elab_node<O: Ops>(
             );
         }
     }
-
-    Ok(TNode {
-        name: unode.name,
-        inputs,
-        outputs,
-        locals,
-        eqs,
-        exprs: TRange {
-            start: tstart,
-            len: ta.num_exprs() as u32 - tstart,
-        },
-        span: unode.span,
-    })
+    Ok(out.finish(unode.name, unode.span, [inputs, outputs, locals]))
 }
 
 /// Elaborates a surface program: resolves constants, orders nodes,
-/// type-checks and clock-checks everything.
+/// type-checks and clock-checks everything, and lowers it to N-Lustre.
 ///
-/// The typed expressions are built into `ta` (cleared first); the
-/// returned program's ids index it. Callers that compile repeatedly
-/// pass the same arena back in to reuse its pools.
+/// Also returns the [`SpanMap`] recording where every node and equation
+/// came from (fresh equations inherit the span of the source equation
+/// they were extracted from) — the bridge that lets scheduling,
+/// checking and validation failures point at real source positions —
+/// and the [`PreMarks`] naming the memory variables that stand for a
+/// surface `pre` (with the `pre`'s own span), the input of the semantic
+/// initialization analysis.
 ///
-/// Returns the typed program and accumulated warnings (elaboration
-/// itself currently emits none: the old syntactic `pre` lint moved to
-/// the semantic initialization analysis in `velus-analysis`, fed by
-/// [`TArena::pre_span`]).
+/// The result satisfies the structural invariants of
+/// [`velus_nlustre::ast`] by construction and is re-validated by the
+/// pipeline's type and clock checks.
 ///
 /// # Errors
 ///
@@ -1189,34 +1065,15 @@ fn elab_node<O: Ops>(
 pub fn elaborate<O: Ops>(
     prog: &UProgram,
     ua: &UArena,
-    ta: &mut TArena<O>,
-) -> Result<(TProgram<O>, Diagnostics), Diagnostics> {
-    ta.clear();
-    ta.exprs.reserve(ua.num_exprs());
-    let mut arg_stack: Vec<TExprId> = Vec::new();
-
+) -> Result<(Program<O>, SpanMap, PreMarks), Diagnostics> {
     // Global constants.
     let mut consts: IdentMap<O::Const> = ident_map_with_capacity(prog.consts.len());
-    let empty_sigs = SigMap::<O>::default();
     for c in &prog.consts {
         let ty = match O::type_of_name(c.ty_name.as_str()) {
             Some(t) => t,
             None => return err(codes::E0215, format!("unknown type {}", c.ty_name), c.span),
         };
-        let value = {
-            let mut scratch_ta = TArena::<O>::new();
-            let scratch = Elab::<O> {
-                ua,
-                ta: &mut scratch_ta,
-                env: NodeEnv {
-                    vars: VarMap::<O>::default(),
-                    consts: &consts,
-                    sigs: &empty_sigs,
-                },
-                arg_stack: &mut arg_stack,
-            };
-            scratch.const_value(c.value, &ty)?
-        };
+        let value = const_value::<O>(ua, &consts, c.value, &ty)?;
         if consts.insert(c.name, value).is_some() {
             return err(
                 codes::E0217,
@@ -1229,30 +1086,23 @@ pub fn elaborate<O: Ops>(
     let order = order_nodes::<O>(prog, ua)?;
     let mut sigs: SigMap<O> = ident_map_with_capacity(prog.nodes.len());
     let mut clocks = Clocks::default();
+    let mut out = Lower::new();
     let mut nodes = Vec::with_capacity(prog.nodes.len());
     for i in order {
-        let tnode = elab_node::<O>(
-            &prog.nodes[i],
-            ua,
-            ta,
-            &consts,
-            &sigs,
-            &mut arg_stack,
-            &mut clocks,
-        )?;
+        let node = elab_node::<O>(&prog.nodes[i], ua, &consts, &sigs, &mut clocks, &mut out)?;
         sigs.insert(
-            tnode.name,
+            node.name,
             (
                 NodeId::new(nodes.len()),
-                tnode.inputs.iter().map(|d| d.ty.clone()).collect(),
-                tnode
-                    .outputs
+                node.inputs.iter().map(|d| d.ty.clone()).collect(),
+                node.outputs
                     .iter()
                     .map(|d| (d.name, d.ty.clone()))
                     .collect(),
             ),
         );
-        nodes.push(tnode);
+        nodes.push(node);
     }
-    Ok((TProgram { nodes }, Diagnostics::new()))
+    let (spans, marks) = out.into_maps();
+    Ok((Program::new(nodes), spans, marks))
 }

@@ -7,17 +7,22 @@
 //! unnormalized surface language, including the classical operators the
 //! paper discusses in §2.2 — initialization `->`, uninitialized delay
 //! `pre` (desugared to `fby` of the type's default value, with an
-//! initialization lint), explicit casts, and global constants — followed
-//! by a *normalization* pass to N-Lustre, the pass the paper inherits from
-//! earlier verified work \[2, 3\].
+//! initialization lint), explicit casts, and global constants — and
+//! *normalizes* it to N-Lustre, the pass the paper inherits from earlier
+//! verified work \[2, 3\], while it elaborates.
 //!
 //! Pipeline:
 //!
 //! ```text
 //! source ──lex──▶ tokens ──parse──▶ ast (untyped)
-//!        ──elab──▶ typed AST (types + clocks checked/inferred)
-//!        ──normalize──▶ velus_nlustre::ast::Program (N-Lustre)
+//!        ──elab──▶ velus_nlustre::ast::Program (N-Lustre)
 //! ```
+//!
+//! Elaboration checks types and clocks and normalizes in one walk per
+//! equation: each surface expression is typed, clocked and emitted
+//! straight into its node's N-Lustre expression pools, with nested
+//! delays, calls and control expressions extracted into fresh equations
+//! on the way. No typed intermediate tree is built.
 //!
 //! Everything is parametric in the operator interface `O:`[`velus_ops::Ops`];
 //! literals, type names and operators are resolved through it.
@@ -43,10 +48,10 @@
 pub mod ast;
 pub mod elab;
 pub mod lexer;
-pub mod normalize;
+mod normalize;
 pub mod parser;
 
-use velus_common::{codes, DiagStage, Diagnostics, SpanMap};
+use velus_common::{Diagnostics, SpanMap};
 use velus_nlustre::ast::Program;
 use velus_ops::Ops;
 
@@ -66,58 +71,43 @@ pub struct Frontend<O: Ops> {
 }
 
 /// Reusable front-end working memory: the token buffer and the surface
-/// and typed expression arenas.
+/// arena.
 ///
 /// One compile fills the pools; [`FrontendScratch::clear`] (called
 /// automatically by [`frontend_with`]) empties them but keeps their
 /// capacity, so a caller compiling many programs — the service, the
 /// bench harness, the differential campaign — stops allocating once the
 /// pools have grown to the largest program seen.
-#[derive(Debug)]
-pub struct FrontendScratch<O: Ops> {
+#[derive(Debug, Default)]
+pub struct FrontendScratch {
     /// Token buffer (see [`lexer::lex_into`]).
     pub tokens: Vec<lexer::Token>,
-    /// Surface expression/argument/clock pools.
+    /// Surface expression/argument/clock/left-hand-side pools.
     pub ua: ast::UArena,
-    /// Typed expression/argument pools.
-    pub ta: elab::TArena<O>,
 }
 
-impl<O: Ops> Default for FrontendScratch<O> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<O: Ops> FrontendScratch<O> {
+impl FrontendScratch {
     /// Fresh, empty scratch.
     pub fn new() -> Self {
-        FrontendScratch {
-            tokens: Vec::new(),
-            ua: ast::UArena::new(),
-            ta: elab::TArena::new(),
-        }
+        Self::default()
     }
 
     /// Empties all pools, keeping capacity.
     pub fn clear(&mut self) {
         self.tokens.clear();
         self.ua.clear();
-        self.ta.clear();
     }
 
     /// Current pool capacities `(tokens, surface exprs, surface args,
-    /// surface clocks, surface left-hand sides, typed exprs, typed
-    /// args)` — exposed so tests can assert a recycled scratch stops
-    /// growing.
-    pub fn capacities(&self) -> (usize, usize, usize, usize, usize, usize, usize) {
+    /// surface clocks, surface left-hand sides)` — exposed so tests can
+    /// assert a recycled scratch stops growing.
+    pub fn capacities(&self) -> (usize, usize, usize, usize, usize) {
         let (ue, ua, uc, ul) = self.ua.capacities();
-        let (te, tg) = self.ta.capacities();
-        (self.tokens.capacity(), ue, ua, uc, ul, te, tg)
+        (self.tokens.capacity(), ue, ua, uc, ul)
     }
 }
 
-/// Runs the whole front end: lex, parse, elaborate, normalize.
+/// Runs the whole front end: lex, parse, and elaborate into N-Lustre.
 ///
 /// # Errors
 ///
@@ -129,31 +119,21 @@ pub fn frontend<O: Ops>(source: &str) -> Result<Frontend<O>, Diagnostics> {
 }
 
 /// [`frontend`], but building through caller-owned scratch pools so
-/// repeated compiles reuse the token buffer and both arenas.
+/// repeated compiles reuse the token buffer and the surface arena.
 ///
 /// # Errors
 ///
 /// Same as [`frontend`].
 pub fn frontend_with<O: Ops>(
     source: &str,
-    scratch: &mut FrontendScratch<O>,
+    scratch: &mut FrontendScratch,
 ) -> Result<Frontend<O>, Diagnostics> {
     lexer::lex_into(source, &mut scratch.tokens)?;
     let uprog = parser::parse(&scratch.tokens, source, &mut scratch.ua)?;
-    let (typed, mut warnings) = elab::elaborate::<O>(&uprog, &scratch.ua, &mut scratch.ta)?;
-    let (program, spans, pre_marks) = normalize::normalize::<O>(typed, &scratch.ua, &scratch.ta)
-        .map_err(|e| {
-            Diagnostics::from(
-                velus_common::Diagnostic::error(
-                    codes::E0310,
-                    format!("normalization: {e}"),
-                    velus_common::Span::DUMMY,
-                )
-                .at_stage(DiagStage::Normalize),
-            )
-        })?;
+    let (program, spans, pre_marks) = elab::elaborate::<O>(&uprog, &scratch.ua)?;
     // The semantic replacement for the old syntactic `pre` lint: warn
     // only when a `pre`'s default value can actually reach an output.
+    let mut warnings = Diagnostics::new();
     velus_analysis::init::check_initialization(&program, &pre_marks, &mut warnings);
     Ok(Frontend {
         program,

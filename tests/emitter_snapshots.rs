@@ -3,7 +3,11 @@
 //!
 //! `tests/snapshots/*.c` retains the output of the nested-`format!`
 //! emitter (recorded before the single-buffer rewrite) for the whole
-//! paper corpus; the streaming emitter must reproduce it exactly. On
+//! paper corpus; the streaming emitter must reproduce it exactly.
+//! `tests/snapshots/*.nlustre` retains the front end's N-Lustre dump
+//! (`--emit nlustre`, recorded before elaboration and normalization
+//! became one walk), pinning fresh names, equation order and local
+//! order. On
 //! top of the fixed corpus, a property test checks that the staged
 //! `StagedPipeline::emit` path and the one-shot `compile` + `emit_c`
 //! path agree byte-for-byte on randomly shaped industrial programs,
@@ -16,9 +20,15 @@ use velus::{emit_c, IoMode};
 use velus_testkit::industrial::{industrial_source, IndustrialConfig};
 
 fn staged_c(source: &str, root: Option<&str>) -> String {
+    staged_outputs(source, root).0
+}
+
+/// The emitted C and the `--emit nlustre` dump of one compile.
+fn staged_outputs(source: &str, root: Option<&str>) -> (String, String) {
     let mut observe = |_: velus::Stage, _: std::time::Duration| {};
     let mut staged = StagedPipeline::from_source(source, root, &mut observe).expect("compiles");
-    staged.emit(IoMode::Volatile).expect("emits")
+    let c = staged.emit(IoMode::Volatile).expect("emits");
+    (c, format!("{}\n", staged.nlustre()))
 }
 
 #[test]
@@ -39,10 +49,16 @@ fn benchmarks_corpus_matches_the_retained_snapshots() {
         let source =
             std::fs::read_to_string(velus_repro::benchmark_path(name)).expect("benchmark exists");
         let expected = std::fs::read_to_string(&snapshot).expect("snapshot readable");
-        let emitted = staged_c(&source, Some(name));
+        let expected_nlustre = std::fs::read_to_string(snapshot.with_extension("nlustre"))
+            .expect("N-Lustre snapshot readable");
+        let (emitted, nlustre) = staged_outputs(&source, Some(name));
         assert_eq!(
             emitted, expected,
             "{name}: emitted C differs from the pre-refactor snapshot"
+        );
+        assert_eq!(
+            nlustre, expected_nlustre,
+            "{name}: N-Lustre differs from the retained snapshot"
         );
         checked += 1;
     }

@@ -1,7 +1,7 @@
 //! Properties pinning the arena-backed front end.
 //!
-//! The front end builds surface and typed expressions in recycled arena
-//! pools ([`velus_lustre::FrontendScratch`]); the pipeline's
+//! The front end parses into a recycled token buffer and surface arena
+//! ([`velus_lustre::FrontendScratch`]); the pipeline's
 //! `ElaboratePass` recycles one scratch per thread. These tests pin the
 //! two things that must survive that rework:
 //!
@@ -162,7 +162,7 @@ fn failure_reports_are_stable_under_arena_recycling() {
 #[test]
 fn frontend_scratch_pools_are_fully_reused_across_compiles() {
     let corpus = corpus();
-    let mut scratch = FrontendScratch::<ClightOps>::new();
+    let mut scratch = FrontendScratch::new();
     // Grow the pools over the whole corpus once.
     for (label, src, _) in &corpus {
         velus_lustre::frontend_with::<ClightOps>(src, &mut scratch)
