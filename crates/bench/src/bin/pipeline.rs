@@ -5,7 +5,11 @@
 //! a cold `Frontend→Emit` run spends its time *and its allocator*: a
 //! counting global allocator snapshots the allocation counters at every
 //! stage boundary of a [`StagedPipeline`] run, giving per-stage
-//! nanoseconds, allocation counts, and allocated bytes per compile.
+//! nanoseconds, allocation counts, and allocated bytes per compile. A
+//! stage that has a check gets a second row, `check`, with the check's
+//! share of those totals (the counters are read again at the pipeline's
+//! `check_start` event, between the transform and its check); in
+//! `--json` it is the stage's `check` entry.
 //!
 //! Two corpora are profiled: the 14 paper benchmarks under
 //! `benchmarks/`, and a 24-program `velus-testkit` industrial corpus (a
@@ -125,9 +129,20 @@ struct StageTotals {
     bytes: u64,
 }
 
+impl StageTotals {
+    fn add(&mut self, t: StageTotals) {
+        self.ns += t.ns;
+        self.allocs += t.allocs;
+        self.bytes += t.bytes;
+    }
+}
+
 #[derive(Default)]
 struct Profile {
     stages: [StageTotals; Stage::ALL.len()],
+    /// The share of each stage's totals spent in its check, for the
+    /// stages that have one.
+    checks: [Option<StageTotals>; Stage::ALL.len()],
     compiles: u64,
     total_ns: u64,
     total_allocs: u64,
@@ -143,22 +158,62 @@ fn stage_index(stage: Stage) -> usize {
         .expect("stage in ALL")
 }
 
+/// A pass sink that reads the allocation counters at every stage
+/// boundary and at the start of every check, so each stage's totals,
+/// and its check's share of them, come out of one compile.
+struct Marks {
+    /// The counters at the end of the last stage.
+    last: (u64, u64),
+    /// When the running stage started.
+    start: Instant,
+    /// How long the running stage's transform took, and the counters
+    /// when its check started.
+    check: Option<(std::time::Duration, (u64, u64))>,
+    /// Per finished stage: its totals, and its check's.
+    stages: Vec<(Stage, StageTotals, Option<StageTotals>)>,
+}
+
+impl PassSink for Marks {
+    fn pass_start(&mut self, _stage: Stage, _name: &'static str) {
+        self.start = Instant::now();
+    }
+
+    fn check_start(&mut self, _stage: Stage) {
+        self.check = Some((self.start.elapsed(), counters()));
+    }
+
+    fn pass_end(&mut self, stage: Stage, dur: std::time::Duration) {
+        let now = counters();
+        let since = |(allocs, bytes): (u64, u64), ns: u64| StageTotals {
+            ns,
+            allocs: now.0 - allocs,
+            bytes: now.1 - bytes,
+        };
+        let check = self
+            .check
+            .take()
+            .map(|(transform, at)| since(at, dur.saturating_sub(transform).as_nanos() as u64));
+        let total = since(self.last, dur.as_nanos() as u64);
+        self.stages.push((stage, total, check));
+        self.last = now;
+    }
+}
+
 /// Compiles one source cold (front end to C emission), attributing time
-/// and allocations to stages via the pipeline's stage observer. Returns
-/// the size of the emitted C in bytes.
+/// and allocations to stages, and to their checks, via the pipeline's
+/// pass sink. Returns the size of the emitted C in bytes.
 fn profile_one(profile: &mut Profile, source: &str, root: Option<&str>) -> usize {
-    let mut marks: Vec<(Stage, u64, u64, u64)> = Vec::with_capacity(Stage::ALL.len());
     let run_start = counters();
-    let mut last = run_start;
+    let mut marks = Marks {
+        last: run_start,
+        start: Instant::now(),
+        check: None,
+        stages: Vec::with_capacity(Stage::ALL.len()),
+    };
     let wall = Instant::now();
     let c_bytes = {
-        let mut observe = |stage: Stage, dur: std::time::Duration| {
-            let now = counters();
-            marks.push((stage, dur.as_nanos() as u64, now.0 - last.0, now.1 - last.1));
-            last = now;
-        };
         let mut staged =
-            StagedPipeline::from_source(source, root, &mut observe).expect("corpus compiles");
+            StagedPipeline::from_source(source, root, &mut marks).expect("corpus compiles");
         let c = staged.emit(IoMode::Volatile).expect("corpus emits");
         assert!(!c.is_empty());
         // Force the off-chain lint pass too, so the `analysis` stage row
@@ -173,11 +228,12 @@ fn profile_one(profile: &mut Profile, source: &str, root: Option<&str>) -> usize
     profile.compiles += 1;
     profile.total_allocs += end.0 - run_start.0;
     profile.total_bytes += end.1 - run_start.1;
-    for (stage, ns, allocs, bytes) in marks {
-        let t = &mut profile.stages[stage_index(stage)];
-        t.ns += ns;
-        t.allocs += allocs;
-        t.bytes += bytes;
+    for (stage, total, check) in marks.stages {
+        let k = stage_index(stage);
+        profile.stages[k].add(total);
+        if let Some(check) = check {
+            profile.checks[k].get_or_insert_default().add(check);
+        }
     }
     c_bytes
 }
@@ -220,11 +276,14 @@ const FRONTEND_ALLOCS_GUARD: f64 = 183.0;
 /// Ceiling on the allocs of a whole cold C compile — every stage from
 /// frontend through emit, the lint pass excluded — per compile of the
 /// paper-benchmark corpus, enforced by `--smoke`. Set ~10% above the
-/// single-pass measurement (614.9; 719.6 before the IRs after the
+/// single-pass measurement (552.3; 614.9 before the schedule and fuse
+/// stages stopped re-running the N-Lustre and Obc type checks and
+/// fusion stopped copying each body, 719.6 before the IRs after the
 /// front end stopped boxing every operator, 651.6 before elaboration
 /// lowered straight into N-Lustre), so a pass that goes back to cloning
-/// or boxing per statement or per operator fails CI.
-const COMPILE_ALLOCS_GUARD: f64 = 676.0;
+/// or boxing per statement or per operator, or a dropped re-check that
+/// comes back, fails CI.
+const COMPILE_ALLOCS_GUARD: f64 = 608.0;
 
 /// Ceiling on analysis (lint) allocs/compile over the paper-benchmark
 /// corpus, also enforced by `--smoke`. The lint pass is off the compile
@@ -348,24 +407,30 @@ fn digest_speedup() -> f64 {
 fn print_profile(label: &str, p: &Profile, stage_filter: Option<&str>) {
     println!("{label}: {} cold compiles", p.compiles);
     println!(
-        "  {:<10} {:>14} {:>16} {:>16}",
+        "  {:<16} {:>14} {:>16} {:>16}",
         "stage", "ns/compile", "allocs/compile", "bytes/compile"
     );
-    for stage in Stage::ALL {
-        if stage_filter.is_some_and(|f| f != stage.name()) {
-            continue;
-        }
-        let t = p.stages[stage_index(stage)];
+    let row = |name: &str, t: StageTotals| {
         println!(
-            "  {:<10} {:>14.0} {:>16.1} {:>16.0}",
-            stage.name(),
+            "  {:<16} {:>14.0} {:>16.1} {:>16.0}",
+            name,
             t.ns as f64 / p.compiles as f64,
             t.allocs as f64 / p.compiles as f64,
             t.bytes as f64 / p.compiles as f64
         );
+    };
+    for stage in Stage::ALL {
+        if stage_filter.is_some_and(|f| f != stage.name()) {
+            continue;
+        }
+        let k = stage_index(stage);
+        row(stage.name(), p.stages[k]);
+        if let Some(check) = p.checks[k] {
+            row("  check", check);
+        }
     }
     println!(
-        "  {:<10} {:>14.0} {:>16.1} {:>16.0}",
+        "  {:<16} {:>14.0} {:>16.1} {:>16.0}",
         "total",
         p.total_ns as f64 / p.compiles as f64,
         p.total_allocs as f64 / p.compiles as f64,
@@ -401,15 +466,23 @@ fn json_profile(label: &str, p: &Profile, stage_filter: Option<&str>) -> String 
         .copied()
         .filter(|s| stage_filter.is_none_or(|f| f == s.name()))
         .collect();
-    for (i, stage) in stages.iter().enumerate() {
-        let t = p.stages[stage_index(*stage)];
-        let _ = write!(
-            out,
-            "\n        \"{}\": {{\"ns_per_compile\": {:.0}, \"allocs_per_compile\": {:.1}, \"bytes_per_compile\": {:.0}}}{}",
-            stage.name(),
+    let totals = |t: StageTotals| {
+        format!(
+            "\"ns_per_compile\": {:.0}, \"allocs_per_compile\": {:.1}, \"bytes_per_compile\": {:.0}",
             t.ns as f64 / per,
             t.allocs as f64 / per,
             t.bytes as f64 / per,
+        )
+    };
+    for (i, stage) in stages.iter().enumerate() {
+        let k = stage_index(*stage);
+        let check =
+            p.checks[k].map_or(String::new(), |c| format!(", \"check\": {{{}}}", totals(c)));
+        let _ = write!(
+            out,
+            "\n        \"{}\": {{{}{check}}}{}",
+            stage.name(),
+            totals(p.stages[k]),
             if i + 1 == stages.len() { "" } else { "," }
         );
     }

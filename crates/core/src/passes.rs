@@ -4,19 +4,22 @@
 //! The paper presents the compiler as a chain of proved passes
 //! (elaborate → schedule → translate → fuse → generate) and proves each
 //! pass's output properties once: well-typed and well-clocked N-Lustre,
-//! a valid schedule, `Fusible` Obc. This reproduction re-checks those
-//! properties after every run instead, so each stage here is a transform
+//! a valid schedule, `Fusible` Obc. This reproduction checks those
+//! properties on every run instead, so each stage here is a transform
 //! function plus the check function of its postcondition (the paper's
 //! proof obligation, executed — validation is part of the stage, not an
-//! optional extra):
+//! optional extra). Each stage checks exactly what its transform can
+//! change: a property that a transform preserves by construction is
+//! argued once, in the transform's doc, and pinned by a property test,
+//! as the paper proves it once as a lemma.
 //!
 //! | stage | pass | transform | check |
 //! |---|---|---|---|
 //! | `Frontend` | `elaborate` | parse, elaborate, normalize; resolve the root | — |
 //! | `Check` | `check` | the identity | typing and clocking |
-//! | `Schedule` | `schedule` | order each node's equations | the schedule, typing and clocking |
+//! | `Schedule` | `schedule` | permute each node's equations | the schedule |
 //! | `Translate` | `translate` | SN-Lustre to Obc | Obc typing, `Fusible` |
-//! | `Fuse` | `fuse` | the fusion optimization | Obc typing, `Fusible` |
+//! | `Fuse` | `fuse` | the fusion optimization | `Fusible` |
 //! | `Generate` | `generate` | Obc to Clight | — |
 //! | `Emit` | `emit` | Clight to C text | — |
 //! | `Analysis` | `lint` | the static analyses | — |
@@ -28,10 +31,10 @@
 //! back half. [`crate::compile`] is
 //! `StagedPipeline::from_source(..)?.into_compiled()`: it forces every
 //! stage. One private runner runs every stage: it honors cooperative
-//! cancellation at the stage boundary, reports start/end/fail events to
-//! a [`PassSink`] (the service's per-stage statistics *and* its per-pass
-//! trace spans are built from this one hook), and resolves failures to
-//! coded diagnostics.
+//! cancellation at the stage boundary, reports start/check/end/fail
+//! events to a [`PassSink`] (the service's per-stage statistics *and*
+//! its per-pass trace spans are built from this one hook), and resolves
+//! failures to coded diagnostics.
 
 use std::cell::OnceCell;
 use std::time::Instant;
@@ -51,11 +54,13 @@ use crate::VelusError;
 /// stage execution through this one hook.
 ///
 /// The pipeline calls [`pass_start`](PassSink::pass_start) before a
-/// stage runs, then exactly one of [`pass_end`](PassSink::pass_end)
-/// (success, with the wall-clock duration covering the transform *and*
-/// its check) or [`pass_fail`](PassSink::pass_fail) (so a tracing sink
-/// can close the pass's span without recording a timing sample; failed
-/// stages have never contributed to the stage statistics).
+/// stage runs, [`check_start`](PassSink::check_start) between its
+/// transform and its check (stages without a check skip it), then
+/// exactly one of [`pass_end`](PassSink::pass_end) (success, with the
+/// wall-clock duration covering the transform *and* its check) or
+/// [`pass_fail`](PassSink::pass_fail) (so a tracing sink can close the
+/// pass's span without recording a timing sample; failed stages have
+/// never contributed to the stage statistics).
 ///
 /// Every `FnMut(Stage, Duration)` closure is a `PassSink` that only
 /// listens to `pass_end` — the historical timing-observer shape — so
@@ -64,6 +69,12 @@ pub trait PassSink {
     /// The named pass is about to run.
     fn pass_start(&mut self, stage: Stage, name: &'static str) {
         let _ = (stage, name);
+    }
+
+    /// The stage's transform succeeded and its check is about to run:
+    /// what follows until [`pass_end`](PassSink::pass_end) is the check.
+    fn check_start(&mut self, stage: Stage) {
+        let _ = stage;
     }
 
     /// The pass and its check succeeded, taking `dur`.
@@ -153,8 +164,8 @@ struct Runner<'o> {
 }
 
 impl Runner<'_> {
-    /// Runs one stage: `transform`, then `check` on its output, timing
-    /// both.
+    /// Runs one stage: `transform`, then `check` (if the stage has one)
+    /// on its output, timing both.
     ///
     /// Failures leave this method **structured**: the layer error is
     /// converted to coded diagnostics ([`VelusError::Diag`]), its
@@ -173,7 +184,7 @@ impl Runner<'_> {
         stage: Stage,
         spans: &SpanMap,
         transform: impl FnOnce() -> Result<T, VelusError>,
-        check: impl FnOnce(&T) -> Result<(), VelusError>,
+        check: Option<Check<T>>,
     ) -> Result<T, VelusError> {
         if let Some(reason) = self.cancel.and_then(CancelToken::state) {
             return Err(cancelled(reason));
@@ -181,7 +192,14 @@ impl Runner<'_> {
         let name = pass_name(stage);
         self.observe.pass_start(stage, name);
         let start = Instant::now();
-        match transform().and_then(|output| check(&output).map(|()| output)) {
+        let checked = transform().and_then(|output| match check {
+            Some(check) => {
+                self.observe.check_start(stage);
+                check(&output).map(|()| output)
+            }
+            None => Ok(output),
+        });
+        match checked {
             Ok(output) => {
                 self.observe.pass_end(stage, start.elapsed());
                 Ok(output)
@@ -194,10 +212,8 @@ impl Runner<'_> {
     }
 }
 
-/// The check of a stage whose output needs none.
-fn no_check<T>(_: &T) -> Result<(), VelusError> {
-    Ok(())
-}
+/// The check of a stage's output.
+type Check<T> = fn(&T) -> Result<(), VelusError>;
 
 /// Output of the front end: the elaborated program, the resolved root,
 /// the front-end warnings, and the source spans of every node and
@@ -292,51 +308,102 @@ impl Scheduled {
     fn unscheduled(&self) -> Program<ClightOps> {
         let mut prog = self.program.clone();
         for (node, order) in prog.nodes.iter_mut().zip(&self.orders) {
-            let mut inverse = vec![0; order.len()];
-            for (k, &i) in order.iter().enumerate() {
-                inverse[i] = k;
-            }
-            velus_nlustre::schedule::apply_order(node, &inverse);
+            unapply_order(node, order);
         }
         prog
     }
 }
 
-/// The `schedule` transform (an untrusted heuristic).
+/// Undoes [`velus_nlustre::schedule::apply_order`] of the permutation
+/// `order` on `node`.
+fn unapply_order(node: &mut velus_nlustre::ast::Node<ClightOps>, order: &[usize]) {
+    let mut inverse = vec![0; order.len()];
+    for (k, &i) in order.iter().enumerate() {
+        inverse[i] = k;
+    }
+    velus_nlustre::schedule::apply_order(node, &inverse)
+        .expect("the inverse of an applied order is a permutation");
+}
+
+/// The `schedule` transform: an untrusted heuristic orders each node's
+/// equations, and only its output is checked.
 ///
 /// It moves the equations of its input rather than copying the program:
 /// on success the input is left empty and the returned [`Scheduled`]
 /// records each node's permutation, from which the elaborated order can
-/// be rebuilt if anything still needs it. Every order is computed before
-/// anything moves, so a causality error leaves the input intact.
+/// be rebuilt if anything still needs it. On failure the input is left
+/// as it was.
+///
+/// The stage's trusted part is this argument, not a run-time check: the
+/// output is, by construction, the program the `Check` stage just
+/// accepted with each node's equations permuted — [`reorder`] applies
+/// only orders that are permutations, and moves equations without
+/// changing them, their expression pools or any declaration. The typing
+/// and clocking judgment does not depend on the order of a node's
+/// equations (see [`velus_nlustre::check`]), so the output is well typed
+/// and well clocked, and the stage's check ([`check_scheduled`]) need
+/// only decide what the order can break: the precedence condition. The
+/// paper proves this preservation once as a lemma;
+/// `tests/check_permutation.rs` pins it as a property.
 fn schedule(input: &mut Program<ClightOps>) -> Result<Scheduled, VelusError> {
     let orders = input
         .nodes
         .iter()
         .map(velus_nlustre::schedule::schedule_order)
         .collect::<Result<Vec<_>, _>>()?;
-    let mut program = Program::new(std::mem::take(&mut input.nodes));
-    for (node, order) in program.nodes.iter_mut().zip(&orders) {
-        velus_nlustre::schedule::apply_order(node, order);
+    reorder(input, orders)
+}
+
+/// Applies `orders[n]` to node `n` of `input` and moves the result out.
+///
+/// # Errors
+///
+/// `E0409` when an order is not a permutation of its node's equations;
+/// the nodes already reordered are put back, so the input is left as it
+/// was.
+fn reorder(
+    input: &mut Program<ClightOps>,
+    orders: Vec<Vec<usize>>,
+) -> Result<Scheduled, VelusError> {
+    for (k, order) in orders.iter().enumerate() {
+        if let Err(e) = velus_nlustre::schedule::apply_order(&mut input.nodes[k], order) {
+            for (node, order) in input.nodes.iter_mut().zip(&orders[..k]) {
+                unapply_order(node, order);
+            }
+            return Err(e.into());
+        }
     }
+    let program = Program::new(std::mem::take(&mut input.nodes));
     Ok(Scheduled { program, orders })
 }
 
-/// The `schedule` stage's check: the paper's schedule checker, plus the
-/// preservation of typing and clocking.
+/// The `schedule` stage's check: the paper's schedule checker. Typing
+/// and clocking are not re-checked (see [`schedule`]).
 fn check_scheduled(scheduled: &Scheduled) -> Result<(), VelusError> {
     for node in &scheduled.program.nodes {
         velus_nlustre::deps::check_schedule(node)?;
     }
-    check_nlustre(&scheduled.program)
+    Ok(())
 }
 
-/// The `translate` and `fuse` stages' check: Obc typing, and that every
-/// method of every class is `Fusible` — the paper's invariant that
-/// translation establishes and fusion preserves. `what` names the
-/// program in the failure.
-fn check_obc(prog: &ObcProgram<ClightOps>, what: &str) -> Result<(), VelusError> {
+/// The `translate` stage's check: Obc typing, and that every method of
+/// every class is `Fusible` — the paper's invariant that translation
+/// establishes. Translation is untrusted, so it gets both checks.
+fn check_translated(prog: &ObcProgram<ClightOps>) -> Result<(), VelusError> {
     velus_obc::typecheck::check_program(prog)?;
+    check_fusible(prog, "translated")
+}
+
+/// The `fuse` stage's check: every method is still `Fusible`. Fusion
+/// cannot change typing (see [`fuse_program`]), so Obc typing is not
+/// re-checked.
+fn check_fused(prog: &ObcProgram<ClightOps>) -> Result<(), VelusError> {
+    check_fusible(prog, "fused")
+}
+
+/// That every method of every class of `prog` is `Fusible`; `what`
+/// names the program in the failure.
+fn check_fusible(prog: &ObcProgram<ClightOps>, what: &str) -> Result<(), VelusError> {
     for class in &prog.classes {
         for m in &class.methods {
             if !fusible(&m.exprs, &m.body) {
@@ -409,7 +476,7 @@ impl<'o> StagedPipeline<'o> {
             Stage::Frontend,
             &SpanMap::new(),
             || elaborate(source, root),
-            no_check,
+            None,
         )?;
         Self::from_elaborated(elaborated, runner)
     }
@@ -454,7 +521,7 @@ impl<'o> StagedPipeline<'o> {
             warnings,
             spans,
         } = elaborated;
-        let nlustre = runner.run(Stage::Check, &spans, || Ok(nlustre), check_nlustre)?;
+        let nlustre = runner.run(Stage::Check, &spans, || Ok(nlustre), Some(check_nlustre))?;
         Ok(StagedPipeline {
             runner,
             nlustre: OnceCell::from(nlustre),
@@ -514,7 +581,7 @@ impl<'o> StagedPipeline<'o> {
                 Stage::Schedule,
                 &self.spans,
                 || schedule(elaborated),
-                check_scheduled,
+                Some(check_scheduled),
             )?;
             // Moved out by the transform: rebuilt on demand by `nlustre`.
             self.nlustre.take();
@@ -554,7 +621,7 @@ impl<'o> StagedPipeline<'o> {
             Stage::Translate,
             &self.spans,
             || Ok(velus_obc::translate::translate_program(snlustre)?),
-            |obc| check_obc(obc, "translated"),
+            Some(check_translated),
         )
     }
 
@@ -573,7 +640,7 @@ impl<'o> StagedPipeline<'o> {
             Stage::Fuse,
             &self.spans,
             || Ok(fuse_program(obc)),
-            |fused| check_obc(fused, "fused"),
+            Some(check_fused),
         )
     }
 
@@ -605,7 +672,7 @@ impl<'o> StagedPipeline<'o> {
                 Stage::Generate,
                 &self.spans,
                 || Ok(velus_clight::generate::generate(obc_fused, root)?),
-                no_check,
+                None,
             )?;
             self.clight = Some(clight);
         }
@@ -630,7 +697,7 @@ impl<'o> StagedPipeline<'o> {
                 Stage::Analysis,
                 spans,
                 || Ok(velus_analysis::lint_program(program, root, warnings, spans)),
-                no_check,
+                None,
             )?;
             self.lint = Some(findings);
         }
@@ -657,7 +724,7 @@ impl<'o> StagedPipeline<'o> {
             Stage::Emit,
             &self.spans,
             || Ok(velus_clight::printer::print_program(clight, io)),
-            no_check,
+            None,
         )
     }
 
@@ -885,6 +952,191 @@ mod tests {
             .expect("deadline already expired");
         let diags = velus_common::ToDiagnostics::to_diagnostics(&err, &SpanMap::new());
         assert_eq!(diags.iter().next().unwrap().code, codes::E0802);
+    }
+
+    /// Records every pass event, `check_start` included.
+    #[derive(Default)]
+    struct Events(Vec<String>);
+
+    impl PassSink for Events {
+        fn pass_start(&mut self, _: Stage, name: &'static str) {
+            self.0.push(format!("start {name}"));
+        }
+
+        fn check_start(&mut self, stage: Stage) {
+            self.0.push(format!("check {}", pass_name(stage)));
+        }
+
+        fn pass_end(&mut self, stage: Stage, _: std::time::Duration) {
+            self.0.push(format!("end {}", pass_name(stage)));
+        }
+    }
+
+    #[test]
+    fn check_start_separates_transform_and_check_of_the_checked_stages() {
+        let mut events = Events::default();
+        StagedPipeline::from_source(COUNTER, None, &mut events)
+            .unwrap()
+            .emit(IoMode::Volatile)
+            .unwrap();
+        let expected: Vec<String> = [
+            ("elaborate", false),
+            ("check", true),
+            ("schedule", true),
+            ("translate", true),
+            ("fuse", true),
+            ("generate", false),
+            ("emit", false),
+        ]
+        .into_iter()
+        .flat_map(|(name, checked)| {
+            let check = checked.then(|| format!("check {name}"));
+            [
+                Some(format!("start {name}")),
+                check,
+                Some(format!("end {name}")),
+            ]
+        })
+        .flatten()
+        .collect();
+        assert_eq!(events.0, expected);
+    }
+
+    /// The code of the first diagnostic `err` resolves to.
+    fn code(err: VelusError) -> velus_common::Code {
+        let diags = velus_common::ToDiagnostics::to_diagnostics(&err, &SpanMap::new());
+        diags.iter().next().expect("a coded diagnostic").code
+    }
+
+    /// Two nodes; in `g`, `y` reads `a` (defined by `a = x + 1`) and the
+    /// delay `c`, and `c = 0 fby y` reads `y`.
+    const PRECEDENCE: &str = "
+        node f(x: int) returns (y: int)
+        var a: int;
+        let
+          a = x * 2;
+          y = a + 1;
+        tel
+
+        node g(x: int) returns (y: int)
+        var a, c: int;
+        let
+          a = f(x);
+          y = a + c;
+          c = 0 fby y;
+        tel
+    ";
+
+    /// The elaborated [`PRECEDENCE`] program, and the position of the
+    /// equation defining each of `a`, `y`, `c` in its node `g`.
+    fn precedence() -> (Program<ClightOps>, [usize; 3]) {
+        let (prog, _) = velus_lustre::compile_to_nlustre::<ClightOps>(PRECEDENCE).unwrap();
+        let g = &prog.nodes[1];
+        let at = |x: &str| {
+            let x = Ident::new(x);
+            g.eqs.iter().position(|eq| eq.defines(x)).unwrap()
+        };
+        let positions = [at("a"), at("y"), at("c")];
+        (prog, positions)
+    }
+
+    /// The orders keeping node `f` as elaborated (its equations are in
+    /// order) and ordering node `g` by `g`.
+    fn orders_with(prog: &Program<ClightOps>, g: Vec<usize>) -> Vec<Vec<usize>> {
+        vec![(0..prog.nodes[0].eqs.len()).collect(), g]
+    }
+
+    #[test]
+    fn fault_schedule_orders_that_are_not_permutations_are_refused() {
+        let (prog, [a, y, c]) = precedence();
+        let faults = [vec![a, y], vec![a, y, y], vec![a, y, c, 3], vec![a, y, 7]];
+        for fault in faults {
+            let mut input = prog.clone();
+            // Node `f` reversed, so refusing `g` must also undo `f`.
+            let mut orders = orders_with(&prog, fault.clone());
+            orders[0].reverse();
+            let err = reorder(&mut input, orders).unwrap_err();
+            assert_eq!(code(err), codes::E0409, "order {fault:?}");
+            assert_eq!(input, prog, "order {fault:?}: the input is left as it was");
+        }
+    }
+
+    #[test]
+    fn fault_schedule_permutations_breaking_precedence_are_refused() {
+        let (prog, [a, y, c]) = precedence();
+        // The order of the module's rules: `a`, then its reader `y`,
+        // then the delay `c` that `y` reads.
+        let scheduled = reorder(&mut prog.clone(), orders_with(&prog, vec![a, y, c])).unwrap();
+        check_scheduled(&scheduled).unwrap();
+        for (fault, what) in [
+            (vec![y, a, c], "a reader before its Def"),
+            (vec![a, c, y], "an fby update before its reader"),
+        ] {
+            let scheduled = reorder(&mut prog.clone(), orders_with(&prog, fault)).unwrap();
+            let err = check_scheduled(&scheduled).unwrap_err();
+            assert_eq!(code(err), codes::E0409, "{what}");
+        }
+    }
+
+    /// Fusion that merges adjacent conditionals whatever their guards:
+    /// the fault that the `fuse` stage's check must catch.
+    fn merge_any_guards(prog: &mut ObcProgram<ClightOps>) {
+        use velus_obc::ast::{Block, Stmt};
+        fn zip_any(s: &mut Block, t: Block) {
+            for stmt in t.0 {
+                match (s.last_mut(), stmt) {
+                    (Some(Stmt::If(_, t1, f1)), Stmt::If(_, t2, f2)) => {
+                        zip_any(t1, t2);
+                        zip_any(f1, f2);
+                    }
+                    (_, stmt) => s.push(stmt),
+                }
+            }
+        }
+        for m in prog.classes.iter_mut().flat_map(|c| &mut c.methods) {
+            let mut fused = Block::new();
+            zip_any(&mut fused, std::mem::take(&mut m.body));
+            m.body = fused;
+        }
+    }
+
+    #[test]
+    fn fault_a_fusion_merging_different_guards_is_refused() {
+        use velus_obc::ast::{step_name, Block, ObcExpr, Stmt};
+        use velus_ops::{CConst, CTy};
+        let src = "
+            node f(c: bool) returns (a: int)
+            var k: bool;
+            let
+              k = c;
+              a = if k then 1 else 0;
+            tel
+        ";
+        let (prog, _) = velus_lustre::compile_to_nlustre::<ClightOps>(src).unwrap();
+        let mut obc = velus_obc::translate::translate_program(&prog).unwrap();
+        // The step body `if k { a := 1 }; if c { k := true }`: well typed
+        // and Fusible, with two conditionals on different guards.
+        let step = obc.classes[0]
+            .methods
+            .iter_mut()
+            .find(|m| m.name == step_name())
+            .unwrap();
+        let ex = &mut step.exprs;
+        let (k, c) = (
+            ex.push(ObcExpr::Var(Ident::new("k"), CTy::Bool)),
+            ex.push(ObcExpr::Var(Ident::new("c"), CTy::Bool)),
+        );
+        let one = ex.push(ObcExpr::Const(CConst::int(1)));
+        let yes = ex.push(ObcExpr::Const(CConst::bool(true)));
+        step.body = Block(vec![
+            Stmt::If(k, Stmt::Assign(Ident::new("a"), one).into(), Block::new()),
+            Stmt::If(c, Stmt::Assign(Ident::new("k"), yes).into(), Block::new()),
+        ]);
+        check_translated(&obc).unwrap();
+        check_fused(&fuse_program(obc.clone())).unwrap();
+        // Merged under `k`, the second branch writes its own guard.
+        merge_any_guards(&mut obc);
+        assert_eq!(code(check_fused(&obc).unwrap_err()), codes::E0701);
     }
 
     #[test]

@@ -37,7 +37,9 @@ use crate::VelusError;
 /// The pass-event sink of the service compiler: collects the per-stage
 /// timing samples the service statistics are built from, and mirrors
 /// each pass as a trace span (free when the worker thread has no active
-/// trace scope — the span calls are single thread-local reads).
+/// trace scope — the span calls are single thread-local reads). It
+/// ignores `check_start`: a pass is one span and one sample, its check
+/// included.
 #[derive(Default)]
 struct ObsSink {
     samples: Vec<velus_server::StageSample>,

@@ -2,10 +2,15 @@
 //! N-Lustre, checked together in one walk.
 //!
 //! The paper proves that elaboration yields well-typed, well-clocked
-//! N-Lustre. Because our pipeline is unverified, we instead make the
-//! judgments *checkable* and re-validate them after every transforming
-//! pass: the `velus` crate's staged pipeline runs [`check_program`] after
-//! elaboration and again after scheduling.
+//! N-Lustre. Because our elaborator is unverified, we instead make the
+//! judgments *checkable*: the `velus` crate's staged pipeline runs
+//! [`check_program`] on the elaborated program. It does not run it
+//! again after scheduling. Nothing here depends on the order of a
+//! node's equations — the environment is built from the declarations,
+//! each equation is judged alone, and "defined exactly once" counts
+//! definitions — so a permutation of an accepted node is accepted,
+//! which is the paper's lemma that scheduling preserves typing and
+//! clocking (pinned as a property by `tests/check_permutation.rs`).
 //!
 //! The two judgments are separate in the paper, but they read the same
 //! declarations and the same expressions, so [`check_program`] builds one

@@ -15,6 +15,10 @@
 //! that reads a variable it defines (`y = y + x`, `y = g(y)`) gets a self
 //! edge, so it is a cycle of length one; a `Fby` that reads its own
 //! variable (`a = 0 fby a + x`) reads the previous value and is legal.
+//!
+//! [`dep_graph`] builds the graph for the scheduler to sort.
+//! [`check_schedule`], the validator of its output, decides the same two
+//! rules on a given order directly, without the graph.
 
 use velus_common::{DenseBitSet, Ident, IdentMap};
 use velus_ops::Ops;
@@ -54,11 +58,6 @@ impl DepGraph {
     /// definers in read order).
     pub fn succs(&self, i: usize) -> &[usize] {
         &self.targets[self.offsets[i]..self.offsets[i + 1]]
-    }
-
-    /// Every edge `(from, to)`, row by row.
-    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.len()).flat_map(move |i| self.succs(i).iter().map(move |&j| (i, j)))
     }
 }
 
@@ -195,27 +194,57 @@ pub fn cycle_witness<O: Ops>(node: &Node<O>, graph: &DepGraph) -> Vec<Ident> {
 /// precedence constraint: the executable schedule validator.
 ///
 /// This plays the role of the paper's Coq-verified schedule checker — the
-/// scheduling heuristic is untrusted, its output is validated.
+/// scheduling heuristic is untrusted, its output is validated. It
+/// decides the precedence condition of the module docs directly, in one
+/// pass over the reads, and builds no [`DepGraph`]: the checker shares
+/// no code with the graph the scheduler sorts. With each defined
+/// variable's position `d` recorded, a read in equation `i` is in order
+/// when
+///
+/// * the variable is defined by a `Def` or `Call` equation and `d < i`
+///   (written before it is read), or
+/// * it is defined by a `Fby` equation and `i <= d` (the delayed value
+///   is read before the state cell is overwritten; `i == d` is the
+///   delay reading its own previous value).
+///
+/// Reads of inputs and of variables the node does not define impose no
+/// constraint.
 ///
 /// # Errors
 ///
 /// [`SemError::BadSchedule`] naming the offending variable.
 pub fn check_schedule<O: Ops>(node: &Node<O>) -> Result<(), SemError> {
-    let graph = dep_graph(node);
-    let backward = graph.edges().find(|&(i, j)| j <= i);
-    match backward {
-        Some((i, j)) => Err(SemError::BadSchedule(format!(
-            "in node {}: equation for {} must come after equation {}",
-            node.name,
-            node.eqs[j]
-                .defined()
-                .first()
-                .map(|x| x.to_string())
-                .unwrap_or_default(),
-            i
-        ))),
-        None => Ok(()),
+    let mut position: IdentMap<usize> = velus_common::ident_map_with_capacity(node.eqs.len());
+    for (d, eq) in node.eqs.iter().enumerate() {
+        for &x in eq.defined() {
+            position.insert(x, d);
+        }
     }
+    let mut reads: Vec<Ident> = Vec::new();
+    for (i, eq) in node.eqs.iter().enumerate() {
+        reads.clear();
+        eq.reads_into(&node.exprs, &mut reads);
+        for x in &reads {
+            let Some(&d) = position.get(x) else { continue };
+            // Equation `first` must run before equation `then`.
+            let (first, then, in_order) = match node.eqs[d] {
+                Equation::Fby { .. } => (i, d, i <= d),
+                _ => (d, i, d < i),
+            };
+            if !in_order {
+                return Err(SemError::BadSchedule(format!(
+                    "in node {}: equation for {} must come after equation {first}",
+                    node.name,
+                    node.eqs[then]
+                        .defined()
+                        .first()
+                        .map(|x| x.to_string())
+                        .unwrap_or_default(),
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

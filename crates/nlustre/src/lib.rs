@@ -9,8 +9,9 @@
 //! * [`clock`] — the hierarchical clocks `base`, `ck on x`, `ck onot x`.
 //! * [`streams`] — stream values with explicit presence and absence.
 //! * [`check`] — the well-typedness and well-clockedness judgments,
-//!   re-checked together, in one walk per equation, after every pass
-//!   that produces N-Lustre.
+//!   checked together, in one walk per equation, on the elaborated
+//!   program (scheduling only permutes equations, which the judgments
+//!   do not depend on).
 //! * [`dataflow`] — the reference *dataflow semantics*: a demand-driven,
 //!   memoized interpreter of the judgment `G ⊢node f(xs, ys)`, with
 //!   `fby#`/`hold#` exactly as in Fig. 6, and runtime causality detection.

@@ -2,8 +2,15 @@
 //!
 //! The paper implements scheduling as an untrusted OCaml heuristic whose
 //! output is validated by a Coq-verified checker (§2.1). We keep that
-//! architecture: [`schedule_node`] is a heuristic, and every caller
-//! re-validates the result with [`crate::deps::check_schedule`].
+//! architecture: [`schedule_order`] is a heuristic, [`apply_order`]
+//! refuses any order that is not a permutation of the node's equations,
+//! and every caller validates the result with
+//! [`crate::deps::check_schedule`], which builds no dependency graph of
+//! its own. Nothing re-checks typing and clocking after scheduling: the
+//! judgment of [`crate::check`] does not depend on the order of a node's
+//! equations, so a permutation of a checked program is checked (the
+//! paper proves this once as a lemma; `tests/check_permutation.rs` pins
+//! it as a property).
 //!
 //! The heuristic is a Kahn topological sort that *prefers to keep
 //! equations of equal clocks adjacent*. This is the property that makes
@@ -69,10 +76,29 @@ pub fn schedule_order<O: Ops>(node: &Node<O>) -> Result<Vec<usize>, SemError> {
 /// `order[k]`-th of the current list (the shape [`schedule_order`]
 /// returns), moving them rather than cloning them.
 ///
-/// # Panics
+/// # Errors
 ///
-/// If `order` is not a permutation of the node's equation indices.
-pub fn apply_order<O: Ops>(node: &mut Node<O>, order: &[usize]) {
+/// [`SemError::BadSchedule`] when `order` is not a permutation of the
+/// node's equation indices: an index out of range, an index given
+/// twice, or too few indices. The node is left as it was.
+pub fn apply_order<O: Ops>(node: &mut Node<O>, order: &[usize]) -> Result<(), SemError> {
+    let n = node.eqs.len();
+    let mut placed = vec![false; n];
+    for &i in order {
+        let fault = match placed.get_mut(i) {
+            None => format!("names equation {i} of {n}"),
+            Some(true) => format!("places equation {i} twice"),
+            Some(seen) => {
+                *seen = true;
+                continue;
+            }
+        };
+        return Err(not_a_permutation(node, &fault));
+    }
+    if order.len() != n {
+        let fault = format!("has {} indices for {n} equations", order.len());
+        return Err(not_a_permutation(node, &fault));
+    }
     let mut slots: Vec<Option<Equation<O>>> = std::mem::take(&mut node.eqs)
         .into_iter()
         .map(Some)
@@ -81,6 +107,14 @@ pub fn apply_order<O: Ops>(node: &mut Node<O>, order: &[usize]) {
         .iter()
         .map(|&i| slots[i].take().expect("order is a permutation"))
         .collect();
+    Ok(())
+}
+
+fn not_a_permutation<O: Ops>(node: &Node<O>, fault: &str) -> SemError {
+    SemError::BadSchedule(format!(
+        "in node {}: the order {fault}, not a permutation",
+        node.name
+    ))
 }
 
 /// Schedules a node in place (reorders its equations) and validates the
@@ -93,7 +127,7 @@ pub fn apply_order<O: Ops>(node: &mut Node<O>, order: &[usize]) {
 /// the untrusted-scheduler/validated-checker split of the paper.
 pub fn schedule_node<O: Ops>(node: &mut Node<O>) -> Result<(), SemError> {
     let order = schedule_order(node)?;
-    apply_order(node, &order);
+    apply_order(node, &order)?;
     check_schedule(node)
 }
 
@@ -226,6 +260,27 @@ mod tests {
             }
             other => panic!("expected cycle, got {other}"),
         }
+    }
+
+    #[test]
+    fn orders_that_are_not_permutations_are_refused() {
+        let node = messy();
+        let (short, repeat, out_of_range, long) =
+            ([2, 0, 1], [2, 0, 0, 3], [2, 0, 4, 3], [2, 0, 1, 3, 3]);
+        for order in [&short[..], &repeat, &out_of_range, &long] {
+            let mut refused = node.clone();
+            assert!(
+                matches!(
+                    apply_order(&mut refused, order),
+                    Err(SemError::BadSchedule(_))
+                ),
+                "{order:?}"
+            );
+            assert_eq!(refused, node, "a refused order moves nothing");
+        }
+        let mut reordered = node.clone();
+        apply_order(&mut reordered, &[2, 0, 1, 3]).unwrap();
+        assert_eq!(reordered.eqs[0], node.eqs[2]);
     }
 
     #[test]

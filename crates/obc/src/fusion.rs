@@ -46,10 +46,35 @@ pub fn zip<O: Ops>(ex: &ObcExprs<O>, s: &mut Block, t: Block) {
 
 /// The `fuse` function: zips a sequence into `skip`, so every run of
 /// adjacent conditionals on equal guards ends up as one conditional.
-pub fn fuse<O: Ops>(ex: &ObcExprs<O>, s: Block) -> Block {
-    let mut fused = Block(Vec::with_capacity(s.len()));
-    zip(ex, &mut fused, s);
-    fused
+///
+/// The sequence is fused in place, as `zip` into an empty block would
+/// build it: the statements kept move down over the merged ones, so the
+/// outer sequence is never copied and a body without conditionals to
+/// merge is only read.
+pub fn fuse<O: Ops>(ex: &ObcExprs<O>, mut s: Block) -> Block {
+    // `s[..kept]` is the fused prefix; `s[kept..next]` holds the emptied
+    // conditionals already merged into it.
+    let mut kept = 0;
+    for next in 0..s.len() {
+        if kept > 0 {
+            let (fused, rest) = s.0.split_at_mut(next);
+            if let (Stmt::If(e1, t1, f1), Stmt::If(e2, t2, f2)) =
+                (&mut fused[kept - 1], &mut rest[0])
+            {
+                if ex.same(*e1, *e2) {
+                    zip(ex, t1, std::mem::take(t2));
+                    zip(ex, f1, std::mem::take(f2));
+                    continue;
+                }
+            }
+        }
+        if kept != next {
+            s.0.swap(kept, next);
+        }
+        kept += 1;
+    }
+    s.0.truncate(kept);
+    s
 }
 
 /// Appends the free variables of a guard, locals and state cells alike
@@ -131,8 +156,27 @@ pub fn fuse_class<O: Ops>(class: &mut Class<O>) {
     }
 }
 
-/// Fuses a whole program. The program is consumed: the fused bodies are
-/// built from the moved statements of the unfused ones.
+/// Fuses a whole program. The program is consumed: each body is fused
+/// in place ([`fuse`]), so no statement is copied.
+///
+/// The contract that lets the pipeline check only [`fusible`] after
+/// fusion, and not re-run the Obc type check:
+///
+/// * only method bodies change: class and method declarations and the
+///   expression pools are untouched, so the post-order pool invariant
+///   checked after translation still holds;
+/// * a body only regroups its statements: a conditional is merged into
+///   the one before it when their guards are the same expression
+///   ([`ObcExprs::same`]), so every guard and every statement comes from
+///   the input;
+/// * Obc typing judges each statement on its own, in a scope (the
+///   method's variables, the class's memories and instances) that
+///   fusion does not touch.
+///
+/// So a well-typed input gives a well-typed output
+/// (`tests/fusion_props.rs` pins it). What a faulty regrouping can break
+/// is [`fusible`] itself — a merge under the wrong guard can leave a
+/// conditional that writes its own guard — and that is checked.
 pub fn fuse_program<O: Ops>(mut prog: ObcProgram<O>) -> ObcProgram<O> {
     prog.classes.iter_mut().for_each(fuse_class);
     prog

@@ -2,14 +2,16 @@
 //! builder it replaced: the same successors, in the same order, for
 //! every equation. Successor order decides which ready equation the
 //! scheduler sees first, so any difference would move schedules and
-//! with them the emitted C.
+//! with them the emitted C. And the schedule checker, which decides the
+//! precedence condition without a graph, against the same reference: a
+//! node's order passes exactly when no edge points backward.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::prelude::*;
 
 use velus_common::{DenseBitSet, Ident, IdentMap};
 use velus_nlustre::ast::{Equation, Node};
-use velus_nlustre::deps::dep_graph;
+use velus_nlustre::deps::{check_schedule, dep_graph};
+use velus_nlustre::schedule::{apply_order, schedule_order};
 use velus_ops::ClightOps;
 use velus_testkit::gen::{gen_program, GenConfig};
 
@@ -76,7 +78,10 @@ fn compressed_rows_match_the_adjacency_lists_on_generated_programs() {
         };
         for node in &gen_program(&mut rng, &cfg).nodes {
             assert_same_graph(node);
-            edges += dep_graph(node).edges().count();
+            let graph = dep_graph(node);
+            edges += (0..graph.len())
+                .map(|i| graph.succs(i).len())
+                .sum::<usize>();
         }
     }
     assert!(edges > 1000, "the generated graphs have edges ({edges})");
@@ -110,4 +115,65 @@ fn the_cross_reader_duplicate_edge_is_kept_once() {
         .unwrap();
     assert_eq!(graph.succs(y), [cum]);
     assert_eq!(graph.preds[cum], 1);
+}
+
+/// Whether the reference graph of `node` has an edge from an equation to
+/// itself or to an earlier one.
+fn has_backward_edge(node: &Node<ClightOps>) -> bool {
+    let (succs, _) = reference_succs(node);
+    succs
+        .iter()
+        .enumerate()
+        .any(|(i, row)| row.iter().any(|&j| j <= i))
+}
+
+#[test]
+fn the_schedule_checker_accepts_exactly_the_orders_without_a_backward_edge() {
+    let (mut accepted, mut rejected) = (0, 0);
+    for seed in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cfg = GenConfig {
+            subclock_pct: 40,
+            ..GenConfig::default()
+        };
+        for node in gen_program(&mut rng, &cfg).nodes {
+            let mut scheduled = node.clone();
+            let order = schedule_order(&node).expect("generated nodes are causal");
+            apply_order(&mut scheduled, &order).expect("the scheduler returns a permutation");
+            // The schedule, then orders ever further from it: a few
+            // random swaps, then a full shuffle.
+            let mut orders: Vec<Vec<usize>> = vec![(0..node.eqs.len()).collect()];
+            for swaps in [1, 2, 4] {
+                let mut order: Vec<usize> = (0..node.eqs.len()).collect();
+                for _ in 0..swaps.min(order.len()) {
+                    let (a, b) = (rng.gen_range(0..order.len()), rng.gen_range(0..order.len()));
+                    order.swap(a, b);
+                }
+                orders.push(order);
+            }
+            let mut shuffled: Vec<usize> = (0..node.eqs.len()).collect();
+            shuffled.shuffle(&mut rng);
+            orders.push(shuffled);
+            for order in orders {
+                let mut permuted = scheduled.clone();
+                apply_order(&mut permuted, &order).expect("a permutation");
+                let verdict = check_schedule(&permuted);
+                assert_eq!(
+                    verdict.is_ok(),
+                    !has_backward_edge(&permuted),
+                    "seed {seed}, node {}, order {order:?}: {verdict:?}",
+                    node.name
+                );
+                if verdict.is_ok() {
+                    accepted += 1;
+                } else {
+                    rejected += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        accepted > 500 && rejected > 500,
+        "accepted {accepted}, rejected {rejected}"
+    );
 }

@@ -1,7 +1,8 @@
 //! Property tests for the fusion optimization (§3.3) at the Obc level:
 //! on translated (hence `Fusible`) code, `fuse` preserves the big-step
-//! semantics and the `Fusible` predicate, and never increases statement
-//! count.
+//! semantics, Obc typing and the `Fusible` predicate, and never
+//! increases statement count. The pipeline checks only `Fusible` after
+//! fusion; typing preservation is the lemma pinned here.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -98,6 +99,16 @@ proptest! {
             TestCaseError::fail(format!("fused: {e}"))
         })?;
         prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fuse_preserves_obc_typing(seed in any::<u64>()) {
+        let (obc, _) = translated(seed);
+        prop_assert!(velus_obc::typecheck::check_program(&obc).is_ok());
+        let fused = fuse_program(obc);
+        if let Err(e) = velus_obc::typecheck::check_program(&fused) {
+            return Err(TestCaseError::fail(format!("fused program ill typed: {e}")));
+        }
     }
 
     #[test]
