@@ -9,7 +9,10 @@
 //! stage that has a check gets a second row, `check`, with the check's
 //! share of those totals (the counters are read again at the pipeline's
 //! `check_start` event, between the transform and its check); in
-//! `--json` it is the stage's `check` entry.
+//! `--json` it is the stage's `check` entry. The front end's two
+//! phases, `parse` (lexing included) and `lower` (elaboration and the
+//! initialization analysis), get rows of their own the same way, from
+//! the pipeline's `phase_start` events.
 //!
 //! Two corpora are profiled: the 14 paper benchmarks under
 //! `benchmarks/`, and a 24-program `velus-testkit` industrial corpus (a
@@ -40,7 +43,9 @@
 //! fails if the request content digest is less than
 //! [`DIGEST_SPEEDUP_GUARD`] times as fast as byte-at-a-time FNV-1a, and
 //! the front end's stack depth: a [`DEEP_EXPR_GUARD_TERMS`]-term sum
-//! must compile to C on a service worker's stack.
+//! must compile to C on a service worker's stack, and every nesting
+//! shape of [`NESTING_SHAPES`] must parse at ten times the depth that
+//! overflowed the old recursive-descent parser on a 256 KiB thread.
 //!
 //! `--overhead` instead measures the cost of the observability layer:
 //! the industrial corpus is compiled with tracing disabled and then
@@ -74,13 +79,14 @@ use velus::passes::{PassSink, StagedPipeline};
 use velus_bench::suite::{load, BENCHMARKS};
 use velus_bench::{parse_bool_flag, parse_flag, parse_string_flag};
 use velus_common::IoMode;
+use velus_lustre::FrontendScratch;
 use velus_obs::trace;
 use velus_obs::{Histogram, Recorder, RecorderConfig};
 use velus_server::{CompileRequest, ContentDigest, Stage};
 use velus_testkit::industrial::{industrial_source, IndustrialConfig};
 use velus_testkit::shapes::{
     chain_source, deep_expr_source, instance_chain_source, nest_source, uncalled_leaves_source,
-    wide_root_source,
+    wide_root_source, NESTING_SHAPES,
 };
 
 /// A counting wrapper around the system allocator. Every allocation and
@@ -140,6 +146,9 @@ impl StageTotals {
 #[derive(Default)]
 struct Profile {
     stages: [StageTotals; Stage::ALL.len()],
+    /// The shares of each stage's totals spent in the named phases of
+    /// its transform (the front end's `parse` and `lower`).
+    phases: [Vec<(&'static str, StageTotals)>; Stage::ALL.len()],
     /// The share of each stage's totals spent in its check, for the
     /// stages that have one.
     checks: [Option<StageTotals>; Stage::ALL.len()],
@@ -159,13 +168,19 @@ fn stage_index(stage: Stage) -> usize {
 }
 
 /// A pass sink that reads the allocation counters at every stage
-/// boundary and at the start of every check, so each stage's totals,
-/// and its check's share of them, come out of one compile.
+/// boundary, at every phase of a transform and at the start of every
+/// check, so each stage's totals, and its phases' and its check's
+/// shares of them, come out of one compile.
 struct Marks {
     /// The counters at the end of the last stage.
     last: (u64, u64),
     /// When the running stage started.
     start: Instant,
+    /// The running phase: its name, when it started and the counters
+    /// then.
+    phase: Option<(&'static str, Instant, (u64, u64))>,
+    /// Per finished phase: its stage, name and totals.
+    phases: Vec<(Stage, &'static str, StageTotals)>,
     /// How long the running stage's transform took, and the counters
     /// when its check started.
     check: Option<(std::time::Duration, (u64, u64))>,
@@ -173,16 +188,38 @@ struct Marks {
     stages: Vec<(Stage, StageTotals, Option<StageTotals>)>,
 }
 
+impl Marks {
+    /// Ends the running phase of `stage`, if any.
+    fn end_phase(&mut self, stage: Stage) {
+        if let Some((name, start, (allocs, bytes))) = self.phase.take() {
+            let (now_allocs, now_bytes) = counters();
+            let totals = StageTotals {
+                ns: start.elapsed().as_nanos() as u64,
+                allocs: now_allocs - allocs,
+                bytes: now_bytes - bytes,
+            };
+            self.phases.push((stage, name, totals));
+        }
+    }
+}
+
 impl PassSink for Marks {
     fn pass_start(&mut self, _stage: Stage, _name: &'static str) {
         self.start = Instant::now();
     }
 
-    fn check_start(&mut self, _stage: Stage) {
+    fn phase_start(&mut self, stage: Stage, name: &'static str) {
+        self.end_phase(stage);
+        self.phase = Some((name, Instant::now(), counters()));
+    }
+
+    fn check_start(&mut self, stage: Stage) {
+        self.end_phase(stage);
         self.check = Some((self.start.elapsed(), counters()));
     }
 
     fn pass_end(&mut self, stage: Stage, dur: std::time::Duration) {
+        self.end_phase(stage);
         let now = counters();
         let since = |(allocs, bytes): (u64, u64), ns: u64| StageTotals {
             ns,
@@ -203,13 +240,16 @@ impl PassSink for Marks {
 /// and allocations to stages, and to their checks, via the pipeline's
 /// pass sink. Returns the size of the emitted C in bytes.
 fn profile_one(profile: &mut Profile, source: &str, root: Option<&str>) -> usize {
-    let run_start = counters();
     let mut marks = Marks {
-        last: run_start,
+        last: (0, 0),
         start: Instant::now(),
+        phase: None,
+        phases: Vec::with_capacity(2),
         check: None,
         stages: Vec::with_capacity(Stage::ALL.len()),
     };
+    let run_start = counters();
+    marks.last = run_start;
     let wall = Instant::now();
     let c_bytes = {
         let mut staged =
@@ -233,6 +273,13 @@ fn profile_one(profile: &mut Profile, source: &str, root: Option<&str>) -> usize
         profile.stages[k].add(total);
         if let Some(check) = check {
             profile.checks[k].get_or_insert_default().add(check);
+        }
+    }
+    for (stage, name, totals) in marks.phases {
+        let phases = &mut profile.phases[stage_index(stage)];
+        match phases.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, t)) => t.add(totals),
+            None => phases.push((name, totals)),
         }
     }
     c_bytes
@@ -265,25 +312,28 @@ fn profile_corpus(corpus: &[(String, String)], passes: usize) -> Profile {
 
 /// Ceiling on frontend allocs/compile over the paper-benchmark corpus,
 /// enforced by `--smoke` (the CI perf guard). Set ~10% above the
-/// single-pass measurement (166.1, down from 202.8 when elaboration
-/// began lowering straight into N-Lustre; the single-pass smoke number
-/// runs a touch above the multi-pass profile because identifier
-/// interning is not amortized): the count is deterministic — it counts
-/// allocator calls, not time — so exceeding it means a real front-end
-/// allocation regression, not machine noise.
-const FRONTEND_ALLOCS_GUARD: f64 = 183.0;
+/// single-pass measurement (138.9, down from 167.1 when parsing began
+/// pooling declarations and equations in the surface arena, and from
+/// 202.8 before elaboration lowered straight into N-Lustre; the
+/// single-pass smoke number runs a touch above the multi-pass profile
+/// because identifier interning is not amortized): the count is
+/// deterministic — it counts allocator calls, not time — so exceeding it
+/// means a real front-end allocation regression, not machine noise.
+const FRONTEND_ALLOCS_GUARD: f64 = 153.0;
 
 /// Ceiling on the allocs of a whole cold C compile — every stage from
 /// frontend through emit, the lint pass excluded — per compile of the
 /// paper-benchmark corpus, enforced by `--smoke`. Set ~10% above the
-/// single-pass measurement (552.3; 614.9 before the schedule and fuse
+/// single-pass measurement (477.9; 552.3 before the parser stopped
+/// allocating per node and the scheduler stopped building each node's
+/// dependency graph in fresh buffers, 614.9 before the schedule and fuse
 /// stages stopped re-running the N-Lustre and Obc type checks and
 /// fusion stopped copying each body, 719.6 before the IRs after the
 /// front end stopped boxing every operator, 651.6 before elaboration
 /// lowered straight into N-Lustre), so a pass that goes back to cloning
 /// or boxing per statement or per operator, or a dropped re-check that
 /// comes back, fails CI.
-const COMPILE_ALLOCS_GUARD: f64 = 608.0;
+const COMPILE_ALLOCS_GUARD: f64 = 526.0;
 
 /// Ceiling on analysis (lint) allocs/compile over the paper-benchmark
 /// corpus, also enforced by `--smoke`. The lint pass is off the compile
@@ -347,6 +397,37 @@ fn deep_expr_c_on_a_worker_stack() -> usize {
         .expect("spawn the stack-guard thread")
         .join()
         .expect("the deep sum compiles to C")
+}
+
+/// The stack of the thread on which `--smoke` parses every nesting
+/// shape (the parser's stack guard): a 32nd of
+/// [`velus_server::WORKER_STACK_BYTES`].
+const NESTING_GUARD_STACK_BYTES: usize = 256 * 1024;
+
+/// Lexes and parses every [`NESTING_SHAPES`] shape at ten times the
+/// depth that overflowed the old recursive-descent parser, on a
+/// [`NESTING_GUARD_STACK_BYTES`] thread: a parser that took a stack
+/// frame per nesting level aborts the run. Returns the source bytes
+/// parsed.
+fn nesting_shapes_parse_on_a_small_stack() -> usize {
+    std::thread::Builder::new()
+        .stack_size(NESTING_GUARD_STACK_BYTES)
+        .spawn(|| {
+            let mut scratch = FrontendScratch::new();
+            NESTING_SHAPES
+                .iter()
+                .map(|(name, shape, wall)| {
+                    let source = shape(10 * wall);
+                    if let Err(e) = scratch.parse(&source) {
+                        panic!("{name}: {e}");
+                    }
+                    source.len()
+                })
+                .sum()
+        })
+        .expect("spawn the parser stack-guard thread")
+        .join()
+        .expect("every nesting shape parses on a small stack")
 }
 
 /// Floor on how many times faster [`ContentDigest::of`] — the one pass
@@ -425,6 +506,9 @@ fn print_profile(label: &str, p: &Profile, stage_filter: Option<&str>) {
         }
         let k = stage_index(stage);
         row(stage.name(), p.stages[k]);
+        for (name, t) in &p.phases[k] {
+            row(&format!("  {name}"), *t);
+        }
         if let Some(check) = p.checks[k] {
             row("  check", check);
         }
@@ -476,11 +560,16 @@ fn json_profile(label: &str, p: &Profile, stage_filter: Option<&str>) -> String 
     };
     for (i, stage) in stages.iter().enumerate() {
         let k = stage_index(*stage);
-        let check =
-            p.checks[k].map_or(String::new(), |c| format!(", \"check\": {{{}}}", totals(c)));
+        let mut parts: String = p.phases[k]
+            .iter()
+            .map(|(name, t)| format!(", \"{name}\": {{{}}}", totals(*t)))
+            .collect();
+        if let Some(c) = p.checks[k] {
+            let _ = write!(parts, ", \"check\": {{{}}}", totals(c));
+        }
         let _ = write!(
             out,
-            "\n        \"{}\": {{{}{check}}}{}",
+            "\n        \"{}\": {{{}{parts}}}{}",
             stage.name(),
             totals(p.stages[k]),
             if i + 1 == stages.len() { "" } else { "," }
@@ -932,6 +1021,7 @@ fn main() {
         let oracle_allocs = oracle_allocs_per_run();
         let speedup = digest_speedup();
         let deep_c_bytes = deep_expr_c_on_a_worker_stack();
+        let nested_bytes = nesting_shapes_parse_on_a_small_stack();
         assert!(
             frontend_allocs_on_benchmarks <= FRONTEND_ALLOCS_GUARD,
             "frontend allocation regression: {frontend_allocs_on_benchmarks:.1} allocs/compile \
@@ -973,7 +1063,10 @@ fn main() {
              {ANALYSIS_ALLOCS_GUARD:.0}; oracle allocs/run {oracle_allocs:.1} within guard \
              {ORACLE_ALLOCS_GUARD:.0}; content digest {speedup:.1}x FNV-1a, guard \
              {DIGEST_SPEEDUP_GUARD:.0}x; a {DEEP_EXPR_GUARD_TERMS}-term sum compiles to \
-             {deep_c_bytes} bytes of C on a worker stack"
+             {deep_c_bytes} bytes of C on a worker stack; {} nesting shapes ({nested_bytes} \
+             bytes) parse on a {} KiB stack",
+            NESTING_SHAPES.len(),
+            NESTING_GUARD_STACK_BYTES / 1024
         );
     }
 }

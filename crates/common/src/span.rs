@@ -31,6 +31,7 @@ impl Span {
     /// # Panics
     ///
     /// Panics if `end < start`.
+    #[inline]
     pub fn new(start: u32, end: u32) -> Span {
         assert!(end >= start, "span end before start");
         Span { start, end }
@@ -47,6 +48,7 @@ impl Span {
     }
 
     /// Whether this is the dummy (no-position) span.
+    #[inline]
     pub fn is_dummy(self) -> bool {
         self == Span::DUMMY
     }
@@ -54,6 +56,7 @@ impl Span {
     /// Smallest span covering both `self` and `other`.
     ///
     /// A dummy operand is absorbed by the other span.
+    #[inline]
     pub fn merge(self, other: Span) -> Span {
         if self.is_dummy() {
             return other;

@@ -42,9 +42,11 @@ use std::time::Instant;
 use velus_common::{
     codes, DiagStage, Diagnostic, Diagnostics, Ident, IoMode, NodeId, Span, SpanMap,
 };
+use velus_lustre::FrontendScratch;
 use velus_nlustre::ast::Program;
 use velus_obc::ast::ObcProgram;
 use velus_obc::fusion::{fuse_program, fusible};
+use velus_obs::trace;
 use velus_ops::ClightOps;
 use velus_server::{CancelReason, CancelToken, Stage};
 
@@ -54,7 +56,8 @@ use crate::VelusError;
 /// stage execution through this one hook.
 ///
 /// The pipeline calls [`pass_start`](PassSink::pass_start) before a
-/// stage runs, [`check_start`](PassSink::check_start) between its
+/// stage runs, [`phase_start`](PassSink::phase_start) at each named
+/// phase of its transform, [`check_start`](PassSink::check_start) between its
 /// transform and its check (stages without a check skip it), then
 /// exactly one of [`pass_end`](PassSink::pass_end) (success, with the
 /// wall-clock duration covering the transform *and* its check) or
@@ -68,6 +71,15 @@ use crate::VelusError;
 pub trait PassSink {
     /// The named pass is about to run.
     fn pass_start(&mut self, stage: Stage, name: &'static str) {
+        let _ = (stage, name);
+    }
+
+    /// The stage's transform entered its named phase — the front end's
+    /// `parse`, then `lower`: what follows until the next phase,
+    /// [`check_start`](PassSink::check_start) or the end of the pass
+    /// belongs to it. Each phase is also a child span of the pass's
+    /// trace span.
+    fn phase_start(&mut self, stage: Stage, name: &'static str) {
         let _ = (stage, name);
     }
 
@@ -164,8 +176,8 @@ struct Runner<'o> {
 }
 
 impl Runner<'_> {
-    /// Runs one stage: `transform`, then `check` (if the stage has one)
-    /// on its output, timing both.
+    /// Runs one stage: `transform` (given the sink, for its phases),
+    /// then `check` (if the stage has one) on its output, timing both.
     ///
     /// Failures leave this method **structured**: the layer error is
     /// converted to coded diagnostics ([`VelusError::Diag`]), its
@@ -183,7 +195,7 @@ impl Runner<'_> {
         &mut self,
         stage: Stage,
         spans: &SpanMap,
-        transform: impl FnOnce() -> Result<T, VelusError>,
+        transform: impl FnOnce(&mut dyn PassSink) -> Result<T, VelusError>,
         check: Option<Check<T>>,
     ) -> Result<T, VelusError> {
         if let Some(reason) = self.cancel.and_then(CancelToken::state) {
@@ -192,7 +204,7 @@ impl Runner<'_> {
         let name = pass_name(stage);
         self.observe.pass_start(stage, name);
         let start = Instant::now();
-        let checked = transform().and_then(|output| match check {
+        let checked = transform(&mut *self.observe).and_then(|output| match check {
             Some(check) => {
                 self.observe.check_start(stage);
                 check(&output).map(|()| output)
@@ -240,22 +252,47 @@ fn default_root(prog: &Program<ClightOps>) -> Option<NodeId> {
 }
 
 thread_local! {
-    /// Per-thread front-end scratch (token buffer + surface arena),
+    /// Per-thread front-end scratch (surface arena and parser stacks),
     /// recycled across compiles so a long-running service or bench loop
     /// stops allocating front-end working memory once the pools fit the
     /// largest program seen.
-    static FRONTEND_SCRATCH: std::cell::RefCell<velus_lustre::FrontendScratch> =
-        std::cell::RefCell::new(velus_lustre::FrontendScratch::new());
+    static FRONTEND_SCRATCH: std::cell::RefCell<FrontendScratch> =
+        std::cell::RefCell::new(FrontendScratch::new());
 }
 
-/// The `elaborate` transform: parse, elaborate and normalize to
-/// N-Lustre, then resolve the root.
-fn elaborate(source: &str, root: Option<&str>) -> Result<Elaborated, VelusError> {
-    // Fall back to one-shot scratch if the thread-local is already
-    // borrowed (a compile re-entered from inside a compile).
-    let front = FRONTEND_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => velus_lustre::frontend_with::<ClightOps>(source, &mut scratch),
-        Err(_) => velus_lustre::frontend::<ClightOps>(source),
+/// Runs `body` as the named phase of `stage`'s transform: announced to
+/// the sink, and a child span of the pass's trace span.
+fn phase<T>(
+    sink: &mut dyn PassSink,
+    stage: Stage,
+    name: &'static str,
+    body: impl FnOnce() -> T,
+) -> T {
+    sink.phase_start(stage, name);
+    let _span = trace::span(name);
+    body()
+}
+
+/// The `elaborate` transform: parse (`parse` phase), elaborate and
+/// normalize to N-Lustre (`lower` phase), then resolve the root.
+fn elaborate(
+    source: &str,
+    root: Option<&str>,
+    sink: &mut dyn PassSink,
+) -> Result<Elaborated, VelusError> {
+    let front = FRONTEND_SCRATCH.with(|cell| {
+        // Fall back to one-shot scratch if the thread-local is already
+        // borrowed (a compile re-entered from inside a compile).
+        let mut shared = cell.try_borrow_mut().ok();
+        let mut own = None;
+        let scratch = match shared.as_deref_mut() {
+            Some(scratch) => scratch,
+            None => own.insert(FrontendScratch::new()),
+        };
+        let uprog = phase(sink, Stage::Frontend, "parse", || scratch.parse(source))?;
+        phase(sink, Stage::Frontend, "lower", || {
+            velus_lustre::lower::<ClightOps>(&uprog, &scratch.ua)
+        })
     })?;
     let (nlustre, warnings, spans) = (front.program, front.warnings, front.spans);
     let root = match root {
@@ -346,10 +383,11 @@ fn unapply_order(node: &mut velus_nlustre::ast::Node<ClightOps>, order: &[usize]
 /// paper proves this preservation once as a lemma;
 /// `tests/check_permutation.rs` pins it as a property.
 fn schedule(input: &mut Program<ClightOps>) -> Result<Scheduled, VelusError> {
+    let mut scheduler = velus_nlustre::schedule::Scheduler::new();
     let orders = input
         .nodes
         .iter()
-        .map(velus_nlustre::schedule::schedule_order)
+        .map(|node| scheduler.order(node))
         .collect::<Result<Vec<_>, _>>()?;
     reorder(input, orders)
 }
@@ -475,7 +513,7 @@ impl<'o> StagedPipeline<'o> {
         let elaborated = runner.run(
             Stage::Frontend,
             &SpanMap::new(),
-            || elaborate(source, root),
+            |sink| elaborate(source, root, sink),
             None,
         )?;
         Self::from_elaborated(elaborated, runner)
@@ -521,7 +559,7 @@ impl<'o> StagedPipeline<'o> {
             warnings,
             spans,
         } = elaborated;
-        let nlustre = runner.run(Stage::Check, &spans, || Ok(nlustre), Some(check_nlustre))?;
+        let nlustre = runner.run(Stage::Check, &spans, |_| Ok(nlustre), Some(check_nlustre))?;
         Ok(StagedPipeline {
             runner,
             nlustre: OnceCell::from(nlustre),
@@ -580,7 +618,7 @@ impl<'o> StagedPipeline<'o> {
             let scheduled = self.runner.run(
                 Stage::Schedule,
                 &self.spans,
-                || schedule(elaborated),
+                |_| schedule(elaborated),
                 Some(check_scheduled),
             )?;
             // Moved out by the transform: rebuilt on demand by `nlustre`.
@@ -620,7 +658,7 @@ impl<'o> StagedPipeline<'o> {
         self.runner.run(
             Stage::Translate,
             &self.spans,
-            || Ok(velus_obc::translate::translate_program(snlustre)?),
+            |_| Ok(velus_obc::translate::translate_program(snlustre)?),
             Some(check_translated),
         )
     }
@@ -639,7 +677,7 @@ impl<'o> StagedPipeline<'o> {
         self.runner.run(
             Stage::Fuse,
             &self.spans,
-            || Ok(fuse_program(obc)),
+            |_| Ok(fuse_program(obc)),
             Some(check_fused),
         )
     }
@@ -671,7 +709,7 @@ impl<'o> StagedPipeline<'o> {
             let clight = self.runner.run(
                 Stage::Generate,
                 &self.spans,
-                || Ok(velus_clight::generate::generate(obc_fused, root)?),
+                |_| Ok(velus_clight::generate::generate(obc_fused, root)?),
                 None,
             )?;
             self.clight = Some(clight);
@@ -696,7 +734,7 @@ impl<'o> StagedPipeline<'o> {
             let findings = self.runner.run(
                 Stage::Analysis,
                 spans,
-                || Ok(velus_analysis::lint_program(program, root, warnings, spans)),
+                |_| Ok(velus_analysis::lint_program(program, root, warnings, spans)),
                 None,
             )?;
             self.lint = Some(findings);
@@ -723,7 +761,7 @@ impl<'o> StagedPipeline<'o> {
         self.runner.run(
             Stage::Emit,
             &self.spans,
-            || Ok(velus_clight::printer::print_program(clight, io)),
+            |_| Ok(velus_clight::printer::print_program(clight, io)),
             None,
         )
     }

@@ -7,9 +7,10 @@
 //! Expressions and clock annotations live in a [`UArena`]: flat `Vec`
 //! pools addressed by [`ExprId`]/[`ClockId`] indices. Nodes are `Copy`,
 //! children sit densely in cache, and dropping a whole parse is freeing
-//! four `Vec`s. Call arguments and equation left-hand sides are stored
-//! as contiguous runs in side pools (`ExprRange`), so neither a call nor
-//! an equation allocates anything of its own. The
+//! a few `Vec`s. Call arguments, equation left-hand sides, each node's
+//! callees, declarations and equations are stored as contiguous runs in
+//! side pools (`ExprRange`), so neither a call, an equation nor a node
+//! allocates anything of its own. The
 //! arena is external to the program — callers that compile repeatedly
 //! recycle it via [`UArena::clear`], which keeps the pool capacity.
 
@@ -28,6 +29,10 @@ impl ExprId {
     }
 }
 
+/// An index into a [`UArena`]'s literal pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LitId(u32);
+
 /// An index into a [`UArena`]'s clock pool. `ClockId::BASE` (index 0)
 /// is pre-seeded in every arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,11 +49,9 @@ impl ClockId {
     }
 }
 
-/// A contiguous run of [`ExprId`]s in the arena's argument pool
-/// (used for call arguments), of identifiers in its left-hand-side pool
-/// (an equation's defined variables), or of expressions in the
-/// expression pool (used to record which slice of the arena a node
-/// owns).
+/// A contiguous run in one of a [`UArena`]'s pools: a call's arguments,
+/// an equation's defined variables, a node's callees, declarations or
+/// equations, or the slice of the expression pool a node owns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExprRange {
     /// First index of the run.
@@ -78,8 +81,10 @@ impl ExprRange {
 /// [`UArena`]; the node itself is `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum UExpr {
-    /// A literal.
-    Lit(Literal, Span),
+    /// A literal, whose value is in the arena's literal pool
+    /// ([`UArena::lit`]): an `i128` value inline would double the size
+    /// of every expression node.
+    Lit(LitId, Span),
     /// A variable (or global constant) reference.
     Var(Ident, Span),
     /// Unary operator application.
@@ -132,14 +137,19 @@ pub enum UClock {
     On(ClockId, Ident, bool),
 }
 
-/// The expression, argument, clock and left-hand-side pools behind a
-/// parsed program.
+/// The pools behind a parsed program: expressions, literal values, call
+/// arguments, clocks, and the runs of equation left-hand sides, node callees,
+/// declarations and equations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UArena {
     exprs: Vec<UExpr>,
+    lits: Vec<Literal>,
     args: Vec<ExprId>,
     clocks: Vec<UClock>,
     lhs: Vec<Ident>,
+    callees: Vec<Ident>,
+    decls: Vec<UDecl>,
+    eqs: Vec<UEquation>,
 }
 
 impl Default for UArena {
@@ -148,14 +158,31 @@ impl Default for UArena {
     }
 }
 
+/// The run of `pool` from `mark` to its end.
+fn run_since<T>(pool: &[T], mark: u32) -> ExprRange {
+    ExprRange {
+        start: mark,
+        len: pool.len() as u32 - mark,
+    }
+}
+
+/// The elements of run `r` of `pool`.
+fn run<T>(pool: &[T], r: ExprRange) -> &[T] {
+    &pool[r.start as usize..(r.start + r.len) as usize]
+}
+
 impl UArena {
     /// An empty arena with the base clock pre-seeded.
     pub fn new() -> Self {
         UArena {
             exprs: Vec::new(),
+            lits: Vec::new(),
             args: Vec::new(),
             clocks: vec![UClock::Base],
             lhs: Vec::new(),
+            callees: Vec::new(),
+            decls: Vec::new(),
+            eqs: Vec::new(),
         }
     }
 
@@ -163,9 +190,13 @@ impl UArena {
     /// compiles the next program without growing.
     pub fn clear(&mut self) {
         self.exprs.clear();
+        self.lits.clear();
         self.args.clear();
         self.clocks.truncate(1);
         self.lhs.clear();
+        self.callees.clear();
+        self.decls.clear();
+        self.eqs.clear();
     }
 
     /// Adds an expression, returning its id.
@@ -174,6 +205,20 @@ impl UArena {
         let id = ExprId(self.exprs.len() as u32);
         self.exprs.push(e);
         id
+    }
+
+    /// Adds the literal expression `lit`, returning its id.
+    #[inline]
+    pub fn push_lit(&mut self, lit: Literal, span: Span) -> ExprId {
+        let l = LitId(self.lits.len() as u32);
+        self.lits.push(lit);
+        self.push(UExpr::Lit(l, span))
+    }
+
+    /// The value of a literal.
+    #[inline]
+    pub fn lit(&self, l: LitId) -> Literal {
+        self.lits[l.0 as usize]
     }
 
     /// Adds a sampled clock over `parent`, returning its id.
@@ -190,10 +235,7 @@ impl UArena {
     pub fn push_args(&mut self, stack: &mut Vec<ExprId>, base: usize) -> ExprRange {
         let start = self.args.len() as u32;
         self.args.extend(stack.drain(base..));
-        ExprRange {
-            start,
-            len: self.args.len() as u32 - start,
-        }
+        run_since(&self.args, start)
     }
 
     /// Adds one defined variable to the left-hand side being parsed:
@@ -213,16 +255,95 @@ impl UArena {
     /// The left-hand side pushed since `mark`.
     #[inline]
     pub fn lhs_since(&self, mark: u32) -> ExprRange {
-        ExprRange {
-            start: mark,
-            len: self.lhs.len() as u32 - mark,
-        }
+        run_since(&self.lhs, mark)
     }
 
     /// The defined variables of an equation.
     #[inline]
     pub fn lhs(&self, r: ExprRange) -> &[Ident] {
-        &self.lhs[r.start as usize..(r.start + r.len) as usize]
+        run(&self.lhs, r)
+    }
+
+    /// Records the callee of a call as it is parsed: the run of a node
+    /// is the callees pushed since [`UArena::callee_mark`], in source
+    /// order (a call before the calls in its arguments).
+    #[inline]
+    pub fn push_callee(&mut self, f: Ident) {
+        self.callees.push(f);
+    }
+
+    /// Where the next node's callees start.
+    #[inline]
+    pub fn callee_mark(&self) -> u32 {
+        self.callees.len() as u32
+    }
+
+    /// The callees pushed since `mark`.
+    #[inline]
+    pub fn callees_since(&self, mark: u32) -> ExprRange {
+        run_since(&self.callees, mark)
+    }
+
+    /// The callees of a node (casts such as `int(e)` included).
+    #[inline]
+    pub fn callees(&self, r: ExprRange) -> &[Ident] {
+        run(&self.callees, r)
+    }
+
+    /// Adds a declaration: the run of a declaration list is the
+    /// declarations pushed since [`UArena::decl_mark`].
+    #[inline]
+    pub fn push_decl(&mut self, d: UDecl) {
+        self.decls.push(d);
+    }
+
+    /// Where the next declaration list starts.
+    #[inline]
+    pub fn decl_mark(&self) -> u32 {
+        self.decls.len() as u32
+    }
+
+    /// The declarations pushed since `mark`.
+    #[inline]
+    pub fn decls_since(&self, mark: u32) -> ExprRange {
+        run_since(&self.decls, mark)
+    }
+
+    /// The declarations pushed since `mark`, to complete them.
+    #[inline]
+    pub fn decls_since_mut(&mut self, mark: u32) -> &mut [UDecl] {
+        &mut self.decls[mark as usize..]
+    }
+
+    /// The declarations of a list.
+    #[inline]
+    pub fn decls(&self, r: ExprRange) -> &[UDecl] {
+        run(&self.decls, r)
+    }
+
+    /// Adds an equation: the run of a node is the equations pushed since
+    /// [`UArena::eq_mark`].
+    #[inline]
+    pub fn push_eq(&mut self, eq: UEquation) {
+        self.eqs.push(eq);
+    }
+
+    /// Where the next node's equations start.
+    #[inline]
+    pub fn eq_mark(&self) -> u32 {
+        self.eqs.len() as u32
+    }
+
+    /// The equations pushed since `mark`.
+    #[inline]
+    pub fn eqs_since(&self, mark: u32) -> ExprRange {
+        run_since(&self.eqs, mark)
+    }
+
+    /// The equations of a node, in source order.
+    #[inline]
+    pub fn eqs(&self, r: ExprRange) -> &[UEquation] {
+        run(&self.eqs, r)
     }
 
     /// The clock node behind `id`.
@@ -234,7 +355,7 @@ impl UArena {
     /// The argument run of a call.
     #[inline]
     pub fn args(&self, r: ExprRange) -> &[ExprId] {
-        &self.args[r.start as usize..(r.start + r.len) as usize]
+        run(&self.args, r)
     }
 
     /// Number of expressions in the pool.
@@ -243,15 +364,20 @@ impl UArena {
         self.exprs.len()
     }
 
-    /// Pool capacities `(exprs, args, clocks, lhs)` — exposed so reuse
-    /// tests can assert that recycled arenas stop growing.
-    pub fn capacities(&self) -> (usize, usize, usize, usize) {
-        (
+    /// Pool capacities `[exprs, lits, args, clocks, lhs, callees,
+    /// decls, eqs]` — exposed so reuse tests can assert that recycled
+    /// arenas stop growing.
+    pub fn capacities(&self) -> [usize; 8] {
+        [
             self.exprs.capacity(),
+            self.lits.capacity(),
             self.args.capacity(),
             self.clocks.capacity(),
             self.lhs.capacity(),
-        )
+            self.callees.capacity(),
+            self.decls.capacity(),
+            self.eqs.capacity(),
+        ]
     }
 }
 
@@ -289,23 +415,28 @@ pub struct UEquation {
     pub span: Span,
 }
 
-/// A node declaration.
-#[derive(Debug, Clone, PartialEq)]
+/// A node declaration. Its declarations and equations are runs in the
+/// arena's pools ([`UArena::decls`], [`UArena::eqs`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UNode {
     /// Node name.
     pub name: Ident,
     /// Inputs.
-    pub inputs: Vec<UDecl>,
+    pub inputs: ExprRange,
     /// Outputs.
-    pub outputs: Vec<UDecl>,
+    pub outputs: ExprRange,
     /// Locals (the `var` section).
-    pub locals: Vec<UDecl>,
+    pub locals: ExprRange,
     /// The equations, in source order.
-    pub eqs: Vec<UEquation>,
+    pub eqs: ExprRange,
     /// The contiguous slice of the expression pool this node's
     /// equations occupy (the parser emits nodes sequentially), whose
     /// length pre-sizes the node's N-Lustre pools.
     pub exprs: ExprRange,
+    /// The names the node's equations call, in source order: a run in
+    /// the arena's callee pool ([`UArena::callees`]), which orders the
+    /// nodes callees first without another walk of the expressions.
+    pub callees: ExprRange,
     /// Source position of the header.
     pub span: Span,
 }

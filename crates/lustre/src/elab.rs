@@ -173,9 +173,11 @@ impl<'a, O: Ops> Elab<'a, O> {
     /// Infers a partial type bottom-up (used where no expectation exists).
     fn infer(&self, e: ExprId) -> EResult<PTy<O>> {
         match self.ua[e] {
-            UExpr::Lit(Literal::Int(_), _) => Ok(PTy::IntLit),
-            UExpr::Lit(Literal::Float(_), _) => Ok(PTy::FloatLit),
-            UExpr::Lit(Literal::Bool(_), _) => Ok(PTy::Known(O::bool_type())),
+            UExpr::Lit(l, _) => Ok(match self.ua.lit(l) {
+                Literal::Int(_) => PTy::IntLit,
+                Literal::Float(_) => PTy::FloatLit,
+                Literal::Bool(_) => PTy::Known(O::bool_type()),
+            }),
             UExpr::Var(x, s) => self.var_ty(x, s),
             UExpr::Unop(SurfaceUnOp::Not, _, _) => Ok(PTy::Known(O::bool_type())),
             UExpr::Unop(SurfaceUnOp::Neg, e1, _) => self.infer(e1),
@@ -272,11 +274,11 @@ impl<'a, O: Ops> Elab<'a, O> {
     #[inline(never)]
     fn leaf(&mut self, e: ExprId, expected: &O::Ty, ck: &Clock) -> EResult<Expr<O>> {
         match self.ua[e] {
-            UExpr::Lit(lit, s) => match O::const_of_literal(&lit, expected) {
+            UExpr::Lit(l, s) => match O::const_of_literal(&self.ua.lit(l), expected) {
                 Some(c) => Ok(Expr::Const(c)),
                 None => err(
                     codes::E0207,
-                    format!("literal {lit} does not fit type {expected}"),
+                    format!("literal {} does not fit type {expected}", self.ua.lit(l)),
                     s,
                 ),
             },
@@ -626,13 +628,16 @@ fn const_value<O: Ops>(
     expected: &O::Ty,
 ) -> EResult<O::Const> {
     match ua[e] {
-        UExpr::Lit(lit, s) => O::const_of_literal(&lit, expected).ok_or(()).or_else(|_| {
-            err(
-                codes::E0207,
-                format!("literal {lit} does not fit type {expected}"),
-                s,
-            )
-        }),
+        UExpr::Lit(l, s) => {
+            let lit = ua.lit(l);
+            O::const_of_literal(&lit, expected).ok_or(()).or_else(|_| {
+                err(
+                    codes::E0207,
+                    format!("literal {lit} does not fit type {expected}"),
+                    s,
+                )
+            })
+        }
         UExpr::Var(x, s) => match consts.get(&x) {
             Some(c) if O::type_of_const(c) == *expected => Ok(c.clone()),
             Some(c) => err(
@@ -693,35 +698,6 @@ fn elab_clock<O: Ops>(
     }
 }
 
-/// Scans an expression for node-call targets (for dependency ordering).
-fn call_targets(ua: &UArena, e: ExprId, out: &mut Vec<Ident>) {
-    match ua[e] {
-        UExpr::Call(f, args, _) => {
-            out.push(f);
-            for &a in ua.args(args) {
-                call_targets(ua, a, out);
-            }
-        }
-        UExpr::Lit(..) | UExpr::Var(..) => {}
-        UExpr::Unop(_, e1, _) | UExpr::When(e1, _, _, _) | UExpr::Pre(e1, _) => {
-            call_targets(ua, e1, out)
-        }
-        UExpr::Binop(_, l, r, _) | UExpr::Fby(l, r, _) | UExpr::Arrow(l, r, _) => {
-            call_targets(ua, l, out);
-            call_targets(ua, r, out);
-        }
-        UExpr::Merge(_, t, f, _) => {
-            call_targets(ua, t, out);
-            call_targets(ua, f, out);
-        }
-        UExpr::If(c, t, f, _) => {
-            call_targets(ua, c, out);
-            call_targets(ua, t, out);
-            call_targets(ua, f, out);
-        }
-    }
-}
-
 /// Topologically orders nodes, callees first.
 fn order_nodes<O: Ops>(prog: &UProgram, ua: &UArena) -> EResult<Vec<usize>> {
     let mut index: IdentMap<usize> = ident_map_with_capacity(prog.nodes.len());
@@ -746,7 +722,6 @@ fn order_nodes<O: Ops>(prog: &UProgram, ua: &UArena) -> EResult<Vec<usize>> {
     }
     let mut marks = vec![Mark::White; prog.nodes.len()];
     let mut order = Vec::with_capacity(prog.nodes.len());
-    let mut calls = Vec::new();
     fn visit<O: Ops>(
         i: usize,
         prog: &UProgram,
@@ -754,7 +729,6 @@ fn order_nodes<O: Ops>(prog: &UProgram, ua: &UArena) -> EResult<Vec<usize>> {
         index: &IdentMap<usize>,
         marks: &mut Vec<Mark>,
         order: &mut Vec<usize>,
-        calls: &mut Vec<Ident>,
     ) -> EResult<()> {
         match marks[i] {
             Mark::Black => return Ok(()),
@@ -771,27 +745,21 @@ fn order_nodes<O: Ops>(prog: &UProgram, ua: &UArena) -> EResult<Vec<usize>> {
             Mark::White => {}
         }
         marks[i] = Mark::Grey;
-        let base = calls.len();
-        for eq in &prog.nodes[i].eqs {
-            call_targets(ua, eq.rhs, calls);
-        }
-        for k in base..calls.len() {
-            let f = calls[k];
+        for &f in ua.callees(prog.nodes[i].callees) {
             if O::type_of_name(f.as_str()).is_some() {
                 continue; // a cast, not a node
             }
             if let Some(&j) = index.get(&f) {
-                visit::<O>(j, prog, ua, index, marks, order, calls)?;
+                visit::<O>(j, prog, ua, index, marks, order)?;
             }
             // Unknown callees are reported during typing with a position.
         }
-        calls.truncate(base);
         marks[i] = Mark::Black;
         order.push(i);
         Ok(())
     }
     for i in 0..prog.nodes.len() {
-        visit::<O>(i, prog, ua, &index, &mut marks, &mut order, &mut calls)?;
+        visit::<O>(i, prog, ua, &index, &mut marks, &mut order)?;
     }
     Ok(order)
 }
@@ -882,8 +850,15 @@ fn elab_node<O: Ops>(
     clocks: &mut Clocks,
     out: &mut Lower<O>,
 ) -> EResult<nl::Node<O>> {
-    let (vars, [inputs, outputs, locals]) =
-        elab_decls::<O>(ua, [&unode.inputs, &unode.outputs, &unode.locals], clocks)?;
+    let (vars, [inputs, outputs, locals]) = elab_decls::<O>(
+        ua,
+        [
+            ua.decls(unode.inputs),
+            ua.decls(unode.outputs),
+            ua.decls(unode.locals),
+        ],
+        clocks,
+    )?;
     // Interface variables live on the base clock (paper's restriction).
     for d in inputs.iter().chain(&outputs) {
         if d.ck != Clock::Base {
@@ -912,7 +887,7 @@ fn elab_node<O: Ops>(
         clock_err: None,
     };
 
-    for ueq in &unode.eqs {
+    for ueq in ua.eqs(unode.eqs) {
         let lhs = ua.lhs(ueq.lhs);
         // The equation clock comes from the (identical) clocks of the
         // defined variables.

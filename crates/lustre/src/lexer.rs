@@ -3,24 +3,27 @@
 //! Hand-written (the paper generates one with ocamllex). Supports `--`
 //! line comments and `(* … *)` block comments, decimal integer and float
 //! literals, and the keyword/operator set of the surface language.
+//!
+//! It is a pull lexer: the parser asks a [`Lexer`] for one token at a
+//! time, so lexing and parsing are one pass over the source and no
+//! token buffer exists. [`lex`] collects every token, for tests.
 
 use std::fmt;
 
-use velus_common::{codes, DiagStage, Diagnostic, Diagnostics, Ident, Span};
+use velus_common::{codes, Code, DiagStage, Diagnostic, Diagnostics, Ident, Span};
+use velus_ops::Literal;
 
 /// A lexical token.
 ///
-/// Identifiers are interned at lexing time, which makes `Tok` `Copy`:
-/// the parser clones tokens freely (peeks, error paths) and a compile
-/// of an already-seen source interns nothing new.
+/// Identifiers are interned at lexing time, and a number's value stays
+/// in the lexer ([`Lexer::number`]), which keeps `Tok` a word: it is
+/// `Copy` and moves in a register.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Tok {
     /// An identifier (interned).
     Ident(Ident),
-    /// An integer literal (kept wide; typed during elaboration).
-    Int(i128),
-    /// A floating-point literal.
-    Float(f64),
+    /// An integer or floating-point literal.
+    Number,
     // Keywords.
     /// `node`
     Node,
@@ -109,8 +112,7 @@ impl fmt::Display for Tok {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "{s}"),
-            Tok::Int(i) => write!(f, "{i}"),
-            Tok::Float(x) => write!(f, "{x}"),
+            Tok::Number => f.write_str("number"),
             Tok::Node => f.write_str("node"),
             Tok::Function => f.write_str("function"),
             Tok::Returns => f.write_str("returns"),
@@ -164,33 +166,54 @@ pub struct Token {
     pub span: Span,
 }
 
-fn keyword(s: &str) -> Option<Tok> {
-    Some(match s {
-        "node" => Tok::Node,
-        "function" => Tok::Function,
-        "returns" => Tok::Returns,
-        "var" => Tok::Var,
-        "let" => Tok::Let,
-        "tel" => Tok::Tel,
-        "const" => Tok::Const,
-        "if" => Tok::If,
-        "then" => Tok::Then,
-        "else" => Tok::Else,
-        "when" => Tok::When,
-        "whenot" => Tok::Whenot,
-        "merge" => Tok::Merge,
-        "fby" => Tok::Fby,
-        "pre" => Tok::Pre,
-        "not" => Tok::Not,
-        "and" => Tok::And,
-        "or" => Tok::Or,
-        "xor" => Tok::Xor,
-        "div" => Tok::Div,
-        "mod" => Tok::Mod,
-        "true" => Tok::True,
-        "false" => Tok::False,
+/// The keyword spelled `s`, if any: dispatched on the length first, so
+/// an identifier costs one or two word comparisons, not one per
+/// keyword.
+fn keyword(s: &[u8]) -> Option<Tok> {
+    Some(match s.len() {
+        2 => match s {
+            b"if" => Tok::If,
+            b"or" => Tok::Or,
+            _ => return None,
+        },
+        3 => match s {
+            b"var" => Tok::Var,
+            b"let" => Tok::Let,
+            b"tel" => Tok::Tel,
+            b"fby" => Tok::Fby,
+            b"pre" => Tok::Pre,
+            b"not" => Tok::Not,
+            b"and" => Tok::And,
+            b"xor" => Tok::Xor,
+            b"div" => Tok::Div,
+            b"mod" => Tok::Mod,
+            _ => return None,
+        },
+        4 => match s {
+            b"node" => Tok::Node,
+            b"then" => Tok::Then,
+            b"else" => Tok::Else,
+            b"when" => Tok::When,
+            b"true" => Tok::True,
+            _ => return None,
+        },
+        5 => match s {
+            b"const" => Tok::Const,
+            b"merge" => Tok::Merge,
+            b"false" => Tok::False,
+            _ => return None,
+        },
+        6 if s == b"whenot" => Tok::Whenot,
+        7 if s == b"returns" => Tok::Returns,
+        8 if s == b"function" => Tok::Function,
         _ => return None,
     })
+}
+
+/// Whether `c` continues an identifier.
+#[inline]
+fn ident_char(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || c == b'_'
 }
 
 /// Whether `c` can begin a token (or whitespace) — used to delimit runs
@@ -217,168 +240,186 @@ fn starts_token(c: u8) -> bool {
         )
 }
 
-/// Tokenizes `source`.
+/// A pull lexer: it holds the current token ([`Lexer::token`]) and the
+/// span of the one consumed last ([`Lexer::prev_span`]), all an LL(1)
+/// parser looks at, and [`Lexer::next_token`] scans the next token of
+/// the source on demand, so no token buffer exists.
 ///
-/// # Errors
-///
-/// Unterminated comments, malformed numbers and unexpected characters.
-pub fn lex(source: &str) -> Result<Vec<Token>, Diagnostics> {
-    let mut out = Vec::new();
-    lex_into(source, &mut out)?;
-    Ok(out)
+/// Lexical errors (unterminated comments, malformed numbers, runs of
+/// unexpected characters) are recorded as they are met and the input
+/// they cover is skipped, so the token stream is the same whether or
+/// not the input has errors. [`Lexer::finish`] lexes the rest of the
+/// input and returns what was recorded.
+#[derive(Debug)]
+pub struct Lexer<'s> {
+    source: &'s str,
+    pos: usize,
+    errs: Diagnostics,
+    words: &'s mut WordCache,
+    /// The current token and the one consumed last, in turns: the
+    /// current one is `toks[cur]`.
+    toks: [Token; 2],
+    cur: usize,
+    /// The value of the number lexed last.
+    number: Literal,
 }
 
-/// Tokenizes `source` into a caller-owned buffer (cleared first), so a
-/// caller compiling repeatedly reuses one allocation. The buffer is
-/// pre-sized from the source length on first use.
-///
-/// # Errors
-///
-/// Same as [`lex`]; `out` still holds the tokens lexed before the error
-/// (error recovery continues to the end of the input).
-pub fn lex_into(source: &str, out: &mut Vec<Token>) -> Result<(), Diagnostics> {
-    let bytes = source.as_bytes();
-    out.clear();
-    // Lustre averages roughly one token per four bytes; one up-front
-    // reservation replaces the doubling regrowths of a cold Vec and is
-    // a no-op for a recycled buffer that is already big enough.
-    out.reserve(source.len() / 4 + 8);
-    let mut i = 0usize;
-    let n = bytes.len();
-    let mut errs = Diagnostics::new();
+/// Words of at most this many bytes are cached by [`WordCache`].
+const CACHED_WORD_BYTES: usize = 16;
 
-    while i < n {
-        let c = bytes[i];
-        // Whitespace.
-        if c.is_ascii_whitespace() {
-            i += 1;
-            continue;
+/// Entries of a [`WordCache`] (a power of two).
+const CACHE_SLOTS: usize = 1024;
+
+/// Integer literals with fewer digits than this are valued while they
+/// are scanned (they fit a `u64`); longer ones go through `str::parse`.
+const SHORT_INT_DIGITS: usize = 19;
+
+/// The words (keywords and identifiers) lexed so far, each with its
+/// token, kept across compiles so that a word seen before is neither
+/// looked up among the keywords nor interned again: a direct-mapped
+/// table keyed by the word's bytes, held inline (words of up to 16
+/// bytes), so a hit costs one probe and reads neither the interner's
+/// map nor the interned string.
+#[derive(Debug, Clone)]
+pub struct WordCache {
+    /// `(key, token)`; a key is never 0, since words are not empty.
+    slots: Vec<(u128, Tok)>,
+}
+
+impl Default for WordCache {
+    fn default() -> Self {
+        WordCache {
+            slots: vec![(0, Tok::Eof); CACHE_SLOTS],
         }
-        // Line comment.
-        if c == b'-' && i + 1 < n && bytes[i + 1] == b'-' {
-            while i < n && bytes[i] != b'\n' {
+    }
+}
+
+impl WordCache {
+    /// The token of the word `source[start..end]`: a keyword, or an
+    /// identifier interned on a miss.
+    #[inline]
+    fn get(&mut self, source: &str, start: usize, end: usize) -> Tok {
+        let word = || &source[start..end];
+        let len = end - start;
+        if len > CACHED_WORD_BYTES {
+            return Tok::Ident(Ident::new(word()));
+        }
+        // The word's bytes, zero-padded: one 16-byte load, masked, where
+        // the source extends that far.
+        let bytes = source.as_bytes();
+        let key = match bytes.get(start..start + CACHED_WORD_BYTES) {
+            Some(window) => {
+                let window = u128::from_le_bytes(window.try_into().expect("16 bytes"));
+                window & (u128::MAX >> (8 * (CACHED_WORD_BYTES - len)))
+            }
+            None => {
+                let mut key = [0u8; CACHED_WORD_BYTES];
+                key[..len].copy_from_slice(&bytes[start..end]);
+                u128::from_le_bytes(key)
+            }
+        };
+        let mixed = (key as u64 ^ (key >> 64) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let slot = &mut self.slots[(mixed >> (64 - CACHE_SLOTS.trailing_zeros())) as usize];
+        if slot.0 != key {
+            let tok = keyword(&bytes[start..end]).unwrap_or_else(|| Tok::Ident(Ident::new(word())));
+            *slot = (key, tok);
+        }
+        slot.1
+    }
+}
+
+impl<'s> Lexer<'s> {
+    /// A lexer on the first token of `source`, looking words up through
+    /// `words`.
+    pub fn new(source: &'s str, words: &'s mut WordCache) -> Self {
+        let mut lexer = Lexer {
+            source,
+            pos: 0,
+            errs: Diagnostics::new(),
+            words,
+            toks: [Token {
+                tok: Tok::Eof,
+                span: Span::DUMMY,
+            }; 2],
+            cur: 0,
+            number: Literal::Int(0),
+        };
+        lexer.scan();
+        // Before anything is consumed, the last token is the first.
+        lexer.toks[1] = lexer.toks[0];
+        lexer
+    }
+
+    /// The current token: the next one not yet consumed.
+    #[inline]
+    pub fn token(&self) -> &Token {
+        &self.toks[self.cur]
+    }
+
+    /// The value of the current token, when it is a [`Tok::Number`].
+    #[inline]
+    pub fn number(&self) -> Literal {
+        self.number
+    }
+
+    /// The span of the token consumed last.
+    #[inline]
+    pub fn prev_span(&self) -> Span {
+        self.toks[self.cur ^ 1].span
+    }
+
+    /// Consumes the current token and scans the next one. The end of
+    /// input ([`Tok::Eof`], spanning the empty end of the source) is
+    /// never consumed.
+    #[inline]
+    pub fn next_token(&mut self) {
+        if !matches!(self.token().tok, Tok::Eof) {
+            self.cur ^= 1;
+            self.scan();
+        }
+    }
+
+    /// Scans the token at the current position into `toks[cur]`,
+    /// dispatching on its first byte.
+    fn scan(&mut self) {
+        let bytes = self.source.as_bytes();
+        let n = bytes.len();
+        loop {
+            let mut i = self.pos;
+            while i < n && bytes[i].is_ascii_whitespace() {
                 i += 1;
             }
-            continue;
-        }
-        // Block comment (* ... *), nestable.
-        if c == b'(' && i + 1 < n && bytes[i + 1] == b'*' {
-            let start = i;
-            let mut depth = 1;
-            i += 2;
-            while i < n && depth > 0 {
-                if bytes[i] == b'(' && i + 1 < n && bytes[i + 1] == b'*' {
-                    depth += 1;
-                    i += 2;
-                } else if bytes[i] == b'*' && i + 1 < n && bytes[i + 1] == b')' {
-                    depth -= 1;
-                    i += 2;
-                } else {
-                    i += 1;
+            self.pos = i;
+            let Some(&c) = bytes.get(i) else {
+                self.toks[self.cur] = Token {
+                    tok: Tok::Eof,
+                    span: Span::new(n as u32, n as u32),
+                };
+                return;
+            };
+            let next = bytes.get(i + 1).copied();
+            let (tok, len) = match c {
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.scan_ident(i),
+                b'0'..=b'9' => match self.scan_number(i) {
+                    Some(t) => t,
+                    None => continue,
+                },
+                // A line comment runs to the end of the line.
+                b'-' if next == Some(b'-') => {
+                    self.pos = bytes[i..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(n, |k| i + k);
+                    continue;
                 }
-            }
-            if depth > 0 {
-                errs.push(
-                    Diagnostic::error(
-                        codes::E0102,
-                        "unterminated comment",
-                        Span::new(start as u32, n as u32),
-                    )
-                    .at_stage(DiagStage::Lex),
-                );
-            }
-            continue;
-        }
-        let start = i as u32;
-        // Identifier or keyword.
-        if c.is_ascii_alphabetic() || c == b'_' {
-            let mut j = i + 1;
-            while j < n && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
-                j += 1;
-            }
-            let text = &source[i..j];
-            let tok = keyword(text).unwrap_or_else(|| Tok::Ident(Ident::new(text)));
-            out.push(Token {
-                tok,
-                span: Span::new(start, j as u32),
-            });
-            i = j;
-            continue;
-        }
-        // Number (integer or float).
-        if c.is_ascii_digit() {
-            let mut j = i + 1;
-            while j < n && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            let mut is_float = false;
-            if j < n && bytes[j] == b'.' && j + 1 < n && bytes[j + 1].is_ascii_digit() {
-                is_float = true;
-                j += 1;
-                while j < n && bytes[j].is_ascii_digit() {
-                    j += 1;
+                b'(' if next == Some(b'*') => {
+                    self.block_comment(i);
+                    continue;
                 }
-            }
-            if j < n && (bytes[j] == b'e' || bytes[j] == b'E') {
-                let mut k = j + 1;
-                if k < n && (bytes[k] == b'+' || bytes[k] == b'-') {
-                    k += 1;
-                }
-                if k < n && bytes[k].is_ascii_digit() {
-                    is_float = true;
-                    j = k + 1;
-                    while j < n && bytes[j].is_ascii_digit() {
-                        j += 1;
-                    }
-                }
-            }
-            let text = &source[i..j];
-            let span = Span::new(start, j as u32);
-            if is_float {
-                match text.parse::<f64>() {
-                    Ok(x) => out.push(Token {
-                        tok: Tok::Float(x),
-                        span,
-                    }),
-                    Err(_) => errs.push(
-                        Diagnostic::error(
-                            codes::E0105,
-                            format!("malformed float literal `{text}`"),
-                            span,
-                        )
-                        .at_stage(DiagStage::Lex),
-                    ),
-                }
-            } else {
-                match text.parse::<i128>() {
-                    Ok(x) => out.push(Token {
-                        tok: Tok::Int(x),
-                        span,
-                    }),
-                    Err(_) => errs.push(
-                        Diagnostic::error(
-                            codes::E0105,
-                            format!("malformed integer literal `{text}`"),
-                            span,
-                        )
-                        .at_stage(DiagStage::Lex),
-                    ),
-                }
-            }
-            i = j;
-            continue;
-        }
-        // Operators and punctuation. Matched as *bytes*: slicing the
-        // source string two bytes ahead would panic mid-character on
-        // non-ASCII input, which must lex to a diagnostic, not a panic
-        // (found by the fault-injection property test).
-        let two: &[u8] = if i + 1 < n { &bytes[i..i + 2] } else { b"" };
-        let (tok, len) = match two {
-            b"->" => (Tok::Arrow, 2),
-            b"<>" => (Tok::Neq, 2),
-            b"<=" => (Tok::Le, 2),
-            b">=" => (Tok::Ge, 2),
-            _ => match c {
+                b'-' if next == Some(b'>') => (Tok::Arrow, 2),
+                b'<' if next == Some(b'>') => (Tok::Neq, 2),
+                b'<' if next == Some(b'=') => (Tok::Le, 2),
+                b'>' if next == Some(b'=') => (Tok::Ge, 2),
                 b'(' => (Tok::LParen, 1),
                 b')' => (Tok::RParen, 1),
                 b',' => (Tok::Comma, 1),
@@ -392,44 +433,170 @@ pub fn lex_into(source: &str, out: &mut Vec<Token>) -> Result<(), Diagnostics> {
                 b'*' => (Tok::Star, 1),
                 b'/' => (Tok::Slash, 1),
                 _ => {
-                    // Coalesce the whole run of unexpected characters
-                    // into one diagnostic, stepping over complete UTF-8
-                    // sequences so both the span and the next lexer
-                    // state sit on character boundaries. The message is
-                    // formatted once per run, not once per probed
-                    // character.
-                    let ch = source[i..].chars().next().expect("in bounds");
-                    let mut j = i + ch.len_utf8();
-                    while j < n && !starts_token(bytes[j]) {
-                        let ch2 = source[j..].chars().next().expect("on boundary");
-                        j += ch2.len_utf8();
-                    }
-                    let run = &source[i..j];
-                    let msg = if j == i + ch.len_utf8() {
-                        format!("unexpected character `{ch}`")
-                    } else {
-                        format!("unexpected characters `{run}`")
-                    };
-                    errs.push(
-                        Diagnostic::error(codes::E0101, msg, Span::new(start, j as u32))
-                            .at_stage(DiagStage::Lex),
-                    );
-                    i = j;
+                    self.unexpected(i);
                     continue;
                 }
-            },
-        };
-        out.push(Token {
-            tok,
-            span: Span::new(start, start + len as u32),
-        });
-        i += len;
+            };
+            self.pos = i + len;
+            self.toks[self.cur] = Token {
+                tok,
+                span: Span::new(i as u32, (i + len) as u32),
+            };
+            return;
+        }
     }
-    out.push(Token {
-        tok: Tok::Eof,
-        span: Span::new(n as u32, n as u32),
-    });
-    errs.into_result(())
+
+    /// Lexes the rest of the input and returns every lexical error of
+    /// the whole source, in source order.
+    pub fn finish(mut self) -> Diagnostics {
+        while !matches!(self.token().tok, Tok::Eof) {
+            self.next_token();
+        }
+        self.errs
+    }
+
+    fn error(&mut self, code: Code, msg: String, start: usize, end: usize) {
+        self.errs.push(
+            Diagnostic::error(code, msg, Span::new(start as u32, end as u32))
+                .at_stage(DiagStage::Lex),
+        );
+    }
+
+    /// An identifier or keyword starting at `i`, and its length.
+    fn scan_ident(&mut self, i: usize) -> (Tok, usize) {
+        let bytes = self.source.as_bytes();
+        let mut j = i + 1;
+        while j < bytes.len() && ident_char(bytes[j]) {
+            j += 1;
+        }
+        (self.words.get(self.source, i, j), j - i)
+    }
+
+    /// An integer or float literal starting at `i`, and its length;
+    /// `None` when it is malformed (the error is recorded and the literal
+    /// skipped).
+    fn scan_number(&mut self, i: usize) -> Option<(Tok, usize)> {
+        let bytes = self.source.as_bytes();
+        let n = bytes.len();
+        let digits = |mut j: usize| {
+            while j < n && bytes[j].is_ascii_digit() {
+                j += 1;
+            }
+            j
+        };
+        // The integer part, valued on the way while it cannot overflow.
+        let mut j = i;
+        let mut value: u64 = 0;
+        while j < n && bytes[j].is_ascii_digit() {
+            value = value * 10 + u64::from(bytes[j] - b'0');
+            j += 1;
+            if j - i == SHORT_INT_DIGITS {
+                j = digits(j);
+                break;
+            }
+        }
+        let mut is_float = false;
+        if j + 1 < n && bytes[j] == b'.' && bytes[j + 1].is_ascii_digit() {
+            is_float = true;
+            j = digits(j + 1);
+        }
+        if j < n && (bytes[j] == b'e' || bytes[j] == b'E') {
+            let mut k = j + 1;
+            if k < n && (bytes[k] == b'+' || bytes[k] == b'-') {
+                k += 1;
+            }
+            if k < n && bytes[k].is_ascii_digit() {
+                is_float = true;
+                j = digits(k + 1);
+            }
+        }
+        self.pos = j;
+        let text = &self.source[i..j];
+        let number = if is_float {
+            text.parse::<f64>().ok().map(Literal::Float)
+        } else if j - i < SHORT_INT_DIGITS {
+            Some(Literal::Int(i128::from(value)))
+        } else {
+            text.parse::<i128>().ok().map(Literal::Int)
+        };
+        if let Some(number) = number {
+            self.number = number;
+        } else {
+            let what = if is_float { "float" } else { "integer" };
+            self.error(
+                codes::E0105,
+                format!("malformed {what} literal `{text}`"),
+                i,
+                j,
+            );
+        }
+        number.map(|_| (Tok::Number, j - i))
+    }
+
+    /// Skips a block comment `(* … *)` starting at `i`; comments nest.
+    fn block_comment(&mut self, start: usize) {
+        let bytes = self.source.as_bytes();
+        let n = bytes.len();
+        let mut depth = 1;
+        let mut i = start + 2;
+        while i < n && depth > 0 {
+            if bytes[i] == b'(' && i + 1 < n && bytes[i + 1] == b'*' {
+                depth += 1;
+                i += 2;
+            } else if bytes[i] == b'*' && i + 1 < n && bytes[i + 1] == b')' {
+                depth -= 1;
+                i += 2;
+            } else {
+                i += 1;
+            }
+        }
+        self.pos = i;
+        if depth > 0 {
+            self.error(codes::E0102, "unterminated comment".to_owned(), start, n);
+        }
+    }
+
+    /// Skips the run of unexpected characters starting at `i` with one
+    /// diagnostic. The run steps over complete UTF-8 sequences, so both
+    /// the span and the next lexer state sit on character boundaries
+    /// (non-ASCII input must lex to a diagnostic, not a panic), and the
+    /// message is formatted once per run, not once per character.
+    fn unexpected(&mut self, i: usize) {
+        let bytes = self.source.as_bytes();
+        let ch = self.source[i..].chars().next().expect("in bounds");
+        let mut j = i + ch.len_utf8();
+        while j < bytes.len() && !starts_token(bytes[j]) {
+            let ch2 = self.source[j..].chars().next().expect("on boundary");
+            j += ch2.len_utf8();
+        }
+        let msg = if j == i + ch.len_utf8() {
+            format!("unexpected character `{ch}`")
+        } else {
+            format!("unexpected characters `{}`", &self.source[i..j])
+        };
+        self.pos = j;
+        self.error(codes::E0101, msg, i, j);
+    }
+}
+
+/// Tokenizes all of `source`, ending with [`Tok::Eof`]: a loop over the
+/// pull lexer, for tests.
+///
+/// # Errors
+///
+/// Unterminated comments, malformed numbers and unexpected characters:
+/// every one in the source.
+pub fn lex(source: &str) -> Result<Vec<Token>, Diagnostics> {
+    let mut words = WordCache::default();
+    let mut lexer = Lexer::new(source, &mut words);
+    let mut out = Vec::new();
+    loop {
+        out.push(*lexer.token());
+        if lexer.token().tok == Tok::Eof {
+            return lexer.finish().into_result(out);
+        }
+        lexer.next_token();
+    }
 }
 
 #[cfg(test)]
@@ -455,9 +622,22 @@ mod tests {
 
     #[test]
     fn numbers() {
-        assert_eq!(toks("42"), vec![Tok::Int(42), Tok::Eof]);
-        assert_eq!(toks("3.5"), vec![Tok::Float(3.5), Tok::Eof]);
-        assert_eq!(toks("1e3"), vec![Tok::Float(1000.0), Tok::Eof]);
+        let mut words = WordCache::default();
+        for (src, value) in [
+            ("42", Literal::Int(42)),
+            ("3.5", Literal::Float(3.5)),
+            ("1e3", Literal::Float(1000.0)),
+            (
+                "0170141183460469231731687303715884105727",
+                Literal::Int(i128::MAX),
+            ),
+        ] {
+            let lexer = Lexer::new(src, &mut words);
+            assert_eq!(lexer.token().tok, Tok::Number, "{src}");
+            assert_eq!(lexer.number(), value, "{src}");
+        }
+        assert_eq!(toks("42"), vec![Tok::Number, Tok::Eof]);
+        assert!(lex("170141183460469231731687303715884105728").is_err());
         // A bare dot is not part of the language.
         assert!(lex("1 .").is_err());
     }
@@ -499,7 +679,7 @@ mod tests {
                 Tok::Ident(Ident::new("a")),
                 Tok::Minus,
                 Tok::Minus,
-                Tok::Int(1),
+                Tok::Number,
                 Tok::Eof
             ]
         );
@@ -522,14 +702,5 @@ mod tests {
         let errs = lex("a ? b").unwrap_err();
         let msg = &errs.iter().next().unwrap().message;
         assert!(msg.contains("unexpected character `?`"), "{msg}");
-    }
-
-    #[test]
-    fn lex_into_reuses_the_buffer() {
-        let mut buf = Vec::new();
-        lex_into("node f(x: int) returns (y: int) let y = x; tel", &mut buf).unwrap();
-        let cap = buf.capacity();
-        lex_into("node g(a: bool) returns (b: bool) let b = a; tel", &mut buf).unwrap();
-        assert_eq!(buf.capacity(), cap, "recycled buffer must not regrow");
     }
 }

@@ -14,9 +14,13 @@
 //! Pipeline:
 //!
 //! ```text
-//! source ──lex──▶ tokens ──parse──▶ ast (untyped)
-//!        ──elab──▶ velus_nlustre::ast::Program (N-Lustre)
+//! source ──parse (pulling tokens from the lexer)──▶ ast (untyped)
+//!        ──lower (elaborate, initialization lint)──▶ velus_nlustre::ast::Program (N-Lustre)
 //! ```
+//!
+//! Lexing and parsing are one pass: the parser asks the lexer for one
+//! token at a time, so no token buffer exists, and it parses expressions
+//! over explicit stacks, so no nesting of the input makes it recurse.
 //!
 //! Elaboration checks types and clocks and normalizes in one walk per
 //! equation: each surface expression is typed, clocked and emitted
@@ -70,20 +74,21 @@ pub struct Frontend<O: Ops> {
     pub spans: SpanMap,
 }
 
-/// Reusable front-end working memory: the token buffer and the surface
-/// arena.
+/// Reusable front-end working memory: the surface arena and the
+/// parser's scratch (its stacks and the lexer's word cache).
 ///
-/// One compile fills the pools; [`FrontendScratch::clear`] (called
-/// automatically by [`frontend_with`]) empties them but keeps their
-/// capacity, so a caller compiling many programs — the service, the
-/// bench harness, the differential campaign — stops allocating once the
-/// pools have grown to the largest program seen.
+/// One compile fills them; [`frontend_with`] empties them first but
+/// keeps their capacity, so a caller compiling many programs — the
+/// service, the bench harness, the differential campaign — stops
+/// allocating once they have grown to the largest program seen.
 #[derive(Debug, Default)]
 pub struct FrontendScratch {
-    /// Token buffer (see [`lexer::lex_into`]).
-    pub tokens: Vec<lexer::Token>,
-    /// Surface expression/argument/clock/left-hand-side pools.
+    /// The surface arena: expression, argument, clock, left-hand-side,
+    /// callee, declaration and equation pools.
     pub ua: ast::UArena,
+    /// The expression parser's operand and operator stacks, and the
+    /// lexer's word cache.
+    pub parser: parser::Scratch,
 }
 
 impl FrontendScratch {
@@ -92,22 +97,29 @@ impl FrontendScratch {
         Self::default()
     }
 
-    /// Empties all pools, keeping capacity.
-    pub fn clear(&mut self) {
-        self.tokens.clear();
-        self.ua.clear();
+    /// Current capacities of the arena's pools (see
+    /// [`ast::UArena::capacities`]) followed by those of the parser's
+    /// operand and operator stacks — exposed so tests can assert a
+    /// recycled scratch stops growing.
+    pub fn capacities(&self) -> Vec<usize> {
+        let (operands, ops) = self.parser.capacities();
+        let mut caps = self.ua.capacities().to_vec();
+        caps.extend([operands, ops]);
+        caps
     }
 
-    /// Current pool capacities `(tokens, surface exprs, surface args,
-    /// surface clocks, surface left-hand sides)` — exposed so tests can
-    /// assert a recycled scratch stops growing.
-    pub fn capacities(&self) -> (usize, usize, usize, usize, usize) {
-        let (ue, ua, uc, ul) = self.ua.capacities();
-        (self.tokens.capacity(), ue, ua, uc, ul)
+    /// Parses `source` into the scratch's arena (see [`parser::parse`]).
+    ///
+    /// # Errors
+    ///
+    /// Every lexical error, or else the first syntax error.
+    pub fn parse(&mut self, source: &str) -> Result<ast::UProgram, Diagnostics> {
+        parser::parse(source, &mut self.ua, &mut self.parser)
     }
 }
 
-/// Runs the whole front end: lex, parse, and elaborate into N-Lustre.
+/// Runs the whole front end: parse (lexing on the way), and elaborate
+/// into N-Lustre.
 ///
 /// # Errors
 ///
@@ -119,7 +131,7 @@ pub fn frontend<O: Ops>(source: &str) -> Result<Frontend<O>, Diagnostics> {
 }
 
 /// [`frontend`], but building through caller-owned scratch pools so
-/// repeated compiles reuse the token buffer and the surface arena.
+/// repeated compiles reuse the surface arena and the parser's scratch.
 ///
 /// # Errors
 ///
@@ -128,9 +140,19 @@ pub fn frontend_with<O: Ops>(
     source: &str,
     scratch: &mut FrontendScratch,
 ) -> Result<Frontend<O>, Diagnostics> {
-    lexer::lex_into(source, &mut scratch.tokens)?;
-    let uprog = parser::parse(&scratch.tokens, source, &mut scratch.ua)?;
-    let (program, spans, pre_marks) = elab::elaborate::<O>(&uprog, &scratch.ua)?;
+    let uprog = scratch.parse(source)?;
+    lower(&uprog, &scratch.ua)
+}
+
+/// The front end after parsing: elaborates a parsed program (whose
+/// expressions live in `ua`) into N-Lustre, then runs the
+/// initialization analysis.
+///
+/// # Errors
+///
+/// All typing and clocking errors.
+pub fn lower<O: Ops>(uprog: &ast::UProgram, ua: &ast::UArena) -> Result<Frontend<O>, Diagnostics> {
+    let (program, spans, pre_marks) = elab::elaborate::<O>(uprog, ua)?;
     // The semantic replacement for the old syntactic `pre` lint: warn
     // only when a `pre`'s default value can actually reach an output.
     let mut warnings = Diagnostics::new();

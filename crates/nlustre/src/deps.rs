@@ -16,7 +16,8 @@
 //! edge, so it is a cycle of length one; a `Fby` that reads its own
 //! variable (`a = 0 fby a + x`) reads the previous value and is legal.
 //!
-//! [`dep_graph`] builds the graph for the scheduler to sort.
+//! [`DepGraph::rebuild`] builds the graph for the scheduler to sort,
+//! reusing one graph's buffers from node to node.
 //! [`check_schedule`], the validator of its output, decides the same two
 //! rules on a given order directly, without the graph.
 
@@ -30,9 +31,10 @@ use crate::SemError;
 /// form: the successors of equation `i` — the equations that must run
 /// *after* it — are `targets[offsets[i]..offsets[i + 1]]`, in the order
 /// the edges were found. Two flat arrays instead of one list per
-/// equation, so building a graph costs a handful of allocations however
-/// many equations the node has.
-#[derive(Debug, Clone)]
+/// equation, and [`DepGraph::rebuild`] reuses them and its working
+/// memory, so a scheduler that builds one graph per node allocates only
+/// while the buffers grow to the largest node.
+#[derive(Debug, Clone, Default)]
 pub struct DepGraph {
     /// Row starts into `targets`, one per equation plus the end.
     offsets: Vec<usize>,
@@ -40,6 +42,24 @@ pub struct DepGraph {
     targets: Vec<usize>,
     /// Predecessor counts, indexed by equation.
     pub preds: Vec<usize>,
+    /// The working memory of [`DepGraph::rebuild`].
+    scratch: Scratch,
+}
+
+/// What building a graph needs besides the graph itself.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The equation defining each variable.
+    def_of: IdentMap<usize>,
+    /// The edges as found, `(from, to)`.
+    edges: Vec<(usize, usize)>,
+    /// The definers already reached from the current reader.
+    seen: DenseBitSet,
+    /// The variables the current reader reads.
+    reads: Vec<Ident>,
+    /// Per equation, a write position into `targets`, then the row that
+    /// last reached it.
+    cursor: Vec<usize>,
 }
 
 impl DepGraph {
@@ -59,93 +79,121 @@ impl DepGraph {
     pub fn succs(&self, i: usize) -> &[usize] {
         &self.targets[self.offsets[i]..self.offsets[i + 1]]
     }
-}
 
-/// Builds the precedence graph of `node`.
-///
-/// Reads of inputs and of variables not defined in the node impose no
-/// constraints (undefined variables are caught by the type checker).
-pub fn dep_graph<O: Ops>(node: &Node<O>) -> DepGraph {
-    let n = node.eqs.len();
-    let mut def_of: IdentMap<usize> = velus_common::ident_map_with_capacity(n);
-    for (i, eq) in node.eqs.iter().enumerate() {
-        for &x in eq.defined() {
-            def_of.insert(x, i);
+    /// Removes equation `i` from the predecessor counts of its
+    /// successors, in edge order, calling `ready` on each successor
+    /// whose count reaches zero — one step of a topological sort, which
+    /// consumes [`DepGraph::preds`].
+    pub fn release(&mut self, i: usize, mut ready: impl FnMut(usize)) {
+        for &j in &self.targets[self.offsets[i]..self.offsets[i + 1]] {
+            self.preds[j] -= 1;
+            if self.preds[j] == 0 {
+                ready(j);
+            }
         }
     }
-    // The edges as found, `(from, to)`. A per-reader seen-bitset over
-    // the definer index (reset per reader) collapses duplicate reads of
-    // the same variable to one candidate edge, so the list holds each
-    // (reader, definer) pair once. The one duplicate it can still hold
-    // is across readers: a Def equation and the Fby it reads from give
-    // the same directed edge from both ends (`y = cum + x; cum = 0 fby
-    // y` yields 0→1 twice); the row pass below drops it.
-    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(2 * n);
-    let mut seen = DenseBitSet::new();
-    let mut reads: Vec<Ident> = Vec::new();
-    for (i, eq) in node.eqs.iter().enumerate() {
-        reads.clear();
-        eq.reads_into(&node.exprs, &mut reads);
-        if reads.is_empty() {
-            continue;
+
+    /// Makes this the precedence graph of `node`, reusing the buffers.
+    ///
+    /// Reads of inputs and of variables not defined in the node impose
+    /// no constraints (undefined variables are caught by the type
+    /// checker).
+    pub fn rebuild<O: Ops>(&mut self, node: &Node<O>) {
+        let n = node.eqs.len();
+        let Scratch {
+            def_of,
+            edges,
+            seen,
+            reads,
+            cursor,
+        } = &mut self.scratch;
+        def_of.clear();
+        for (i, eq) in node.eqs.iter().enumerate() {
+            for &x in eq.defined() {
+                def_of.insert(x, i);
+            }
         }
-        seen.reset(n);
-        for x in &reads {
-            if let Some(&d) = def_of.get(x) {
-                if seen.insert(d) {
-                    match &node.eqs[d] {
-                        Equation::Fby { .. } if d == i => {}
-                        Equation::Fby { .. } => edges.push((i, d)),
-                        _ => edges.push((d, i)),
+        // A per-reader seen-bitset over the definer index (reset per
+        // reader) collapses duplicate reads of the same variable to one
+        // candidate edge, so the list holds each (reader, definer) pair
+        // once. The one duplicate it can still hold is across readers: a
+        // Def equation and the Fby it reads from give the same directed
+        // edge from both ends (`y = cum + x; cum = 0 fby y` yields 0→1
+        // twice); the row pass below drops it.
+        edges.clear();
+        for (i, eq) in node.eqs.iter().enumerate() {
+            reads.clear();
+            eq.reads_into(&node.exprs, reads);
+            if reads.is_empty() {
+                continue;
+            }
+            seen.reset(n);
+            for x in reads.iter() {
+                if let Some(&d) = def_of.get(x) {
+                    if seen.insert(d) {
+                        match &node.eqs[d] {
+                            Equation::Fby { .. } if d == i => {}
+                            Equation::Fby { .. } => edges.push((i, d)),
+                            _ => edges.push((d, i)),
+                        }
                     }
                 }
             }
         }
-    }
-    // Rows by a stable counting sort on the source, so each row keeps
-    // the order its edges were found in.
-    let mut offsets = vec![0usize; n + 1];
-    for &(a, _) in &edges {
-        offsets[a + 1] += 1;
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut cursor = offsets[..n].to_vec();
-    let mut targets = vec![0usize; edges.len()];
-    for &(a, b) in &edges {
-        targets[cursor[a]] = b;
-        cursor[a] += 1;
-    }
-    // Drop the repeat of an edge within its row (keeping the first) and
-    // count predecessors, compacting the rows in place. `cursor` is
-    // reused as the row that last reached each target.
-    let last_row = &mut cursor;
-    last_row.fill(usize::MAX);
-    let mut preds = vec![0usize; n];
-    let mut kept = 0;
-    let mut start = 0;
-    for a in 0..n {
-        let end = offsets[a + 1];
-        offsets[a] = kept;
-        for k in start..end {
-            let b = targets[k];
-            if last_row[b] != a {
-                last_row[b] = a;
-                targets[kept] = b;
-                kept += 1;
-                preds[b] += 1;
-            }
+        // Rows by a stable counting sort on the source, so each row keeps
+        // the order its edges were found in.
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for &(a, _) in edges.iter() {
+            offsets[a + 1] += 1;
         }
-        start = end;
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        cursor.clear();
+        cursor.extend_from_slice(&offsets[..n]);
+        let targets = &mut self.targets;
+        targets.clear();
+        targets.resize(edges.len(), 0);
+        for &(a, b) in edges.iter() {
+            targets[cursor[a]] = b;
+            cursor[a] += 1;
+        }
+        // Drop the repeat of an edge within its row (keeping the first)
+        // and count predecessors, compacting the rows in place. `cursor`
+        // is reused as the row that last reached each target.
+        let last_row = cursor;
+        last_row.fill(usize::MAX);
+        let preds = &mut self.preds;
+        preds.clear();
+        preds.resize(n, 0);
+        let mut kept = 0;
+        let mut start = 0;
+        for a in 0..n {
+            let end = offsets[a + 1];
+            offsets[a] = kept;
+            for k in start..end {
+                let b = targets[k];
+                if last_row[b] != a {
+                    last_row[b] = a;
+                    targets[kept] = b;
+                    kept += 1;
+                    preds[b] += 1;
+                }
+            }
+            start = end;
+        }
+        offsets[n] = kept;
+        targets.truncate(kept);
     }
-    offsets[n] = kept;
-    targets.truncate(kept);
-    DepGraph {
-        offsets,
-        targets,
-        preds,
-    }
+}
+
+/// Builds the precedence graph of `node` (see [`DepGraph::rebuild`]).
+pub fn dep_graph<O: Ops>(node: &Node<O>) -> DepGraph {
+    let mut graph = DepGraph::default();
+    graph.rebuild(node);
+    graph
 }
 
 /// Extracts the variables on a dependency cycle, for error reporting.

@@ -24,52 +24,76 @@ use std::collections::VecDeque;
 use velus_ops::Ops;
 
 use crate::ast::{Equation, Node, Program};
-use crate::deps::{check_schedule, cycle_witness, dep_graph};
+use crate::deps::{check_schedule, cycle_witness, DepGraph};
 use crate::SemError;
 
-/// Schedules the equations of one node. Returns the new equation order as
-/// indices into the original list.
+/// The scheduling heuristic with its working memory: one dependency
+/// graph and one ready queue, reused across the nodes it orders, so
+/// scheduling a program allocates per node only the order it returns.
+#[derive(Debug, Default)]
+pub struct Scheduler {
+    graph: DepGraph,
+    ready: VecDeque<usize>,
+}
+
+impl Scheduler {
+    /// A scheduler with empty buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Schedules the equations of one node. Returns the new equation
+    /// order as indices into the original list.
+    ///
+    /// # Errors
+    ///
+    /// [`SemError::SchedulingCycle`] when the dependency graph is cyclic.
+    pub fn order<O: Ops>(&mut self, node: &Node<O>) -> Result<Vec<usize>, SemError> {
+        let Scheduler { graph, ready } = self;
+        graph.rebuild(node);
+        let n = graph.len();
+        // Ready equations, grouped to allow clock-affine picking.
+        ready.clear();
+        ready.extend((0..n).filter(|&i| graph.preds[i] == 0));
+        let mut order = Vec::with_capacity(n);
+        // The previously picked equation (its clock is read through the
+        // node, so no per-step `Clock` clone is needed).
+        let mut last: Option<usize> = None;
+
+        while !ready.is_empty() {
+            // Prefer an equation on the same clock as the previous one;
+            // fall back to the earliest ready equation (stable order).
+            let pick_pos = last
+                .and_then(|p| {
+                    let ck = node.eqs[p].clock();
+                    ready.iter().position(|&i| node.eqs[i].clock() == ck)
+                })
+                .unwrap_or(0);
+            let i = ready.remove(pick_pos).expect("position is in range");
+            last = Some(i);
+            order.push(i);
+            graph.release(i, |j| ready.push_back(j));
+        }
+        if order.len() != n {
+            // The sort consumed the predecessor counts; the witness
+            // needs them whole.
+            graph.rebuild(node);
+            return Err(SemError::SchedulingCycle(
+                node.name,
+                cycle_witness(node, graph),
+            ));
+        }
+        Ok(order)
+    }
+}
+
+/// Schedules the equations of one node with a fresh [`Scheduler`].
 ///
 /// # Errors
 ///
 /// [`SemError::SchedulingCycle`] when the dependency graph is cyclic.
 pub fn schedule_order<O: Ops>(node: &Node<O>) -> Result<Vec<usize>, SemError> {
-    let graph = dep_graph(node);
-    let n = graph.len();
-    let mut preds = graph.preds.clone();
-    // Ready equations, grouped to allow clock-affine picking.
-    let mut ready: VecDeque<usize> = (0..n).filter(|&i| preds[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    // The previously picked equation (its clock is read through the
-    // node, so no per-step `Clock` clone is needed).
-    let mut last: Option<usize> = None;
-
-    while !ready.is_empty() {
-        // Prefer an equation on the same clock as the previous one; fall
-        // back to the earliest ready equation (stable order).
-        let pick_pos = last
-            .and_then(|p| {
-                let ck = node.eqs[p].clock();
-                ready.iter().position(|&i| node.eqs[i].clock() == ck)
-            })
-            .unwrap_or(0);
-        let i = ready.remove(pick_pos).expect("position is in range");
-        last = Some(i);
-        order.push(i);
-        for &j in graph.succs(i) {
-            preds[j] -= 1;
-            if preds[j] == 0 {
-                ready.push_back(j);
-            }
-        }
-    }
-    if order.len() != n {
-        return Err(SemError::SchedulingCycle(
-            node.name,
-            cycle_witness(node, &graph),
-        ));
-    }
-    Ok(order)
+    Scheduler::new().order(node)
 }
 
 /// Reorders a node's equations so that the `k`-th becomes the
@@ -126,7 +150,14 @@ fn not_a_permutation<O: Ops>(node: &Node<O>, fault: &str) -> SemError {
 /// if (impossibly, absent bugs) the heuristic produced an invalid order —
 /// the untrusted-scheduler/validated-checker split of the paper.
 pub fn schedule_node<O: Ops>(node: &mut Node<O>) -> Result<(), SemError> {
-    let order = schedule_order(node)?;
+    schedule_node_with(&mut Scheduler::new(), node)
+}
+
+fn schedule_node_with<O: Ops>(
+    scheduler: &mut Scheduler,
+    node: &mut Node<O>,
+) -> Result<(), SemError> {
+    let order = scheduler.order(node)?;
     apply_order(node, &order)?;
     check_schedule(node)
 }
@@ -137,8 +168,9 @@ pub fn schedule_node<O: Ops>(node: &mut Node<O>) -> Result<(), SemError> {
 ///
 /// See [`schedule_node`].
 pub fn schedule_program<O: Ops>(prog: &mut Program<O>) -> Result<(), SemError> {
+    let mut scheduler = Scheduler::new();
     for node in &mut prog.nodes {
-        schedule_node(node)?;
+        schedule_node_with(&mut scheduler, node)?;
     }
     Ok(())
 }

@@ -8,7 +8,8 @@
 //! every emitted document is well-formed. It is a small
 //! recursive-descent parser for objects, arrays, strings with escapes,
 //! numbers, and the three literals. Numbers keep their raw text so
-//! 64-bit seeds survive without a float round trip.
+//! 64-bit seeds survive without a float round trip, and an object that
+//! repeats a key is rejected.
 
 use std::collections::BTreeMap;
 
@@ -25,8 +26,8 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object. Key order is normalized (sorted); the records never
-    /// rely on duplicate keys.
+    /// An object. Key order is normalized (sorted); a key given twice
+    /// is an error, since a reader would see only one of its values.
     Obj(BTreeMap<String, Json>),
 }
 
@@ -172,6 +173,9 @@ fn value(b: &[u8], i: usize) -> Result<(Json, usize), String> {
                     return Err(format!("expected ':' at byte {i}"));
                 }
                 let (v, after_v) = value(b, i + 1)?;
+                if m.contains_key(&key) {
+                    return Err(format!("duplicate key \"{key}\" at byte {i}"));
+                }
                 m.insert(key, v);
                 i = skip_ws(b, after_v);
                 match b.get(i) {
@@ -254,6 +258,10 @@ mod tests {
         assert!(parse(r#"{"a": 1} x"#).is_err());
         assert!(parse("").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+        // A repeated key would hide one of its values.
+        let err = parse(r#"{"a": 1, "b": {"a": 2}, "a": 3}"#).unwrap_err();
+        assert!(err.contains("duplicate key \"a\""), "{err}");
+        parse(r#"{"a": 1, "b": {"a": 2}}"#).unwrap();
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!   emits (`velus-bench --bin jsoncheck`).
 //! * [`shapes`] — sources that grow along one axis (equations per node,
 //!   `if` nesting, instance depth, instances per node, lint findings),
-//!   for scaling curves and output bounds.
+//!   for scaling curves and output bounds, and the five ways to nest one
+//!   expression deeply, for the stack guards.
 //! * [`chaos`] — deterministic fault injection for the compilation
 //!   service: a [`chaos::ChaosCompiler`] wrapping any compiler with
 //!   seeded panics, transient failures, and cancellable delays (the

@@ -9,6 +9,7 @@
 //! else fixed, so that
 //! doubling its argument should at most double every pass's time,
 //! allocations and output (`velus-bench --bin pipeline --scale`).
+//! [`NESTING_SHAPES`] collects the ways to nest one expression deeply.
 
 use std::fmt::Write as _;
 
@@ -133,3 +134,60 @@ pub fn deep_expr_source(n: usize) -> String {
     src.push_str(";\ntel\n");
     src
 }
+
+/// A node `ifcond(c: bool) returns (y: bool)` whose output nests `depth`
+/// `if`s in condition position, `(if (if … then c else false) then c
+/// else false)`: every level opens two frames before its first operand.
+pub fn if_cond_nest_source(depth: usize) -> String {
+    let mut src = String::from("node ifcond(c: bool) returns (y: bool)\nlet\n  y = ");
+    src.push_str(&"(if ".repeat(depth));
+    src.push('c');
+    src.push_str(&" then c else false)".repeat(depth));
+    src.push_str(";\ntel\n");
+    src
+}
+
+/// A node `fbynest(x: int) returns (y: int)` whose output nests `depth`
+/// delays in their right operand, `0 fby (0 fby (… (0 fby x)))`.
+pub fn fby_nest_source(depth: usize) -> String {
+    let mut src = String::from("node fbynest(x: int) returns (y: int)\nlet\n  y = ");
+    src.push_str(&"0 fby (".repeat(depth));
+    src.push('x');
+    src.push_str(&")".repeat(depth));
+    src.push_str(";\ntel\n");
+    src
+}
+
+/// A node `parens(x: int) returns (y: int)` whose output is `x` inside
+/// `depth` nested parentheses.
+pub fn paren_nest_source(depth: usize) -> String {
+    let mut src = String::from("node parens(x: int) returns (y: int)\nlet\n  y = ");
+    src.push_str(&"(".repeat(depth));
+    src.push('x');
+    src.push_str(&")".repeat(depth));
+    src.push_str(";\ntel\n");
+    src
+}
+
+/// A source generator, by the depth it nests its one expression to.
+pub type Shape = fn(usize) -> String;
+
+/// The five nesting shapes that once took a stack frame per level in
+/// the front end, by name: an `if` nested in condition position, `fby`
+/// nested in its right operand, nested parentheses, a right-nested
+/// `if … else if …` chain ([`nest_source`], the shape of a generated
+/// state machine) and a flat sum ([`deep_expr_source`]).
+///
+/// The third field is the old wall: the depth at which release `velus
+/// check` aborted on the 8 MiB main thread while the parser was
+/// recursive descent. The flat sum's wall was elaboration's; that parser
+/// already read a sum in a loop. The parser now takes each shape at any
+/// depth on a small thread stack; `tests/stack_safety.rs` and
+/// `velus-bench --bin pipeline --smoke` pin that at ten times the wall.
+pub const NESTING_SHAPES: [(&str, Shape, usize); 5] = [
+    ("if_in_condition", if_cond_nest_source, 5_156),
+    ("fby_right_operand", fby_nest_source, 9_015),
+    ("parentheses", paren_nest_source, 10_156),
+    ("else_if_chain", nest_source, 10_203),
+    ("flat_sum", deep_expr_source, 56_000),
+];

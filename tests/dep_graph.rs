@@ -10,8 +10,8 @@ use rand::prelude::*;
 
 use velus_common::{DenseBitSet, Ident, IdentMap};
 use velus_nlustre::ast::{Equation, Node};
-use velus_nlustre::deps::{check_schedule, dep_graph};
-use velus_nlustre::schedule::{apply_order, schedule_order};
+use velus_nlustre::deps::{check_schedule, dep_graph, DepGraph};
+use velus_nlustre::schedule::{apply_order, schedule_order, Scheduler};
 use velus_ops::ClightOps;
 use velus_testkit::gen::{gen_program, GenConfig};
 
@@ -53,7 +53,10 @@ fn reference_succs(node: &Node<ClightOps>) -> (Vec<Vec<usize>>, Vec<usize>) {
 }
 
 fn assert_same_graph(node: &Node<ClightOps>) {
-    let graph = dep_graph(node);
+    assert_graph_matches(&dep_graph(node), node);
+}
+
+fn assert_graph_matches(graph: &DepGraph, node: &Node<ClightOps>) {
     let (succs, preds) = reference_succs(node);
     assert_eq!(graph.len(), succs.len(), "node {}", node.name);
     for (i, expected) in succs.iter().enumerate() {
@@ -70,6 +73,9 @@ fn assert_same_graph(node: &Node<ClightOps>) {
 #[test]
 fn compressed_rows_match_the_adjacency_lists_on_generated_programs() {
     let mut edges = 0;
+    // One graph rebuilt for every node, as the scheduler does, must
+    // match too: nothing of the previous node may leak into the next.
+    let mut reused = DepGraph::default();
     for seed in 0..200u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let cfg = GenConfig {
@@ -78,6 +84,8 @@ fn compressed_rows_match_the_adjacency_lists_on_generated_programs() {
         };
         for node in &gen_program(&mut rng, &cfg).nodes {
             assert_same_graph(node);
+            reused.rebuild(node);
+            assert_graph_matches(&reused, node);
             let graph = dep_graph(node);
             edges += (0..graph.len())
                 .map(|i| graph.succs(i).len())
@@ -130,6 +138,7 @@ fn has_backward_edge(node: &Node<ClightOps>) -> bool {
 #[test]
 fn the_schedule_checker_accepts_exactly_the_orders_without_a_backward_edge() {
     let (mut accepted, mut rejected) = (0, 0);
+    let mut scheduler = Scheduler::new();
     for seed in 0..200u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let cfg = GenConfig {
@@ -139,6 +148,8 @@ fn the_schedule_checker_accepts_exactly_the_orders_without_a_backward_edge() {
         for node in gen_program(&mut rng, &cfg).nodes {
             let mut scheduled = node.clone();
             let order = schedule_order(&node).expect("generated nodes are causal");
+            // A scheduler reused from node to node orders each the same.
+            assert_eq!(scheduler.order(&node).expect("causal"), order);
             apply_order(&mut scheduled, &order).expect("the scheduler returns a permutation");
             // The schedule, then orders ever further from it: a few
             // random swaps, then a full shuffle.

@@ -1,8 +1,8 @@
 //! Properties pinning the arena-backed front end.
 //!
-//! The front end parses into a recycled token buffer and surface arena
-//! ([`velus_lustre::FrontendScratch`]); the pipeline's
-//! `ElaboratePass` recycles one scratch per thread. These tests pin the
+//! The front end parses into a recycled surface arena with recycled
+//! parser stacks ([`velus_lustre::FrontendScratch`]); the pipeline's
+//! `elaborate` stage recycles one scratch per thread. These tests pin the
 //! two things that must survive that rework:
 //!
 //! * **Determinism under recycling** — compiling a program must produce
@@ -97,7 +97,7 @@ fn staged_c(source: &str, root: Option<&str>) -> String {
 #[test]
 fn staged_and_one_shot_agree_bytewise_under_arena_recycling() {
     // All compiles run on this thread, so they share one recycled
-    // `FrontendScratch` inside `ElaboratePass`: every comparison also
+    // `FrontendScratch` inside the `elaborate` stage: every comparison also
     // checks that a dirty arena replays exactly like a fresh one.
     let corpus = corpus();
     let first: Vec<String> = corpus

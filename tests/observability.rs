@@ -169,10 +169,27 @@ fn submitted_requests_are_traced_like_batch_requests() {
         "cache-probe",
         "compile",
         "elaborate",
+        "parse",
+        "lower",
         "emit",
         "teardown",
     ] {
         assert!(has(enter, span), "no `{span}` span");
+    }
+    // The front end's two phases are children of its pass span.
+    let span_of = |name: &str| {
+        data.events
+            .iter()
+            .find(|e| enter(&e.kind) && e.name == name)
+            .expect("recorded")
+    };
+    let elaborate = span_of("elaborate").span;
+    for phase in ["parse", "lower"] {
+        assert_eq!(
+            span_of(phase).parent,
+            elaborate,
+            "`{phase}` under `elaborate`"
+        );
     }
 }
 

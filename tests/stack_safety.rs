@@ -15,6 +15,11 @@
 //! still recurses per operator), goes through every later stage, the
 //! lint, the WCET estimate, every IR dump and the whole oracle chain on
 //! a service worker's 8 MiB stack.
+//!
+//! Lexing and parsing do not recurse at all: every nesting shape of
+//! [`velus_testkit::shapes::NESTING_SHAPES`] parses at ten times the
+//! depth that overflowed the old recursive-descent parser, on a 256 KiB
+//! thread.
 
 use velus::passes::StagedPipeline;
 use velus::service::{service, ServiceConfig};
@@ -23,8 +28,12 @@ use velus_common::{Diagnostics, Ident, NodeId};
 use velus_nlustre::ast::{Equation, Exprs, Node, Program, VarDecl};
 use velus_nlustre::clock::Clock;
 use velus_ops::{CBinOp, CTy, ClightOps};
+use velus_testkit::shapes::NESTING_SHAPES;
 
 const EQUATIONS: usize = 10_000;
+
+/// The stack of the parsing thread: a 32nd of a service worker's.
+const SMALL_STACK_BYTES: usize = 256 * 1024;
 
 /// The terms of the deep sum.
 const TERMS: usize = 100_000;
@@ -184,6 +193,22 @@ fn a_deep_sum_runs_every_later_stage_on_a_worker_stack() {
         .spawn(|| {
             compile_deep_sum(true);
             compile_deep_sum(false);
+        })
+        .expect("spawns")
+        .join()
+        .expect("no stack overflow");
+}
+
+#[test]
+fn every_nesting_shape_parses_at_ten_times_the_old_wall_on_a_small_stack() {
+    std::thread::Builder::new()
+        .stack_size(SMALL_STACK_BYTES)
+        .spawn(|| {
+            for (name, shape, wall) in NESTING_SHAPES {
+                let (prog, _) = velus_lustre::parser::parse_source(&shape(10 * wall))
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(prog.nodes.len(), 1, "{name}");
+            }
         })
         .expect("spawns")
         .join()
