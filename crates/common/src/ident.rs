@@ -25,17 +25,17 @@
 //!   interning.
 //! * **A per-thread cache of known names.** Most interning re-interns a
 //!   name the thread has seen before (every occurrence of a variable in
-//!   a source). Each thread remembers the identifiers it obtained, keyed
-//!   by the same FNV hash that selects the shard, so a repeat name costs
-//!   one hash, one map probe and one string comparison, and takes no
-//!   lock.
+//!   a source). Each thread remembers the identifiers it obtained in a
+//!   direct-mapped table. A name of up to 15 bytes is its own key (its
+//!   bytes and length in a `u128`), so a repeat costs one probe and
+//!   reads neither the shard nor the interned string; a longer name is
+//!   keyed by its FNV hash and confirmed by comparing the names. Either
+//!   way a hit takes no lock.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
-
-use crate::identmap::BuildIdentHasher;
 
 /// Number of bits of an [`Ident`] that encode the shard.
 const SHARD_BITS: u32 = 4;
@@ -157,9 +157,37 @@ fn shard_of(hash: u64) -> usize {
     (hash >> (64 - SHARD_BITS)) as usize
 }
 
-/// Entries a thread's cache of known names holds before it starts over,
-/// which bounds it at a few hundred KiB.
-const RECENT_CAP: usize = 1 << 14;
+/// Slots of a thread's cache of known names (a power of two; 128 KiB).
+/// The table is direct-mapped: a name evicts the one in its slot.
+const RECENT_SLOTS: usize = 1 << 12;
+
+/// Names of at most this many bytes are their own cache key.
+const INLINE_NAME_BYTES: usize = 15;
+
+/// The key of an empty cache slot, which no name has: a long name's key
+/// leaves bits 64..120 clear, a short one's top byte is its length.
+const EMPTY_KEY: u128 = u128::MAX;
+
+/// The cache key of `name`: a short name's bytes with its length in the
+/// top byte, which identifies the name, or else its [`name_hash`] under
+/// the top byte `0xFF`, which a hit confirms by comparing the names.
+fn recent_key(name: &str) -> u128 {
+    let bytes = name.as_bytes();
+    if bytes.len() <= INLINE_NAME_BYTES {
+        let mut key = [0u8; 16];
+        key[..bytes.len()].copy_from_slice(bytes);
+        key[15] = bytes.len() as u8;
+        u128::from_le_bytes(key)
+    } else {
+        (0xFF << 120) | u128::from(name_hash(name))
+    }
+}
+
+/// The cache slot of a key.
+fn recent_slot(key: u128) -> usize {
+    let mixed = (key as u64 ^ (key >> 64) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mixed >> (64 - RECENT_SLOTS.trailing_zeros())) as usize
+}
 
 thread_local! {
     /// The scratch text of [`Ident::from_fmt`].
@@ -167,34 +195,30 @@ thread_local! {
 }
 
 thread_local! {
-    /// The identifiers this thread interned, by [`name_hash`]. A hit is
-    /// confirmed by comparing the names, so a hash collision only costs
-    /// the locked path.
-    static RECENT: RefCell<HashMap<u64, Ident, BuildIdentHasher>> =
-        RefCell::new(HashMap::default());
+    /// The identifiers this thread interned, by [`recent_key`] in slot
+    /// [`recent_slot`].
+    static RECENT: RefCell<Box<[(u128, Ident)]>> =
+        RefCell::new(vec![(EMPTY_KEY, Ident(0)); RECENT_SLOTS].into_boxed_slice());
 }
 
 impl Ident {
     /// Interns `name` and returns its identifier.
     pub fn new(name: &str) -> Ident {
-        let hash = name_hash(name);
+        let key = recent_key(name);
+        let slot = recent_slot(key);
         let cached = RECENT
-            .try_with(|r| r.borrow().get(&hash).copied())
+            .try_with(|r| {
+                let (k, id) = r.borrow()[slot];
+                (k == key && (name.len() <= INLINE_NAME_BYTES || id.as_str() == name)).then_some(id)
+            })
             .ok()
-            .flatten()
-            .filter(|id| id.as_str() == name);
+            .flatten();
         if let Some(id) = cached {
             return id;
         }
-        let id = Ident::intern(name, hash);
+        let id = Ident::intern(name, name_hash(name));
         // Unavailable only while the thread is being torn down.
-        let _ = RECENT.try_with(|r| {
-            let mut r = r.borrow_mut();
-            if r.len() >= RECENT_CAP {
-                r.clear();
-            }
-            r.insert(hash, id);
-        });
+        let _ = RECENT.try_with(|r| r.borrow_mut()[slot] = (key, id));
         id
     }
 
@@ -394,11 +418,11 @@ mod tests {
 
     #[test]
     fn repeat_interning_agrees_across_threads_and_cache_resets() {
-        let names: Vec<String> = (0..RECENT_CAP + 10)
+        let names: Vec<String> = (0..2 * RECENT_SLOTS)
             .map(|k| format!("recent_probe_{k}"))
             .collect();
-        // Past the cap the cache starts over; every name still interns
-        // to the same identifier, here and on a fresh thread.
+        // More names than cache slots evict one another; every name still
+        // interns to the same identifier, here and on a fresh thread.
         let here: Vec<Ident> = names.iter().map(|n| Ident::new(n)).collect();
         for (n, id) in names.iter().zip(&here) {
             assert_eq!(Ident::new(n), *id);
@@ -411,6 +435,25 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(here, there);
+    }
+
+    #[test]
+    fn cache_keys_tell_apart_names_that_pad_alike() {
+        // Short keys are zero-padded bytes plus the length; long ones are
+        // hashes. Names that agree on the padded bytes, and names on both
+        // sides of the inline cutoff, must still intern apart.
+        let long = "p".repeat(INLINE_NAME_BYTES + 1);
+        let names = ["", "a", "a\0", "\0", &long[1..], &long, "\u{ff}"];
+        for _ in 0..2 {
+            for (i, a) in names.iter().enumerate() {
+                assert_eq!(Ident::new(a).as_str(), *a);
+                for b in &names[i + 1..] {
+                    assert_ne!(Ident::new(a), Ident::new(b), "{a:?} vs {b:?}");
+                }
+            }
+        }
+        assert_ne!(recent_key(""), EMPTY_KEY);
+        assert_ne!(recent_key(&long), EMPTY_KEY);
     }
 
     #[test]

@@ -166,46 +166,31 @@ pub struct Token {
     pub span: Span,
 }
 
-/// The keyword spelled `s`, if any: dispatched on the length first, so
-/// an identifier costs one or two word comparisons, not one per
-/// keyword.
-fn keyword(s: &[u8]) -> Option<Tok> {
-    Some(match s.len() {
-        2 => match s {
-            b"if" => Tok::If,
-            b"or" => Tok::Or,
-            _ => return None,
-        },
-        3 => match s {
-            b"var" => Tok::Var,
-            b"let" => Tok::Let,
-            b"tel" => Tok::Tel,
-            b"fby" => Tok::Fby,
-            b"pre" => Tok::Pre,
-            b"not" => Tok::Not,
-            b"and" => Tok::And,
-            b"xor" => Tok::Xor,
-            b"div" => Tok::Div,
-            b"mod" => Tok::Mod,
-            _ => return None,
-        },
-        4 => match s {
-            b"node" => Tok::Node,
-            b"then" => Tok::Then,
-            b"else" => Tok::Else,
-            b"when" => Tok::When,
-            b"true" => Tok::True,
-            _ => return None,
-        },
-        5 => match s {
-            b"const" => Tok::Const,
-            b"merge" => Tok::Merge,
-            b"false" => Tok::False,
-            _ => return None,
-        },
-        6 if s == b"whenot" => Tok::Whenot,
-        7 if s == b"returns" => Tok::Returns,
-        8 if s == b"function" => Tok::Function,
+fn keyword(s: &str) -> Option<Tok> {
+    Some(match s {
+        "node" => Tok::Node,
+        "function" => Tok::Function,
+        "returns" => Tok::Returns,
+        "var" => Tok::Var,
+        "let" => Tok::Let,
+        "tel" => Tok::Tel,
+        "const" => Tok::Const,
+        "if" => Tok::If,
+        "then" => Tok::Then,
+        "else" => Tok::Else,
+        "when" => Tok::When,
+        "whenot" => Tok::Whenot,
+        "merge" => Tok::Merge,
+        "fby" => Tok::Fby,
+        "pre" => Tok::Pre,
+        "not" => Tok::Not,
+        "and" => Tok::And,
+        "or" => Tok::Or,
+        "xor" => Tok::Xor,
+        "div" => Tok::Div,
+        "mod" => Tok::Mod,
+        "true" => Tok::True,
+        "false" => Tok::False,
         _ => return None,
     })
 }
@@ -255,7 +240,6 @@ pub struct Lexer<'s> {
     source: &'s str,
     pos: usize,
     errs: Diagnostics,
-    words: &'s mut WordCache,
     /// The current token and the one consumed last, in turns: the
     /// current one is `toks[cur]`.
     toks: [Token; 2],
@@ -264,79 +248,13 @@ pub struct Lexer<'s> {
     number: Literal,
 }
 
-/// Words of at most this many bytes are cached by [`WordCache`].
-const CACHED_WORD_BYTES: usize = 16;
-
-/// Entries of a [`WordCache`] (a power of two).
-const CACHE_SLOTS: usize = 1024;
-
-/// Integer literals with fewer digits than this are valued while they
-/// are scanned (they fit a `u64`); longer ones go through `str::parse`.
-const SHORT_INT_DIGITS: usize = 19;
-
-/// The words (keywords and identifiers) lexed so far, each with its
-/// token, kept across compiles so that a word seen before is neither
-/// looked up among the keywords nor interned again: a direct-mapped
-/// table keyed by the word's bytes, held inline (words of up to 16
-/// bytes), so a hit costs one probe and reads neither the interner's
-/// map nor the interned string.
-#[derive(Debug, Clone)]
-pub struct WordCache {
-    /// `(key, token)`; a key is never 0, since words are not empty.
-    slots: Vec<(u128, Tok)>,
-}
-
-impl Default for WordCache {
-    fn default() -> Self {
-        WordCache {
-            slots: vec![(0, Tok::Eof); CACHE_SLOTS],
-        }
-    }
-}
-
-impl WordCache {
-    /// The token of the word `source[start..end]`: a keyword, or an
-    /// identifier interned on a miss.
-    #[inline]
-    fn get(&mut self, source: &str, start: usize, end: usize) -> Tok {
-        let word = || &source[start..end];
-        let len = end - start;
-        if len > CACHED_WORD_BYTES {
-            return Tok::Ident(Ident::new(word()));
-        }
-        // The word's bytes, zero-padded: one 16-byte load, masked, where
-        // the source extends that far.
-        let bytes = source.as_bytes();
-        let key = match bytes.get(start..start + CACHED_WORD_BYTES) {
-            Some(window) => {
-                let window = u128::from_le_bytes(window.try_into().expect("16 bytes"));
-                window & (u128::MAX >> (8 * (CACHED_WORD_BYTES - len)))
-            }
-            None => {
-                let mut key = [0u8; CACHED_WORD_BYTES];
-                key[..len].copy_from_slice(&bytes[start..end]);
-                u128::from_le_bytes(key)
-            }
-        };
-        let mixed = (key as u64 ^ (key >> 64) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let slot = &mut self.slots[(mixed >> (64 - CACHE_SLOTS.trailing_zeros())) as usize];
-        if slot.0 != key {
-            let tok = keyword(&bytes[start..end]).unwrap_or_else(|| Tok::Ident(Ident::new(word())));
-            *slot = (key, tok);
-        }
-        slot.1
-    }
-}
-
 impl<'s> Lexer<'s> {
-    /// A lexer on the first token of `source`, looking words up through
-    /// `words`.
-    pub fn new(source: &'s str, words: &'s mut WordCache) -> Self {
+    /// A lexer on the first token of `source`.
+    pub fn new(source: &'s str) -> Self {
         let mut lexer = Lexer {
             source,
             pos: 0,
             errs: Diagnostics::new(),
-            words,
             toks: [Token {
                 tok: Tok::Eof,
                 span: Span::DUMMY,
@@ -469,7 +387,9 @@ impl<'s> Lexer<'s> {
         while j < bytes.len() && ident_char(bytes[j]) {
             j += 1;
         }
-        (self.words.get(self.source, i, j), j - i)
+        let word = &self.source[i..j];
+        let tok = keyword(word).unwrap_or_else(|| Tok::Ident(Ident::new(word)));
+        (tok, j - i)
     }
 
     /// An integer or float literal starting at `i`, and its length;
@@ -484,17 +404,7 @@ impl<'s> Lexer<'s> {
             }
             j
         };
-        // The integer part, valued on the way while it cannot overflow.
-        let mut j = i;
-        let mut value: u64 = 0;
-        while j < n && bytes[j].is_ascii_digit() {
-            value = value * 10 + u64::from(bytes[j] - b'0');
-            j += 1;
-            if j - i == SHORT_INT_DIGITS {
-                j = digits(j);
-                break;
-            }
-        }
+        let mut j = digits(i);
         let mut is_float = false;
         if j + 1 < n && bytes[j] == b'.' && bytes[j + 1].is_ascii_digit() {
             is_float = true;
@@ -514,8 +424,6 @@ impl<'s> Lexer<'s> {
         let text = &self.source[i..j];
         let number = if is_float {
             text.parse::<f64>().ok().map(Literal::Float)
-        } else if j - i < SHORT_INT_DIGITS {
-            Some(Literal::Int(i128::from(value)))
         } else {
             text.parse::<i128>().ok().map(Literal::Int)
         };
@@ -587,8 +495,7 @@ impl<'s> Lexer<'s> {
 /// Unterminated comments, malformed numbers and unexpected characters:
 /// every one in the source.
 pub fn lex(source: &str) -> Result<Vec<Token>, Diagnostics> {
-    let mut words = WordCache::default();
-    let mut lexer = Lexer::new(source, &mut words);
+    let mut lexer = Lexer::new(source);
     let mut out = Vec::new();
     loop {
         out.push(*lexer.token());
@@ -622,7 +529,6 @@ mod tests {
 
     #[test]
     fn numbers() {
-        let mut words = WordCache::default();
         for (src, value) in [
             ("42", Literal::Int(42)),
             ("3.5", Literal::Float(3.5)),
@@ -632,7 +538,7 @@ mod tests {
                 Literal::Int(i128::MAX),
             ),
         ] {
-            let lexer = Lexer::new(src, &mut words);
+            let lexer = Lexer::new(src);
             assert_eq!(lexer.token().tok, Tok::Number, "{src}");
             assert_eq!(lexer.number(), value, "{src}");
         }

@@ -75,9 +75,9 @@ pub struct Frontend<O: Ops> {
 }
 
 /// Reusable front-end working memory: the surface arena and the
-/// parser's scratch (its stacks and the lexer's word cache).
+/// parser's operand and operator stacks.
 ///
-/// One compile fills them; [`frontend_with`] empties them first but
+/// One compile fills them; [`FrontendScratch::parse`] empties them first but
 /// keeps their capacity, so a caller compiling many programs — the
 /// service, the bench harness, the differential campaign — stops
 /// allocating once they have grown to the largest program seen.
@@ -86,8 +86,7 @@ pub struct FrontendScratch {
     /// The surface arena: expression, argument, clock, left-hand-side,
     /// callee, declaration and equation pools.
     pub ua: ast::UArena,
-    /// The expression parser's operand and operator stacks, and the
-    /// lexer's word cache.
+    /// The expression parser's operand and operator stacks.
     pub parser: parser::Scratch,
 }
 
@@ -127,19 +126,6 @@ impl FrontendScratch {
 /// stable codes, originating stages and source positions.
 pub fn frontend<O: Ops>(source: &str) -> Result<Frontend<O>, Diagnostics> {
     let mut scratch = FrontendScratch::new();
-    frontend_with(source, &mut scratch)
-}
-
-/// [`frontend`], but building through caller-owned scratch pools so
-/// repeated compiles reuse the surface arena and the parser's scratch.
-///
-/// # Errors
-///
-/// Same as [`frontend`].
-pub fn frontend_with<O: Ops>(
-    source: &str,
-    scratch: &mut FrontendScratch,
-) -> Result<Frontend<O>, Diagnostics> {
     let uprog = scratch.parse(source)?;
     lower(&uprog, &scratch.ua)
 }

@@ -47,18 +47,16 @@ use velus_ops::{Literal, SurfaceBinOp, SurfaceUnOp};
 use crate::ast::{
     ClockId, ExprId, ExprRange, UArena, UConst, UDecl, UEquation, UExpr, UNode, UProgram,
 };
-use crate::lexer::{Lexer, Tok, WordCache};
+use crate::lexer::{Lexer, Tok};
 
 /// The parser's working memory: the expression parser's operand and
-/// operator stacks, and the lexer's [`WordCache`]. [`parse`] empties the
-/// stacks first; a caller that keeps one scratch across parses stops
-/// allocating once the stacks fit the deepest expression seen, and
-/// looks up the words it has seen before in the cache.
+/// operator stacks. [`parse`] empties them first; a caller that keeps
+/// one scratch across parses stops allocating once the stacks fit the
+/// deepest expression seen.
 #[derive(Debug, Default)]
 pub struct Scratch {
     operands: Vec<ExprId>,
     ops: Vec<Op>,
-    words: WordCache,
 }
 
 impl Scratch {
@@ -751,15 +749,11 @@ pub fn parse(
     scratch: &mut Scratch,
 ) -> Result<UProgram, Diagnostics> {
     arena.clear();
-    let Scratch {
-        operands,
-        ops,
-        words,
-    } = scratch;
+    let Scratch { operands, ops } = scratch;
     operands.clear();
     ops.clear();
     let mut p = Parser {
-        lexer: Lexer::new(source, words),
+        lexer: Lexer::new(source),
         ast: arena,
         operands,
         ops,

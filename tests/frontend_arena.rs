@@ -16,8 +16,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use velus_common::{FailureReport, SpanMap};
-use velus_lustre::FrontendScratch;
+use velus_common::{Diagnostics, FailureReport, SpanMap};
+use velus_lustre::{Frontend, FrontendScratch};
 use velus_ops::ClightOps;
 use velus_server::Stage;
 use velus_testkit::gen::{gen_program, GenConfig};
@@ -159,22 +159,30 @@ fn failure_reports_are_stable_under_arena_recycling() {
     }
 }
 
+/// The front end through caller-owned scratch, as the compile pipeline
+/// runs it: parse into the scratch's arena, then lower.
+fn compile_with(
+    src: &str,
+    scratch: &mut FrontendScratch,
+) -> Result<Frontend<ClightOps>, Diagnostics> {
+    let uprog = scratch.parse(src)?;
+    velus_lustre::lower(&uprog, &scratch.ua)
+}
+
 #[test]
 fn frontend_scratch_pools_are_fully_reused_across_compiles() {
     let corpus = corpus();
     let mut scratch = FrontendScratch::new();
     // Grow the pools over the whole corpus once.
     for (label, src, _) in &corpus {
-        velus_lustre::frontend_with::<ClightOps>(src, &mut scratch)
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        compile_with(src, &mut scratch).unwrap_or_else(|e| panic!("{label}: {e}"));
     }
     let grown = scratch.capacities();
     // Every further compile of corpus programs must fit in the existing
     // pools: identical capacities means zero pool reallocation.
     for _ in 0..2 {
         for (label, src, _) in &corpus {
-            velus_lustre::frontend_with::<ClightOps>(src, &mut scratch)
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            compile_with(src, &mut scratch).unwrap_or_else(|e| panic!("{label}: {e}"));
             assert_eq!(
                 grown,
                 scratch.capacities(),
