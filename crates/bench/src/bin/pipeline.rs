@@ -312,28 +312,32 @@ fn profile_corpus(corpus: &[(String, String)], passes: usize) -> Profile {
 
 /// Ceiling on frontend allocs/compile over the paper-benchmark corpus,
 /// enforced by `--smoke` (the CI perf guard). Set ~10% above the
-/// single-pass measurement (138.9, down from 167.1 when parsing began
-/// pooling declarations and equations in the surface arena, and from
-/// 202.8 before elaboration lowered straight into N-Lustre; the
+/// single-pass measurement (119.7, down from 139.0 when elaboration
+/// began reusing its declaration maps across a program's nodes and
+/// reading callee signatures from the finished nodes, from 167.1 when
+/// parsing began pooling declarations and equations in the surface
+/// arena, and from 202.8 before elaboration lowered straight into N-Lustre; the
 /// single-pass smoke number runs a touch above the multi-pass profile
 /// because identifier interning is not amortized): the count is
 /// deterministic — it counts allocator calls, not time — so exceeding it
 /// means a real front-end allocation regression, not machine noise.
-const FRONTEND_ALLOCS_GUARD: f64 = 153.0;
+const FRONTEND_ALLOCS_GUARD: f64 = 132.0;
 
 /// Ceiling on the allocs of a whole cold C compile — every stage from
 /// frontend through emit, the lint pass excluded — per compile of the
 /// paper-benchmark corpus, enforced by `--smoke`. Set ~10% above the
-/// single-pass measurement (477.9; 552.3 before the parser stopped
-/// allocating per node and the scheduler stopped building each node's
-/// dependency graph in fresh buffers, 614.9 before the schedule and fuse
+/// single-pass measurement (458.6; 477.9 before elaboration stopped
+/// allocating its declaration maps per node and copying callee
+/// signatures, 552.3 before the parser stopped allocating per node and
+/// the scheduler stopped building each node's dependency graph in fresh
+/// buffers, 614.9 before the schedule and fuse
 /// stages stopped re-running the N-Lustre and Obc type checks and
 /// fusion stopped copying each body, 719.6 before the IRs after the
 /// front end stopped boxing every operator, 651.6 before elaboration
 /// lowered straight into N-Lustre), so a pass that goes back to cloning
 /// or boxing per statement or per operator, or a dropped re-check that
 /// comes back, fails CI.
-const COMPILE_ALLOCS_GUARD: f64 = 526.0;
+const COMPILE_ALLOCS_GUARD: f64 = 505.0;
 
 /// Ceiling on analysis (lint) allocs/compile over the paper-benchmark
 /// corpus, also enforced by `--smoke`. The lint pass is off the compile

@@ -49,8 +49,9 @@
 //! per-artifact-kind rows). With two or more passes (the default), later
 //! passes exercise the per-kind artifact cache and every artifact is
 //! checked byte-for-byte against the cold pass. `--cache-cap N` bounds
-//! the artifact cache to N entries (LRU eviction; evicted programs
-//! recompile and re-verify on later passes). Each pass submits the
+//! the artifact cache to N entries (S3-FIFO eviction, which keeps the
+//! entries that get hit over one-offs; evicted programs recompile and
+//! re-verify on later passes). Each pass submits the
 //! files in sorted path order.
 //!
 //! The robustness flags drive the serving layer's fault tolerance:

@@ -30,7 +30,7 @@ use velus_common::{
     codes, ident_map_with_capacity, DiagStage, Diagnostic, Diagnostics, Ident, IdentMap, NodeId,
     PreMarks, Span, SpanMap,
 };
-use velus_nlustre::ast::{self as nl, CExpr, Expr, Program};
+use velus_nlustre::ast::{self as nl, CExpr, Expr, Program, VarDecl};
 use velus_nlustre::clock::{Clock, Clocks};
 use velus_ops::{Literal, Ops, SurfaceBinOp, SurfaceUnOp};
 
@@ -45,9 +45,10 @@ enum PTy<O: Ops> {
     FloatLit,
 }
 
-/// Callee signatures: name → (id, input types, named output types) — the
-/// one name → node resolution of the compiler.
-type SigMap<O> = IdentMap<(NodeId, Vec<<O as Ops>::Ty>, Vec<(Ident, <O as Ops>::Ty)>)>;
+/// Callee resolution: name → id of an elaborated node — the one name →
+/// node resolution of the compiler. The signature is read from the
+/// finished node's declarations.
+type SigMap = IdentMap<NodeId>;
 
 /// Whether an equation may define a declared variable, and whether one
 /// already has: a flag in the variable's [`VarMap`] entry, so the
@@ -65,20 +66,37 @@ enum Def {
 /// Declared variables: name → (type, clock, definedness).
 type VarMap<O> = IdentMap<(<O as Ops>::Ty, Clock, Def)>;
 
-/// Elaborated declaration groups (inputs, outputs, locals), plus the
-/// combined variable environment.
-type ElabDecls<O> = (VarMap<O>, [Vec<velus_nlustre::ast::VarDecl<O>>; 3]);
+/// Elaborated declaration groups (inputs, outputs, locals).
+type ElabDecls<O> = [Vec<VarDecl<O>>; 3];
+
+/// The per-node declaration maps, cleared and refilled for each node of
+/// a program so their tables are allocated once per program.
+struct DeclMaps<O: Ops> {
+    /// Declared name → (type, definedness), before clocks resolve.
+    tys: IdentMap<(O::Ty, Def)>,
+    /// Declared name → (type, clock, definedness).
+    vars: VarMap<O>,
+}
 
 struct NodeEnv<'e, O: Ops> {
     /// Variable name → (type, clock, definedness).
-    vars: VarMap<O>,
+    vars: &'e mut VarMap<O>,
     /// Global constants (shared across nodes, hence borrowed — cloning
     /// them per node made elaboration quadratic in program size).
     consts: &'e IdentMap<O::Const>,
-    /// Callee signatures: name → (id, input types, outputs); borrowed for
-    /// the same reason, and call sites borrow straight from the map
-    /// rather than cloning the signature vectors.
-    sigs: &'e SigMap<O>,
+    /// Callee name → id; borrowed for the same reason.
+    sigs: &'e SigMap,
+    /// The nodes elaborated so far, indexed by id: a call site borrows
+    /// its callee's declarations from here rather than a copy of them.
+    nodes: &'e [nl::Node<O>],
+}
+
+impl<'e, O: Ops> NodeEnv<'e, O> {
+    /// The id and finished form of the node `f` names.
+    fn callee(&self, f: &Ident) -> Option<(NodeId, &'e nl::Node<O>)> {
+        let id = *self.sigs.get(f)?;
+        Some((id, &self.nodes[id.index()]))
+    }
 }
 
 struct Elab<'a, O: Ops> {
@@ -209,13 +227,15 @@ impl<'a, O: Ops> Elab<'a, O> {
                 if let Some(t) = O::type_of_name(f.as_str()) {
                     return Ok(PTy::Known(t));
                 }
-                match self.env.sigs.get(&f) {
-                    Some((_, _, outs)) if outs.len() == 1 => Ok(PTy::Known(outs[0].1.clone())),
-                    Some((_, _, outs)) => err(
+                match self.env.callee(&f) {
+                    Some((_, node)) if node.outputs.len() == 1 => {
+                        Ok(PTy::Known(node.outputs[0].ty.clone()))
+                    }
+                    Some((_, node)) => err(
                         codes::E0214,
                         format!(
                             "node {f} has {} outputs; tuple calls only at equation level",
-                            outs.len()
+                            node.outputs.len()
                         ),
                         s,
                     ),
@@ -492,13 +512,13 @@ impl<'a, O: Ops> Elab<'a, O> {
         ck: &Clock,
         s: Span,
     ) -> EResult<(NodeId, Vec<nl::ExprId>)> {
-        // Borrow the signature straight out of the (outer-lived) map —
-        // no per-call-site clone of the signature vectors.
-        let sigs: &'a SigMap<O> = self.env.sigs;
-        let (callee, ins, outs) = match sigs.get(&f) {
+        // Borrow the signature straight out of the (outer-lived) callee
+        // node — no per-call-site clone of its declarations.
+        let (callee, node) = match self.env.callee(&f) {
             Some(sig) => sig,
             None => return err(codes::E0203, format!("unknown node or type {f}"), s),
         };
+        let outs = &node.outputs;
         if outs.len() != 1 {
             return err(
                 codes::E0214,
@@ -509,21 +529,22 @@ impl<'a, O: Ops> Elab<'a, O> {
                 s,
             );
         }
-        if outs[0].1 != *expected {
+        if outs[0].ty != *expected {
             return err(
                 codes::E0202,
-                format!("node {f} returns {}, expected {expected}", outs[0].1),
+                format!("node {f} returns {}, expected {expected}", outs[0].ty),
                 s,
             );
         }
-        Ok((*callee, self.args(f, ins, args, ck, s)?))
+        Ok((callee, self.args(f, &node.inputs, args, ck, s)?))
     }
 
-    /// The arguments of a call to `f`, lowered at the input types `ins`.
+    /// The arguments of a call to `f`, lowered at the types of its
+    /// inputs `ins`.
     fn args(
         &mut self,
         f: Ident,
-        ins: &[O::Ty],
+        ins: &[VarDecl<O>],
         args: ExprRange,
         ck: &Clock,
         span: Span,
@@ -542,8 +563,8 @@ impl<'a, O: Ops> Elab<'a, O> {
             );
         }
         let mut lowered = Vec::with_capacity(args.len());
-        for (&a, t) in args.iter().zip(ins) {
-            lowered.push(self.simple(a, t, ck)?);
+        for (&a, d) in args.iter().zip(ins) {
+            lowered.push(self.simple(a, &d.ty, ck)?);
         }
         Ok(lowered)
     }
@@ -764,17 +785,19 @@ fn order_nodes<O: Ops>(prog: &UProgram, ua: &UArena) -> EResult<Vec<usize>> {
     Ok(order)
 }
 
-/// Resolves the declarations of a node, building each distinct clock
-/// once (`clocks` is cleared first).
+/// Resolves the declarations of a node into `maps.vars`, building each
+/// distinct clock once (`clocks` and `maps` are cleared first).
 fn elab_decls<O: Ops>(
     ua: &UArena,
     groups: [&[UDecl]; 3],
     clocks: &mut Clocks,
+    maps: &mut DeclMaps<O>,
 ) -> EResult<ElabDecls<O>> {
     clocks.clear();
-    let total = groups.iter().map(|g| g.len()).sum::<usize>();
+    let DeclMaps { tys, vars } = maps;
+    tys.clear();
+    vars.clear();
     // First pass: resolve types (clocks may reference any declared var).
-    let mut tys: IdentMap<(O::Ty, Def)> = ident_map_with_capacity(total);
     for (g, d) in groups
         .iter()
         .enumerate()
@@ -798,10 +821,9 @@ fn elab_decls<O: Ops>(
     // the common case — every clock resolvable in declaration order —
     // completes in one sweep, and only stragglers iterate to fixpoint
     // to allow forward references.
-    let mut vars: VarMap<O> = ident_map_with_capacity(total);
     let mut pending: Vec<&UDecl> = Vec::new();
     for d in groups.iter().flat_map(|g| g.iter()) {
-        match elab_clock::<O>(ua, d.clock, &vars, clocks, d.span) {
+        match elab_clock::<O>(ua, d.clock, vars, clocks, d.span) {
             Ok(ck) => {
                 let (ty, def) = tys[&d.name].clone();
                 vars.insert(d.name, (ty, ck, def));
@@ -813,7 +835,7 @@ fn elab_decls<O: Ops>(
         let before = pending.len();
         let mut next = Vec::new();
         for d in pending {
-            match elab_clock::<O>(ua, d.clock, &vars, clocks, d.span) {
+            match elab_clock::<O>(ua, d.clock, vars, clocks, d.span) {
                 Ok(ck) => {
                     let (ty, def) = tys[&d.name].clone();
                     vars.insert(d.name, (ty, ck, def));
@@ -824,33 +846,44 @@ fn elab_decls<O: Ops>(
         if next.len() == before {
             // No progress: report the first real error.
             let d = next[0];
-            elab_clock::<O>(ua, d.clock, &vars, clocks, d.span)?;
+            elab_clock::<O>(ua, d.clock, vars, clocks, d.span)?;
             unreachable!("elab_clock must fail where it failed before");
         }
         pending = next;
     }
-    let mk = |g: &[UDecl]| -> Vec<velus_nlustre::ast::VarDecl<O>> {
+    let mk = |g: &[UDecl]| -> Vec<VarDecl<O>> {
         g.iter()
-            .map(|d| velus_nlustre::ast::VarDecl {
+            .map(|d| VarDecl {
                 name: d.name,
                 ty: vars[&d.name].0.clone(),
                 ck: vars[&d.name].1.clone(),
             })
             .collect()
     };
-    let out = [mk(groups[0]), mk(groups[1]), mk(groups[2])];
-    Ok((vars, out))
+    Ok([mk(groups[0]), mk(groups[1]), mk(groups[2])])
 }
 
-fn elab_node<O: Ops>(
-    unode: &UNode,
-    ua: &UArena,
-    consts: &IdentMap<O::Const>,
-    sigs: &SigMap<O>,
-    clocks: &mut Clocks,
-    out: &mut Lower<O>,
-) -> EResult<nl::Node<O>> {
-    let (vars, [inputs, outputs, locals]) = elab_decls::<O>(
+/// The program-wide context a node is elaborated in: constants, the
+/// nodes before it, and the buffers reused from node to node.
+struct ProgramEnv<'p, O: Ops> {
+    consts: &'p IdentMap<O::Const>,
+    sigs: &'p SigMap,
+    nodes: &'p [nl::Node<O>],
+    clocks: &'p mut Clocks,
+    maps: &'p mut DeclMaps<O>,
+    out: &'p mut Lower<O>,
+}
+
+fn elab_node<O: Ops>(unode: &UNode, ua: &UArena, env: ProgramEnv<'_, O>) -> EResult<nl::Node<O>> {
+    let ProgramEnv {
+        consts,
+        sigs,
+        nodes,
+        clocks,
+        maps,
+        out,
+    } = env;
+    let [inputs, outputs, locals] = elab_decls::<O>(
         ua,
         [
             ua.decls(unode.inputs),
@@ -858,6 +891,7 @@ fn elab_node<O: Ops>(
             ua.decls(unode.locals),
         ],
         clocks,
+        maps,
     )?;
     // Interface variables live on the base clock (paper's restriction).
     for d in inputs.iter().chain(&outputs) {
@@ -880,7 +914,12 @@ fn elab_node<O: Ops>(
     out.start_node(unode.exprs.len(), unode.eqs.len());
     let mut elab = Elab::<O> {
         ua,
-        env: NodeEnv { vars, consts, sigs },
+        env: NodeEnv {
+            vars: &mut maps.vars,
+            consts,
+            sigs,
+            nodes,
+        },
         clocks,
         out: &mut *out,
         eq_span: Span::DUMMY,
@@ -936,10 +975,11 @@ fn elab_node<O: Ops>(
                     if O::type_of_name(f.as_str()).is_some() {
                         return err(codes::E0214, "a cast returns a single value", s);
                     }
-                    let (callee, ins, outs) = match sigs.get(&f) {
+                    let (callee, node) = match elab.env.callee(&f) {
                         Some(sig) => sig,
                         None => return err(codes::E0203, format!("unknown node {f}"), s),
                     };
+                    let outs = &node.outputs;
                     if outs.len() != lhs.len() {
                         return err(
                             codes::E0214,
@@ -951,18 +991,18 @@ fn elab_node<O: Ops>(
                             s,
                         );
                     }
-                    for (x, (oname, oty)) in lhs.iter().zip(outs) {
+                    for (x, o) in lhs.iter().zip(outs) {
                         let (tx, _, _) = &elab.env.vars[x];
-                        if tx != oty {
+                        if *tx != o.ty {
                             return err(
                                 codes::E0202,
-                                format!("{x} has type {tx}, output {oname} has type {oty}"),
+                                format!("{x} has type {tx}, output {} has type {}", o.name, o.ty),
                                 s,
                             );
                         }
                     }
-                    let args = elab.args(f, ins, args, &ck, s)?;
-                    elab.out.call_equation(lhs.to_vec(), &ck, *callee, args);
+                    let args = elab.args(f, &node.inputs, args, &ck, s)?;
+                    elab.out.call_equation(lhs.to_vec(), &ck, callee, args);
                 }
                 ref other => {
                     return err(
@@ -1059,23 +1099,25 @@ pub fn elaborate<O: Ops>(
     }
 
     let order = order_nodes::<O>(prog, ua)?;
-    let mut sigs: SigMap<O> = ident_map_with_capacity(prog.nodes.len());
+    let mut sigs: SigMap = ident_map_with_capacity(prog.nodes.len());
     let mut clocks = Clocks::default();
+    let mut maps = DeclMaps {
+        tys: IdentMap::default(),
+        vars: IdentMap::default(),
+    };
     let mut out = Lower::new();
     let mut nodes = Vec::with_capacity(prog.nodes.len());
     for i in order {
-        let node = elab_node::<O>(&prog.nodes[i], ua, &consts, &sigs, &mut clocks, &mut out)?;
-        sigs.insert(
-            node.name,
-            (
-                NodeId::new(nodes.len()),
-                node.inputs.iter().map(|d| d.ty.clone()).collect(),
-                node.outputs
-                    .iter()
-                    .map(|d| (d.name, d.ty.clone()))
-                    .collect(),
-            ),
-        );
+        let env = ProgramEnv {
+            consts: &consts,
+            sigs: &sigs,
+            nodes: &nodes,
+            clocks: &mut clocks,
+            maps: &mut maps,
+            out: &mut out,
+        };
+        let node = elab_node::<O>(&prog.nodes[i], ua, env)?;
+        sigs.insert(node.name, NodeId::new(nodes.len()));
         nodes.push(node);
     }
     let (spans, marks) = out.into_maps();

@@ -26,15 +26,26 @@
 //! evenly), so concurrent workers only contend when they touch the same
 //! stripe. Capacity is bounded: each entry is weighed (stored source
 //! bytes plus an artifact weigher supplied by the service) and the cache
-//! enforces optional total entry/byte caps with **LRU eviction** —
-//! recency is a global monotone tick per entry, a per-shard `BTreeMap`
-//! orders entries by tick, and eviction pops the globally oldest entry.
-//! Evictions are counted and surfaced through
+//! enforces optional total entry/byte caps with **S3-FIFO eviction**
+//! (Yang et al., *FIFO queues are all you need for cache eviction*,
+//! SOSP 2023). A new entry is admitted to a small probation FIFO; one
+//! hit there promotes it to the main FIFO when it reaches the front,
+//! while a one-off is dropped after that single pass and remembered in a
+//! keys-only ghost FIFO. One-off edits thus pass through probation
+//! without pushing the programs that get rebuilt out of the main FIFO,
+//! and a ghosted key that comes back goes straight to the main FIFO. The main FIFO gives each entry at its front one more pass per
+//! hit it took (a 2-bit count, as in CLOCK).
+//!
+//! A hit only bumps its entry's count under the entry's stripe lock. The
+//! queues sit behind one lock that only insert, eviction and `clear`
+//! take (once per compiled artifact, never on a hit), always before any
+//! stripe lock, and an insert makes room *before* it admits, so the caps
+//! hold at every instant. Evictions are counted and surfaced through
 //! [`CacheCounters`]/`ServiceStats`. The verification-on-hit invariant
-//! is per entry and unaffected by sharding: an evicted entry simply
-//! recompiles (and re-verifies) on its next request.
+//! is per entry and unaffected by sharding or eviction: an evicted entry
+//! simply recompiles (and re-verifies) on its next request.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -268,22 +279,55 @@ struct Entry<A> {
     stored: StoredContent,
     artifact: Arc<A>,
     weight: usize,
-    tick: u64,
+    /// Hits since the entry last entered a queue, saturating at
+    /// [`MAX_FREQ`].
+    freq: u8,
 }
 
-/// One lock stripe: the key→entry map plus the recency order of its
-/// entries (tick → key; ticks are globally unique, so this is a total
-/// order and the `BTreeMap` front is the stripe's least recent entry).
-struct ShardMap<A> {
-    map: HashMap<CacheKey, Entry<A>>,
-    recency: BTreeMap<u64, CacheKey>,
+/// The most hits an entry's count holds (2 bits): a main-FIFO entry is
+/// requeued at most this many times before it can be evicted.
+const MAX_FREQ: u8 = 3;
+
+/// The probation FIFO's share of the cap that binds (the entry cap, or
+/// the byte cap when only that one is exceeded): eviction takes from
+/// probation while it holds at least 1/`SMALL_SHARE` of that cap, and
+/// from the main FIFO otherwise. One tenth is the S3-FIFO paper's choice.
+const SMALL_SHARE: usize = 10;
+
+/// The S3-FIFO queues. Every resident key is in exactly one of `small`
+/// and `main`; `ghost` holds keys (not entries) recently dropped from
+/// `small`, at most as many as are resident. A ghost slot carries the
+/// sequence number it was ghosted under, so the slot a readmitted key
+/// left behind does not forget a later ghosting of the same key.
+#[derive(Default)]
+struct Queues {
+    small: VecDeque<CacheKey>,
+    /// The weight of the entries in `small`.
+    small_bytes: usize,
+    main: VecDeque<CacheKey>,
+    ghost: VecDeque<(CacheKey, u64)>,
+    ghosted: HashMap<CacheKey, u64>,
+    ghost_seq: u64,
 }
 
-impl<A> ShardMap<A> {
-    fn new() -> ShardMap<A> {
-        ShardMap {
-            map: HashMap::new(),
-            recency: BTreeMap::new(),
+impl Queues {
+    fn resident(&self) -> usize {
+        self.small.len() + self.main.len()
+    }
+
+    /// Remembers a key dropped from probation, forgetting the oldest
+    /// ghosts beyond the resident count.
+    fn ghost(&mut self, key: CacheKey) {
+        self.ghost_seq += 1;
+        self.ghost.push_back((key, self.ghost_seq));
+        self.ghosted.insert(key, self.ghost_seq);
+        while self.ghost.len() > self.resident() {
+            let Some((old, seq)) = self.ghost.pop_front() else {
+                break;
+            };
+            if self.ghosted.get(&old) == Some(&seq) {
+                self.ghosted.remove(&old);
+            }
         }
     }
 }
@@ -297,13 +341,13 @@ type Weigher<A> = Box<dyn Fn(&A) -> usize + Send + Sync>;
 /// source of truth; the cache only counts what it alone can observe:
 /// occupancy and evictions.)
 pub struct ArtifactCache<A> {
-    shards: Vec<Mutex<ShardMap<A>>>,
+    shards: Vec<Mutex<HashMap<CacheKey, Entry<A>>>>,
     shard_bits: u32,
+    /// The eviction order; locked before any stripe, never by `get`.
+    queues: Mutex<Queues>,
     max_entries: Option<usize>,
     max_bytes: Option<usize>,
     weigher: Weigher<A>,
-    /// Global recency clock; every get/insert stamps a fresh tick.
-    tick: AtomicU64,
     entries: AtomicUsize,
     bytes: AtomicUsize,
     evictions: AtomicU64,
@@ -328,13 +372,13 @@ impl<A> ArtifactCache<A> {
         let shard_bits = shard_count.trailing_zeros();
         ArtifactCache {
             shards: (0..shard_count)
-                .map(|_| Mutex::new(ShardMap::new()))
+                .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             shard_bits,
+            queues: Mutex::new(Queues::default()),
             max_entries: config.max_entries,
             max_bytes: config.max_bytes,
             weigher,
-            tick: AtomicU64::new(0),
             entries: AtomicUsize::new(0),
             bytes: AtomicUsize::new(0),
             evictions: AtomicU64::new(0),
@@ -343,7 +387,7 @@ impl<A> ArtifactCache<A> {
 
     /// The stripe a key lives in: the digest's high bits (the digest is
     /// uniform, so stripes fill evenly).
-    fn shard(&self, key: &CacheKey) -> &Mutex<ShardMap<A>> {
+    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, Entry<A>>> {
         let index = if self.shard_bits == 0 {
             0
         } else {
@@ -352,35 +396,29 @@ impl<A> ArtifactCache<A> {
         &self.shards[index]
     }
 
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
+    fn lock_queues(&self) -> std::sync::MutexGuard<'_, Queues> {
+        self.queues.lock().expect("cache queue lock")
     }
 
     /// Looks up the artifact of one `kind` for a request's content and
-    /// refreshes its recency. The stored content is compared on digest
-    /// match, so a hash collision is a miss, never a wrong artifact.
+    /// counts the hit toward the entry's stay. The stored content is
+    /// compared on digest match, so a hash collision is a miss, never a
+    /// wrong artifact.
     pub fn get(&self, key: &CacheKey, req: &CompileRequest, kind: &ArtifactKind) -> Option<Arc<A>> {
         let mut shard = self.shard(key).lock().expect("cache shard lock");
-        let tick = self.next_tick();
-        match shard.map.get_mut(key) {
-            Some(entry) if entry.stored.matches(req, kind) => {
-                let artifact = Arc::clone(&entry.artifact);
-                let old = std::mem::replace(&mut entry.tick, tick);
-                shard.recency.remove(&old);
-                shard.recency.insert(tick, *key);
-                Some(artifact)
-            }
-            _ => None,
-        }
+        let entry = shard
+            .get_mut(key)
+            .filter(|entry| entry.stored.matches(req, kind))?;
+        entry.freq = (entry.freq + 1).min(MAX_FREQ);
+        Some(Arc::clone(&entry.artifact))
     }
 
     /// Inserts an artifact stored under `content` (shared with the other
-    /// kinds of the same request), returns the shared handle, and evicts
-    /// least recently used entries until the configured caps hold again.
-    /// If another worker raced the same content, the *first* insertion
-    /// wins and is returned — artifacts are deterministic functions of
-    /// the content, so either copy is equivalent; keeping the first
-    /// maximizes sharing.
+    /// kinds of the same request) and returns the shared handle, first
+    /// evicting until the new entry fits the configured caps. If another
+    /// worker raced the same content, the *first* insertion wins and is
+    /// returned — artifacts are deterministic functions of the content,
+    /// so either copy is equivalent; keeping the first maximizes sharing.
     ///
     /// Every entry is charged its content's full bytes, shared or not, so
     /// the byte cap accounts as if each entry held its own copy.
@@ -391,98 +429,101 @@ impl<A> ArtifactCache<A> {
         kind: ArtifactKind,
         artifact: A,
     ) -> Arc<A> {
-        let shared = {
-            let mut shard = self.shard(&key).lock().expect("cache shard lock");
-            match shard.map.get(&key) {
-                Some(entry) if entry.stored.is(content, &kind) => Arc::clone(&entry.artifact),
+        let mut queues = self.lock_queues();
+        let weight = {
+            let shard = self.shard(&key).lock().expect("cache shard lock");
+            match shard.get(&key) {
+                Some(entry) if entry.stored.is(content, &kind) => {
+                    return Arc::clone(&entry.artifact)
+                }
                 // Digest collision with different content: keep the incumbent
                 // (its requests still verify) and serve this artifact uncached.
-                Some(_) => Arc::new(artifact),
-                None => {
-                    let weight = content.bytes() + (self.weigher)(&artifact);
-                    // An entry that alone exceeds the byte cap can never
-                    // be retained; admitting it would purge every other
-                    // (useful) entry on the way to evicting it. Serve it
-                    // uncached instead and leave the cache untouched.
-                    if self.max_bytes.is_some_and(|cap| weight > cap) {
-                        return Arc::new(artifact);
-                    }
-                    let shared = Arc::new(artifact);
-                    let tick = self.next_tick();
-                    shard.map.insert(
-                        key,
-                        Entry {
-                            stored: StoredContent {
-                                content: Arc::clone(content),
-                                kind,
-                            },
-                            artifact: Arc::clone(&shared),
-                            weight,
-                            tick,
-                        },
-                    );
-                    shard.recency.insert(tick, key);
-                    self.entries.fetch_add(1, Ordering::Relaxed);
-                    self.bytes.fetch_add(weight, Ordering::Relaxed);
-                    shared
-                }
+                Some(_) => return Arc::new(artifact),
+                None => content.bytes() + (self.weigher)(&artifact),
             }
         };
-        self.enforce_caps();
+        // An entry that alone exceeds the byte cap can never be retained;
+        // admitting it would purge every other (useful) entry on the way
+        // to evicting it. Serve it uncached instead and leave the cache
+        // untouched.
+        if self.max_bytes.is_some_and(|cap| weight > cap) {
+            return Arc::new(artifact);
+        }
+        // Inserts hold the queue lock, so the key is still absent here.
+        let returning = queues.ghosted.remove(&key).is_some();
+        if !self.make_room(&mut queues, weight) {
+            // Only an entry cap of zero admits nothing.
+            return Arc::new(artifact);
+        }
+        let shared = Arc::new(artifact);
+        self.shard(&key).lock().expect("cache shard lock").insert(
+            key,
+            Entry {
+                stored: StoredContent {
+                    content: Arc::clone(content),
+                    kind,
+                },
+                artifact: Arc::clone(&shared),
+                weight,
+                freq: 0,
+            },
+        );
+        self.entries.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(weight, Ordering::Relaxed);
+        if returning {
+            queues.main.push_back(key);
+        } else {
+            queues.small.push_back(key);
+            queues.small_bytes += weight;
+        }
         shared
     }
 
-    /// Evicts LRU entries until both caps hold. Shards are locked one at
-    /// a time (never two at once), so eviction cannot deadlock with
-    /// concurrent gets/inserts; under concurrency the victim is the
-    /// *approximately* oldest entry, exactly the oldest when quiescent.
-    ///
-    /// Each eviction scans every stripe for the oldest front — O(shards)
-    /// lock acquisitions — but only runs when an insert pushed past a
-    /// cap, i.e. at most once per *compiled* (millisecond-scale) request,
-    /// never on hits. If profiling ever shows this scan, the ROADMAP
-    /// names the successor (per-shard caps / CLOCK).
-    fn enforce_caps(&self) {
+    /// Evicts until one more entry of `weight` bytes fits both caps;
+    /// `false` if the cache emptied before it did. From probation while it holds its share of the binding cap (or the
+    /// main FIFO is empty): a front entry hit since admission moves to the
+    /// main FIFO, any other is dropped and ghosted. Otherwise from the
+    /// main FIFO: a front entry with hits left is requeued with one less,
+    /// any other is dropped.
+    fn make_room(&self, queues: &mut Queues, weight: usize) -> bool {
         loop {
-            let over_entries = self
-                .max_entries
-                .is_some_and(|cap| self.entries.load(Ordering::Relaxed) > cap);
-            let over_bytes = self
-                .max_bytes
-                .is_some_and(|cap| self.bytes.load(Ordering::Relaxed) > cap);
-            if !(over_entries || over_bytes) || !self.evict_oldest() {
-                return;
+            let entries = self.entries.load(Ordering::Relaxed);
+            let bytes = self.bytes.load(Ordering::Relaxed);
+            let small_share = if let Some(cap) = self.max_entries.filter(|&cap| entries >= cap) {
+                queues.small.len() * SMALL_SHARE >= cap
+            } else if let Some(cap) = self.max_bytes.filter(|&cap| bytes + weight > cap) {
+                queues.small_bytes * SMALL_SHARE >= cap
+            } else {
+                return true;
+            };
+            let from_small = !queues.small.is_empty() && (small_share || queues.main.is_empty());
+            let popped = if from_small {
+                queues.small.pop_front()
+            } else {
+                queues.main.pop_front()
+            };
+            let Some(key) = popped else {
+                return false;
+            };
+            let mut shard = self.shard(&key).lock().expect("cache shard lock");
+            let entry = shard.get_mut(&key).expect("queued keys are resident");
+            if from_small {
+                queues.small_bytes -= entry.weight;
+            }
+            if entry.freq > 0 {
+                entry.freq = if from_small { 0 } else { entry.freq - 1 };
+                queues.main.push_back(key);
+                continue;
+            }
+            let weight = shard.remove(&key).expect("queued keys are resident").weight;
+            drop(shard);
+            self.entries.fetch_sub(1, Ordering::Relaxed);
+            self.bytes.fetch_sub(weight, Ordering::Relaxed);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            if from_small {
+                queues.ghost(key);
             }
         }
-    }
-
-    /// Removes the entry with the globally smallest recency tick.
-    /// Returns `false` when the cache is empty.
-    fn evict_oldest(&self) -> bool {
-        // Pass 1: find the stripe whose front is oldest.
-        let mut victim: Option<(usize, u64)> = None;
-        for (index, shard) in self.shards.iter().enumerate() {
-            let shard = shard.lock().expect("cache shard lock");
-            if let Some((&tick, _)) = shard.recency.first_key_value() {
-                if victim.is_none_or(|(_, best)| tick < best) {
-                    victim = Some((index, tick));
-                }
-            }
-        }
-        // Pass 2: pop that stripe's current front (it may have advanced
-        // since pass 1; popping the new front is still an LRU choice).
-        let Some((index, _)) = victim else {
-            return false;
-        };
-        let mut shard = self.shards[index].lock().expect("cache shard lock");
-        let Some((_, key)) = shard.recency.pop_first() else {
-            return false;
-        };
-        let entry = shard.map.remove(&key).expect("recency and map agree");
-        self.entries.fetch_sub(1, Ordering::Relaxed);
-        self.bytes.fetch_sub(entry.weight, Ordering::Relaxed);
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        true
     }
 
     /// The content the entry under `key` was stored with (test aid for
@@ -490,7 +531,38 @@ impl<A> ArtifactCache<A> {
     #[cfg(test)]
     pub(crate) fn stored_content(&self, key: &CacheKey) -> Option<Arc<RequestContent>> {
         let shard = self.shard(key).lock().expect("cache shard lock");
-        shard.map.get(key).map(|e| Arc::clone(&e.stored.content))
+        shard.get(key).map(|e| Arc::clone(&e.stored.content))
+    }
+
+    /// Checks, with every lock held, that the counters equal the sums
+    /// over the stripes, that the queues hold each resident key exactly
+    /// once (and nothing else), and that no ghost is resident.
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) {
+        let queues = self.lock_queues();
+        let shards: Vec<_> = self
+            .shards
+            .iter()
+            .map(|shard| shard.lock().expect("cache shard lock"))
+            .collect();
+        let resident: HashMap<CacheKey, usize> = shards
+            .iter()
+            .flat_map(|shard| shard.iter().map(|(key, entry)| (*key, entry.weight)))
+            .collect();
+        assert_eq!(self.entries.load(Ordering::Relaxed), resident.len());
+        assert_eq!(
+            self.bytes.load(Ordering::Relaxed),
+            resident.values().sum::<usize>()
+        );
+        let queued: std::collections::HashSet<CacheKey> =
+            queues.small.iter().chain(&queues.main).copied().collect();
+        assert_eq!(queued.len(), queues.resident(), "a key queued twice");
+        assert!(queued.iter().all(|key| resident.contains_key(key)));
+        assert_eq!(queued.len(), resident.len(), "a resident key not queued");
+        let small_bytes: usize = queues.small.iter().map(|key| resident[key]).sum();
+        assert_eq!(queues.small_bytes, small_bytes);
+        assert!(queues.ghost.len() <= resident.len());
+        assert!(queues.ghosted.keys().all(|key| !resident.contains_key(key)));
     }
 
     /// Number of distinct artifacts held.
@@ -512,17 +584,19 @@ impl<A> ArtifactCache<A> {
         }
     }
 
-    /// Drops every entry (not counted as evictions).
+    /// Drops every entry and forgets every ghost (not counted as
+    /// evictions).
     pub fn clear(&self) {
+        let mut queues = self.lock_queues();
         for shard in &self.shards {
             let mut shard = shard.lock().expect("cache shard lock");
-            let removed_bytes: usize = shard.map.values().map(|e| e.weight).sum();
-            let removed = shard.map.len();
-            shard.map.clear();
-            shard.recency.clear();
+            let removed_bytes: usize = shard.values().map(|e| e.weight).sum();
+            let removed = shard.len();
+            shard.clear();
             self.entries.fetch_sub(removed, Ordering::Relaxed);
             self.bytes.fetch_sub(removed_bytes, Ordering::Relaxed);
         }
+        *queues = Queues::default();
     }
 }
 
@@ -761,23 +835,156 @@ mod tests {
     }
 
     #[test]
-    fn entry_cap_evicts_the_least_recently_used() {
+    fn an_entry_hit_since_admission_outlives_one_that_was_not() {
         let cache = bounded(2);
         let (ra, rb, rc) = (req("aa"), req("bb"), req("cc"));
         let (ka, kb, kc) = (key(&ra), key(&rb), key(&rc));
         cache.insert(ka, &content(&ra), C, "A".into());
         cache.insert(kb, &content(&rb), C, "B".into());
-        // Touch A so B becomes the LRU, then overflow with C.
+        // Hit A (B never is), then overflow with C: A moves on to the
+        // main FIFO and B, never hit, is dropped from probation.
         assert!(cache.get(&ka, &ra, &C).is_some());
         cache.insert(kc, &content(&rc), C, "C".into());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.counters().evictions, 1);
         assert!(
             cache.get(&kb, &rb, &C).is_none(),
-            "the LRU entry was evicted"
+            "the entry never hit was evicted"
         );
         assert!(cache.get(&ka, &ra, &C).is_some());
         assert!(cache.get(&kc, &rc, &C).is_some());
+    }
+
+    /// Inserts `n` distinct one-off entries tagged `tag`.
+    fn burst(cache: &ArtifactCache<String>, tag: &str, n: usize) {
+        for k in 0..n {
+            let r = req(&format!("{tag}{k}"));
+            cache.insert(key(&r), &content(&r), C, format!("{tag}{k}"));
+        }
+    }
+
+    #[test]
+    fn a_hit_entry_survives_a_burst_of_one_off_inserts() {
+        // Under LRU a burst of `cap` one-offs flushes everything; here the
+        // one-offs only cycle through probation.
+        let cap = 10;
+        let cache = bounded(cap);
+        let hot = req("hot");
+        cache.insert(key(&hot), &content(&hot), C, "H".into());
+        assert!(cache.get(&key(&hot), &hot, &C).is_some());
+        burst(&cache, "once", cap);
+        assert!(cache.get(&key(&hot), &hot, &C).is_some());
+        burst(&cache, "again", 3 * cap);
+        assert!(cache.get(&key(&hot), &hot, &C).is_some());
+        assert_eq!(cache.len(), cap);
+        cache.check_invariants();
+    }
+
+    #[test]
+    fn a_key_dropped_from_probation_returns_to_the_main_fifo() {
+        let cap = 10;
+        let cache = bounded(cap);
+        let r = req("back");
+        cache.insert(key(&r), &content(&r), C, "B".into());
+        // Never hit: the burst drops it from probation into the ghost.
+        burst(&cache, "first", cap);
+        assert!(cache.get(&key(&r), &r, &C).is_none());
+        // Inserted again, it joins the main FIFO and, still never hit,
+        // outlasts a burst that only cycles probation.
+        cache.insert(key(&r), &content(&r), C, "B".into());
+        burst(&cache, "second", cap);
+        assert!(cache.get(&key(&r), &r, &C).is_some());
+        cache.check_invariants();
+    }
+
+    #[test]
+    fn under_a_byte_cap_the_probation_share_is_counted_in_bytes() {
+        let cache: ArtifactCache<String> = ArtifactCache::with_config(
+            CacheConfig {
+                max_bytes: Some(100),
+                ..CacheConfig::default()
+            },
+            Box::new(String::len),
+        );
+        let fill = |r: &CompileRequest, weight: usize| {
+            let artifact = "x".repeat(weight - r.source.len());
+            cache.insert(key(r), &content(r), C, artifact);
+        };
+        let (m, f, t, g) = (req("m"), req("f"), req("t"), req("g"));
+        fill(&m, 40);
+        fill(&f, 40);
+        fill(&t, 4);
+        assert!(cache.get(&key(&m), &m, &C).is_some());
+        assert!(cache.get(&key(&f), &f, &C).is_some());
+        // 84 + 40 > 100: M and F move on to the main FIFO, which leaves
+        // probation one entry but 4 bytes, under a tenth of the cap, so
+        // the main FIFO's front (M, not hit since) goes instead of T.
+        fill(&g, 40);
+        assert_eq!(cache.counters().bytes, 84);
+        assert_eq!(cache.counters().evictions, 1);
+        assert!(cache.get(&key(&m), &m, &C).is_none());
+        for r in [&f, &t, &g] {
+            assert!(cache.get(&key(r), r, &C).is_some(), "{}", r.source);
+        }
+        cache.check_invariants();
+    }
+
+    #[test]
+    fn an_entry_cap_of_zero_caches_nothing() {
+        let cache = bounded(0);
+        let r = req("x");
+        assert_eq!(*cache.insert(key(&r), &content(&r), C, "X".into()), "X");
+        assert_eq!(cache.counters(), CacheCounters::default());
+        cache.check_invariants();
+    }
+
+    #[test]
+    fn concurrent_get_insert_and_clear_keep_the_caps_and_the_queues() {
+        for shards in [1, 16] {
+            for cap in 1..=8 {
+                let cache: ArtifactCache<String> = ArtifactCache::with_config(
+                    CacheConfig {
+                        shards,
+                        max_entries: Some(cap),
+                        max_bytes: Some(cap * 8),
+                    },
+                    Box::new(String::len),
+                );
+                std::thread::scope(|scope| {
+                    for thread in 0..4u64 {
+                        let cache = &cache;
+                        scope.spawn(move || {
+                            let mut state = thread + 1;
+                            for _ in 0..2_000 {
+                                // A 64-bit LCG: a fixed, per-thread stream.
+                                state = state
+                                    .wrapping_mul(6_364_136_223_846_793_005)
+                                    .wrapping_add(1_442_695_040_888_963_407);
+                                let roll = state >> 33;
+                                let k = roll % 24;
+                                let r = req(&format!("s{k:02}"));
+                                let artifact = "a".repeat(k as usize % 9);
+                                match roll / 24 % 20 {
+                                    0 => cache.clear(),
+                                    1..=9 => {
+                                        if let Some(hit) = cache.get(&key(&r), &r, &C) {
+                                            assert_eq!(*hit, artifact);
+                                        }
+                                    }
+                                    _ => {
+                                        cache.insert(key(&r), &content(&r), C, artifact);
+                                        let counters = cache.counters();
+                                        assert!(counters.entries as usize <= cap);
+                                        assert!(counters.bytes as usize <= cap * 8);
+                                    }
+                                }
+                            }
+                        });
+                    }
+                });
+                cache.check_invariants();
+            }
+        }
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //! for the full design):
 //!
 //! * the cache is **lock-striped** into shards selected by the digest's
-//!   high bits and bounded by entry/byte caps with LRU eviction
-//!   ([`cache::CacheConfig`]); eviction counters surface in the stats.
+//!   high bits and bounded by entry/byte caps with S3-FIFO eviction
+//!   (Yang et al., SOSP 2023; [`cache::CacheConfig`]): one-off entries
+//!   pass through a small probation queue, so they do not push out the
+//!   entries that get hit; eviction counters surface in the stats.
 //!
 //! ```
 //! use velus_server::{ArtifactKind, CancelToken, Compiler, CompileOutput, CompileRequest,

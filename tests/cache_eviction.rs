@@ -101,7 +101,7 @@ proptest! {
 }
 
 /// End-to-end through the real pipeline: with a 2-entry cap, a third
-/// program evicts the least recently used one; requesting the evictee
+/// program evicts the oldest entry never hit; requesting the evictee
 /// again is a miss that recompiles, and the fresh artifact matches an
 /// independent cold compilation byte for byte (the verification path an
 /// eviction must re-run).
@@ -138,7 +138,7 @@ fn evicted_program_recompiles_and_reverifies() {
         .unwrap()
         .to_owned();
     svc.compile_one(req(1));
-    svc.compile_one(req(2)); // cap 2: evicts prog0, the LRU entry
+    svc.compile_one(req(2)); // cap 2: evicts prog0, the oldest entry never hit
     let stats = svc.stats();
     assert_eq!(stats.cache_entries, 2);
     assert_eq!(stats.cache_evictions, 1);
@@ -156,7 +156,7 @@ fn evicted_program_recompiles_and_reverifies() {
     // fresh single-shot compilation.
     let fresh = velus::compile(&sources[0].1, Some("prog0")).unwrap();
     assert_eq!(velus::emit_c(&fresh, velus::IoMode::Volatile), first_c);
-    // Recompiling refilled the cache, evicting the next LRU entry.
+    // Recompiling refilled the cache, evicting the next entry never hit.
     let stats = svc.stats();
     assert_eq!(stats.cache_entries, 2);
     assert_eq!(stats.cache_evictions, 2);
