@@ -69,9 +69,12 @@ type VarMap<O> = IdentMap<(<O as Ops>::Ty, Clock, Def)>;
 /// Elaborated declaration groups (inputs, outputs, locals).
 type ElabDecls<O> = [Vec<VarDecl<O>>; 3];
 
-/// The per-node declaration maps, cleared and refilled for each node of
-/// a program so their tables are allocated once per program.
-struct DeclMaps<O: Ops> {
+/// The buffers a node's declarations resolve into, cleared for each node
+/// of a program so their tables are allocated once per program.
+struct NodeScratch<O: Ops> {
+    /// The node's clocks: those of its declarations, and the branch
+    /// clocks of its merges, each built once.
+    clocks: Clocks,
     /// Declared name → (type, definedness), before clocks resolve.
     tys: IdentMap<(O::Ty, Def)>,
     /// Declared name → (type, clock, definedness).
@@ -785,16 +788,15 @@ fn order_nodes<O: Ops>(prog: &UProgram, ua: &UArena) -> EResult<Vec<usize>> {
     Ok(order)
 }
 
-/// Resolves the declarations of a node into `maps.vars`, building each
-/// distinct clock once (`clocks` and `maps` are cleared first).
+/// Resolves the declarations of a node into `scratch.vars`, building
+/// each distinct clock once (`scratch` is cleared first).
 fn elab_decls<O: Ops>(
     ua: &UArena,
     groups: [&[UDecl]; 3],
-    clocks: &mut Clocks,
-    maps: &mut DeclMaps<O>,
+    scratch: &mut NodeScratch<O>,
 ) -> EResult<ElabDecls<O>> {
+    let NodeScratch { clocks, tys, vars } = scratch;
     clocks.clear();
-    let DeclMaps { tys, vars } = maps;
     tys.clear();
     vars.clear();
     // First pass: resolve types (clocks may reference any declared var).
@@ -863,26 +865,15 @@ fn elab_decls<O: Ops>(
     Ok([mk(groups[0]), mk(groups[1]), mk(groups[2])])
 }
 
-/// The program-wide context a node is elaborated in: constants, the
-/// nodes before it, and the buffers reused from node to node.
-struct ProgramEnv<'p, O: Ops> {
-    consts: &'p IdentMap<O::Const>,
-    sigs: &'p SigMap,
-    nodes: &'p [nl::Node<O>],
-    clocks: &'p mut Clocks,
-    maps: &'p mut DeclMaps<O>,
-    out: &'p mut Lower<O>,
-}
-
-fn elab_node<O: Ops>(unode: &UNode, ua: &UArena, env: ProgramEnv<'_, O>) -> EResult<nl::Node<O>> {
-    let ProgramEnv {
-        consts,
-        sigs,
-        nodes,
-        clocks,
-        maps,
-        out,
-    } = env;
+fn elab_node<O: Ops>(
+    unode: &UNode,
+    ua: &UArena,
+    consts: &IdentMap<O::Const>,
+    sigs: &SigMap,
+    nodes: &[nl::Node<O>],
+    scratch: &mut NodeScratch<O>,
+    out: &mut Lower<O>,
+) -> EResult<nl::Node<O>> {
     let [inputs, outputs, locals] = elab_decls::<O>(
         ua,
         [
@@ -890,8 +881,7 @@ fn elab_node<O: Ops>(unode: &UNode, ua: &UArena, env: ProgramEnv<'_, O>) -> ERes
             ua.decls(unode.outputs),
             ua.decls(unode.locals),
         ],
-        clocks,
-        maps,
+        scratch,
     )?;
     // Interface variables live on the base clock (paper's restriction).
     for d in inputs.iter().chain(&outputs) {
@@ -915,12 +905,12 @@ fn elab_node<O: Ops>(unode: &UNode, ua: &UArena, env: ProgramEnv<'_, O>) -> ERes
     let mut elab = Elab::<O> {
         ua,
         env: NodeEnv {
-            vars: &mut maps.vars,
+            vars: &mut scratch.vars,
             consts,
             sigs,
             nodes,
         },
-        clocks,
+        clocks: &mut scratch.clocks,
         out: &mut *out,
         eq_span: Span::DUMMY,
         clock_err: None,
@@ -1100,23 +1090,23 @@ pub fn elaborate<O: Ops>(
 
     let order = order_nodes::<O>(prog, ua)?;
     let mut sigs: SigMap = ident_map_with_capacity(prog.nodes.len());
-    let mut clocks = Clocks::default();
-    let mut maps = DeclMaps {
+    let mut scratch = NodeScratch {
+        clocks: Clocks::default(),
         tys: IdentMap::default(),
         vars: IdentMap::default(),
     };
     let mut out = Lower::new();
     let mut nodes = Vec::with_capacity(prog.nodes.len());
     for i in order {
-        let env = ProgramEnv {
-            consts: &consts,
-            sigs: &sigs,
-            nodes: &nodes,
-            clocks: &mut clocks,
-            maps: &mut maps,
-            out: &mut out,
-        };
-        let node = elab_node::<O>(&prog.nodes[i], ua, env)?;
+        let node = elab_node::<O>(
+            &prog.nodes[i],
+            ua,
+            &consts,
+            &sigs,
+            &nodes,
+            &mut scratch,
+            &mut out,
+        )?;
         sigs.insert(node.name, NodeId::new(nodes.len()));
         nodes.push(node);
     }

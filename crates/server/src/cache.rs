@@ -279,8 +279,8 @@ struct Entry<A> {
     stored: StoredContent,
     artifact: Arc<A>,
     weight: usize,
-    /// Hits since the entry last entered a queue, saturating at
-    /// [`MAX_FREQ`].
+    /// Hits, saturating at [`MAX_FREQ`]: reset when the entry moves on
+    /// from probation, one less each time the main FIFO requeues it.
     freq: u8,
 }
 
@@ -480,11 +480,12 @@ impl<A> ArtifactCache<A> {
     }
 
     /// Evicts until one more entry of `weight` bytes fits both caps;
-    /// `false` if the cache emptied before it did. From probation while it holds its share of the binding cap (or the
-    /// main FIFO is empty): a front entry hit since admission moves to the
-    /// main FIFO, any other is dropped and ghosted. Otherwise from the
-    /// main FIFO: a front entry with hits left is requeued with one less,
-    /// any other is dropped.
+    /// `false` if the cache emptied before it did. From probation while
+    /// it holds its share of the binding cap (or the main FIFO is empty):
+    /// a front entry hit since admission moves to the main FIFO, any
+    /// other is dropped and ghosted. Otherwise from the main FIFO: a
+    /// front entry with hits left is requeued with one less, any other
+    /// is dropped.
     fn make_room(&self, queues: &mut Queues, weight: usize) -> bool {
         loop {
             let entries = self.entries.load(Ordering::Relaxed);
