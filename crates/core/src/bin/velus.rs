@@ -65,8 +65,9 @@
 //! cooperatively by the deadline) and prints the drain report.
 //!
 //! The observability flags thread the batch through `velus-obs`:
-//! `--trace-out FILE` records every request as a span tree (queue wait,
-//! cache probe, each pipeline pass, artifact handling) and writes
+//! `--trace-out FILE` records every request as a span tree (queue wait
+//! for a request that went to a worker, cache probe, each pipeline pass,
+//! artifact handling) and writes
 //! Chrome trace-event JSON loadable in Perfetto;
 //! `--metrics-out FILE` writes the closing statistics snapshot in the
 //! Prometheus text format; `--slow-trace-ms N` additionally retains the

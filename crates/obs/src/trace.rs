@@ -356,6 +356,19 @@ impl RequestScope {
     pub fn trace(&self) -> u64 {
         self.trace
     }
+
+    /// Ends the scope without recording it: its events are dropped, not
+    /// flushed, and the flight recorder never sees it. For speculative
+    /// work on one thread whose request then continues, under the same
+    /// trace ID, on another.
+    pub fn discard(self) {
+        SCOPE.with(|s| {
+            let mut slot = s.borrow_mut();
+            let prev = slot.take().and_then(|state| state.prev);
+            *slot = prev.map(|prev| *prev);
+        });
+        std::mem::forget(self);
+    }
 }
 
 impl Drop for RequestScope {
@@ -742,6 +755,30 @@ mod tests {
         instant("orphan", None);
         complete("orphan", 0, 10);
         let _g = span("orphan");
+    }
+
+    #[test]
+    fn a_discarded_scope_records_nothing_and_restores_the_outer_one() {
+        let rec = Recorder::new(RecorderConfig::default());
+        {
+            let _outer = rec.scope("outer");
+            let speculative = rec.scope("speculative");
+            let _probe = span("probe");
+            instant("probe", None);
+            speculative.discard();
+            assert!(active(), "the outer scope is current again");
+            let _after = span("after");
+        }
+        assert!(!active());
+        let data = rec.drain();
+        let names: Vec<&str> = data
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Enter))
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(names, ["request", "after"]);
+        assert_eq!(rec.flight().len(), 1, "only the outer scope reached it");
     }
 
     #[test]

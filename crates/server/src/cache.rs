@@ -535,6 +535,14 @@ impl<A> ArtifactCache<A> {
         shard.get(key).map(|e| Arc::clone(&e.stored.content))
     }
 
+    /// The hit count of the entry under `key` (test aid for counting
+    /// the probes a request makes).
+    #[cfg(test)]
+    pub(crate) fn freq(&self, key: &CacheKey) -> Option<u8> {
+        let shard = self.shard(key).lock().expect("cache shard lock");
+        shard.get(key).map(|e| e.freq)
+    }
+
     /// Checks, with every lock held, that the counters equal the sums
     /// over the stripes, that the queues hold each resident key exactly
     /// once (and nothing else), and that no ghost is resident.

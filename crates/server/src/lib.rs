@@ -389,7 +389,7 @@ pub struct CompileRequest {
     pub root: Option<String>,
     /// Artifact options.
     pub options: CompileOptions,
-    /// Per-request deadline in milliseconds, measured from admission
+    /// Per-request deadline in milliseconds, measured from submission
     /// (queue wait counts). `None` means no deadline. Expired requests
     /// fail with `ServiceError::DeadlineExceeded` (`E0802`); the
     /// pipeline aborts cooperatively at the next pass boundary. Not part

@@ -7,18 +7,30 @@
 //! state machine:
 //!
 //! ```text
-//! submit ── admission ──► queued ──► gate ──► attempt ──► done
-//!              │ E0801/E0805          │ E0802/E0803  │
-//!              ▼                      ▼              ▼ transient?
-//!            shed                 rejected      retry w/ backoff
+//!            the calling thread                             │        a worker
+//! submit ─► open? ─► gate ─► probe ── a kind missing ─► admission ─► queued ─► gate ─► attempt ─► done
+//!            │E0805   │E0802  │ every kind hit           │E0801                 │E0802   │
+//!            ▼        │E0803  ▼                          ▼                      │E0803   ▼ transient?
+//!          shed       ▼      done                       shed                    ▼      retry w/ backoff
+//!                  rejected                                                 rejected
 //! ```
 //!
+//! * **Hits on the calling thread.** `submit` digests the request once,
+//!   runs the gates and probes every requested kind. When every kind
+//!   verified-hits, the report is built right there: no pool job, no
+//!   channel round trip, no admission slot. Only a request with a
+//!   missing kind goes to a worker, carrying its digest and the
+//!   artifacts already found, so nothing is digested, probed or counted
+//!   twice; the worker re-probes only the missing kinds, on every
+//!   attempt, since another worker may have filled them meanwhile.
 //! * **Admission** ([`ServiceConfig::queue_cap`]) bounds the count of
-//!   outstanding work and sheds the excess with
-//!   [`ServiceError::Overloaded`] instead of queueing unboundedly.
-//! * **Deadlines**: a request's `deadline_ms` starts at admission; the
-//!   per-request [`CancelToken`] is checked before each attempt and at
-//!   every pass boundary of a cooperative compiler.
+//!   work waiting for or running on a worker and sheds the excess with
+//!   [`ServiceError::Overloaded`] instead of queueing unboundedly. A hit
+//!   never waits, so it never counts against the cap.
+//! * **Deadlines**: a request's `deadline_ms` starts at submission; the
+//!   per-request [`CancelToken`] is checked before a hit is served,
+//!   before each attempt and at every pass boundary of a cooperative
+//!   compiler.
 //! * **Retry**: transient failures (per
 //!   [`velus_common::codes::retry_class_of`]) are re-attempted up to
 //!   [`crate::RetryPolicy::budget`] with decorrelated-jitter backoff;
@@ -65,9 +77,10 @@ pub struct ServiceConfig {
     /// requests' span trees. `None` (the default) keeps the service
     /// entirely trace-free.
     pub recorder: Option<Recorder>,
-    /// Maximum outstanding admitted requests (queued + running); over
-    /// it, requests are shed with `E0801`. `None` (the default) admits
-    /// everything.
+    /// Maximum requests waiting for or running on a worker; over it,
+    /// requests are shed with `E0801`. A request every kind of which is
+    /// cached is served on the submitting thread and never counts.
+    /// `None` (the default) admits everything.
     pub queue_cap: Option<usize>,
     /// Retry policy for transient failures. The default budget is 0:
     /// retrying is opt-in.
@@ -229,8 +242,10 @@ pub struct RequestReport<C: Compiler> {
     /// kind was served from the cache — warnings surface when the
     /// pipeline actually runs).
     pub warnings: Vec<DiagRecord>,
-    /// End-to-end latency of this request (queueing excluded; measured
-    /// from when a worker picks it up).
+    /// The service's own time on this request, queueing excluded: the
+    /// digest, gates and probe on the submitting thread, plus the
+    /// worker's time when the request went to one. For a hit served on
+    /// the submitting thread this is its probe time.
     pub latency: Duration,
     /// Compilation attempts executed: 1 for the normal path, more when
     /// transient failures were retried, 0 when the request never ran
@@ -340,30 +355,103 @@ impl std::fmt::Display for DrainReport {
     }
 }
 
-/// A single request dispatched through [`CompileService::submit`].
+/// A single request dispatched through [`CompileService::submit`]: either
+/// already settled on the submitting thread (a hit, a gate's rejection,
+/// a shed request) or queued for a worker.
 pub struct Submission<C: Compiler> {
     admitted: bool,
-    name: String,
-    rx: mpsc::Receiver<RequestReport<C>>,
+    state: Pending<C>,
+}
+
+enum Pending<C: Compiler> {
+    Settled(RequestReport<C>),
+    Queued {
+        name: String,
+        rx: mpsc::Receiver<RequestReport<C>>,
+    },
 }
 
 impl<C: Compiler> Submission<C> {
-    /// Whether the request passed admission (a shed request still
-    /// resolves — immediately, with its coded rejection).
+    /// Whether the request was accepted rather than shed with `E0801`
+    /// or `E0805` (a shed request still resolves — immediately, with its
+    /// coded rejection). A hit served on the submitting thread is
+    /// accepted without taking an admission slot.
     pub fn admitted(&self) -> bool {
         self.admitted
     }
 
-    /// Blocks until the request's report is available.
+    /// The report: at once when the request was settled in `submit`,
+    /// otherwise blocking until its worker sends it.
     pub fn wait(self) -> RequestReport<C> {
-        self.rx.recv().unwrap_or_else(|_| RequestReport {
-            name: self.name,
-            result: Err(ServiceError::Lost),
-            cache_hit: false,
-            warnings: Vec::new(),
-            latency: Duration::ZERO,
-            attempts: 0,
-        })
+        match self.state {
+            Pending::Settled(report) => report,
+            Pending::Queued { name, rx } => rx.recv().unwrap_or_else(|_| RequestReport {
+                name,
+                result: Err(ServiceError::Lost),
+                cache_hit: false,
+                warnings: Vec::new(),
+                latency: Duration::ZERO,
+                attempts: 0,
+            }),
+        }
+    }
+
+    fn settled(admitted: bool, report: RequestReport<C>) -> Submission<C> {
+        Submission {
+            admitted,
+            state: Pending::Settled(report),
+        }
+    }
+}
+
+/// A request on its way through the service, digested once on entry,
+/// with the artifact of each requested kind found so far. `submit`
+/// builds it; when a kind is missing, the worker takes it over.
+struct Job<C: Compiler> {
+    req: CompileRequest,
+    kinds: Vec<ArtifactKind>,
+    /// One pass over the content; every kind's key, the retry jitter and
+    /// the quarantine entry derive from it.
+    digest: ContentDigest,
+    /// One slot per kind, in kind order.
+    slots: Vec<Option<Arc<C::Artifact>>>,
+    /// The service's time on the request before a worker took it over
+    /// (the digest, and in `submit` the gates and probe).
+    spent: Duration,
+}
+
+impl<C: Compiler> Job<C> {
+    fn new(req: CompileRequest) -> Job<C> {
+        let start = Instant::now();
+        let kinds = req.options.effective_kinds();
+        let digest = ContentDigest::of(&req);
+        Job {
+            digest,
+            slots: vec![None; kinds.len()],
+            kinds,
+            req,
+            spent: start.elapsed(),
+        }
+    }
+
+    /// The served artifacts, in kind order, taken out of the slots; the
+    /// kinds at the indices in `compiled` did not come from the cache.
+    fn artifacts(
+        &mut self,
+        compiled: &[usize],
+    ) -> Result<Vec<ArtifactReport<C>>, ServiceError<C::Error>> {
+        let mut artifacts = Vec::with_capacity(self.kinds.len());
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            match slot.take() {
+                Some(artifact) => artifacts.push(ArtifactReport {
+                    kind: self.kinds[i],
+                    artifact,
+                    cache_hit: !compiled.contains(&i),
+                }),
+                None => return Err(ServiceError::MissingArtifact(self.kinds[i])),
+            }
+        }
+        Ok(artifacts)
     }
 }
 
@@ -479,66 +567,80 @@ impl<C: Compiler> CompileService<C> {
             return rejected(&self.inner.stats, req.name, ServiceError::Draining);
         }
         let token = self.inner.token_for(&req);
-        run_request(&self.inner, req, &token)
+        run_request(&self.inner, Job::new(req), &token)
     }
 
-    /// Dispatches one request to the worker pool without blocking: the
-    /// open-loop entry point (arrivals are not gated on completions).
-    /// A shed request resolves immediately with its coded rejection.
+    /// Serves one request without blocking on a worker: the open-loop
+    /// entry point (arrivals are not gated on completions).
     ///
-    /// With a recorder configured, the request runs under its own trace
-    /// scope, opened with a `queue-wait` interval from submission to
-    /// worker pickup.
+    /// The request is digested once and gated on the calling thread
+    /// (`E0805` when draining, `E0803` when quarantined, `E0802` when its
+    /// deadline is already spent), then every requested kind is probed,
+    /// verified byte for byte on a hit. When every kind hits, the report
+    /// is built here and the submission is already resolved: a hit needs
+    /// no worker, so it takes no admission slot and never waits. Otherwise
+    /// the request is admitted (or shed with `E0801`) and queued for a
+    /// worker, which compiles only the missing kinds.
+    ///
+    /// With a recorder configured, a request settled here is traced on
+    /// the calling thread (`request` and `cache-probe` spans, no
+    /// `queue-wait`, since nothing queued). A queued request is traced
+    /// on its worker, opened with a `queue-wait` interval from dispatch
+    /// to pickup; the calling thread's probe of it records nothing.
     pub fn submit(&self, req: CompileRequest) -> Submission<C> {
-        let (tx, rx) = mpsc::channel();
-        let name = req.name.clone();
-        if let Err(reject) = self.inner.admission.try_admit() {
-            let report = rejected(&self.inner.stats, req.name, reject_error(reject));
-            let _ = tx.send(report);
-            return Submission {
-                admitted: false,
-                name,
-                rx,
-            };
+        if self.inner.admission.is_closed() {
+            let report = rejected(&self.inner.stats, req.name, ServiceError::Draining);
+            return Submission::settled(false, report);
         }
-        // The token starts now, at admission: queue wait counts against
-        // the request's deadline.
+        // The token starts now: queue wait counts against the request's
+        // deadline.
         let token = self.inner.token_for(&req);
+        let traced = self.recorder.as_ref().map(|rec| (rec, rec.new_trace()));
+        let scope = traced.map(|(rec, trace_id)| rec.scope_with(&req.name, trace_id));
+        let mut job = Job::new(req);
+        if let Some(report) = settle(&self.inner, &mut job, &token) {
+            drop(scope);
+            return Submission::settled(true, report);
+        }
+        if let Some(scope) = scope {
+            scope.discard();
+        }
+        if let Err(reject) = self.inner.admission.try_admit() {
+            let report = rejected(&self.inner.stats, job.req.name, reject_error(reject));
+            return Submission::settled(false, report);
+        }
+        let (tx, rx) = mpsc::channel();
+        let name = job.req.name.clone();
         let inner = Arc::clone(&self.inner);
-        // The trace ID is allocated at submission so the queue-wait
-        // interval (submit → worker pickup) can be keyed to it.
-        let traced = self
-            .recorder
-            .clone()
-            .map(|rec| (rec.new_trace(), rec.now_ns(), rec));
+        let queued = traced.map(|(rec, trace_id)| (rec.clone(), trace_id, rec.now_ns()));
         self.pool.execute(move || {
             let report = {
                 // The scope closes before the report is sent, so a
                 // waiter that drains the recorder sees the whole trace.
-                let _scope = traced.as_ref().map(|(trace_id, submit_ns, rec)| {
-                    let scope = rec.scope_with(&req.name, *trace_id);
+                let _scope = queued.as_ref().map(|(rec, trace_id, queued_ns)| {
+                    let scope = rec.scope_with(&job.req.name, *trace_id);
                     trace::complete(
                         "queue-wait",
-                        *submit_ns,
-                        rec.now_ns().saturating_sub(*submit_ns),
+                        *queued_ns,
+                        rec.now_ns().saturating_sub(*queued_ns),
                     );
                     scope
                 });
-                run_request(&inner, req, &token)
+                run_request(&inner, job, &token)
             };
             inner.admission.release();
             let _ = tx.send(report);
         });
         Submission {
             admitted: true,
-            name,
-            rx,
+            state: Pending::Queued { name, rx },
         }
     }
 
-    /// Compiles a batch on the worker pool and reports per-request
-    /// outcomes **in request order**: each request goes through
-    /// [`CompileService::submit`] in order, then each is waited for.
+    /// Serves a batch and reports per-request outcomes **in request
+    /// order**: each request goes through [`CompileService::submit`] in
+    /// order (hits are served there, on the calling thread, and misses
+    /// queue for the pool), then each is waited for.
     ///
     /// Requests the admission layer sheds fail immediately with a coded
     /// [`ServiceError::Overloaded`]/[`ServiceError::Draining`] — their
@@ -635,42 +737,146 @@ fn cancel_to_error<E>(reason: CancelReason) -> ServiceError<E> {
     }
 }
 
-/// The per-request path: cancellation gate, quarantine gate, then the
-/// attempt loop (per-kind cache probe, one guarded compile for the
-/// missing kinds, per-kind cache fill) with transient-failure retry,
-/// and accounting. Runs on a worker (batch/submit) or the caller
-/// (`compile_one`).
+/// The gates every request passes before it is served, and before each
+/// attempt on a worker: a request whose deadline is spent (or which a
+/// drain cancelled) never runs, and a quarantined input never reaches a
+/// compiler, whatever of it is cached.
+fn gate<C: Compiler>(
+    inner: &Inner<C>,
+    digest: &ContentDigest,
+    token: &CancelToken,
+) -> Option<ServiceError<C::Error>> {
+    if let Some(reason) = token.state() {
+        return Some(cancel_to_error(reason));
+    }
+    if inner.quarantine.check(digest) {
+        inner.stats.record_quarantine_hit();
+        return Some(ServiceError::Quarantined);
+    }
+    None
+}
+
+/// Probes the cache for every kind not found yet (verified on a hit,
+/// which counts toward the entry's stay), under a `cache-probe` span
+/// with one `probe` instant per kind. Counts nothing; returns whether
+/// every kind is found.
+fn probe<C: Compiler>(inner: &Inner<C>, job: &mut Job<C>) -> bool {
+    let span = trace::enter("cache-probe");
+    for (kind, slot) in job.kinds.iter().zip(&mut job.slots) {
+        if slot.is_none() && inner.caching {
+            *slot = inner.cache.get(&job.digest.key(kind), &job.req, kind);
+        }
+        if trace::active() {
+            let outcome = if slot.is_some() { "hit" } else { "miss" };
+            trace::instant("probe", Some(format!("{kind}:{outcome}")));
+        }
+    }
+    trace::exit(span);
+    job.slots.iter().all(Option::is_some)
+}
+
+/// Counts a request's cache outcome, once per request: a row per kind,
+/// and one hit or miss for the request.
+fn count_probe<C: Compiler>(inner: &Inner<C>, job: &Job<C>) {
+    for (kind, slot) in job.kinds.iter().zip(&job.slots) {
+        inner.stats.record_kind(kind, slot.is_some());
+    }
+    if job.slots.iter().all(Option::is_some) {
+        inner.stats.record_hit();
+    } else {
+        inner.stats.record_miss();
+    }
+}
+
+/// The gates and the first probe, on the submitting thread. A request a
+/// gate rejects, or whose every kind hits, is settled here: counted
+/// like a worker counts it, and its report returned. Any other is left
+/// in `job`, uncounted, with what the probe found, to be queued.
+fn settle<C: Compiler>(
+    inner: &Inner<C>,
+    job: &mut Job<C>,
+    token: &CancelToken,
+) -> Option<RequestReport<C>> {
+    let start = Instant::now();
+    let result = match gate(inner, &job.digest, token) {
+        Some(err) => Err(err),
+        None if probe(inner, job) => {
+            count_probe(inner, job);
+            job.artifacts(&[])
+        }
+        None => {
+            job.spent += start.elapsed();
+            return None;
+        }
+    };
+    inner.stats.record_request();
+    let cache_hit = result.is_ok();
+    Some(record(
+        inner,
+        RequestReport {
+            name: std::mem::take(&mut job.req.name),
+            result,
+            cache_hit,
+            warnings: Vec::new(),
+            latency: job.spent + start.elapsed(),
+            attempts: u32::from(cache_hit),
+        },
+    ))
+}
+
+/// Records a finished request — its failure's codes and counters, and
+/// its latency — and returns its report.
+fn record<C: Compiler>(inner: &Inner<C>, report: RequestReport<C>) -> RequestReport<C> {
+    match &report.result {
+        // Compile errors and panics are disjoint counters (a panicking
+        // request counts only under `panics`, recorded per attempt in
+        // compile_guarded).
+        Err(ServiceError::Compile { report, .. }) => {
+            inner.stats.record_error();
+            inner.stats.record_failure_codes(&report.codes());
+        }
+        Err(ServiceError::DeadlineExceeded) => {
+            inner.stats.record_deadline_exceeded();
+            inner.stats.record_failure_codes(&[codes::E0802.id]);
+        }
+        Err(ServiceError::Quarantined) => {
+            inner.stats.record_failure_codes(&[codes::E0803.id]);
+        }
+        Err(ServiceError::Draining) => {
+            inner.stats.record_failure_codes(&[codes::E0805.id]);
+        }
+        _ => {}
+    }
+    inner.stats.record_latency(report.latency.as_nanos() as u64);
+    report
+}
+
+/// The per-request path on a worker (or the caller, for `compile_one`):
+/// the gates, then the attempt loop (probe of the kinds still missing,
+/// one guarded compile for them, per-kind cache fill) with
+/// transient-failure retry, and accounting.
 fn run_request<C: Compiler>(
     inner: &Inner<C>,
-    mut req: CompileRequest,
+    mut job: Job<C>,
     token: &CancelToken,
 ) -> RequestReport<C> {
     let start = Instant::now();
     inner.stats.record_request();
     inner.in_flight.fetch_add(1, Ordering::Relaxed);
-    let kinds = req.options.effective_kinds();
-    // One pass over the content; every kind's key, the retry jitter and
-    // the quarantine entry derive from it.
-    let digest = ContentDigest::of(&req);
 
     let mut attempts: u32 = 0;
-    let mut backoff = Backoff::new(inner.retry, digest.seed());
+    let mut backoff = Backoff::new(inner.retry, job.digest.seed());
     let mut all_hit = false;
     let mut warnings: Vec<DiagRecord> = Vec::new();
     let result = loop {
-        // Gates, re-checked before every attempt: a request that
-        // expired while queued (or while backing off) never runs, and a
-        // quarantined input never reaches a worker's compiler.
-        if let Some(reason) = token.state() {
-            break Err(cancel_to_error(reason));
-        }
-        if inner.quarantine.check(&digest) {
-            inner.stats.record_quarantine_hit();
-            break Err(ServiceError::Quarantined);
+        // Re-checked before every attempt: a request that expired while
+        // queued (or while backing off) never runs.
+        if let Some(err) = gate(inner, &job.digest, token) {
+            break Err(err);
         }
         let first = attempts == 0;
         attempts += 1;
-        let (hit, warn, outcome) = attempt(inner, &mut req, &kinds, &digest, token, first);
+        let (hit, warn, outcome) = attempt(inner, &mut job, token, first);
         all_hit = hit;
         warnings = warn;
         match outcome {
@@ -724,61 +930,41 @@ fn run_request<C: Compiler>(
                 // kinds it asked for: repeat offenders are rejected
                 // instantly instead of re-poisoning workers.
                 if matches!(err, ServiceError::Panic(_)) {
-                    inner.quarantine.insert(digest);
+                    inner.quarantine.insert(job.digest);
                 }
                 break Err(err);
             }
         }
     };
 
-    match &result {
-        // Compile errors and panics are disjoint counters (a panicking
-        // request counts only under `panics`, recorded per attempt in
-        // compile_guarded).
-        Err(ServiceError::Compile { report, .. }) => {
-            inner.stats.record_error();
-            inner.stats.record_failure_codes(&report.codes());
-        }
-        Err(ServiceError::DeadlineExceeded) => {
-            inner.stats.record_deadline_exceeded();
-            inner.stats.record_failure_codes(&[codes::E0802.id]);
-        }
-        Err(ServiceError::Quarantined) => {
-            inner.stats.record_failure_codes(&[codes::E0803.id]);
-        }
-        Err(ServiceError::Draining) => {
-            inner.stats.record_failure_codes(&[codes::E0805.id]);
-        }
-        _ => {}
-    }
-    let latency = start.elapsed();
-    inner.stats.record_latency(latency.as_nanos() as u64);
     inner.in_flight.fetch_sub(1, Ordering::Relaxed);
-    RequestReport {
-        name: req.name,
-        result,
-        cache_hit: all_hit,
-        warnings,
-        latency,
-        attempts,
-    }
+    record(
+        inner,
+        RequestReport {
+            name: job.req.name,
+            result,
+            cache_hit: all_hit,
+            warnings,
+            latency: job.spent + start.elapsed(),
+            attempts,
+        },
+    )
 }
 
-/// One attempt: per-kind cache probe, one guarded compile for the
-/// missing kinds, per-kind cache fill, artifact assembly. Kind and
-/// hit/miss counters record only on the first attempt so retries do
-/// not inflate per-request statistics; the cache is re-probed on every
-/// attempt (another worker may have filled it meanwhile).
+/// One attempt: probe of the kinds still missing, one guarded compile
+/// for those the cache does not hold, per-kind cache fill, artifact
+/// assembly. Kind and hit/miss counters record only on the first
+/// attempt so retries do not inflate per-request statistics; the cache
+/// is re-probed on every attempt (another worker may have filled it
+/// meanwhile).
 ///
 /// A successful compile is the request's last use of its content, so the
-/// fill moves source and root out of `req` into the one
+/// fill moves source and root out of the request into the one
 /// [`RequestContent`] every filled kind shares.
 #[allow(clippy::type_complexity)]
 fn attempt<C: Compiler>(
     inner: &Inner<C>,
-    req: &mut CompileRequest,
-    kinds: &[ArtifactKind],
-    digest: &ContentDigest,
+    job: &mut Job<C>,
     token: &CancelToken,
     first: bool,
 ) -> (
@@ -786,40 +972,20 @@ fn attempt<C: Compiler>(
     Vec<DiagRecord>,
     Result<Vec<ArtifactReport<C>>, ServiceError<C::Error>>,
 ) {
-    let probe = trace::enter("cache-probe");
-    let mut slots: Vec<Option<Arc<C::Artifact>>> = Vec::with_capacity(kinds.len());
-    for kind in kinds {
-        let found = if inner.caching {
-            inner.cache.get(&digest.key(kind), req, kind)
-        } else {
-            None
-        };
-        if first {
-            inner.stats.record_kind(kind, found.is_some());
-        }
-        if trace::active() {
-            let outcome = if found.is_some() { "hit" } else { "miss" };
-            trace::instant("probe", Some(format!("{kind}:{outcome}")));
-        }
-        slots.push(found);
-    }
-    trace::exit(probe);
-    let missing: Vec<usize> = (0..kinds.len()).filter(|&i| slots[i].is_none()).collect();
-    let all_hit = missing.is_empty();
+    let all_hit = probe(inner, job);
     if first {
-        if all_hit {
-            inner.stats.record_hit();
-        } else {
-            inner.stats.record_miss();
-        }
+        count_probe(inner, job);
     }
+    let missing: Vec<usize> = (0..job.kinds.len())
+        .filter(|&i| job.slots[i].is_none())
+        .collect();
 
     let mut warnings: Vec<DiagRecord> = Vec::new();
     let result = if all_hit {
         Ok(())
     } else {
-        let missing_kinds: Vec<ArtifactKind> = missing.iter().map(|&i| kinds[i]).collect();
-        compile_guarded(inner, req, &missing_kinds, token).map(|output| {
+        let missing_kinds: Vec<ArtifactKind> = missing.iter().map(|&i| job.kinds[i]).collect();
+        compile_guarded(inner, &job.req, &missing_kinds, token).map(|output| {
             let _store = trace::span("cache-fill");
             inner.stats.record_warnings(output.warnings.len() as u64);
             inner
@@ -831,37 +997,24 @@ fn attempt<C: Compiler>(
                 // Only requested-and-missing kinds are admitted; a
                 // compiler returning extras (or duplicates) does not
                 // grow the cache beyond what was asked for.
-                let Some(slot) = (0..kinds.len()).find(|&i| kinds[i] == kind && slots[i].is_none())
+                let Some(slot) =
+                    (0..job.kinds.len()).find(|&i| job.kinds[i] == kind && job.slots[i].is_none())
                 else {
                     continue;
                 };
                 let shared = if inner.caching {
-                    let content = content.get_or_insert_with(|| RequestContent::take(req));
+                    let content = content.get_or_insert_with(|| RequestContent::take(&mut job.req));
                     inner
                         .cache
-                        .insert(digest.key(&kind), content, kind, artifact)
+                        .insert(job.digest.key(&kind), content, kind, artifact)
                 } else {
                     Arc::new(artifact)
                 };
-                slots[slot] = Some(shared);
+                job.slots[slot] = Some(shared);
             }
         })
     };
-
-    let result = result.and_then(|()| {
-        let mut artifacts: Vec<ArtifactReport<C>> = Vec::with_capacity(kinds.len());
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(artifact) => artifacts.push(ArtifactReport {
-                    kind: kinds[i],
-                    artifact,
-                    cache_hit: !missing.contains(&i),
-                }),
-                None => return Err(ServiceError::MissingArtifact(kinds[i])),
-            }
-        }
-        Ok(artifacts)
-    });
+    let result = result.and_then(|()| job.artifacts(&missing));
     (all_hit, warnings, result)
 }
 
@@ -916,6 +1069,8 @@ mod tests {
     /// observable as invocation counts.
     struct Toy {
         calls: AtomicU64,
+        /// Every kind asked of the compiler, in call order.
+        compiled: std::sync::Mutex<Vec<ArtifactKind>>,
         /// Sources already attempted once (drives `FLAKY`).
         seen: std::sync::Mutex<std::collections::HashSet<String>>,
     }
@@ -924,6 +1079,7 @@ mod tests {
         fn new() -> Toy {
             Toy {
                 calls: AtomicU64::new(0),
+                compiled: std::sync::Mutex::new(Vec::new()),
                 seen: std::sync::Mutex::new(std::collections::HashSet::new()),
             }
         }
@@ -940,6 +1096,7 @@ mod tests {
             cancel: &CancelToken,
         ) -> Result<crate::CompileOutput<String>, String> {
             self.calls.fetch_add(1, Ordering::SeqCst);
+            self.compiled.lock().unwrap().extend_from_slice(kinds);
             match req.source.as_str() {
                 "BOOM" => panic!("toy compiler exploded"),
                 "SLOW" => {
@@ -1569,6 +1726,192 @@ mod tests {
         assert_eq!(ok.attempts, 1);
         let warm = svc.submit(CompileRequest::new("s", "hello")).wait();
         assert!(warm.cache_hit);
+    }
+
+    fn kind_row(svc: &CompileService<Toy>, kind: &str) -> (u64, u64) {
+        let stats = svc.stats();
+        stats
+            .kinds
+            .iter()
+            .find(|row| row.kind == kind)
+            .map_or((0, 0), |row| (row.requests, row.hits))
+    }
+
+    /// Waits until the toy compiler has been called `calls` times.
+    fn await_calls(svc: &CompileService<Toy>, calls: u64) {
+        let began = Instant::now();
+        while svc.inner.compiler.calls.load(Ordering::SeqCst) < calls {
+            assert!(
+                began.elapsed() < Duration::from_secs(10),
+                "the worker never started"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_hit_is_served_while_the_only_worker_is_busy() {
+        let svc = service(1);
+        assert!(svc
+            .compile_one(CompileRequest::new("w", "x"))
+            .result
+            .is_ok());
+        let slow = svc.submit(CompileRequest::new("slow", "SLOW"));
+        await_calls(&svc, 2);
+        let before = svc.stats();
+        let sub = svc.submit(CompileRequest::new("again", "x"));
+        assert!(sub.admitted());
+        assert!(
+            matches!(sub.state, Pending::Settled(_)),
+            "a hit resolves in submit, without the busy worker"
+        );
+        let hit = sub.wait();
+        assert!(hit.cache_hit);
+        assert_eq!(hit.attempts, 1);
+        assert_eq!(**hit.primary().unwrap(), "X");
+        assert_eq!(svc.inner.compiler.calls.load(Ordering::SeqCst), 2);
+        assert_eq!(svc.outstanding(), 1, "the hit took no admission slot");
+        let after = svc.stats();
+        assert_eq!(after.requests - before.requests, 1);
+        assert_eq!(after.cache_hits - before.cache_hits, 1);
+        assert_eq!(after.cache_misses, before.cache_misses);
+        assert_eq!(kind_row(&svc, "c"), (3, 1), "the cold, slow and warm rows");
+        svc.drain(Duration::from_millis(10));
+        assert!(matches!(slow.wait().result, Err(ServiceError::Draining)));
+    }
+
+    #[test]
+    fn a_zero_queue_cap_still_serves_hits_and_sheds_misses() {
+        let svc = CompileService::new(
+            Toy::new(),
+            ServiceConfig {
+                workers: 1,
+                queue_cap: Some(0),
+                ..Default::default()
+            },
+        );
+        assert!(svc
+            .compile_one(CompileRequest::new("a", "x"))
+            .result
+            .is_ok());
+        let hit = svc.submit(CompileRequest::new("a", "x"));
+        assert!(hit.admitted());
+        let hit = hit.wait();
+        assert!(hit.cache_hit && hit.result.is_ok());
+        let miss = svc.submit(CompileRequest::new("b", "y"));
+        assert!(!miss.admitted());
+        let miss = miss.wait();
+        assert!(matches!(
+            miss.result,
+            Err(ServiceError::Overloaded { queued: 0 })
+        ));
+        let stats = svc.stats();
+        assert_eq!((stats.requests, stats.cache_hits, stats.shed), (2, 1, 1));
+        assert_eq!(stats.failure_codes, vec![("E0801", 1)]);
+        assert_eq!(svc.inner.compiler.calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_draining_service_rejects_even_a_cached_request() {
+        let svc = service(1);
+        assert!(svc
+            .compile_one(CompileRequest::new("a", "x"))
+            .result
+            .is_ok());
+        assert!(svc.drain(Duration::from_secs(5)).clean());
+        let sub = svc.submit(CompileRequest::new("a", "x"));
+        assert!(!sub.admitted());
+        let report = sub.wait();
+        assert!(matches!(report.result, Err(ServiceError::Draining)));
+        assert!(!report.cache_hit);
+        let stats = svc.stats();
+        assert_eq!((stats.requests, stats.cache_hits, stats.shed), (1, 0, 1));
+    }
+
+    #[test]
+    fn a_quarantined_input_is_rejected_even_when_cached() {
+        let svc = service(1);
+        let wcet = ArtifactKind::Wcet {
+            model: WcetModelKind::CompCert,
+        };
+        let req = CompileRequest::new("p", "BOOM").with_options(CompileOptions {
+            kinds: vec![ArtifactKind::CCode, wcet],
+            ..CompileOptions::default()
+        });
+        // The C artifact of the content is cached, the WCET one is not,
+        // and the content is quarantined.
+        let digest = ContentDigest::of(&req);
+        let content = RequestContent::take(&mut req.clone());
+        let c_key = digest.key(&ArtifactKind::CCode);
+        svc.inner
+            .cache
+            .insert(c_key, &content, ArtifactKind::CCode, "BOOM".to_owned());
+        svc.inner.quarantine.insert(digest);
+        let report = svc.submit(req).wait();
+        assert!(matches!(report.result, Err(ServiceError::Quarantined)));
+        assert_eq!(report.attempts, 0);
+        assert_eq!(svc.inner.quarantine.hits(), 1);
+        let stats = svc.stats();
+        assert_eq!(
+            (stats.requests, stats.quarantine_hits, stats.cache_hits),
+            (1, 1, 0)
+        );
+        assert_eq!(stats.failure_codes, vec![("E0803", 1)]);
+        assert_eq!(svc.inner.cache.freq(&c_key), Some(0), "never probed");
+        assert_eq!(svc.inner.compiler.calls.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_partly_cached_request_compiles_only_its_missing_kind() {
+        let svc = service(1);
+        let wcet = ArtifactKind::Wcet {
+            model: WcetModelKind::CompCert,
+        };
+        let both = CompileRequest::new("r", "x").with_options(CompileOptions {
+            kinds: vec![ArtifactKind::CCode, wcet],
+            ..CompileOptions::default()
+        });
+        let digest = ContentDigest::of(&both);
+        let (c_key, w_key) = (digest.key(&ArtifactKind::CCode), digest.key(&wcet));
+        assert!(svc
+            .compile_one(CompileRequest::new("r", "x"))
+            .result
+            .is_ok());
+        assert_eq!(svc.inner.cache.freq(&c_key), Some(0));
+
+        let mixed = svc.submit(both.clone()).wait();
+        assert!(!mixed.cache_hit);
+        let flags: Vec<bool> = mixed
+            .result
+            .as_ref()
+            .unwrap()
+            .iter()
+            .map(|a| a.cache_hit)
+            .collect();
+        assert_eq!(flags, [true, false]);
+        assert_eq!(
+            *svc.inner.compiler.compiled.lock().unwrap(),
+            [ArtifactKind::CCode, wcet],
+            "the cold compile asked for C, the mixed one only for WCET"
+        );
+        // The submitting thread's probe found C; the worker did not
+        // probe it again.
+        assert_eq!(svc.inner.cache.freq(&c_key), Some(1));
+        assert_eq!(svc.inner.cache.freq(&w_key), Some(0));
+
+        let warm = svc.submit(both).wait();
+        assert!(warm.cache_hit);
+        assert_eq!(svc.inner.cache.freq(&c_key), Some(2));
+        assert_eq!(svc.inner.cache.freq(&w_key), Some(1));
+        assert_eq!(svc.inner.compiler.calls.load(Ordering::SeqCst), 2);
+        let stats = svc.stats();
+        assert_eq!(
+            (stats.requests, stats.cache_hits, stats.cache_misses),
+            (3, 1, 2)
+        );
+        assert_eq!(kind_row(&svc, "c"), (3, 2));
+        assert_eq!(kind_row(&svc, "wcet"), (2, 1));
+        svc.inner.cache.check_invariants();
     }
 
     #[test]

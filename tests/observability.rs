@@ -193,6 +193,58 @@ fn submitted_requests_are_traced_like_batch_requests() {
     }
 }
 
+#[test]
+fn warm_hits_are_traced_on_the_submitting_thread_without_queueing() {
+    let programs = 6;
+    let recorder = Recorder::new(RecorderConfig::default());
+    let svc = service(ServiceConfig {
+        workers: 2,
+        caching: true,
+        recorder: Some(recorder.clone()),
+        ..Default::default()
+    });
+    let corpus = generated_corpus(programs);
+    assert_eq!(svc.compile_batch(corpus.clone()).err_count(), 0);
+    recorder.drain();
+    let warm = svc.compile_batch(corpus);
+    assert_eq!(warm.hit_count(), programs, "the warm pass hits throughout");
+    let data = recorder.drain();
+    assert_eq!(data.dropped, 0);
+
+    let mut traces: std::collections::BTreeMap<u64, Vec<&velus_obs::TraceEvent>> =
+        std::collections::BTreeMap::new();
+    for ev in &data.events {
+        traces.entry(ev.trace).or_default().push(ev);
+    }
+    assert_eq!(traces.len(), programs, "one trace per request");
+    // The batch submits from this one thread, and every hit is served
+    // where it was submitted.
+    let tid = data.events[0].tid;
+    for (trace, events) in &traces {
+        assert!(
+            events.iter().all(|e| e.tid == tid),
+            "trace {trace} left the submitting thread"
+        );
+        let enters: Vec<&str> = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Enter))
+            .map(|e| e.name)
+            .collect();
+        assert!(
+            enters.contains(&"request") && enters.contains(&"cache-probe"),
+            "trace {trace}: {enters:?}"
+        );
+        assert!(
+            !enters.contains(&"compile"),
+            "trace {trace} compiled: {enters:?}"
+        );
+        assert!(
+            events.iter().all(|e| e.name != "queue-wait"),
+            "trace {trace} waited in a queue"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
