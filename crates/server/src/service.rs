@@ -7,12 +7,19 @@
 //! state machine:
 //!
 //! ```text
-//!            the calling thread                             │        a worker
-//! submit ─► open? ─► gate ─► probe ── a kind missing ─► admission ─► queued ─► gate ─► attempt ─► done
-//!            │E0805   │E0802  │ every kind hit           │E0801                 │E0802   │
-//!            ▼        │E0803  ▼                          ▼                      │E0803   ▼ transient?
-//!          shed       ▼      done                       shed                    ▼      retry w/ backoff
-//!                  rejected                                                 rejected
+//! the calling thread:
+//! submit ──► draining? ──► gate ──► probe ── every kind hit ──► done
+//!             │ E0805       │        │ a kind missing
+//!             ▼             │        ▼
+//!           shed            │    admission ──► queued
+//!                           │        │ E0801     │
+//!                           │        ▼           │
+//!                           │      shed          │
+//! a worker:                 │                    ▼
+//!                           │                  gate ──► attempt ──► done
+//!                           │ E0802/E0803        │ E0802/E0803   │
+//!                           ▼                    ▼               ▼ transient?
+//!                       rejected             rejected      retry w/ backoff
 //! ```
 //!
 //! * **Hits on the calling thread.** `submit` digests the request once,
